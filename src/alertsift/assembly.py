@@ -208,9 +208,6 @@ class SpecialistView:
     def timestamp(self) -> datetime:
         return self.record.timestamp
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.epoch_fields or name in self.context_fields
-
     def field_names(self) -> frozenset[str]:
         return frozenset(self.epoch_fields) | frozenset(self.context_fields)
 

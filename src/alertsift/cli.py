@@ -16,7 +16,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -84,20 +84,6 @@ class PipelineConfig:
         )
 
 
-def _replace(cfg: PipelineConfig, **overrides: Any) -> PipelineConfig:
-    values = {
-        "sentinel": cfg.sentinel,
-        "specialists": cfg.specialists,
-        "meta": cfg.meta,
-        "seed": cfg.seed,
-        "taxonomy_path": cfg.taxonomy_path,
-        "dataset_dir": cfg.dataset_dir,
-        "report_dir": cfg.report_dir,
-    }
-    values.update(overrides)
-    return PipelineConfig(**values)
-
-
 def load_config(args: argparse.Namespace) -> PipelineConfig:
     """Resolve the effective config: file < environment seed < flags."""
     if args.config:
@@ -107,13 +93,13 @@ def load_config(args: argparse.Namespace) -> PipelineConfig:
         cfg = PipelineConfig()
     env_seed = os.environ.get(SEED_ENV_VAR)
     if env_seed is not None:
-        cfg = _replace(cfg, seed=int(env_seed))
+        cfg = replace(cfg, seed=int(env_seed))
     if args.seed is not None:
-        cfg = _replace(cfg, seed=args.seed)
+        cfg = replace(cfg, seed=args.seed)
     return cfg
 
 
-def cmd_generate(cfg: PipelineConfig, jobs: int) -> int:
+def cmd_generate(cfg: PipelineConfig) -> int:
     try:
         taxonomy = load_taxonomy(cfg.taxonomy_path)
     except (FileNotFoundError, TaxonomyInvariantViolation, InvalidEntry,
@@ -121,7 +107,7 @@ def cmd_generate(cfg: PipelineConfig, jobs: int) -> int:
         print(f"error: taxonomy validation failed: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:
-        dataset = generate_dataset(taxonomy, cfg.seed, jobs=jobs)
+        dataset = generate_dataset(taxonomy, cfg.seed)
         write_dataset(dataset, cfg.dataset_dir)
     except OSError as exc:
         print(f"error: could not write dataset: {exc}", file=sys.stderr)
@@ -134,7 +120,7 @@ def cmd_generate(cfg: PipelineConfig, jobs: int) -> int:
     return EXIT_OK
 
 
-def cmd_evaluate(cfg: PipelineConfig, jobs: int, golden_check: bool, json_only: bool) -> int:
+def cmd_evaluate(cfg: PipelineConfig, golden_check: bool, json_only: bool) -> int:
     try:
         taxonomy = load_taxonomy(cfg.taxonomy_path)
         dataset = load_dataset(cfg.dataset_dir)
@@ -154,7 +140,6 @@ def cmd_evaluate(cfg: PipelineConfig, jobs: int, golden_check: bool, json_only: 
             sentinel_cfg=cfg.sentinel,
             specialist_cfg=cfg.specialists,
             meta_cfg=cfg.meta,
-            jobs=jobs,
         )
     except DatasetTaxonomyMismatch as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -222,9 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", type=Path, default=None, help="JSON config file")
     parser.add_argument("--seed", type=int, default=None, help="override the RNG seed")
-    parser.add_argument(
-        "--jobs", type=int, default=1, help="worker parallelism for generation/evaluation"
-    )
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("generate", help="write epochs.jsonl, contexts.json, manifest.json")
     evaluate_parser = sub.add_parser("evaluate", help="run the pipeline and write reports")
@@ -252,9 +234,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT
 
     if args.command == "generate":
-        return cmd_generate(cfg, args.jobs)
+        return cmd_generate(cfg)
     if args.command == "evaluate":
-        return cmd_evaluate(cfg, args.jobs, args.golden_check, args.json_only)
+        return cmd_evaluate(cfg, args.golden_check, args.json_only)
     if args.command == "report":
         return cmd_report(cfg)
     raise AssertionError(f"unhandled command {args.command!r}")

@@ -10,8 +10,8 @@ device statuses at the point of failure.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from datetime import datetime
 from enum import Enum
 from math import sqrt
 from pathlib import Path
@@ -26,6 +26,7 @@ from .model import (
     PatientContext,
     SystemDecision,
     Verdict,
+    format_timestamp,
     parse_enum,
     read_contexts_json,
     read_epochs_jsonl,
@@ -204,9 +205,19 @@ class Dataset:
 
 
 def load_dataset(dataset_dir: str | Path) -> Dataset:
+    """Read a dataset directory; a repeated (patient, minute) epoch is rejected."""
     base = Path(dataset_dir)
     with open(base / "epochs.jsonl", encoding="utf-8") as fp:
         epochs = read_epochs_jsonl(fp)
+    seen: set[tuple[int, datetime]] = set()
+    for epoch in epochs:
+        key = (epoch.patient_id, epoch.timestamp)
+        if key in seen:
+            raise InvariantViolation(
+                f"duplicate epoch for patient {epoch.patient_id} "
+                f"at {format_timestamp(epoch.timestamp)}"
+            )
+        seen.add(key)
     with open(base / "contexts.json", encoding="utf-8") as fp:
         contexts = read_contexts_json(fp)
     return Dataset(epochs=tuple(epochs), contexts=contexts)
@@ -238,7 +249,7 @@ def _run_case(
         alert = detect(view, sentinel_cfg)
         if alert is None:
             continue
-        routing = route(alert, sentinel_cfg)
+        routing = route(alert, view)
         claims = claims_for(alert, view, routing, specialist_cfg)
         decision = resolve(claims, routing, alert, history, meta_cfg)
         decisions.append(decision)
@@ -266,14 +277,13 @@ def evaluate(
     sentinel_cfg: SentinelConfig | None = None,
     specialist_cfg: SpecialistConfig | None = None,
     meta_cfg: MetaConfig | None = None,
-    jobs: int = 1,
 ) -> EvaluationReport:
     """Evaluate a dataset against its taxonomy.
 
     Cases are attributed to taxonomy entries by patient id, assigned in
-    catalogue order at generation time. Case evaluations are independent
-    (per-patient history) and may run in parallel; the reduction is
-    order-insensitive, so report metrics do not depend on input file order.
+    catalogue order at generation time. Cases run one after another in
+    patient-id order, each with its own decision history, so report
+    metrics do not depend on input file order.
     """
     sentinel_cfg = sentinel_cfg or SentinelConfig()
     specialist_cfg = specialist_cfg or SpecialistConfig()
@@ -295,9 +305,8 @@ def evaluate(
     if set(dataset.contexts) != set(expected_pids):
         raise DatasetTaxonomyMismatch("context sidecar does not cover the taxonomy patients")
 
-    def run_one(pid: int) -> CaseOutcome:
-        entry = expected_pids[pid]
-        return _run_case(
+    outcomes = tuple(
+        _run_case(
             entry.case_id,
             entry.domain_class,
             pid,
@@ -307,13 +316,8 @@ def evaluate(
             specialist_cfg,
             meta_cfg,
         )
-
-    pids = sorted(expected_pids)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = tuple(pool.map(run_one, pids))
-    else:
-        outcomes = tuple(run_one(pid) for pid in pids)
+        for pid, entry in sorted(expected_pids.items())
+    )
 
     counts = {kind: 0 for kind in OutcomeKind}
     per_domain_counts: dict[DomainClass, dict[str, int]] = {

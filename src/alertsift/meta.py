@@ -121,9 +121,6 @@ class DecisionHistory:
                 return entry.decision
         return None
 
-    def entries(self, patient_id: int) -> tuple[_HistoryEntry, ...]:
-        return tuple(self._by_patient.get(patient_id, ()))
-
 
 def resolve(
     claims: tuple[AgentClaim, ...],

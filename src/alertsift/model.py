@@ -3,14 +3,14 @@
 Every value that crosses a layer boundary is defined here: provenance-tagged
 measurements, the unified per-epoch patient record, the three inter-layer
 messages (candidate alert, specialist claim, system decision), and the JSON
-codecs for the dataset file formats. Types carry no behaviour beyond
-construction, validation, and serialization; all are immutable once built
-and safe to share across concurrent workers.
+codecs for the dataset files and the decision log. Types carry no behaviour
+beyond construction, validation, and serialization; all are immutable once
+built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from enum import Enum
 from typing import Any, Iterable, Mapping, TextIO
@@ -52,6 +52,7 @@ __all__ = [
 ]
 
 import json
+import math
 
 
 class EnumParseError(ValueError):
@@ -209,29 +210,6 @@ class TaggedValue:
         if not isinstance(self.provenance, ProvenanceTag):
             raise InvariantViolation("TaggedValue requires a ProvenanceTag")
 
-    def to_dict(self) -> dict[str, Any]:
-        value = self.value
-        if isinstance(value, Enum):
-            value = value.value
-        return {
-            "value": value,
-            "provenance": self.provenance.value,
-            "source_id": self.source_id,
-            "observed_at": format_timestamp(self.observed_at),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any], value_type: type | None = None) -> "TaggedValue":
-        value = data["value"]
-        if value_type is not None and value is not None:
-            value = parse_enum(value_type, value) if issubclass(value_type, Enum) else value_type(value)
-        return cls(
-            value=value,
-            provenance=parse_enum(ProvenanceTag, data["provenance"]),
-            source_id=str(data["source_id"]),
-            observed_at=parse_timestamp(data["observed_at"]),
-        )
-
     def retagged(self, provenance: ProvenanceTag) -> "TaggedValue":
         """Copy with a different provenance tag (test hook; tags never mutate)."""
         return TaggedValue(self.value, provenance, self.source_id, self.observed_at)
@@ -274,12 +252,23 @@ class Epoch:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "Epoch":
+        """Decode one dataset row, rejecting vitals no device can report.
+
+        Only physical bounds are checked here, not the catalogue's ranges
+        (see ``validate_epoch``). NaN fails every comparison, so the chained
+        bounds below reject it along with the infinities.
+        """
+        spo2, hr = float(data["spo2"]), float(data["hr"])
+        if not 0.0 <= spo2 <= 100.0:
+            raise InvariantViolation(f"spo2 outside [0, 100]: {spo2}")
+        if not 0.0 < hr < math.inf:
+            raise InvariantViolation(f"hr not a finite positive rate: {hr}")
         activity = data.get("self_reported_activity")
         return cls(
             patient_id=int(data["patient_id"]),
             timestamp=parse_timestamp(data["timestamp"]),
-            spo2=float(data["spo2"]),
-            hr=float(data["hr"]),
+            spo2=spo2,
+            hr=hr,
             accel_level=parse_enum(AccelLevel, data["accel_level"]),
             device_status=parse_enum(DeviceStatus, data["device_status"]),
             probe_cover_present=bool(data["probe_cover_present"]),
@@ -317,6 +306,16 @@ def validate_epoch(epoch: Epoch) -> list[str]:
     return violations
 
 
+def _finite_or_none(data: Mapping[str, Any], name: str) -> float | None:
+    raw = data.get(name)
+    if raw is None:
+        return None
+    value = float(raw)
+    if not math.isfinite(value):
+        raise InvariantViolation(f"{name} is not finite: {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class PatientContext:
     """EHR-derived per-patient baseline facts."""
@@ -347,33 +346,16 @@ class PatientContext:
         return cls(
             patient_id=int(data["patient_id"]),
             copd_documented=bool(data["copd_documented"]),
-            baseline_spo2=(
-                float(data["baseline_spo2"]) if data.get("baseline_spo2") is not None else None
-            ),
-            baseline_hr=(
-                float(data["baseline_hr"]) if data.get("baseline_hr") is not None else None
-            ),
+            baseline_spo2=_finite_or_none(data, "baseline_spo2"),
+            baseline_hr=_finite_or_none(data, "baseline_hr"),
             rate_limiting_medication=bool(data.get("rate_limiting_medication", False)),
         )
 
 
-# Decoders for the typed payload of each tagged record field.
-_EPOCH_FIELD_TYPES: dict[str, type | None] = {
-    "spo2": float,
-    "hr": float,
-    "accel_level": AccelLevel,
-    "device_status": DeviceStatus,
-    "probe_cover_present": bool,
-    "position": Position,
-    "self_reported_activity": SelfReportedActivity,
-    "ambient_condition": str,
-}
-_CONTEXT_FIELD_TYPES: dict[str, type | None] = {
-    "copd_documented": bool,
-    "baseline_spo2": float,
-    "baseline_hr": float,
-    "rate_limiting_medication": bool,
-}
+# The field names a VeritasRecord may carry: every epoch and context field
+# except the record coordinates.
+_EPOCH_FIELDS = frozenset(f.name for f in fields(Epoch)) - {"patient_id", "timestamp"}
+_CONTEXT_FIELDS = frozenset(f.name for f in fields(PatientContext)) - {"patient_id"}
 
 
 @dataclass(frozen=True)
@@ -393,10 +375,10 @@ class VeritasRecord:
     conversation_flags: tuple[TaggedValue, ...] = ()
 
     def __post_init__(self) -> None:
-        unknown = set(self.epoch_fields) - set(_EPOCH_FIELD_TYPES)
+        unknown = set(self.epoch_fields) - _EPOCH_FIELDS
         if unknown:
             raise InvariantViolation(f"unknown epoch fields: {sorted(unknown)}")
-        unknown = set(self.context_fields) - set(_CONTEXT_FIELD_TYPES)
+        unknown = set(self.context_fields) - _CONTEXT_FIELDS
         if unknown:
             raise InvariantViolation(f"unknown context fields: {sorted(unknown)}")
 
@@ -405,35 +387,6 @@ class VeritasRecord:
         yield from self.context_fields.items()
         for i, flag in enumerate(self.conversation_flags):
             yield f"conversation_flags[{i}]", flag
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "patient_id": self.patient_id,
-            "timestamp": format_timestamp(self.timestamp),
-            "epoch_fields": {k: tv.to_dict() for k, tv in self.epoch_fields.items()},
-            "context_fields": {k: tv.to_dict() for k, tv in self.context_fields.items()},
-            "conversation_flags": [tv.to_dict() for tv in self.conversation_flags],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "VeritasRecord":
-        epoch_fields = {
-            k: TaggedValue.from_dict(v, _EPOCH_FIELD_TYPES.get(k))
-            for k, v in data["epoch_fields"].items()
-        }
-        context_fields = {
-            k: TaggedValue.from_dict(v, _CONTEXT_FIELD_TYPES.get(k))
-            for k, v in data["context_fields"].items()
-        }
-        return cls(
-            patient_id=int(data["patient_id"]),
-            timestamp=parse_timestamp(data["timestamp"]),
-            epoch_fields=epoch_fields,
-            context_fields=context_fields,
-            conversation_flags=tuple(
-                TaggedValue.from_dict(v, str) for v in data["conversation_flags"]
-            ),
-        )
 
 
 @dataclass(frozen=True)
@@ -461,38 +414,6 @@ class CandidateAlert:
                     f"alert type {alert_type.value} triggered by an inferred value"
                 )
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "alert_types": sorted(t.value for t in self.alert_types),
-            "triggering_values": {
-                t.value: tv.to_dict() for t, tv in sorted(self.triggering_values.items())
-            },
-            "record_ref": self.record_ref.to_dict(),
-            "raised_at": format_timestamp(self.raised_at),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "CandidateAlert":
-        types = frozenset(parse_enum(AlertType, t) for t in data["alert_types"])
-        trigger_field = {
-            AlertType.LOW_SPO2: "spo2",
-            AlertType.HIGH_HR: "hr",
-            AlertType.LOW_HR: "hr",
-            AlertType.SIGNAL_QUALITY: "device_status",
-        }
-        triggers = {
-            parse_enum(AlertType, t): TaggedValue.from_dict(
-                v, _EPOCH_FIELD_TYPES[trigger_field[parse_enum(AlertType, t)]]
-            )
-            for t, v in data["triggering_values"].items()
-        }
-        return cls(
-            alert_types=types,
-            triggering_values=triggers,
-            record_ref=VeritasRecord.from_dict(data["record_ref"]),
-            raised_at=parse_timestamp(data["raised_at"]),
-        )
-
 
 @dataclass(frozen=True)
 class AgentClaim:
@@ -517,16 +438,6 @@ class AgentClaim:
             "rationale_codes": list(self.rationale_codes),
         }
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "AgentClaim":
-        return cls(
-            domain=parse_enum(AgentDomain, data["domain"]),
-            recommendation=parse_enum(Recommendation, data["recommendation"]),
-            confidence=float(data["confidence"]),
-            risk_level=parse_enum(RiskLevel, data["risk_level"]),
-            rationale_codes=tuple(data.get("rationale_codes", ())),
-        )
-
 
 @dataclass(frozen=True)
 class SystemDecision:
@@ -544,17 +455,6 @@ class SystemDecision:
             "resolution_path": self.resolution_path.value,
             "decided_at": format_timestamp(self.decided_at),
         }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SystemDecision":
-        return cls(
-            verdict=parse_enum(Verdict, data["verdict"]),
-            contributing_claims=tuple(
-                AgentClaim.from_dict(c) for c in data["contributing_claims"]
-            ),
-            resolution_path=parse_enum(ResolutionPath, data["resolution_path"]),
-            decided_at=parse_timestamp(data["decided_at"]),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +475,7 @@ def read_epochs_jsonl(fp: TextIO) -> list[Epoch]:
             continue
         try:
             epochs.append(Epoch.from_dict(json.loads(line)))
-        except (KeyError, json.JSONDecodeError) as exc:
+        except (KeyError, json.JSONDecodeError, InvariantViolation) as exc:
             raise InvariantViolation(f"epochs line {line_no}: {exc}") from None
     return epochs
 

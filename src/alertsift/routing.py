@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import datetime
 
-from .assembly import project_for_specialists
+from .assembly import SpecialistView, project_for_specialists
 from .model import (
     AccelLevel,
     AgentDomain,
@@ -21,7 +21,6 @@ from .model import (
     InvariantViolation,
     SelfReportedActivity,
 )
-from .sentinel import SentinelConfig
 
 __all__ = [
     "RoutingDecision",
@@ -64,8 +63,11 @@ class RoutingDecision:
             raise InvariantViolation("every alert must reach at least one specialist")
 
 
-def route(alert: CandidateAlert, cfg: SentinelConfig) -> RoutingDecision:
+def route(alert: CandidateAlert, view: SpecialistView) -> RoutingDecision:
     """Compute the routed specialist set for one alert.
+
+    ``view`` is the specialist projection of the alert's record, the same
+    one detection read; routing never sees an inferred field.
 
     Routing table:
       * signal_quality with an artefact-class status -> probe_integrity
@@ -82,7 +84,6 @@ def route(alert: CandidateAlert, cfg: SentinelConfig) -> RoutingDecision:
     statuses, which do not carry enough provenance granularity to route
     with confidence.
     """
-    view = project_for_specialists(alert.record_ref)
     types = alert.alert_types
     status = view.value("device_status")
     accel = view.value("accel_level")

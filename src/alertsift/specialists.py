@@ -32,22 +32,16 @@ from .model import (
 from .routing import MOTION_REPORTS, RoutingDecision, in_nocturnal_window
 
 __all__ = [
-    "NotRoutedHere",
     "SpecialistConfig",
     "evaluate_activity_integrity",
     "evaluate_bradycardia",
     "evaluate_copd",
-    "evaluate_domain",
     "evaluate_nocturnal",
     "evaluate_probe_integrity",
     "evaluate_tachycardia",
 ]
 
 DEFAULT_NOCTURNAL_BASELINE_SPO2 = 96.0
-
-
-class NotRoutedHere(RuntimeError):
-    """A claim was requested for a domain the alert was not routed to."""
 
 
 @dataclass(frozen=True)
@@ -272,23 +266,6 @@ _EVALUATORS = {
 }
 
 
-def evaluate_domain(
-    domain: AgentDomain,
-    alert: CandidateAlert,
-    view: SpecialistView,
-    cfg: SpecialistConfig,
-    routing: RoutingDecision,
-) -> AgentClaim:
-    """Run one specialist for a routed alert.
-
-    Raises NotRoutedHere when asked for a domain outside the routing
-    decision; that is a programming error, not a clinical outcome.
-    """
-    if domain not in routing.targets:
-        raise NotRoutedHere(f"{domain.value} is not a routed target for this alert")
-    return _EVALUATORS[domain](alert, view, cfg)
-
-
 def claims_for(
     alert: CandidateAlert,
     view: SpecialistView,
@@ -297,11 +274,11 @@ def claims_for(
 ) -> tuple[AgentClaim, ...]:
     """Evaluate every routed specialist, ordered by domain enumeration.
 
-    The fixed join order makes claim sequences deterministic even when the
-    evaluations themselves run concurrently.
+    The fixed order makes claim sequences deterministic; ``resolve``
+    rejects any claim sequence that does not match it.
     """
     return tuple(
-        evaluate_domain(domain, alert, view, cfg, routing)
+        _EVALUATORS[domain](alert, view, cfg)
         for domain in AgentDomain
         if domain in routing.targets
     )

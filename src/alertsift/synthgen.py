@@ -391,39 +391,23 @@ def _case_digest(case: GeneratedCase) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
-def generate_dataset(
-    taxonomy: Sequence[TaxonomyEntry], seed: int, jobs: int = 1
-) -> GeneratedDataset:
+def generate_dataset(taxonomy: Sequence[TaxonomyEntry], seed: int) -> GeneratedDataset:
     """Generate all cases, assigning patient ids in catalogue order.
 
-    Cases draw from independent sub-streams, so they may be generated in
-    parallel; output assembly stays in catalogue order either way.
+    Each case draws from its own sub-stream of the seed, so a case's epochs
+    do not depend on the cases generated before it.
     """
     validate_taxonomy(taxonomy)
     first_pid, last_pid = PATIENT_ID_RANGE
     if first_pid + len(taxonomy) - 1 > last_pid:
         raise TaxonomyInvariantViolation("more entries than available patient ids")
 
-    def build(indexed: tuple[int, TaxonomyEntry]) -> GeneratedCase:
-        index, entry = indexed
+    cases = []
+    for index, entry in enumerate(taxonomy):
         patient_id = first_pid + index
         start = _draw_start_time(entry, seed)
         epochs, context = generate_case(entry, patient_id, start, seed)
-        return GeneratedCase(
-            entry=entry,
-            patient_id=patient_id,
-            start_time=start,
-            epochs=tuple(epochs),
-            context=context,
-        )
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            cases = list(pool.map(build, enumerate(taxonomy)))
-    else:
-        cases = [build(item) for item in enumerate(taxonomy)]
+        cases.append(GeneratedCase(entry, patient_id, start, tuple(epochs), context))
 
     taxonomy_digest = hashlib.sha256(
         json.dumps([e.to_dict() for e in taxonomy], sort_keys=True).encode()

@@ -110,5 +110,5 @@ def detect_and_route(epoch: Epoch, context: PatientContext | None = None):
     cfg = SentinelConfig()
     view = make_view(epoch, context)
     alert = detect(view, cfg)
-    routing = route(alert, cfg) if alert is not None else None
+    routing = route(alert, view) if alert is not None else None
     return view, alert, routing

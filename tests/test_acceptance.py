@@ -9,6 +9,7 @@ threshold; the outcome distribution is seed-invariant by construction.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import random
@@ -190,6 +191,19 @@ def test_criterion_6_end_to_end_determinism(tmp_path):
         identical,
         "two seeded runs compared",
     )
+    # The seed-42 outputs are pinned byte for byte. A change that moves any
+    # of these digests must say why in CHANGES.md and update them here.
+    pinned = {
+        "manifest.json": "f73541a9626e2cbbc4a4fe38f1e6730e27d1c8c11b249ff29735a4c8596c2724",
+        "report.json": "39428218c8a791b5e20468697ec8a2b3bd8894eae28d6b281b2ef80c2df99889",
+        "decisions.jsonl": "758cb992e50fc7c199fec6f0db2f9cc6eb3284a2456c3e22fcadc07feb43f720",
+    }
+    digests = {name: hashlib.sha256(data).hexdigest() for name, data in artifacts["one"].items()}
+    _check(
+        "criterion 6: seed-42 outputs match the pinned sha256 digests",
+        digests == pinned,
+        ", ".join(f"{name} {digest[:12]}" for name, digest in digests.items()),
+    )
 
 
 def test_criterion_7_provenance_safety():
@@ -359,7 +373,7 @@ def test_criterion_11_single_domain_safety(golden):
             if alert is None:
                 single_owned = False
                 break
-            routing = route(alert, sentinel_cfg)
+            routing = route(alert, view)
             if (
                 len(routing.targets) != 1
                 or routing.ambiguity_flag

@@ -83,6 +83,32 @@ def test_evaluate_schema_mismatch_exits_2(tmp_path, capsys):
     assert "mystery_flag" in capsys.readouterr().err
 
 
+def test_evaluate_nan_vitals_exit_2(tmp_path, capsys):
+    # json.loads accepts NaN, and NaN passes no threshold comparison, so a
+    # NaN epoch read as-is would raise no alert and count as suppressed.
+    config = write_config(tmp_path)
+    run(["--config", config, "generate"])
+    epochs_path = tmp_path / "dataset" / "epochs.jsonl"
+    lines = epochs_path.read_text().splitlines()
+    row = json.loads(lines[0])
+    row["spo2"] = float("nan")
+    row["device_status"] = "ok"
+    lines[0] = json.dumps(row, separators=(",", ":"))
+    epochs_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert run(["--config", config, "evaluate"]) == 2
+    assert "epochs line 1: spo2" in capsys.readouterr().err
+
+
+def test_evaluate_duplicate_epoch_exits_2(tmp_path, capsys):
+    config = write_config(tmp_path)
+    run(["--config", config, "generate"])
+    epochs_path = tmp_path / "dataset" / "epochs.jsonl"
+    lines = epochs_path.read_text().splitlines()
+    epochs_path.write_text("\n".join([lines[0], *lines]) + "\n", encoding="utf-8")
+    assert run(["--config", config, "evaluate"]) == 2
+    assert "duplicate epoch for patient" in capsys.readouterr().err
+
+
 def test_evaluate_golden_check_passes_on_clean_run(tmp_path, capsys):
     config = write_config(tmp_path)
     run(["--config", config, "generate"])
@@ -160,12 +186,3 @@ def test_invalid_config_json_exits_2(tmp_path, capsys):
     assert "config" in capsys.readouterr().err
 
 
-def test_jobs_flag_accepted_and_deterministic(tmp_path):
-    config_a = write_config(tmp_path / "a")
-    config_b = write_config(tmp_path / "b")
-    assert run(["--config", config_a, "--jobs", "4", "generate"]) == 0
-    assert run(["--config", config_b, "generate"]) == 0
-    assert (tmp_path / "a" / "dataset" / "manifest.json").read_bytes() == (
-        tmp_path / "b" / "dataset" / "manifest.json"
-    ).read_bytes()
-    assert run(["--config", config_a, "--jobs", "4", "evaluate", "--golden-check"]) == 0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 from datetime import datetime, timezone
 
@@ -27,6 +28,7 @@ from alertsift.model import (
     SystemDecision,
     TaggedValue,
     Verdict,
+    format_timestamp,
     parse_enum,
     parse_timestamp,
     validate_epoch,
@@ -108,11 +110,6 @@ def test_tagged_value_requires_provenance():
         TaggedValue(1.0, None, "src", DAYTIME)  # type: ignore[arg-type]
 
 
-def test_tagged_value_round_trip():
-    tv = TaggedValue(93.5, ProvenanceTag.DEVICE_VERIFIED, "vitals/1", DAYTIME)
-    assert TaggedValue.from_dict(tv.to_dict(), float) == tv
-
-
 def test_epoch_round_trip_all_fields():
     epoch = make_epoch(
         spo2=88.25,
@@ -125,6 +122,9 @@ def test_epoch_round_trip_all_fields():
         ambient="heatwave_advisory",
     )
     assert Epoch.from_dict(epoch.to_dict()) == epoch
+    for bad in ({"spo2": 100.5}, {"spo2": float("inf")}, {"hr": 0.0}, {"hr": float("nan")}):
+        with pytest.raises(InvariantViolation):
+            Epoch.from_dict({**epoch.to_dict(), **bad})
 
 
 def test_epoch_round_trip_optionals_absent():
@@ -137,41 +137,13 @@ def test_epoch_round_trip_optionals_absent():
 def test_patient_context_round_trip():
     ctx = make_context(copd=True, baseline_spo2=89.0, baseline_hr=72.0, med=True)
     assert PatientContext.from_dict(ctx.to_dict()) == ctx
+    with pytest.raises(InvariantViolation):
+        PatientContext.from_dict({**ctx.to_dict(), "baseline_hr": float("nan")})
 
 
 def test_patient_context_copd_requires_baseline():
     with pytest.raises(InvariantViolation):
         make_context(copd=True, baseline_spo2=None)
-
-
-def test_veritas_record_round_trip_preserves_tags():
-    record = make_record(
-        make_epoch(
-            spo2=91.0,
-            accel=AccelLevel.LIGHT,
-            status=DeviceStatus.PROBE_COVER,
-            activity=SelfReportedActivity.EXERCISING,
-        ),
-        make_context(copd=True, baseline_spo2=90.0),
-    )
-    decoded = type(record).from_dict(record.to_dict())
-    assert decoded == record
-    for (name_a, tv_a), (name_b, tv_b) in zip(record.all_tagged(), decoded.all_tagged()):
-        assert name_a == name_b
-        assert tv_a.provenance is tv_b.provenance
-
-
-def test_candidate_alert_round_trip():
-    record = make_record(make_epoch(spo2=88.0, status=DeviceStatus.MOTION_ARTEFACT))
-    spo2 = record.epoch_fields["spo2"]
-    status = record.epoch_fields["device_status"]
-    alert = CandidateAlert(
-        alert_types=frozenset({AlertType.LOW_SPO2, AlertType.SIGNAL_QUALITY}),
-        triggering_values={AlertType.LOW_SPO2: spo2, AlertType.SIGNAL_QUALITY: status},
-        record_ref=record,
-        raised_at=record.timestamp,
-    )
-    assert CandidateAlert.from_dict(alert.to_dict()) == alert
 
 
 def test_candidate_alert_rejects_empty_and_inferred_triggers():
@@ -196,7 +168,13 @@ def test_agent_claim_round_trip_and_confidence_bounds():
         RiskLevel.LOW,
         ("within_copd_baseline",),
     )
-    assert AgentClaim.from_dict(claim.to_dict()) == claim
+    assert json.loads(json.dumps(claim.to_dict())) == {
+        "domain": "copd",
+        "recommendation": "suppress",
+        "confidence": 0.9,
+        "risk_level": "low",
+        "rationale_codes": ["within_copd_baseline"],
+    }
     with pytest.raises(InvariantViolation):
         AgentClaim(AgentDomain.COPD, Recommendation.SUPPRESS, 1.5, RiskLevel.LOW)
 
@@ -212,7 +190,12 @@ def test_system_decision_round_trip_and_binary_verdict():
     decision = SystemDecision(
         Verdict.ESCALATE, (claim,), ResolutionPath.AMBIGUITY_DEFAULT, DAYTIME
     )
-    assert SystemDecision.from_dict(decision.to_dict()) == decision
+    assert json.loads(json.dumps(decision.to_dict())) == {
+        "verdict": "escalate",
+        "contributing_claims": [claim.to_dict()],
+        "resolution_path": "ambiguity_default",
+        "decided_at": format_timestamp(DAYTIME),
+    }
     assert {v.value for v in Verdict} == {"suppress", "escalate"}
 
 

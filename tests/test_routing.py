@@ -180,7 +180,7 @@ def test_route_matches_oracle_over_random_alert_space():
 
 
 def test_route_is_deterministic():
-    _, alert, _ = detect_and_route(
+    view, alert, _ = detect_and_route(
         make_epoch(spo2=89.0, hr=111.0, status=DeviceStatus.SYSTEM_FLAG)
     )
-    assert route(alert, CFG) == route(alert, CFG)
+    assert route(alert, view) == route(alert, view)

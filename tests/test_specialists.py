@@ -21,13 +21,11 @@ from alertsift.model import (
 from alertsift.routing import RoutingDecision
 from alertsift.sentinel import SentinelConfig, detect
 from alertsift.specialists import (
-    NotRoutedHere,
     SpecialistConfig,
     claims_for,
     evaluate_activity_integrity,
     evaluate_bradycardia,
     evaluate_copd,
-    evaluate_domain,
     evaluate_nocturnal,
     evaluate_probe_integrity,
     evaluate_tachycardia,
@@ -318,15 +316,6 @@ def test_nocturnal_low_hr_without_spo2_dip_clause_suppresses():
 
 
 # --- dispatch and shared properties -
-
-
-def test_dispatcher_raises_for_unrouted_domain():
-    alert, view = _alert_view(make_epoch(spo2=90.0))
-    routing = RoutingDecision(
-        targets=frozenset({AgentDomain.PROBE_INTEGRITY}), ambiguity_flag=False
-    )
-    with pytest.raises(NotRoutedHere):
-        evaluate_domain(AgentDomain.COPD, alert, view, CFG, routing)
 
 
 def test_claims_ordered_by_domain_enumeration():

@@ -252,13 +252,6 @@ def test_generate_dataset_same_seed_same_manifest():
     assert json.dumps(c.manifest, sort_keys=True) != json.dumps(a.manifest, sort_keys=True)
 
 
-def test_generate_dataset_jobs_parallel_identical():
-    entries = load_taxonomy(default_taxonomy_path())
-    a = generate_dataset(entries, seed=42)
-    b = generate_dataset(entries, seed=42, jobs=4)
-    assert a.manifest == b.manifest
-
-
 def test_case_substreams_independent_of_reordering():
     # moving a case within the catalogue does not change its epochs
     entry_a = _toy_entry(case_id="TOY-A")
