@@ -23,7 +23,6 @@ from .model import (
 
 __all__ = [
     "ConversationEntry",
-    "NoEpochAtTimestamp",
     "PatientIdMismatch",
     "SelfReportEntry",
     "SourceBundle",
@@ -39,10 +38,6 @@ ALLOWED_SPECIALIST_PROVENANCE = frozenset(
         ProvenanceTag.EHR_DERIVED,
     }
 )
-
-
-class NoEpochAtTimestamp(LookupError):
-    """The vitals stream has no epoch at the requested timestamp."""
 
 
 class PatientIdMismatch(ValueError):
@@ -96,28 +91,41 @@ def _latest_at_or_before(entries, at: datetime):
     return best
 
 
-def assemble(bundle: SourceBundle, at: datetime) -> VeritasRecord:
-    """Build the tagged record for the epoch at ``at``.
+def assemble(bundle: SourceBundle, epoch: Epoch) -> VeritasRecord:
+    """Build the tagged record for ``epoch``, one epoch of the bundle's patient.
+
+    The caller walks the patient's vitals stream and passes each epoch as
+    it goes, so assembly does no search of the stream. An epoch of another
+    patient raises PatientIdMismatch: a record never mixes two patients.
 
     Tag assignment follows the source: device stream fields are
     device_verified, EHR context fields are ehr_derived, self-reported
     fields (activity, position) are patient_reported. Self-report and
     conversation entries are attached by recency join (latest entry with
-    timestamp <= at); a joined self-report overrides the epoch's inline
-    value and keeps its own observation time. Deterministic, and never
+    timestamp <= the epoch's); a joined self-report overrides the epoch's
+    inline value and keeps its own observation time. Deterministic, and never
     invents a value: every output field traces to exactly one source datum.
     """
-    epoch = next((e for e in bundle.vitals_stream if e.timestamp == at), None)
-    if epoch is None:
-        raise NoEpochAtTimestamp(f"no epoch at {at.isoformat()} for patient {bundle.ehr.patient_id}")
-
+    if epoch.patient_id != bundle.ehr.patient_id:
+        raise PatientIdMismatch(
+            f"epoch patient {epoch.patient_id} != context patient {bundle.ehr.patient_id}"
+        )
+    at = epoch.timestamp
     pid = bundle.ehr.patient_id
     device_src = f"vitals/{pid}"
     ehr_src = f"ehr/{pid}"
     report_src = f"patient_report/{pid}"
 
     def device(value: Any) -> TaggedValue:
-        return TaggedValue(value, ProvenanceTag.DEVICE_VERIFIED, device_src, epoch.timestamp)
+        return TaggedValue(value, ProvenanceTag.DEVICE_VERIFIED, device_src, at)
+
+    def reported(kind: str, inline: Any) -> TaggedValue | None:
+        """The latest self-report of ``kind`` by ``at``, else the epoch's own value."""
+        entry = _latest_at_or_before([e for e in bundle.patient_reported if e.kind == kind], at)
+        if entry is None and inline is None:
+            return None
+        value, observed_at = (inline, at) if entry is None else (entry.value, entry.timestamp)
+        return TaggedValue(value, ProvenanceTag.PATIENT_REPORTED, report_src, observed_at)
 
     epoch_fields: dict[str, TaggedValue] = {
         "spo2": device(epoch.spo2),
@@ -128,32 +136,10 @@ def assemble(bundle: SourceBundle, at: datetime) -> VeritasRecord:
     }
     if epoch.ambient_condition is not None:
         epoch_fields["ambient_condition"] = device(epoch.ambient_condition)
-
-    activity_report = _latest_at_or_before(
-        [e for e in bundle.patient_reported if e.kind == "activity"], at
-    )
-    position_report = _latest_at_or_before(
-        [e for e in bundle.patient_reported if e.kind == "position"], at
-    )
-    if position_report is not None:
-        epoch_fields["position"] = TaggedValue(
-            position_report.value, ProvenanceTag.PATIENT_REPORTED, report_src,
-            position_report.timestamp,
-        )
-    else:
-        epoch_fields["position"] = TaggedValue(
-            epoch.position, ProvenanceTag.PATIENT_REPORTED, report_src, epoch.timestamp
-        )
-    if activity_report is not None:
-        epoch_fields["self_reported_activity"] = TaggedValue(
-            activity_report.value, ProvenanceTag.PATIENT_REPORTED, report_src,
-            activity_report.timestamp,
-        )
-    elif epoch.self_reported_activity is not None:
-        epoch_fields["self_reported_activity"] = TaggedValue(
-            epoch.self_reported_activity, ProvenanceTag.PATIENT_REPORTED, report_src,
-            epoch.timestamp,
-        )
+    epoch_fields["position"] = reported("position", epoch.position)
+    activity = reported("activity", epoch.self_reported_activity)
+    if activity is not None:
+        epoch_fields["self_reported_activity"] = activity
 
     def ehr(value: Any) -> TaggedValue:
         return TaggedValue(value, ProvenanceTag.EHR_DERIVED, ehr_src, at)
@@ -179,7 +165,7 @@ def assemble(bundle: SourceBundle, at: datetime) -> VeritasRecord:
 
     return VeritasRecord(
         patient_id=pid,
-        timestamp=epoch.timestamp,
+        timestamp=at,
         epoch_fields=epoch_fields,
         context_fields=context_fields,
         conversation_flags=flags,

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping
 
 from .evaluate import (
     DatasetTaxonomyMismatch,
@@ -30,17 +31,10 @@ from .evaluate import (
     write_decision_log,
 )
 from .meta import MetaConfig
-from .model import EnumParseError, InvariantViolation
+from .model import InvariantViolation
 from .sentinel import SentinelConfig
 from .specialists import SpecialistConfig
-from .synthgen import (
-    InvalidEntry,
-    TaxonomyInvariantViolation,
-    default_taxonomy_path,
-    generate_dataset,
-    load_taxonomy,
-    write_dataset,
-)
+from .synthgen import default_taxonomy_path, generate_dataset, load_taxonomy, write_dataset
 
 __all__ = ["PipelineConfig", "main"]
 
@@ -70,18 +64,71 @@ class PipelineConfig:
             raise InvariantViolation("seed must be a non-negative integer")
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "PipelineConfig":
-        paths = data.get("paths", {})
+    def from_dict(cls, data: Any) -> "PipelineConfig":
+        """Decode a config file; an unknown key or a mistyped value is rejected."""
+        data = _require_keys(data, ("seed", "sentinel", "specialists", "meta", "paths"), "file")
+        paths = _require_keys(
+            data.get("paths", {}), ("taxonomy", "dataset_dir", "report_dir"), "paths"
+        )
         taxonomy = paths.get("taxonomy")
         return cls(
-            sentinel=SentinelConfig.from_dict(data.get("sentinel", {})),
-            specialists=SpecialistConfig.from_dict(data.get("specialists", {})),
-            meta=MetaConfig.from_dict(data.get("meta", {})),
-            seed=int(data.get("seed", DEFAULT_SEED)),
-            taxonomy_path=Path(taxonomy) if taxonomy else default_taxonomy_path(),
-            dataset_dir=Path(paths.get("dataset_dir", "dataset")),
-            report_dir=Path(paths.get("report_dir", "report")),
+            sentinel=_decode_section(SentinelConfig, data, "sentinel"),
+            specialists=_decode_section(SpecialistConfig, data, "specialists"),
+            meta=_decode_section(MetaConfig, data, "meta"),
+            seed=_value(data.get("seed", DEFAULT_SEED), DEFAULT_SEED, "seed"),
+            taxonomy_path=(
+                default_taxonomy_path() if taxonomy is None
+                else _value(taxonomy, Path(), "paths.taxonomy")
+            ),
+            dataset_dir=_value(paths.get("dataset_dir", "dataset"), Path(), "paths.dataset_dir"),
+            report_dir=_value(paths.get("report_dir", "report"), Path(), "paths.report_dir"),
         )
+
+
+def _require_keys(data: Any, allowed: Iterable[str], where: str) -> Mapping[str, Any]:
+    """``data`` if it is a JSON object with no key outside ``allowed``."""
+    if not isinstance(data, Mapping):
+        raise InvariantViolation(f"config {where} must be an object, got {data!r}")
+    unknown = sorted(set(data) - set(allowed))
+    if unknown:
+        raise InvariantViolation(f"config {where}: unknown keys {unknown}")
+    return data
+
+
+def _value(raw: Any, default: Any, where: str) -> Any:
+    """``raw`` as ``default``'s type: a non-empty string for a path, else a
+    finite number, whole for an int."""
+    if isinstance(default, Path):
+        valid = isinstance(raw, str) and raw != ""
+    else:
+        valid = isinstance(raw, (int, float)) and not isinstance(raw, bool)
+        valid = valid and math.isfinite(raw) and type(default)(raw) == raw
+    if not valid:
+        raise InvariantViolation(
+            f"config {where}: {raw!r} is not a valid {type(default).__name__}"
+        )
+    return type(default)(raw)
+
+
+def _decode_section(cls: type, config: Mapping[str, Any], section: str) -> Any:
+    """Build ``config[section]``; its keys and defaults are the dataclass's fields.
+
+    A mapping field (meta's ``domain_weights``) overrides its default
+    entries one by one, keyed by the default's enum values.
+    """
+    defaults, values = cls(), {}
+    data = _require_keys(config.get(section, {}), [f.name for f in fields(cls)], section)
+    for name, raw in data.items():
+        default, where = getattr(defaults, name), f"{section}.{name}"
+        if isinstance(default, Mapping):
+            given = _require_keys(raw, [key.value for key in default], where)
+            values[name] = {
+                key: _value(given.get(key.value, w), w, f"{where}.{key.value}")
+                for key, w in default.items()
+            }
+        else:
+            values[name] = _value(raw, default, where)
+    return cls(**values)
 
 
 def load_config(args: argparse.Namespace) -> PipelineConfig:
@@ -102,8 +149,7 @@ def load_config(args: argparse.Namespace) -> PipelineConfig:
 def cmd_generate(cfg: PipelineConfig) -> int:
     try:
         taxonomy = load_taxonomy(cfg.taxonomy_path)
-    except (FileNotFoundError, TaxonomyInvariantViolation, InvalidEntry,
-            EnumParseError, json.JSONDecodeError, ValueError) as exc:
+    except (FileNotFoundError, ValueError) as exc:
         print(f"error: taxonomy validation failed: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:
@@ -127,8 +173,7 @@ def cmd_evaluate(cfg: PipelineConfig, golden_check: bool, json_only: bool) -> in
     except FileNotFoundError as exc:
         print(f"error: missing input: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (TaxonomyInvariantViolation, InvalidEntry, EnumParseError,
-            InvariantViolation, json.JSONDecodeError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: input validation failed: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
@@ -185,7 +230,7 @@ def cmd_report(cfg: PipelineConfig) -> int:
     except FileNotFoundError as exc:
         print(f"error: missing report: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (InvariantViolation, EnumParseError, json.JSONDecodeError) as exc:
+    except ValueError as exc:
         print(f"error: report payload invalid: {exc}", file=sys.stderr)
         return EXIT_INPUT
     text = render_report_text(payload)
@@ -229,7 +274,7 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"error: missing config: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (InvariantViolation, EnumParseError, json.JSONDecodeError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: config invalid: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -10,6 +10,7 @@ device statuses at the point of failure.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
@@ -244,7 +245,7 @@ def _run_case(
     decisions: list[SystemDecision] = []
     failure_status: DeviceStatus | None = None
     for epoch in bundle.vitals_stream:
-        record = assemble(bundle, epoch.timestamp)
+        record = assemble(bundle, epoch)
         view = project_for_specialists(record)
         alert = detect(view, sentinel_cfg)
         if alert is None:
@@ -319,13 +320,12 @@ def evaluate(
         for pid, entry in sorted(expected_pids.items())
     )
 
-    counts = {kind: 0 for kind in OutcomeKind}
+    counts = Counter(outcome.outcome for outcome in outcomes)
     per_domain_counts: dict[DomainClass, dict[str, int]] = {
         cls: {"n": 0, "ts": 0, "fe": 0} for cls in DomainClass
     }
-    failure_modes: dict[DeviceStatus, int] = {}
+    failure_modes: Counter[DeviceStatus] = Counter()
     for outcome in outcomes:
-        counts[outcome.outcome] += 1
         row = per_domain_counts[outcome.domain_class]
         row["n"] += 1
         if outcome.outcome is OutcomeKind.TRUE_SUPPRESSION:
@@ -333,9 +333,7 @@ def evaluate(
         elif outcome.outcome is OutcomeKind.FALSE_ESCALATION:
             row["fe"] += 1
             if outcome.failure_device_status is not None:
-                failure_modes[outcome.failure_device_status] = (
-                    failure_modes.get(outcome.failure_device_status, 0) + 1
-                )
+                failure_modes[outcome.failure_device_status] += 1
 
     per_domain = {
         cls: DomainRow(**vals) for cls, vals in per_domain_counts.items() if vals["n"]
@@ -424,15 +422,12 @@ def render_report_text(report: EvaluationReport | Mapping[str, Any]) -> str:
         f"mean {totals['mean_epochs_per_case']:.1f} epochs/case"
     )
     lines.append(f"  {'outcome':<20}{'count':>7}{'rate':>9}")
-    lines.append(
-        f"  {'true_suppression':<20}{overall['ts_count']:>7}{_pct(overall['tsr']):>9}"
-    )
-    lines.append(
-        f"  {'false_escalation':<20}{overall['fe_count']:>7}{_pct(overall['fer']):>9}"
-    )
-    lines.append(
-        f"  {'indeterminate':<20}{overall['ind_count']:>7}{_pct(overall['indr']):>9}"
-    )
+    for kind, count, rate in (
+        ("true_suppression", "ts_count", "tsr"),
+        ("false_escalation", "fe_count", "fer"),
+        ("indeterminate", "ind_count", "indr"),
+    ):
+        lines.append(f"  {kind:<20}{overall[count]:>7}{_pct(overall[rate]):>9}")
     lines.append("")
 
     lines.append("PER-CLASS STRATIFICATION")

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
-from typing import Any, Mapping
+from typing import Mapping
 
 from .model import (
     AgentClaim,
@@ -57,24 +57,6 @@ class MetaConfig:
 
     def weight(self, domain: AgentDomain) -> float:
         return self.domain_weights.get(domain, 1.0)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "resolution_margin": self.resolution_margin,
-            "cooldown_window_minutes": self.cooldown_window_minutes,
-            "domain_weights": {d.value: w for d, w in self.domain_weights.items()},
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "MetaConfig":
-        weights = {domain: 1.0 for domain in AgentDomain}
-        for name, value in data.get("domain_weights", {}).items():
-            weights[AgentDomain(name)] = float(value)
-        return cls(
-            resolution_margin=float(data.get("resolution_margin", 0.3)),
-            cooldown_window_minutes=int(data.get("cooldown_window_minutes", 10)),
-            domain_weights=weights,
-        )
 
 
 @dataclass(frozen=True)
@@ -133,10 +115,13 @@ def resolve(
 
     Steps, in order:
       1. Debounce: an identical alert-type set decided for this patient
-         within the cooldown window replays the prior verdict, unless the
-         device status is duplicate_alert, which bypasses the debounce and
-         re-resolves in full. That bypass reproduces the current system's
-         documented behaviour for duplicate alerts; fixing it is a known
+         within the cooldown window replays the prior verdict. Two cases
+         resolve in full instead. A prior suppression is never replayed
+         over a current escalate claim, so a hard guardrail such as the
+         COPD floor outranks the debounce. And a duplicate_alert device
+         status, as detection saw it in the projection, bypasses the
+         debounce; that bypass reproduces the current system's documented
+         behaviour for duplicate alerts, and fixing it is a known
          follow-up, not an accident.
       2. A single routed domain with a definitive claim is adopted as-is.
       3. Otherwise suppress and escalate confidences are summed with domain
@@ -161,7 +146,7 @@ def resolve(
 
     patient_id = alert.record_ref.patient_id
     now = alert.raised_at
-    status_tv = alert.record_ref.epoch_fields.get("device_status")
+    status_tv = alert.triggering_values.get(AlertType.SIGNAL_QUALITY)
     status = status_tv.value if status_tv is not None else None
 
     def finish(verdict: Verdict, path: ResolutionPath) -> SystemDecision:
@@ -178,7 +163,8 @@ def resolve(
         prior = history.last_matching(
             patient_id, alert.alert_types, now, cfg.cooldown_window_minutes
         )
-        if prior is not None:
+        escalating = any(c.recommendation is Recommendation.ESCALATE for c in claims)
+        if prior is not None and (prior.verdict is Verdict.ESCALATE or not escalating):
             return finish(prior.verdict, ResolutionPath.DEBOUNCED)
 
     if len(claims) == 1 and claims[0].recommendation is not Recommendation.INDETERMINATE:
@@ -189,16 +175,11 @@ def resolve(
         )
         return finish(verdict, ResolutionPath.SINGLE_DOMAIN)
 
-    suppress_score = sum(
-        cfg.weight(c.domain) * c.confidence
-        for c in claims
-        if c.recommendation is Recommendation.SUPPRESS
-    )
-    escalate_score = sum(
-        cfg.weight(c.domain) * c.confidence
-        for c in claims
-        if c.recommendation is Recommendation.ESCALATE
-    )
+    def score(side: Recommendation) -> float:
+        return sum(cfg.weight(c.domain) * c.confidence for c in claims if c.recommendation is side)
+
+    suppress_score = score(Recommendation.SUPPRESS)
+    escalate_score = score(Recommendation.ESCALATE)
     if suppress_score - escalate_score >= cfg.resolution_margin:
         return finish(Verdict.SUPPRESS, ResolutionPath.WEIGHTED_AGGREGATION)
     if escalate_score - suppress_score >= cfg.resolution_margin:

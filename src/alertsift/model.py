@@ -142,10 +142,7 @@ class ResolutionPath(str, Enum):
     DEBOUNCED = "debounced"
 
 
-_EnumT = Any
-
-
-def parse_enum(cls: type, raw: Any) -> _EnumT:
+def parse_enum(cls: type, raw: Any) -> Any:
     """Parse ``raw`` into a member of the closed enumeration ``cls``.
 
     Raises EnumParseError naming the offending value and the allowed set;
@@ -180,6 +177,8 @@ def format_timestamp(ts: datetime) -> str:
 
 
 def parse_timestamp(raw: str) -> datetime:
+    if not isinstance(raw, str):
+        raise InvariantViolation(f"timestamp {raw!r} is not a string")
     text = raw.replace("Z", "+00:00")
     try:
         ts = datetime.fromisoformat(text)
@@ -271,7 +270,7 @@ class Epoch:
             hr=hr,
             accel_level=parse_enum(AccelLevel, data["accel_level"]),
             device_status=parse_enum(DeviceStatus, data["device_status"]),
-            probe_cover_present=bool(data["probe_cover_present"]),
+            probe_cover_present=_flag(data["probe_cover_present"], "probe_cover_present"),
             position=parse_enum(Position, data["position"]),
             self_reported_activity=(
                 parse_enum(SelfReportedActivity, activity) if activity is not None else None
@@ -304,6 +303,13 @@ def validate_epoch(epoch: Epoch) -> list[str]:
     if epoch.timestamp.second or epoch.timestamp.microsecond:
         violations.append("timestamp not minute-resolution")
     return violations
+
+
+def _flag(raw: Any, name: str) -> bool:
+    """A JSON boolean; a string such as "false" is rejected, not read as true."""
+    if not isinstance(raw, bool):
+        raise InvariantViolation(f"{name} must be true or false, got {raw!r}")
+    return raw
 
 
 def _finite_or_none(data: Mapping[str, Any], name: str) -> float | None:
@@ -345,10 +351,12 @@ class PatientContext:
     def from_dict(cls, data: Mapping[str, Any]) -> "PatientContext":
         return cls(
             patient_id=int(data["patient_id"]),
-            copd_documented=bool(data["copd_documented"]),
+            copd_documented=_flag(data["copd_documented"], "copd_documented"),
             baseline_spo2=_finite_or_none(data, "baseline_spo2"),
             baseline_hr=_finite_or_none(data, "baseline_hr"),
-            rate_limiting_medication=bool(data.get("rate_limiting_medication", False)),
+            rate_limiting_medication=_flag(
+                data.get("rate_limiting_medication", False), "rate_limiting_medication"
+            ),
         )
 
 
@@ -467,7 +475,13 @@ def write_epochs_jsonl(epochs: Iterable[Epoch], fp: TextIO) -> None:
         fp.write(json.dumps(epoch.to_dict(), separators=(",", ":")) + "\n")
 
 
+# A malformed row raises KeyError (a missing field), TypeError (a null, or a
+# row that is not an object) or ValueError (bad JSON, number, enum or bound).
+_DECODE_ERRORS = (KeyError, TypeError, ValueError)
+
+
 def read_epochs_jsonl(fp: TextIO) -> list[Epoch]:
+    """Decode every row; any malformed row fails, naming its line number."""
     epochs = []
     for line_no, line in enumerate(fp, start=1):
         line = line.strip()
@@ -475,7 +489,7 @@ def read_epochs_jsonl(fp: TextIO) -> list[Epoch]:
             continue
         try:
             epochs.append(Epoch.from_dict(json.loads(line)))
-        except (KeyError, json.JSONDecodeError, InvariantViolation) as exc:
+        except _DECODE_ERRORS as exc:
             raise InvariantViolation(f"epochs line {line_no}: {exc}") from None
     return epochs
 
@@ -486,5 +500,17 @@ def write_contexts_json(contexts: Mapping[int, PatientContext], fp: TextIO) -> N
 
 
 def read_contexts_json(fp: TextIO) -> dict[int, PatientContext]:
+    """Decode the sidecar; a malformed record fails, naming its patient key."""
     raw = json.load(fp)
-    return {int(pid): PatientContext.from_dict(data) for pid, data in raw.items()}
+    if not isinstance(raw, dict):
+        raise InvariantViolation("contexts must be an object keyed by patient id")
+    contexts = {}
+    for key, data in raw.items():
+        try:
+            context = PatientContext.from_dict(data)
+            if str(context.patient_id) != key:
+                raise InvariantViolation(f"holds patient_id {context.patient_id}")
+        except _DECODE_ERRORS as exc:
+            raise InvariantViolation(f"contexts patient {key}: {exc}") from None
+        contexts[context.patient_id] = context
+    return contexts

@@ -106,7 +106,7 @@ def route(alert: CandidateAlert, view: SpecialistView) -> RoutingDecision:
         targets.add(AgentDomain.BRADYCARDIA)
     if AlertType.LOW_SPO2 in types and copd is True:
         targets.add(AgentDomain.COPD)
-    if physiological and in_nocturnal_window(alert.record_ref.timestamp):
+    if physiological and in_nocturnal_window(view.timestamp):
         targets.add(AgentDomain.NOCTURNAL)
     if not targets:
         targets.add(AgentDomain.PROBE_INTEGRITY)

@@ -10,7 +10,6 @@ values exactly at a threshold do not fire.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping
 
 from .assembly import SpecialistView
 from .model import AlertType, CandidateAlert, DeviceStatus, InvariantViolation, TaggedValue
@@ -31,21 +30,6 @@ class SentinelConfig:
             raise InvariantViolation("sentinel thresholds must be positive")
         if not self.hr_low_threshold < self.hr_high_threshold:
             raise InvariantViolation("hr_low_threshold must be below hr_high_threshold")
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "spo2_low_threshold": self.spo2_low_threshold,
-            "hr_high_threshold": self.hr_high_threshold,
-            "hr_low_threshold": self.hr_low_threshold,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SentinelConfig":
-        return cls(
-            spo2_low_threshold=float(data.get("spo2_low_threshold", 94.0)),
-            hr_high_threshold=float(data.get("hr_high_threshold", 100.0)),
-            hr_low_threshold=float(data.get("hr_low_threshold", 50.0)),
-        )
 
 
 def detect(view: SpecialistView, cfg: SentinelConfig) -> CandidateAlert | None:

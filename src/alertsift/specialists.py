@@ -13,7 +13,6 @@ auditable and tunable in one place.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping
 
 from .assembly import SpecialistView
 from .model import (
@@ -58,26 +57,6 @@ class SpecialistConfig:
             raise InvariantViolation("require 0 <= low_confidence < high_confidence <= 1")
         if not self.copd_acceptable_spo2 < 94.0:
             raise InvariantViolation("copd_acceptable_spo2 must sit below the 94 screen")
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "copd_acceptable_spo2": self.copd_acceptable_spo2,
-            "hr_activity_allowance": self.hr_activity_allowance,
-            "nocturnal_dip_allowance": self.nocturnal_dip_allowance,
-            "bradycardia_personal_floor": self.bradycardia_personal_floor,
-            "high_confidence": self.high_confidence,
-            "low_confidence": self.low_confidence,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SpecialistConfig":
-        defaults = cls()
-        return cls(
-            **{
-                name: float(data.get(name, getattr(defaults, name)))
-                for name in defaults.to_dict()
-            }
-        )
 
 
 def _claim(

@@ -85,7 +85,7 @@ def make_bundle(epoch: Epoch, context: PatientContext | None = None) -> SourceBu
 
 
 def make_record(epoch: Epoch, context: PatientContext | None = None) -> VeritasRecord:
-    return assemble(make_bundle(epoch, context), epoch.timestamp)
+    return assemble(make_bundle(epoch, context), epoch)
 
 
 def make_view(epoch: Epoch, context: PatientContext | None = None) -> SpecialistView:

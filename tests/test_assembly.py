@@ -9,7 +9,6 @@ import pytest
 
 from alertsift.assembly import (
     ConversationEntry,
-    NoEpochAtTimestamp,
     PatientIdMismatch,
     SelfReportEntry,
     SourceBundle,
@@ -63,7 +62,7 @@ def test_conversation_flag_attached_with_patient_reported_tag():
         vitals_stream=(epoch,),
         patient_reported=(),
     )
-    record = assemble(bundle, epoch.timestamp)
+    record = assemble(bundle, epoch)
     assert len(record.conversation_flags) == 1
     flag = record.conversation_flags[0]
     assert flag.value == "feeling_fine"
@@ -80,7 +79,7 @@ def test_recency_join_takes_latest_at_or_before():
     bundle = SourceBundle(
         ehr=make_context(), conversation_log=(), vitals_stream=(epoch,), patient_reported=reports
     )
-    record = assemble(bundle, epoch.timestamp)
+    record = assemble(bundle, epoch)
     attached = record.epoch_fields["self_reported_activity"]
     assert attached.value is SelfReportedActivity.RESTING
     assert attached.observed_at == base + timedelta(minutes=30)
@@ -107,7 +106,7 @@ def test_recency_join_matches_brute_force_oracle():
             ehr=make_context(), conversation_log=(), vitals_stream=(epoch,),
             patient_reported=entries,
         )
-        record = assemble(bundle, at)
+        record = assemble(bundle, epoch)
         attached = record.epoch_fields.get("self_reported_activity")
         if oracle is None:
             assert attached is None
@@ -120,8 +119,8 @@ def test_recency_join_matches_brute_force_oracle():
 def test_assemble_errors():
     epoch = make_epoch()
     bundle = make_bundle(epoch)
-    with pytest.raises(NoEpochAtTimestamp):
-        assemble(bundle, epoch.timestamp + timedelta(minutes=1))
+    with pytest.raises(PatientIdMismatch):
+        assemble(bundle, make_epoch(patient_id=epoch.patient_id + 1))
     with pytest.raises(PatientIdMismatch):
         SourceBundle(
             ehr=make_context(patient_id=epoch.patient_id + 1),
@@ -134,7 +133,7 @@ def test_assemble_errors():
 def test_assemble_deterministic():
     epoch = make_epoch(spo2=91.5)
     bundle = make_bundle(epoch, make_context(copd=True, baseline_spo2=90.0))
-    assert assemble(bundle, epoch.timestamp) == assemble(bundle, epoch.timestamp)
+    assert assemble(bundle, epoch) == assemble(bundle, epoch)
 
 
 def test_assemble_never_invents_values():

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
+
+import pytest
 
 from alertsift.cli import main
 from alertsift.synthgen import default_taxonomy_path
@@ -99,6 +102,44 @@ def test_evaluate_nan_vitals_exit_2(tmp_path, capsys):
     assert "epochs line 1: spo2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("spo2", None), ("spo2", "abc"), ("timestamp", 5), ("device_status", "broken")],
+    ids=["null_spo2", "text_spo2", "numeric_timestamp", "unknown_status"],
+)
+def test_evaluate_malformed_epoch_exits_2_naming_the_line(tmp_path, capsys, field, value):
+    config = write_config(tmp_path)
+    run(["--config", config, "generate"])
+    epochs_path = tmp_path / "dataset" / "epochs.jsonl"
+    lines = epochs_path.read_text().splitlines()
+    row = json.loads(lines[2])
+    row[field] = value
+    lines[2] = json.dumps(row, separators=(",", ":"))
+    epochs_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert run(["--config", config, "evaluate"]) == 2
+    assert "epochs line 3: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, message",
+    [("copd_documented", "copd_documented"), ("patient_id", "holds patient_id")],
+    ids=["string_boolean", "foreign_patient_id"],
+)
+def test_evaluate_malformed_context_exits_2(tmp_path, capsys, field, message):
+    # bool("false") is True: decoded leniently, a patient with a baseline
+    # would silently read as documented COPD. A record filed under another
+    # patient's key would mix two patients in one case.
+    config = write_config(tmp_path)
+    run(["--config", config, "generate"])
+    contexts_path = tmp_path / "dataset" / "contexts.json"
+    contexts = json.loads(contexts_path.read_text())
+    key = next(k for k, ctx in sorted(contexts.items()) if ctx["baseline_spo2"] is not None)
+    contexts[key][field] = "false" if field == "copd_documented" else int(key) + 1
+    contexts_path.write_text(json.dumps(contexts), encoding="utf-8")
+    assert run(["--config", config, "evaluate"]) == 2
+    assert f"contexts patient {key}: {message}" in capsys.readouterr().err
+
+
 def test_evaluate_duplicate_epoch_exits_2(tmp_path, capsys):
     config = write_config(tmp_path)
     run(["--config", config, "generate"])
@@ -186,3 +227,58 @@ def test_invalid_config_json_exits_2(tmp_path, capsys):
     assert "config" in capsys.readouterr().err
 
 
+
+
+@pytest.mark.parametrize(
+    "section",
+    [
+        {"sentinel": {"spo2_low_treshold": 80}},
+        {"sentinel": {"spo2_low_threshold": None}},
+        {"sentinel": {"spo2_low_threshold": "80"}},
+        {"meta": {"cooldown_window_minutes": 2.5}},
+        {"meta": {"domain_weights": {"cardiology": 2.0}}},
+        {"meta": {"domain_weights": {"copd": None}}},
+    ],
+    ids=["typo", "null", "string", "fractional_int", "unknown_domain", "null_weight"],
+)
+def test_invalid_config_section_exits_2(tmp_path, capsys, section):
+    config = write_config(tmp_path, **section)
+    assert run(["--config", config, "generate"]) == 2
+    assert "config invalid" in capsys.readouterr().err
+
+
+def test_unknown_top_level_and_paths_keys_exit_2(tmp_path, capsys):
+    for payload in ({"sede": 7}, {"paths": {"dataset": "elsewhere"}}, {"paths": {"report_dir": None}}):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        assert run(["--config", path, "generate"]) == 2
+    assert "unknown keys ['sede']" in capsys.readouterr().err
+
+
+def test_readme_example_config_gives_the_default_outputs(tmp_path):
+    # README's example spells out every default, so its run must be byte
+    # for byte the default seed-42 run that the acceptance suite pins.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = json.loads(re.search(r"### Config file\s+```json\n(.*?)```", readme, re.S).group(1))
+    outputs = {}
+    for name in ("readme", "default"):
+        base = tmp_path / name
+        config = example if name == "readme" else {"seed": 42}
+        config["paths"] = {
+            **config.get("paths", {}),
+            "dataset_dir": str(base / "dataset"),
+            "report_dir": str(base / "report"),
+        }
+        base.mkdir()
+        (base / "config.json").write_text(json.dumps(config), encoding="utf-8")
+        assert run(["--config", base / "config.json", "generate"]) == 0
+        assert run(["--config", base / "config.json", "evaluate", "--golden-check"]) == 0
+        outputs[name] = [
+            (base / folder / file).read_bytes()
+            for folder, file in [
+                ("dataset", "manifest.json"),
+                ("report", "decisions.jsonl"),
+                ("report", "report.json"),
+            ]
+        ]
+    assert outputs["readme"] == outputs["default"]

@@ -6,13 +6,17 @@ import random
 from datetime import timedelta
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from alertsift.assembly import project_for_specialists
 from alertsift.meta import DecisionHistory, EmptyClaims, MetaConfig, resolve
 from alertsift.model import (
     AgentClaim,
     AgentDomain,
+    AlertType,
     DeviceStatus,
     InvariantViolation,
+    ProvenanceTag,
     Recommendation,
     ResolutionPath,
     RiskLevel,
@@ -20,7 +24,16 @@ from alertsift.model import (
 )
 from alertsift.routing import RoutingDecision
 from alertsift.sentinel import SentinelConfig, detect
-from helpers import make_epoch, make_view
+from alertsift.specialists import SpecialistConfig, claims_for
+from helpers import (
+    DAYTIME,
+    detect_and_route,
+    make_context,
+    make_epoch,
+    make_record,
+    make_view,
+    retag_field,
+)
 
 CFG = MetaConfig()
 
@@ -179,6 +192,78 @@ def test_duplicate_alert_status_bypasses_debounce():
         decision = resolve(claims, routing, make_alert(epoch), history, CFG)
         assert decision.resolution_path is ResolutionPath.AMBIGUITY_DEFAULT
         assert decision.verdict is Verdict.ESCALATE
+
+
+def test_inferred_duplicate_alert_status_does_not_bypass_debounce():
+    # The bypass reads the status detection saw in the projection; an
+    # inferred-tagged duplicate_alert never reaches it, so the debounce holds.
+    epoch1 = make_epoch(spo2=90.0)
+    epoch2 = make_epoch(
+        ts=epoch1.timestamp + timedelta(minutes=1), spo2=90.0, status=DeviceStatus.DUPLICATE_ALERT
+    )
+    record = retag_field(make_record(epoch2), "device_status", ProvenanceTag.INFERRED)
+    alert2 = detect(project_for_specialists(record), SentinelConfig())
+    assert alert2.alert_types == frozenset({AlertType.LOW_SPO2})
+    history = DecisionHistory()
+    claims = (claim(AgentDomain.PROBE_INTEGRITY, Recommendation.INDETERMINATE, 0.4),)
+    routing = routing_for(AgentDomain.PROBE_INTEGRITY)
+    resolve(claims, routing, make_alert(epoch1), history, CFG)
+    second = resolve(claims, routing, alert2, history, CFG)
+    assert second.resolution_path is ResolutionPath.DEBOUNCED
+
+
+def test_copd_floor_breach_is_not_debounced_into_suppression():
+    # A COPD patient with baseline 88 is suppressed at SpO2 87; a minute
+    # later SpO2 75 breaches the floor with the same alert-type set.
+    context = make_context(copd=True, baseline_spo2=88.0)
+    history = DecisionHistory()
+    decisions = []
+    for minute, spo2 in ((0, 87.0), (1, 75.0)):
+        epoch = make_epoch(ts=DAYTIME + timedelta(minutes=minute), spo2=spo2)
+        view, alert, routing = detect_and_route(epoch, context)
+        claims = claims_for(alert, view, routing, SpecialistConfig())
+        decisions.append(resolve(claims, routing, alert, history, CFG))
+    first, second = decisions
+    assert (first.verdict, first.resolution_path) == (Verdict.SUPPRESS, ResolutionPath.SINGLE_DOMAIN)
+    assert second.contributing_claims[0].rationale_codes == ("below_copd_floor",)
+    assert second.verdict is Verdict.ESCALATE
+    assert second.resolution_path is ResolutionPath.SINGLE_DOMAIN
+
+
+@st.composite
+def _claim_sets(draw):
+    domains = draw(st.lists(st.sampled_from(list(AgentDomain)), min_size=1, max_size=6, unique=True))
+    domains.sort(key=list(AgentDomain).index)
+    return tuple(
+        claim(domain, draw(st.sampled_from(list(Recommendation))), draw(st.floats(0.0, 1.0)))
+        for domain in domains
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 12), _claim_sets()), min_size=2, max_size=8))
+def test_debounce_never_replays_suppression_over_escalate_claim(steps):
+    # Property: one patient, the same alert-type set at every step, random
+    # claims and gaps; no debounced suppression carries an escalate claim.
+    history = DecisionHistory()
+    ts = DAYTIME
+    for gap, claims in steps:
+        ts += timedelta(minutes=gap)
+        decision = resolve(
+            claims,
+            routing_for(*(c.domain for c in claims)),
+            make_alert(make_epoch(ts=ts, spo2=90.0)),
+            history,
+            CFG,
+        )
+        if decision.resolution_path is ResolutionPath.DEBOUNCED:
+            assert not (
+                decision.verdict is Verdict.SUPPRESS
+                and any(
+                    c.recommendation is Recommendation.ESCALATE
+                    for c in decision.contributing_claims
+                )
+            )
 
 
 def test_debounce_idempotence_never_flips():
