@@ -9,7 +9,7 @@ produced by model inference can never reach detection or specialist logic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime
 from typing import Any, Mapping
 
@@ -67,23 +67,59 @@ class SelfReportEntry:
 
 @dataclass(frozen=True)
 class SourceBundle:
-    """The four ground-truth sources for one patient."""
+    """The four ground-truth sources for one patient.
+
+    What assembly needs of the sources besides the epoch itself does not
+    change from epoch to epoch, so it is built here once per patient: the
+    source ids, the present EHR fields, and the self-reports split by kind.
+    """
 
     ehr: PatientContext
     conversation_log: tuple[ConversationEntry, ...]
     vitals_stream: tuple[Epoch, ...]
     patient_reported: tuple[SelfReportEntry, ...]
+    _device_src: str = field(init=False, repr=False, compare=False)
+    _ehr_src: str = field(init=False, repr=False, compare=False)
+    _report_src: str = field(init=False, repr=False, compare=False)
+    _conversation_src: str = field(init=False, repr=False, compare=False)
+    _ehr_fields: tuple[tuple[str, Any], ...] = field(init=False, repr=False, compare=False)
+    _positions: tuple[SelfReportEntry, ...] = field(init=False, repr=False, compare=False)
+    _activities: tuple[SelfReportEntry, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        pid = self.ehr.patient_id
         for epoch in self.vitals_stream:
-            if epoch.patient_id != self.ehr.patient_id:
+            if epoch.patient_id != pid:
                 raise PatientIdMismatch(
-                    f"epoch patient {epoch.patient_id} != context patient {self.ehr.patient_id}"
+                    f"epoch patient {epoch.patient_id} != context patient {pid}"
                 )
+        ehr = self.ehr
+        ehr_fields = [
+            ("copd_documented", ehr.copd_documented),
+            ("rate_limiting_medication", ehr.rate_limiting_medication),
+        ]
+        if ehr.baseline_spo2 is not None:
+            ehr_fields.append(("baseline_spo2", ehr.baseline_spo2))
+        if ehr.baseline_hr is not None:
+            ehr_fields.append(("baseline_hr", ehr.baseline_hr))
+        derived = {
+            "_device_src": f"vitals/{pid}",
+            "_ehr_src": f"ehr/{pid}",
+            "_report_src": f"patient_report/{pid}",
+            "_conversation_src": f"conversation/{pid}",
+            "_ehr_fields": tuple(ehr_fields),
+            "_positions": tuple(e for e in self.patient_reported if e.kind == "position"),
+            "_activities": tuple(e for e in self.patient_reported if e.kind == "activity"),
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
 
 def _latest_at_or_before(entries, at: datetime):
-    """Recency join: the entry with the greatest timestamp <= at, or None."""
+    """Recency join: the entry with the greatest timestamp <= at, or None.
+
+    Among entries with equal timestamps the first in input order wins.
+    """
     best = None
     for entry in entries:
         if entry.timestamp <= at and (best is None or entry.timestamp > best.timestamp):
@@ -97,61 +133,65 @@ def assemble(bundle: SourceBundle, epoch: Epoch) -> VeritasRecord:
     The caller walks the patient's vitals stream and passes each epoch as
     it goes, so assembly does no search of the stream. An epoch of another
     patient raises PatientIdMismatch: a record never mixes two patients.
+    Everything else assembly reads was built once, with the bundle.
 
     Tag assignment follows the source: device stream fields are
     device_verified, EHR context fields are ehr_derived, self-reported
     fields (activity, position) are patient_reported. Self-report and
     conversation entries are attached by recency join (latest entry with
-    timestamp <= the epoch's); a joined self-report overrides the epoch's
-    inline value and keeps its own observation time. Deterministic, and never
-    invents a value: every output field traces to exactly one source datum.
+    timestamp <= the epoch's; among equal timestamps the first in input
+    order); a joined self-report overrides the epoch's inline value and
+    keeps its own observation time. Deterministic, and never invents a
+    value: every output field traces to exactly one source datum.
     """
-    if epoch.patient_id != bundle.ehr.patient_id:
+    pid = bundle.ehr.patient_id
+    if epoch.patient_id != pid:
         raise PatientIdMismatch(
-            f"epoch patient {epoch.patient_id} != context patient {bundle.ehr.patient_id}"
+            f"epoch patient {epoch.patient_id} != context patient {pid}"
         )
     at = epoch.timestamp
-    pid = bundle.ehr.patient_id
-    device_src = f"vitals/{pid}"
-    ehr_src = f"ehr/{pid}"
-    report_src = f"patient_report/{pid}"
-
-    def device(value: Any) -> TaggedValue:
-        return TaggedValue(value, ProvenanceTag.DEVICE_VERIFIED, device_src, at)
-
-    def reported(kind: str, inline: Any) -> TaggedValue | None:
-        """The latest self-report of ``kind`` by ``at``, else the epoch's own value."""
-        entry = _latest_at_or_before([e for e in bundle.patient_reported if e.kind == kind], at)
-        if entry is None and inline is None:
-            return None
-        value, observed_at = (inline, at) if entry is None else (entry.value, entry.timestamp)
-        return TaggedValue(value, ProvenanceTag.PATIENT_REPORTED, report_src, observed_at)
-
+    device_src = bundle._device_src
     epoch_fields: dict[str, TaggedValue] = {
-        "spo2": device(epoch.spo2),
-        "hr": device(epoch.hr),
-        "accel_level": device(epoch.accel_level),
-        "device_status": device(epoch.device_status),
-        "probe_cover_present": device(epoch.probe_cover_present),
+        "spo2": TaggedValue(epoch.spo2, ProvenanceTag.DEVICE_VERIFIED, device_src, at),
+        "hr": TaggedValue(epoch.hr, ProvenanceTag.DEVICE_VERIFIED, device_src, at),
+        "accel_level": TaggedValue(
+            epoch.accel_level, ProvenanceTag.DEVICE_VERIFIED, device_src, at
+        ),
+        "device_status": TaggedValue(
+            epoch.device_status, ProvenanceTag.DEVICE_VERIFIED, device_src, at
+        ),
+        "probe_cover_present": TaggedValue(
+            epoch.probe_cover_present, ProvenanceTag.DEVICE_VERIFIED, device_src, at
+        ),
     }
     if epoch.ambient_condition is not None:
-        epoch_fields["ambient_condition"] = device(epoch.ambient_condition)
-    epoch_fields["position"] = reported("position", epoch.position)
-    activity = reported("activity", epoch.self_reported_activity)
-    if activity is not None:
-        epoch_fields["self_reported_activity"] = activity
+        epoch_fields["ambient_condition"] = TaggedValue(
+            epoch.ambient_condition, ProvenanceTag.DEVICE_VERIFIED, device_src, at
+        )
 
-    def ehr(value: Any) -> TaggedValue:
-        return TaggedValue(value, ProvenanceTag.EHR_DERIVED, ehr_src, at)
+    report_src = bundle._report_src
+    entry = _latest_at_or_before(bundle._positions, at)
+    if entry is None:
+        position = TaggedValue(epoch.position, ProvenanceTag.PATIENT_REPORTED, report_src, at)
+    else:
+        position = TaggedValue(
+            entry.value, ProvenanceTag.PATIENT_REPORTED, report_src, entry.timestamp
+        )
+    epoch_fields["position"] = position
+    entry = _latest_at_or_before(bundle._activities, at)
+    if entry is not None:
+        epoch_fields["self_reported_activity"] = TaggedValue(
+            entry.value, ProvenanceTag.PATIENT_REPORTED, report_src, entry.timestamp
+        )
+    elif epoch.self_reported_activity is not None:
+        epoch_fields["self_reported_activity"] = TaggedValue(
+            epoch.self_reported_activity, ProvenanceTag.PATIENT_REPORTED, report_src, at
+        )
 
-    context_fields: dict[str, TaggedValue] = {
-        "copd_documented": ehr(bundle.ehr.copd_documented),
-        "rate_limiting_medication": ehr(bundle.ehr.rate_limiting_medication),
-    }
-    if bundle.ehr.baseline_spo2 is not None:
-        context_fields["baseline_spo2"] = ehr(bundle.ehr.baseline_spo2)
-    if bundle.ehr.baseline_hr is not None:
-        context_fields["baseline_hr"] = ehr(bundle.ehr.baseline_hr)
+    ehr_src = bundle._ehr_src
+    context_fields: dict[str, TaggedValue] = {}
+    for name, value in bundle._ehr_fields:
+        context_fields[name] = TaggedValue(value, ProvenanceTag.EHR_DERIVED, ehr_src, at)
 
     conversation = _latest_at_or_before(bundle.conversation_log, at)
     flags: tuple[TaggedValue, ...] = ()
@@ -159,7 +199,7 @@ def assemble(bundle: SourceBundle, epoch: Epoch) -> VeritasRecord:
         flags = (
             TaggedValue(
                 conversation.statement, ProvenanceTag.PATIENT_REPORTED,
-                f"conversation/{pid}", conversation.timestamp,
+                bundle._conversation_src, conversation.timestamp,
             ),
         )
 
@@ -172,7 +212,7 @@ def assemble(bundle: SourceBundle, epoch: Epoch) -> VeritasRecord:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpecialistView:
     """The record as seen by detection, routing, and specialists.
 
@@ -215,21 +255,10 @@ def project_for_specialists(record: VeritasRecord) -> SpecialistView:
     nulled; downstream code cannot distinguish it from a field that was
     never collected.
     """
+    allowed = ALLOWED_SPECIALIST_PROVENANCE
     return SpecialistView(
-        record=record,
-        epoch_fields={
-            k: tv
-            for k, tv in record.epoch_fields.items()
-            if tv.provenance in ALLOWED_SPECIALIST_PROVENANCE
-        },
-        context_fields={
-            k: tv
-            for k, tv in record.context_fields.items()
-            if tv.provenance in ALLOWED_SPECIALIST_PROVENANCE
-        },
-        conversation_flags=tuple(
-            tv
-            for tv in record.conversation_flags
-            if tv.provenance in ALLOWED_SPECIALIST_PROVENANCE
-        ),
+        record,
+        {k: tv for k, tv in record.epoch_fields.items() if tv.provenance in allowed},
+        {k: tv for k, tv in record.context_fields.items() if tv.provenance in allowed},
+        tuple([tv for tv in record.conversation_flags if tv.provenance in allowed]),
     )

@@ -488,9 +488,13 @@ def write_decision_log(report: EvaluationReport, path: str | Path) -> None:
 
 def validate_report_payload(data: Mapping[str, Any]) -> dict[str, Any]:
     """Light schema check for a stored report.json loaded for re-rendering."""
+    if not isinstance(data, dict):
+        raise InvariantViolation("report payload must be a JSON object")
     for key in ("overall", "per_domain", "wilson_cis", "failure_modes", "totals"):
         if key not in data:
             raise InvariantViolation(f"report payload missing {key!r}")
+        if not isinstance(data[key], dict):
+            raise InvariantViolation(f"report payload {key!r} must be a JSON object")
     for status in data["failure_modes"]:
         parse_enum(DeviceStatus, status)
     for cls in data["per_domain"]:

@@ -23,6 +23,7 @@ from .model import (
     AgentDomain,
     AlertType,
     CandidateAlert,
+    DOMAIN_ORDER,
     DeviceStatus,
     InvariantViolation,
     Recommendation,
@@ -137,7 +138,7 @@ def resolve(
     if not claims:
         raise EmptyClaims("resolve requires at least one claim")
     claimed = [c.domain for c in claims]
-    expected = [d for d in AgentDomain if d in routing.targets]
+    expected = [d for d in DOMAIN_ORDER if d in routing.targets]
     if claimed != expected:
         raise InvariantViolation(
             f"claims must be one per routed target in domain order; got "

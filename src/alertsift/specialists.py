@@ -21,6 +21,7 @@ from .model import (
     AgentDomain,
     AlertType,
     CandidateAlert,
+    DOMAIN_ORDER,
     DeviceStatus,
     InvariantViolation,
     Position,
@@ -258,6 +259,6 @@ def claims_for(
     """
     return tuple(
         _EVALUATORS[domain](alert, view, cfg)
-        for domain in AgentDomain
+        for domain in DOMAIN_ORDER
         if domain in routing.targets
     )

@@ -27,6 +27,7 @@ from .model import (
     PatientContext,
     Position,
     SelfReportedActivity,
+    _flag,
     parse_enum,
     validate_epoch,
     write_contexts_json,
@@ -110,6 +111,7 @@ _CATEGORICAL_FIELDS: dict[str, type | None] = {
     "probe_cover_present": None,  # boolean
     "ambient_condition": None,  # opaque string, carried only
 }
+_CONTEXT_FLAGS = ("copd_documented", "rate_limiting_medication")
 
 
 @dataclass(frozen=True)
@@ -188,6 +190,16 @@ class TaxonomyEntry:
         unknown = set(self.categorical_params) - set(_CATEGORICAL_FIELDS)
         if unknown:
             raise InvalidEntry(f"{self.case_id}: unknown categorical fields {sorted(unknown)}")
+        # Booleans must be JSON true/false: bool("false") would read as true.
+        _flag(self.nocturnal, "nocturnal")
+        for name in _CONTEXT_FLAGS:
+            if name in self.context:
+                _flag(self.context[name], f"context {name}")
+        cover = self.categorical_params.get("probe_cover_present")
+        if cover is not None:
+            for value in cover.choices or (cover.fixed,):
+                if value is not None:
+                    _flag(value, "probe_cover_present")
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -207,20 +219,33 @@ class TaxonomyEntry:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "TaxonomyEntry":
-        return cls(
-            case_id=str(data["case_id"]),
-            domain_class=parse_enum(DomainClass, data["domain_class"]),
-            epoch_count=int(data["epoch_count"]),
-            continuous_params={
-                k: ContinuousSpec.from_dict(v) for k, v in data["continuous_params"].items()
-            },
-            categorical_params={
-                k: CategoricalSpec.from_dict(v) for k, v in data["categorical_params"].items()
-            },
-            context=dict(data["context"]),
-            nocturnal=bool(data["nocturnal"]),
-            expected_outcome_note=str(data.get("expected_outcome_note", "")),
-        )
+        """Decode one catalogue entry; a missing or mistyped field names the entry.
+
+        Every decoding error is raised as TaxonomyInvariantViolation, so a bad
+        user-supplied catalogue fails closed instead of with a traceback.
+        """
+        name = data.get("case_id") if isinstance(data, Mapping) else data
+        try:
+            return cls(
+                case_id=str(data["case_id"]),
+                domain_class=parse_enum(DomainClass, data["domain_class"]),
+                epoch_count=int(data["epoch_count"]),
+                continuous_params={
+                    k: ContinuousSpec.from_dict(v) for k, v in data["continuous_params"].items()
+                },
+                categorical_params={
+                    k: CategoricalSpec.from_dict(v) for k, v in data["categorical_params"].items()
+                },
+                context=dict(data["context"]),
+                nocturnal=data["nocturnal"],
+                expected_outcome_note=str(data.get("expected_outcome_note", "")),
+            )
+        except KeyError as exc:
+            raise TaxonomyInvariantViolation(
+                f"taxonomy entry {name!r}: missing field {exc}"
+            ) from None
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise TaxonomyInvariantViolation(f"taxonomy entry {name!r}: {exc}") from None
 
 
 def default_taxonomy_path() -> Path:

@@ -6,6 +6,7 @@ import random
 from datetime import datetime, timedelta, timezone
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from alertsift.assembly import (
     ConversationEntry,
@@ -18,9 +19,11 @@ from alertsift.assembly import (
 from alertsift.model import (
     AlertType,
     DEVICE_STREAM_FIELDS,
+    Position,
     ProvenanceTag,
     SelfReportedActivity,
     TaggedValue,
+    VeritasRecord,
 )
 from alertsift.sentinel import SentinelConfig, detect
 from helpers import make_bundle, make_context, make_epoch, make_record, retag_field
@@ -85,35 +88,64 @@ def test_recency_join_takes_latest_at_or_before():
     assert attached.observed_at == base + timedelta(minutes=30)
 
 
+def _oracle_latest(entries, at):
+    """Linear scan: the first entry, in input order, with the greatest timestamp <= at."""
+    best = None
+    for entry in entries:
+        if entry.timestamp <= at and (best is None or entry.timestamp > best.timestamp):
+            best = entry
+    return best
+
+
 def test_recency_join_matches_brute_force_oracle():
-    # oracle: linear scan for the max timestamp <= at, over random subsets
+    # Offsets are drawn with replacement from a narrow range and left in
+    # draw order, so ties and out-of-order entries are common; among tied
+    # entries the join must return the first in input order. Both
+    # self-report kinds and the conversation log are checked at every epoch.
     rng = random.Random(777)
     base = datetime(2022, 7, 1, 10, 0, tzinfo=timezone.utc)
-    activities = list(SelfReportedActivity)
-    for _ in range(100):
-        offsets = sorted(rng.sample(range(-90, 90), k=rng.randint(0, 8)))
-        at = base
-        entries = tuple(
-            SelfReportEntry(base + timedelta(minutes=m), "activity", rng.choice(activities))
-            for m in offsets
+    choices = {"activity": list(SelfReportedActivity), "position": list(Position)}
+    statements = ["feeling_fine", "breathless_on_stairs", "dizzy", "slept_badly"]
+
+    def minute():
+        return base + timedelta(minutes=rng.randint(-6, 6))
+
+    for _ in range(200):
+        kinds = [rng.choice(["activity", "position"]) for _ in range(rng.randint(0, 10))]
+        reports = tuple(SelfReportEntry(minute(), k, rng.choice(choices[k])) for k in kinds)
+        log = tuple(
+            ConversationEntry(minute(), rng.choice(statements)) for _ in range(rng.randint(0, 6))
         )
-        oracle = None
-        for entry in entries:
-            if entry.timestamp <= at and (oracle is None or entry.timestamp > oracle.timestamp):
-                oracle = entry
-        epoch = make_epoch(ts=at, activity=None)
+        epochs = tuple(
+            make_epoch(
+                ts=base + timedelta(minutes=m),
+                activity=rng.choice([None, *choices["activity"]]),
+            )
+            for m in range(-8, 9)
+        )
         bundle = SourceBundle(
-            ehr=make_context(), conversation_log=(), vitals_stream=(epoch,),
-            patient_reported=entries,
+            ehr=make_context(), conversation_log=log, vitals_stream=epochs,
+            patient_reported=reports,
         )
-        record = assemble(bundle, epoch)
-        attached = record.epoch_fields.get("self_reported_activity")
-        if oracle is None:
-            assert attached is None
-        else:
-            assert attached is not None
-            assert attached.value is oracle.value
-            assert attached.observed_at == oracle.timestamp
+        for epoch in epochs:
+            at = epoch.timestamp
+            record = assemble(bundle, epoch)
+            inline = {"activity": epoch.self_reported_activity, "position": epoch.position}
+            for kind, name in (("activity", "self_reported_activity"), ("position", "position")):
+                oracle = _oracle_latest([e for e in reports if e.kind == kind], at)
+                if oracle is not None:
+                    expected = (oracle.value, oracle.timestamp)
+                elif inline[kind] is not None:
+                    expected = (inline[kind], at)  # the epoch's own value
+                else:
+                    expected = None
+                attached = record.epoch_fields.get(name)
+                got = None if attached is None else (attached.value, attached.observed_at)
+                assert got == expected
+                assert attached is None or attached.provenance is ProvenanceTag.PATIENT_REPORTED
+            oracle = _oracle_latest(log, at)
+            expected_flags = [] if oracle is None else [(oracle.statement, oracle.timestamp)]
+            assert [(f.value, f.observed_at) for f in record.conversation_flags] == expected_flags
 
 
 def test_assemble_errors():
@@ -204,3 +236,42 @@ def test_projection_field_scan_never_exposes_inferred():
         view = project_for_specialists(record)
         for name in view.field_names():
             assert view.get(name).provenance is not ProvenanceTag.INFERRED
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.dictionaries(
+        st.sampled_from([
+            "spo2", "hr", "accel_level", "device_status", "probe_cover_present", "position",
+            "self_reported_activity", "ambient_condition", "copd_documented",
+            "rate_limiting_medication", "baseline_spo2", "baseline_hr",
+        ]),
+        st.sampled_from(list(ProvenanceTag)),
+    ),
+    st.lists(st.sampled_from(list(ProvenanceTag)), max_size=4),
+)
+def test_projection_never_exposes_inferred_under_random_provenance(tags, flag_tags):
+    # Property: retag any subset of an assembled record's fields and
+    # conversation flags at random; the projected view holds no inferred value.
+    epoch = make_epoch(activity=SelfReportedActivity.WALKING, ambient="heatwave")
+    record = make_record(epoch, make_context(copd=True, baseline_spo2=89.0, baseline_hr=70.0))
+
+    def retag(fields):
+        return {k: tv.retagged(tags[k]) if k in tags else tv for k, tv in fields.items()}
+
+    tampered = VeritasRecord(
+        patient_id=record.patient_id,
+        timestamp=record.timestamp,
+        epoch_fields=retag(record.epoch_fields),
+        context_fields=retag(record.context_fields),
+        conversation_flags=tuple(
+            TaggedValue(f"statement_{i}", tag, "conversation/1", record.timestamp)
+            for i, tag in enumerate(flag_tags)
+        ),
+    )
+    view = project_for_specialists(tampered)
+    shown = [*view.epoch_fields.values(), *view.context_fields.values(), *view.conversation_flags]
+    assert all(tv.provenance is not ProvenanceTag.INFERRED for tv in shown)
+    # Only inferred values are dropped.
+    kept = [tv for _, tv in tampered.all_tagged() if tv.provenance is not ProvenanceTag.INFERRED]
+    assert len(shown) == len(kept)

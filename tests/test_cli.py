@@ -140,6 +140,21 @@ def test_evaluate_malformed_context_exits_2(tmp_path, capsys, field, message):
     assert f"contexts patient {key}: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [3847291.9, True], ids=["fractional", "boolean"])
+def test_evaluate_non_integer_patient_id_exits_2(tmp_path, capsys, value):
+    # int(3847291.9) would silently file the row under patient 3847291.
+    config = write_config(tmp_path)
+    run(["--config", config, "generate"])
+    epochs_path = tmp_path / "dataset" / "epochs.jsonl"
+    lines = epochs_path.read_text().splitlines()
+    row = json.loads(lines[1])
+    row["patient_id"] = value
+    lines[1] = json.dumps(row, separators=(",", ":"))
+    epochs_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert run(["--config", config, "evaluate"]) == 2
+    assert "epochs line 2: patient_id" in capsys.readouterr().err
+
+
 def test_evaluate_duplicate_epoch_exits_2(tmp_path, capsys):
     config = write_config(tmp_path)
     run(["--config", config, "generate"])
@@ -194,6 +209,70 @@ def test_report_subcommand_rerenders_from_json(tmp_path, capsys):
 def test_report_missing_json_exits_2(tmp_path, capsys):
     config = write_config(tmp_path)
     assert run(["--config", config, "report"]) == 2
+
+
+def test_report_mistyped_section_exits_2(tmp_path, capsys):
+    config = write_config(tmp_path)
+    run(["--config", config, "generate"])
+    run(["--config", config, "evaluate", "--json-only"])
+    report_path = tmp_path / "report" / "report.json"
+    payload = json.loads(report_path.read_text())
+    payload["failure_modes"] = 5
+    report_path.write_text(json.dumps(payload), encoding="utf-8")
+    capsys.readouterr()
+    assert run(["--config", config, "report"]) == 2
+    assert "'failure_modes' must be a JSON object" in capsys.readouterr().err
+
+
+def _edited_taxonomy(tmp_path: Path, edit) -> tuple[Path, str]:
+    """A copy of the catalogue with one entry edited; returns it and the case id.
+
+    The entry has a baseline SpO2 but no COPD, so a flag misread as true
+    still passes the catalogue checks and would generate a COPD patient.
+    """
+    entries = json.loads(default_taxonomy_path().read_text(encoding="utf-8"))
+    entry = next(
+        e for e in entries
+        if e["context"]["baseline_spo2"] is not None and not e["context"]["copd_documented"]
+    )
+    edit(entry)
+    path = tmp_path / "taxonomy.json"
+    path.write_text(json.dumps(entries), encoding="utf-8")
+    return path, entry["case_id"]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda e: e.pop("epoch_count"), "missing field 'epoch_count'"),
+        (lambda e: e.update(nocturnal="false"), "nocturnal must be true or false"),
+        (
+            lambda e: e["context"].update(copd_documented="false"),
+            "context copd_documented must be true or false",
+        ),
+        (
+            lambda e: e["context"].update(rate_limiting_medication=0),
+            "context rate_limiting_medication must be true or false",
+        ),
+        (
+            lambda e: e["categorical_params"]["probe_cover_present"].update(fixed="false"),
+            "probe_cover_present must be true or false",
+        ),
+    ],
+    ids=[
+        "missing_epoch_count", "string_nocturnal", "string_context_flag",
+        "numeric_context_flag", "string_probe_cover",
+    ],
+)
+def test_generate_malformed_taxonomy_entry_exits_2(tmp_path, capsys, edit, message):
+    # A traceback exits 1, and bool("false") is True: either way a bad
+    # catalogue must fail closed, naming the entry.
+    taxonomy, case_id = _edited_taxonomy(tmp_path, edit)
+    config = write_config(tmp_path, taxonomy=str(taxonomy))
+    assert run(["--config", config, "generate"]) == 2
+    err = capsys.readouterr().err
+    assert f"taxonomy entry {case_id!r}: {message}" in err
+    assert not (tmp_path / "dataset").exists()
 
 
 def test_seed_env_var_overrides_config(tmp_path, monkeypatch):

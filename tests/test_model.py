@@ -110,6 +110,17 @@ def test_tagged_value_requires_provenance():
         TaggedValue(1.0, None, "src", DAYTIME)  # type: ignore[arg-type]
 
 
+def test_tagged_value_is_immutable():
+    tv = TaggedValue(1.0, ProvenanceTag.DEVICE_VERIFIED, "src", DAYTIME)
+    for name in ("value", "provenance", "source_id", "observed_at", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(tv, name, ProvenanceTag.INFERRED)
+    assert tv == TaggedValue(1.0, ProvenanceTag.DEVICE_VERIFIED, "src", DAYTIME)
+    assert tv.retagged(ProvenanceTag.INFERRED).provenance is ProvenanceTag.INFERRED
+    with pytest.raises(InvariantViolation):
+        tv._replace(provenance="inferred")
+
+
 def test_epoch_round_trip_all_fields():
     epoch = make_epoch(
         spo2=88.25,
@@ -122,7 +133,10 @@ def test_epoch_round_trip_all_fields():
         ambient="heatwave_advisory",
     )
     assert Epoch.from_dict(epoch.to_dict()) == epoch
-    for bad in ({"spo2": 100.5}, {"spo2": float("inf")}, {"hr": 0.0}, {"hr": float("nan")}):
+    for bad in (
+        {"spo2": 100.5}, {"spo2": float("inf")}, {"hr": 0.0}, {"hr": float("nan")},
+        {"patient_id": 3847291.9}, {"patient_id": True}, {"patient_id": "3847291"},
+    ):
         with pytest.raises(InvariantViolation):
             Epoch.from_dict({**epoch.to_dict(), **bad})
 
@@ -137,8 +151,9 @@ def test_epoch_round_trip_optionals_absent():
 def test_patient_context_round_trip():
     ctx = make_context(copd=True, baseline_spo2=89.0, baseline_hr=72.0, med=True)
     assert PatientContext.from_dict(ctx.to_dict()) == ctx
-    with pytest.raises(InvariantViolation):
-        PatientContext.from_dict({**ctx.to_dict(), "baseline_hr": float("nan")})
+    for bad in ({"baseline_hr": float("nan")}, {"patient_id": 3847291.9}, {"patient_id": True}):
+        with pytest.raises(InvariantViolation):
+            PatientContext.from_dict({**ctx.to_dict(), **bad})
 
 
 def test_patient_context_copd_requires_baseline():
