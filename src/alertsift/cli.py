@@ -154,6 +154,12 @@ def cmd_generate(cfg: PipelineConfig) -> int:
         return EXIT_INPUT
     try:
         dataset = generate_dataset(taxonomy, cfg.seed)
+    except ValueError as exc:
+        # An entry whose parameters can draw an epoch outside the dataset's
+        # bounds is found only when that epoch is drawn.
+        print(f"error: generation failed: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    try:
         write_dataset(dataset, cfg.dataset_dir)
     except OSError as exc:
         print(f"error: could not write dataset: {exc}", file=sys.stderr)

@@ -9,7 +9,6 @@ device statuses at the point of failure.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime
@@ -21,6 +20,7 @@ from typing import Any, Mapping, Sequence
 from .assembly import SourceBundle, assemble, project_for_specialists
 from .meta import DecisionHistory, MetaConfig, resolve
 from .model import (
+    COMPACT_JSON,
     DeviceStatus,
     Epoch,
     InvariantViolation,
@@ -475,6 +475,7 @@ def render_report_text(report: EvaluationReport | Mapping[str, Any]) -> str:
 
 def write_decision_log(report: EvaluationReport, path: str | Path) -> None:
     """Emit every epoch decision as JSON Lines, in case then epoch order."""
+    encode = COMPACT_JSON.encode
     with open(path, "w", encoding="utf-8") as fp:
         for case in report.case_outcomes:
             for decision in case.epoch_decisions:
@@ -483,20 +484,56 @@ def write_decision_log(report: EvaluationReport, path: str | Path) -> None:
                     "patient_id": case.patient_id,
                     "decision": decision.to_dict(),
                 }
-                fp.write(json.dumps(line, separators=(",", ":")) + "\n")
+                fp.write(encode(line) + "\n")
+
+
+# The fields of report.json that render_report_text reads, all numbers.
+_REPORT_FIELDS = {
+    "overall": ("ts_count", "fe_count", "ind_count", "tsr", "fer", "indr"),
+    "totals": ("cases", "epochs", "mean_epochs_per_case"),
+    "per_domain": ("n", "ts", "fe", "tsr", "fer"),
+    "wilson_cis": ("lower", "upper"),
+}
+
+
+def _check_object(value: Any, where: str) -> None:
+    if not isinstance(value, dict):
+        raise InvariantViolation(f"report payload {where!r} must be a JSON object")
+
+
+def _check_numbers(row: Any, names: Sequence[str], where: str) -> None:
+    _check_object(row, where)
+    for name in names:
+        value = row.get(name)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise InvariantViolation(
+                f"report payload {where}.{name} must be a number, got {value!r}"
+            )
 
 
 def validate_report_payload(data: Mapping[str, Any]) -> dict[str, Any]:
-    """Light schema check for a stored report.json loaded for re-rendering."""
+    """Schema check for a stored report.json loaded for re-rendering.
+
+    Every section and row the text report reads must be present and typed:
+    the overall and totals numbers, each class row's counts and rates, each
+    interval's bounds, and each failure mode's integer count.
+    """
     if not isinstance(data, dict):
         raise InvariantViolation("report payload must be a JSON object")
     for key in ("overall", "per_domain", "wilson_cis", "failure_modes", "totals"):
         if key not in data:
             raise InvariantViolation(f"report payload missing {key!r}")
-        if not isinstance(data[key], dict):
-            raise InvariantViolation(f"report payload {key!r} must be a JSON object")
-    for status in data["failure_modes"]:
+        _check_object(data[key], key)
+    for key in ("overall", "totals"):
+        _check_numbers(data[key], _REPORT_FIELDS[key], key)
+    for key in ("per_domain", "wilson_cis"):
+        for cls, row in data[key].items():
+            parse_enum(DomainClass, cls)
+            _check_numbers(row, _REPORT_FIELDS[key], f"{key}.{cls}")
+    for status, count in data["failure_modes"].items():
         parse_enum(DeviceStatus, status)
-    for cls in data["per_domain"]:
-        parse_enum(DomainClass, cls)
+        if isinstance(count, bool) or not isinstance(count, int):
+            raise InvariantViolation(
+                f"report payload failure_modes.{status} must be an integer, got {count!r}"
+            )
     return dict(data)

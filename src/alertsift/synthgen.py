@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from enum import Enum
 from pathlib import Path
@@ -21,6 +21,7 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from .model import (
+    CANONICAL_JSON,
     AccelLevel,
     DeviceStatus,
     Epoch,
@@ -28,6 +29,7 @@ from .model import (
     Position,
     SelfReportedActivity,
     _flag,
+    format_timestamp,
     parse_enum,
     validate_epoch,
     write_contexts_json,
@@ -58,6 +60,7 @@ __all__ = [
 
 NOISE_SIGMA = 0.25
 MAX_REJECTIONS = 1000
+_MINUTE = timedelta(minutes=1)
 
 EXPECTED_CASE_COUNT = 98
 EXPECTED_EPOCH_COUNT = 530
@@ -102,14 +105,17 @@ class TaxonomyInvariantViolation(ValueError):
     """The catalogue as a whole breaks a structural invariant."""
 
 
-_CONTINUOUS_FIELDS = ("spo2", "hr")
-_CATEGORICAL_FIELDS: dict[str, type | None] = {
-    "accel_level": AccelLevel,
-    "device_status": DeviceStatus,
-    "position": Position,
-    "self_reported_activity": SelfReportedActivity,
-    "probe_cover_present": None,  # boolean
-    "ambient_condition": None,  # opaque string, carried only
+# Each generated field with the Epoch value it takes when the entry leaves it
+# out (or, for a categorical field, gives null); categorical fields also name
+# the type a catalogue value parses to.
+_CONTINUOUS_FIELDS = {"spo2": 97.0, "hr": 72.0}
+_CATEGORICAL_FIELDS: dict[str, tuple[type | None, Any]] = {
+    "accel_level": (AccelLevel, AccelLevel.STILL),
+    "device_status": (DeviceStatus, DeviceStatus.OK),
+    "position": (Position, Position.UPRIGHT),
+    "self_reported_activity": (SelfReportedActivity, None),
+    "probe_cover_present": (bool, False),
+    "ambient_condition": (None, None),  # opaque string, carried only
 }
 _CONTEXT_FLAGS = ("copd_documented", "rate_limiting_medication")
 
@@ -151,11 +157,6 @@ class CategoricalSpec:
         if self.choices and self.fixed is not None:
             raise InvalidEntry("categorical spec cannot be both fixed and a choice set")
 
-    def draw(self, rng: np.random.Generator) -> Any:
-        if self.choices:
-            return self.choices[int(rng.integers(len(self.choices)))]
-        return self.fixed
-
     def to_dict(self) -> dict[str, Any]:
         if self.choices:
             return {"choice": list(self.choices)}
@@ -164,13 +165,37 @@ class CategoricalSpec:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "CategoricalSpec":
         if "choice" in data:
-            return cls(choices=tuple(data["choice"]))
+            choices = data["choice"]
+            if not isinstance(choices, list) or not choices:
+                raise InvalidEntry(f"choice must be a non-empty array, got {choices!r}")
+            return cls(choices=tuple(choices))
         return cls(fixed=data.get("fixed"))
+
+
+_LEFT_OUT = CategoricalSpec()  # a field the entry leaves out: fixed null, the default
+
+
+def _epoch_value(name: str, raw: Any) -> Any:
+    """The Epoch value of one categorical catalogue value; null means the default."""
+    kind, default = _CATEGORICAL_FIELDS[name]
+    if raw is None:
+        return default
+    if kind is bool:
+        return _flag(raw, name)
+    if kind is not None:
+        return parse_enum(kind, raw)
+    return raw
 
 
 @dataclass(frozen=True)
 class TaxonomyEntry:
-    """One confirmed false-positive scenario with its generation parameters."""
+    """One confirmed false-positive scenario with its generation parameters.
+
+    The entry's draw plan is built once, here, with every categorical value
+    parsed: the continuous specs and the choice sets, each in sorted field
+    order (the order of the draws), and the value of every Epoch field that
+    is not drawn. A value that does not parse fails the entry.
+    """
 
     case_id: str
     domain_class: DomainClass
@@ -180,6 +205,13 @@ class TaxonomyEntry:
     context: Mapping[str, Any]
     nocturnal: bool
     expected_outcome_note: str
+    _continuous: tuple[tuple[str, ContinuousSpec], ...] = field(
+        init=False, repr=False, compare=False
+    )
+    _choices: tuple[tuple[str, tuple[Any, ...]], ...] = field(
+        init=False, repr=False, compare=False
+    )
+    _fixed: Mapping[str, Any] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.epoch_count <= 0:
@@ -195,11 +227,22 @@ class TaxonomyEntry:
         for name in _CONTEXT_FLAGS:
             if name in self.context:
                 _flag(self.context[name], f"context {name}")
-        cover = self.categorical_params.get("probe_cover_present")
-        if cover is not None:
-            for value in cover.choices or (cover.fixed,):
-                if value is not None:
-                    _flag(value, "probe_cover_present")
+
+        fixed = {
+            name: default
+            for name, default in _CONTINUOUS_FIELDS.items()
+            if name not in self.continuous_params
+        }
+        choices = []
+        for name in sorted(_CATEGORICAL_FIELDS):
+            spec = self.categorical_params.get(name, _LEFT_OUT)
+            if spec.choices:
+                choices.append((name, tuple(_epoch_value(name, v) for v in spec.choices)))
+            else:
+                fixed[name] = _epoch_value(name, spec.fixed)
+        object.__setattr__(self, "_continuous", tuple(sorted(self.continuous_params.items())))
+        object.__setattr__(self, "_choices", tuple(choices))
+        object.__setattr__(self, "_fixed", fixed)
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -329,7 +372,9 @@ def generate_case(
     """Realize one scenario as consecutive one-minute epochs plus context.
 
     All randomness comes from the sub-stream derived from (seed, case_id);
-    two calls with the same arguments produce bit-identical output.
+    two calls with the same arguments produce bit-identical output. Each
+    epoch draws the continuous fields, then the choice fields, in the order
+    of the entry's draw plan.
     """
     rng = _substream(seed, f"case:{entry.case_id}")
     context = PatientContext(
@@ -340,35 +385,21 @@ def generate_case(
         rate_limiting_medication=bool(entry.context.get("rate_limiting_medication", False)),
     )
 
+    continuous, choices, fixed = entry._continuous, entry._choices, entry._fixed
     epochs: list[Epoch] = []
-    for i in range(entry.epoch_count):
-        timestamp = start_time + timedelta(minutes=i)
-        values: dict[str, Any] = {}
-        for name in sorted(entry.continuous_params):
-            values[name] = _draw_continuous(entry.continuous_params[name], rng)
-        for name in sorted(entry.categorical_params):
-            raw = entry.categorical_params[name].draw(rng)
-            enum_type = _CATEGORICAL_FIELDS[name]
-            if raw is not None and enum_type is not None:
-                raw = parse_enum(enum_type, raw)
-            values[name] = raw
-
-        epoch = Epoch(
-            patient_id=patient_id,
-            timestamp=timestamp,
-            spo2=values.get("spo2", 97.0),
-            hr=values.get("hr", 72.0),
-            accel_level=values.get("accel_level") or AccelLevel.STILL,
-            device_status=values.get("device_status") or DeviceStatus.OK,
-            probe_cover_present=bool(values.get("probe_cover_present", False)),
-            position=values.get("position") or Position.UPRIGHT,
-            self_reported_activity=values.get("self_reported_activity"),
-            ambient_condition=values.get("ambient_condition"),
-        )
+    timestamp = start_time
+    for _ in range(entry.epoch_count):
+        values = dict(fixed)
+        for name, spec in continuous:
+            values[name] = _draw_continuous(spec, rng)
+        for name, options in choices:
+            values[name] = options[int(rng.integers(len(options)))]
+        epoch = Epoch(patient_id=patient_id, timestamp=timestamp, **values)
         violations = validate_epoch(epoch)
         if violations:
             raise InvalidEntry(f"{entry.case_id}: generated invalid epoch: {violations}")
         epochs.append(epoch)
+        timestamp += _MINUTE
     return epochs, context
 
 
@@ -411,8 +442,9 @@ def _draw_start_time(entry: TaxonomyEntry, seed: int) -> datetime:
 
 
 def _case_digest(case: GeneratedCase) -> str:
-    lines = [json.dumps(e.to_dict(), separators=(",", ":"), sort_keys=True) for e in case.epochs]
-    lines.append(json.dumps(case.context.to_dict(), separators=(",", ":"), sort_keys=True))
+    encode = CANONICAL_JSON.encode
+    lines = [encode(e.to_dict()) for e in case.epochs]
+    lines.append(encode(case.context.to_dict()))
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
@@ -449,7 +481,7 @@ def generate_dataset(taxonomy: Sequence[TaxonomyEntry], seed: int) -> GeneratedD
                 "patient_id": c.patient_id,
                 "domain_class": c.entry.domain_class.value,
                 "epoch_count": len(c.epochs),
-                "start_time": c.epochs[0].to_dict()["timestamp"],
+                "start_time": format_timestamp(c.epochs[0].timestamp),
                 "sha256": _case_digest(c),
             }
             for c in cases

@@ -181,13 +181,15 @@ def test_criterion_6_end_to_end_determinism(tmp_path):
             name: (base / folder / name).read_bytes()
             for folder, name in [
                 ("dataset", "manifest.json"),
+                ("dataset", "epochs.jsonl"),
+                ("dataset", "contexts.json"),
                 ("report", "decisions.jsonl"),
                 ("report", "report.json"),
             ]
         }
     identical = artifacts["one"] == artifacts["two"]
     _check(
-        "criterion 6: byte-identical manifest, decision log, report",
+        "criterion 6: byte-identical dataset files, decision log, report",
         identical,
         "two seeded runs compared",
     )
@@ -195,6 +197,8 @@ def test_criterion_6_end_to_end_determinism(tmp_path):
     # of these digests must say why in CHANGES.md and update them here.
     pinned = {
         "manifest.json": "f73541a9626e2cbbc4a4fe38f1e6730e27d1c8c11b249ff29735a4c8596c2724",
+        "epochs.jsonl": "bfca5c0f8e0a10e3ae6828939166a0cb128451d6c9d7701f1285dcbd128d3783",
+        "contexts.json": "7bcc9b14888769b8c7e1ad887fd53894fa59ff92c569ba12c670c9a04caf72a4",
         "report.json": "39428218c8a791b5e20468697ec8a2b3bd8894eae28d6b281b2ef80c2df99889",
         "decisions.jsonl": "758cb992e50fc7c199fec6f0db2f9cc6eb3284a2456c3e22fcadc07feb43f720",
     }

@@ -224,6 +224,48 @@ def test_report_mistyped_section_exits_2(tmp_path, capsys):
     assert "'failure_modes' must be a JSON object" in capsys.readouterr().err
 
 
+_MISSING = object()
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("per_domain", "probe_integrity"), 5, "'per_domain.probe_integrity' must be a JSON"),
+        (("per_domain", "copd", "tsr"), "1.0", "per_domain.copd.tsr must be a number, got '1.0'"),
+        (("wilson_cis", "copd", "lower"), None, "wilson_cis.copd.lower must be a number, got None"),
+        (("wilson_cis", "shoulder"), {"lower": 0, "upper": 1}, "DomainClass: 'shoulder'"),
+        (("failure_modes", "system_flag"), 7.5, "failure_modes.system_flag must be an integer"),
+        (("overall", "tsr"), _MISSING, "overall.tsr must be a number, got None"),
+        (("totals", "cases"), True, "totals.cases must be a number, got True"),
+    ],
+    ids=[
+        "per_domain_row", "per_domain_rate", "wilson_bound", "wilson_class",
+        "failure_count", "overall_field", "totals_field",
+    ],
+)
+def test_report_malformed_row_exits_2(tmp_path, capsys, path, value, message):
+    # Every row the text report reads is checked. Unchecked, these rows are a
+    # traceback (exit 1) or, for a fractional count or a boolean total,
+    # render as if valid.
+    config = write_config(tmp_path)
+    run(["--config", config, "generate"])
+    run(["--config", config, "evaluate", "--json-only"])
+    report_path = tmp_path / "report" / "report.json"
+    payload = json.loads(report_path.read_text())
+    *parents, key = path
+    target = payload
+    for name in parents:
+        target = target[name]
+    if value is _MISSING:
+        del target[key]
+    else:
+        target[key] = value
+    report_path.write_text(json.dumps(payload), encoding="utf-8")
+    capsys.readouterr()
+    assert run(["--config", config, "report"]) == 2
+    assert message in capsys.readouterr().err
+
+
 def _edited_taxonomy(tmp_path: Path, edit) -> tuple[Path, str]:
     """A copy of the catalogue with one entry edited; returns it and the case id.
 
@@ -258,10 +300,27 @@ def _edited_taxonomy(tmp_path: Path, edit) -> tuple[Path, str]:
             lambda e: e["categorical_params"]["probe_cover_present"].update(fixed="false"),
             "probe_cover_present must be true or false",
         ),
+        (
+            lambda e: e["categorical_params"]["accel_level"].update(fixed="sprinting"),
+            "AccelLevel: 'sprinting' is not one of [still, light, vigorous]",
+        ),
+        (
+            lambda e: e["categorical_params"].update(position={"choice": "supine"}),
+            "choice must be a non-empty array, got 'supine'",
+        ),
+        (
+            lambda e: e["categorical_params"].update(position={"choice": []}),
+            "choice must be a non-empty array, got []",
+        ),
+        (
+            lambda e: e["categorical_params"].update(position={"choice": ["supine", "sideways"]}),
+            "Position: 'sideways' is not one of",
+        ),
     ],
     ids=[
         "missing_epoch_count", "string_nocturnal", "string_context_flag",
-        "numeric_context_flag", "string_probe_cover",
+        "numeric_context_flag", "string_probe_cover", "unknown_fixed_value",
+        "string_choice", "empty_choice", "unknown_choice_value",
     ],
 )
 def test_generate_malformed_taxonomy_entry_exits_2(tmp_path, capsys, edit, message):
@@ -272,6 +331,20 @@ def test_generate_malformed_taxonomy_entry_exits_2(tmp_path, capsys, edit, messa
     assert run(["--config", config, "generate"]) == 2
     err = capsys.readouterr().err
     assert f"taxonomy entry {case_id!r}: {message}" in err
+    assert not (tmp_path / "dataset").exists()
+
+
+def test_generate_out_of_bounds_draw_exits_2(tmp_path, capsys):
+    # The entry parses, but its every SpO2 draw is below the dataset's floor.
+    spo2 = {"mu": 50, "sigma": 1, "lower": 40, "upper": 60}
+    taxonomy, case_id = _edited_taxonomy(
+        tmp_path, lambda e: e["continuous_params"].update(spo2=spo2)
+    )
+    config = write_config(tmp_path, taxonomy=str(taxonomy))
+    assert run(["--config", config, "generate"]) == 2
+    err = capsys.readouterr().err
+    assert f"generation failed: {case_id}: generated invalid epoch" in err
+    assert "spo2 out of [70,100]" in err
     assert not (tmp_path / "dataset").exists()
 
 

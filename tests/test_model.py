@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import random
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 import pytest
 
@@ -33,6 +33,8 @@ from alertsift.model import (
     parse_timestamp,
     validate_epoch,
 )
+from alertsift.evaluate import OutcomeKind
+from alertsift.synthgen import DomainClass
 from helpers import DAYTIME, make_context, make_epoch, make_record
 
 
@@ -83,6 +85,8 @@ def test_timestamp_minute_resolution_enforced():
         RiskLevel,
         Verdict,
         ResolutionPath,
+        DomainClass,
+        OutcomeKind,
     ],
 )
 def test_closed_enums_reject_unknown_strings(cls):
@@ -91,6 +95,40 @@ def test_closed_enums_reject_unknown_strings(cls):
     # every declared member parses back
     for member in cls:
         assert parse_enum(cls, member.value) is member
+    # The enum's own constructor is the reference: the same member for every
+    # value it accepts, EnumParseError for every value it rejects.
+    first = next(iter(cls))
+    inputs = [m.value for m in cls] + list(cls) + [
+        "definitely_not_a_member", "", first.value.upper(), f" {first.value}",
+        1, 0, True, None, 1.5, [], [first.value], {}, {first.value: 1},
+    ]
+    for raw in inputs:
+        try:
+            expected = cls(raw)
+        except ValueError:
+            with pytest.raises(EnumParseError):
+                parse_enum(cls, raw)
+        else:
+            assert parse_enum(cls, raw) is expected
+
+
+def test_format_timestamp_matches_strftime():
+    # The strftime form is the reference; glibc does not pad years below
+    # 1000, so the sweep stays in years 1001-9998 (offsets never leave it).
+    rng = random.Random(20220601)
+    stamps = [DAYTIME, *(datetime(2022, m, 1, tzinfo=timezone.utc) for m in (6, 9))]
+    for _ in range(2000):
+        offset = timezone(timedelta(minutes=rng.randint(-23 * 60 - 59, 23 * 60 + 59)))
+        stamps.append(
+            datetime(
+                rng.randint(1001, 9998), rng.randint(1, 12), rng.randint(1, 28),
+                rng.randint(0, 23), rng.randint(0, 59), rng.randint(0, 59),
+                rng.choice((0, rng.randint(0, 999_999))), tzinfo=offset,
+            )
+        )
+    for ts in stamps:
+        reference = ts.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:00Z")
+        assert format_timestamp(ts) == reference, ts
 
 
 def test_device_status_spellings_match_file_format():

@@ -5,12 +5,21 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
 
-from alertsift.model import Position, validate_epoch
+from alertsift import synthgen
+from alertsift.model import (
+    AccelLevel,
+    DeviceStatus,
+    Epoch,
+    PatientContext,
+    Position,
+    SelfReportedActivity,
+    validate_epoch,
+)
 from alertsift.routing import in_nocturnal_window
 from alertsift.synthgen import (
     CategoricalSpec,
@@ -274,3 +283,93 @@ def test_invalid_entry_rejected():
         )
     with pytest.raises(InvalidEntry):
         _toy_entry(continuous_params={"temperature": ContinuousSpec(37.0, 0.1, 36.0, 38.0)})
+    # Categorical values are parsed when the entry is built, not when drawn.
+    with pytest.raises(ValueError, match="'sprinting' is not one of"):
+        _toy_entry(categorical_params={"accel_level": CategoricalSpec(fixed="sprinting")})
+    with pytest.raises(ValueError, match="'sideways' is not one of"):
+        _toy_entry(categorical_params={"position": CategoricalSpec(choices=("supine", "sideways"))})
+    with pytest.raises(ValueError, match="probe_cover_present must be true or false"):
+        _toy_entry(categorical_params={"probe_cover_present": CategoricalSpec(choices=(False, 0))})
+    for bad in ("supine", [], None):
+        with pytest.raises(InvalidEntry, match="choice must be a non-empty array"):
+            CategoricalSpec.from_dict({"choice": bad})
+
+
+def _reference_generate_case(entry, patient_id, start_time, seed):
+    """generate_case as a plain per-epoch loop: every epoch re-sorts the field
+    names and parses each categorical value it draws. The draw plan must give
+    the same epochs, draw for draw."""
+    rng = synthgen._substream(seed, f"case:{entry.case_id}")
+    context = PatientContext(
+        patient_id=patient_id,
+        copd_documented=bool(entry.context.get("copd_documented", False)),
+        baseline_spo2=entry.context.get("baseline_spo2"),
+        baseline_hr=entry.context.get("baseline_hr"),
+        rate_limiting_medication=bool(entry.context.get("rate_limiting_medication", False)),
+    )
+    enum_types = {
+        "accel_level": AccelLevel,
+        "device_status": DeviceStatus,
+        "position": Position,
+        "self_reported_activity": SelfReportedActivity,
+    }
+    epochs = []
+    for i in range(entry.epoch_count):
+        values = {}
+        for name in sorted(entry.continuous_params):
+            values[name] = synthgen._draw_continuous(entry.continuous_params[name], rng)
+        for name in sorted(entry.categorical_params):
+            spec = entry.categorical_params[name]
+            if spec.choices:
+                raw = spec.choices[int(rng.integers(len(spec.choices)))]
+            else:
+                raw = spec.fixed
+            if raw is not None and name in enum_types:
+                raw = enum_types[name](raw)
+            values[name] = raw
+        epochs.append(
+            Epoch(
+                patient_id=patient_id,
+                timestamp=start_time + timedelta(minutes=i),
+                spo2=values.get("spo2", 97.0),
+                hr=values.get("hr", 72.0),
+                accel_level=values.get("accel_level") or AccelLevel.STILL,
+                device_status=values.get("device_status") or DeviceStatus.OK,
+                probe_cover_present=bool(values.get("probe_cover_present", False)),
+                position=values.get("position") or Position.UPRIGHT,
+                self_reported_activity=values.get("self_reported_activity"),
+                ambient_condition=values.get("ambient_condition"),
+            )
+        )
+    return epochs, context
+
+
+def test_generate_case_matches_reference_loop():
+    quiet = _toy_entry(
+        case_id="QUIET-001",
+        epoch_count=300,
+        continuous_params={
+            "spo2": ContinuousSpec(97.5, 0.8, 95.5, 99.5),
+            "hr": ContinuousSpec(72.0, 5.0, 60.0, 90.0),
+        },
+        categorical_params={
+            "accel_level": CategoricalSpec(choices=("still", None, "light")),
+            "device_status": CategoricalSpec(choices=("ok", "duplicate_alert")),
+            "position": CategoricalSpec(choices=("upright", "supine", "lateral")),
+            "self_reported_activity": CategoricalSpec(choices=("resting", None)),
+            "probe_cover_present": CategoricalSpec(choices=(True, False, None)),
+            "ambient_condition": CategoricalSpec(choices=("dim", None)),
+        },
+    )
+    # Fields the entry leaves out take their defaults.
+    sparse = _toy_entry(
+        case_id="SPARSE-001",
+        continuous_params={"hr": ContinuousSpec(74.0, 4.0, 58.0, 92.0)},
+        categorical_params={"position": CategoricalSpec(choices=("supine", "lateral"))},
+        context={"copd_documented": False},
+    )
+    entries = [*load_taxonomy(default_taxonomy_path()), quiet, sparse, _toy_entry()]
+    for seed in (1, 42, 20220601):
+        for entry in entries:
+            expected = _reference_generate_case(entry, 3847291, START, seed)
+            assert generate_case(entry, 3847291, START, seed) == expected, (entry.case_id, seed)
