@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from datetime import datetime
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping
 
 from .model import (
     Epoch,
@@ -248,17 +248,33 @@ class SpecialistView:
         return default if tv is None else tv.value
 
 
+def _all_allowed(tagged: Iterable[TaggedValue]) -> bool:
+    for tv in tagged:
+        if tv.provenance not in ALLOWED_SPECIALIST_PROVENANCE:
+            return False
+    return True
+
+
 def project_for_specialists(record: VeritasRecord) -> SpecialistView:
     """Expose only device-verified, patient-reported, and EHR-derived fields.
 
     An inferred field is absent from the returned view's field set, not
     nulled; downstream code cannot distinguish it from a field that was
     never collected.
+
+    A scan of the tags decides, per mapping, whether anything must go. A
+    mapping whose every tag is allowed is shared with the record rather
+    than copied (neither side ever writes to it); any other mapping is
+    filtered into a new one. Either way the view holds only allowed tags.
     """
     allowed = ALLOWED_SPECIALIST_PROVENANCE
-    return SpecialistView(
-        record,
-        {k: tv for k, tv in record.epoch_fields.items() if tv.provenance in allowed},
-        {k: tv for k, tv in record.context_fields.items() if tv.provenance in allowed},
-        tuple([tv for tv in record.conversation_flags if tv.provenance in allowed]),
-    )
+    epoch_fields = record.epoch_fields
+    if not _all_allowed(epoch_fields.values()):
+        epoch_fields = {k: tv for k, tv in epoch_fields.items() if tv.provenance in allowed}
+    context_fields = record.context_fields
+    if not _all_allowed(context_fields.values()):
+        context_fields = {k: tv for k, tv in context_fields.items() if tv.provenance in allowed}
+    flags = record.conversation_flags
+    if not _all_allowed(flags):
+        flags = tuple([tv for tv in flags if tv.provenance in allowed])
+    return SpecialistView(record, epoch_fields, context_fields, flags)

@@ -10,10 +10,15 @@ through to the conservative default.
 
 History is scoped per patient. Epochs for one patient must resolve in
 timestamp order; distinct patients are independent.
+
+The claims and the routing decision resolve reads are shared immutable
+values: every alert that reaches the same rules gets the same objects. The
+SystemDecision is the one object resolve builds per alert.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from typing import Mapping
@@ -23,7 +28,6 @@ from .model import (
     AgentDomain,
     AlertType,
     CandidateAlert,
-    DOMAIN_ORDER,
     DeviceStatus,
     InvariantViolation,
     Recommendation,
@@ -58,6 +62,11 @@ class MetaConfig:
 
     def weight(self, domain: AgentDomain) -> float:
         return self.domain_weights.get(domain, 1.0)
+
+
+@functools.lru_cache(maxsize=None)
+def _cooldown(window_minutes: int) -> timedelta:
+    return timedelta(minutes=window_minutes)
 
 
 @dataclass(frozen=True)
@@ -96,13 +105,26 @@ class DecisionHistory:
         window_minutes: int,
     ) -> SystemDecision | None:
         """Most recent decision for an identical alert-type set within the window."""
-        horizon = now - timedelta(minutes=window_minutes)
+        horizon = now - _cooldown(window_minutes)
         for entry in reversed(self._by_patient.get(patient_id, [])):
             if entry.timestamp < horizon:
                 return None
             if entry.alert_types == alert_types:
                 return entry.decision
         return None
+
+
+_SIGNAL_QUALITY = AlertType.SIGNAL_QUALITY
+_DUPLICATE_ALERT = DeviceStatus.DUPLICATE_ALERT
+_SUPPRESS_CLAIM = Recommendation.SUPPRESS
+_ESCALATE_CLAIM = Recommendation.ESCALATE
+_INDETERMINATE_CLAIM = Recommendation.INDETERMINATE
+_SUPPRESS = Verdict.SUPPRESS
+_ESCALATE = Verdict.ESCALATE
+_DEBOUNCED = ResolutionPath.DEBOUNCED
+_SINGLE_DOMAIN = ResolutionPath.SINGLE_DOMAIN
+_WEIGHTED_AGGREGATION = ResolutionPath.WEIGHTED_AGGREGATION
+_AMBIGUITY_DEFAULT = ResolutionPath.AMBIGUITY_DEFAULT
 
 
 def resolve(
@@ -137,52 +159,50 @@ def resolve(
     """
     if not claims:
         raise EmptyClaims("resolve requires at least one claim")
-    claimed = [c.domain for c in claims]
-    expected = [d for d in DOMAIN_ORDER if d in routing.targets]
-    if claimed != expected:
+    claimed = tuple([c.domain for c in claims])
+    if claimed != routing.domains:
         raise InvariantViolation(
             f"claims must be one per routed target in domain order; got "
-            f"{[d.value for d in claimed]}, expected {[d.value for d in expected]}"
+            f"{[d.value for d in claimed]}, expected {[d.value for d in routing.domains]}"
         )
 
-    patient_id = alert.record_ref.patient_id
     now = alert.raised_at
-    status_tv = alert.triggering_values.get(AlertType.SIGNAL_QUALITY)
-    status = status_tv.value if status_tv is not None else None
-
-    def finish(verdict: Verdict, path: ResolutionPath) -> SystemDecision:
-        decision = SystemDecision(
-            verdict=verdict,
-            contributing_claims=claims,
-            resolution_path=path,
-            decided_at=now,
-        )
-        history.record(patient_id, now, alert.alert_types, decision)
-        return decision
-
-    if status is not DeviceStatus.DUPLICATE_ALERT:
+    prior = None
+    status_tv = alert.triggering_values.get(_SIGNAL_QUALITY)
+    if status_tv is None or status_tv.value is not _DUPLICATE_ALERT:
         prior = history.last_matching(
-            patient_id, alert.alert_types, now, cfg.cooldown_window_minutes
+            alert.record_ref.patient_id, alert.alert_types, now, cfg.cooldown_window_minutes
         )
-        escalating = any(c.recommendation is Recommendation.ESCALATE for c in claims)
-        if prior is not None and (prior.verdict is Verdict.ESCALATE or not escalating):
-            return finish(prior.verdict, ResolutionPath.DEBOUNCED)
+        if (
+            prior is not None
+            and prior.verdict is not _ESCALATE
+            and any(c.recommendation is _ESCALATE_CLAIM for c in claims)
+        ):
+            prior = None
 
-    if len(claims) == 1 and claims[0].recommendation is not Recommendation.INDETERMINATE:
-        verdict = (
-            Verdict.SUPPRESS
-            if claims[0].recommendation is Recommendation.SUPPRESS
-            else Verdict.ESCALATE
-        )
-        return finish(verdict, ResolutionPath.SINGLE_DOMAIN)
+    if prior is not None:
+        verdict, path = prior.verdict, _DEBOUNCED
+    elif len(claims) == 1 and claims[0].recommendation is not _INDETERMINATE_CLAIM:
+        verdict = _SUPPRESS if claims[0].recommendation is _SUPPRESS_CLAIM else _ESCALATE
+        path = _SINGLE_DOMAIN
+    else:
+        # One pass, each side added left to right in claim order.
+        suppress_score = escalate_score = 0.0
+        weight = cfg.weight
+        for c in claims:
+            if c.recommendation is _SUPPRESS_CLAIM:
+                suppress_score += weight(c.domain) * c.confidence
+            elif c.recommendation is _ESCALATE_CLAIM:
+                escalate_score += weight(c.domain) * c.confidence
+        if suppress_score - escalate_score >= cfg.resolution_margin:
+            verdict, path = _SUPPRESS, _WEIGHTED_AGGREGATION
+        elif escalate_score - suppress_score >= cfg.resolution_margin:
+            verdict, path = _ESCALATE, _WEIGHTED_AGGREGATION
+        else:
+            verdict, path = _ESCALATE, _AMBIGUITY_DEFAULT
 
-    def score(side: Recommendation) -> float:
-        return sum(cfg.weight(c.domain) * c.confidence for c in claims if c.recommendation is side)
-
-    suppress_score = score(Recommendation.SUPPRESS)
-    escalate_score = score(Recommendation.ESCALATE)
-    if suppress_score - escalate_score >= cfg.resolution_margin:
-        return finish(Verdict.SUPPRESS, ResolutionPath.WEIGHTED_AGGREGATION)
-    if escalate_score - suppress_score >= cfg.resolution_margin:
-        return finish(Verdict.ESCALATE, ResolutionPath.WEIGHTED_AGGREGATION)
-    return finish(Verdict.ESCALATE, ResolutionPath.AMBIGUITY_DEFAULT)
+    decision = SystemDecision(
+        verdict=verdict, contributing_claims=claims, resolution_path=path, decided_at=now
+    )
+    history.record(alert.record_ref.patient_id, now, alert.alert_types, decision)
+    return decision

@@ -4,19 +4,28 @@ Maps a candidate alert plus its provenance profile to a nonempty set of
 specialist domains. The table is fixed in code, not configurable, so a
 given dataset always routes identically. Reads go through the projected
 view; a field absent from the projection never fires a routing rule.
+
+A routing decision is a shared immutable value: the table can only produce
+a small fixed set of (targets, ambiguity) pairs, so ``route`` builds each
+decision once and returns the same object for every alert that routes the
+same way.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 from datetime import datetime
 
-from .assembly import SpecialistView, project_for_specialists
+# project_for_specialists is bound here as well as in evaluate: the traced
+# bench (perfbench/tracing.py) wraps the projection at both bindings.
+from .assembly import SpecialistView, project_for_specialists  # noqa: F401
 from .model import (
     AccelLevel,
     AgentDomain,
     AlertType,
     CandidateAlert,
+    DOMAIN_ORDER,
     DeviceStatus,
     InvariantViolation,
     SelfReportedActivity,
@@ -26,7 +35,6 @@ __all__ = [
     "RoutingDecision",
     "in_nocturnal_window",
     "route",
-    "routed_via_last_resort",
 ]
 
 PHYSIOLOGICAL_TYPES = frozenset({AlertType.LOW_SPO2, AlertType.HIGH_HR, AlertType.LOW_HR})
@@ -53,14 +61,40 @@ def in_nocturnal_window(ts: datetime) -> bool:
 
 @dataclass(frozen=True)
 class RoutingDecision:
-    """Where an alert goes, and whether the routing context was sufficient."""
+    """Where an alert goes, and whether the routing context was sufficient.
+
+    ``domains`` is the targets in ``DOMAIN_ORDER``, the order in which the
+    specialists run and their claims are checked; it is derived once, here.
+    """
 
     targets: frozenset[AgentDomain]
     ambiguity_flag: bool
+    domains: tuple[AgentDomain, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.targets:
             raise InvariantViolation("every alert must reach at least one specialist")
+        domains = tuple(d for d in DOMAIN_ORDER if d in self.targets)
+        object.__setattr__(self, "domains", domains)
+
+
+@functools.lru_cache(maxsize=None)
+def _decision(domains: tuple[AgentDomain, ...], ambiguity_flag: bool) -> RoutingDecision:
+    # At most 2**6 target sets times two flags, so the cache stays small.
+    return RoutingDecision(frozenset(domains), ambiguity_flag)
+
+
+_SIGNAL_QUALITY = AlertType.SIGNAL_QUALITY
+_LOW_SPO2 = AlertType.LOW_SPO2
+_HIGH_HR = AlertType.HIGH_HR
+_LOW_HR = AlertType.LOW_HR
+_STILL = AccelLevel.STILL
+_PROBE_INTEGRITY = AgentDomain.PROBE_INTEGRITY
+_ACTIVITY_INTEGRITY = AgentDomain.ACTIVITY_INTEGRITY
+_TACHYCARDIA = AgentDomain.TACHYCARDIA
+_BRADYCARDIA = AgentDomain.BRADYCARDIA
+_COPD = AgentDomain.COPD
+_NOCTURNAL = AgentDomain.NOCTURNAL
 
 
 def route(alert: CandidateAlert, view: SpecialistView) -> RoutingDecision:
@@ -83,6 +117,9 @@ def route(alert: CandidateAlert, view: SpecialistView) -> RoutingDecision:
     The ambiguity flag is raised for system_flag and threshold_marginal
     statuses, which do not carry enough provenance granularity to route
     with confidence.
+
+    The rules run in ``DOMAIN_ORDER``, so the domains they add are already
+    in that order; the shared decision for them is looked up, not built.
     """
     types = alert.alert_types
     status = view.value("device_status")
@@ -90,43 +127,25 @@ def route(alert: CandidateAlert, view: SpecialistView) -> RoutingDecision:
     self_activity = view.value("self_reported_activity")
     copd = view.value("copd_documented", default=False)
 
-    targets: set[AgentDomain] = set()
-    physiological = bool(types & PHYSIOLOGICAL_TYPES)
+    domains: list[AgentDomain] = []
+    physiological = not PHYSIOLOGICAL_TYPES.isdisjoint(types)
 
-    if AlertType.SIGNAL_QUALITY in types and status in ARTEFACT_STATUSES:
-        targets.add(AgentDomain.PROBE_INTEGRITY)
-    motion_evidence = (accel is not None and accel is not AccelLevel.STILL) or (
+    if _SIGNAL_QUALITY in types and status in ARTEFACT_STATUSES:
+        domains.append(_PROBE_INTEGRITY)
+    motion_evidence = (accel is not None and accel is not _STILL) or (
         self_activity in MOTION_REPORTS
     )
     if physiological and motion_evidence:
-        targets.add(AgentDomain.ACTIVITY_INTEGRITY)
-    if AlertType.HIGH_HR in types:
-        targets.add(AgentDomain.TACHYCARDIA)
-    if AlertType.LOW_HR in types:
-        targets.add(AgentDomain.BRADYCARDIA)
-    if AlertType.LOW_SPO2 in types and copd is True:
-        targets.add(AgentDomain.COPD)
+        domains.append(_ACTIVITY_INTEGRITY)
+    if _HIGH_HR in types:
+        domains.append(_TACHYCARDIA)
+    if _LOW_HR in types:
+        domains.append(_BRADYCARDIA)
+    if _LOW_SPO2 in types and copd is True:
+        domains.append(_COPD)
     if physiological and in_nocturnal_window(view.timestamp):
-        targets.add(AgentDomain.NOCTURNAL)
-    if not targets:
-        targets.add(AgentDomain.PROBE_INTEGRITY)
+        domains.append(_NOCTURNAL)
+    if not domains:
+        domains.append(_PROBE_INTEGRITY)
 
-    return RoutingDecision(
-        targets=frozenset(targets),
-        ambiguity_flag=status in AMBIGUOUS_STATUSES,
-    )
-
-
-def routed_via_last_resort(alert: CandidateAlert, decision: RoutingDecision) -> bool:
-    """True when probe_integrity holds the alert only as the fallback target.
-
-    In that situation no specialist has positive provenance context for the
-    alert (no artefact-class status earned the probe route), which is what
-    separates clear domain ownership from a hypothesis of last resort.
-    """
-    if decision.targets != frozenset({AgentDomain.PROBE_INTEGRITY}):
-        return False
-    view = project_for_specialists(alert.record_ref)
-    status = view.value("device_status")
-    earned = AlertType.SIGNAL_QUALITY in alert.alert_types and status in ARTEFACT_STATUSES
-    return not earned
+    return _decision(tuple(domains), status in AMBIGUOUS_STATUSES)

@@ -8,10 +8,16 @@ into a binary verdict is the aggregation layer's job, not theirs.
 
 Numeric rule parameters live in SpecialistConfig so every bound is
 auditable and tunable in one place.
+
+A claim is a shared immutable value. The rules can only produce a small
+fixed set of (domain, recommendation, confidence, codes) combinations, so
+each is built and validated once and the same AgentClaim is returned
+whenever a rule reaches it again.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .assembly import SpecialistView
@@ -21,7 +27,6 @@ from .model import (
     AgentDomain,
     AlertType,
     CandidateAlert,
-    DOMAIN_ORDER,
     DeviceStatus,
     InvariantViolation,
     Position,
@@ -60,18 +65,23 @@ class SpecialistConfig:
             raise InvariantViolation("copd_acceptable_spo2 must sit below the 94 screen")
 
 
+_RISK = {
+    Recommendation.SUPPRESS: RiskLevel.LOW,
+    Recommendation.INDETERMINATE: RiskLevel.MEDIUM,
+    Recommendation.ESCALATE: RiskLevel.HIGH,
+}
+
+
+# typed: 1 == 1.0, but a config holding either must get back a claim holding
+# exactly that number, which the decision log writes as "1" or "1.0".
+@functools.lru_cache(maxsize=None, typed=True)
 def _claim(
     domain: AgentDomain,
     recommendation: Recommendation,
     confidence: float,
     *codes: str,
 ) -> AgentClaim:
-    risk = {
-        Recommendation.SUPPRESS: RiskLevel.LOW,
-        Recommendation.INDETERMINATE: RiskLevel.MEDIUM,
-        Recommendation.ESCALATE: RiskLevel.HIGH,
-    }[recommendation]
-    return AgentClaim(domain, recommendation, confidence, risk, tuple(codes))
+    return AgentClaim(domain, recommendation, confidence, _RISK[recommendation], codes)
 
 
 def evaluate_probe_integrity(
@@ -254,11 +264,8 @@ def claims_for(
 ) -> tuple[AgentClaim, ...]:
     """Evaluate every routed specialist, ordered by domain enumeration.
 
-    The fixed order makes claim sequences deterministic; ``resolve``
-    rejects any claim sequence that does not match it.
+    The fixed order, ``routing.domains``, makes claim sequences
+    deterministic; ``resolve`` rejects any claim sequence that does not
+    match it.
     """
-    return tuple(
-        _EVALUATORS[domain](alert, view, cfg)
-        for domain in DOMAIN_ORDER
-        if domain in routing.targets
-    )
+    return tuple([_EVALUATORS[domain](alert, view, cfg) for domain in routing.domains])

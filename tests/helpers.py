@@ -17,6 +17,9 @@ from alertsift.assembly import (
 )
 from alertsift.model import (
     AccelLevel,
+    AgentDomain,
+    AlertType,
+    CandidateAlert,
     DeviceStatus,
     Epoch,
     PatientContext,
@@ -25,7 +28,7 @@ from alertsift.model import (
     SelfReportedActivity,
     VeritasRecord,
 )
-from alertsift.routing import route
+from alertsift.routing import ARTEFACT_STATUSES, RoutingDecision, route
 from alertsift.sentinel import SentinelConfig, detect
 
 DAYTIME = datetime(2022, 6, 15, 14, 0, tzinfo=timezone.utc)
@@ -112,3 +115,18 @@ def detect_and_route(epoch: Epoch, context: PatientContext | None = None):
     alert = detect(view, cfg)
     routing = route(alert, view) if alert is not None else None
     return view, alert, routing
+
+
+def routed_via_last_resort(alert: CandidateAlert, decision: RoutingDecision) -> bool:
+    """True when probe_integrity holds the alert only as the fallback target.
+
+    In that situation no specialist has positive provenance context for the
+    alert (no artefact-class status earned the probe route), which is what
+    separates clear domain ownership from a hypothesis of last resort.
+    """
+    if decision.targets != frozenset({AgentDomain.PROBE_INTEGRITY}):
+        return False
+    view = project_for_specialists(alert.record_ref)
+    status = view.value("device_status")
+    earned = AlertType.SIGNAL_QUALITY in alert.alert_types and status in ARTEFACT_STATUSES
+    return not earned

@@ -42,7 +42,7 @@ from alertsift.model import (
     RiskLevel,
     Verdict,
 )
-from alertsift.routing import RoutingDecision, route, routed_via_last_resort
+from alertsift.routing import RoutingDecision, route
 from alertsift.sentinel import SentinelConfig, detect
 from alertsift.synthgen import (
     DomainClass,
@@ -51,7 +51,7 @@ from alertsift.synthgen import (
     load_taxonomy,
     sample_truncated_gaussian,
 )
-from helpers import make_epoch, make_record, make_view, retag_field
+from helpers import make_epoch, make_record, make_view, retag_field, routed_via_last_resort
 
 
 def _check(label: str, ok: bool, detail: str = "") -> None:

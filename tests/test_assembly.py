@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from alertsift.assembly import (
+    ALLOWED_SPECIALIST_PROVENANCE,
     ConversationEntry,
     PatientIdMismatch,
     SelfReportEntry,
@@ -275,3 +276,71 @@ def test_projection_never_exposes_inferred_under_random_provenance(tags, flag_ta
     # Only inferred values are dropped.
     kept = [tv for _, tv in tampered.all_tagged() if tv.provenance is not ProvenanceTag.INFERRED]
     assert len(shown) == len(kept)
+
+
+def test_projection_drops_one_inferred_context_field_and_shares_the_clean_epoch_mapping():
+    record = make_record(make_epoch(), make_context(copd=True, baseline_spo2=89.0))
+    context_fields = dict(record.context_fields)
+    context_fields["baseline_spo2"] = context_fields["baseline_spo2"].retagged(
+        ProvenanceTag.INFERRED
+    )
+    tampered = VeritasRecord(
+        patient_id=record.patient_id,
+        timestamp=record.timestamp,
+        epoch_fields=record.epoch_fields,
+        context_fields=context_fields,
+    )
+    view = project_for_specialists(tampered)
+    assert "baseline_spo2" not in view.context_fields
+    assert view.context_fields is not tampered.context_fields
+    assert set(view.context_fields) == set(context_fields) - {"baseline_spo2"}
+    # Nothing to drop from the epoch mapping, so it is shared, not copied.
+    assert view.epoch_fields is tampered.epoch_fields
+    assert view.value("baseline_spo2") is None
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    st.dictionaries(
+        st.sampled_from([
+            "spo2", "hr", "accel_level", "device_status", "position", "ambient_condition",
+            "copd_documented", "rate_limiting_medication", "baseline_spo2", "baseline_hr",
+        ]),
+        st.sampled_from(list(ProvenanceTag)),
+    ),
+    st.lists(st.sampled_from(list(ProvenanceTag)), max_size=3),
+)
+def test_projection_never_shares_a_mapping_holding_a_disallowed_tag(tags, flag_tags):
+    # Property: whatever the tags, each of the view's three containers either
+    # is the record's own (and then every tag in it is allowed) or a filtered
+    # copy; no container of the view holds a disallowed tag.
+    epoch = make_epoch(ambient="heatwave")
+    record = make_record(epoch, make_context(copd=True, baseline_spo2=89.0, baseline_hr=70.0))
+
+    def retag(fields):
+        return {k: tv.retagged(tags[k]) if k in tags else tv for k, tv in fields.items()}
+
+    tampered = VeritasRecord(
+        patient_id=record.patient_id,
+        timestamp=record.timestamp,
+        epoch_fields=retag(record.epoch_fields),
+        context_fields=retag(record.context_fields),
+        conversation_flags=tuple(
+            TaggedValue(f"statement_{i}", tag, "conversation/1", record.timestamp)
+            for i, tag in enumerate(flag_tags)
+        ),
+    )
+    view = project_for_specialists(tampered)
+
+    def values(container):
+        return list(container.values() if isinstance(container, dict) else container)
+
+    allowed = ALLOWED_SPECIALIST_PROVENANCE
+    for shown, source in [
+        (view.epoch_fields, tampered.epoch_fields),
+        (view.context_fields, tampered.context_fields),
+        (view.conversation_flags, tampered.conversation_flags),
+    ]:
+        if any(tv.provenance not in allowed for tv in values(source)):
+            assert shown is not source
+        assert values(shown) == [tv for tv in values(source) if tv.provenance in allowed]

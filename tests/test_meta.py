@@ -11,15 +11,19 @@ from hypothesis import given, settings, strategies as st
 from alertsift.assembly import project_for_specialists
 from alertsift.meta import DecisionHistory, EmptyClaims, MetaConfig, resolve
 from alertsift.model import (
+    DOMAIN_ORDER,
     AgentClaim,
     AgentDomain,
     AlertType,
+    CandidateAlert,
     DeviceStatus,
     InvariantViolation,
     ProvenanceTag,
     Recommendation,
     ResolutionPath,
     RiskLevel,
+    SystemDecision,
+    TaggedValue,
     Verdict,
 )
 from alertsift.routing import RoutingDecision
@@ -378,3 +382,145 @@ def test_resolve_uses_domain_weights():
     # 2.7 - 0.9 = 1.8 >= 0.3 toward escalation
     assert decision.verdict is Verdict.ESCALATE
     assert decision.resolution_path is ResolutionPath.WEIGHTED_AGGREGATION
+
+
+def _reference_resolve(claims, routing, alert, history, cfg):
+    """resolve as first written: the expected order rebuilt from the targets
+    on every call, a ``finish`` closure per call, and one ``sum`` per side.
+    The straight-line resolve must give the same decision at every step."""
+    if not claims:
+        raise EmptyClaims("resolve requires at least one claim")
+    claimed = [c.domain for c in claims]
+    expected = [d for d in DOMAIN_ORDER if d in routing.targets]
+    if claimed != expected:
+        raise InvariantViolation(
+            f"claims must be one per routed target in domain order; got "
+            f"{[d.value for d in claimed]}, expected {[d.value for d in expected]}"
+        )
+
+    patient_id = alert.record_ref.patient_id
+    now = alert.raised_at
+    status_tv = alert.triggering_values.get(AlertType.SIGNAL_QUALITY)
+    status = status_tv.value if status_tv is not None else None
+
+    def finish(verdict, path):
+        decision = SystemDecision(
+            verdict=verdict,
+            contributing_claims=claims,
+            resolution_path=path,
+            decided_at=now,
+        )
+        history.record(patient_id, now, alert.alert_types, decision)
+        return decision
+
+    if status is not DeviceStatus.DUPLICATE_ALERT:
+        prior = history.last_matching(
+            patient_id, alert.alert_types, now, cfg.cooldown_window_minutes
+        )
+        escalating = any(c.recommendation is Recommendation.ESCALATE for c in claims)
+        if prior is not None and (prior.verdict is Verdict.ESCALATE or not escalating):
+            return finish(prior.verdict, ResolutionPath.DEBOUNCED)
+
+    if len(claims) == 1 and claims[0].recommendation is not Recommendation.INDETERMINATE:
+        verdict = (
+            Verdict.SUPPRESS
+            if claims[0].recommendation is Recommendation.SUPPRESS
+            else Verdict.ESCALATE
+        )
+        return finish(verdict, ResolutionPath.SINGLE_DOMAIN)
+
+    def score(side):
+        return sum(cfg.weight(c.domain) * c.confidence for c in claims if c.recommendation is side)
+
+    suppress_score = score(Recommendation.SUPPRESS)
+    escalate_score = score(Recommendation.ESCALATE)
+    if suppress_score - escalate_score >= cfg.resolution_margin:
+        return finish(Verdict.SUPPRESS, ResolutionPath.WEIGHTED_AGGREGATION)
+    if escalate_score - suppress_score >= cfg.resolution_margin:
+        return finish(Verdict.ESCALATE, ResolutionPath.WEIGHTED_AGGREGATION)
+    return finish(Verdict.ESCALATE, ResolutionPath.AMBIGUITY_DEFAULT)
+
+
+_DOMAIN_SETS = st.lists(
+    st.sampled_from(DOMAIN_ORDER), min_size=1, max_size=6, unique=True
+).map(lambda ds: sorted(ds, key=DOMAIN_ORDER.index))
+_TYPE_SETS = st.frozensets(st.sampled_from(list(AlertType)), min_size=1)
+
+
+def _number(low, high, exact):
+    # Dyadic values sum and subtract exactly, so scores land on the margin;
+    # two draws in three are one of them.
+    return st.one_of(st.sampled_from(exact), st.sampled_from(exact), st.floats(low, high))
+
+
+@st.composite
+def _resolve_runs(draw):
+    cfg = MetaConfig(
+        resolution_margin=draw(_number(0.01, 0.99, [0.25, 0.5])),
+        cooldown_window_minutes=draw(st.integers(1, 15)),
+        domain_weights=draw(
+            st.dictionaries(st.sampled_from(DOMAIN_ORDER), _number(0.05, 5.0, [1.0, 2.0]))
+        ),
+    )
+    # A few alert-type sets per run, so steps repeat a set and the debounce
+    # has something to replay.
+    type_pool = draw(st.lists(_TYPE_SETS, min_size=1, max_size=3))
+    steps = []
+    for _ in range(draw(st.integers(1, 8))):
+        domains = draw(_DOMAIN_SETS)
+        claims = tuple(
+            claim(
+                domain,
+                draw(st.sampled_from(list(Recommendation))),
+                draw(_number(0.0, 1.0, [0.0, 0.25, 0.5, 0.75, 1.0])),
+            )
+            for domain in domains
+        )
+        # One step in ten routes elsewhere, and must fail the same way.
+        routed = draw(_DOMAIN_SETS) if draw(st.integers(0, 9)) == 0 else domains
+        steps.append((
+            draw(st.integers(1, 12)),
+            draw(st.sampled_from(type_pool)),
+            draw(st.sampled_from(list(DeviceStatus))),
+            claims,
+            routing_for(*routed, ambiguity=draw(st.booleans())),
+        ))
+    return cfg, steps
+
+
+def _alert_at(ts, types, status):
+    record = make_record(make_epoch(ts=ts))
+    triggers = {
+        t: TaggedValue(
+            status if t is AlertType.SIGNAL_QUALITY else 90.0,
+            ProvenanceTag.DEVICE_VERIFIED,
+            "vitals/1",
+            ts,
+        )
+        for t in types
+    }
+    return CandidateAlert(types, triggers, record, ts)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (EmptyClaims, InvariantViolation) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_resolve_runs())
+def test_resolve_matches_reference_over_random_histories(run):
+    # Property: random claims, weights, margins, windows, alert-type sets and
+    # duplicate_alert statuses over one patient's steps; every step's decision
+    # (verdict, path, claims, decided_at) or error equals the reference's.
+    cfg, steps = run
+    history, reference_history = DecisionHistory(), DecisionHistory()
+    ts = DAYTIME
+    for gap, types, status, claims, routing in steps:
+        ts += timedelta(minutes=gap)
+        alert = _alert_at(ts, types, status)
+        got = _outcome(resolve, claims, routing, alert, history, cfg)
+        want = _outcome(_reference_resolve, claims, routing, alert, reference_history, cfg)
+        assert got == want

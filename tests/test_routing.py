@@ -18,13 +18,15 @@ from alertsift.model import (
     Position,
     SelfReportedActivity,
 )
-from alertsift.routing import (
-    in_nocturnal_window,
-    route,
+from alertsift.routing import in_nocturnal_window, route
+from alertsift.sentinel import SentinelConfig
+from helpers import (
+    NIGHT,
+    detect_and_route,
+    make_context,
+    make_epoch,
     routed_via_last_resort,
 )
-from alertsift.sentinel import SentinelConfig
-from helpers import NIGHT, detect_and_route, make_context, make_epoch
 
 CFG = SentinelConfig()
 
