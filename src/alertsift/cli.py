@@ -2,8 +2,10 @@
 
 One JSON config file drives everything; flags override file values, and
 the ALERTSIFT defaults reproduce the reference run with zero arguments.
-Exit codes are a stable contract: 0 success, 2 input validation failure,
-3 I/O failure, 4 golden-metrics mismatch.
+Exit codes are a stable contract: 0 success, 2 input validation failure
+(a missing input file included), 3 I/O failure (an input path that exists
+but cannot be read, or an output that cannot be written), 4 golden-metrics
+mismatch.
 
 The VERITAS_SEED environment variable overrides the config seed (command
 line --seed wins over both).
@@ -152,6 +154,9 @@ def cmd_generate(cfg: PipelineConfig) -> int:
     except (FileNotFoundError, ValueError) as exc:
         print(f"error: taxonomy validation failed: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except OSError as exc:
+        print(f"error: could not read taxonomy: {exc}", file=sys.stderr)
+        return EXIT_IO
     try:
         dataset = generate_dataset(taxonomy, cfg.seed)
     except ValueError as exc:
@@ -179,6 +184,9 @@ def cmd_evaluate(cfg: PipelineConfig, golden_check: bool, json_only: bool) -> in
     except FileNotFoundError as exc:
         print(f"error: missing input: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except OSError as exc:
+        print(f"error: could not read input: {exc}", file=sys.stderr)
+        return EXIT_IO
     except ValueError as exc:
         print(f"error: input validation failed: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -236,6 +244,9 @@ def cmd_report(cfg: PipelineConfig) -> int:
     except FileNotFoundError as exc:
         print(f"error: missing report: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except OSError as exc:
+        print(f"error: could not read report: {exc}", file=sys.stderr)
+        return EXIT_IO
     except ValueError as exc:
         print(f"error: report payload invalid: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -280,6 +291,9 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"error: missing config: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except OSError as exc:
+        print(f"error: could not read config: {exc}", file=sys.stderr)
+        return EXIT_IO
     except ValueError as exc:
         print(f"error: config invalid: {exc}", file=sys.stderr)
         return EXIT_INPUT

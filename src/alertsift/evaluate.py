@@ -474,17 +474,37 @@ def render_report_text(report: EvaluationReport | Mapping[str, Any]) -> str:
 
 
 def write_decision_log(report: EvaluationReport, path: str | Path) -> None:
-    """Emit every epoch decision as JSON Lines, in case then epoch order."""
+    """Emit every epoch decision as JSON Lines, in case then epoch order.
+
+    A line is ``{"case_id":…,"patient_id":…,"decision":{…}}``, the decision
+    as ``SystemDecision.to_dict`` gives it, encoded compactly. A log repeats
+    few distinct decision bodies (verdict, claims, path), so each distinct
+    body is encoded once per call, up to its ``decided_at`` value, and each
+    case's head once; a line joins the head, the body and the decision's
+    timestamp. Bodies are keyed by the identity of the claim objects, not
+    their equality: ``confidence=1`` and ``1.0`` compare equal but encode
+    differently. The report holds the claims for the whole call, so no
+    identity is reused while the cache lives.
+    """
     encode = COMPACT_JSON.encode
+    bodies: dict[tuple[Any, ...], str] = {}
     with open(path, "w", encoding="utf-8") as fp:
+        write = fp.write
         for case in report.case_outcomes:
+            head = encode({"case_id": case.case_id, "patient_id": case.patient_id})
+            head = head[:-1] + ',"decision":'
             for decision in case.epoch_decisions:
-                line = {
-                    "case_id": case.case_id,
-                    "patient_id": case.patient_id,
-                    "decision": decision.to_dict(),
-                }
-                fp.write(encode(line) + "\n")
+                key = (
+                    decision.verdict,
+                    decision.resolution_path,
+                    *map(id, decision.contributing_claims),
+                )
+                body = bodies.get(key)
+                if body is None:
+                    fields = decision.to_dict()
+                    del fields["decided_at"]
+                    body = bodies[key] = encode(fields)[:-1] + ',"decided_at":"'
+                write(head + body + format_timestamp(decision.decided_at) + '"}}\n')
 
 
 # The fields of report.json that render_report_text reads, all numbers.

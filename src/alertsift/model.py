@@ -64,6 +64,11 @@ import math
 # digests.
 COMPACT_JSON = json.JSONEncoder(separators=(",", ":"))
 CANONICAL_JSON = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
+# The epoch-row decoder: raw_decode skips json.loads' type check, BOM check
+# and two whitespace scans, which a stripped line does not need (a leading
+# BOM still fails, as no JSON value starts with one); the reader checks that
+# the value ends the line.
+_DECODE_ROW = json.JSONDecoder().raw_decode
 
 
 class EnumParseError(ValueError):
@@ -534,15 +539,24 @@ _DECODE_ERRORS = (KeyError, TypeError, ValueError)
 
 
 def read_epochs_jsonl(fp: TextIO) -> list[Epoch]:
-    """Decode every row; any malformed row fails, naming its line number."""
+    """Decode every row; any malformed row fails, naming its line number.
+
+    A line holds exactly one JSON value: data after it (a second object, or
+    anything else) fails with "Extra data", as ``json.loads`` fails it.
+    """
     epochs = []
     for line_no, line in enumerate(fp, start=1):
         line = line.strip()
         if not line:
             continue
         try:
-            epochs.append(Epoch.from_dict(json.loads(line)))
+            row, end = _DECODE_ROW(line)
+            if end != len(line):
+                raise json.JSONDecodeError("Extra data", line, end)
+            epochs.append(Epoch.from_dict(row))
         except _DECODE_ERRORS as exc:
+            if line.startswith("\ufeff"):  # the error json.loads gives it
+                exc = json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0)
             raise InvariantViolation(f"epochs line {line_no}: {exc}") from None
     return epochs
 

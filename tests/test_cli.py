@@ -121,6 +121,31 @@ def test_evaluate_malformed_epoch_exits_2_naming_the_line(tmp_path, capsys, fiel
 
 
 @pytest.mark.parametrize(
+    "index, edit",
+    [
+        (2, lambda line: line + " x"),
+        (2, lambda line: line + line),
+        (2, lambda line: "\ufeff" + line),
+        (0, lambda line: "\ufeff" + line),
+    ],
+    ids=["trailing_data", "two_objects", "bom", "bom_opening_the_file"],
+)
+def test_evaluate_malformed_epoch_line_exits_2_naming_the_line(tmp_path, capsys, index, edit):
+    # Each line holds exactly one JSON object: data after it, or a byte-order
+    # mark before it, fails the row rather than being skipped or split.
+    config = write_config(tmp_path)
+    run(["--config", config, "generate"])
+    epochs_path = tmp_path / "dataset" / "epochs.jsonl"
+    lines = epochs_path.read_text(encoding="utf-8").splitlines()
+    lines[index] = edit(lines[index])
+    epochs_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert run(["--config", config, "evaluate"]) == 2
+    err = capsys.readouterr().err
+    assert f"epochs line {index + 1}: " in err
+    assert ("BOM" if lines[index].startswith("\ufeff") else "Extra data") in err
+
+
+@pytest.mark.parametrize(
     "field, message",
     [("copd_documented", "copd_documented"), ("patient_id", "holds patient_id")],
     ids=["string_boolean", "foreign_patient_id"],
@@ -370,6 +395,51 @@ def test_generate_unwritable_output_exits_3(tmp_path, capsys):
     config = write_config(tmp_path)
     assert run(["--config", config, "generate"]) == 3
     assert "could not write dataset" in capsys.readouterr().err
+
+
+def _directory_as_config(tmp_path: Path) -> list:
+    (tmp_path / "config.d").mkdir()
+    return ["--config", tmp_path / "config.d", "evaluate"]
+
+
+def _directory_as_taxonomy(command: str):
+    def setup(tmp_path: Path) -> list:
+        (tmp_path / "taxonomy.d").mkdir()
+        return ["--config", write_config(tmp_path, taxonomy=str(tmp_path / "taxonomy.d")), command]
+
+    return setup
+
+
+def _directory_as_epochs(tmp_path: Path) -> list:
+    config = write_config(tmp_path)
+    run(["--config", config, "generate"])
+    epochs_path = tmp_path / "dataset" / "epochs.jsonl"
+    epochs_path.unlink()
+    epochs_path.mkdir()
+    return ["--config", config, "evaluate"]
+
+
+def _directory_as_report_json(tmp_path: Path) -> list:
+    (tmp_path / "report" / "report.json").mkdir(parents=True)
+    return ["--config", write_config(tmp_path), "report"]
+
+
+@pytest.mark.parametrize(
+    "setup",
+    [
+        _directory_as_config,
+        _directory_as_taxonomy("generate"),
+        _directory_as_taxonomy("evaluate"),
+        _directory_as_epochs,
+        _directory_as_report_json,
+    ],
+    ids=["config", "taxonomy_generate", "taxonomy_evaluate", "epochs", "report_json"],
+)
+def test_unreadable_input_path_exits_3(tmp_path, capsys, setup):
+    # An input path that exists but is no readable file is an I/O failure
+    # (exit 3), not a traceback; a missing file stays an input failure (2).
+    assert run(setup(tmp_path)) == 3
+    assert "error: could not read " in capsys.readouterr().err
 
 
 def test_invalid_config_json_exits_2(tmp_path, capsys):
