@@ -1,8 +1,9 @@
 """Ground-truth assembly and the inferred-value-excluding projection.
 
-Layer 1 merges the four per-patient sources (EHR context, conversation log,
-vitals stream, patient self-reports) into a fully provenance-tagged record
-for one epoch. The projection applied before any downstream agent runs
+Layer 1 builds a fully provenance-tagged record for one epoch from the two
+per-patient sources the dataset carries: the epoch row (the vitals stream,
+which also holds the patient's inline position and activity reports) and
+the EHR context. The projection applied before any downstream agent runs
 removes every inferred-tagged field from the record's field set, so a value
 produced by model inference can never reach detection or specialist logic.
 """
@@ -22,9 +23,7 @@ from .model import (
 )
 
 __all__ = [
-    "ConversationEntry",
     "PatientIdMismatch",
-    "SelfReportEntry",
     "SourceBundle",
     "SpecialistView",
     "assemble",
@@ -39,52 +38,38 @@ ALLOWED_SPECIALIST_PROVENANCE = frozenset(
     }
 )
 
+# The three tags assembly assigns, bound once. Assembly builds its values
+# with tuple.__new__ and so skips TaggedValue.__new__'s ProvenanceTag check:
+# every tag it passes is one of these members, so the check cannot fail.
+# Every other caller, whose tag may be arbitrary, keeps the checked
+# constructor, and the projection still decides by each value's tag.
+_DEVICE = ProvenanceTag.DEVICE_VERIFIED
+_REPORTED = ProvenanceTag.PATIENT_REPORTED
+_EHR = ProvenanceTag.EHR_DERIVED
+_new = tuple.__new__
+
 
 class PatientIdMismatch(ValueError):
     """Bundle sources disagree about which patient they describe."""
 
 
 @dataclass(frozen=True)
-class ConversationEntry:
-    """A pre-categorized timestamped statement from the conversation log."""
-
-    timestamp: datetime
-    statement: str
-
-
-@dataclass(frozen=True)
-class SelfReportEntry:
-    """A patient-reported activity or position statement."""
-
-    timestamp: datetime
-    kind: str  # "activity" | "position"
-    value: Any
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("activity", "position"):
-            raise ValueError(f"self-report kind must be activity|position, got {self.kind!r}")
-
-
-@dataclass(frozen=True)
 class SourceBundle:
-    """The four ground-truth sources for one patient.
+    """One patient's sources: the EHR context and the vitals stream.
 
     What assembly needs of the sources besides the epoch itself does not
     change from epoch to epoch, so it is built here once per patient: the
-    source ids, the present EHR fields, and the self-reports split by kind.
+    source ids and the present EHR fields. ``vitals_stream`` holds the
+    patient's epochs in the order the caller walks them; each is checked to
+    belong to the context's patient.
     """
 
     ehr: PatientContext
-    conversation_log: tuple[ConversationEntry, ...]
     vitals_stream: tuple[Epoch, ...]
-    patient_reported: tuple[SelfReportEntry, ...]
     _device_src: str = field(init=False, repr=False, compare=False)
     _ehr_src: str = field(init=False, repr=False, compare=False)
     _report_src: str = field(init=False, repr=False, compare=False)
-    _conversation_src: str = field(init=False, repr=False, compare=False)
     _ehr_fields: tuple[tuple[str, Any], ...] = field(init=False, repr=False, compare=False)
-    _positions: tuple[SelfReportEntry, ...] = field(init=False, repr=False, compare=False)
-    _activities: tuple[SelfReportEntry, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         pid = self.ehr.patient_id
@@ -102,29 +87,10 @@ class SourceBundle:
             ehr_fields.append(("baseline_spo2", ehr.baseline_spo2))
         if ehr.baseline_hr is not None:
             ehr_fields.append(("baseline_hr", ehr.baseline_hr))
-        derived = {
-            "_device_src": f"vitals/{pid}",
-            "_ehr_src": f"ehr/{pid}",
-            "_report_src": f"patient_report/{pid}",
-            "_conversation_src": f"conversation/{pid}",
-            "_ehr_fields": tuple(ehr_fields),
-            "_positions": tuple(e for e in self.patient_reported if e.kind == "position"),
-            "_activities": tuple(e for e in self.patient_reported if e.kind == "activity"),
-        }
-        for name, value in derived.items():
-            object.__setattr__(self, name, value)
-
-
-def _latest_at_or_before(entries, at: datetime):
-    """Recency join: the entry with the greatest timestamp <= at, or None.
-
-    Among entries with equal timestamps the first in input order wins.
-    """
-    best = None
-    for entry in entries:
-        if entry.timestamp <= at and (best is None or entry.timestamp > best.timestamp):
-            best = entry
-    return best
+        object.__setattr__(self, "_device_src", f"vitals/{pid}")
+        object.__setattr__(self, "_ehr_src", f"ehr/{pid}")
+        object.__setattr__(self, "_report_src", f"patient_report/{pid}")
+        object.__setattr__(self, "_ehr_fields", tuple(ehr_fields))
 
 
 def assemble(bundle: SourceBundle, epoch: Epoch) -> VeritasRecord:
@@ -137,12 +103,9 @@ def assemble(bundle: SourceBundle, epoch: Epoch) -> VeritasRecord:
 
     Tag assignment follows the source: device stream fields are
     device_verified, EHR context fields are ehr_derived, self-reported
-    fields (activity, position) are patient_reported. Self-report and
-    conversation entries are attached by recency join (latest entry with
-    timestamp <= the epoch's; among equal timestamps the first in input
-    order); a joined self-report overrides the epoch's inline value and
-    keeps its own observation time. Deterministic, and never invents a
-    value: every output field traces to exactly one source datum.
+    fields (the epoch's position and activity) are patient_reported. Every
+    value is observed at the epoch's time. Deterministic, and never invents
+    a value: every output field traces to exactly one source datum.
     """
     pid = bundle.ehr.patient_id
     if epoch.patient_id != pid:
@@ -150,66 +113,29 @@ def assemble(bundle: SourceBundle, epoch: Epoch) -> VeritasRecord:
             f"epoch patient {epoch.patient_id} != context patient {pid}"
         )
     at = epoch.timestamp
-    device_src = bundle._device_src
+    src = bundle._device_src
     epoch_fields: dict[str, TaggedValue] = {
-        "spo2": TaggedValue(epoch.spo2, ProvenanceTag.DEVICE_VERIFIED, device_src, at),
-        "hr": TaggedValue(epoch.hr, ProvenanceTag.DEVICE_VERIFIED, device_src, at),
-        "accel_level": TaggedValue(
-            epoch.accel_level, ProvenanceTag.DEVICE_VERIFIED, device_src, at
-        ),
-        "device_status": TaggedValue(
-            epoch.device_status, ProvenanceTag.DEVICE_VERIFIED, device_src, at
-        ),
-        "probe_cover_present": TaggedValue(
-            epoch.probe_cover_present, ProvenanceTag.DEVICE_VERIFIED, device_src, at
-        ),
+        "spo2": _new(TaggedValue, (epoch.spo2, _DEVICE, src, at)),
+        "hr": _new(TaggedValue, (epoch.hr, _DEVICE, src, at)),
+        "accel_level": _new(TaggedValue, (epoch.accel_level, _DEVICE, src, at)),
+        "device_status": _new(TaggedValue, (epoch.device_status, _DEVICE, src, at)),
+        "probe_cover_present": _new(TaggedValue, (epoch.probe_cover_present, _DEVICE, src, at)),
     }
     if epoch.ambient_condition is not None:
-        epoch_fields["ambient_condition"] = TaggedValue(
-            epoch.ambient_condition, ProvenanceTag.DEVICE_VERIFIED, device_src, at
+        epoch_fields["ambient_condition"] = _new(
+            TaggedValue, (epoch.ambient_condition, _DEVICE, src, at)
         )
-
-    report_src = bundle._report_src
-    entry = _latest_at_or_before(bundle._positions, at)
-    if entry is None:
-        position = TaggedValue(epoch.position, ProvenanceTag.PATIENT_REPORTED, report_src, at)
-    else:
-        position = TaggedValue(
-            entry.value, ProvenanceTag.PATIENT_REPORTED, report_src, entry.timestamp
+    src = bundle._report_src
+    epoch_fields["position"] = _new(TaggedValue, (epoch.position, _REPORTED, src, at))
+    if epoch.self_reported_activity is not None:
+        epoch_fields["self_reported_activity"] = _new(
+            TaggedValue, (epoch.self_reported_activity, _REPORTED, src, at)
         )
-    epoch_fields["position"] = position
-    entry = _latest_at_or_before(bundle._activities, at)
-    if entry is not None:
-        epoch_fields["self_reported_activity"] = TaggedValue(
-            entry.value, ProvenanceTag.PATIENT_REPORTED, report_src, entry.timestamp
-        )
-    elif epoch.self_reported_activity is not None:
-        epoch_fields["self_reported_activity"] = TaggedValue(
-            epoch.self_reported_activity, ProvenanceTag.PATIENT_REPORTED, report_src, at
-        )
-
-    ehr_src = bundle._ehr_src
-    context_fields: dict[str, TaggedValue] = {}
-    for name, value in bundle._ehr_fields:
-        context_fields[name] = TaggedValue(value, ProvenanceTag.EHR_DERIVED, ehr_src, at)
-
-    conversation = _latest_at_or_before(bundle.conversation_log, at)
-    flags: tuple[TaggedValue, ...] = ()
-    if conversation is not None:
-        flags = (
-            TaggedValue(
-                conversation.statement, ProvenanceTag.PATIENT_REPORTED,
-                bundle._conversation_src, conversation.timestamp,
-            ),
-        )
-
-    return VeritasRecord(
-        patient_id=pid,
-        timestamp=at,
-        epoch_fields=epoch_fields,
-        context_fields=context_fields,
-        conversation_flags=flags,
-    )
+    src = bundle._ehr_src
+    context_fields = {
+        name: _new(TaggedValue, (value, _EHR, src, at)) for name, value in bundle._ehr_fields
+    }
+    return VeritasRecord(pid, at, epoch_fields, context_fields)
 
 
 @dataclass(frozen=True, slots=True)
@@ -224,7 +150,6 @@ class SpecialistView:
     record: VeritasRecord
     epoch_fields: Mapping[str, TaggedValue]
     context_fields: Mapping[str, TaggedValue]
-    conversation_flags: tuple[TaggedValue, ...]
 
     @property
     def patient_id(self) -> int:
@@ -274,7 +199,4 @@ def project_for_specialists(record: VeritasRecord) -> SpecialistView:
     context_fields = record.context_fields
     if not _all_allowed(context_fields.values()):
         context_fields = {k: tv for k, tv in context_fields.items() if tv.provenance in allowed}
-    flags = record.conversation_flags
-    if not _all_allowed(flags):
-        flags = tuple([tv for tv in flags if tv.provenance in allowed])
-    return SpecialistView(record, epoch_fields, context_fields, flags)
+    return SpecialistView(record, epoch_fields, context_fields)

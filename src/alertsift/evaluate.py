@@ -236,10 +236,7 @@ def _run_case(
 ) -> CaseOutcome:
     """Process one patient's epochs serially, oldest first."""
     bundle = SourceBundle(
-        ehr=context,
-        conversation_log=(),
-        vitals_stream=tuple(sorted(epochs, key=lambda e: e.timestamp)),
-        patient_reported=(),
+        ehr=context, vitals_stream=tuple(sorted(epochs, key=lambda e: e.timestamp))
     )
     history = DecisionHistory()
     decisions: list[SystemDecision] = []

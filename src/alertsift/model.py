@@ -238,9 +238,10 @@ class TaggedValue(_TaggedFields):
     construction rejects any provenance that is not a ProvenanceTag; no
     field can be set afterwards, so there is no untagged state anywhere in
     the system. Equal when all four fields are equal. A tuple rather than a
-    frozen dataclass because assembly builds eight to ten per epoch and a
+    frozen dataclass because assembly builds eight to twelve per epoch and a
     tuple costs about half as much to build; reading a field costs slightly
-    more.
+    more. Assembly, whose tags are fixed ProvenanceTag members, builds its
+    values with ``tuple.__new__`` and skips the check (see ``assembly``).
     """
 
     __slots__ = ()
@@ -302,10 +303,15 @@ class Epoch:
         """Decode one dataset row, rejecting vitals no device can report.
 
         Only physical bounds are checked here, not the catalogue's ranges
-        (see ``validate_epoch``). NaN fails every comparison, so the chained
-        bounds below reject it along with the infinities.
+        (see ``validate_epoch``). A vital must be a JSON number: true or "97"
+        is rejected, not read as 1 or 97. NaN fails every comparison, so the
+        chained bounds below reject it along with the infinities.
         """
-        spo2, hr = float(data["spo2"]), float(data["hr"])
+        spo2, hr = data["spo2"], data["hr"]
+        if type(spo2) is not float:
+            spo2 = _int_as_float(spo2, "spo2")
+        if type(hr) is not float:
+            hr = _int_as_float(hr, "hr")
         if not 0.0 <= spo2 <= 100.0:
             raise InvariantViolation(f"spo2 outside [0, 100]: {spo2}")
         if not 0.0 < hr < math.inf:
@@ -367,11 +373,24 @@ def _patient_id(raw: Any) -> int:
     return raw
 
 
-def _finite_or_none(data: Mapping[str, Any], name: str) -> float | None:
-    raw = data.get(name)
+def _int_as_float(raw: Any, name: str) -> float:
+    """A JSON integer as a float; any other value that is not a float is rejected.
+
+    json decodes a number to a float or an int, so this is the number check
+    for a value whose caller already found it is not a float: true (a bool,
+    not an int to ``type``), "97" and null fail. Testing ``type(x) is
+    float`` inline first keeps the check free for a float.
+    """
+    if type(raw) is not int:
+        raise InvariantViolation(f"{name} must be a number, got {raw!r}")
+    return float(raw)
+
+
+def _finite_or_none(raw: Any, name: str) -> float | None:
+    """Null, or a finite JSON number; false or "95" is rejected, not read as 0 or 95."""
     if raw is None:
         return None
-    value = float(raw)
+    value = raw if type(raw) is float else _int_as_float(raw, name)
     if not math.isfinite(value):
         raise InvariantViolation(f"{name} is not finite: {value}")
     return value
@@ -407,8 +426,8 @@ class PatientContext:
         return cls(
             patient_id=_patient_id(data["patient_id"]),
             copd_documented=_flag(data["copd_documented"], "copd_documented"),
-            baseline_spo2=_finite_or_none(data, "baseline_spo2"),
-            baseline_hr=_finite_or_none(data, "baseline_hr"),
+            baseline_spo2=_finite_or_none(data.get("baseline_spo2"), "baseline_spo2"),
+            baseline_hr=_finite_or_none(data.get("baseline_hr"), "baseline_hr"),
             rate_limiting_medication=_flag(
                 data.get("rate_limiting_medication", False), "rate_limiting_medication"
             ),
@@ -435,7 +454,6 @@ class VeritasRecord:
     timestamp: datetime
     epoch_fields: Mapping[str, TaggedValue]
     context_fields: Mapping[str, TaggedValue]
-    conversation_flags: tuple[TaggedValue, ...] = ()
 
     def __post_init__(self) -> None:
         # issuperset reads the keys in place; the unknown names are only
@@ -450,8 +468,6 @@ class VeritasRecord:
     def all_tagged(self) -> Iterable[tuple[str, TaggedValue]]:
         yield from self.epoch_fields.items()
         yield from self.context_fields.items()
-        for i, flag in enumerate(self.conversation_flags):
-            yield f"conversation_flags[{i}]", flag
 
 
 @dataclass(frozen=True)

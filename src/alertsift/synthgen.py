@@ -28,6 +28,7 @@ from .model import (
     PatientContext,
     Position,
     SelfReportedActivity,
+    _finite_or_none,
     _flag,
     format_timestamp,
     parse_enum,
@@ -118,6 +119,7 @@ _CATEGORICAL_FIELDS: dict[str, tuple[type | None, Any]] = {
     "ambient_condition": (None, None),  # opaque string, carried only
 }
 _CONTEXT_FLAGS = ("copd_documented", "rate_limiting_medication")
+_CONTEXT_BASELINES = ("baseline_spo2", "baseline_hr")
 
 
 @dataclass(frozen=True)
@@ -223,10 +225,14 @@ class TaxonomyEntry:
         if unknown:
             raise InvalidEntry(f"{self.case_id}: unknown categorical fields {sorted(unknown)}")
         # Booleans must be JSON true/false: bool("false") would read as true.
+        # Baselines are copied into contexts.json as given, so each must be
+        # null or a finite number there, as the contexts reader requires.
         _flag(self.nocturnal, "nocturnal")
         for name in _CONTEXT_FLAGS:
             if name in self.context:
                 _flag(self.context[name], f"context {name}")
+        for name in _CONTEXT_BASELINES:
+            _finite_or_none(self.context.get(name), f"context {name}")
 
         fixed = {
             name: default

@@ -80,10 +80,7 @@ def make_context(
 
 def make_bundle(epoch: Epoch, context: PatientContext | None = None) -> SourceBundle:
     return SourceBundle(
-        ehr=context or make_context(patient_id=epoch.patient_id),
-        conversation_log=(),
-        vitals_stream=(epoch,),
-        patient_reported=(),
+        ehr=context or make_context(patient_id=epoch.patient_id), vitals_stream=(epoch,)
     )
 
 
@@ -104,7 +101,6 @@ def retag_field(record: VeritasRecord, name: str, tag: ProvenanceTag) -> Veritas
         timestamp=record.timestamp,
         epoch_fields=epoch_fields,
         context_fields=record.context_fields,
-        conversation_flags=record.conversation_flags,
     )
 
 

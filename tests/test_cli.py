@@ -104,8 +104,14 @@ def test_evaluate_nan_vitals_exit_2(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "field, value",
-    [("spo2", None), ("spo2", "abc"), ("timestamp", 5), ("device_status", "broken")],
-    ids=["null_spo2", "text_spo2", "numeric_timestamp", "unknown_status"],
+    [
+        ("spo2", None), ("spo2", "abc"), ("timestamp", 5), ("device_status", "broken"),
+        ("hr", True), ("spo2", False), ("spo2", "97.5"),
+    ],
+    ids=[
+        "null_spo2", "text_spo2", "numeric_timestamp", "unknown_status",
+        "boolean_hr", "boolean_spo2", "numeric_text_spo2",
+    ],
 )
 def test_evaluate_malformed_epoch_exits_2_naming_the_line(tmp_path, capsys, field, value):
     config = write_config(tmp_path)
@@ -146,20 +152,32 @@ def test_evaluate_malformed_epoch_line_exits_2_naming_the_line(tmp_path, capsys,
 
 
 @pytest.mark.parametrize(
-    "field, message",
-    [("copd_documented", "copd_documented"), ("patient_id", "holds patient_id")],
-    ids=["string_boolean", "foreign_patient_id"],
+    "field, value, message",
+    [
+        ("copd_documented", "false", "copd_documented"),
+        ("patient_id", None, "holds patient_id"),
+        ("baseline_spo2", False, "baseline_spo2 must be a number, got False"),
+        ("baseline_spo2", True, "baseline_spo2 must be a number, got True"),
+        ("baseline_spo2", "0", "baseline_spo2 must be a number, got '0'"),
+        ("baseline_hr", "200", "baseline_hr must be a number, got '200'"),
+    ],
+    ids=[
+        "string_boolean", "foreign_patient_id", "false_baseline_spo2", "true_baseline_spo2",
+        "text_baseline_spo2", "text_baseline_hr",
+    ],
 )
-def test_evaluate_malformed_context_exits_2(tmp_path, capsys, field, message):
+def test_evaluate_malformed_context_exits_2(tmp_path, capsys, field, value, message):
     # bool("false") is True: decoded leniently, a patient with a baseline
-    # would silently read as documented COPD. A record filed under another
+    # would silently read as documented COPD. float(false) is 0.0 and
+    # float("200") is 200.0: a baseline decoded leniently moves the limits a
+    # specialist compares the vitals with. A record filed under another
     # patient's key would mix two patients in one case.
     config = write_config(tmp_path)
     run(["--config", config, "generate"])
     contexts_path = tmp_path / "dataset" / "contexts.json"
     contexts = json.loads(contexts_path.read_text())
     key = next(k for k, ctx in sorted(contexts.items()) if ctx["baseline_spo2"] is not None)
-    contexts[key][field] = "false" if field == "copd_documented" else int(key) + 1
+    contexts[key][field] = int(key) + 1 if field == "patient_id" else value
     contexts_path.write_text(json.dumps(contexts), encoding="utf-8")
     assert run(["--config", config, "evaluate"]) == 2
     assert f"contexts patient {key}: {message}" in capsys.readouterr().err
@@ -341,11 +359,15 @@ def _edited_taxonomy(tmp_path: Path, edit) -> tuple[Path, str]:
             lambda e: e["categorical_params"].update(position={"choice": ["supine", "sideways"]}),
             "Position: 'sideways' is not one of",
         ),
+        (
+            lambda e: e["context"].update(baseline_spo2="95"),
+            "context baseline_spo2 must be a number, got '95'",
+        ),
     ],
     ids=[
         "missing_epoch_count", "string_nocturnal", "string_context_flag",
         "numeric_context_flag", "string_probe_cover", "unknown_fixed_value",
-        "string_choice", "empty_choice", "unknown_choice_value",
+        "string_choice", "empty_choice", "unknown_choice_value", "string_context_baseline",
     ],
 )
 def test_generate_malformed_taxonomy_entry_exits_2(tmp_path, capsys, edit, message):

@@ -174,9 +174,12 @@ def test_epoch_round_trip_all_fields():
     for bad in (
         {"spo2": 100.5}, {"spo2": float("inf")}, {"hr": 0.0}, {"hr": float("nan")},
         {"patient_id": 3847291.9}, {"patient_id": True}, {"patient_id": "3847291"},
+        {"hr": True}, {"spo2": False}, {"spo2": "97"}, {"hr": None},
     ):
         with pytest.raises(InvariantViolation):
             Epoch.from_dict({**epoch.to_dict(), **bad})
+    # A JSON integer is a number: it decodes to the float it stands for.
+    assert Epoch.from_dict({**epoch.to_dict(), "hr": 104}).hr == 104.0
 
 
 def test_epoch_round_trip_optionals_absent():
@@ -189,7 +192,10 @@ def test_epoch_round_trip_optionals_absent():
 def test_patient_context_round_trip():
     ctx = make_context(copd=True, baseline_spo2=89.0, baseline_hr=72.0, med=True)
     assert PatientContext.from_dict(ctx.to_dict()) == ctx
-    for bad in ({"baseline_hr": float("nan")}, {"patient_id": 3847291.9}, {"patient_id": True}):
+    for bad in (
+        {"baseline_hr": float("nan")}, {"patient_id": 3847291.9}, {"patient_id": True},
+        {"baseline_spo2": False}, {"baseline_spo2": "0"}, {"baseline_hr": "200"},
+    ):
         with pytest.raises(InvariantViolation):
             PatientContext.from_dict({**ctx.to_dict(), **bad})
 
