@@ -60,8 +60,8 @@ class SourceBundle:
     What assembly needs of the sources besides the epoch itself does not
     change from epoch to epoch, so it is built here once per patient: the
     source ids and the present EHR fields. ``vitals_stream`` holds the
-    patient's epochs in the order the caller walks them; each is checked to
-    belong to the context's patient.
+    patient's epochs in the order the caller walks them; ``assemble`` checks
+    each one's patient as the walk reaches it.
     """
 
     ehr: PatientContext
@@ -72,13 +72,8 @@ class SourceBundle:
     _ehr_fields: tuple[tuple[str, Any], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        pid = self.ehr.patient_id
-        for epoch in self.vitals_stream:
-            if epoch.patient_id != pid:
-                raise PatientIdMismatch(
-                    f"epoch patient {epoch.patient_id} != context patient {pid}"
-                )
         ehr = self.ehr
+        pid = ehr.patient_id
         ehr_fields = [
             ("copd_documented", ehr.copd_documented),
             ("rate_limiting_medication", ehr.rate_limiting_medication),

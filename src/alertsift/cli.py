@@ -25,6 +25,7 @@ from typing import Any, Iterable, Mapping
 
 from .evaluate import (
     DatasetTaxonomyMismatch,
+    DuplicateEpoch,
     check_golden,
     evaluate,
     load_dataset,
@@ -200,7 +201,7 @@ def cmd_evaluate(cfg: PipelineConfig, golden_check: bool, json_only: bool) -> in
             specialist_cfg=cfg.specialists,
             meta_cfg=cfg.meta,
         )
-    except DatasetTaxonomyMismatch as exc:
+    except (DatasetTaxonomyMismatch, DuplicateEpoch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     elapsed = time.perf_counter() - started

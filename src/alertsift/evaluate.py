@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from datetime import datetime
 from enum import Enum
 from math import sqrt
 from pathlib import Path
@@ -43,6 +42,7 @@ __all__ = [
     "Dataset",
     "DatasetTaxonomyMismatch",
     "DomainRow",
+    "DuplicateEpoch",
     "EmptyDecisions",
     "EvaluationReport",
     "GOLDEN_FAILURE_MODES",
@@ -63,6 +63,10 @@ __all__ = [
 
 class EmptyDecisions(ValueError):
     """A case cannot be aggregated from zero decisions."""
+
+
+class DuplicateEpoch(InvariantViolation):
+    """A patient's stream holds two epochs at the same minute."""
 
 
 class InvalidCounts(ValueError):
@@ -206,19 +210,10 @@ class Dataset:
 
 
 def load_dataset(dataset_dir: str | Path) -> Dataset:
-    """Read a dataset directory; a repeated (patient, minute) epoch is rejected."""
+    """Read a dataset directory; ``evaluate`` checks the streams as it walks them."""
     base = Path(dataset_dir)
     with open(base / "epochs.jsonl", encoding="utf-8") as fp:
         epochs = read_epochs_jsonl(fp)
-    seen: set[tuple[int, datetime]] = set()
-    for epoch in epochs:
-        key = (epoch.patient_id, epoch.timestamp)
-        if key in seen:
-            raise InvariantViolation(
-                f"duplicate epoch for patient {epoch.patient_id} "
-                f"at {format_timestamp(epoch.timestamp)}"
-            )
-        seen.add(key)
     with open(base / "contexts.json", encoding="utf-8") as fp:
         contexts = read_contexts_json(fp)
     return Dataset(epochs=tuple(epochs), contexts=contexts)
@@ -234,14 +229,20 @@ def _run_case(
     specialist_cfg: SpecialistConfig,
     meta_cfg: MetaConfig,
 ) -> CaseOutcome:
-    """Process one patient's epochs serially, oldest first."""
+    """Walk one patient's epochs oldest first: the one pass that checks the stream."""
     bundle = SourceBundle(
         ehr=context, vitals_stream=tuple(sorted(epochs, key=lambda e: e.timestamp))
     )
     history = DecisionHistory()
     decisions: list[SystemDecision] = []
     failure_status: DeviceStatus | None = None
+    previous_at = None
     for epoch in bundle.vitals_stream:
+        if epoch.timestamp == previous_at:
+            raise DuplicateEpoch(
+                f"duplicate epoch for patient {patient_id} at {format_timestamp(previous_at)}"
+            )
+        previous_at = epoch.timestamp
         record = assemble(bundle, epoch)
         view = project_for_specialists(record)
         alert = detect(view, sentinel_cfg)

@@ -8,8 +8,8 @@ the margin between them is too small to call. Indeterminate claims carry
 no weight on either side, which is exactly why low-context alerts fall
 through to the conservative default.
 
-History is scoped per patient. Epochs for one patient must resolve in
-timestamp order; distinct patients are independent.
+A history is one patient's cooldown window, built per case: its alerts
+resolve in strictly increasing time, and it keeps only what it can replay.
 
 The claims and the routing decision resolve reads are shared immutable
 values: every alert that reaches the same rules gets the same objects. The
@@ -19,6 +19,7 @@ SystemDecision is the one object resolve builds per alert.
 from __future__ import annotations
 
 import functools
+from collections import deque
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from typing import Mapping
@@ -69,48 +70,38 @@ def _cooldown(window_minutes: int) -> timedelta:
     return timedelta(minutes=window_minutes)
 
 
-@dataclass(frozen=True)
-class _HistoryEntry:
-    timestamp: datetime
-    alert_types: frozenset[AlertType]
-    decision: SystemDecision
-
-
 class DecisionHistory:
-    """Per-patient ordered decision log backing the cooldown window."""
+    """One patient's decisions within the cooldown window, under one MetaConfig.
+
+    ``last_matching`` drops what is older than its horizon: exact, as times
+    strictly increase and the window is fixed. The last time is kept apart,
+    so the order check holds after every earlier decision has been dropped.
+    """
 
     def __init__(self) -> None:
-        self._by_patient: dict[int, list[_HistoryEntry]] = {}
+        self._window: deque[tuple[frozenset[AlertType], SystemDecision]] = deque()
+        self._last_at: datetime | None = None
 
-    def record(
-        self,
-        patient_id: int,
-        timestamp: datetime,
-        alert_types: frozenset[AlertType],
-        decision: SystemDecision,
-    ) -> None:
-        entries = self._by_patient.setdefault(patient_id, [])
-        if entries and timestamp <= entries[-1].timestamp:
+    def record(self, alert_types: frozenset[AlertType], decision: SystemDecision) -> None:
+        at = decision.decided_at
+        if self._last_at is not None and at <= self._last_at:
             raise InvariantViolation(
-                f"decision timestamps must strictly increase per patient "
-                f"(patient {patient_id}, got {timestamp} after {entries[-1].timestamp})"
+                f"decision timestamps must strictly increase ({at} after {self._last_at})"
             )
-        entries.append(_HistoryEntry(timestamp, alert_types, decision))
+        self._last_at = at
+        self._window.append((alert_types, decision))
 
     def last_matching(
-        self,
-        patient_id: int,
-        alert_types: frozenset[AlertType],
-        now: datetime,
-        window_minutes: int,
+        self, alert_types: frozenset[AlertType], now: datetime, window_minutes: int
     ) -> SystemDecision | None:
         """Most recent decision for an identical alert-type set within the window."""
         horizon = now - _cooldown(window_minutes)
-        for entry in reversed(self._by_patient.get(patient_id, [])):
-            if entry.timestamp < horizon:
-                return None
-            if entry.alert_types == alert_types:
-                return entry.decision
+        window = self._window
+        while window and window[0][1].decided_at < horizon:
+            window.popleft()
+        for types, decision in reversed(window):
+            if types == alert_types:
+                return decision
         return None
 
 
@@ -167,15 +158,12 @@ def resolve(
         )
 
     now = alert.raised_at
-    prior = None
-    status_tv = alert.triggering_values.get(_SIGNAL_QUALITY)
-    if status_tv is None or status_tv.value is not _DUPLICATE_ALERT:
-        prior = history.last_matching(
-            alert.record_ref.patient_id, alert.alert_types, now, cfg.cooldown_window_minutes
-        )
-        if (
-            prior is not None
-            and prior.verdict is not _ESCALATE
+    # Asked on every alert so the window stays pruned; a duplicate_alert drops the prior.
+    prior = history.last_matching(alert.alert_types, now, cfg.cooldown_window_minutes)
+    if prior is not None:
+        status_tv = alert.triggering_values.get(_SIGNAL_QUALITY)
+        if (status_tv is not None and status_tv.value is _DUPLICATE_ALERT) or (
+            prior.verdict is not _ESCALATE
             and any(c.recommendation is _ESCALATE_CLAIM for c in claims)
         ):
             prior = None
@@ -204,5 +192,5 @@ def resolve(
     decision = SystemDecision(
         verdict=verdict, contributing_claims=claims, resolution_path=path, decided_at=now
     )
-    history.record(alert.record_ref.patient_id, now, alert.alert_types, decision)
+    history.record(alert.alert_types, decision)
     return decision

@@ -305,9 +305,13 @@ class Epoch:
         Only physical bounds are checked here, not the catalogue's ranges
         (see ``validate_epoch``). A vital must be a JSON number: true or "97"
         is rejected, not read as 1 or 97. NaN fails every comparison, so the
-        chained bounds below reject it along with the infinities.
+        chained bounds below reject it along with the infinities. A key that
+        is not an Epoch field is rejected, not skipped: a misspelt optional
+        field would otherwise read as absent.
         """
         spo2, hr = data["spo2"], data["hr"]
+        if not _EPOCH_KEYS.issuperset(data):
+            raise InvariantViolation(f"unknown keys {sorted(data.keys() - _EPOCH_KEYS)}")
         if type(spo2) is not float:
             spo2 = _int_as_float(spo2, "spo2")
         if type(hr) is not float:
@@ -318,7 +322,7 @@ class Epoch:
             raise InvariantViolation(f"hr not a finite positive rate: {hr}")
         activity = data.get("self_reported_activity")
         return cls(
-            patient_id=_patient_id(data["patient_id"]),
+            patient_id=_integer(data["patient_id"], "patient_id"),
             timestamp=parse_timestamp(data["timestamp"]),
             spo2=spo2,
             hr=hr,
@@ -366,10 +370,10 @@ def _flag(raw: Any, name: str) -> bool:
     return raw
 
 
-def _patient_id(raw: Any) -> int:
-    """A JSON integer; 3847291.9 or true is rejected, not rounded to an id."""
+def _integer(raw: Any, name: str) -> int:
+    """A JSON integer; 3847291.9 or true is rejected, not rounded or read as 1."""
     if isinstance(raw, bool) or not isinstance(raw, int):
-        raise InvariantViolation(f"patient_id must be an integer, got {raw!r}")
+        raise InvariantViolation(f"{name} must be an integer, got {raw!r}")
     return raw
 
 
@@ -423,8 +427,12 @@ class PatientContext:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "PatientContext":
+        """Decode one record; as for an epoch row, an unknown key is rejected."""
+        patient_id = _integer(data["patient_id"], "patient_id")
+        if not _CONTEXT_KEYS.issuperset(data):
+            raise InvariantViolation(f"unknown keys {sorted(data.keys() - _CONTEXT_KEYS)}")
         return cls(
-            patient_id=_patient_id(data["patient_id"]),
+            patient_id=patient_id,
             copd_documented=_flag(data["copd_documented"], "copd_documented"),
             baseline_spo2=_finite_or_none(data.get("baseline_spo2"), "baseline_spo2"),
             baseline_hr=_finite_or_none(data.get("baseline_hr"), "baseline_hr"),
@@ -434,10 +442,12 @@ class PatientContext:
         )
 
 
-# The field names a VeritasRecord may carry: every epoch and context field
-# except the record coordinates.
-_EPOCH_FIELDS = frozenset(f.name for f in fields(Epoch)) - {"patient_id", "timestamp"}
-_CONTEXT_FIELDS = frozenset(f.name for f in fields(PatientContext)) - {"patient_id"}
+# The keys an epoch row and a context record may carry, and the field names a
+# VeritasRecord may carry: the same less the record coordinates.
+_EPOCH_KEYS = frozenset(f.name for f in fields(Epoch))
+_CONTEXT_KEYS = frozenset(f.name for f in fields(PatientContext))
+_EPOCH_FIELDS = _EPOCH_KEYS - {"patient_id", "timestamp"}
+_CONTEXT_FIELDS = _CONTEXT_KEYS - {"patient_id"}
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timedelta
 from enum import Enum
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -30,11 +30,14 @@ from .model import (
     SelfReportedActivity,
     _finite_or_none,
     _flag,
+    _int_as_float,
+    _integer,
     format_timestamp,
     parse_enum,
     validate_epoch,
     write_contexts_json,
     write_epochs_jsonl,
+    DATA_WINDOW,
     PATIENT_ID_RANGE,
 )
 
@@ -140,11 +143,13 @@ class ContinuousSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ContinuousSpec":
+        """Four JSON numbers; true or "97.0" is rejected, not read as 1.0 or 97.0."""
+        mu, sigma, lower, upper = data["mu"], data["sigma"], data["lower"], data["upper"]
         return cls(
-            mu=float(data["mu"]),
-            sigma=float(data["sigma"]),
-            lower=float(data["lower"]),
-            upper=float(data["upper"]),
+            mu=mu if type(mu) is float else _int_as_float(mu, "mu"),
+            sigma=sigma if type(sigma) is float else _int_as_float(sigma, "sigma"),
+            lower=lower if type(lower) is float else _int_as_float(lower, "lower"),
+            upper=upper if type(upper) is float else _int_as_float(upper, "upper"),
         )
 
 
@@ -275,10 +280,13 @@ class TaxonomyEntry:
         """
         name = data.get("case_id") if isinstance(data, Mapping) else data
         try:
+            case_id = data["case_id"]
+            if not isinstance(case_id, str):
+                raise InvalidEntry(f"case_id must be a string, got {case_id!r}")
             return cls(
-                case_id=str(data["case_id"]),
+                case_id=case_id,
                 domain_class=parse_enum(DomainClass, data["domain_class"]),
-                epoch_count=int(data["epoch_count"]),
+                epoch_count=_integer(data["epoch_count"], "epoch_count"),
                 continuous_params={
                     k: ContinuousSpec.from_dict(v) for k, v in data["continuous_params"].items()
                 },
@@ -425,7 +433,7 @@ class GeneratedDataset:
     manifest: dict[str, Any]
 
 
-_DAYS_IN_WINDOW = 92  # June, July, August 2022
+_DAYS_IN_WINDOW = (DATA_WINDOW[1] - DATA_WINDOW[0]).days
 
 
 def _draw_start_time(entry: TaxonomyEntry, seed: int) -> datetime:
@@ -437,7 +445,7 @@ def _draw_start_time(entry: TaxonomyEntry, seed: int) -> datetime:
     """
     rng = _substream(seed, f"schedule:{entry.case_id}")
     day = int(rng.integers(_DAYS_IN_WINDOW))
-    base = datetime(2022, 6, 1, tzinfo=timezone.utc) + timedelta(days=day)
+    base = DATA_WINDOW[0] + timedelta(days=day)
     if entry.nocturnal:
         hour = int(rng.integers(0, 5))
         minute = int(rng.integers(0, 50))

@@ -56,8 +56,13 @@ def test_assemble_errors():
     bundle = make_bundle(epoch)
     with pytest.raises(PatientIdMismatch):
         assemble(bundle, make_epoch(patient_id=epoch.patient_id + 1))
+    # A bundle does not check its stream; the walk assembles every epoch of
+    # it, and assembly rejects the foreign one.
+    foreign = SourceBundle(
+        ehr=make_context(patient_id=epoch.patient_id + 1), vitals_stream=(epoch,)
+    )
     with pytest.raises(PatientIdMismatch):
-        SourceBundle(ehr=make_context(patient_id=epoch.patient_id + 1), vitals_stream=(epoch,))
+        assemble(foreign, foreign.vitals_stream[0])
 
 
 def test_assemble_deterministic():

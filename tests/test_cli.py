@@ -107,10 +107,12 @@ def test_evaluate_nan_vitals_exit_2(tmp_path, capsys):
     [
         ("spo2", None), ("spo2", "abc"), ("timestamp", 5), ("device_status", "broken"),
         ("hr", True), ("spo2", False), ("spo2", "97.5"),
+        ("self_reported_activty", "resting"), ("notes", None),
     ],
     ids=[
         "null_spo2", "text_spo2", "numeric_timestamp", "unknown_status",
         "boolean_hr", "boolean_spo2", "numeric_text_spo2",
+        "misspelt_optional_key", "unknown_null_key",
     ],
 )
 def test_evaluate_malformed_epoch_exits_2_naming_the_line(tmp_path, capsys, field, value):
@@ -160,10 +162,11 @@ def test_evaluate_malformed_epoch_line_exits_2_naming_the_line(tmp_path, capsys,
         ("baseline_spo2", True, "baseline_spo2 must be a number, got True"),
         ("baseline_spo2", "0", "baseline_spo2 must be a number, got '0'"),
         ("baseline_hr", "200", "baseline_hr must be a number, got '200'"),
+        ("rate_limiting_medicaton", True, "unknown keys ['rate_limiting_medicaton']"),
     ],
     ids=[
         "string_boolean", "foreign_patient_id", "false_baseline_spo2", "true_baseline_spo2",
-        "text_baseline_spo2", "text_baseline_hr",
+        "text_baseline_spo2", "text_baseline_hr", "misspelt_optional_key",
     ],
 )
 def test_evaluate_malformed_context_exits_2(tmp_path, capsys, field, value, message):
@@ -363,11 +366,24 @@ def _edited_taxonomy(tmp_path: Path, edit) -> tuple[Path, str]:
             lambda e: e["context"].update(baseline_spo2="95"),
             "context baseline_spo2 must be a number, got '95'",
         ),
+        (lambda e: e.update(epoch_count=5.9), "epoch_count must be an integer, got 5.9"),
+        (lambda e: e.update(epoch_count="5"), "epoch_count must be an integer, got '5'"),
+        (
+            lambda e: e["continuous_params"]["spo2"].update(mu="93.0"),
+            "mu must be a number, got '93.0'",
+        ),
+        (
+            lambda e: e["continuous_params"]["spo2"].update(sigma=True),
+            "sigma must be a number, got True",
+        ),
+        (lambda e: e.update(case_id=12345), "case_id must be a string, got 12345"),
     ],
     ids=[
         "missing_epoch_count", "string_nocturnal", "string_context_flag",
         "numeric_context_flag", "string_probe_cover", "unknown_fixed_value",
         "string_choice", "empty_choice", "unknown_choice_value", "string_context_baseline",
+        "fractional_epoch_count", "string_epoch_count", "string_mu", "boolean_sigma",
+        "numeric_case_id",
     ],
 )
 def test_generate_malformed_taxonomy_entry_exits_2(tmp_path, capsys, edit, message):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 
@@ -11,6 +12,7 @@ from scipy.stats import binomtest
 from alertsift.evaluate import (
     Dataset,
     DatasetTaxonomyMismatch,
+    DuplicateEpoch,
     EmptyDecisions,
     GOLDEN_FAILURE_MODES,
     GOLDEN_PER_DOMAIN,
@@ -38,7 +40,8 @@ from alertsift.synthgen import (
     generate_dataset,
     load_taxonomy,
 )
-from helpers import DAYTIME
+from alertsift.sentinel import SentinelConfig, detect
+from helpers import DAYTIME, make_view
 
 
 def decision(verdict: Verdict) -> SystemDecision:
@@ -181,6 +184,22 @@ def test_dataset_taxonomy_mismatch(golden_run):
     missing_one = tuple(e for e in dataset.epochs if e.patient_id != 3847291)
     with pytest.raises(DatasetTaxonomyMismatch):
         evaluate(Dataset(epochs=missing_one, contexts=dataset.contexts), taxonomy)
+
+
+def test_duplicate_epoch_in_memory_dataset_raises(golden_run):
+    # A second epoch at a patient's minute fails in the walk over that
+    # patient's stream, whichever way the dataset reached evaluate(). A quiet
+    # copy never reaches the decision history, so nothing else would notice
+    # it, and the report would count 531 epochs.
+    taxonomy, dataset, _ = golden_run
+    first = dataset.epochs[0]
+    quiet = dataclasses.replace(
+        first, spo2=97.0, hr=72.0, device_status=DeviceStatus.OK, probe_cover_present=False
+    )
+    context = dataset.contexts[first.patient_id]
+    assert detect(make_view(quiet, context), SentinelConfig()) is None
+    with pytest.raises(DuplicateEpoch, match=f"duplicate epoch for patient {first.patient_id} "):
+        evaluate(Dataset(epochs=(*dataset.epochs, quiet), contexts=dataset.contexts), taxonomy)
 
 
 def test_check_golden_clean_and_tampered(golden_run):

@@ -312,6 +312,14 @@ def test_history_requires_strictly_increasing_timestamps():
     resolve(claims, routing, alert, history, CFG)
     with pytest.raises(InvariantViolation):
         resolve(claims, routing, alert, history, CFG)
+    # The order check outlives the window: a lookup a day later drops every
+    # decision, and one earlier than the last recorded still fails.
+    late = alert.raised_at + timedelta(days=1)
+    assert history.last_matching(alert.alert_types, late, CFG.cooldown_window_minutes) is None
+    assert not history._window
+    earlier = make_alert(make_epoch(ts=alert.raised_at - timedelta(minutes=1), spo2=90.0))
+    with pytest.raises(InvariantViolation):
+        resolve(claims, routing, earlier, history, CFG)
 
 
 def test_config_invariants():
@@ -384,10 +392,35 @@ def test_resolve_uses_domain_weights():
     assert decision.resolution_path is ResolutionPath.WEIGHTED_AGGREGATION
 
 
+class _ReferenceHistory:
+    """The history as first written: keyed by patient, never pruned, each
+    lookup scanning back from the newest entry until the horizon."""
+
+    def __init__(self):
+        self._by_patient = {}
+
+    def record(self, patient_id, timestamp, alert_types, decision):
+        entries = self._by_patient.setdefault(patient_id, [])
+        if entries and timestamp <= entries[-1][0]:
+            raise InvariantViolation("decision timestamps must strictly increase")
+        entries.append((timestamp, alert_types, decision))
+
+    def last_matching(self, patient_id, alert_types, now, window_minutes):
+        horizon = now - timedelta(minutes=window_minutes)
+        for timestamp, types, decision in reversed(self._by_patient.get(patient_id, [])):
+            if timestamp < horizon:
+                return None
+            if types == alert_types:
+                return decision
+        return None
+
+
 def _reference_resolve(claims, routing, alert, history, cfg):
     """resolve as first written: the expected order rebuilt from the targets
     on every call, a ``finish`` closure per call, and one ``sum`` per side.
-    The straight-line resolve must give the same decision at every step."""
+    The straight-line resolve must give the same decision at every step.
+    ``history`` is a _ReferenceHistory, so the pruned window is checked
+    against the full history."""
     if not claims:
         raise EmptyClaims("resolve requires at least one claim")
     claimed = [c.domain for c in claims]
@@ -515,8 +548,10 @@ def test_resolve_matches_reference_over_random_histories(run):
     # Property: random claims, weights, margins, windows, alert-type sets and
     # duplicate_alert statuses over one patient's steps; every step's decision
     # (verdict, path, claims, decided_at) or error equals the reference's.
+    # Windows of 1-15 minutes and gaps of 1-12 minutes, so the window drops
+    # decisions and some land exactly on its horizon.
     cfg, steps = run
-    history, reference_history = DecisionHistory(), DecisionHistory()
+    history, reference_history = DecisionHistory(), _ReferenceHistory()
     ts = DAYTIME
     for gap, types, status, claims, routing in steps:
         ts += timedelta(minutes=gap)
@@ -524,3 +559,25 @@ def test_resolve_matches_reference_over_random_histories(run):
         got = _outcome(resolve, claims, routing, alert, history, cfg)
         want = _outcome(_reference_resolve, claims, routing, alert, reference_history, cfg)
         assert got == want
+
+
+def test_history_holds_at_most_one_window():
+    # A 2,000-minute stream, one alert a minute: the history never holds more
+    # than the window's decisions and the one just recorded, including over
+    # runs of duplicate_alert epochs, which never replay.
+    cfg = MetaConfig(cooldown_window_minutes=7)
+    history = DecisionHistory()
+    claims = (claim(AgentDomain.PROBE_INTEGRITY, Recommendation.INDETERMINATE, 0.4),)
+    routing = routing_for(AgentDomain.PROBE_INTEGRITY)
+    type_sets = (
+        frozenset({AlertType.LOW_SPO2}),
+        frozenset({AlertType.SIGNAL_QUALITY}),
+        frozenset({AlertType.LOW_SPO2, AlertType.SIGNAL_QUALITY}),
+    )
+    sizes = set()
+    for step in range(2000):
+        status = DeviceStatus.DUPLICATE_ALERT if (step // 100) % 2 else DeviceStatus.OK
+        alert = _alert_at(DAYTIME + timedelta(minutes=step), type_sets[step % 3], status)
+        resolve(claims, routing, alert, history, cfg)
+        sizes.add(len(history._window))
+    assert max(sizes) == cfg.cooldown_window_minutes + 1
