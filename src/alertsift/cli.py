@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
 from .evaluate import (
     DatasetTaxonomyMismatch,
@@ -34,7 +33,7 @@ from .evaluate import (
     write_decision_log,
 )
 from .meta import MetaConfig
-from .model import InvariantViolation
+from .model import InvariantViolation, _integer, _number, _object
 from .sentinel import SentinelConfig
 from .specialists import SpecialistConfig
 from .synthgen import default_taxonomy_path, generate_dataset, load_taxonomy, write_dataset
@@ -69,9 +68,9 @@ class PipelineConfig:
     @classmethod
     def from_dict(cls, data: Any) -> "PipelineConfig":
         """Decode a config file; an unknown key or a mistyped value is rejected."""
-        data = _require_keys(data, ("seed", "sentinel", "specialists", "meta", "paths"), "file")
-        paths = _require_keys(
-            data.get("paths", {}), ("taxonomy", "dataset_dir", "report_dir"), "paths"
+        data = _object(data, {"seed", "sentinel", "specialists", "meta", "paths"}, "config file")
+        paths = _object(
+            data.get("paths", {}), {"taxonomy", "dataset_dir", "report_dir"}, "config paths"
         )
         taxonomy = paths.get("taxonomy")
         return cls(
@@ -88,29 +87,16 @@ class PipelineConfig:
         )
 
 
-def _require_keys(data: Any, allowed: Iterable[str], where: str) -> Mapping[str, Any]:
-    """``data`` if it is a JSON object with no key outside ``allowed``."""
-    if not isinstance(data, Mapping):
-        raise InvariantViolation(f"config {where} must be an object, got {data!r}")
-    unknown = sorted(set(data) - set(allowed))
-    if unknown:
-        raise InvariantViolation(f"config {where}: unknown keys {unknown}")
-    return data
-
-
 def _value(raw: Any, default: Any, where: str) -> Any:
-    """``raw`` as ``default``'s type: a non-empty string for a path, else a
-    finite number, whole for an int."""
-    if isinstance(default, Path):
-        valid = isinstance(raw, str) and raw != ""
-    else:
-        valid = isinstance(raw, (int, float)) and not isinstance(raw, bool)
-        valid = valid and math.isfinite(raw) and type(default)(raw) == raw
-    if not valid:
-        raise InvariantViolation(
-            f"config {where}: {raw!r} is not a valid {type(default).__name__}"
-        )
-    return type(default)(raw)
+    """``raw`` as ``default``'s type: a non-empty string for a path, a JSON
+    integer for an int, else a finite JSON number."""
+    if isinstance(default, int):
+        return _integer(raw, f"config {where}")
+    if not isinstance(default, Path):
+        return _number(raw, f"config {where}")
+    if not isinstance(raw, str) or raw == "":
+        raise InvariantViolation(f"config {where}: {raw!r} is not a valid path")
+    return Path(raw)
 
 
 def _decode_section(cls: type, config: Mapping[str, Any], section: str) -> Any:
@@ -120,11 +106,11 @@ def _decode_section(cls: type, config: Mapping[str, Any], section: str) -> Any:
     entries one by one, keyed by the default's enum values.
     """
     defaults, values = cls(), {}
-    data = _require_keys(config.get(section, {}), [f.name for f in fields(cls)], section)
+    data = _object(config.get(section, {}), {f.name for f in fields(cls)}, f"config {section}")
     for name, raw in data.items():
         default, where = getattr(defaults, name), f"{section}.{name}"
         if isinstance(default, Mapping):
-            given = _require_keys(raw, [key.value for key in default], where)
+            given = _object(raw, {key.value for key in default}, f"config {where}")
             values[name] = {
                 key: _value(given.get(key.value, w), w, f"{where}.{key.value}")
                 for key, w in default.items()
@@ -143,6 +129,9 @@ def load_config(args: argparse.Namespace) -> PipelineConfig:
         cfg = PipelineConfig()
     env_seed = os.environ.get(SEED_ENV_VAR)
     if env_seed is not None:
+        # int() would also take " 7 ", "1_000" and non-ASCII digits.
+        if not (env_seed.isascii() and env_seed.isdigit()):
+            raise InvariantViolation(f"{SEED_ENV_VAR} must be ASCII digits, got {env_seed!r}")
         cfg = replace(cfg, seed=int(env_seed))
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)

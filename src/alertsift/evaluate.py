@@ -26,8 +26,10 @@ from .model import (
     PatientContext,
     SystemDecision,
     Verdict,
+    _integer,
+    _number,
+    _object,
     format_timestamp,
-    parse_enum,
     read_contexts_json,
     read_epochs_jsonl,
     PATIENT_ID_RANGE,
@@ -505,7 +507,9 @@ def write_decision_log(report: EvaluationReport, path: str | Path) -> None:
                 write(head + body + format_timestamp(decision.decided_at) + '"}}\n')
 
 
-# The fields of report.json that render_report_text reads, all numbers.
+# The fields of report.json that render_report_text reads: the sections, and
+# the numbers in each fixed section and in each class row.
+_REPORT_SECTIONS = frozenset({"overall", "per_domain", "wilson_cis", "failure_modes", "totals"})
 _REPORT_FIELDS = {
     "overall": ("ts_count", "fe_count", "ind_count", "tsr", "fer", "indr"),
     "totals": ("cases", "epochs", "mean_epochs_per_case"),
@@ -514,19 +518,10 @@ _REPORT_FIELDS = {
 }
 
 
-def _check_object(value: Any, where: str) -> None:
-    if not isinstance(value, dict):
-        raise InvariantViolation(f"report payload {where!r} must be a JSON object")
-
-
 def _check_numbers(row: Any, names: Sequence[str], where: str) -> None:
-    _check_object(row, where)
+    row = _object(row, frozenset(names), f"report payload {where!r}")
     for name in names:
-        value = row.get(name)
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise InvariantViolation(
-                f"report payload {where}.{name} must be a number, got {value!r}"
-            )
+        _number(row.get(name), f"report payload {where}.{name}")
 
 
 def validate_report_payload(data: Mapping[str, Any]) -> dict[str, Any]:
@@ -534,24 +529,19 @@ def validate_report_payload(data: Mapping[str, Any]) -> dict[str, Any]:
 
     Every section and row the text report reads must be present and typed:
     the overall and totals numbers, each class row's counts and rates, each
-    interval's bounds, and each failure mode's integer count.
+    interval's bounds, and each failure mode's integer count. A key the
+    report does not write is rejected.
     """
-    if not isinstance(data, dict):
-        raise InvariantViolation("report payload must be a JSON object")
-    for key in ("overall", "per_domain", "wilson_cis", "failure_modes", "totals"):
-        if key not in data:
-            raise InvariantViolation(f"report payload missing {key!r}")
-        _check_object(data[key], key)
+    data = _object(data, _REPORT_SECTIONS, "report payload")
+    missing = _REPORT_SECTIONS - data.keys()
+    if missing:
+        raise InvariantViolation(f"report payload missing {sorted(missing)}")
     for key in ("overall", "totals"):
         _check_numbers(data[key], _REPORT_FIELDS[key], key)
     for key in ("per_domain", "wilson_cis"):
-        for cls, row in data[key].items():
-            parse_enum(DomainClass, cls)
+        for cls, row in _object(data[key], DomainClass, f"report payload {key!r}").items():
             _check_numbers(row, _REPORT_FIELDS[key], f"{key}.{cls}")
-    for status, count in data["failure_modes"].items():
-        parse_enum(DeviceStatus, status)
-        if isinstance(count, bool) or not isinstance(count, int):
-            raise InvariantViolation(
-                f"report payload failure_modes.{status} must be an integer, got {count!r}"
-            )
+    failure_modes = _object(data["failure_modes"], DeviceStatus, "report payload 'failure_modes'")
+    for status, count in failure_modes.items():
+        _integer(count, f"report payload failure_modes.{status}")
     return dict(data)

@@ -303,19 +303,16 @@ class Epoch:
         """Decode one dataset row, rejecting vitals no device can report.
 
         Only physical bounds are checked here, not the catalogue's ranges
-        (see ``validate_epoch``). A vital must be a JSON number: true or "97"
-        is rejected, not read as 1 or 97. NaN fails every comparison, so the
-        chained bounds below reject it along with the infinities. A key that
-        is not an Epoch field is rejected, not skipped: a misspelt optional
-        field would otherwise read as absent.
+        (see ``validate_epoch``). A float vital skips ``_number``: NaN fails
+        every comparison, so the chained bounds below reject it along with
+        the infinities.
         """
+        data = _object(data, _EPOCH_KEYS, "epoch row")
         spo2, hr = data["spo2"], data["hr"]
-        if not _EPOCH_KEYS.issuperset(data):
-            raise InvariantViolation(f"unknown keys {sorted(data.keys() - _EPOCH_KEYS)}")
         if type(spo2) is not float:
-            spo2 = _int_as_float(spo2, "spo2")
+            spo2 = _number(spo2, "spo2")
         if type(hr) is not float:
-            hr = _int_as_float(hr, "hr")
+            hr = _number(hr, "hr")
         if not 0.0 <= spo2 <= 100.0:
             raise InvariantViolation(f"spo2 outside [0, 100]: {spo2}")
         if not 0.0 < hr < math.inf:
@@ -363,6 +360,12 @@ def validate_epoch(epoch: Epoch) -> list[str]:
     return violations
 
 
+# The field readers every input file goes through: epoch rows, context
+# records, the config, a user taxonomy and report.json. Each takes the
+# decoded JSON value and the name an error should give, and rejects a value
+# outside the rule with a ValueError naming it.
+
+
 def _flag(raw: Any, name: str) -> bool:
     """A JSON boolean; a string such as "false" is rejected, not read as true."""
     if not isinstance(raw, bool):
@@ -377,27 +380,40 @@ def _integer(raw: Any, name: str) -> int:
     return raw
 
 
-def _int_as_float(raw: Any, name: str) -> float:
-    """A JSON integer as a float; any other value that is not a float is rejected.
+def _number(raw: Any, name: str) -> float:
+    """A finite JSON number, as a float.
 
-    json decodes a number to a float or an int, so this is the number check
-    for a value whose caller already found it is not a float: true (a bool,
-    not an int to ``type``), "97" and null fail. Testing ``type(x) is
-    float`` inline first keeps the check free for a float.
+    json decodes a number to a float or an int, and also accepts NaN and
+    ±Infinity: true (a bool, not an int to ``type``), "97", null, a
+    non-finite float and an integer too large for a float are rejected.
     """
-    if type(raw) is not int:
+    if type(raw) is int:
+        try:
+            raw = float(raw)
+        except OverflowError:
+            raise InvariantViolation(f"{name} is too large for a float") from None
+    elif type(raw) is not float:
         raise InvariantViolation(f"{name} must be a number, got {raw!r}")
-    return float(raw)
+    if not math.isfinite(raw):
+        raise InvariantViolation(f"{name} is not finite: {raw}")
+    return raw
 
 
-def _finite_or_none(raw: Any, name: str) -> float | None:
-    """Null, or a finite JSON number; false or "95" is rejected, not read as 0 or 95."""
-    if raw is None:
-        return None
-    value = raw if type(raw) is float else _int_as_float(raw, name)
-    if not math.isfinite(value):
-        raise InvariantViolation(f"{name} is not finite: {value}")
-    return value
+def _object(raw: Any, allowed: Any, where: str) -> dict[str, Any]:
+    """A JSON object whose every key is allowed; a misspelt key is rejected,
+    not read as an absent optional one.
+
+    ``allowed`` is a set of key names, or a closed enumeration (an Enum
+    class) for an object keyed by its values.
+    """
+    if type(raw) is not dict:
+        raise InvariantViolation(f"{where} must be a JSON object, got {raw!r}")
+    if isinstance(allowed, type):
+        for key in raw:
+            parse_enum(allowed, key)
+    elif not allowed.issuperset(raw):
+        raise InvariantViolation(f"unknown keys {sorted(raw.keys() - allowed)} in {where}")
+    return raw
 
 
 @dataclass(frozen=True)
@@ -428,14 +444,13 @@ class PatientContext:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "PatientContext":
         """Decode one record; as for an epoch row, an unknown key is rejected."""
-        patient_id = _integer(data["patient_id"], "patient_id")
-        if not _CONTEXT_KEYS.issuperset(data):
-            raise InvariantViolation(f"unknown keys {sorted(data.keys() - _CONTEXT_KEYS)}")
+        data = _object(data, _CONTEXT_KEYS, "patient context")
+        spo2, hr = data.get("baseline_spo2"), data.get("baseline_hr")
         return cls(
-            patient_id=patient_id,
+            patient_id=_integer(data["patient_id"], "patient_id"),
             copd_documented=_flag(data["copd_documented"], "copd_documented"),
-            baseline_spo2=_finite_or_none(data.get("baseline_spo2"), "baseline_spo2"),
-            baseline_hr=_finite_or_none(data.get("baseline_hr"), "baseline_hr"),
+            baseline_spo2=None if spo2 is None else _number(spo2, "baseline_spo2"),
+            baseline_hr=None if hr is None else _number(hr, "baseline_hr"),
             rate_limiting_medication=_flag(
                 data.get("rate_limiting_medication", False), "rate_limiting_medication"
             ),

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timedelta
 from enum import Enum
 from pathlib import Path
@@ -25,13 +25,14 @@ from .model import (
     AccelLevel,
     DeviceStatus,
     Epoch,
+    InvariantViolation,
     PatientContext,
     Position,
     SelfReportedActivity,
-    _finite_or_none,
     _flag,
-    _int_as_float,
     _integer,
+    _number,
+    _object,
     format_timestamp,
     parse_enum,
     validate_epoch,
@@ -121,8 +122,6 @@ _CATEGORICAL_FIELDS: dict[str, tuple[type | None, Any]] = {
     "probe_cover_present": (bool, False),
     "ambient_condition": (None, None),  # opaque string, carried only
 }
-_CONTEXT_FLAGS = ("copd_documented", "rate_limiting_medication")
-_CONTEXT_BASELINES = ("baseline_spo2", "baseline_hr")
 
 
 @dataclass(frozen=True)
@@ -143,13 +142,12 @@ class ContinuousSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ContinuousSpec":
-        """Four JSON numbers; true or "97.0" is rejected, not read as 1.0 or 97.0."""
-        mu, sigma, lower, upper = data["mu"], data["sigma"], data["lower"], data["upper"]
+        data = _object(data, {"mu", "sigma", "lower", "upper"}, "continuous spec")
         return cls(
-            mu=mu if type(mu) is float else _int_as_float(mu, "mu"),
-            sigma=sigma if type(sigma) is float else _int_as_float(sigma, "sigma"),
-            lower=lower if type(lower) is float else _int_as_float(lower, "lower"),
-            upper=upper if type(upper) is float else _int_as_float(upper, "upper"),
+            mu=_number(data["mu"], "mu"),
+            sigma=_number(data["sigma"], "sigma"),
+            lower=_number(data["lower"], "lower"),
+            upper=_number(data["upper"], "upper"),
         )
 
 
@@ -171,12 +169,13 @@ class CategoricalSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "CategoricalSpec":
-        if "choice" in data:
-            choices = data["choice"]
-            if not isinstance(choices, list) or not choices:
-                raise InvalidEntry(f"choice must be a non-empty array, got {choices!r}")
-            return cls(choices=tuple(choices))
-        return cls(fixed=data.get("fixed"))
+        data = _object(data, {"fixed", "choice"}, "categorical spec")
+        if "choice" not in data:
+            return cls(fixed=data.get("fixed"))
+        choices = data["choice"]
+        if not isinstance(choices, list) or not choices:
+            raise InvalidEntry(f"choice must be a non-empty array, got {choices!r}")
+        return cls(fixed=data.get("fixed"), choices=tuple(choices))
 
 
 _LEFT_OUT = CategoricalSpec()  # a field the entry leaves out: fixed null, the default
@@ -201,7 +200,10 @@ class TaxonomyEntry:
     The entry's draw plan is built once, here, with every categorical value
     parsed: the continuous specs and the choice sets, each in sorted field
     order (the order of the draws), and the value of every Epoch field that
-    is not drawn. A value that does not parse fails the entry.
+    is not drawn. ``context`` is a contexts.json record less its patient id,
+    decoded once here by that record's reader under a placeholder id, which
+    ``generate_case`` replaces with the case's. A value that does not parse
+    fails the entry.
     """
 
     case_id: str
@@ -219,6 +221,7 @@ class TaxonomyEntry:
         init=False, repr=False, compare=False
     )
     _fixed: Mapping[str, Any] = field(init=False, repr=False, compare=False)
+    _context: PatientContext = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.epoch_count <= 0:
@@ -229,15 +232,13 @@ class TaxonomyEntry:
         unknown = set(self.categorical_params) - set(_CATEGORICAL_FIELDS)
         if unknown:
             raise InvalidEntry(f"{self.case_id}: unknown categorical fields {sorted(unknown)}")
-        # Booleans must be JSON true/false: bool("false") would read as true.
-        # Baselines are copied into contexts.json as given, so each must be
-        # null or a finite number there, as the contexts reader requires.
         _flag(self.nocturnal, "nocturnal")
-        for name in _CONTEXT_FLAGS:
-            if name in self.context:
-                _flag(self.context[name], f"context {name}")
-        for name in _CONTEXT_BASELINES:
-            _finite_or_none(self.context.get(name), f"context {name}")
+        if "patient_id" in self.context:
+            raise InvalidEntry("context patient_id is assigned per case, not by the entry")
+        try:
+            context = PatientContext.from_dict({**self.context, "patient_id": 0})
+        except InvariantViolation as exc:
+            raise InvalidEntry(f"context {exc}") from None
 
         fixed = {
             name: default
@@ -254,6 +255,7 @@ class TaxonomyEntry:
         object.__setattr__(self, "_continuous", tuple(sorted(self.continuous_params.items())))
         object.__setattr__(self, "_choices", tuple(choices))
         object.__setattr__(self, "_fixed", fixed)
+        object.__setattr__(self, "_context", context)
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -280,6 +282,7 @@ class TaxonomyEntry:
         """
         name = data.get("case_id") if isinstance(data, Mapping) else data
         try:
+            data = _object(data, _ENTRY_KEYS, "entry")
             case_id = data["case_id"]
             if not isinstance(case_id, str):
                 raise InvalidEntry(f"case_id must be a string, got {case_id!r}")
@@ -293,7 +296,7 @@ class TaxonomyEntry:
                 categorical_params={
                     k: CategoricalSpec.from_dict(v) for k, v in data["categorical_params"].items()
                 },
-                context=dict(data["context"]),
+                context=data["context"],
                 nocturnal=data["nocturnal"],
                 expected_outcome_note=str(data.get("expected_outcome_note", "")),
             )
@@ -303,6 +306,9 @@ class TaxonomyEntry:
             ) from None
         except (AttributeError, TypeError, ValueError) as exc:
             raise TaxonomyInvariantViolation(f"taxonomy entry {name!r}: {exc}") from None
+
+
+_ENTRY_KEYS = frozenset(f.name for f in fields(TaxonomyEntry) if f.init)
 
 
 def default_taxonomy_path() -> Path:
@@ -340,12 +346,6 @@ def validate_taxonomy(entries: Sequence[TaxonomyEntry]) -> None:
         raise TaxonomyInvariantViolation(
             f"per-class case counts {by_class} != expected {EXPECTED_CLASS_COUNTS}"
         )
-    for entry in entries:
-        ctx = entry.context
-        if ctx.get("copd_documented") and ctx.get("baseline_spo2") is None:
-            raise TaxonomyInvariantViolation(
-                f"{entry.case_id}: documented COPD without baseline_spo2"
-            )
 
 
 def _substream(seed: int, label: str) -> np.random.Generator:
@@ -391,14 +391,7 @@ def generate_case(
     of the entry's draw plan.
     """
     rng = _substream(seed, f"case:{entry.case_id}")
-    context = PatientContext(
-        patient_id=patient_id,
-        copd_documented=bool(entry.context.get("copd_documented", False)),
-        baseline_spo2=entry.context.get("baseline_spo2"),
-        baseline_hr=entry.context.get("baseline_hr"),
-        rate_limiting_medication=bool(entry.context.get("rate_limiting_medication", False)),
-    )
-
+    context = replace(entry._context, patient_id=patient_id)
     continuous, choices, fixed = entry._continuous, entry._choices, entry._fixed
     epochs: list[Epoch] = []
     timestamp = start_time

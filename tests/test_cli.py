@@ -102,20 +102,37 @@ def test_evaluate_nan_vitals_exit_2(tmp_path, capsys):
     assert "epochs line 1: spo2" in capsys.readouterr().err
 
 
+# An integer literal too large for a float: float() of it raises OverflowError.
+HUGE = 10**400
+
+
 @pytest.mark.parametrize(
-    "field, value",
+    "field, value, message",
     [
-        ("spo2", None), ("spo2", "abc"), ("timestamp", 5), ("device_status", "broken"),
-        ("hr", True), ("spo2", False), ("spo2", "97.5"),
-        ("self_reported_activty", "resting"), ("notes", None),
+        ("spo2", None, "spo2 must be a number, got None"),
+        ("spo2", "abc", "spo2 must be a number, got 'abc'"),
+        ("timestamp", 5, "timestamp 5 is not a string"),
+        ("device_status", "broken", "DeviceStatus: 'broken' is not one of"),
+        ("hr", True, "hr must be a number, got True"),
+        ("spo2", False, "spo2 must be a number, got False"),
+        ("spo2", "97.5", "spo2 must be a number, got '97.5'"),
+        ("self_reported_activty", "resting", "unknown keys ['self_reported_activty']"),
+        ("notes", None, "unknown keys ['notes']"),
+        ("hr", float("nan"), "hr not a finite positive rate: nan"),
+        ("spo2", float("inf"), "spo2 outside [0, 100]: inf"),
+        ("spo2", HUGE, "spo2 is too large for a float"),
+        ("hr", HUGE, "hr is too large for a float"),
     ],
     ids=[
         "null_spo2", "text_spo2", "numeric_timestamp", "unknown_status",
         "boolean_hr", "boolean_spo2", "numeric_text_spo2",
         "misspelt_optional_key", "unknown_null_key",
+        "nan_hr", "infinite_spo2", "huge_integer_spo2", "huge_integer_hr",
     ],
 )
-def test_evaluate_malformed_epoch_exits_2_naming_the_line(tmp_path, capsys, field, value):
+def test_evaluate_malformed_epoch_exits_2_naming_the_line(
+    tmp_path, capsys, field, value, message
+):
     config = write_config(tmp_path)
     run(["--config", config, "generate"])
     epochs_path = tmp_path / "dataset" / "epochs.jsonl"
@@ -125,7 +142,7 @@ def test_evaluate_malformed_epoch_exits_2_naming_the_line(tmp_path, capsys, fiel
     lines[2] = json.dumps(row, separators=(",", ":"))
     epochs_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert run(["--config", config, "evaluate"]) == 2
-    assert "epochs line 3: " in capsys.readouterr().err
+    assert f"epochs line 3: {message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -163,10 +180,15 @@ def test_evaluate_malformed_epoch_line_exits_2_naming_the_line(tmp_path, capsys,
         ("baseline_spo2", "0", "baseline_spo2 must be a number, got '0'"),
         ("baseline_hr", "200", "baseline_hr must be a number, got '200'"),
         ("rate_limiting_medicaton", True, "unknown keys ['rate_limiting_medicaton']"),
+        ("copd_documented", None, "copd_documented must be true or false, got None"),
+        ("baseline_hr", float("nan"), "baseline_hr is not finite: nan"),
+        ("baseline_spo2", float("inf"), "baseline_spo2 is not finite: inf"),
+        ("baseline_hr", HUGE, "baseline_hr is too large for a float"),
     ],
     ids=[
         "string_boolean", "foreign_patient_id", "false_baseline_spo2", "true_baseline_spo2",
         "text_baseline_spo2", "text_baseline_hr", "misspelt_optional_key",
+        "null_flag", "nan_baseline_hr", "infinite_baseline_spo2", "huge_integer_baseline_hr",
     ],
 )
 def test_evaluate_malformed_context_exits_2(tmp_path, capsys, field, value, message):
@@ -283,10 +305,17 @@ _MISSING = object()
         (("failure_modes", "system_flag"), 7.5, "failure_modes.system_flag must be an integer"),
         (("overall", "tsr"), _MISSING, "overall.tsr must be a number, got None"),
         (("totals", "cases"), True, "totals.cases must be a number, got True"),
+        (("overall", "tsr"), float("nan"), "overall.tsr is not finite: nan"),
+        (("wilson_cis", "copd", "upper"), float("inf"), "wilson_cis.copd.upper is not finite"),
+        (("overall", "fer"), HUGE, "overall.fer is too large for a float"),
+        (("per_domain", "copd", "tsrr"), 1.0, "unknown keys ['tsrr'] in report payload"),
+        (("totalz",), {}, "unknown keys ['totalz'] in report payload"),
     ],
     ids=[
         "per_domain_row", "per_domain_rate", "wilson_bound", "wilson_class",
         "failure_count", "overall_field", "totals_field",
+        "nan_rate", "infinite_bound", "huge_integer_rate", "misspelt_row_key",
+        "misspelt_section",
     ],
 )
 def test_report_malformed_row_exits_2(tmp_path, capsys, path, value, message):
@@ -377,13 +406,67 @@ def _edited_taxonomy(tmp_path: Path, edit) -> tuple[Path, str]:
             "sigma must be a number, got True",
         ),
         (lambda e: e.update(case_id=12345), "case_id must be a string, got 12345"),
+        (
+            lambda e: e["continuous_params"]["spo2"].update(mu=None),
+            "mu must be a number, got None",
+        ),
+        (
+            lambda e: e["continuous_params"]["hr"].update(sigma=float("nan")),
+            "sigma is not finite: nan",
+        ),
+        (
+            lambda e: e["continuous_params"]["spo2"].update(sigma=float("inf")),
+            "sigma is not finite: inf",
+        ),
+        (
+            lambda e: e["continuous_params"]["hr"].update(upper=float("inf")),
+            "upper is not finite: inf",
+        ),
+        (
+            lambda e: e["continuous_params"]["spo2"].update(mu=HUGE),
+            "mu is too large for a float",
+        ),
+        (
+            lambda e: e["context"].update(baseline_hr=HUGE),
+            "context baseline_hr is too large for a float",
+        ),
+        (
+            lambda e: e["context"].update(baseline_spo2=float("nan")),
+            "context baseline_spo2 is not finite: nan",
+        ),
+        (lambda e: e.update(nocturnl=False), "unknown keys ['nocturnl'] in entry"),
+        (
+            lambda e: e["context"].update(copd_documentd=e["context"].pop("copd_documented")),
+            "context unknown keys ['copd_documentd']",
+        ),
+        (
+            lambda e: e["context"].update(patient_id=3847291),
+            "context patient_id is assigned per case",
+        ),
+        (
+            lambda e: e["categorical_params"]["position"].update(fixd="supine"),
+            "unknown keys ['fixd'] in categorical spec",
+        ),
+        (
+            lambda e: e["continuous_params"]["spo2"].update(sigm=1.0),
+            "unknown keys ['sigm'] in continuous spec",
+        ),
+        (
+            lambda e: e["categorical_params"].update(
+                position={"choice": ["supine", "lateral"], "fixed": "upright"}
+            ),
+            "categorical spec cannot be both fixed and a choice set",
+        ),
     ],
     ids=[
         "missing_epoch_count", "string_nocturnal", "string_context_flag",
         "numeric_context_flag", "string_probe_cover", "unknown_fixed_value",
         "string_choice", "empty_choice", "unknown_choice_value", "string_context_baseline",
         "fractional_epoch_count", "string_epoch_count", "string_mu", "boolean_sigma",
-        "numeric_case_id",
+        "numeric_case_id", "null_mu", "nan_sigma", "infinite_sigma", "infinite_upper",
+        "huge_integer_mu", "huge_integer_context_baseline", "nan_context_baseline",
+        "misspelt_entry_key", "misspelt_context_key", "context_patient_id",
+        "misspelt_categorical_key", "misspelt_continuous_key", "choice_and_fixed",
     ],
 )
 def test_generate_malformed_taxonomy_entry_exits_2(tmp_path, capsys, edit, message):
@@ -425,6 +508,19 @@ def test_seed_flag_beats_env_and_config(tmp_path, monkeypatch):
     run(["--config", config, "--seed", "99", "generate"])
     manifest = json.loads((tmp_path / "dataset" / "manifest.json").read_text())
     assert manifest["seed"] == 99
+
+
+@pytest.mark.parametrize(
+    "value", [" 7 ", "1_000", "\u0667", "abc", "", "-1", "7.0"],
+    ids=["padded", "underscored", "arabic_indic_digit", "text", "empty", "negative", "fraction"],
+)
+def test_malformed_seed_env_var_exits_2_naming_it(tmp_path, monkeypatch, capsys, value):
+    # int() takes " 7 ", "1_000" and non-ASCII digits; the seed is ASCII digits only.
+    monkeypatch.setenv("VERITAS_SEED", value)
+    config = write_config(tmp_path)
+    assert run(["--config", config, "generate"]) == 2
+    assert "config invalid: VERITAS_SEED must be ASCII digits" in capsys.readouterr().err
+    assert not (tmp_path / "dataset").exists()
 
 
 def test_generate_unwritable_output_exits_3(tmp_path, capsys):
@@ -498,13 +594,30 @@ def test_invalid_config_json_exits_2(tmp_path, capsys):
         {"meta": {"cooldown_window_minutes": 2.5}},
         {"meta": {"domain_weights": {"cardiology": 2.0}}},
         {"meta": {"domain_weights": {"copd": None}}},
+        {"sentinel": {"hr_high_threshold": True}},
+        {"specialists": {"high_confidence": float("nan")}},
+        {"sentinel": {"hr_low_threshold": float("-inf")}},
+        {"sentinel": {"spo2_low_threshold": HUGE}},
+        {"meta": {"domain_weights": {"copd": HUGE}}},
+        {"meta": {"cooldown_window_minutes": 10.0}},
+        {"seed": 42.0},
+        {"seed": "42"},
     ],
-    ids=["typo", "null", "string", "fractional_int", "unknown_domain", "null_weight"],
+    ids=[
+        "typo", "null", "string", "fractional_int", "unknown_domain", "null_weight",
+        "boolean", "nan", "negative_infinity", "huge_integer", "huge_integer_weight",
+        "integral_float_int", "integral_float_seed", "string_seed",
+    ],
 )
 def test_invalid_config_section_exits_2(tmp_path, capsys, section):
     config = write_config(tmp_path, **section)
     assert run(["--config", config, "generate"]) == 2
-    assert "config invalid" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config invalid" in err
+    key, value = next(iter(section.items()))
+    while isinstance(value, dict):  # the innermost key is named
+        key, value = next(iter(value.items()))
+    assert key in err
 
 
 def test_unknown_top_level_and_paths_keys_exit_2(tmp_path, capsys):
