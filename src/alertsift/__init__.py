@@ -21,7 +21,6 @@ from .model import (
     TaggedValue,
     Verdict,
     VeritasRecord,
-    validate_epoch,
 )
 from .routing import RoutingDecision, route
 from .sentinel import SentinelConfig, detect
@@ -68,7 +67,6 @@ __all__ = [
     "resolve",
     "route",
     "sample_truncated_gaussian",
-    "validate_epoch",
     "wilson_interval",
     "__version__",
 ]

@@ -150,8 +150,8 @@ def cmd_generate(cfg: PipelineConfig) -> int:
     try:
         dataset = generate_dataset(taxonomy, cfg.seed)
     except ValueError as exc:
-        # An entry whose parameters can draw an epoch outside the dataset's
-        # bounds is found only when that epoch is drawn.
+        # A catalogue longer than the patient id range, or a case too long
+        # for the data window from its drawn start, fails only here.
         print(f"error: generation failed: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:

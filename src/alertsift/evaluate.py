@@ -47,6 +47,7 @@ __all__ = [
     "DuplicateEpoch",
     "EmptyDecisions",
     "EvaluationReport",
+    "GOLDEN_EPOCHS",
     "GOLDEN_FAILURE_MODES",
     "GOLDEN_OVERALL",
     "GOLDEN_PER_DOMAIN",
@@ -258,7 +259,7 @@ def _run_case(
             failure_status = epoch.device_status
     # A case whose epochs never alert has nothing to suppress or escalate;
     # no alert reached anyone, which is the suppression goal trivially met.
-    # Unreachable on the shipped catalogue, where every epoch alerts.
+    # Only a user catalogue has such a case: every shipped epoch alerts.
     outcome = (
         aggregate_case(decisions) if decisions else OutcomeKind.TRUE_SUPPRESSION
     )
@@ -355,7 +356,10 @@ def evaluate(
     )
 
 
-# Expected metrics for the shipped catalogue under default configuration.
+# Expected metrics for the shipped catalogue under default configuration,
+# with its shape, which nothing else checks: 98 cases (the per-class n
+# column) and 530 epochs.
+GOLDEN_EPOCHS = 530
 GOLDEN_OVERALL = {"ts_count": 82, "fe_count": 16, "ind_count": 0}
 GOLDEN_PER_DOMAIN = {
     DomainClass.PROBE_INTEGRITY: (23, 23, 0),
@@ -381,6 +385,8 @@ GOLDEN_FAILURE_MODES = {
 def check_golden(report: EvaluationReport) -> list[str]:
     """Compare a report to the golden expectations; returns mismatches."""
     problems: list[str] = []
+    if report.epochs != GOLDEN_EPOCHS:
+        problems.append(f"epochs {report.epochs} != {GOLDEN_EPOCHS}")
     overall = {
         "ts_count": report.ts_count,
         "fe_count": report.fe_count,

@@ -41,16 +41,12 @@ __all__ = [
     "COMPACT_JSON",
     "DEVICE_STREAM_FIELDS",
     "DOMAIN_ORDER",
-    "HR_BOUNDS",
     "PATIENT_ID_RANGE",
-    "SPO2_BOUNDS",
-    "DATA_WINDOW",
     "format_timestamp",
     "parse_enum",
     "parse_timestamp",
     "read_contexts_json",
     "read_epochs_jsonl",
-    "validate_epoch",
     "write_contexts_json",
     "write_epochs_jsonl",
 ]
@@ -184,15 +180,9 @@ def parse_enum(cls: type, raw: Any) -> Any:
         ) from None
 
 
-# Physiological clamps for generated data; wide enough to admit every
-# device-failure value that occurs in the scenario catalogue.
-SPO2_BOUNDS = (70.0, 100.0)
-HR_BOUNDS = (25.0, 220.0)
+# The patient ids a generated dataset assigns, one per case in catalogue
+# order; evaluation attributes patients to cases by the same rule.
 PATIENT_ID_RANGE = (3847291, 3847388)
-DATA_WINDOW = (
-    datetime(2022, 6, 1, tzinfo=timezone.utc),
-    datetime(2022, 9, 1, tzinfo=timezone.utc),
-)
 
 # Epoch fields whose provenance must be device_verified after assembly.
 DEVICE_STREAM_FIELDS = ("spo2", "hr", "accel_level", "device_status")
@@ -302,10 +292,10 @@ class Epoch:
     def from_dict(cls, data: Mapping[str, Any]) -> "Epoch":
         """Decode one dataset row, rejecting vitals no device can report.
 
-        Only physical bounds are checked here, not the catalogue's ranges
-        (see ``validate_epoch``). A float vital skips ``_number``: NaN fails
-        every comparison, so the chained bounds below reject it along with
-        the infinities.
+        Only physical bounds are checked here; the generator's narrower
+        ranges hold its specs when a catalogue loads. A float vital skips
+        ``_number``: NaN fails every comparison, so the chained bounds below
+        reject it along with the infinities.
         """
         data = _object(data, _EPOCH_KEYS, "epoch row")
         spo2, hr = data["spo2"], data["hr"]
@@ -332,32 +322,6 @@ class Epoch:
             ),
             ambient_condition=data.get("ambient_condition"),
         )
-
-
-def validate_epoch(epoch: Epoch) -> list[str]:
-    """Check every epoch invariant; returns a list of violations (empty = ok).
-
-    Violations name the field and the bound so callers can report precisely.
-    """
-    violations: list[str] = []
-    lo, hi = SPO2_BOUNDS
-    if not lo <= epoch.spo2 <= hi:
-        violations.append(f"spo2 out of [{lo:g},{hi:g}]: {epoch.spo2}")
-    lo, hi = HR_BOUNDS
-    if not lo <= epoch.hr <= hi:
-        violations.append(f"hr out of [{lo:g},{hi:g}]: {epoch.hr}")
-    lo_id, hi_id = PATIENT_ID_RANGE
-    if not lo_id <= epoch.patient_id <= hi_id:
-        violations.append(f"patient_id out of [{lo_id},{hi_id}]: {epoch.patient_id}")
-    start, end = DATA_WINDOW
-    if not start <= epoch.timestamp < end:
-        violations.append(
-            f"timestamp out of [{format_timestamp(start)},{format_timestamp(end)}): "
-            f"{format_timestamp(epoch.timestamp)}"
-        )
-    if epoch.timestamp.second or epoch.timestamp.microsecond:
-        violations.append("timestamp not minute-resolution")
-    return violations
 
 
 # The field readers every input file goes through: epoch rows, context

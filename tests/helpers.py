@@ -30,6 +30,7 @@ from alertsift.model import (
 )
 from alertsift.routing import ARTEFACT_STATUSES, RoutingDecision, route
 from alertsift.sentinel import SentinelConfig, detect
+from alertsift.synthgen import CategoricalSpec, ContinuousSpec, DomainClass, TaxonomyEntry
 
 DAYTIME = datetime(2022, 6, 15, 14, 0, tzinfo=timezone.utc)
 NIGHT = datetime(2022, 6, 15, 2, 30, tzinfo=timezone.utc)
@@ -126,3 +127,34 @@ def routed_via_last_resort(alert: CandidateAlert, decision: RoutingDecision) -> 
     status = view.value("device_status")
     earned = AlertType.SIGNAL_QUALITY in alert.alert_types and status in ARTEFACT_STATUSES
     return not earned
+
+
+def make_entry(**overrides) -> TaxonomyEntry:
+    """A six-epoch daytime COPD entry; keyword arguments replace its fields."""
+    base = dict(
+        case_id="TOY-001",
+        domain_class=DomainClass.COPD,
+        epoch_count=6,
+        continuous_params={
+            "spo2": ContinuousSpec(88.0, 0.5, 86.0, 90.0),
+            "hr": ContinuousSpec(74.0, 4.0, 58.0, 92.0),
+        },
+        categorical_params={
+            "accel_level": CategoricalSpec(fixed="still"),
+            "device_status": CategoricalSpec(fixed="ok"),
+            "position": CategoricalSpec(choices=("supine", "lateral")),
+            "self_reported_activity": CategoricalSpec(fixed=None),
+            "probe_cover_present": CategoricalSpec(fixed=False),
+            "ambient_condition": CategoricalSpec(fixed=None),
+        },
+        context={
+            "copd_documented": True,
+            "baseline_spo2": 89.0,
+            "baseline_hr": None,
+            "rate_limiting_medication": False,
+        },
+        nocturnal=False,
+        expected_outcome_note="toy",
+    )
+    base.update(overrides)
+    return TaxonomyEntry(**base)

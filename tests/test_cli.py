@@ -341,13 +341,17 @@ def test_report_malformed_row_exits_2(tmp_path, capsys, path, value, message):
     assert message in capsys.readouterr().err
 
 
+def _shipped_entries() -> list:
+    return json.loads(default_taxonomy_path().read_text(encoding="utf-8"))
+
+
 def _edited_taxonomy(tmp_path: Path, edit) -> tuple[Path, str]:
     """A copy of the catalogue with one entry edited; returns it and the case id.
 
     The entry has a baseline SpO2 but no COPD, so a flag misread as true
     still passes the catalogue checks and would generate a COPD patient.
     """
-    entries = json.loads(default_taxonomy_path().read_text(encoding="utf-8"))
+    entries = _shipped_entries()
     entry = next(
         e for e in entries
         if e["context"]["baseline_spo2"] is not None and not e["context"]["copd_documented"]
@@ -457,6 +461,41 @@ def _edited_taxonomy(tmp_path: Path, edit) -> tuple[Path, str]:
             ),
             "categorical spec cannot be both fixed and a choice set",
         ),
+        (
+            lambda e: e.update(continuous_params=[]),
+            "continuous_params must be a JSON object, got []",
+        ),
+        (
+            lambda e: e.update(categorical_params="x"),
+            "categorical_params must be a JSON object, got 'x'",
+        ),
+        (lambda e: e.update(epoch_count=0), "epoch_count must be positive"),
+        (
+            lambda e: e["continuous_params"].update(
+                temp={"mu": 37.0, "sigma": 0.1, "lower": 36.0, "upper": 38.0}
+            ),
+            "unknown keys ['temp'] in continuous_params",
+        ),
+        (
+            # No draw from N(90, 0.5) reaches 100: the spec is rejected for
+            # its bound, not for a value drawn.
+            lambda e: e["continuous_params"].update(
+                spo2={"mu": 90, "sigma": 0.5, "lower": 85, "upper": 101}
+            ),
+            "spo2 spec [85, 101] outside [70, 100]",
+        ),
+        (
+            lambda e: e["continuous_params"].update(
+                hr={"mu": 70, "sigma": 0.5, "lower": 24, "upper": 90}
+            ),
+            "hr spec [24, 90] outside [25, 220]",
+        ),
+        (
+            lambda e: e["continuous_params"].update(
+                spo2={"mu": 90, "sigma": 1, "lower": 90, "upper": 90}
+            ),
+            "lower 90 must be below upper 90",
+        ),
     ],
     ids=[
         "missing_epoch_count", "string_nocturnal", "string_context_flag",
@@ -467,6 +506,9 @@ def _edited_taxonomy(tmp_path: Path, edit) -> tuple[Path, str]:
         "huge_integer_mu", "huge_integer_context_baseline", "nan_context_baseline",
         "misspelt_entry_key", "misspelt_context_key", "context_patient_id",
         "misspelt_categorical_key", "misspelt_continuous_key", "choice_and_fixed",
+        "list_continuous_params", "string_categorical_params", "zero_epoch_count",
+        "unknown_continuous_field", "spo2_upper_past_100", "hr_lower_below_25",
+        "empty_spec_interval",
     ],
 )
 def test_generate_malformed_taxonomy_entry_exits_2(tmp_path, capsys, edit, message):
@@ -476,12 +518,15 @@ def test_generate_malformed_taxonomy_entry_exits_2(tmp_path, capsys, edit, messa
     config = write_config(tmp_path, taxonomy=str(taxonomy))
     assert run(["--config", config, "generate"]) == 2
     err = capsys.readouterr().err
-    assert f"taxonomy entry {case_id!r}: {message}" in err
+    assert f"taxonomy validation failed: taxonomy entry {case_id!r}: {message}" in err
+    if isinstance(case_id, str):  # a numeric case_id is also the value rejected
+        assert err.count(case_id) == 1
     assert not (tmp_path / "dataset").exists()
 
 
 def test_generate_out_of_bounds_draw_exits_2(tmp_path, capsys):
-    # The entry parses, but its every SpO2 draw is below the dataset's floor.
+    # Every SpO2 draw of this spec would be below the dataset's floor; the
+    # spec's bounds are checked when the catalogue loads, before any draw.
     spo2 = {"mu": 50, "sigma": 1, "lower": 40, "upper": 60}
     taxonomy, case_id = _edited_taxonomy(
         tmp_path, lambda e: e["continuous_params"].update(spo2=spo2)
@@ -489,9 +534,107 @@ def test_generate_out_of_bounds_draw_exits_2(tmp_path, capsys):
     config = write_config(tmp_path, taxonomy=str(taxonomy))
     assert run(["--config", config, "generate"]) == 2
     err = capsys.readouterr().err
-    assert f"generation failed: {case_id}: generated invalid epoch" in err
-    assert "spo2 out of [70,100]" in err
+    assert (
+        f"taxonomy validation failed: taxonomy entry {case_id!r}: "
+        "spo2 spec [40, 60] outside [70, 100]"
+    ) in err
     assert not (tmp_path / "dataset").exists()
+
+
+# A user catalogue may have any shape up to one entry per patient id; only
+# --golden-check holds a run to the shipped catalogue's 98 cases, 530
+# epochs, nine class rows and six failure modes.
+
+
+def _catalogue_config(tmp_path: Path, entries: list) -> Path:
+    """A config whose taxonomy is ``entries``, written as a user catalogue."""
+    tmp_path.mkdir(parents=True, exist_ok=True)
+    path = tmp_path / "taxonomy.json"
+    path.write_text(json.dumps(entries), encoding="utf-8")
+    return write_config(tmp_path, taxonomy=str(path))
+
+
+def test_user_catalogue_of_ten_entries_runs_and_fails_the_golden_check(tmp_path, capsys):
+    entries = _shipped_entries()[:10]
+    epochs = sum(e["epoch_count"] for e in entries)
+    config = _catalogue_config(tmp_path, entries)
+    assert run(["--config", config, "generate"]) == 0
+    assert f"10 cases, {epochs} epochs\n" in capsys.readouterr().out
+    assert run(["--config", config, "evaluate"]) == 0
+    assert f"10 cases, {epochs} epochs evaluated" in capsys.readouterr().out
+    assert run(["--config", config, "evaluate", "--golden-check"]) == 4
+    err = capsys.readouterr().err
+    assert f"golden mismatch: epochs {epochs} != 530" in err
+    assert "golden mismatch: overall" in err
+
+
+def test_golden_check_rejects_an_extra_epoch(tmp_path, capsys):
+    # 98 cases with the shipped outcomes, class rows and failure modes: only
+    # the epoch total tells this catalogue from the shipped one.
+    entries = _shipped_entries()
+    entries[0]["epoch_count"] += 1
+    config = _catalogue_config(tmp_path, entries)
+    assert run(["--config", config, "generate"]) == 0
+    assert run(["--config", config, "evaluate", "--golden-check"]) == 4
+    captured = capsys.readouterr()
+    assert "TSR 83.7% FER 16.3% INDR 0.0%" in captured.out
+    assert captured.err.splitlines() == ["golden mismatch: epochs 531 != 530"]
+
+
+def _duplicate_case_id(entries: list) -> None:
+    entries[1]["case_id"] = entries[0]["case_id"]
+
+
+def _ninety_nine_entries(entries: list) -> None:
+    entries.append({**entries[0], "case_id": "FP-099"})
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (list.clear, "taxonomy validation failed: taxonomy holds no entries"),
+        (_duplicate_case_id, "taxonomy validation failed: duplicate case_id 'FP-001'"),
+        (
+            _ninety_nine_entries,
+            "generation failed: FP-099: patient_id 3847389 outside [3847291, 3847388]",
+        ),
+    ],
+    ids=["empty", "duplicate_case_id", "ninety_nine_entries"],
+)
+def test_catalogue_breaking_a_generic_rule_exits_2(tmp_path, capsys, edit, message):
+    entries = _shipped_entries()
+    edit(entries)
+    config = _catalogue_config(tmp_path, entries)
+    assert run(["--config", config, "generate"]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "dataset").exists()
+
+
+def test_quiet_case_is_a_true_suppression_with_no_decision_line(tmp_path, capsys):
+    # Every value inside the screens, every categorical field left out (so
+    # device status ok): the case never alerts.
+    quiet = {
+        "case_id": "QUIET-001",
+        "domain_class": "probe_integrity",
+        "epoch_count": 30,
+        "continuous_params": {
+            "spo2": {"mu": 97.5, "sigma": 0.8, "lower": 95.5, "upper": 99.5},
+            "hr": {"mu": 72.0, "sigma": 5.0, "lower": 60.0, "upper": 90.0},
+        },
+        "categorical_params": {},
+        "context": {"copd_documented": False},
+        "nocturnal": False,
+    }
+    alerting = _shipped_entries()[0]
+    config = _catalogue_config(tmp_path, [quiet, alerting])
+    assert run(["--config", config, "generate"]) == 0
+    assert run(["--config", config, "evaluate"]) == 0
+    report = json.loads((tmp_path / "report" / "report.json").read_text(encoding="utf-8"))
+    assert report["overall"]["ts_count"] == report["totals"]["cases"] == 2
+    assert report["per_domain"]["probe_integrity"]["ts"] == 2
+    lines = (tmp_path / "report" / "decisions.jsonl").read_text(encoding="utf-8").splitlines()
+    assert len(lines) == alerting["epoch_count"]
+    assert {json.loads(line)["case_id"] for line in lines} == {alerting["case_id"]}
 
 
 def test_seed_env_var_overrides_config(tmp_path, monkeypatch):

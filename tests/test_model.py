@@ -31,37 +31,40 @@ from alertsift.model import (
     format_timestamp,
     parse_enum,
     parse_timestamp,
-    validate_epoch,
 )
 from alertsift.evaluate import OutcomeKind
-from alertsift.synthgen import DomainClass
-from helpers import DAYTIME, make_context, make_epoch, make_record
+from alertsift.synthgen import ContinuousSpec, DomainClass, generate_case
+from helpers import DAYTIME, make_context, make_entry, make_epoch, make_record
+
+
+# An epoch's vitals are bounded by the spec they are drawn from, and that
+# spec is checked against 70-100 (SpO2) and 25-220 (HR) when its entry is
+# built; a draw is clamped to the spec.
 
 
 def test_validate_epoch_nominal_marginal_values_ok():
-    epoch = make_epoch(spo2=93.5, hr=101.8)
-    assert validate_epoch(epoch) == []
+    marginal = {
+        "spo2": ContinuousSpec(93.5, 0.1, 93.0, 94.0),
+        "hr": ContinuousSpec(101.8, 0.1, 101.0, 102.0),
+    }
+    entry = make_entry(continuous_params=marginal)
+    assert entry.continuous_params == marginal
+    epochs, _ = generate_case(entry, 3847291, DAYTIME, seed=42)
+    assert all(93.0 <= e.spo2 <= 94.0 and 101.0 <= e.hr <= 102.0 for e in epochs)
 
 
 def test_validate_epoch_boundaries_inclusive():
-    assert validate_epoch(make_epoch(spo2=100.0, hr=60.0)) == []
-    assert validate_epoch(make_epoch(spo2=70.0, hr=25.0)) == []
-    assert validate_epoch(make_epoch(spo2=100.0, hr=220.0)) == []
-
-
-def test_validate_epoch_spo2_out_of_range():
-    violations = validate_epoch(make_epoch(spo2=105.0))
-    assert any("spo2 out of [70,100]" in v for v in violations)
-
-
-def test_validate_epoch_hr_and_patient_and_window():
-    violations = validate_epoch(
-        make_epoch(hr=10.0, patient_id=1, ts=datetime(2023, 1, 1, tzinfo=timezone.utc))
+    # The spec bounds may reach both edges of each range, and the draws
+    # reach both edges but never pass them.
+    edges = {
+        "spo2": ContinuousSpec(85.0, 50.0, 70.0, 100.0),
+        "hr": ContinuousSpec(120.0, 200.0, 25.0, 220.0),
+    }
+    epochs, _ = generate_case(
+        make_entry(epoch_count=1000, continuous_params=edges), 3847291, DAYTIME, seed=42
     )
-    joined = "\n".join(violations)
-    assert "hr out of [25,220]" in joined
-    assert "patient_id out of" in joined
-    assert "timestamp out of" in joined
+    assert (min(e.spo2 for e in epochs), max(e.spo2 for e in epochs)) == (70.0, 100.0)
+    assert (min(e.hr for e in epochs), max(e.hr for e in epochs)) == (25.0, 220.0)
 
 
 def test_timestamp_minute_resolution_enforced():

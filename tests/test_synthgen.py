@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from alertsift import synthgen
+from alertsift.evaluate import GOLDEN_EPOCHS, GOLDEN_PER_DOMAIN
 from alertsift.model import (
     AccelLevel,
     DeviceStatus,
@@ -18,14 +19,14 @@ from alertsift.model import (
     PatientContext,
     Position,
     SelfReportedActivity,
-    validate_epoch,
+    PATIENT_ID_RANGE,
 )
 from alertsift.routing import in_nocturnal_window
 from alertsift.synthgen import (
     CategoricalSpec,
     ContinuousSpec,
+    DATA_WINDOW,
     DomainClass,
-    EXPECTED_CLASS_COUNTS,
     InvalidBounds,
     InvalidEntry,
     TaxonomyEntry,
@@ -37,6 +38,7 @@ from alertsift.synthgen import (
     sample_truncated_gaussian,
     validate_taxonomy,
 )
+from helpers import make_entry
 
 
 def truncated_normal_mean(mu, sigma, a, b):
@@ -83,41 +85,11 @@ def test_truncated_gaussian_invalid_bounds():
         sample_truncated_gaussian(90.0, 0.0, 80.0, 95.0, rng)
 
 
-def _toy_entry(**overrides):
-    base = dict(
-        case_id="TOY-001",
-        domain_class=DomainClass.COPD,
-        epoch_count=6,
-        continuous_params={
-            "spo2": ContinuousSpec(88.0, 0.5, 86.0, 90.0),
-            "hr": ContinuousSpec(74.0, 4.0, 58.0, 92.0),
-        },
-        categorical_params={
-            "accel_level": CategoricalSpec(fixed="still"),
-            "device_status": CategoricalSpec(fixed="ok"),
-            "position": CategoricalSpec(choices=("supine", "lateral")),
-            "self_reported_activity": CategoricalSpec(fixed=None),
-            "probe_cover_present": CategoricalSpec(fixed=False),
-            "ambient_condition": CategoricalSpec(fixed=None),
-        },
-        context={
-            "copd_documented": True,
-            "baseline_spo2": 89.0,
-            "baseline_hr": None,
-            "rate_limiting_medication": False,
-        },
-        nocturnal=False,
-        expected_outcome_note="toy",
-    )
-    base.update(overrides)
-    return TaxonomyEntry(**base)
-
-
 START = datetime(2022, 7, 1, 12, 0, tzinfo=timezone.utc)
 
 
 def test_generate_case_deterministic():
-    entry = _toy_entry()
+    entry = make_entry()
     a_epochs, a_ctx = generate_case(entry, 3847291, START, seed=42)
     b_epochs, b_ctx = generate_case(entry, 3847291, START, seed=42)
     assert a_epochs == b_epochs
@@ -127,7 +99,7 @@ def test_generate_case_deterministic():
 
 
 def test_generate_case_respects_bounds_after_noise():
-    entry = _toy_entry(epoch_count=400)
+    entry = make_entry(epoch_count=400)
     epochs, _ = generate_case(entry, 3847291, START, seed=42)
     assert all(86.0 <= e.spo2 <= 90.0 for e in epochs)
     assert all(58.0 <= e.hr <= 92.0 for e in epochs)
@@ -136,13 +108,13 @@ def test_generate_case_respects_bounds_after_noise():
 
 
 def test_generate_case_timestamps_consecutive_minutes():
-    epochs, _ = generate_case(_toy_entry(), 3847291, START, seed=42)
+    epochs, _ = generate_case(make_entry(), 3847291, START, seed=42)
     for i, epoch in enumerate(epochs):
         assert (epoch.timestamp - START).total_seconds() == 60 * i
 
 
 def test_uniform_choice_frequencies():
-    entry = _toy_entry(epoch_count=10_000)
+    entry = make_entry(epoch_count=10_000)
     epochs, _ = generate_case(entry, 3847291, START, seed=42)
     counts = Counter(e.position for e in epochs)
     for member in (Position.SUPINE, Position.LATERAL):
@@ -151,11 +123,13 @@ def test_uniform_choice_frequencies():
 
 
 def test_shipped_taxonomy_shape():
+    # The golden check holds the catalogue's shape: its n column is the
+    # class counts, and GOLDEN_EPOCHS the epoch total.
     entries = load_taxonomy(default_taxonomy_path())
     assert len(entries) == 98
-    assert sum(e.epoch_count for e in entries) == 530
+    assert sum(e.epoch_count for e in entries) == GOLDEN_EPOCHS == 530
     by_class = Counter(e.domain_class for e in entries)
-    assert dict(by_class) == EXPECTED_CLASS_COUNTS
+    assert dict(by_class) == {cls: n for cls, (n, _, _) in GOLDEN_PER_DOMAIN.items()}
 
 
 def test_shipped_taxonomy_encodes_documented_failure_scenarios():
@@ -201,26 +175,53 @@ def test_shipped_taxonomy_encodes_documented_failure_scenarios():
 
 
 def test_validate_taxonomy_rejects_wrong_count():
+    # The one count a catalogue can get wrong is none at all; any other size
+    # loads, and only the golden check compares it with the shipped 98.
     entries = load_taxonomy(default_taxonomy_path())
-    with pytest.raises(TaxonomyInvariantViolation):
-        validate_taxonomy(entries[:97])
+    with pytest.raises(TaxonomyInvariantViolation, match="taxonomy holds no entries"):
+        validate_taxonomy([])
+    for size in (1, 10, 97, 98):
+        validate_taxonomy(entries[:size])
+    with pytest.raises(TaxonomyInvariantViolation, match="duplicate case_id 'FP-001'"):
+        validate_taxonomy([*entries[:3], entries[0]])
 
 
-def test_validate_taxonomy_rejects_bad_epoch_total():
-    entries = list(load_taxonomy(default_taxonomy_path()))
-    first = entries[0]
-    entries[0] = TaxonomyEntry(
-        case_id=first.case_id,
-        domain_class=first.domain_class,
-        epoch_count=first.epoch_count + 1,
-        continuous_params=first.continuous_params,
-        categorical_params=first.categorical_params,
-        context=first.context,
-        nocturnal=first.nocturnal,
-        expected_outcome_note=first.expected_outcome_note,
-    )
-    with pytest.raises(TaxonomyInvariantViolation):
-        validate_taxonomy(entries)
+@pytest.mark.parametrize(
+    "name, bounds, message",
+    [
+        ("spo2", (69.99, 90.0), "spo2 spec [69.99, 90] outside [70, 100]"),
+        ("spo2", (85.0, 100.01), "spo2 spec [85, 100.01] outside [70, 100]"),
+        ("hr", (24.99, 90.0), "hr spec [24.99, 90] outside [25, 220]"),
+        ("hr", (60.0, 220.01), "hr spec [60, 220.01] outside [25, 220]"),
+    ],
+    ids=["spo2_below_70", "spo2_above_100", "hr_below_25", "hr_above_220"],
+)
+def test_vital_spec_past_the_range_edges_is_rejected(name, bounds, message):
+    # Checked when the entry is built, even when no draw could reach past
+    # the edge: the mu here sits far inside the range.
+    lower, upper = bounds
+    params = {name: ContinuousSpec((lower + upper) / 2, 0.1, lower, upper)}
+    with pytest.raises(InvalidEntry) as caught:
+        make_entry(continuous_params=params)
+    assert str(caught.value) == message
+
+
+def test_generate_case_rejects_a_case_outside_the_dataset_bounds():
+    entry = make_entry()  # six epochs
+    low, high = PATIENT_ID_RANGE
+    for pid in (low - 1, high + 1):
+        with pytest.raises(InvalidEntry, match=f"TOY-001: patient_id {pid} outside"):
+            generate_case(entry, pid, START, seed=42)
+    with pytest.raises(InvalidEntry, match="TOY-001: start .* is not minute-resolution"):
+        generate_case(entry, low, START.replace(second=30), seed=42)
+    start, end = DATA_WINDOW
+    for first in (start - timedelta(minutes=1), end - timedelta(minutes=5)):
+        with pytest.raises(InvalidEntry, match="TOY-001: epochs .* leave the data window"):
+            generate_case(entry, low, first, seed=42)
+    # The first and the last minute of the window are inside it.
+    for first in (start, end - timedelta(minutes=6)):
+        epochs, _ = generate_case(entry, high, first, seed=42)
+        assert start <= epochs[0].timestamp and epochs[-1].timestamp < end
 
 
 def test_generate_dataset_counts_and_patients():
@@ -234,11 +235,18 @@ def test_generate_dataset_counts_and_patients():
 
 
 def test_generate_dataset_every_epoch_validates():
+    # Every epoch inside the dataset bounds, checked epoch by epoch.
     entries = load_taxonomy(default_taxonomy_path())
-    dataset = generate_dataset(entries, seed=42)
-    for case in dataset.cases:
-        for epoch in case.epochs:
-            assert validate_epoch(epoch) == []
+    low, high = PATIENT_ID_RANGE
+    start, end = DATA_WINDOW
+    for seed in range(20):
+        for case in generate_dataset(entries, seed=seed).cases:
+            for epoch in case.epochs:
+                assert 70.0 <= epoch.spo2 <= 100.0, (seed, epoch)
+                assert 25.0 <= epoch.hr <= 220.0, (seed, epoch)
+                assert low <= epoch.patient_id <= high, (seed, epoch)
+                assert start <= epoch.timestamp < end, (seed, epoch)
+                assert epoch.timestamp.second == epoch.timestamp.microsecond == 0
 
 
 def test_generate_dataset_nocturnal_scheduling():
@@ -263,8 +271,8 @@ def test_generate_dataset_same_seed_same_manifest():
 
 def test_case_substreams_independent_of_reordering():
     # moving a case within the catalogue does not change its epochs
-    entry_a = _toy_entry(case_id="TOY-A")
-    entry_b = _toy_entry(case_id="TOY-B")
+    entry_a = make_entry(case_id="TOY-A")
+    entry_b = make_entry(case_id="TOY-B")
     epochs_first, _ = generate_case(entry_a, 3847291, START, seed=42)
     _ = generate_case(entry_b, 3847292, START, seed=42)
     epochs_again, _ = generate_case(entry_a, 3847291, START, seed=42)
@@ -273,23 +281,23 @@ def test_case_substreams_independent_of_reordering():
 
 def test_invalid_entry_rejected():
     with pytest.raises(InvalidEntry):
-        _toy_entry(epoch_count=0)
+        make_entry(epoch_count=0)
     with pytest.raises(InvalidEntry):
-        _toy_entry(
+        make_entry(
             continuous_params={
                 "spo2": ContinuousSpec(95.0, 0.5, 86.0, 90.0),  # mu outside bounds
                 "hr": ContinuousSpec(74.0, 4.0, 58.0, 92.0),
             }
         )
     with pytest.raises(InvalidEntry):
-        _toy_entry(continuous_params={"temperature": ContinuousSpec(37.0, 0.1, 36.0, 38.0)})
+        make_entry(continuous_params={"temperature": ContinuousSpec(37.0, 0.1, 36.0, 38.0)})
     # Categorical values are parsed when the entry is built, not when drawn.
     with pytest.raises(ValueError, match="'sprinting' is not one of"):
-        _toy_entry(categorical_params={"accel_level": CategoricalSpec(fixed="sprinting")})
+        make_entry(categorical_params={"accel_level": CategoricalSpec(fixed="sprinting")})
     with pytest.raises(ValueError, match="'sideways' is not one of"):
-        _toy_entry(categorical_params={"position": CategoricalSpec(choices=("supine", "sideways"))})
+        make_entry(categorical_params={"position": CategoricalSpec(choices=("supine", "sideways"))})
     with pytest.raises(ValueError, match="probe_cover_present must be true or false"):
-        _toy_entry(categorical_params={"probe_cover_present": CategoricalSpec(choices=(False, 0))})
+        make_entry(categorical_params={"probe_cover_present": CategoricalSpec(choices=(False, 0))})
     for bad in ("supine", [], None):
         with pytest.raises(InvalidEntry, match="choice must be a non-empty array"):
             CategoricalSpec.from_dict({"choice": bad})
@@ -345,7 +353,7 @@ def _reference_generate_case(entry, patient_id, start_time, seed):
 
 
 def test_generate_case_matches_reference_loop():
-    quiet = _toy_entry(
+    quiet = make_entry(
         case_id="QUIET-001",
         epoch_count=300,
         continuous_params={
@@ -362,13 +370,13 @@ def test_generate_case_matches_reference_loop():
         },
     )
     # Fields the entry leaves out take their defaults.
-    sparse = _toy_entry(
+    sparse = make_entry(
         case_id="SPARSE-001",
         continuous_params={"hr": ContinuousSpec(74.0, 4.0, 58.0, 92.0)},
         categorical_params={"position": CategoricalSpec(choices=("supine", "lateral"))},
         context={"copd_documented": False},
     )
-    entries = [*load_taxonomy(default_taxonomy_path()), quiet, sparse, _toy_entry()]
+    entries = [*load_taxonomy(default_taxonomy_path()), quiet, sparse, make_entry()]
     for seed in (1, 42, 20220601):
         for entry in entries:
             expected = _reference_generate_case(entry, 3847291, START, seed)
