@@ -42,6 +42,7 @@ __all__ = [
     "DEVICE_STREAM_FIELDS",
     "DOMAIN_ORDER",
     "PATIENT_ID_RANGE",
+    "epoch_line",
     "format_timestamp",
     "parse_enum",
     "parse_timestamp",
@@ -56,8 +57,10 @@ import math
 
 # One encoder per output format, built once: json.dumps with a non-default
 # argument builds a new JSONEncoder on every call. COMPACT_JSON writes the
-# dataset and decision-log lines; CANONICAL_JSON (sorted keys) the per-case
-# digests.
+# decision-log lines and CANONICAL_JSON (sorted keys) the context line of a
+# case digest; an epoch's row in either format comes from ``epoch_line``,
+# which writes the same bytes and falls back to these encoders for a value
+# it does not write itself.
 COMPACT_JSON = json.JSONEncoder(separators=(",", ":"))
 CANONICAL_JSON = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
 # The epoch-row decoder: raw_decode skips json.loads' type check, BOM check
@@ -532,10 +535,52 @@ class SystemDecision:
 # ---------------------------------------------------------------------------
 
 
+def epoch_line(epoch: Epoch, canonical: bool = False) -> str:
+    """One epoch as a line: ``COMPACT_JSON.encode(epoch.to_dict())`` and a
+    newline, byte for byte, or with ``canonical`` the same for
+    ``CANONICAL_JSON``, without building the dict or running the encoder.
+
+    The fields are read once and written into one of two templates. Enum
+    members give ``_value_`` (a plain attribute; ``.value`` is a descriptor),
+    whose plain ASCII needs no escape. A finite float vital is written by
+    ``float.__repr__``, as the encoder writes it; any other vital (an int,
+    NaN, ±inf) and any ambient_condition but null go through the row's
+    encoder, which sorts the keys of an object ambient_condition too.
+    ``patient_id`` and ``probe_cover_present`` are the int and bool every
+    reader and the generator give them.
+    """
+    encode = CANONICAL_JSON.encode if canonical else COMPACT_JSON.encode
+    spo2, hr, ambient, activity = (
+        epoch.spo2, epoch.hr, epoch.ambient_condition, epoch.self_reported_activity
+    )
+    # x - x is 0.0 for a finite float, and NaN (truthy) for NaN and ±inf.
+    spo2 = repr(spo2) if type(spo2) is float and not spo2 - spo2 else encode(spo2)
+    hr = repr(hr) if type(hr) is float and not hr - hr else encode(hr)
+    ambient = "null" if ambient is None else encode(ambient)
+    activity = "null" if activity is None else f'"{activity._value_}"'
+    patient, timestamp = epoch.patient_id, format_timestamp(epoch.timestamp)
+    accel, status = epoch.accel_level._value_, epoch.device_status._value_
+    cover = "true" if epoch.probe_cover_present else "false"
+    position = epoch.position._value_
+    if canonical:
+        return (
+            f'{{"accel_level":"{accel}","ambient_condition":{ambient},'
+            f'"device_status":"{status}","hr":{hr},"patient_id":{patient},'
+            f'"position":"{position}","probe_cover_present":{cover},'
+            f'"self_reported_activity":{activity},"spo2":{spo2},"timestamp":"{timestamp}"}}\n'
+        )
+    return (
+        f'{{"patient_id":{patient},"timestamp":"{timestamp}","spo2":{spo2},"hr":{hr},'
+        f'"accel_level":"{accel}","device_status":"{status}","probe_cover_present":{cover},'
+        f'"position":"{position}","self_reported_activity":{activity},'
+        f'"ambient_condition":{ambient}}}\n'
+    )
+
+
 def write_epochs_jsonl(epochs: Iterable[Epoch], fp: TextIO) -> None:
-    encode, write = COMPACT_JSON.encode, fp.write
-    for epoch in epochs:
-        write(encode(epoch.to_dict()) + "\n")
+    """Write one ``epoch_line`` per epoch, line by line: a long stream is
+    never held as one string."""
+    fp.writelines(map(epoch_line, epochs))
 
 
 # A malformed row raises KeyError (a missing field), TypeError (a null, or a

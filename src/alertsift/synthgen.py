@@ -16,7 +16,9 @@ import json
 from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timedelta, timezone
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
+from types import MappingProxyType
 from typing import Any, Mapping, Sequence
 
 import numpy as np
@@ -34,6 +36,7 @@ from .model import (
     _integer,
     _number,
     _object,
+    epoch_line,
     format_timestamp,
     parse_enum,
     write_contexts_json,
@@ -68,6 +71,12 @@ DATA_WINDOW = (
     datetime(2022, 6, 1, tzinfo=timezone.utc),
     datetime(2022, 9, 1, tzinfo=timezone.utc),
 )
+_WINDOW_MINUTES = (DATA_WINDOW[1] - DATA_WINDOW[0]) // _MINUTE
+_DAY_MINUTES = 24 * 60
+# The start of a case within its day, by nocturnal flag, as the half-open
+# ranges its hour and minute are drawn from: daytime 07:00 to 19:59,
+# nocturnal 00:00 to 04:49.
+_START_CLOCK = {False: (7, 20, 60), True: (0, 5, 50)}
 
 
 class DomainClass(str, Enum):
@@ -191,11 +200,17 @@ class TaxonomyEntry:
 
     The entry's draw plan is built once, here, with every categorical value
     parsed: the continuous specs and the choice sets, each in sorted field
-    order (the order of the draws), and the value of every Epoch field that
-    is not drawn. ``context`` is a contexts.json record less its patient id,
-    decoded once here by that record's reader under a placeholder id, which
-    ``generate_case`` replaces with the case's. A value that does not parse
-    fails the entry.
+    order (the order of the draws), the value of every Epoch field that is
+    not drawn, and the number of days a case can start on and still end
+    inside ``DATA_WINDOW``. ``context`` is a contexts.json record less its
+    patient id, decoded once here by that record's reader under a
+    placeholder id, which ``generate_case`` replaces with the case's. A
+    value that does not parse, or a case too long to fit in the window from
+    its latest start, fails the entry.
+
+    ``continuous_params``, ``categorical_params`` and ``context`` are
+    read-only copies of the mappings given, so ``canonical_text``, the
+    entry's JSON text built on first use and kept, stays the entry's.
     """
 
     case_id: str
@@ -214,6 +229,7 @@ class TaxonomyEntry:
     )
     _fixed: Mapping[str, Any] = field(init=False, repr=False, compare=False)
     _context: PatientContext = field(init=False, repr=False, compare=False)
+    _start_days: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.epoch_count <= 0:
@@ -231,6 +247,15 @@ class TaxonomyEntry:
                     f"{name} spec [{spec.lower:g}, {spec.upper:g}] outside [{low:g}, {high:g}]"
                 )
         _flag(self.nocturnal, "nocturnal")
+        _, hour_end, minute_end = _START_CLOCK[self.nocturnal]
+        latest = (hour_end - 1) * 60 + minute_end - 1
+        # The days whose latest start still leaves every epoch in the window.
+        start_days = -(-(_WINDOW_MINUTES - latest - self.epoch_count + 1) // _DAY_MINUTES)
+        if start_days <= 0:
+            raise InvalidEntry(
+                f"epoch_count {self.epoch_count} does not fit in the data window"
+                f" from a {latest // 60:02d}:{latest % 60:02d} start"
+            )
         if "patient_id" in self.context:
             raise InvalidEntry("context patient_id is assigned per case, not by the entry")
         try:
@@ -254,6 +279,15 @@ class TaxonomyEntry:
         object.__setattr__(self, "_choices", tuple(choices))
         object.__setattr__(self, "_fixed", fixed)
         object.__setattr__(self, "_context", context)
+        object.__setattr__(self, "_start_days", start_days)
+        # Last: the checks above read the mappings given, cheaper than a proxy.
+        for name in ("continuous_params", "categorical_params", "context"):
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
+
+    @cached_property
+    def canonical_text(self) -> str:
+        """``json.dumps(self.to_dict(), sort_keys=True)``, built once."""
+        return json.dumps(self.to_dict(), sort_keys=True)
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -424,41 +458,44 @@ class GeneratedDataset:
     manifest: dict[str, Any]
 
 
-_DAYS_IN_WINDOW = (DATA_WINDOW[1] - DATA_WINDOW[0]).days
-
-
 def _draw_start_time(entry: TaxonomyEntry, seed: int) -> datetime:
     """Pick a start so every epoch of the case stays inside its window.
 
     Daytime cases start between 07:00 and 19:59; nocturnal cases start in
-    the early-morning half of the nocturnal window so multi-epoch cases
-    never cross 06:00 or the end of August.
+    the early-morning half of the nocturnal window so short cases never
+    cross 06:00. The day is drawn from those on which even the latest start
+    ends before September: every day of the window for a case of up to a
+    few hours, as every case of the shipped catalogue is.
     """
     rng = _substream(seed, f"schedule:{entry.case_id}")
-    day = int(rng.integers(_DAYS_IN_WINDOW))
-    base = DATA_WINDOW[0] + timedelta(days=day)
-    if entry.nocturnal:
-        hour = int(rng.integers(0, 5))
-        minute = int(rng.integers(0, 50))
-    else:
-        hour = int(rng.integers(7, 20))
-        minute = int(rng.integers(0, 60))
-    return base + timedelta(hours=hour, minutes=minute)
+    day = int(rng.integers(entry._start_days))
+    hour_start, hour_end, minute_end = _START_CLOCK[entry.nocturnal]
+    hour = int(rng.integers(hour_start, hour_end))
+    minute = int(rng.integers(0, minute_end))
+    return DATA_WINDOW[0] + timedelta(days=day, hours=hour, minutes=minute)
 
 
 def _case_digest(case: GeneratedCase) -> str:
-    encode = CANONICAL_JSON.encode
-    lines = [encode(e.to_dict()) for e in case.epochs]
-    lines.append(encode(case.context.to_dict()))
-    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    """sha256 of the case's epochs and context, each a sorted-key JSON line.
+
+    The epoch lines come from ``epoch_line`` and end in a newline; the
+    context line, the last, is encoded with ``CANONICAL_JSON`` and does not.
+    """
+    lines = [epoch_line(e, True) for e in case.epochs]
+    lines.append(CANONICAL_JSON.encode(case.context.to_dict()))
+    return hashlib.sha256("".join(lines).encode()).hexdigest()
 
 
 def generate_dataset(taxonomy: Sequence[TaxonomyEntry], seed: int) -> GeneratedDataset:
     """Generate all cases, assigning patient ids in catalogue order.
 
     ``PATIENT_ID_RANGE`` holds 98 ids, so an entry past the 98th fails in
-    ``generate_case``. Each case draws from its own sub-stream of the seed, so a case's epochs
-    do not depend on the cases generated before it.
+    ``generate_case``. Each case draws from its own sub-stream of the seed,
+    so a case's epochs do not depend on the cases generated before it.
+    ``taxonomy_sha256`` hashes ``json.dumps([e.to_dict() for e in
+    taxonomy], sort_keys=True)``, joined from each entry's cached
+    ``canonical_text``, so a catalogue is encoded once however often it
+    generates.
     """
     validate_taxonomy(taxonomy)
     cases = []
@@ -468,9 +505,8 @@ def generate_dataset(taxonomy: Sequence[TaxonomyEntry], seed: int) -> GeneratedD
         epochs, context = generate_case(entry, patient_id, start, seed)
         cases.append(GeneratedCase(entry, patient_id, start, tuple(epochs), context))
 
-    taxonomy_digest = hashlib.sha256(
-        json.dumps([e.to_dict() for e in taxonomy], sort_keys=True).encode()
-    ).hexdigest()
+    taxonomy_text = "[" + ", ".join(e.canonical_text for e in taxonomy) + "]"
+    taxonomy_digest = hashlib.sha256(taxonomy_text.encode()).hexdigest()
     manifest = {
         "seed": seed,
         "case_count": len(cases),

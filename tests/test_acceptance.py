@@ -185,6 +185,7 @@ def test_criterion_6_end_to_end_determinism(tmp_path):
                 ("dataset", "contexts.json"),
                 ("report", "decisions.jsonl"),
                 ("report", "report.json"),
+                ("report", "report.txt"),
             ]
         }
     identical = artifacts["one"] == artifacts["two"]
@@ -201,6 +202,7 @@ def test_criterion_6_end_to_end_determinism(tmp_path):
         "contexts.json": "7bcc9b14888769b8c7e1ad887fd53894fa59ff92c569ba12c670c9a04caf72a4",
         "report.json": "39428218c8a791b5e20468697ec8a2b3bd8894eae28d6b281b2ef80c2df99889",
         "decisions.jsonl": "758cb992e50fc7c199fec6f0db2f9cc6eb3284a2456c3e22fcadc07feb43f720",
+        "report.txt": "153be463479429a9bf32269de1d0770c50f45c501a305fa7429f6b4ccc10aaf8",
     }
     digests = {name: hashlib.sha256(data).hexdigest() for name, data in artifacts["one"].items()}
     _check(

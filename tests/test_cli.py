@@ -496,6 +496,12 @@ def _edited_taxonomy(tmp_path: Path, edit) -> tuple[Path, str]:
             ),
             "lower 90 must be below upper 90",
         ),
+        (
+            # The entry is nocturnal: its latest start is 04:49, and from
+            # there 132,191 minutes reach the end of August.
+            lambda e: e.update(epoch_count=132192),
+            "epoch_count 132192 does not fit in the data window from a 04:49 start",
+        ),
     ],
     ids=[
         "missing_epoch_count", "string_nocturnal", "string_context_flag",
@@ -508,7 +514,7 @@ def _edited_taxonomy(tmp_path: Path, edit) -> tuple[Path, str]:
         "misspelt_categorical_key", "misspelt_continuous_key", "choice_and_fixed",
         "list_continuous_params", "string_categorical_params", "zero_epoch_count",
         "unknown_continuous_field", "spo2_upper_past_100", "hr_lower_below_25",
-        "empty_spec_interval",
+        "empty_spec_interval", "epoch_count_past_the_window",
     ],
 )
 def test_generate_malformed_taxonomy_entry_exits_2(tmp_path, capsys, edit, message):

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import io
 import json
 import random
 from datetime import datetime, timedelta, timezone
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from alertsift.model import (
+    CANONICAL_JSON,
+    COMPACT_JSON,
     AccelLevel,
     AgentClaim,
     AgentDomain,
@@ -28,9 +32,11 @@ from alertsift.model import (
     SystemDecision,
     TaggedValue,
     Verdict,
+    epoch_line,
     format_timestamp,
     parse_enum,
     parse_timestamp,
+    write_epochs_jsonl,
 )
 from alertsift.evaluate import OutcomeKind
 from alertsift.synthgen import ContinuousSpec, DomainClass, generate_case
@@ -278,3 +284,72 @@ def test_round_trip_randomized_epochs():
             activity=rng.choice(activities),
         )
         assert Epoch.from_dict(epoch.to_dict()) == epoch
+
+
+# ``epoch_line`` writes an epoch's dataset row and its digest row from
+# templates; the reference is the encoder over ``to_dict()``. Drawn: vitals at
+# float boundaries (subnormal, shortest-repr, exponent form, negative zero),
+# as ints and as NaN/±inf; every enum member and no activity; ambient
+# conditions as any JSON value, including objects whose keys the digest row
+# sorts and text with quotes, backslashes, control and non-ASCII characters;
+# patient ids past 64 bits; minutes in non-UTC zones.
+
+_VITALS = st.one_of(
+    st.sampled_from([5e-324, 0.1, 1e16, 100.0, -0.0, float("nan"), float("inf"), -float("inf")]),
+    st.floats(),
+    st.integers(-(10**20), 10**20),
+)
+_TEXT = st.text(st.sampled_from('aZ0_ "\\/\x00\x1f\x7fé☃\U0001f600\u2028\n\t'), max_size=8) | st.text()
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_TEXT, inner, max_size=3),
+    max_leaves=8,
+)
+_ZONES = [
+    timezone.utc,
+    timezone(timedelta(hours=5, minutes=30)),
+    timezone(timedelta(hours=-8)),
+    timezone(timedelta(hours=13, minutes=45)),
+]
+_epochs = st.builds(
+    Epoch,
+    patient_id=st.one_of(st.integers(0, 10**7), st.integers(-(10**30), 10**30)),
+    timestamp=st.datetimes(
+        min_value=datetime(2000, 1, 1), max_value=datetime(2099, 12, 31),
+        timezones=st.sampled_from(_ZONES),
+    ).map(lambda ts: ts.replace(second=0, microsecond=0)),
+    spo2=_VITALS,
+    hr=_VITALS,
+    accel_level=st.sampled_from(AccelLevel),
+    device_status=st.sampled_from(DeviceStatus),
+    probe_cover_present=st.booleans(),
+    position=st.sampled_from(Position),
+    self_reported_activity=st.none() | st.sampled_from(SelfReportedActivity),
+    ambient_condition=st.none() | _JSON_VALUES,
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_epochs)
+def test_epoch_line_matches_the_encoders_byte_for_byte(epoch):
+    row = epoch.to_dict()
+    assert epoch_line(epoch) == COMPACT_JSON.encode(row) + "\n"
+    assert epoch_line(epoch, canonical=True) == CANONICAL_JSON.encode(row) + "\n"
+
+
+def test_write_epochs_jsonl_writes_one_line_per_epoch():
+    # Line by line: a long stream is never joined into one string.
+    class Recorder(io.StringIO):
+        def __init__(self):
+            super().__init__()
+            self.writes = []
+
+        def write(self, text):
+            self.writes.append(text)
+            return super().write(text)
+
+    epochs = [make_epoch(ts=DAYTIME + timedelta(minutes=i), hr=70.0 + i) for i in range(3)]
+    fp = Recorder()
+    write_epochs_jsonl(tuple(epochs), fp)
+    assert fp.writes == [epoch_line(e) for e in epochs]
+    assert [Epoch.from_dict(json.loads(line)) for line in fp.getvalue().splitlines()] == epochs

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from collections import Counter
@@ -381,3 +382,86 @@ def test_generate_case_matches_reference_loop():
         for entry in entries:
             expected = _reference_generate_case(entry, 3847291, START, seed)
             assert generate_case(entry, 3847291, START, seed) == expected, (entry.case_id, seed)
+
+
+def _taxonomy_digest_reference(entries):
+    """taxonomy_sha256 as first written: the whole catalogue encoded at once."""
+    text = json.dumps([e.to_dict() for e in entries], sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_taxonomy_digest_matches_one_encode_of_the_whole_catalogue(tmp_path):
+    # Each entry's text is built once and joined; the digest is the one the
+    # catalogue encoded whole gives, on the first call and on a later one.
+    user = [
+        {
+            "case_id": "USER-é",
+            "domain_class": "copd",
+            "epoch_count": 3,
+            "continuous_params": {"spo2": {"mu": 88, "sigma": 1, "lower": 85, "upper": 91}},
+            "categorical_params": {
+                "position": {"choice": ["supine", "lateral", None]},
+                "ambient_condition": {"choice": ["dim", {"lux": 3, "note": "\u2603"}]},
+            },
+            "context": {"copd_documented": True, "baseline_spo2": 88, "baseline_hr": 61},
+            "nocturnal": False,
+            "expected_outcome_note": 'SpO\u2082 "dip" \\ within baseline \u2603',
+        },
+        {**load_taxonomy(default_taxonomy_path())[0].to_dict(), "case_id": "USER-2"},
+    ]
+    path = tmp_path / "taxonomy.json"
+    path.write_text(json.dumps(user), encoding="utf-8")
+    for entries in (load_taxonomy(default_taxonomy_path()), load_taxonomy(path)):
+        expected = _taxonomy_digest_reference(entries)
+        for seed in (42, 7):
+            assert generate_dataset(entries, seed).manifest["taxonomy_sha256"] == expected
+
+
+def test_loaded_entries_are_read_only():
+    # The entry's canonical text is cached, so nothing it is built from may
+    # change: the mappings are read-only copies of the ones given.
+    entry = load_taxonomy(default_taxonomy_path())[0]
+    with pytest.raises(TypeError):
+        entry.context["copd_documented"] = True
+    with pytest.raises(TypeError):
+        entry.continuous_params["spo2"] = ContinuousSpec(90.0, 1.0, 85.0, 95.0)
+    with pytest.raises(TypeError):
+        entry.categorical_params["position"] = CategoricalSpec(fixed="prone")
+    context = {"copd_documented": True, "baseline_spo2": 89.0}
+    toy = make_entry(context=context)
+    text = toy.canonical_text
+    context["copd_documented"] = False
+    assert toy.context["copd_documented"] is True
+    assert toy.canonical_text == text == json.dumps(toy.to_dict(), sort_keys=True)
+
+
+def test_a_long_entry_starts_on_a_day_it_fits_for_every_seed():
+    # A 3,000-epoch copy of FP-001 (daytime) once drew a start too late to
+    # end in August for these seeds; the day is now drawn from those where
+    # even the latest start fits.
+    raw = {**load_taxonomy(default_taxonomy_path())[0].to_dict(), "epoch_count": 3000}
+    entry = TaxonomyEntry.from_dict(raw)
+    for seed in (25, 115, 178, 196):
+        start = synthgen._draw_start_time(entry, seed)
+        epochs, _ = generate_case(entry, PATIENT_ID_RANGE[0], start, seed)
+        assert len(epochs) == 3000 and epochs[-1].timestamp < DATA_WINDOW[1]
+        assert 7 <= start.hour < 20
+
+
+@pytest.mark.parametrize(
+    "nocturnal, latest", [(False, (19, 59)), (True, (4, 49))], ids=["daytime", "nocturnal"]
+)
+def test_an_entry_too_long_for_any_day_is_rejected_when_built(nocturnal, latest):
+    # The longest entry that fits starts on the window's first day, at any
+    # minute up to the latest; one epoch more fits on no day.
+    hour, minute = latest
+    window = (DATA_WINDOW[1] - DATA_WINDOW[0]) // timedelta(minutes=1)
+    longest = window - (hour * 60 + minute)
+    entry = make_entry(nocturnal=nocturnal, epoch_count=longest)
+    for seed in range(5):
+        start = synthgen._draw_start_time(entry, seed)
+        assert start.date() == DATA_WINDOW[0].date()
+        assert start + (longest - 1) * timedelta(minutes=1) < DATA_WINDOW[1]
+    message = f"epoch_count {longest + 1} does not fit in the data window from a {hour:02d}:{minute:02d} start"
+    with pytest.raises(InvalidEntry, match=message):
+        make_entry(nocturnal=nocturnal, epoch_count=longest + 1)
