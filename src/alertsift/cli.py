@@ -2,10 +2,19 @@
 
 One JSON config file drives everything; flags override file values, and
 the ALERTSIFT defaults reproduce the reference run with zero arguments.
-Exit codes are a stable contract: 0 success, 2 input validation failure
-(a missing input file included), 3 I/O failure (an input path that exists
-but cannot be read, or an output that cannot be written), 4 golden-metrics
-mismatch.
+Exit codes are a stable contract: 0 success, 2 input validation failure,
+3 I/O failure, 4 golden-metrics mismatch. One rule maps a failed step to
+2 or 3, written once in ``_reading`` and ``_writing``:
+
+* a step that reads (a file, or what was decoded from one) exits 2 on a
+  missing file (``missing <what>``), 3 on any other OS error (``could not
+  read <what>``: a path that exists but is no readable file), and 2 on a
+  ValueError, OverflowError or RecursionError (``<label>: <exc>``);
+* a step that writes exits 3 on whatever stops its output being written
+  (``could not write <what>``).
+
+Each failure prints one ``error:`` line; only ``evaluate --golden-check``
+exits 4.
 
 The VERITAS_SEED environment variable overrides the config seed (command
 line --seed wins over both).
@@ -18,13 +27,12 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Iterator, Mapping
 
 from .evaluate import (
-    DatasetTaxonomyMismatch,
-    DuplicateEpoch,
     check_golden,
     evaluate,
     load_dataset,
@@ -47,6 +55,41 @@ EXIT_GOLDEN = 4
 
 SEED_ENV_VAR = "VERITAS_SEED"
 DEFAULT_SEED = 42
+
+# What a bad input raises once read: a value outside a reader's rule, a
+# number or date out of range, or JSON nested deeper than the decoder goes.
+_INPUT_ERRORS = (ValueError, OverflowError, RecursionError)
+
+
+class _Failure(Exception):
+    """A failed step: ``main`` prints it as one ``error:`` line and exits ``code``."""
+
+    def __init__(self, code: int, message: str) -> None:
+        super().__init__(message)
+        self.code = code
+
+
+@contextmanager
+def _reading(what: str, label: str) -> Iterator[None]:
+    """The read rule: a missing file exits 2, any other OS error 3, a bad
+    input 2 (see the module docstring)."""
+    try:
+        yield
+    except FileNotFoundError as exc:
+        raise _Failure(EXIT_INPUT, f"missing {what}: {exc}") from None
+    except OSError as exc:
+        raise _Failure(EXIT_IO, f"could not read {what}: {exc}") from None
+    except _INPUT_ERRORS as exc:
+        raise _Failure(EXIT_INPUT, f"{label}: {exc}") from None
+
+
+@contextmanager
+def _writing(what: str) -> Iterator[None]:
+    """The write rule: an output that cannot be written exits 3."""
+    try:
+        yield
+    except (OSError, *_INPUT_ERRORS) as exc:
+        raise _Failure(EXIT_IO, f"could not write {what}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -138,27 +181,14 @@ def load_config(args: argparse.Namespace) -> PipelineConfig:
     return cfg
 
 
-def cmd_generate(cfg: PipelineConfig) -> int:
-    try:
+def cmd_generate(cfg: PipelineConfig, args: argparse.Namespace) -> int:
+    with _reading("taxonomy", "taxonomy validation failed"):
         taxonomy = load_taxonomy(cfg.taxonomy_path)
-    except (FileNotFoundError, ValueError) as exc:
-        print(f"error: taxonomy validation failed: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
-        print(f"error: could not read taxonomy: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
+    # A catalogue longer than the patient id range fails only here.
+    with _reading("taxonomy", "generation failed"):
         dataset = generate_dataset(taxonomy, cfg.seed)
-    except ValueError as exc:
-        # A catalogue longer than the patient id range, or a case too long
-        # for the data window from its drawn start, fails only here.
-        print(f"error: generation failed: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
+    with _writing("dataset"):
         write_dataset(dataset, cfg.dataset_dir)
-    except OSError as exc:
-        print(f"error: could not write dataset: {exc}", file=sys.stderr)
-        return EXIT_IO
     print(
         f"{dataset.manifest['case_count']} cases, "
         f"{dataset.manifest['epoch_count']} epochs"
@@ -167,22 +197,12 @@ def cmd_generate(cfg: PipelineConfig) -> int:
     return EXIT_OK
 
 
-def cmd_evaluate(cfg: PipelineConfig, golden_check: bool, json_only: bool) -> int:
-    try:
+def cmd_evaluate(cfg: PipelineConfig, args: argparse.Namespace) -> int:
+    with _reading("taxonomy", "taxonomy validation failed"):
         taxonomy = load_taxonomy(cfg.taxonomy_path)
+    with _reading("input", "input validation failed"):
         dataset = load_dataset(cfg.dataset_dir)
-    except FileNotFoundError as exc:
-        print(f"error: missing input: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
-        print(f"error: could not read input: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ValueError as exc:
-        print(f"error: input validation failed: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-
-    started = time.perf_counter()
-    try:
+        started = time.perf_counter()
         report = evaluate(
             dataset,
             taxonomy,
@@ -190,23 +210,18 @@ def cmd_evaluate(cfg: PipelineConfig, golden_check: bool, json_only: bool) -> in
             specialist_cfg=cfg.specialists,
             meta_cfg=cfg.meta,
         )
-    except (DatasetTaxonomyMismatch, DuplicateEpoch) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    elapsed = time.perf_counter() - started
-
-    try:
+        elapsed = time.perf_counter() - started
+    with _writing("report"):
         cfg.report_dir.mkdir(parents=True, exist_ok=True)
         payload = report.to_json_dict()
-        with open(cfg.report_dir / "report.json", "w", encoding="utf-8") as fp:
-            fp.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        (cfg.report_dir / "report.json").write_text(
+            json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        )
         write_decision_log(report, cfg.report_dir / "decisions.jsonl")
-        if not json_only:
-            with open(cfg.report_dir / "report.txt", "w", encoding="utf-8") as fp:
-                fp.write(render_report_text(payload))
-    except OSError as exc:
-        print(f"error: could not write report: {exc}", file=sys.stderr)
-        return EXIT_IO
+        if not args.json_only:
+            (cfg.report_dir / "report.txt").write_text(
+                render_report_text(payload), encoding="utf-8"
+            )
 
     print(
         f"TSR {100 * report.tsr:.1f}% FER {100 * report.fer:.1f}% "
@@ -216,7 +231,7 @@ def cmd_evaluate(cfg: PipelineConfig, golden_check: bool, json_only: bool) -> in
         f"{report.cases} cases, {report.epochs} epochs evaluated in {elapsed:.2f}s "
         f"({1000 * elapsed / report.epochs:.2f} ms/epoch)"
     )
-    if golden_check:
+    if args.golden_check:
         problems = check_golden(report)
         if problems:
             for problem in problems:
@@ -226,29 +241,18 @@ def cmd_evaluate(cfg: PipelineConfig, golden_check: bool, json_only: bool) -> in
     return EXIT_OK
 
 
-def cmd_report(cfg: PipelineConfig) -> int:
-    report_path = cfg.report_dir / "report.json"
-    try:
-        with open(report_path, encoding="utf-8") as fp:
+def cmd_report(cfg: PipelineConfig, args: argparse.Namespace) -> int:
+    with _reading("report", "report payload invalid"):
+        with open(cfg.report_dir / "report.json", encoding="utf-8") as fp:
             payload = validate_report_payload(json.load(fp))
-    except FileNotFoundError as exc:
-        print(f"error: missing report: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
-        print(f"error: could not read report: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ValueError as exc:
-        print(f"error: report payload invalid: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     text = render_report_text(payload)
-    try:
-        with open(cfg.report_dir / "report.txt", "w", encoding="utf-8") as fp:
-            fp.write(text)
-    except OSError as exc:
-        print(f"error: could not write report.txt: {exc}", file=sys.stderr)
-        return EXIT_IO
+    with _writing("report.txt"):
+        (cfg.report_dir / "report.txt").write_text(text, encoding="utf-8")
     print(text, end="")
     return EXIT_OK
+
+
+COMMANDS = {"generate": cmd_generate, "evaluate": cmd_evaluate, "report": cmd_report}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -277,24 +281,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args)
-    except FileNotFoundError as exc:
-        print(f"error: missing config: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
-        print(f"error: could not read config: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ValueError as exc:
-        print(f"error: config invalid: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-
-    if args.command == "generate":
-        return cmd_generate(cfg)
-    if args.command == "evaluate":
-        return cmd_evaluate(cfg, args.golden_check, args.json_only)
-    if args.command == "report":
-        return cmd_report(cfg)
-    raise AssertionError(f"unhandled command {args.command!r}")
+        with _reading("config", "config invalid"):
+            cfg = load_config(args)
+        return COMMANDS[args.command](cfg, args)
+    except _Failure as failure:
+        print(f"error: {failure}", file=sys.stderr)
+        return failure.code
 
 
 if __name__ == "__main__":

@@ -45,6 +45,10 @@ class EmptyClaims(ValueError):
     """resolve() was called with no claims; routing guarantees at least one."""
 
 
+# The longest cooldown window: the whole minutes in the largest timedelta.
+_MAX_COOLDOWN_MINUTES = timedelta.max // timedelta(minutes=1)
+
+
 @dataclass(frozen=True)
 class MetaConfig:
     resolution_margin: float = 0.3
@@ -56,8 +60,11 @@ class MetaConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.resolution_margin < 1.0:
             raise InvariantViolation("resolution_margin must lie in (0,1)")
-        if self.cooldown_window_minutes <= 0:
-            raise InvariantViolation("cooldown_window_minutes must be positive")
+        if not 0 < self.cooldown_window_minutes <= _MAX_COOLDOWN_MINUTES:
+            raise InvariantViolation(
+                f"cooldown_window_minutes must lie in [1, {_MAX_COOLDOWN_MINUTES}],"
+                f" the minutes a timedelta holds; got {self.cooldown_window_minutes}"
+            )
         if any(w <= 0 for w in self.domain_weights.values()):
             raise InvariantViolation("domain weights must be positive")
 
@@ -73,9 +80,10 @@ def _cooldown(window_minutes: int) -> timedelta:
 class DecisionHistory:
     """One patient's decisions within the cooldown window, under one MetaConfig.
 
-    ``last_matching`` drops what is older than its horizon: exact, as times
-    strictly increase and the window is fixed. The last time is kept apart,
-    so the order check holds after every earlier decision has been dropped.
+    ``last_matching`` drops what lies more than the window before now: exact,
+    as times strictly increase and the window is fixed. The last time is kept
+    apart, so the order check holds after every earlier decision has been
+    dropped.
     """
 
     def __init__(self) -> None:
@@ -95,9 +103,12 @@ class DecisionHistory:
         self, alert_types: frozenset[AlertType], now: datetime, window_minutes: int
     ) -> SystemDecision | None:
         """Most recent decision for an identical alert-type set within the window."""
-        horizon = now - _cooldown(window_minutes)
+        # Not ``decided_at < now - cooldown``: that subtraction leaves the
+        # datetime range near year 1, while a difference of two datetimes
+        # always fits in a timedelta.
+        cooldown = _cooldown(window_minutes)
         window = self._window
-        while window and window[0][1].decided_at < horizon:
+        while window and now - window[0][1].decided_at > cooldown:
             window.popleft()
         for types, decision in reversed(window):
             if types == alert_types:

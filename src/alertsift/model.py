@@ -211,7 +211,10 @@ def parse_timestamp(raw: str) -> datetime:
         raise InvariantViolation(f"bad timestamp {raw!r}: {exc}") from None
     if ts.tzinfo is None:
         raise InvariantViolation(f"timestamp {raw!r} is not timezone-aware")
-    ts = ts.astimezone(timezone.utc)
+    try:
+        ts = ts.astimezone(timezone.utc)
+    except OverflowError:  # an offset moves year 1 or 9999 out of range
+        raise InvariantViolation(f"timestamp {raw!r} is out of range in UTC") from None
     if ts.second or ts.microsecond:
         raise InvariantViolation(f"timestamp {raw!r} is not minute-resolution")
     return ts
@@ -584,8 +587,9 @@ def write_epochs_jsonl(epochs: Iterable[Epoch], fp: TextIO) -> None:
 
 
 # A malformed row raises KeyError (a missing field), TypeError (a null, or a
-# row that is not an object) or ValueError (bad JSON, number, enum or bound).
-_DECODE_ERRORS = (KeyError, TypeError, ValueError)
+# row that is not an object), ValueError (bad JSON, number, enum or bound) or
+# RecursionError (JSON nested deeper than the decoder goes).
+_DECODE_ERRORS = (KeyError, TypeError, ValueError, RecursionError)
 
 
 def read_epochs_jsonl(fp: TextIO) -> list[Epoch]:

@@ -43,6 +43,7 @@ from .model import (
     write_epochs_jsonl,
     PATIENT_ID_RANGE,
 )
+from .routing import NOCTURNAL_END_HOUR
 
 __all__ = [
     "CategoricalSpec",
@@ -251,10 +252,18 @@ class TaxonomyEntry:
         latest = (hour_end - 1) * 60 + minute_end - 1
         # The days whose latest start still leaves every epoch in the window.
         start_days = -(-(_WINDOW_MINUTES - latest - self.epoch_count + 1) // _DAY_MINUTES)
+        clock = f"{latest // 60:02d}:{latest % 60:02d}"
         if start_days <= 0:
             raise InvalidEntry(
                 f"epoch_count {self.epoch_count} does not fit in the data window"
-                f" from a {latest // 60:02d}:{latest % 60:02d} start"
+                f" from a {clock} start"
+            )
+        # A nocturnal case lies wholly in the night, which routing ends at 06:00.
+        night = NOCTURNAL_END_HOUR * 60 - latest
+        if self.nocturnal and self.epoch_count > night:
+            raise InvalidEntry(
+                f"nocturnal epoch_count {self.epoch_count} runs past"
+                f" {NOCTURNAL_END_HOUR:02d}:00 from a {clock} start (at most {night})"
             )
         if "patient_id" in self.context:
             raise InvalidEntry("context patient_id is assigned per case, not by the entry")
@@ -462,10 +471,11 @@ def _draw_start_time(entry: TaxonomyEntry, seed: int) -> datetime:
     """Pick a start so every epoch of the case stays inside its window.
 
     Daytime cases start between 07:00 and 19:59; nocturnal cases start in
-    the early-morning half of the nocturnal window so short cases never
-    cross 06:00. The day is drawn from those on which even the latest start
-    ends before September: every day of the window for a case of up to a
-    few hours, as every case of the shipped catalogue is.
+    the early-morning half of the nocturnal window, 00:00 to 04:49, and a
+    nocturnal entry holds at most 71 epochs, so none crosses 06:00. The day
+    is drawn from those on which even the latest start ends before
+    September: every day of the window for a case of up to a few hours, as
+    every case of the shipped catalogue is.
     """
     rng = _substream(seed, f"schedule:{entry.case_id}")
     day = int(rng.integers(entry._start_days))

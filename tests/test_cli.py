@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from alertsift import cli
 from alertsift.cli import main
 from alertsift.synthgen import default_taxonomy_path
 
@@ -122,12 +123,21 @@ HUGE = 10**400
         ("spo2", float("inf"), "spo2 outside [0, 100]: inf"),
         ("spo2", HUGE, "spo2 is too large for a float"),
         ("hr", HUGE, "hr is too large for a float"),
+        (
+            "timestamp", "0001-01-01T00:05:00+01:00",
+            "timestamp '0001-01-01T00:05:00+01:00' is out of range in UTC",
+        ),
+        (
+            "timestamp", "9999-12-31T23:05:00-01:00",
+            "timestamp '9999-12-31T23:05:00-01:00' is out of range in UTC",
+        ),
     ],
     ids=[
         "null_spo2", "text_spo2", "numeric_timestamp", "unknown_status",
         "boolean_hr", "boolean_spo2", "numeric_text_spo2",
         "misspelt_optional_key", "unknown_null_key",
         "nan_hr", "infinite_spo2", "huge_integer_spo2", "huge_integer_hr",
+        "timestamp_before_year_1", "timestamp_after_year_9999",
     ],
 )
 def test_evaluate_malformed_epoch_exits_2_naming_the_line(
@@ -143,6 +153,22 @@ def test_evaluate_malformed_epoch_exits_2_naming_the_line(
     epochs_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert run(["--config", config, "evaluate"]) == 2
     assert f"epochs line 3: {message}" in capsys.readouterr().err
+
+
+def test_evaluate_alerting_epoch_in_year_1_evaluates(tmp_path, capsys):
+    # The earliest minute a timestamp can hold: the cooldown window reaches
+    # back past it, which must not leave the datetime range.
+    config = write_config(tmp_path)
+    run(["--config", config, "generate"])
+    epochs_path = tmp_path / "dataset" / "epochs.jsonl"
+    lines = epochs_path.read_text().splitlines()
+    row = json.loads(lines[2])
+    row["timestamp"] = "0001-01-01T00:05:00Z"
+    lines[2] = json.dumps(row, separators=(",", ":"))
+    epochs_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert run(["--config", config, "evaluate"]) == 0
+    decisions = (tmp_path / "report" / "decisions.jsonl").read_text(encoding="utf-8")
+    assert '"decided_at":"0001-01-01T00:05:00Z"' in decisions
 
 
 @pytest.mark.parametrize(
@@ -502,6 +528,11 @@ def _edited_taxonomy(tmp_path: Path, edit) -> tuple[Path, str]:
             lambda e: e.update(epoch_count=132192),
             "epoch_count 132192 does not fit in the data window from a 04:49 start",
         ),
+        (
+            # From a 04:49 start, a 72nd epoch falls at 06:00, in daytime.
+            lambda e: e.update(nocturnal=True, epoch_count=72),
+            "nocturnal epoch_count 72 runs past 06:00 from a 04:49 start (at most 71)",
+        ),
     ],
     ids=[
         "missing_epoch_count", "string_nocturnal", "string_context_flag",
@@ -514,7 +545,7 @@ def _edited_taxonomy(tmp_path: Path, edit) -> tuple[Path, str]:
         "misspelt_categorical_key", "misspelt_continuous_key", "choice_and_fixed",
         "list_continuous_params", "string_categorical_params", "zero_epoch_count",
         "unknown_continuous_field", "spo2_upper_past_100", "hr_lower_below_25",
-        "empty_spec_interval", "epoch_count_past_the_window",
+        "empty_spec_interval", "epoch_count_past_the_window", "nocturnal_past_the_night",
     ],
 )
 def test_generate_malformed_taxonomy_entry_exits_2(tmp_path, capsys, edit, message):
@@ -751,11 +782,12 @@ def test_invalid_config_json_exits_2(tmp_path, capsys):
         {"meta": {"cooldown_window_minutes": 10.0}},
         {"seed": 42.0},
         {"seed": "42"},
+        {"meta": {"cooldown_window_minutes": 10**13}},
     ],
     ids=[
         "typo", "null", "string", "fractional_int", "unknown_domain", "null_weight",
         "boolean", "nan", "negative_infinity", "huge_integer", "huge_integer_weight",
-        "integral_float_int", "integral_float_seed", "string_seed",
+        "integral_float_int", "integral_float_seed", "string_seed", "cooldown_past_timedelta",
     ],
 )
 def test_invalid_config_section_exits_2(tmp_path, capsys, section):
@@ -804,3 +836,120 @@ def test_readme_example_config_gives_the_default_outputs(tmp_path):
             ]
         ]
     assert outputs["readme"] == outputs["default"]
+
+
+# JSON nested deeper than the decoder goes raises RecursionError, not a
+# ValueError: each of the five input files must still fail closed.
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+def _deep_config(tmp_path: Path) -> list:
+    (tmp_path / "config.json").write_text(DEEP, encoding="utf-8")
+    return ["--config", tmp_path / "config.json", "generate"]
+
+
+def _deep_taxonomy(tmp_path: Path) -> list:
+    (tmp_path / "taxonomy.json").write_text(DEEP, encoding="utf-8")
+    config = write_config(tmp_path, taxonomy=str(tmp_path / "taxonomy.json"))
+    return ["--config", config, "generate"]
+
+
+def _deep_epochs_line(tmp_path: Path) -> list:
+    config = write_config(tmp_path)
+    run(["--config", config, "generate"])
+    epochs_path = tmp_path / "dataset" / "epochs.jsonl"
+    lines = epochs_path.read_text(encoding="utf-8").splitlines()
+    lines[2] = DEEP
+    epochs_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return ["--config", config, "evaluate"]
+
+
+def _deep_contexts(tmp_path: Path) -> list:
+    config = write_config(tmp_path)
+    run(["--config", config, "generate"])
+    (tmp_path / "dataset" / "contexts.json").write_text(DEEP, encoding="utf-8")
+    return ["--config", config, "evaluate"]
+
+
+def _deep_report(tmp_path: Path) -> list:
+    (tmp_path / "report").mkdir()
+    (tmp_path / "report" / "report.json").write_text(DEEP, encoding="utf-8")
+    return ["--config", write_config(tmp_path), "report"]
+
+
+@pytest.mark.parametrize(
+    "setup, message",
+    [
+        (_deep_config, "config invalid: "),
+        (_deep_taxonomy, "taxonomy validation failed: "),
+        (_deep_epochs_line, "input validation failed: epochs line 3: "),
+        (_deep_contexts, "input validation failed: "),
+        (_deep_report, "report payload invalid: "),
+    ],
+    ids=["config", "taxonomy", "epochs_line", "contexts", "report_json"],
+)
+def test_too_deeply_nested_input_exits_2(tmp_path, capsys, setup, message):
+    argv = setup(tmp_path)
+    capsys.readouterr()
+    assert run(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {message}maximum recursion depth exceeded"
+        " while decoding a JSON array from a unicode string"
+    ]
+
+
+# The exit-code contract as one table: every step of every command, under
+# each kind of failure it can meet. A step that reads exits 2 on a missing
+# file or a bad input and 3 on any other OS error; a step that writes exits
+# 3 on anything that stops its output.
+_READ = {
+    FileNotFoundError: 2, PermissionError: 3, ValueError: 2, OverflowError: 2, RecursionError: 2,
+}
+_WRITE = dict.fromkeys(_READ, 3)
+_STEPS = [
+    ("generate", "load_taxonomy", _READ),
+    ("generate", "generate_dataset", _READ),
+    ("generate", "write_dataset", _WRITE),
+    ("evaluate", "load_taxonomy", _READ),
+    ("evaluate", "load_dataset", _READ),
+    ("evaluate", "evaluate", _READ),
+    ("evaluate", "write_decision_log", _WRITE),
+    ("report", "validate_report_payload", _READ),
+]
+
+
+@pytest.fixture(scope="module")
+def seed_42_dataset(tmp_path_factory) -> Path:
+    base = tmp_path_factory.mktemp("seed_42")
+    assert run(["--config", write_config(base), "generate"]) == 0
+    return base / "dataset"
+
+
+@pytest.mark.parametrize(
+    "command, binding, error, code",
+    [
+        (command, binding, error, code)
+        for command, binding, codes in _STEPS
+        for error, code in codes.items()
+    ],
+    ids=[
+        f"{command}-{binding}-{error.__name__}"
+        for command, binding, codes in _STEPS
+        for error in codes
+    ],
+)
+def test_every_step_failure_maps_to_its_exit_code(
+    tmp_path, capsys, monkeypatch, seed_42_dataset, command, binding, error, code
+):
+    def fail(*args, **kwargs):
+        raise error("step failed")
+
+    monkeypatch.setattr(cli, binding, fail)
+    config = json.loads(write_config(tmp_path).read_text(encoding="utf-8"))
+    config["paths"]["dataset_dir"] = str(seed_42_dataset)
+    (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    (tmp_path / "report").mkdir()
+    (tmp_path / "report" / "report.json").write_text("{}", encoding="utf-8")
+    assert run(["--config", tmp_path / "config.json", command]) == code
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and line.endswith(": step failed")

@@ -448,20 +448,29 @@ def test_a_long_entry_starts_on_a_day_it_fits_for_every_seed():
         assert 7 <= start.hour < 20
 
 
-@pytest.mark.parametrize(
-    "nocturnal, latest", [(False, (19, 59)), (True, (4, 49))], ids=["daytime", "nocturnal"]
-)
-def test_an_entry_too_long_for_any_day_is_rejected_when_built(nocturnal, latest):
-    # The longest entry that fits starts on the window's first day, at any
-    # minute up to the latest; one epoch more fits on no day.
-    hour, minute = latest
+def test_an_entry_too_long_for_any_day_is_rejected_when_built():
+    # The longest daytime entry that fits starts on the window's first day,
+    # at any minute up to 19:59; one epoch more fits on no day.
     window = (DATA_WINDOW[1] - DATA_WINDOW[0]) // timedelta(minutes=1)
-    longest = window - (hour * 60 + minute)
-    entry = make_entry(nocturnal=nocturnal, epoch_count=longest)
+    longest = window - (19 * 60 + 59)
+    entry = make_entry(epoch_count=longest)
     for seed in range(5):
         start = synthgen._draw_start_time(entry, seed)
         assert start.date() == DATA_WINDOW[0].date()
         assert start + (longest - 1) * timedelta(minutes=1) < DATA_WINDOW[1]
-    message = f"epoch_count {longest + 1} does not fit in the data window from a {hour:02d}:{minute:02d} start"
+    message = f"epoch_count {longest + 1} does not fit in the data window from a 19:59 start"
     with pytest.raises(InvalidEntry, match=message):
-        make_entry(nocturnal=nocturnal, epoch_count=longest + 1)
+        make_entry(epoch_count=longest + 1)
+
+
+def test_a_nocturnal_entry_past_the_night_is_rejected_when_built():
+    # A nocturnal case starts by 04:49, so 71 epochs always end by 05:59,
+    # inside the window routing calls nocturnal; a 72nd epoch could not.
+    entry = make_entry(nocturnal=True, epoch_count=71)
+    for seed in range(50):
+        start = synthgen._draw_start_time(entry, seed)
+        epochs, _ = generate_case(entry, PATIENT_ID_RANGE[0], start, seed)
+        assert all(in_nocturnal_window(e.timestamp) for e in epochs), seed
+    message = r"nocturnal epoch_count 72 runs past 06:00 from a 04:49 start \(at most 71\)"
+    with pytest.raises(InvalidEntry, match=message):
+        make_entry(nocturnal=True, epoch_count=72)
