@@ -16,6 +16,7 @@ from typing import Any, Iterable, Mapping
 
 from .model import (
     Epoch,
+    InvariantViolation,
     PatientContext,
     ProvenanceTag,
     TaggedValue,
@@ -23,7 +24,6 @@ from .model import (
 )
 
 __all__ = [
-    "PatientIdMismatch",
     "SourceBundle",
     "SpecialistView",
     "assemble",
@@ -47,10 +47,6 @@ _DEVICE = ProvenanceTag.DEVICE_VERIFIED
 _REPORTED = ProvenanceTag.PATIENT_REPORTED
 _EHR = ProvenanceTag.EHR_DERIVED
 _new = tuple.__new__
-
-
-class PatientIdMismatch(ValueError):
-    """Bundle sources disagree about which patient they describe."""
 
 
 @dataclass(frozen=True)
@@ -93,7 +89,7 @@ def assemble(bundle: SourceBundle, epoch: Epoch) -> VeritasRecord:
 
     The caller walks the patient's vitals stream and passes each epoch as
     it goes, so assembly does no search of the stream. An epoch of another
-    patient raises PatientIdMismatch: a record never mixes two patients.
+    patient raises InvariantViolation: a record never mixes two patients.
     Everything else assembly reads was built once, with the bundle.
 
     Tag assignment follows the source: device stream fields are
@@ -104,7 +100,7 @@ def assemble(bundle: SourceBundle, epoch: Epoch) -> VeritasRecord:
     """
     pid = bundle.ehr.patient_id
     if epoch.patient_id != pid:
-        raise PatientIdMismatch(
+        raise InvariantViolation(
             f"epoch patient {epoch.patient_id} != context patient {pid}"
         )
     at = epoch.timestamp

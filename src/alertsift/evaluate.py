@@ -42,16 +42,12 @@ from .synthgen import DomainClass, TaxonomyEntry
 __all__ = [
     "CaseOutcome",
     "Dataset",
-    "DatasetTaxonomyMismatch",
     "DomainRow",
-    "DuplicateEpoch",
-    "EmptyDecisions",
     "EvaluationReport",
     "GOLDEN_EPOCHS",
     "GOLDEN_FAILURE_MODES",
     "GOLDEN_OVERALL",
     "GOLDEN_PER_DOMAIN",
-    "InvalidCounts",
     "OutcomeKind",
     "aggregate_case",
     "check_golden",
@@ -62,22 +58,6 @@ __all__ = [
     "wilson_interval",
     "write_decision_log",
 ]
-
-
-class EmptyDecisions(ValueError):
-    """A case cannot be aggregated from zero decisions."""
-
-
-class DuplicateEpoch(InvariantViolation):
-    """A patient's stream holds two epochs at the same minute."""
-
-
-class InvalidCounts(ValueError):
-    """Wilson interval inputs out of range."""
-
-
-class DatasetTaxonomyMismatch(ValueError):
-    """Dataset patients and taxonomy cases do not line up one-to-one."""
 
 
 class OutcomeKind(str, Enum):
@@ -94,7 +74,7 @@ def aggregate_case(decisions: Sequence[SystemDecision]) -> OutcomeKind:
     defined for robustness but unreachable while verdicts are binary.
     """
     if not decisions:
-        raise EmptyDecisions("aggregate_case requires at least one decision")
+        raise InvariantViolation("aggregate_case requires at least one decision")
     if any(d.verdict is Verdict.ESCALATE for d in decisions):
         return OutcomeKind.FALSE_ESCALATION
     if all(d.verdict is Verdict.SUPPRESS for d in decisions):
@@ -109,7 +89,7 @@ def wilson_interval(successes: int, n: int, z: float = 1.96) -> tuple[float, flo
     n / (n + z^2). Bounds are fractions in [0, 1].
     """
     if n < 1 or not 0 <= successes <= n:
-        raise InvalidCounts(f"require 0 <= successes <= n, n >= 1; got {successes}/{n}")
+        raise InvariantViolation(f"require 0 <= successes <= n, n >= 1; got {successes}/{n}")
     p = successes / n
     z2 = z * z
     denom = 1.0 + z2 / n
@@ -242,7 +222,7 @@ def _run_case(
     previous_at = None
     for epoch in bundle.vitals_stream:
         if epoch.timestamp == previous_at:
-            raise DuplicateEpoch(
+            raise InvariantViolation(
                 f"duplicate epoch for patient {patient_id} at {format_timestamp(previous_at)}"
             )
         previous_at = epoch.timestamp
@@ -301,11 +281,11 @@ def evaluate(
     if set(by_patient) != set(expected_pids):
         missing = sorted(set(expected_pids) - set(by_patient))
         extra = sorted(set(by_patient) - set(expected_pids))
-        raise DatasetTaxonomyMismatch(
+        raise InvariantViolation(
             f"dataset/taxonomy patients differ (missing={missing[:5]}, extra={extra[:5]})"
         )
     if set(dataset.contexts) != set(expected_pids):
-        raise DatasetTaxonomyMismatch("context sidecar does not cover the taxonomy patients")
+        raise InvariantViolation("context sidecar does not cover the taxonomy patients")
 
     outcomes = tuple(
         _run_case(

@@ -38,11 +38,7 @@ from .model import (
 )
 from .routing import RoutingDecision
 
-__all__ = ["DecisionHistory", "EmptyClaims", "MetaConfig", "resolve"]
-
-
-class EmptyClaims(ValueError):
-    """resolve() was called with no claims; routing guarantees at least one."""
+__all__ = ["DecisionHistory", "MetaConfig", "resolve"]
 
 
 # The longest cooldown window: the whole minutes in the largest timedelta.
@@ -159,8 +155,6 @@ def resolve(
     in (claims, routing, alert, history, cfg), and homogeneous: scaling all
     weights and the margin by one positive factor changes no verdict.
     """
-    if not claims:
-        raise EmptyClaims("resolve requires at least one claim")
     claimed = tuple([c.domain for c in claims])
     if claimed != routing.domains:
         raise InvariantViolation(

@@ -23,7 +23,6 @@ __all__ = [
     "AlertType",
     "CandidateAlert",
     "DeviceStatus",
-    "EnumParseError",
     "Epoch",
     "InvariantViolation",
     "PatientContext",
@@ -70,12 +69,9 @@ CANONICAL_JSON = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
 _DECODE_ROW = json.JSONDecoder().raw_decode
 
 
-class EnumParseError(ValueError):
-    """Raised when an input string is outside a closed enumeration."""
-
-
 class InvariantViolation(ValueError):
-    """Raised when a domain type is constructed in an invalid state."""
+    """The one error for a rejected value: a domain type constructed in an
+    invalid state, or an input value outside its reader's rule."""
 
 
 class ProvenanceTag(str, Enum):
@@ -167,20 +163,19 @@ def _members_by_value(cls: type) -> dict[Any, Any]:
     return {member.value: member for member in cls}
 
 
-def parse_enum(cls: type, raw: Any) -> Any:
-    """Parse ``raw`` into a member of the closed enumeration ``cls``.
+def parse_enum(cls: type, raw: Any, name: str) -> Any:
+    """Parse ``raw``, the value of field ``name``, into a member of the closed
+    enumeration ``cls``.
 
-    Raises EnumParseError naming the offending value and the allowed set;
-    unknown strings in input files must never round into a default. A
-    member of ``cls`` parses to itself, as ``cls(raw)`` would.
+    Raises InvariantViolation naming the field, the offending value and the
+    allowed set; unknown strings in input files must never round into a
+    default. A member of ``cls`` parses to itself, as ``cls(raw)`` would.
     """
     try:
         return _members_by_value(cls)[raw]
     except (KeyError, TypeError):  # TypeError: an unhashable value
         allowed = ", ".join(m.value for m in cls)
-        raise EnumParseError(
-            f"{cls.__name__}: {raw!r} is not one of [{allowed}]"
-        ) from None
+        raise InvariantViolation(f"{name}: {raw!r} is not one of [{allowed}]") from None
 
 
 # The patient ids a generated dataset assigns, one per case in catalogue
@@ -319,12 +314,13 @@ class Epoch:
             timestamp=parse_timestamp(data["timestamp"]),
             spo2=spo2,
             hr=hr,
-            accel_level=parse_enum(AccelLevel, data["accel_level"]),
-            device_status=parse_enum(DeviceStatus, data["device_status"]),
+            accel_level=parse_enum(AccelLevel, data["accel_level"], "accel_level"),
+            device_status=parse_enum(DeviceStatus, data["device_status"], "device_status"),
             probe_cover_present=_flag(data["probe_cover_present"], "probe_cover_present"),
-            position=parse_enum(Position, data["position"]),
+            position=parse_enum(Position, data["position"], "position"),
             self_reported_activity=(
-                parse_enum(SelfReportedActivity, activity) if activity is not None else None
+                None if activity is None
+                else parse_enum(SelfReportedActivity, activity, "self_reported_activity")
             ),
             ambient_condition=data.get("ambient_condition"),
         )
@@ -333,7 +329,7 @@ class Epoch:
 # The field readers every input file goes through: epoch rows, context
 # records, the config, a user taxonomy and report.json. Each takes the
 # decoded JSON value and the name an error should give, and rejects a value
-# outside the rule with a ValueError naming it.
+# outside the rule with an InvariantViolation naming it.
 
 
 def _flag(raw: Any, name: str) -> bool:
@@ -380,7 +376,7 @@ def _object(raw: Any, allowed: Any, where: str) -> dict[str, Any]:
         raise InvariantViolation(f"{where} must be a JSON object, got {raw!r}")
     if isinstance(allowed, type):
         for key in raw:
-            parse_enum(allowed, key)
+            parse_enum(allowed, key, where)
     elif not allowed.issuperset(raw):
         raise InvariantViolation(f"unknown keys {sorted(raw.keys() - allowed)} in {where}")
     return raw
@@ -586,10 +582,20 @@ def write_epochs_jsonl(epochs: Iterable[Epoch], fp: TextIO) -> None:
     fp.writelines(map(epoch_line, epochs))
 
 
-# A malformed row raises KeyError (a missing field), TypeError (a null, or a
-# row that is not an object), ValueError (bad JSON, number, enum or bound) or
-# RecursionError (JSON nested deeper than the decoder goes).
+# A malformed row or record raises KeyError (a missing field), ValueError (bad
+# JSON, number, enum or bound) or RecursionError (JSON nested deeper than the
+# decoder goes); TypeError is caught too, so a wrong type no reader checks
+# still names its line or patient key.
 _DECODE_ERRORS = (KeyError, TypeError, ValueError, RecursionError)
+
+
+def _located(where: str, exc: Exception) -> InvariantViolation:
+    """The error for a value rejected at ``where`` (a line, a patient key, an
+    entry): ``<where>: missing field 'k'`` for a KeyError, else
+    ``<where>: <exc>``."""
+    if isinstance(exc, KeyError):
+        return InvariantViolation(f"{where}: missing field {exc}")
+    return InvariantViolation(f"{where}: {exc}")
 
 
 def read_epochs_jsonl(fp: TextIO) -> list[Epoch]:
@@ -611,7 +617,7 @@ def read_epochs_jsonl(fp: TextIO) -> list[Epoch]:
         except _DECODE_ERRORS as exc:
             if line.startswith("\ufeff"):  # the error json.loads gives it
                 exc = json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0)
-            raise InvariantViolation(f"epochs line {line_no}: {exc}") from None
+            raise _located(f"epochs line {line_no}", exc) from None
     return epochs
 
 
@@ -621,8 +627,12 @@ def write_contexts_json(contexts: Mapping[int, PatientContext], fp: TextIO) -> N
 
 
 def read_contexts_json(fp: TextIO) -> dict[int, PatientContext]:
-    """Decode the sidecar; a malformed record fails, naming its patient key."""
-    raw = json.load(fp)
+    """Decode the sidecar; a file that is no JSON fails naming it, and a
+    malformed record naming its patient key."""
+    try:
+        raw = json.load(fp)
+    except _DECODE_ERRORS as exc:
+        raise _located("contexts.json", exc) from None
     if not isinstance(raw, dict):
         raise InvariantViolation("contexts must be an object keyed by patient id")
     contexts = {}
@@ -632,6 +642,6 @@ def read_contexts_json(fp: TextIO) -> dict[int, PatientContext]:
             if str(context.patient_id) != key:
                 raise InvariantViolation(f"holds patient_id {context.patient_id}")
         except _DECODE_ERRORS as exc:
-            raise InvariantViolation(f"contexts patient {key}: {exc}") from None
+            raise _located(f"contexts patient {key}", exc) from None
         contexts[context.patient_id] = context
     return contexts

@@ -34,6 +34,7 @@ from .model import (
     SelfReportedActivity,
     _flag,
     _integer,
+    _located,
     _number,
     _object,
     epoch_line,
@@ -52,10 +53,7 @@ __all__ = [
     "DomainClass",
     "GeneratedCase",
     "GeneratedDataset",
-    "InvalidBounds",
-    "InvalidEntry",
     "TaxonomyEntry",
-    "TaxonomyInvariantViolation",
     "default_taxonomy_path",
     "generate_case",
     "generate_dataset",
@@ -94,18 +92,6 @@ class DomainClass(str, Enum):
     PROBE_CONDITION_CONFLICT = "probe_condition_conflict"
 
 
-class InvalidBounds(ValueError):
-    """Truncation interval or sigma unusable for sampling."""
-
-
-class InvalidEntry(ValueError):
-    """A taxonomy entry cannot generate valid epochs."""
-
-
-class TaxonomyInvariantViolation(ValueError):
-    """The catalogue as a whole breaks a structural invariant."""
-
-
 # Each generated field with the Epoch value it takes when the entry leaves it
 # out (or, for a categorical field, gives null). A continuous field also names
 # the physiological range its spec's bounds must lie in: a draw is clamped to
@@ -133,11 +119,11 @@ class ContinuousSpec:
 
     def __post_init__(self) -> None:
         if not self.lower < self.upper:
-            raise InvalidEntry(f"lower {self.lower:g} must be below upper {self.upper:g}")
+            raise InvariantViolation(f"lower {self.lower:g} must be below upper {self.upper:g}")
         if not self.lower <= self.mu <= self.upper:
-            raise InvalidEntry(f"mu {self.mu} outside bounds [{self.lower},{self.upper}]")
+            raise InvariantViolation(f"mu {self.mu} outside bounds [{self.lower},{self.upper}]")
         if self.sigma <= 0:
-            raise InvalidEntry(f"sigma must be positive, got {self.sigma}")
+            raise InvariantViolation(f"sigma must be positive, got {self.sigma}")
 
     def to_dict(self) -> dict[str, float]:
         return {"mu": self.mu, "sigma": self.sigma, "lower": self.lower, "upper": self.upper}
@@ -162,7 +148,7 @@ class CategoricalSpec:
 
     def __post_init__(self) -> None:
         if self.choices and self.fixed is not None:
-            raise InvalidEntry("categorical spec cannot be both fixed and a choice set")
+            raise InvariantViolation("categorical spec cannot be both fixed and a choice set")
 
     def to_dict(self) -> dict[str, Any]:
         if self.choices:
@@ -176,7 +162,7 @@ class CategoricalSpec:
             return cls(fixed=data.get("fixed"))
         choices = data["choice"]
         if not isinstance(choices, list) or not choices:
-            raise InvalidEntry(f"choice must be a non-empty array, got {choices!r}")
+            raise InvariantViolation(f"choice must be a non-empty array, got {choices!r}")
         return cls(fixed=data.get("fixed"), choices=tuple(choices))
 
 
@@ -191,7 +177,7 @@ def _epoch_value(name: str, raw: Any) -> Any:
     if kind is bool:
         return _flag(raw, name)
     if kind is not None:
-        return parse_enum(kind, raw)
+        return parse_enum(kind, raw, name)
     return raw
 
 
@@ -234,17 +220,17 @@ class TaxonomyEntry:
 
     def __post_init__(self) -> None:
         if self.epoch_count <= 0:
-            raise InvalidEntry("epoch_count must be positive")
+            raise InvariantViolation("epoch_count must be positive")
         unknown = self.continuous_params.keys() - _CONTINUOUS_NAMES
         if unknown:
-            raise InvalidEntry(f"unknown continuous fields {sorted(unknown)}")
+            raise InvariantViolation(f"unknown continuous fields {sorted(unknown)}")
         unknown = self.categorical_params.keys() - _CATEGORICAL_NAMES
         if unknown:
-            raise InvalidEntry(f"unknown categorical fields {sorted(unknown)}")
+            raise InvariantViolation(f"unknown categorical fields {sorted(unknown)}")
         for name, spec in self.continuous_params.items():
             _, low, high = _CONTINUOUS_FIELDS[name]
             if not (low <= spec.lower and spec.upper <= high):
-                raise InvalidEntry(
+                raise InvariantViolation(
                     f"{name} spec [{spec.lower:g}, {spec.upper:g}] outside [{low:g}, {high:g}]"
                 )
         _flag(self.nocturnal, "nocturnal")
@@ -254,23 +240,23 @@ class TaxonomyEntry:
         start_days = -(-(_WINDOW_MINUTES - latest - self.epoch_count + 1) // _DAY_MINUTES)
         clock = f"{latest // 60:02d}:{latest % 60:02d}"
         if start_days <= 0:
-            raise InvalidEntry(
+            raise InvariantViolation(
                 f"epoch_count {self.epoch_count} does not fit in the data window"
                 f" from a {clock} start"
             )
         # A nocturnal case lies wholly in the night, which routing ends at 06:00.
         night = NOCTURNAL_END_HOUR * 60 - latest
         if self.nocturnal and self.epoch_count > night:
-            raise InvalidEntry(
+            raise InvariantViolation(
                 f"nocturnal epoch_count {self.epoch_count} runs past"
                 f" {NOCTURNAL_END_HOUR:02d}:00 from a {clock} start (at most {night})"
             )
         if "patient_id" in self.context:
-            raise InvalidEntry("context patient_id is assigned per case, not by the entry")
+            raise InvariantViolation("context patient_id is assigned per case, not by the entry")
         try:
             context = PatientContext.from_dict({**self.context, "patient_id": 0})
         except InvariantViolation as exc:
-            raise InvalidEntry(f"context {exc}") from None
+            raise InvariantViolation(f"context {exc}") from None
 
         fixed = {
             name: default
@@ -318,7 +304,7 @@ class TaxonomyEntry:
     def from_dict(cls, data: Mapping[str, Any]) -> "TaxonomyEntry":
         """Decode one catalogue entry; a missing or mistyped field names the entry.
 
-        Every decoding error is raised as TaxonomyInvariantViolation, so a bad
+        Every decoding error is raised as an InvariantViolation, so a bad
         user-supplied catalogue fails closed instead of with a traceback.
         """
         name = data.get("case_id") if isinstance(data, Mapping) else data
@@ -330,10 +316,10 @@ class TaxonomyEntry:
             )
             case_id = data["case_id"]
             if not isinstance(case_id, str):
-                raise InvalidEntry(f"case_id must be a string, got {case_id!r}")
+                raise InvariantViolation(f"case_id must be a string, got {case_id!r}")
             return cls(
                 case_id=case_id,
-                domain_class=parse_enum(DomainClass, data["domain_class"]),
+                domain_class=parse_enum(DomainClass, data["domain_class"], "domain_class"),
                 epoch_count=_integer(data["epoch_count"], "epoch_count"),
                 continuous_params={k: ContinuousSpec.from_dict(v) for k, v in continuous.items()},
                 categorical_params={
@@ -343,12 +329,8 @@ class TaxonomyEntry:
                 nocturnal=data["nocturnal"],
                 expected_outcome_note=str(data.get("expected_outcome_note", "")),
             )
-        except KeyError as exc:
-            raise TaxonomyInvariantViolation(
-                f"taxonomy entry {name!r}: missing field {exc}"
-            ) from None
-        except (AttributeError, TypeError, ValueError) as exc:
-            raise TaxonomyInvariantViolation(f"taxonomy entry {name!r}: {exc}") from None
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise _located(f"taxonomy entry {name!r}", exc) from None
 
 
 _ENTRY_KEYS = frozenset(f.name for f in fields(TaxonomyEntry) if f.init)
@@ -366,7 +348,7 @@ def load_taxonomy(path: str | Path) -> list[TaxonomyEntry]:
     with open(path, encoding="utf-8") as fp:
         raw = json.load(fp)
     if not isinstance(raw, list):
-        raise TaxonomyInvariantViolation("taxonomy file must be a JSON array of entries")
+        raise InvariantViolation("taxonomy file must be a JSON array of entries")
     entries = [TaxonomyEntry.from_dict(item) for item in raw]
     validate_taxonomy(entries)
     return entries
@@ -375,11 +357,11 @@ def load_taxonomy(path: str | Path) -> list[TaxonomyEntry]:
 def validate_taxonomy(entries: Sequence[TaxonomyEntry]) -> None:
     """The catalogue-wide checks: at least one entry, and unique case ids."""
     if not entries:
-        raise TaxonomyInvariantViolation("taxonomy holds no entries")
+        raise InvariantViolation("taxonomy holds no entries")
     seen: set[str] = set()
     for entry in entries:
         if entry.case_id in seen:
-            raise TaxonomyInvariantViolation(f"duplicate case_id {entry.case_id!r}")
+            raise InvariantViolation(f"duplicate case_id {entry.case_id!r}")
         seen.add(entry.case_id)
 
 
@@ -398,9 +380,9 @@ def sample_truncated_gaussian(
     total even under extreme truncation.
     """
     if not lower < upper:
-        raise InvalidBounds(f"require lower < upper, got [{lower},{upper}]")
+        raise InvariantViolation(f"require lower < upper, got [{lower},{upper}]")
     if sigma <= 0:
-        raise InvalidBounds(f"sigma must be positive, got {sigma}")
+        raise InvariantViolation(f"sigma must be positive, got {sigma}")
     x = mu
     for _ in range(MAX_REJECTIONS):
         x = rng.normal(mu, sigma)
@@ -429,12 +411,12 @@ def generate_case(
     """
     low, high = PATIENT_ID_RANGE
     if not low <= patient_id <= high:
-        raise InvalidEntry(f"{entry.case_id}: patient_id {patient_id} outside [{low}, {high}]")
+        raise InvariantViolation(f"{entry.case_id}: patient_id {patient_id} outside [{low}, {high}]")
     if start_time.second or start_time.microsecond:
-        raise InvalidEntry(f"{entry.case_id}: start {start_time} is not minute-resolution")
+        raise InvariantViolation(f"{entry.case_id}: start {start_time} is not minute-resolution")
     last = start_time + (entry.epoch_count - 1) * _MINUTE
     if not DATA_WINDOW[0] <= start_time <= last < DATA_WINDOW[1]:
-        raise InvalidEntry(f"{entry.case_id}: epochs {start_time} to {last} leave the data window")
+        raise InvariantViolation(f"{entry.case_id}: epochs {start_time} to {last} leave the data window")
     rng = _substream(seed, f"case:{entry.case_id}")
     context = replace(entry._context, patient_id=patient_id)
     continuous, choices, fixed = entry._continuous, entry._choices, entry._fixed

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from alertsift.assembly import (
     ALLOWED_SPECIALIST_PROVENANCE,
-    PatientIdMismatch,
     SourceBundle,
     assemble,
     project_for_specialists,
@@ -21,6 +20,7 @@ from alertsift.model import (
     DEVICE_STREAM_FIELDS,
     DeviceStatus,
     Epoch,
+    InvariantViolation,
     PATIENT_ID_RANGE,
     Position,
     ProvenanceTag,
@@ -54,14 +54,19 @@ def test_tags_assigned_by_source():
 def test_assemble_errors():
     epoch = make_epoch()
     bundle = make_bundle(epoch)
-    with pytest.raises(PatientIdMismatch):
-        assemble(bundle, make_epoch(patient_id=epoch.patient_id + 1))
+    foreign_pid = epoch.patient_id + 1
+    with pytest.raises(
+        InvariantViolation, match=f"epoch patient {foreign_pid} != context patient {epoch.patient_id}"
+    ):
+        assemble(bundle, make_epoch(patient_id=foreign_pid))
     # A bundle does not check its stream; the walk assembles every epoch of
     # it, and assembly rejects the foreign one.
     foreign = SourceBundle(
         ehr=make_context(patient_id=epoch.patient_id + 1), vitals_stream=(epoch,)
     )
-    with pytest.raises(PatientIdMismatch):
+    with pytest.raises(
+        InvariantViolation, match=f"epoch patient {epoch.patient_id} != context patient {foreign_pid}"
+    ):
         assemble(foreign, foreign.vitals_stream[0])
 
 
@@ -105,7 +110,7 @@ def _reference_assemble(bundle: SourceBundle, epoch: Epoch) -> VeritasRecord:
     """
     pid = bundle.ehr.patient_id
     if epoch.patient_id != pid:
-        raise PatientIdMismatch(f"epoch patient {epoch.patient_id} != context patient {pid}")
+        raise InvariantViolation(f"epoch patient {epoch.patient_id} != context patient {pid}")
     at = epoch.timestamp
     device, reported, ehr = (
         ProvenanceTag.DEVICE_VERIFIED, ProvenanceTag.PATIENT_REPORTED, ProvenanceTag.EHR_DERIVED

@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import math
 import re
+import shutil
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from alertsift import cli
 from alertsift.cli import main
+from alertsift.model import AccelLevel, DeviceStatus, Position, SelfReportedActivity
 from alertsift.synthgen import default_taxonomy_path
 
 
@@ -113,7 +119,7 @@ HUGE = 10**400
         ("spo2", None, "spo2 must be a number, got None"),
         ("spo2", "abc", "spo2 must be a number, got 'abc'"),
         ("timestamp", 5, "timestamp 5 is not a string"),
-        ("device_status", "broken", "DeviceStatus: 'broken' is not one of"),
+        ("device_status", "broken", "device_status: 'broken' is not one of"),
         ("hr", True, "hr must be a number, got True"),
         ("spo2", False, "spo2 must be a number, got False"),
         ("spo2", "97.5", "spo2 must be a number, got '97.5'"),
@@ -327,7 +333,7 @@ _MISSING = object()
         (("per_domain", "probe_integrity"), 5, "'per_domain.probe_integrity' must be a JSON"),
         (("per_domain", "copd", "tsr"), "1.0", "per_domain.copd.tsr must be a number, got '1.0'"),
         (("wilson_cis", "copd", "lower"), None, "wilson_cis.copd.lower must be a number, got None"),
-        (("wilson_cis", "shoulder"), {"lower": 0, "upper": 1}, "DomainClass: 'shoulder'"),
+        (("wilson_cis", "shoulder"), {"lower": 0, "upper": 1}, "'wilson_cis': 'shoulder' is not"),
         (("failure_modes", "system_flag"), 7.5, "failure_modes.system_flag must be an integer"),
         (("overall", "tsr"), _MISSING, "overall.tsr must be a number, got None"),
         (("totals", "cases"), True, "totals.cases must be a number, got True"),
@@ -407,7 +413,7 @@ def _edited_taxonomy(tmp_path: Path, edit) -> tuple[Path, str]:
         ),
         (
             lambda e: e["categorical_params"]["accel_level"].update(fixed="sprinting"),
-            "AccelLevel: 'sprinting' is not one of [still, light, vigorous]",
+            "accel_level: 'sprinting' is not one of [still, light, vigorous]",
         ),
         (
             lambda e: e["categorical_params"].update(position={"choice": "supine"}),
@@ -419,7 +425,7 @@ def _edited_taxonomy(tmp_path: Path, edit) -> tuple[Path, str]:
         ),
         (
             lambda e: e["categorical_params"].update(position={"choice": ["supine", "sideways"]}),
-            "Position: 'sideways' is not one of",
+            "position: 'sideways' is not one of",
         ),
         (
             lambda e: e["context"].update(baseline_spo2="95"),
@@ -841,6 +847,7 @@ def test_readme_example_config_gives_the_default_outputs(tmp_path):
 # JSON nested deeper than the decoder goes raises RecursionError, not a
 # ValueError: each of the five input files must still fail closed.
 DEEP = "[" * 100_000 + "]" * 100_000
+TOO_DEEP = "maximum recursion depth exceeded while decoding a JSON array from a unicode string"
 
 
 def _deep_config(tmp_path: Path) -> list:
@@ -871,6 +878,15 @@ def _deep_contexts(tmp_path: Path) -> list:
     return ["--config", config, "evaluate"]
 
 
+def _truncated_contexts(tmp_path: Path) -> list:
+    config = write_config(tmp_path)
+    run(["--config", config, "generate"])
+    contexts_path = tmp_path / "dataset" / "contexts.json"
+    text = contexts_path.read_text(encoding="utf-8")
+    contexts_path.write_text(text[: len(text) // 2], encoding="utf-8")
+    return ["--config", config, "evaluate"]
+
+
 def _deep_report(tmp_path: Path) -> list:
     (tmp_path / "report").mkdir()
     (tmp_path / "report" / "report.json").write_text(DEEP, encoding="utf-8")
@@ -880,22 +896,26 @@ def _deep_report(tmp_path: Path) -> list:
 @pytest.mark.parametrize(
     "setup, message",
     [
-        (_deep_config, "config invalid: "),
-        (_deep_taxonomy, "taxonomy validation failed: "),
-        (_deep_epochs_line, "input validation failed: epochs line 3: "),
-        (_deep_contexts, "input validation failed: "),
-        (_deep_report, "report payload invalid: "),
+        (_deep_config, f"config invalid: {TOO_DEEP}"),
+        (_deep_taxonomy, f"taxonomy validation failed: {TOO_DEEP}"),
+        (_deep_epochs_line, f"input validation failed: epochs line 3: {TOO_DEEP}"),
+        (_deep_contexts, f"input validation failed: contexts.json: {TOO_DEEP}"),
+        (
+            _truncated_contexts,
+            "input validation failed: contexts.json: Expecting property name enclosed in"
+            " double quotes: line 345 column 2 (char 8171)",
+        ),
+        (_deep_report, f"report payload invalid: {TOO_DEEP}"),
     ],
-    ids=["config", "taxonomy", "epochs_line", "contexts", "report_json"],
+    ids=["config", "taxonomy", "epochs_line", "contexts", "truncated_contexts", "report_json"],
 )
 def test_too_deeply_nested_input_exits_2(tmp_path, capsys, setup, message):
+    # A contexts.json that fails to decode for any other reason, here cut
+    # short, names the file the same way.
     argv = setup(tmp_path)
     capsys.readouterr()
     assert run(argv) == 2
-    assert capsys.readouterr().err.splitlines() == [
-        f"error: {message}maximum recursion depth exceeded"
-        " while decoding a JSON array from a unicode string"
-    ]
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
 
 # The exit-code contract as one table: every step of every command, under
@@ -953,3 +973,174 @@ def test_every_step_failure_maps_to_its_exit_code(
     assert run(["--config", tmp_path / "config.json", command]) == code
     [line] = capsys.readouterr().err.splitlines()
     assert line.startswith("error: ") and line.endswith(": step failed")
+
+
+# Every key of an epoch row and of a contexts.json record: the JSON types its
+# reader accepts, whether a row may leave it out, and for an enum key the
+# enumeration. ambient_condition is carried, never read, and takes any JSON
+# value.
+_ANY = frozenset({"null", "boolean", "integer", "float", "string", "array", "object"})
+_NUMBER = frozenset({"integer", "float"})
+_EPOCH_SCHEMA = {
+    "patient_id": ({"integer"}, True, None),
+    "timestamp": ({"string"}, True, None),
+    "spo2": (_NUMBER, True, None),
+    "hr": (_NUMBER, True, None),
+    "accel_level": ({"string"}, True, AccelLevel),
+    "device_status": ({"string"}, True, DeviceStatus),
+    "probe_cover_present": ({"boolean"}, True, None),
+    "position": ({"string"}, True, Position),
+    "self_reported_activity": ({"string", "null"}, False, SelfReportedActivity),
+    "ambient_condition": (_ANY, False, None),
+}
+_CONTEXT_SCHEMA = {
+    "patient_id": ({"integer"}, True, None),
+    "copd_documented": ({"boolean"}, True, None),
+    "baseline_spo2": (_NUMBER | {"null"}, False, None),
+    "baseline_hr": (_NUMBER | {"null"}, False, None),
+    "rate_limiting_medication": ({"boolean"}, False, None),
+}
+
+
+def _required(schema: dict) -> list:
+    return [key for key, (_, required, _) in schema.items() if required]
+
+
+@pytest.mark.parametrize(
+    "file, key",
+    [("epochs", key) for key in _required(_EPOCH_SCHEMA)]
+    + [("contexts", key) for key in _required(_CONTEXT_SCHEMA)],
+    ids=lambda value: value,
+)
+def test_missing_required_field_exits_2_naming_it(tmp_path, capsys, seed_42_dataset, file, key):
+    config = write_config(tmp_path)
+    dataset = shutil.copytree(seed_42_dataset, tmp_path / "dataset")
+    if file == "epochs":
+        epochs_path = dataset / "epochs.jsonl"
+        lines = epochs_path.read_text(encoding="utf-8").splitlines()
+        row = json.loads(lines[2])
+        del row[key]
+        lines[2] = json.dumps(row, separators=(",", ":"))
+        epochs_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        where = "epochs line 3"
+    else:
+        contexts_path = dataset / "contexts.json"
+        contexts = json.loads(contexts_path.read_text(encoding="utf-8"))
+        patient = sorted(contexts)[1]
+        del contexts[patient][key]
+        contexts_path.write_text(json.dumps(contexts), encoding="utf-8")
+        where = f"contexts patient {patient}"
+    capsys.readouterr()
+    assert run(["--config", config, "evaluate"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: input validation failed: {where}: missing field {key!r}"
+    ]
+
+
+_VALUES = {
+    "null": st.none(),
+    "boolean": st.booleans(),
+    "integer": st.integers(-1000, 10**7),
+    "float": st.floats(allow_nan=False, allow_infinity=False),
+    "string": st.text(max_size=8),
+    "array": st.lists(st.integers(0, 9), max_size=2),
+    "object": st.dictionaries(st.text(max_size=3), st.integers(0, 9), max_size=2),
+}
+
+
+def _json_type(value) -> str:
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "boolean"
+    return {int: "integer", float: "float", str: "string", list: "array"}.get(
+        type(value), "object"
+    )
+
+
+@pytest.fixture(scope="module")
+def mutable_dataset(tmp_path_factory, seed_42_dataset):
+    """A config whose dataset directory the property rewrites per example,
+    with the seed-42 epochs.jsonl lines and contexts.json records."""
+    base = tmp_path_factory.mktemp("mutated")
+    config = write_config(base)
+    lines = (seed_42_dataset / "epochs.jsonl").read_text(encoding="utf-8").splitlines()
+    contexts = json.loads((seed_42_dataset / "contexts.json").read_text(encoding="utf-8"))
+    shutil.copytree(seed_42_dataset, base / "dataset")
+    return config, base / "dataset", lines, contexts
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_one_mutated_dataset_value_exits_0_or_2_naming_it(mutable_dataset, data):
+    # Property: one seed-42 epochs.jsonl row or contexts.json record with one
+    # key dropped or renamed, or its value replaced by another JSON type, NaN
+    # or ±Infinity, or (for an enum key) a string outside the enumeration.
+    # evaluate exits 0 or 2 and never raises. A dropped required key, a
+    # renamed key, a type the key does not accept, a non-finite value and a
+    # bad enum value exit 2. Every exit 2 prints one error: line naming the
+    # row's line or patient key and then the key as the file holds it.
+    config, dataset, lines, contexts = mutable_dataset
+    file = data.draw(st.sampled_from(["epochs", "contexts"]), label="file")
+    if file == "epochs":
+        index = data.draw(st.integers(0, len(lines) - 1), label="line index")
+        record, schema, where = json.loads(lines[index]), _EPOCH_SCHEMA, f"epochs line {index + 1}"
+    else:
+        patient = data.draw(st.sampled_from(sorted(contexts)), label="patient")
+        record, schema = dict(contexts[patient]), _CONTEXT_SCHEMA
+        where = f"contexts patient {patient}"
+    key = data.draw(st.sampled_from(sorted(schema)), label="key")
+    types, required, enum = schema[key]
+    kinds = ["drop", "rename", "retype", "non_finite"] + (["bad_enum"] if enum else [])
+    kind = data.draw(st.sampled_from(kinds), label="kind")
+    named = key
+    if kind == "drop":
+        del record[key]
+        must_fail = required
+    elif kind == "rename":
+        named = data.draw(
+            st.sampled_from([key + "_", "_" + key, key[:-1], key.upper()]).filter(
+                lambda name: name not in schema
+            ),
+            label="new key",
+        )
+        record[named] = record.pop(key)
+        must_fail = True
+    else:
+        if kind == "retype":
+            new_type = data.draw(
+                st.sampled_from(sorted(_ANY - {_json_type(record[key])})), label="new type"
+            )
+            record[key] = data.draw(_VALUES[new_type], label="value")
+            must_fail = new_type not in types
+        elif kind == "non_finite":
+            record[key] = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+            must_fail = types is not _ANY
+        else:
+            members = {member.value for member in enum}
+            record[key] = data.draw(
+                st.sampled_from(sorted(members)).map(str.upper)
+                | st.text(max_size=12).filter(lambda text: text not in members),
+                label="value",
+            )
+            must_fail = True
+    if file == "epochs":
+        mutated = [*lines[:index], json.dumps(record, separators=(",", ":")), *lines[index + 1:]]
+        mutated_contexts = contexts
+    else:
+        mutated, mutated_contexts = lines, {**contexts, patient: record}
+    (dataset / "epochs.jsonl").write_text("\n".join(mutated) + "\n", encoding="utf-8")
+    (dataset / "contexts.json").write_text(json.dumps(mutated_contexts), encoding="utf-8")
+
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(["--config", str(config), "evaluate"])
+    assert code in (0, 2)
+    assert code == 2 or not must_fail, f"exit 0 after {kind} of {key!r} in {where}"
+    if code == 0:
+        assert err.getvalue() == ""
+        return
+    [line] = err.getvalue().splitlines()
+    prefix = f"error: input validation failed: {where}: "
+    assert line.startswith(prefix), line
+    assert re.search(rf"(?<!\w){re.escape(named)}(?!\w)", line[len(prefix):]), line

@@ -11,9 +11,6 @@ from scipy.stats import binomtest
 
 from alertsift.evaluate import (
     Dataset,
-    DatasetTaxonomyMismatch,
-    DuplicateEpoch,
-    EmptyDecisions,
     GOLDEN_FAILURE_MODES,
     GOLDEN_PER_DOMAIN,
     OutcomeKind,
@@ -22,12 +19,12 @@ from alertsift.evaluate import (
     evaluate,
     render_report_text,
     wilson_interval,
-    InvalidCounts,
 )
 from alertsift.model import (
     AgentClaim,
     AgentDomain,
     DeviceStatus,
+    InvariantViolation,
     Recommendation,
     ResolutionPath,
     RiskLevel,
@@ -62,7 +59,7 @@ def test_aggregate_any_escalation_is_false_escalation():
 
 
 def test_aggregate_empty_raises():
-    with pytest.raises(EmptyDecisions):
+    with pytest.raises(InvariantViolation, match="aggregate_case requires at least one decision"):
         aggregate_case([])
 
 
@@ -115,12 +112,11 @@ def test_wilson_against_scipy_oracle():
 
 
 def test_wilson_invalid_counts():
-    with pytest.raises(InvalidCounts):
-        wilson_interval(3, 2)
-    with pytest.raises(InvalidCounts):
-        wilson_interval(-1, 5)
-    with pytest.raises(InvalidCounts):
-        wilson_interval(0, 0)
+    for successes, n in ((3, 2), (-1, 5), (0, 0)):
+        with pytest.raises(
+            InvariantViolation, match=f"require 0 <= successes <= n, n >= 1; got {successes}/{n}"
+        ):
+            wilson_interval(successes, n)
 
 
 @pytest.fixture(scope="module")
@@ -182,7 +178,9 @@ def test_evaluation_invariant_under_case_reordering(golden_run):
 def test_dataset_taxonomy_mismatch(golden_run):
     taxonomy, dataset, _ = golden_run
     missing_one = tuple(e for e in dataset.epochs if e.patient_id != 3847291)
-    with pytest.raises(DatasetTaxonomyMismatch):
+    with pytest.raises(
+        InvariantViolation, match=r"dataset/taxonomy patients differ \(missing=\[3847291\], extra=\[\]\)"
+    ):
         evaluate(Dataset(epochs=missing_one, contexts=dataset.contexts), taxonomy)
 
 
@@ -198,7 +196,7 @@ def test_duplicate_epoch_in_memory_dataset_raises(golden_run):
     )
     context = dataset.contexts[first.patient_id]
     assert detect(make_view(quiet, context), SentinelConfig()) is None
-    with pytest.raises(DuplicateEpoch, match=f"duplicate epoch for patient {first.patient_id} "):
+    with pytest.raises(InvariantViolation, match=f"duplicate epoch for patient {first.patient_id} "):
         evaluate(Dataset(epochs=(*dataset.epochs, quiet), contexts=dataset.contexts), taxonomy)
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from alertsift.assembly import project_for_specialists
-from alertsift.meta import DecisionHistory, EmptyClaims, MetaConfig, resolve
+from alertsift.meta import DecisionHistory, MetaConfig, resolve
 from alertsift.model import (
     DOMAIN_ORDER,
     AgentClaim,
@@ -289,7 +289,12 @@ def test_debounce_idempotence_never_flips():
 
 
 def test_empty_claims_raises():
-    with pytest.raises(EmptyClaims):
+    # Routing gives every alert at least one target, so no claims never
+    # matches the routed domains.
+    with pytest.raises(
+        InvariantViolation,
+        match=r"claims must be one per routed target in domain order; got \[\], expected \['copd'\]",
+    ):
         resolve((), routing_for(AgentDomain.COPD), make_alert(), DecisionHistory(), CFG)
 
 
@@ -421,8 +426,6 @@ def _reference_resolve(claims, routing, alert, history, cfg):
     The straight-line resolve must give the same decision at every step.
     ``history`` is a _ReferenceHistory, so the pruned window is checked
     against the full history."""
-    if not claims:
-        raise EmptyClaims("resolve requires at least one claim")
     claimed = [c.domain for c in claims]
     expected = [d for d in DOMAIN_ORDER if d in routing.targets]
     if claimed != expected:
@@ -538,7 +541,7 @@ def _alert_at(ts, types, status):
 def _outcome(fn, *args):
     try:
         return fn(*args)
-    except (EmptyClaims, InvariantViolation) as exc:
+    except InvariantViolation as exc:
         return type(exc), str(exc)
 
 

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import importlib
 import io
 import json
+import pkgutil
 import random
+import re
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -19,7 +22,6 @@ from alertsift.model import (
     AlertType,
     CandidateAlert,
     DeviceStatus,
-    EnumParseError,
     Epoch,
     InvariantViolation,
     PatientContext,
@@ -38,6 +40,8 @@ from alertsift.model import (
     parse_timestamp,
     write_epochs_jsonl,
 )
+import alertsift
+from alertsift import cli
 from alertsift.evaluate import OutcomeKind
 from alertsift.synthgen import ContinuousSpec, DomainClass, generate_case
 from helpers import DAYTIME, make_context, make_entry, make_epoch, make_record
@@ -99,13 +103,16 @@ def test_timestamp_minute_resolution_enforced():
     ],
 )
 def test_closed_enums_reject_unknown_strings(cls):
-    with pytest.raises(EnumParseError):
-        parse_enum(cls, "definitely_not_a_member")
+    with pytest.raises(
+        InvariantViolation, match="^field: 'definitely_not_a_member' is not one of \\["
+    ):
+        parse_enum(cls, "definitely_not_a_member", "field")
     # every declared member parses back
     for member in cls:
-        assert parse_enum(cls, member.value) is member
+        assert parse_enum(cls, member.value, "field") is member
     # The enum's own constructor is the reference: the same member for every
-    # value it accepts, EnumParseError for every value it rejects.
+    # value it accepts, InvariantViolation naming the field and the value for
+    # every value it rejects.
     first = next(iter(cls))
     inputs = [m.value for m in cls] + list(cls) + [
         "definitely_not_a_member", "", first.value.upper(), f" {first.value}",
@@ -115,10 +122,24 @@ def test_closed_enums_reject_unknown_strings(cls):
         try:
             expected = cls(raw)
         except ValueError:
-            with pytest.raises(EnumParseError):
-                parse_enum(cls, raw)
+            with pytest.raises(InvariantViolation, match=f"^field: {re.escape(repr(raw))} is not"):
+                parse_enum(cls, raw, "field")
         else:
-            assert parse_enum(cls, raw) is expected
+            assert parse_enum(cls, raw, "field") is expected
+
+
+def test_the_package_defines_one_error_type():
+    # Every rejected value raises InvariantViolation; cli._Failure only
+    # carries a failed command step to main's one error: line.
+    defined = set()
+    for info in pkgutil.iter_modules(alertsift.__path__):
+        module = importlib.import_module(f"alertsift.{info.name}")
+        defined.update(
+            value for value in vars(module).values()
+            if isinstance(value, type) and issubclass(value, BaseException)
+            and value.__module__ == module.__name__
+        )
+    assert defined == {InvariantViolation, cli._Failure}
 
 
 def test_format_timestamp_matches_strftime():

@@ -17,6 +17,7 @@ from alertsift.model import (
     AccelLevel,
     DeviceStatus,
     Epoch,
+    InvariantViolation,
     PatientContext,
     Position,
     SelfReportedActivity,
@@ -28,10 +29,7 @@ from alertsift.synthgen import (
     ContinuousSpec,
     DATA_WINDOW,
     DomainClass,
-    InvalidBounds,
-    InvalidEntry,
     TaxonomyEntry,
-    TaxonomyInvariantViolation,
     default_taxonomy_path,
     generate_case,
     generate_dataset,
@@ -80,9 +78,9 @@ def test_truncated_gaussian_heavy_truncation_clamps():
 
 def test_truncated_gaussian_invalid_bounds():
     rng = np.random.default_rng(9)
-    with pytest.raises(InvalidBounds):
+    with pytest.raises(InvariantViolation, match=r"require lower < upper, got \[95.0,94.0\]"):
         sample_truncated_gaussian(90.0, 1.0, 95.0, 94.0, rng)
-    with pytest.raises(InvalidBounds):
+    with pytest.raises(InvariantViolation, match="sigma must be positive, got 0.0"):
         sample_truncated_gaussian(90.0, 0.0, 80.0, 95.0, rng)
 
 
@@ -179,11 +177,11 @@ def test_validate_taxonomy_rejects_wrong_count():
     # The one count a catalogue can get wrong is none at all; any other size
     # loads, and only the golden check compares it with the shipped 98.
     entries = load_taxonomy(default_taxonomy_path())
-    with pytest.raises(TaxonomyInvariantViolation, match="taxonomy holds no entries"):
+    with pytest.raises(InvariantViolation, match="taxonomy holds no entries"):
         validate_taxonomy([])
     for size in (1, 10, 97, 98):
         validate_taxonomy(entries[:size])
-    with pytest.raises(TaxonomyInvariantViolation, match="duplicate case_id 'FP-001'"):
+    with pytest.raises(InvariantViolation, match="duplicate case_id 'FP-001'"):
         validate_taxonomy([*entries[:3], entries[0]])
 
 
@@ -202,7 +200,7 @@ def test_vital_spec_past_the_range_edges_is_rejected(name, bounds, message):
     # the edge: the mu here sits far inside the range.
     lower, upper = bounds
     params = {name: ContinuousSpec((lower + upper) / 2, 0.1, lower, upper)}
-    with pytest.raises(InvalidEntry) as caught:
+    with pytest.raises(InvariantViolation) as caught:
         make_entry(continuous_params=params)
     assert str(caught.value) == message
 
@@ -211,13 +209,13 @@ def test_generate_case_rejects_a_case_outside_the_dataset_bounds():
     entry = make_entry()  # six epochs
     low, high = PATIENT_ID_RANGE
     for pid in (low - 1, high + 1):
-        with pytest.raises(InvalidEntry, match=f"TOY-001: patient_id {pid} outside"):
+        with pytest.raises(InvariantViolation, match=f"TOY-001: patient_id {pid} outside"):
             generate_case(entry, pid, START, seed=42)
-    with pytest.raises(InvalidEntry, match="TOY-001: start .* is not minute-resolution"):
+    with pytest.raises(InvariantViolation, match="TOY-001: start .* is not minute-resolution"):
         generate_case(entry, low, START.replace(second=30), seed=42)
     start, end = DATA_WINDOW
     for first in (start - timedelta(minutes=1), end - timedelta(minutes=5)):
-        with pytest.raises(InvalidEntry, match="TOY-001: epochs .* leave the data window"):
+        with pytest.raises(InvariantViolation, match="TOY-001: epochs .* leave the data window"):
             generate_case(entry, low, first, seed=42)
     # The first and the last minute of the window are inside it.
     for first in (start, end - timedelta(minutes=6)):
@@ -281,16 +279,16 @@ def test_case_substreams_independent_of_reordering():
 
 
 def test_invalid_entry_rejected():
-    with pytest.raises(InvalidEntry):
+    with pytest.raises(InvariantViolation, match="epoch_count must be positive"):
         make_entry(epoch_count=0)
-    with pytest.raises(InvalidEntry):
+    with pytest.raises(InvariantViolation, match=r"mu 95.0 outside bounds \[86.0,90.0\]"):
         make_entry(
             continuous_params={
                 "spo2": ContinuousSpec(95.0, 0.5, 86.0, 90.0),  # mu outside bounds
                 "hr": ContinuousSpec(74.0, 4.0, 58.0, 92.0),
             }
         )
-    with pytest.raises(InvalidEntry):
+    with pytest.raises(InvariantViolation, match=r"unknown continuous fields \['temperature'\]"):
         make_entry(continuous_params={"temperature": ContinuousSpec(37.0, 0.1, 36.0, 38.0)})
     # Categorical values are parsed when the entry is built, not when drawn.
     with pytest.raises(ValueError, match="'sprinting' is not one of"):
@@ -300,7 +298,7 @@ def test_invalid_entry_rejected():
     with pytest.raises(ValueError, match="probe_cover_present must be true or false"):
         make_entry(categorical_params={"probe_cover_present": CategoricalSpec(choices=(False, 0))})
     for bad in ("supine", [], None):
-        with pytest.raises(InvalidEntry, match="choice must be a non-empty array"):
+        with pytest.raises(InvariantViolation, match="choice must be a non-empty array"):
             CategoricalSpec.from_dict({"choice": bad})
 
 
@@ -459,7 +457,7 @@ def test_an_entry_too_long_for_any_day_is_rejected_when_built():
         assert start.date() == DATA_WINDOW[0].date()
         assert start + (longest - 1) * timedelta(minutes=1) < DATA_WINDOW[1]
     message = f"epoch_count {longest + 1} does not fit in the data window from a 19:59 start"
-    with pytest.raises(InvalidEntry, match=message):
+    with pytest.raises(InvariantViolation, match=message):
         make_entry(epoch_count=longest + 1)
 
 
@@ -472,5 +470,5 @@ def test_a_nocturnal_entry_past_the_night_is_rejected_when_built():
         epochs, _ = generate_case(entry, PATIENT_ID_RANGE[0], start, seed)
         assert all(in_nocturnal_window(e.timestamp) for e in epochs), seed
     message = r"nocturnal epoch_count 72 runs past 06:00 from a 04:49 start \(at most 71\)"
-    with pytest.raises(InvalidEntry, match=message):
+    with pytest.raises(InvariantViolation, match=message):
         make_entry(nocturnal=True, epoch_count=72)
