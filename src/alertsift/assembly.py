@@ -135,7 +135,7 @@ class SpecialistView:
 
     Inferred-tagged fields are structurally missing: they are not present
     in the view's field mappings at all, so no rule can read them. The
-    originating record is kept for message plumbing only.
+    originating record is kept for its timestamp only.
     """
 
     record: VeritasRecord
@@ -143,15 +143,8 @@ class SpecialistView:
     context_fields: Mapping[str, TaggedValue]
 
     @property
-    def patient_id(self) -> int:
-        return self.record.patient_id
-
-    @property
     def timestamp(self) -> datetime:
         return self.record.timestamp
-
-    def field_names(self) -> frozenset[str]:
-        return frozenset(self.epoch_fields) | frozenset(self.context_fields)
 
     def get(self, name: str) -> TaggedValue | None:
         tv = self.epoch_fields.get(name)

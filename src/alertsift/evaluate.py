@@ -391,13 +391,12 @@ def _pct(x: float) -> str:
     return f"{100 * x:.1f}%"
 
 
-def render_report_text(report: EvaluationReport | Mapping[str, Any]) -> str:
+def render_report_text(data: Mapping[str, Any]) -> str:
     """Human-readable tables: overall, per-class, Wilson CIs, failure modes.
 
-    Accepts either a live report or its serialized dict, so a stored
-    report.json re-renders to identical text.
+    Reads the serialized report, ``EvaluationReport.to_json_dict()`` or a
+    stored report.json, so both render to identical text.
     """
-    data = report.to_json_dict() if isinstance(report, EvaluationReport) else report
     overall = data["overall"]
     totals = data["totals"]
 

@@ -38,7 +38,6 @@ __all__ = [
     "VeritasRecord",
     "CANONICAL_JSON",
     "COMPACT_JSON",
-    "DEVICE_STREAM_FIELDS",
     "DOMAIN_ORDER",
     "PATIENT_ID_RANGE",
     "epoch_line",
@@ -182,9 +181,6 @@ def parse_enum(cls: type, raw: Any, name: str) -> Any:
 # order; evaluation attributes patients to cases by the same rule.
 PATIENT_ID_RANGE = (3847291, 3847388)
 
-# Epoch fields whose provenance must be device_verified after assembly.
-DEVICE_STREAM_FIELDS = ("spo2", "hr", "accel_level", "device_status")
-
 
 def format_timestamp(ts: datetime) -> str:
     """Render a UTC minute-resolution timestamp as ``YYYY-MM-DDTHH:MM:00Z``.
@@ -249,10 +245,6 @@ class TaggedValue(_TaggedFields):
         # NamedTuple's _make (and _replace through it) skip __new__; keep the check.
         return cls(*iterable)
 
-    def retagged(self, provenance: ProvenanceTag) -> "TaggedValue":
-        """Copy with a different provenance tag (test hook; tags never mutate)."""
-        return TaggedValue(self.value, provenance, self.source_id, self.observed_at)
-
 
 @dataclass(frozen=True)
 class Epoch:
@@ -272,22 +264,6 @@ class Epoch:
     position: Position
     self_reported_activity: SelfReportedActivity | None = None
     ambient_condition: str | None = None
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "patient_id": self.patient_id,
-            "timestamp": format_timestamp(self.timestamp),
-            "spo2": self.spo2,
-            "hr": self.hr,
-            "accel_level": self.accel_level.value,
-            "device_status": self.device_status.value,
-            "probe_cover_present": self.probe_cover_present,
-            "position": self.position.value,
-            "self_reported_activity": (
-                self.self_reported_activity.value if self.self_reported_activity else None
-            ),
-            "ambient_condition": self.ambient_condition,
-        }
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "Epoch":
@@ -456,10 +432,6 @@ class VeritasRecord:
             unknown = sorted(self.context_fields.keys() - _CONTEXT_FIELDS)
             raise InvariantViolation(f"unknown context fields: {unknown}")
 
-    def all_tagged(self) -> Iterable[tuple[str, TaggedValue]]:
-        yield from self.epoch_fields.items()
-        yield from self.context_fields.items()
-
 
 @dataclass(frozen=True)
 class CandidateAlert:
@@ -471,7 +443,6 @@ class CandidateAlert:
 
     alert_types: frozenset[AlertType]
     triggering_values: Mapping[AlertType, TaggedValue]
-    record_ref: VeritasRecord
     raised_at: datetime
 
     def __post_init__(self) -> None:
@@ -535,9 +506,11 @@ class SystemDecision:
 
 
 def epoch_line(epoch: Epoch, canonical: bool = False) -> str:
-    """One epoch as a line: ``COMPACT_JSON.encode(epoch.to_dict())`` and a
-    newline, byte for byte, or with ``canonical`` the same for
-    ``CANONICAL_JSON``, without building the dict or running the encoder.
+    """One epoch as a line: its row, ``COMPACT_JSON``-encoded, and a newline,
+    byte for byte, or with ``canonical`` the same for ``CANONICAL_JSON``,
+    without building the row or running the encoder. The row is an object of
+    the ten fields in declaration order: enums as their values, the
+    timestamp as ``format_timestamp`` writes it, every other field as is.
 
     The fields are read once and written into one of two templates. Enum
     members give ``_value_`` (a plain attribute; ``.value`` is a descriptor),
@@ -634,7 +607,9 @@ def read_contexts_json(fp: TextIO) -> dict[int, PatientContext]:
     except _DECODE_ERRORS as exc:
         raise _located("contexts.json", exc) from None
     if not isinstance(raw, dict):
-        raise InvariantViolation("contexts must be an object keyed by patient id")
+        raise InvariantViolation(
+            f"contexts.json: must be a JSON object keyed by patient id, got {type(raw).__name__}"
+        )
     contexts = {}
     for key, data in raw.items():
         try:

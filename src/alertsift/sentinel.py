@@ -62,6 +62,5 @@ def detect(view: SpecialistView, cfg: SentinelConfig) -> CandidateAlert | None:
     return CandidateAlert(
         alert_types=frozenset(triggers),
         triggering_values=triggers,
-        record_ref=view.record,
         raised_at=view.timestamp,
     )

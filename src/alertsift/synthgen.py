@@ -251,6 +251,8 @@ class TaxonomyEntry:
                 f"nocturnal epoch_count {self.epoch_count} runs past"
                 f" {NOCTURNAL_END_HOUR:02d}:00 from a {clock} start (at most {night})"
             )
+        if not isinstance(self.context, Mapping):
+            raise InvariantViolation(f"context must be a JSON object, got {self.context!r}")
         if "patient_id" in self.context:
             raise InvariantViolation("context patient_id is assigned per case, not by the entry")
         try:
@@ -314,9 +316,10 @@ class TaxonomyEntry:
             categorical = _object(
                 data["categorical_params"], _CATEGORICAL_NAMES, "categorical_params"
             )
-            case_id = data["case_id"]
-            if not isinstance(case_id, str):
-                raise InvariantViolation(f"case_id must be a string, got {case_id!r}")
+            case_id, note = data["case_id"], data.get("expected_outcome_note", "")
+            for key, text in (("case_id", case_id), ("expected_outcome_note", note)):
+                if not isinstance(text, str):
+                    raise InvariantViolation(f"{key} must be a string, got {text!r}")
             return cls(
                 case_id=case_id,
                 domain_class=parse_enum(DomainClass, data["domain_class"], "domain_class"),
@@ -327,7 +330,7 @@ class TaxonomyEntry:
                 },
                 context=data["context"],
                 nocturnal=data["nocturnal"],
-                expected_outcome_note=str(data.get("expected_outcome_note", "")),
+                expected_outcome_note=note,
             )
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise _located(f"taxonomy entry {name!r}", exc) from None

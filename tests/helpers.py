@@ -8,6 +8,7 @@ record (e.g. an inferred-tagged field) rebuild it field by field.
 from __future__ import annotations
 
 from datetime import datetime, timezone
+from typing import Any, Iterable
 
 from alertsift.assembly import (
     SourceBundle,
@@ -26,7 +27,9 @@ from alertsift.model import (
     Position,
     ProvenanceTag,
     SelfReportedActivity,
+    TaggedValue,
     VeritasRecord,
+    format_timestamp,
 )
 from alertsift.routing import ARTEFACT_STATUSES, RoutingDecision, route
 from alertsift.sentinel import SentinelConfig, detect
@@ -35,6 +38,9 @@ from alertsift.synthgen import CategoricalSpec, ContinuousSpec, DomainClass, Tax
 DAYTIME = datetime(2022, 6, 15, 14, 0, tzinfo=timezone.utc)
 NIGHT = datetime(2022, 6, 15, 2, 30, tzinfo=timezone.utc)
 PATIENT = 3847291
+
+# Epoch fields whose provenance must be device_verified after assembly.
+DEVICE_STREAM_FIELDS = ("spo2", "hr", "accel_level", "device_status")
 
 
 def make_epoch(
@@ -61,6 +67,25 @@ def make_epoch(
         self_reported_activity=activity,
         ambient_condition=ambient,
     )
+
+
+def epoch_row(epoch: Epoch) -> dict[str, Any]:
+    """An epoch's dataset row as a dict, in field order: the reference that
+    ``epoch_line`` writes and ``Epoch.from_dict`` reads."""
+    return {
+        "patient_id": epoch.patient_id,
+        "timestamp": format_timestamp(epoch.timestamp),
+        "spo2": epoch.spo2,
+        "hr": epoch.hr,
+        "accel_level": epoch.accel_level.value,
+        "device_status": epoch.device_status.value,
+        "probe_cover_present": epoch.probe_cover_present,
+        "position": epoch.position.value,
+        "self_reported_activity": (
+            epoch.self_reported_activity.value if epoch.self_reported_activity else None
+        ),
+        "ambient_condition": epoch.ambient_condition,
+    }
 
 
 def make_context(
@@ -93,10 +118,26 @@ def make_view(epoch: Epoch, context: PatientContext | None = None) -> Specialist
     return project_for_specialists(make_record(epoch, context))
 
 
+def all_tagged(record: VeritasRecord) -> Iterable[tuple[str, TaggedValue]]:
+    """Every (name, tagged value) of a record: epoch fields, then context fields."""
+    yield from record.epoch_fields.items()
+    yield from record.context_fields.items()
+
+
+def field_names(view: SpecialistView) -> frozenset[str]:
+    """The names of every field a view exposes."""
+    return frozenset(view.epoch_fields) | frozenset(view.context_fields)
+
+
+def retagged(tv: TaggedValue, provenance: ProvenanceTag) -> TaggedValue:
+    """A copy of ``tv`` with a different provenance tag (tags never mutate)."""
+    return TaggedValue(tv.value, provenance, tv.source_id, tv.observed_at)
+
+
 def retag_field(record: VeritasRecord, name: str, tag: ProvenanceTag) -> VeritasRecord:
     """Rebuild a record with one epoch field's provenance replaced."""
     epoch_fields = dict(record.epoch_fields)
-    epoch_fields[name] = epoch_fields[name].retagged(tag)
+    epoch_fields[name] = retagged(epoch_fields[name], tag)
     return VeritasRecord(
         patient_id=record.patient_id,
         timestamp=record.timestamp,
@@ -123,9 +164,10 @@ def routed_via_last_resort(alert: CandidateAlert, decision: RoutingDecision) -> 
     """
     if decision.targets != frozenset({AgentDomain.PROBE_INTEGRITY}):
         return False
-    view = project_for_specialists(alert.record_ref)
-    status = view.value("device_status")
-    earned = AlertType.SIGNAL_QUALITY in alert.alert_types and status in ARTEFACT_STATUSES
+    # signal_quality fires on the projected device status, so its trigger
+    # is that status.
+    status = alert.triggering_values.get(AlertType.SIGNAL_QUALITY)
+    earned = status is not None and status.value in ARTEFACT_STATUSES
     return not earned
 
 

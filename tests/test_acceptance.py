@@ -51,7 +51,15 @@ from alertsift.synthgen import (
     load_taxonomy,
     sample_truncated_gaussian,
 )
-from helpers import make_epoch, make_record, make_view, retag_field, routed_via_last_resort
+from helpers import (
+    all_tagged,
+    field_names,
+    make_epoch,
+    make_record,
+    make_view,
+    retag_field,
+    routed_via_last_resort,
+)
 
 
 def _check(label: str, ok: bool, detail: str = "") -> None:
@@ -126,7 +134,7 @@ def test_criterion_4_wilson_intervals(golden):
     lower23, _ = wilson_interval(23, 23)
     checks.append(round(100 * lower23, 1) == 85.7)
     checks.append(lower23 == pytest.approx(23 / (23 + z2), abs=1e-12))
-    text = render_report_text(report)
+    text = render_report_text(report.to_json_dict())
     checks.append("85.7% (Wilson) versus 85.2% (Clopper-Pearson)" in text)
     _check(
         "criterion 4: Wilson lower bounds within 0.1pp, divergence flagged",
@@ -236,10 +244,10 @@ def test_criterion_7_provenance_safety():
             epoch_kwargs["status"] = value_fn()
         record = retag_field(make_record(make_epoch(**epoch_kwargs)), field, ProvenanceTag.INFERRED)
         view = project_for_specialists(record)
-        if field in view.field_names():
+        if field in field_names(view):
             violations += 1
             continue
-        if any(tv.provenance is ProvenanceTag.INFERRED for _, tv in view.record.all_tagged() if _ in view.field_names()):
+        if any(tv.provenance is ProvenanceTag.INFERRED for _, tv in all_tagged(view.record) if _ in field_names(view)):
             violations += 1
             continue
         alert = detect(view, cfg)

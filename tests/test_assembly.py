@@ -17,7 +17,6 @@ from alertsift.assembly import (
 from alertsift.model import (
     AccelLevel,
     AlertType,
-    DEVICE_STREAM_FIELDS,
     DeviceStatus,
     Epoch,
     InvariantViolation,
@@ -29,7 +28,17 @@ from alertsift.model import (
     VeritasRecord,
 )
 from alertsift.sentinel import SentinelConfig, detect
-from helpers import make_bundle, make_context, make_epoch, make_record, retag_field
+from helpers import (
+    DEVICE_STREAM_FIELDS,
+    all_tagged,
+    field_names,
+    make_bundle,
+    make_context,
+    make_epoch,
+    make_record,
+    retag_field,
+    retagged,
+)
 
 NIGHT_2AM = datetime(2022, 6, 15, 2, 0, tzinfo=timezone.utc)
 
@@ -97,7 +106,7 @@ def test_assemble_never_invents_values():
         "baseline_hr": context.baseline_hr,
         "rate_limiting_medication": context.rate_limiting_medication,
     }
-    for name, tv in record.all_tagged():
+    for name, tv in all_tagged(record):
         assert tv.value == source_values[name], name
 
 
@@ -183,7 +192,7 @@ def test_assemble_matches_the_checked_reference(case):
     assert record == reference
     assert list(record.epoch_fields) == list(reference.epoch_fields)
     assert list(record.context_fields) == list(reference.context_fields)
-    for name, tv in record.all_tagged():
+    for name, tv in all_tagged(record):
         assert type(tv) is TaggedValue, name
         assert isinstance(tv.provenance, ProvenanceTag), name
 
@@ -191,7 +200,7 @@ def test_assemble_matches_the_checked_reference(case):
 def test_projection_identity_when_nothing_inferred():
     record = make_record(make_epoch(activity=SelfReportedActivity.RESTING))
     view = project_for_specialists(record)
-    assert view.field_names() == frozenset(record.epoch_fields) | frozenset(
+    assert field_names(view) == frozenset(record.epoch_fields) | frozenset(
         record.context_fields
     )
 
@@ -210,16 +219,16 @@ def test_projection_drops_injected_inferred_statement():
         context_fields=record.context_fields,
     )
     view = project_for_specialists(tampered)
-    assert "self_reported_activity" not in view.field_names()
+    assert "self_reported_activity" not in field_names(view)
     assert view.value("self_reported_activity") is None
     assert all(tv.provenance is not ProvenanceTag.INFERRED for tv in view.epoch_fields.values())
-    assert view.field_names() == frozenset(record.epoch_fields) | frozenset(record.context_fields)
+    assert field_names(view) == frozenset(record.epoch_fields) | frozenset(record.context_fields)
 
 
 def test_projection_excludes_retagged_spo2_and_sentinel_stays_silent():
     record = retag_field(make_record(make_epoch(spo2=80.0)), "spo2", ProvenanceTag.INFERRED)
     view = project_for_specialists(record)
-    assert "spo2" not in view.field_names()
+    assert "spo2" not in field_names(view)
     alert = detect(view, SentinelConfig())
     assert alert is None or AlertType.LOW_SPO2 not in alert.alert_types
 
@@ -232,7 +241,7 @@ def test_projection_field_scan_never_exposes_inferred():
         for name in rng.sample(names, k=rng.randint(1, len(names))):
             record = retag_field(record, name, ProvenanceTag.INFERRED)
         view = project_for_specialists(record)
-        for name in view.field_names():
+        for name in field_names(view):
             assert view.get(name).provenance is not ProvenanceTag.INFERRED
 
 
@@ -254,7 +263,7 @@ def test_projection_never_exposes_inferred_under_random_provenance(tags):
     record = make_record(epoch, make_context(copd=True, baseline_spo2=89.0, baseline_hr=70.0))
 
     def retag(fields):
-        return {k: tv.retagged(tags[k]) if k in tags else tv for k, tv in fields.items()}
+        return {k: retagged(tv, tags[k]) if k in tags else tv for k, tv in fields.items()}
 
     tampered = VeritasRecord(
         patient_id=record.patient_id,
@@ -266,15 +275,15 @@ def test_projection_never_exposes_inferred_under_random_provenance(tags):
     shown = [*view.epoch_fields.values(), *view.context_fields.values()]
     assert all(tv.provenance is not ProvenanceTag.INFERRED for tv in shown)
     # Only inferred values are dropped.
-    kept = [tv for _, tv in tampered.all_tagged() if tv.provenance is not ProvenanceTag.INFERRED]
+    kept = [tv for _, tv in all_tagged(tampered) if tv.provenance is not ProvenanceTag.INFERRED]
     assert len(shown) == len(kept)
 
 
 def test_projection_drops_one_inferred_context_field_and_shares_the_clean_epoch_mapping():
     record = make_record(make_epoch(), make_context(copd=True, baseline_spo2=89.0))
     context_fields = dict(record.context_fields)
-    context_fields["baseline_spo2"] = context_fields["baseline_spo2"].retagged(
-        ProvenanceTag.INFERRED
+    context_fields["baseline_spo2"] = retagged(
+        context_fields["baseline_spo2"], ProvenanceTag.INFERRED
     )
     tampered = VeritasRecord(
         patient_id=record.patient_id,
@@ -309,7 +318,7 @@ def test_projection_never_shares_a_mapping_holding_a_disallowed_tag(tags):
     record = make_record(epoch, make_context(copd=True, baseline_spo2=89.0, baseline_hr=70.0))
 
     def retag(fields):
-        return {k: tv.retagged(tags[k]) if k in tags else tv for k, tv in fields.items()}
+        return {k: retagged(tv, tags[k]) if k in tags else tv for k, tv in fields.items()}
 
     tampered = VeritasRecord(
         patient_id=record.patient_id,

@@ -501,6 +501,22 @@ def _edited_taxonomy(tmp_path: Path, edit) -> tuple[Path, str]:
             lambda e: e.update(categorical_params="x"),
             "categorical_params must be a JSON object, got 'x'",
         ),
+        (lambda e: e.update(context="x"), "context must be a JSON object, got 'x'"),
+        (lambda e: e.update(context=[]), "context must be a JSON object, got []"),
+        (lambda e: e.update(context=5), "context must be a JSON object, got 5"),
+        (lambda e: e.update(context=None), "context must be a JSON object, got None"),
+        (
+            lambda e: e.update(expected_outcome_note=5),
+            "expected_outcome_note must be a string, got 5",
+        ),
+        (
+            lambda e: e.update(expected_outcome_note=["a"]),
+            "expected_outcome_note must be a string, got ['a']",
+        ),
+        (
+            lambda e: e.update(expected_outcome_note=None),
+            "expected_outcome_note must be a string, got None",
+        ),
         (lambda e: e.update(epoch_count=0), "epoch_count must be positive"),
         (
             lambda e: e["continuous_params"].update(
@@ -549,7 +565,9 @@ def _edited_taxonomy(tmp_path: Path, edit) -> tuple[Path, str]:
         "huge_integer_mu", "huge_integer_context_baseline", "nan_context_baseline",
         "misspelt_entry_key", "misspelt_context_key", "context_patient_id",
         "misspelt_categorical_key", "misspelt_continuous_key", "choice_and_fixed",
-        "list_continuous_params", "string_categorical_params", "zero_epoch_count",
+        "list_continuous_params", "string_categorical_params", "string_context",
+        "array_context", "number_context", "null_context", "number_note", "array_note",
+        "null_note", "zero_epoch_count",
         "unknown_continuous_field", "spo2_upper_past_100", "hr_lower_below_25",
         "empty_spec_interval", "epoch_count_past_the_window", "nocturnal_past_the_night",
     ],
@@ -871,11 +889,14 @@ def _deep_epochs_line(tmp_path: Path) -> list:
     return ["--config", config, "evaluate"]
 
 
-def _deep_contexts(tmp_path: Path) -> list:
-    config = write_config(tmp_path)
-    run(["--config", config, "generate"])
-    (tmp_path / "dataset" / "contexts.json").write_text(DEEP, encoding="utf-8")
-    return ["--config", config, "evaluate"]
+def _contexts_file(text: str):
+    def setup(tmp_path: Path) -> list:
+        config = write_config(tmp_path)
+        run(["--config", config, "generate"])
+        (tmp_path / "dataset" / "contexts.json").write_text(text, encoding="utf-8")
+        return ["--config", config, "evaluate"]
+
+    return setup
 
 
 def _truncated_contexts(tmp_path: Path) -> list:
@@ -899,19 +920,33 @@ def _deep_report(tmp_path: Path) -> list:
         (_deep_config, f"config invalid: {TOO_DEEP}"),
         (_deep_taxonomy, f"taxonomy validation failed: {TOO_DEEP}"),
         (_deep_epochs_line, f"input validation failed: epochs line 3: {TOO_DEEP}"),
-        (_deep_contexts, f"input validation failed: contexts.json: {TOO_DEEP}"),
+        (_contexts_file(DEEP), f"input validation failed: contexts.json: {TOO_DEEP}"),
         (
             _truncated_contexts,
             "input validation failed: contexts.json: Expecting property name enclosed in"
             " double quotes: line 345 column 2 (char 8171)",
         ),
+        (
+            _contexts_file("[]"),
+            "input validation failed: contexts.json: must be a JSON object keyed by patient id,"
+            " got list",
+        ),
+        (
+            _contexts_file("5"),
+            "input validation failed: contexts.json: must be a JSON object keyed by patient id,"
+            " got int",
+        ),
         (_deep_report, f"report payload invalid: {TOO_DEEP}"),
     ],
-    ids=["config", "taxonomy", "epochs_line", "contexts", "truncated_contexts", "report_json"],
+    ids=[
+        "config", "taxonomy", "epochs_line", "contexts", "truncated_contexts",
+        "contexts_array", "contexts_number", "report_json",
+    ],
 )
 def test_too_deeply_nested_input_exits_2(tmp_path, capsys, setup, message):
     # A contexts.json that fails to decode for any other reason, here cut
-    # short, names the file the same way.
+    # short, names the file the same way; so does one whose top level is not
+    # an object, by the value's type, as the value can be the whole file.
     argv = setup(tmp_path)
     capsys.readouterr()
     assert run(argv) == 2

@@ -207,15 +207,13 @@ def test_check_golden_clean_and_tampered(golden_run):
 
 def test_report_text_renders_all_tables(golden_run):
     _, _, report = golden_run
-    text = render_report_text(report)
+    text = render_report_text(report.to_json_dict())
     assert "OVERALL OUTCOMES" in text
     assert "PER-CLASS STRATIFICATION" in text
     assert "WILSON 95% CONFIDENCE INTERVALS" in text
     assert "FAILURE MODES" in text
     assert "85.7% (Wilson) versus 85.2% (Clopper-Pearson)" in text
     assert "true_suppression         82    83.7%" in text
-    # rendering from the serialized payload is identical
-    assert render_report_text(report.to_json_dict()) == text
 
 
 def test_decision_paths_present(golden_run):

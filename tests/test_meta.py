@@ -31,6 +31,7 @@ from alertsift.sentinel import SentinelConfig, detect
 from alertsift.specialists import SpecialistConfig, claims_for
 from helpers import (
     DAYTIME,
+    PATIENT,
     detect_and_route,
     make_context,
     make_epoch,
@@ -420,12 +421,13 @@ class _ReferenceHistory:
         return None
 
 
-def _reference_resolve(claims, routing, alert, history, cfg):
+def _reference_resolve(claims, routing, alert, history, cfg, patient_id):
     """resolve as first written: the expected order rebuilt from the targets
     on every call, a ``finish`` closure per call, and one ``sum`` per side.
     The straight-line resolve must give the same decision at every step.
     ``history`` is a _ReferenceHistory, so the pruned window is checked
-    against the full history."""
+    against the full history; ``patient_id`` keys it, as each run covers one
+    patient."""
     claimed = [c.domain for c in claims]
     expected = [d for d in DOMAIN_ORDER if d in routing.targets]
     if claimed != expected:
@@ -434,7 +436,6 @@ def _reference_resolve(claims, routing, alert, history, cfg):
             f"{[d.value for d in claimed]}, expected {[d.value for d in expected]}"
         )
 
-    patient_id = alert.record_ref.patient_id
     now = alert.raised_at
     status_tv = alert.triggering_values.get(AlertType.SIGNAL_QUALITY)
     status = status_tv.value if status_tv is not None else None
@@ -525,7 +526,6 @@ def _resolve_runs(draw):
 
 
 def _alert_at(ts, types, status):
-    record = make_record(make_epoch(ts=ts))
     triggers = {
         t: TaggedValue(
             status if t is AlertType.SIGNAL_QUALITY else 90.0,
@@ -535,7 +535,7 @@ def _alert_at(ts, types, status):
         )
         for t in types
     }
-    return CandidateAlert(types, triggers, record, ts)
+    return CandidateAlert(types, triggers, ts)
 
 
 def _outcome(fn, *args):
@@ -560,7 +560,9 @@ def test_resolve_matches_reference_over_random_histories(run):
         ts += timedelta(minutes=gap)
         alert = _alert_at(ts, types, status)
         got = _outcome(resolve, claims, routing, alert, history, cfg)
-        want = _outcome(_reference_resolve, claims, routing, alert, reference_history, cfg)
+        want = _outcome(
+            _reference_resolve, claims, routing, alert, reference_history, cfg, PATIENT
+        )
         assert got == want
 
 

@@ -44,7 +44,15 @@ import alertsift
 from alertsift import cli
 from alertsift.evaluate import OutcomeKind
 from alertsift.synthgen import ContinuousSpec, DomainClass, generate_case
-from helpers import DAYTIME, make_context, make_entry, make_epoch, make_record
+from helpers import (
+    DAYTIME,
+    epoch_row,
+    make_context,
+    make_entry,
+    make_epoch,
+    make_record,
+    retagged,
+)
 
 
 # An epoch's vitals are bounded by the spec they are drawn from, and that
@@ -142,6 +150,14 @@ def test_the_package_defines_one_error_type():
     assert defined == {InvariantViolation, cli._Failure}
 
 
+def test_every_exported_name_is_defined():
+    # A name deleted from a module must leave its __all__ too.
+    for info in pkgutil.iter_modules(alertsift.__path__):
+        module = importlib.import_module(f"alertsift.{info.name}")
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert missing == [], module.__name__
+
+
 def test_format_timestamp_matches_strftime():
     # The strftime form is the reference; glibc does not pad years below
     # 1000, so the sweep stays in years 1001-9998 (offsets never leave it).
@@ -184,7 +200,7 @@ def test_tagged_value_is_immutable():
         with pytest.raises(AttributeError):
             setattr(tv, name, ProvenanceTag.INFERRED)
     assert tv == TaggedValue(1.0, ProvenanceTag.DEVICE_VERIFIED, "src", DAYTIME)
-    assert tv.retagged(ProvenanceTag.INFERRED).provenance is ProvenanceTag.INFERRED
+    assert retagged(tv, ProvenanceTag.INFERRED).provenance is ProvenanceTag.INFERRED
     with pytest.raises(InvariantViolation):
         tv._replace(provenance="inferred")
 
@@ -200,21 +216,21 @@ def test_epoch_round_trip_all_fields():
         activity=SelfReportedActivity.WALKING,
         ambient="heatwave_advisory",
     )
-    assert Epoch.from_dict(epoch.to_dict()) == epoch
+    assert Epoch.from_dict(epoch_row(epoch)) == epoch
     for bad in (
         {"spo2": 100.5}, {"spo2": float("inf")}, {"hr": 0.0}, {"hr": float("nan")},
         {"patient_id": 3847291.9}, {"patient_id": True}, {"patient_id": "3847291"},
         {"hr": True}, {"spo2": False}, {"spo2": "97"}, {"hr": None},
     ):
         with pytest.raises(InvariantViolation):
-            Epoch.from_dict({**epoch.to_dict(), **bad})
+            Epoch.from_dict({**epoch_row(epoch), **bad})
     # A JSON integer is a number: it decodes to the float it stands for.
-    assert Epoch.from_dict({**epoch.to_dict(), "hr": 104}).hr == 104.0
+    assert Epoch.from_dict({**epoch_row(epoch), "hr": 104}).hr == 104.0
 
 
 def test_epoch_round_trip_optionals_absent():
     epoch = make_epoch(activity=None, ambient=None)
-    decoded = Epoch.from_dict(epoch.to_dict())
+    decoded = Epoch.from_dict(epoch_row(epoch))
     assert decoded == epoch
     assert decoded.self_reported_activity is None
 
@@ -239,12 +255,11 @@ def test_candidate_alert_rejects_empty_and_inferred_triggers():
     record = make_record(make_epoch(spo2=88.0))
     spo2 = record.epoch_fields["spo2"]
     with pytest.raises(InvariantViolation):
-        CandidateAlert(frozenset(), {}, record, record.timestamp)
+        CandidateAlert(frozenset(), {}, record.timestamp)
     with pytest.raises(InvariantViolation):
         CandidateAlert(
             frozenset({AlertType.LOW_SPO2}),
-            {AlertType.LOW_SPO2: spo2.retagged(ProvenanceTag.INFERRED)},
-            record,
+            {AlertType.LOW_SPO2: retagged(spo2, ProvenanceTag.INFERRED)},
             record.timestamp,
         )
 
@@ -304,11 +319,11 @@ def test_round_trip_randomized_epochs():
             position=rng.choice(positions),
             activity=rng.choice(activities),
         )
-        assert Epoch.from_dict(epoch.to_dict()) == epoch
+        assert Epoch.from_dict(epoch_row(epoch)) == epoch
 
 
 # ``epoch_line`` writes an epoch's dataset row and its digest row from
-# templates; the reference is the encoder over ``to_dict()``. Drawn: vitals at
+# templates; the reference is the encoder over ``epoch_row``. Drawn: vitals at
 # float boundaries (subnormal, shortest-repr, exponent form, negative zero),
 # as ints and as NaN/±inf; every enum member and no activity; ambient
 # conditions as any JSON value, including objects whose keys the digest row
@@ -353,7 +368,7 @@ _epochs = st.builds(
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(_epochs)
 def test_epoch_line_matches_the_encoders_byte_for_byte(epoch):
-    row = epoch.to_dict()
+    row = epoch_row(epoch)
     assert epoch_line(epoch) == COMPACT_JSON.encode(row) + "\n"
     assert epoch_line(epoch, canonical=True) == CANONICAL_JSON.encode(row) + "\n"
 

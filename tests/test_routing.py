@@ -142,7 +142,7 @@ def _oracle_targets(alert, view):
         fired.append(AgentDomain.BRADYCARDIA)
     if AlertType.LOW_SPO2 in types and copd:
         fired.append(AgentDomain.COPD)
-    if physio and in_nocturnal_window(alert.record_ref.timestamp):
+    if physio and in_nocturnal_window(alert.raised_at):
         fired.append(AgentDomain.NOCTURNAL)
     targets = set(fired) or {AgentDomain.PROBE_INTEGRITY}
     return targets, len(fired)
