@@ -57,7 +57,7 @@ class SourceBundle:
     change from epoch to epoch, so it is built here once per patient: the
     source ids and the present EHR fields. ``vitals_stream`` holds the
     patient's epochs in the order the caller walks them; ``assemble`` checks
-    each one's patient as the walk reaches it.
+    the patient of each epoch the walk passes it.
     """
 
     ehr: PatientContext
@@ -87,10 +87,11 @@ class SourceBundle:
 def assemble(bundle: SourceBundle, epoch: Epoch) -> VeritasRecord:
     """Build the tagged record for ``epoch``, one epoch of the bundle's patient.
 
-    The caller walks the patient's vitals stream and passes each epoch as
-    it goes, so assembly does no search of the stream. An epoch of another
-    patient raises InvariantViolation: a record never mixes two patients.
-    Everything else assembly reads was built once, with the bundle.
+    The caller walks the patient's vitals stream and passes each epoch that
+    may alert as it goes, so assembly does no search of the stream. An
+    epoch of another patient raises InvariantViolation: a record never
+    mixes two patients. Everything else assembly reads was built once, with
+    the bundle.
 
     Tag assignment follows the source: device stream fields are
     device_verified, EHR context fields are ehr_derived, self-reported

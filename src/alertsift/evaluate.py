@@ -1,10 +1,12 @@
 """End-to-end evaluation: pipeline execution, case aggregation, metrics.
 
-Runs assemble -> project -> detect -> route -> specialists -> resolve for
-every epoch in per-patient timestamp order, folds epoch decisions into
-case outcomes, and computes the report: overall rates, per-class
-stratification, Wilson confidence intervals, and the distribution of
-device statuses at the point of failure.
+Screens every epoch, in per-patient timestamp order, with detection's own
+threshold test on its raw device fields, and runs assemble -> project ->
+detect -> route -> specialists -> resolve for each epoch that crosses a
+threshold. Folds epoch decisions into case outcomes, and computes the
+report: overall rates, per-class stratification, Wilson confidence
+intervals, and the distribution of device statuses at the point of
+failure.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .model import (
     PATIENT_ID_RANGE,
 )
 from .routing import route
-from .sentinel import SentinelConfig, detect
+from .sentinel import SentinelConfig, detect, quiet
 from .specialists import SpecialistConfig, claims_for
 from .synthgen import DomainClass, TaxonomyEntry
 
@@ -212,7 +214,13 @@ def _run_case(
     specialist_cfg: SpecialistConfig,
     meta_cfg: MetaConfig,
 ) -> CaseOutcome:
-    """Walk one patient's epochs oldest first: the one pass that checks the stream."""
+    """Walk one patient's epochs oldest first: the one pass that checks the stream.
+
+    The sort and the duplicate-minute check cover every epoch. An epoch
+    ``quiet`` passes is never assembled, so assembly's other-patient check
+    sees only alerting epochs; ``evaluate`` groups epochs by patient, so it
+    cannot be reached from there.
+    """
     bundle = SourceBundle(
         ehr=context, vitals_stream=tuple(sorted(epochs, key=lambda e: e.timestamp))
     )
@@ -226,6 +234,8 @@ def _run_case(
                 f"duplicate epoch for patient {patient_id} at {format_timestamp(previous_at)}"
             )
         previous_at = epoch.timestamp
+        if quiet(epoch, sentinel_cfg):
+            continue
         record = assemble(bundle, epoch)
         view = project_for_specialists(record)
         alert = detect(view, sentinel_cfg)

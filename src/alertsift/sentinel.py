@@ -5,6 +5,15 @@ types that fired and the tagged value behind each one. A type can only
 fire when its parameter is present in the projected view, so an excluded
 (inferred) field can never produce an alert. Comparisons are strict:
 values exactly at a threshold do not fire.
+
+``quiet`` is the same screen read off the raw epoch, so the evaluation
+loop can skip assembly for an epoch on which nothing would fire. It is
+written as the negation of ``detect``'s four predicates, not as their
+complements: a comparison with NaN is false either way round, so
+``spo2 >= threshold`` would call a NaN vital loud where ``detect`` stays
+silent. Reading the raw epoch is exact because ``detect`` reads only
+``spo2``, ``hr`` and ``device_status``, and ``assemble`` tags all three
+``device_verified`` on every epoch, so the projection always keeps them.
 """
 
 from __future__ import annotations
@@ -12,9 +21,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .assembly import SpecialistView
-from .model import AlertType, CandidateAlert, DeviceStatus, InvariantViolation, TaggedValue
+from .model import (
+    AlertType,
+    CandidateAlert,
+    DeviceStatus,
+    Epoch,
+    InvariantViolation,
+    TaggedValue,
+)
 
-__all__ = ["SentinelConfig", "detect"]
+__all__ = ["SentinelConfig", "detect", "quiet"]
 
 
 @dataclass(frozen=True)
@@ -30,6 +46,26 @@ class SentinelConfig:
             raise InvariantViolation("sentinel thresholds must be positive")
         if not self.hr_low_threshold < self.hr_high_threshold:
             raise InvariantViolation("hr_low_threshold must be below hr_high_threshold")
+
+
+# Bound once: reading an Enum member off its class costs about 0.1 us a
+# call, most of what ``quiet`` costs on a quiet epoch.
+_OK = DeviceStatus.OK
+
+
+def quiet(epoch: Epoch, cfg: SentinelConfig) -> bool:
+    """True when ``detect`` would return None for this epoch's record.
+
+    The negation of ``detect``'s four predicates on the raw device fields,
+    which assembly tags ``device_verified`` on every epoch and the
+    projection therefore always keeps; a NaN vital fires nothing in either.
+    """
+    return not (
+        epoch.spo2 < cfg.spo2_low_threshold
+        or epoch.hr > cfg.hr_high_threshold
+        or epoch.hr < cfg.hr_low_threshold
+        or epoch.device_status is not _OK
+    )
 
 
 def detect(view: SpecialistView, cfg: SentinelConfig) -> CandidateAlert | None:

@@ -8,7 +8,7 @@ record (e.g. an inferred-tagged field) rebuild it field by field.
 from __future__ import annotations
 
 from datetime import datetime, timezone
-from typing import Any, Iterable
+from typing import Any, Iterable, Sequence
 
 from alertsift.assembly import (
     SourceBundle,
@@ -16,6 +16,8 @@ from alertsift.assembly import (
     assemble,
     project_for_specialists,
 )
+from alertsift.evaluate import CaseOutcome, OutcomeKind, aggregate_case
+from alertsift.meta import DecisionHistory, MetaConfig, resolve
 from alertsift.model import (
     AccelLevel,
     AgentDomain,
@@ -23,16 +25,20 @@ from alertsift.model import (
     CandidateAlert,
     DeviceStatus,
     Epoch,
+    InvariantViolation,
     PatientContext,
     Position,
     ProvenanceTag,
     SelfReportedActivity,
+    SystemDecision,
     TaggedValue,
+    Verdict,
     VeritasRecord,
     format_timestamp,
 )
 from alertsift.routing import ARTEFACT_STATUSES, RoutingDecision, route
 from alertsift.sentinel import SentinelConfig, detect
+from alertsift.specialists import SpecialistConfig, claims_for
 from alertsift.synthgen import CategoricalSpec, ContinuousSpec, DomainClass, TaxonomyEntry
 
 DAYTIME = datetime(2022, 6, 15, 14, 0, tzinfo=timezone.utc)
@@ -200,3 +206,51 @@ def make_entry(**overrides) -> TaxonomyEntry:
     )
     base.update(overrides)
     return TaxonomyEntry(**base)
+
+
+def reference_run_case(
+    case_id: str,
+    domain_class: DomainClass,
+    patient_id: int,
+    epochs: Sequence[Epoch],
+    context: PatientContext,
+    sentinel_cfg: SentinelConfig,
+    specialist_cfg: SpecialistConfig,
+    meta_cfg: MetaConfig,
+) -> CaseOutcome:
+    """``evaluate._run_case`` with no quiet-epoch gate: every epoch is
+    assembled, projected and detected, so the walk's outcome is what the
+    pipeline's layers give with nothing skipped."""
+    bundle = SourceBundle(
+        ehr=context, vitals_stream=tuple(sorted(epochs, key=lambda e: e.timestamp))
+    )
+    history = DecisionHistory()
+    decisions: list[SystemDecision] = []
+    failure_status: DeviceStatus | None = None
+    previous_at = None
+    for epoch in bundle.vitals_stream:
+        if epoch.timestamp == previous_at:
+            raise InvariantViolation(
+                f"duplicate epoch for patient {patient_id} at {format_timestamp(previous_at)}"
+            )
+        previous_at = epoch.timestamp
+        record = assemble(bundle, epoch)
+        view = project_for_specialists(record)
+        alert = detect(view, sentinel_cfg)
+        if alert is None:
+            continue
+        routing = route(alert, view)
+        claims = claims_for(alert, view, routing, specialist_cfg)
+        decision = resolve(claims, routing, alert, history, meta_cfg)
+        decisions.append(decision)
+        if failure_status is None and decision.verdict is Verdict.ESCALATE:
+            failure_status = epoch.device_status
+    outcome = aggregate_case(decisions) if decisions else OutcomeKind.TRUE_SUPPRESSION
+    return CaseOutcome(
+        case_id=case_id,
+        patient_id=patient_id,
+        domain_class=domain_class,
+        outcome=outcome,
+        epoch_decisions=tuple(decisions),
+        failure_device_status=failure_status,
+    )

@@ -671,23 +671,25 @@ def test_catalogue_breaking_a_generic_rule_exits_2(tmp_path, capsys, edit, messa
     assert not (tmp_path / "dataset").exists()
 
 
+# Every value inside the screens, every categorical field left out (so
+# device status ok): the case never alerts.
+_QUIET_ENTRY = {
+    "case_id": "QUIET-001",
+    "domain_class": "probe_integrity",
+    "epoch_count": 30,
+    "continuous_params": {
+        "spo2": {"mu": 97.5, "sigma": 0.8, "lower": 95.5, "upper": 99.5},
+        "hr": {"mu": 72.0, "sigma": 5.0, "lower": 60.0, "upper": 90.0},
+    },
+    "categorical_params": {},
+    "context": {"copd_documented": False},
+    "nocturnal": False,
+}
+
+
 def test_quiet_case_is_a_true_suppression_with_no_decision_line(tmp_path, capsys):
-    # Every value inside the screens, every categorical field left out (so
-    # device status ok): the case never alerts.
-    quiet = {
-        "case_id": "QUIET-001",
-        "domain_class": "probe_integrity",
-        "epoch_count": 30,
-        "continuous_params": {
-            "spo2": {"mu": 97.5, "sigma": 0.8, "lower": 95.5, "upper": 99.5},
-            "hr": {"mu": 72.0, "sigma": 5.0, "lower": 60.0, "upper": 90.0},
-        },
-        "categorical_params": {},
-        "context": {"copd_documented": False},
-        "nocturnal": False,
-    }
     alerting = _shipped_entries()[0]
-    config = _catalogue_config(tmp_path, [quiet, alerting])
+    config = _catalogue_config(tmp_path, [_QUIET_ENTRY, alerting])
     assert run(["--config", config, "generate"]) == 0
     assert run(["--config", config, "evaluate"]) == 0
     report = json.loads((tmp_path / "report" / "report.json").read_text(encoding="utf-8"))
@@ -696,6 +698,18 @@ def test_quiet_case_is_a_true_suppression_with_no_decision_line(tmp_path, capsys
     lines = (tmp_path / "report" / "decisions.jsonl").read_text(encoding="utf-8").splitlines()
     assert len(lines) == alerting["epoch_count"]
     assert {json.loads(line)["case_id"] for line in lines} == {alerting["case_id"]}
+
+
+def test_evaluate_duplicate_quiet_epoch_exits_2(tmp_path, capsys):
+    # No epoch of this case is ever assembled; the walk still checks every
+    # minute, so a repeated quiet row fails like a repeated alerting one.
+    config = _catalogue_config(tmp_path, [_QUIET_ENTRY])
+    assert run(["--config", config, "generate"]) == 0
+    epochs_path = tmp_path / "dataset" / "epochs.jsonl"
+    lines = epochs_path.read_text().splitlines()
+    epochs_path.write_text("\n".join([*lines, lines[3]]) + "\n", encoding="utf-8")
+    assert run(["--config", config, "evaluate"]) == 2
+    assert "duplicate epoch for patient 3847291 at " in capsys.readouterr().err
 
 
 def test_seed_env_var_overrides_config(tmp_path, monkeypatch):

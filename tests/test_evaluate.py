@@ -5,8 +5,10 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import random
+from datetime import timedelta
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 from scipy.stats import binomtest
 
 from alertsift.evaluate import (
@@ -19,26 +21,43 @@ from alertsift.evaluate import (
     evaluate,
     render_report_text,
     wilson_interval,
+    write_decision_log,
 )
+from alertsift.meta import MetaConfig
 from alertsift.model import (
+    AccelLevel,
     AgentClaim,
     AgentDomain,
     DeviceStatus,
     InvariantViolation,
+    Position,
     Recommendation,
     ResolutionPath,
     RiskLevel,
+    SelfReportedActivity,
     SystemDecision,
     Verdict,
 )
+from alertsift.specialists import SpecialistConfig
 from alertsift.synthgen import (
+    CategoricalSpec,
+    ContinuousSpec,
     DomainClass,
     default_taxonomy_path,
     generate_dataset,
     load_taxonomy,
 )
-from alertsift.sentinel import SentinelConfig, detect
-from helpers import DAYTIME, make_view
+from alertsift.sentinel import SentinelConfig, detect, quiet
+from helpers import (
+    DAYTIME,
+    NIGHT,
+    PATIENT,
+    make_context,
+    make_entry,
+    make_epoch,
+    make_view,
+    reference_run_case,
+)
 
 
 def decision(verdict: Verdict) -> SystemDecision:
@@ -200,6 +219,28 @@ def test_duplicate_epoch_in_memory_dataset_raises(golden_run):
         evaluate(Dataset(epochs=(*dataset.epochs, quiet), contexts=dataset.contexts), taxonomy)
 
 
+def test_duplicate_quiet_epoch_in_memory_dataset_raises():
+    # Both epochs at the duplicated minute are quiet, so neither is ever
+    # assembled: the walk checks each minute before the gate skips it.
+    entry = make_entry(
+        case_id="QUIET-001",
+        domain_class=DomainClass.PROBE_INTEGRITY,
+        continuous_params={
+            "spo2": ContinuousSpec(97.5, 0.8, 95.5, 99.5),
+            "hr": ContinuousSpec(72.0, 5.0, 60.0, 90.0),
+        },
+        categorical_params={"device_status": CategoricalSpec(fixed="ok")},
+        context={"copd_documented": False},
+    )
+    (case,) = generate_dataset([entry], seed=42).cases
+    contexts = {case.patient_id: case.context}
+    assert all(quiet(epoch, SentinelConfig()) for epoch in case.epochs)
+    (outcome,) = evaluate(Dataset(epochs=case.epochs, contexts=contexts), [entry]).case_outcomes
+    assert outcome.epoch_decisions == ()
+    with pytest.raises(InvariantViolation, match=f"duplicate epoch for patient {case.patient_id} "):
+        evaluate(Dataset(epochs=(*case.epochs, case.epochs[2]), contexts=contexts), [entry])
+
+
 def test_check_golden_clean_and_tampered(golden_run):
     _, _, report = golden_run
     assert check_golden(report) == []
@@ -241,3 +282,70 @@ def test_duplicate_alert_case_never_debounces(golden_run):
     for d in duplicate_cases[0].epoch_decisions:
         assert d.resolution_path is ResolutionPath.AMBIGUITY_DEFAULT
         assert d.verdict is Verdict.ESCALATE
+
+
+# One minute of a stream: (spo2, hr, device status). A quiet minute crosses
+# no screen, threshold-equal values included; any other minute may cross
+# one, several or none.
+_QUIET_MINUTE = st.tuples(
+    st.sampled_from((94.0, 97.0)) | st.floats(94.0, 100.0),
+    st.sampled_from((50.0, 100.0, 72.0)) | st.floats(50.0, 100.0),
+    st.just(DeviceStatus.OK),
+)
+_ANY_MINUTE = st.tuples(
+    st.sampled_from((94.0, 93.9, 90.0, 88.0, 85.0, 75.0)) | st.floats(70.0, 100.0),
+    st.sampled_from((50.0, 100.0, 49.0, 101.0, 40.0, 35.0, 130.0, 150.0))
+    | st.floats(30.0, 200.0),
+    st.sampled_from(list(DeviceStatus)),
+)
+# Plain, documented COPD with baseline 88, and a low baseline HR on
+# rate-limiting medication.
+_STREAM_CONTEXTS = (
+    make_context(),
+    make_context(copd=True, baseline_spo2=88.0),
+    make_context(baseline_hr=45.0, med=True),
+)
+
+
+@st.composite
+def _single_patient_streams(draw):
+    start = draw(st.sampled_from((DAYTIME, NIGHT)))
+    minutes = draw(st.lists(_QUIET_MINUTE | _ANY_MINUTE, min_size=1, max_size=40))
+    epochs = [
+        make_epoch(
+            ts=start + timedelta(minutes=i),
+            spo2=spo2,
+            hr=hr,
+            status=status,
+            accel=draw(st.sampled_from(list(AccelLevel))),
+            probe_cover=draw(st.booleans()),
+            position=draw(st.sampled_from(list(Position))),
+            activity=draw(st.none() | st.sampled_from(list(SelfReportedActivity))),
+        )
+        for i, (spo2, hr, status) in enumerate(minutes)
+    ]
+    return tuple(draw(st.permutations(epochs))), draw(st.sampled_from(_STREAM_CONTEXTS))
+
+
+@settings(
+    max_examples=150, deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(_single_patient_streams())
+def test_gated_walk_matches_the_gate_free_reference(tmp_path, stream):
+    # Property: skipping quiet epochs before assembly changes no decision.
+    # Over drawn single-patient streams of quiet and alerting minutes, in
+    # any file order, evaluate() gives the case outcome of the walk that
+    # assembles, projects and detects every epoch, and the same log bytes.
+    epochs, context = stream
+    entry = make_entry(case_id="STREAM-001", epoch_count=len(epochs))
+    report = evaluate(Dataset(epochs=epochs, contexts={PATIENT: context}), [entry])
+    expected = reference_run_case(
+        entry.case_id, entry.domain_class, PATIENT, epochs, context,
+        SentinelConfig(), SpecialistConfig(), MetaConfig(),
+    )
+    assert report.case_outcomes == (expected,)
+    gated, reference = tmp_path / "gated.jsonl", tmp_path / "reference.jsonl"
+    write_decision_log(report, gated)
+    write_decision_log(dataclasses.replace(report, case_outcomes=(expected,)), reference)
+    assert gated.read_bytes() == reference.read_bytes()

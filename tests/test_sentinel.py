@@ -1,13 +1,16 @@
-"""Detection thresholds: strict comparisons, monotonicity, purity."""
+"""Detection thresholds: strict comparisons, monotonicity, purity, and the
+raw-epoch gate that must agree with them."""
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from alertsift.model import AlertType, DeviceStatus, InvariantViolation, ProvenanceTag
-from alertsift.sentinel import SentinelConfig, detect
+from alertsift.sentinel import SentinelConfig, detect, quiet
 from helpers import make_epoch, make_view
 
 CFG = SentinelConfig()
@@ -103,3 +106,58 @@ def test_config_invariants():
         SentinelConfig(hr_low_threshold=120.0, hr_high_threshold=100.0)
     with pytest.raises(InvariantViolation):
         SentinelConfig(spo2_low_threshold=-1.0)
+
+
+def _around(threshold: float):
+    """A vital on, just either side of, near, or far from ``threshold``, or
+    a non-finite value."""
+    return st.one_of(
+        st.sampled_from(
+            (
+                threshold,
+                math.nextafter(threshold, -math.inf),
+                math.nextafter(threshold, math.inf),
+                threshold - 0.01,
+                threshold + 0.01,
+                math.nan,
+                math.inf,
+                -math.inf,
+            )
+        ),
+        st.floats(-1e3, 1e3),
+    )
+
+
+@st.composite
+def _configs(draw):
+    if draw(st.booleans()):
+        return CFG
+    hr_low = draw(st.floats(1.0, 150.0))
+    return SentinelConfig(
+        spo2_low_threshold=draw(st.floats(1.0, 100.0)),
+        hr_low_threshold=hr_low,
+        hr_high_threshold=hr_low + draw(st.floats(0.01, 150.0)),
+    )
+
+
+@st.composite
+def _epochs_and_configs(draw):
+    cfg = draw(_configs())
+    hr_threshold = draw(st.sampled_from((cfg.hr_low_threshold, cfg.hr_high_threshold)))
+    epoch = make_epoch(
+        spo2=draw(_around(cfg.spo2_low_threshold)),
+        hr=draw(_around(hr_threshold)),
+        status=draw(st.sampled_from(list(DeviceStatus))),
+    )
+    return epoch, cfg
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(_epochs_and_configs())
+def test_quiet_is_exactly_detect_finding_nothing(case):
+    # Property Q: the gate on the raw epoch agrees with detection on the
+    # assembled, projected record, at and either side of every threshold,
+    # for NaN and infinite vitals, for every device status and for drawn
+    # thresholds. A NaN vital fires nothing, so its epoch is quiet.
+    epoch, cfg = case
+    assert quiet(epoch, cfg) is (detect(make_view(epoch), cfg) is None)
