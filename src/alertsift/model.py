@@ -52,6 +52,7 @@ __all__ = [
 
 import json
 import math
+import re
 
 # One encoder per output format, built once: json.dumps with a non-default
 # argument builds a new JSONEncoder on every call. COMPACT_JSON writes the
@@ -61,10 +62,11 @@ import math
 # it does not write itself.
 COMPACT_JSON = json.JSONEncoder(separators=(",", ":"))
 CANONICAL_JSON = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
-# The epoch-row decoder: raw_decode skips json.loads' type check, BOM check
-# and two whitespace scans, which a stripped line does not need (a leading
-# BOM still fails, as no JSON value starts with one); the reader checks that
-# the value ends the line.
+# The general epoch-row decoder, for every row not in ``epoch_line``'s form
+# (see ``_TEMPLATE_ROW``): raw_decode skips json.loads' type check, BOM check
+# and two whitespace scans, which a line stripped of JSON whitespace does not
+# need (a leading BOM still fails, as no JSON value starts with one); the
+# reader checks that the value ends the line.
 _DECODE_ROW = json.JSONDecoder().raw_decode
 
 
@@ -571,26 +573,117 @@ def _located(where: str, exc: Exception) -> InvariantViolation:
     return InvariantViolation(f"{where}: {exc}")
 
 
+# The whitespace JSON allows around a value; str.strip() with no argument
+# would also drop U+00A0, U+2028 and the other Unicode spaces json rejects.
+_JSON_WHITESPACE = " \t\r\n"
+_JSON_FRACTION = r"(-?(?:0|[1-9][0-9]*)\.[0-9]+(?:[eE][-+]?[0-9]+)?)"
+
+
+def _member_of(cls: type) -> str:
+    return '"(' + "|".join(re.escape(member.value) for member in cls) + ')"'
+
+
+# A row in exactly the form ``epoch_line`` writes: the ten keys in field
+# order, compact separators, and one group per field. Each group accepts
+# only what the JSON grammar accepts there, narrowed to the values
+# ``from_dict`` reads without a reader of its own: an integer id without a
+# leading zero, vitals with a fraction (an int vital goes through
+# ``_number``), a minute timestamp in Z form, an enum value or null, and an
+# ambient_condition that is null or a string without escapes or control
+# characters. Any other row, valid or not, is left to ``_DECODE_ROW``.
+_TEMPLATE_GROUPS = {
+    "patient_id": r"(-?(?:0|[1-9][0-9]*))",
+    "timestamp": r'"([0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:00Z)"',
+    "spo2": _JSON_FRACTION,
+    "hr": _JSON_FRACTION,
+    "accel_level": _member_of(AccelLevel),
+    "device_status": _member_of(DeviceStatus),
+    "probe_cover_present": "(true|false)",
+    "position": _member_of(Position),
+    "self_reported_activity": "(?:null|" + _member_of(SelfReportedActivity) + ")",
+    "ambient_condition": r'(?:null|"([^"\\\x00-\x1f]*)")',
+}
+_TEMPLATE_ROW = re.compile(
+    r"\{" + ",".join(f'"{f.name}":{_TEMPLATE_GROUPS[f.name]}' for f in fields(Epoch)) + r"\}"
+)
+_ACCEL_LEVELS = _members_by_value(AccelLevel)
+_DEVICE_STATUSES = _members_by_value(DeviceStatus)
+_POSITIONS = _members_by_value(Position)
+_ACTIVITIES = _members_by_value(SelfReportedActivity)
+
+
+def _template_epoch(line: str) -> Epoch | None:
+    """The Epoch of a row in ``_TEMPLATE_ROW``'s form, or None: for any other
+    row, and for one whose values ``from_dict`` would reject (a vital out of
+    its bounds, a date that does not exist, an id past ``int``'s digit
+    limit). Never raises, so every error comes from ``_decode_row``.
+
+    The values are the ones ``from_dict`` gives: ``int`` and ``float`` parse
+    the digits as json does, and ``fromisoformat`` reads the Z form as
+    ``timezone.utc``, as ``parse_timestamp`` does.
+    """
+    match = _TEMPLATE_ROW.fullmatch(line)
+    if match is None:
+        return None
+    patient, timestamp, spo2, hr, accel, status, cover, position, activity, ambient = (
+        match.groups()
+    )
+    spo2, hr = float(spo2), float(hr)
+    if not (0.0 <= spo2 <= 100.0 and 0.0 < hr < math.inf):
+        return None
+    try:
+        patient, timestamp = int(patient), datetime.fromisoformat(timestamp)
+    except ValueError:
+        return None
+    return Epoch(
+        patient,
+        timestamp,
+        spo2,
+        hr,
+        _ACCEL_LEVELS[accel],
+        _DEVICE_STATUSES[status],
+        cover == "true",
+        _POSITIONS[position],
+        None if activity is None else _ACTIVITIES[activity],
+        ambient,
+    )
+
+
+def _decode_row(line: str, line_no: int) -> Epoch:
+    """Decode one stripped line as any JSON row: whitespace, escapes, any key
+    order and duplicate keys (the last wins, as in ``json.loads``). A
+    malformed row fails naming its line number."""
+    try:
+        row, end = _DECODE_ROW(line)
+        if end != len(line):
+            raise json.JSONDecodeError("Extra data", line, end)
+        return Epoch.from_dict(row)
+    except _DECODE_ERRORS as exc:
+        if line.startswith("\ufeff"):  # the error json.loads gives it
+            exc = json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0)
+        raise _located(f"epochs line {line_no}", exc) from None
+
+
 def read_epochs_jsonl(fp: TextIO) -> list[Epoch]:
     """Decode every row; any malformed row fails, naming its line number.
 
-    A line holds exactly one JSON value: data after it (a second object, or
-    anything else) fails with "Extra data", as ``json.loads`` fails it.
+    A line holds exactly one JSON value, with only JSON whitespace around
+    it: data after it (a second object, or anything else) fails with "Extra
+    data", and U+00A0 or U+2028 fails with "Expecting value", as ``json.loads``
+    fails them. A row in the form ``epoch_line`` writes, as every generated
+    row is, is read through one pattern (``_template_epoch``); every other
+    row goes through the JSON decoder, with the same result and the same
+    error either way.
     """
     epochs = []
     for line_no, line in enumerate(fp, start=1):
-        line = line.strip()
+        line = line.strip(_JSON_WHITESPACE)
         if not line:
             continue
-        try:
-            row, end = _DECODE_ROW(line)
-            if end != len(line):
-                raise json.JSONDecodeError("Extra data", line, end)
-            epochs.append(Epoch.from_dict(row))
-        except _DECODE_ERRORS as exc:
-            if line.startswith("\ufeff"):  # the error json.loads gives it
-                exc = json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0)
-            raise _located(f"epochs line {line_no}", exc) from None
+        epoch = _template_epoch(line)
+        if epoch is None:
+            epoch = _decode_row(line, line_no)
+        epochs.append(epoch)
     return epochs
 
 

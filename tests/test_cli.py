@@ -177,29 +177,66 @@ def test_evaluate_alerting_epoch_in_year_1_evaluates(tmp_path, capsys):
     assert '"decided_at":"0001-01-01T00:05:00Z"' in decisions
 
 
+# The characters str.strip() removes and JSON does not count as whitespace.
+_NON_JSON_SPACES = ["\x0b", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u2028"]
+
+
 @pytest.mark.parametrize(
-    "index, edit",
+    "index, edit, message",
     [
-        (2, lambda line: line + " x"),
-        (2, lambda line: line + line),
-        (2, lambda line: "\ufeff" + line),
-        (0, lambda line: "\ufeff" + line),
+        (2, lambda line: line + " x", "Extra data"),
+        (2, lambda line: line + line, "Extra data"),
+        (2, lambda line: "\ufeff" + line, "BOM"),
+        (0, lambda line: "\ufeff" + line, "BOM"),
+        *[(2, lambda line, c=c: c + line + c, "Expecting value") for c in _NON_JSON_SPACES],
+        (2, lambda line: "\xa0\n" + line, "Expecting value"),
+        (-1, lambda line: line[: line.index('"timestamp":"') + 20], "Unterminated string"),
+        (2, lambda line: "[]", "epoch row must be a JSON object, got []"),
+        (2, lambda line: "5", "epoch row must be a JSON object, got 5"),
+        (2, lambda line: '"x"', "epoch row must be a JSON object, got 'x'"),
+        (2, lambda line: "null", "epoch row must be a JSON object, got None"),
+        (2, lambda line: line[:-1] + ',"spo2":-1.0}', "spo2 outside [0, 100]: -1.0"),
     ],
-    ids=["trailing_data", "two_objects", "bom", "bom_opening_the_file"],
+    ids=[
+        "trailing_data", "two_objects", "bom", "bom_opening_the_file",
+        *[f"wrapped_in_u{ord(c):04x}" for c in _NON_JSON_SPACES], "no_break_space_line",
+        "file_cut_mid_row", "array_row", "number_row", "string_row", "null_row",
+        "invalid_duplicate_spo2",
+    ],
 )
-def test_evaluate_malformed_epoch_line_exits_2_naming_the_line(tmp_path, capsys, index, edit):
-    # Each line holds exactly one JSON object: data after it, or a byte-order
-    # mark before it, fails the row rather than being skipped or split.
+def test_evaluate_malformed_epoch_line_exits_2_naming_the_line(
+    tmp_path, capsys, index, edit, message
+):
+    # Each line holds exactly one JSON object, with only JSON whitespace
+    # around it: data after it, a byte-order mark or a Unicode space such as
+    # U+00A0 around it fails the row rather than being skipped, stripped or
+    # split, as json.loads fails it. A key given twice keeps its last value,
+    # as in json.loads. An edit of the last line is where the file ends,
+    # with no newline after it.
     config = write_config(tmp_path)
     run(["--config", config, "generate"])
     epochs_path = tmp_path / "dataset" / "epochs.jsonl"
     lines = epochs_path.read_text(encoding="utf-8").splitlines()
+    line_no = index % len(lines) + 1
     lines[index] = edit(lines[index])
-    epochs_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    epochs_path.write_text("\n".join(lines) + ("" if index == -1 else "\n"), encoding="utf-8")
     assert run(["--config", config, "evaluate"]) == 2
-    err = capsys.readouterr().err
-    assert f"epochs line {index + 1}: " in err
-    assert ("BOM" if lines[index].startswith("\ufeff") else "Extra data") in err
+    assert re.search(f"epochs line {line_no}: .*{re.escape(message)}", capsys.readouterr().err)
+
+
+def test_evaluate_duplicate_key_keeps_the_last_value(tmp_path):
+    # A row with spo2 twice reads as json reads it: the last value, here the
+    # row's own after an invalid first one, so the outputs do not move.
+    config = write_config(tmp_path)
+    run(["--config", config, "generate"])
+    assert run(["--config", config, "evaluate"]) == 0
+    decisions = (tmp_path / "report" / "decisions.jsonl").read_bytes()
+    epochs_path = tmp_path / "dataset" / "epochs.jsonl"
+    lines = epochs_path.read_text(encoding="utf-8").splitlines()
+    lines[2] = '{"spo2":-1.0,' + lines[2][1:]
+    epochs_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert run(["--config", config, "evaluate"]) == 0
+    assert (tmp_path / "report" / "decisions.jsonl").read_bytes() == decisions
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ import json
 import pkgutil
 import random
 import re
+from dataclasses import fields
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -38,12 +39,22 @@ from alertsift.model import (
     format_timestamp,
     parse_enum,
     parse_timestamp,
+    read_epochs_jsonl,
     write_epochs_jsonl,
 )
 import alertsift
-from alertsift import cli
+from alertsift import cli, model
 from alertsift.evaluate import OutcomeKind
-from alertsift.synthgen import ContinuousSpec, DomainClass, generate_case
+from alertsift.synthgen import (
+    CategoricalSpec,
+    ContinuousSpec,
+    DomainClass,
+    default_taxonomy_path,
+    generate_case,
+    generate_dataset,
+    load_taxonomy,
+    write_dataset,
+)
 from helpers import (
     DAYTIME,
     epoch_row,
@@ -389,3 +400,143 @@ def test_write_epochs_jsonl_writes_one_line_per_epoch():
     write_epochs_jsonl(tuple(epochs), fp)
     assert fp.writes == [epoch_line(e) for e in epochs]
     assert [Epoch.from_dict(json.loads(line)) for line in fp.getvalue().splitlines()] == epochs
+
+
+# ``read_epochs_jsonl`` reads a row in the form ``epoch_line`` writes through
+# one pattern, and every other row through the JSON decoder
+# (``model._decode_row``). The reference is the decoder alone. Drawn: rows as
+# ``epoch_line`` writes them, from ``_epochs`` and from epochs whose values
+# the pattern may take, and near-misses of the latter, each one edit that
+# JSON still reads (or rejects) its own way.
+
+
+def _row_text(row, **tokens):
+    """The row as compact JSON, each key in ``tokens`` written as the given
+    raw JSON text instead of its value."""
+    return "{" + ",".join(
+        f'"{key}":{tokens[key] if key in tokens else COMPACT_JSON.encode(value)}'
+        for key, value in row.items()
+    ) + "}"
+
+
+def _escaped_first_char(value):
+    return '"\\u%04x%s"' % (ord(value[0]), value[1:])
+
+
+_NEAR_MISSES = {
+    "duplicate_key_last_valid": lambda row: '{"spo2":-1.0,' + _row_text(row)[1:],
+    "duplicate_key_last_invalid": lambda row: _row_text(row)[:-1] + ',"spo2":-1.0}',
+    "space_after_comma": lambda row: _row_text(row).replace(",", ", ", 1),
+    "space_after_colon": lambda row: _row_text(row).replace(":", ": ", 1),
+    "escaped_enum": lambda row: _row_text(
+        row, device_status=_escaped_first_char(row["device_status"])
+    ),
+    "reordered_keys": lambda row: COMPACT_JSON.encode(dict(reversed(row.items()))),
+    "int_vital": lambda row: _row_text(row, hr=str(int(row["hr"]))),
+    "exponent_only_vital": lambda row: _row_text(row, spo2="1E+1"),
+    "negative_zero_spo2": lambda row: _row_text(row, spo2="-0.0"),
+    "negative_zero_hr": lambda row: _row_text(row, hr="-0.0"),
+    "spo2_over_100": lambda row: _row_text(row, spo2="100.5"),
+    "overflowing_vital": lambda row: _row_text(row, hr="1.0e999"),
+    "leading_zero_id": lambda row: _row_text(row, patient_id="0%d" % abs(row["patient_id"])),
+    "5000_digit_id": lambda row: _row_text(row, patient_id="1" * 5000),
+    "month_13": lambda row: _row_text(row, timestamp='"2022-13-01T00:00:00Z"'),
+    "february_30": lambda row: _row_text(row, timestamp='"2024-02-30T00:00:00Z"'),
+    "year_0000": lambda row: _row_text(row, timestamp='"0000-01-01T00:00:00Z"'),
+    "escaped_quote_ambient": lambda row: _row_text(row, ambient_condition='"a\\"b"'),
+    "raw_tab_ambient": lambda row: _row_text(row, ambient_condition='"a\tb"'),
+    "raw_non_ascii_ambient": lambda row: _row_text(
+        row, ambient_condition='"\xe9\u2603\U0001f600\u2028\x7f"'
+    ),
+    "object_ambient": lambda row: _row_text(row, ambient_condition='{"a":1}'),
+    "trailing_data": lambda row: _row_text(row) + " x",
+    "byte_order_mark": lambda row: "\ufeff" + _row_text(row),
+    "no_break_space_around": lambda row: "\xa0" + _row_text(row) + "\xa0",
+}
+
+
+def _template_epochs(spo2, hr):
+    """Epochs whose rows are in the pattern's form but for their vitals,
+    which ``spo2`` and ``hr`` draw: ids of any sign, minutes in years
+    1-9999, every enum member, and plain ambient strings."""
+    return st.builds(
+        Epoch,
+        patient_id=st.integers(-(10**9), 10**9),
+        timestamp=st.datetimes(
+            min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31, 23, 59),
+            timezones=st.just(timezone.utc),
+        ).map(lambda ts: ts.replace(second=0, microsecond=0)),
+        spo2=spo2,
+        hr=hr,
+        accel_level=st.sampled_from(AccelLevel),
+        device_status=st.sampled_from(DeviceStatus),
+        probe_cover_present=st.booleans(),
+        position=st.sampled_from(Position),
+        self_reported_activity=st.none() | st.sampled_from(SelfReportedActivity),
+        ambient_condition=st.none() | st.text("abz_ -", max_size=6),
+    )
+
+
+def _line(epoch):
+    return epoch_line(epoch).rstrip("\n")
+
+
+def _outcome(decode):
+    """An Epoch with what ``==`` misses (its line, so -0.0 against 0.0, and
+    each field's type and the timestamp's zone), or the error text."""
+    try:
+        epoch = decode()
+    except InvariantViolation as exc:
+        return str(exc)
+    return (
+        epoch, epoch_line(epoch), [type(getattr(epoch, f.name)) for f in fields(Epoch)],
+        epoch.timestamp.tzinfo,
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    _epochs,
+    _template_epochs(st.floats(-1.0, 101.0), st.floats(-1.0, 400.0)),
+    _template_epochs(st.floats(70.0, 100.0), st.floats(25.0, 220.0)),
+)
+def test_epoch_reader_matches_the_json_decoder_row_for_row(epoch, wide, generated):
+    # Each example checks three rows as epoch_line writes them, the last
+    # with vitals in the generator's ranges so that it takes the pattern,
+    # and every near-miss of the last (24; 5,400 rows in all).
+    rows = [_line(epoch), _line(wide), _line(generated)]
+    rows += [edit(epoch_row(generated)) for edit in _NEAR_MISSES.values()]
+    for line in rows:
+        def read():
+            (decoded,) = read_epochs_jsonl(io.StringIO(line + "\n"))
+            return decoded
+
+        reference = _outcome(lambda: model._decode_row(line.strip(" \t\r\n"), 1))
+        assert _outcome(read) == reference, line
+
+
+def test_generated_rows_take_the_template_pattern(tmp_path):
+    # Every generated row takes the pattern. A change to epoch_line's
+    # template must move the pattern with it, or every row would silently
+    # take the JSON decoder and every other test would still pass.
+    write_dataset(generate_dataset(load_taxonomy(default_taxonomy_path()), seed=42), tmp_path)
+    lines = (tmp_path / "epochs.jsonl").read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 530
+    assert [line for line in lines if model._template_epoch(line) is None] == []
+    every = {
+        "accel_level": CategoricalSpec(choices=tuple(m.value for m in AccelLevel)),
+        "device_status": CategoricalSpec(choices=tuple(m.value for m in DeviceStatus)),
+        "position": CategoricalSpec(choices=tuple(m.value for m in Position)),
+        "self_reported_activity": CategoricalSpec(
+            choices=tuple(m.value for m in SelfReportedActivity)
+        ),
+        "probe_cover_present": CategoricalSpec(choices=(True, False)),
+        "ambient_condition": CategoricalSpec(choices=("heatwave_advisory", "wildfire smoke")),
+    }
+    epochs, _ = generate_case(
+        make_entry(epoch_count=60, categorical_params=every), 3847291, DAYTIME, seed=7
+    )
+    lines = [_line(epoch) for epoch in epochs]
+    assert {e.self_reported_activity for e in epochs} == set(SelfReportedActivity)
+    assert [line for line in lines if model._template_epoch(line) is None] == []
+    assert read_epochs_jsonl(io.StringIO("".join(map(epoch_line, epochs)))) == epochs
