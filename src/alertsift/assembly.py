@@ -6,13 +6,19 @@ which also holds the patient's inline position and activity reports) and
 the EHR context. The projection applied before any downstream agent runs
 removes every inferred-tagged field from the record's field set, so a value
 produced by model inference can never reach detection or specialist logic.
+
+Per alerting epoch (a quiet one is never assembled), ``assemble`` builds
+one VeritasRecord holding eight to twelve TaggedValues, and the projection
+one SpecialistView that shares or filters the record's two mappings. All
+three types are tuples, built at tuple cost; ``assemble`` alone builds
+unchecked, for the reasons given at ``_new`` below.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from datetime import datetime
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping, NamedTuple
 
 from .model import (
     Epoch,
@@ -39,10 +45,13 @@ ALLOWED_SPECIALIST_PROVENANCE = frozenset(
 )
 
 # The three tags assembly assigns, bound once. Assembly builds its values
-# with tuple.__new__ and so skips TaggedValue.__new__'s ProvenanceTag check:
-# every tag it passes is one of these members, so the check cannot fail.
-# Every other caller, whose tag may be arbitrary, keeps the checked
-# constructor, and the projection still decides by each value's tag.
+# and its record with tuple.__new__, and so skips two checks that cannot
+# fail there. TaggedValue.__new__'s ProvenanceTag check: every tag it passes
+# is one of these members. VeritasRecord.__new__'s field-name check: every
+# key it writes is its own literal or one of ``SourceBundle._ehr_fields``,
+# which are literals too. Every other caller, whose tags and keys may be
+# arbitrary, keeps the checked constructors, and the projection still
+# decides by each value's tag.
 _DEVICE = ProvenanceTag.DEVICE_VERIFIED
 _REPORTED = ProvenanceTag.PATIENT_REPORTED
 _EHR = ProvenanceTag.EHR_DERIVED
@@ -127,21 +136,29 @@ def assemble(bundle: SourceBundle, epoch: Epoch) -> VeritasRecord:
     context_fields = {
         name: _new(TaggedValue, (value, _EHR, src, at)) for name, value in bundle._ehr_fields
     }
-    return VeritasRecord(pid, at, epoch_fields, context_fields)
+    return _new(VeritasRecord, (pid, at, epoch_fields, context_fields))
 
 
-@dataclass(frozen=True, slots=True)
-class SpecialistView:
+class _ViewFields(NamedTuple):
+    record: VeritasRecord
+    epoch_fields: Mapping[str, TaggedValue]
+    context_fields: Mapping[str, TaggedValue]
+
+
+class SpecialistView(_ViewFields):
     """The record as seen by detection, routing, and specialists.
 
     Inferred-tagged fields are structurally missing: they are not present
     in the view's field mappings at all, so no rule can read them. The
     originating record is kept for its timestamp only.
+
+    An immutable tuple ``(record, epoch_fields, context_fields)``, equal
+    when all three fields are equal, as tuples are; every alerting epoch
+    builds one. ``get`` and ``value`` read the two mappings directly, as
+    the rules call them a dozen times per alert.
     """
 
-    record: VeritasRecord
-    epoch_fields: Mapping[str, TaggedValue]
-    context_fields: Mapping[str, TaggedValue]
+    __slots__ = ()
 
     @property
     def timestamp(self) -> datetime:
@@ -154,7 +171,9 @@ class SpecialistView:
         return tv
 
     def value(self, name: str, default: Any = None) -> Any:
-        tv = self.get(name)
+        tv = self.epoch_fields.get(name)
+        if tv is None:
+            tv = self.context_fields.get(name)
         return default if tv is None else tv.value
 
 

@@ -13,7 +13,9 @@ resolve in strictly increasing time, and it keeps only what it can replay.
 
 The claims and the routing decision resolve reads are shared immutable
 values: every alert that reaches the same rules gets the same objects. The
-SystemDecision is the one object resolve builds per alert.
+SystemDecision is the one object resolve builds per alert, and the one kept
+per decision; it is a tuple (see ``model.SystemDecision``), which costs less
+to build and to hold than a frozen dataclass.
 """
 
 from __future__ import annotations
@@ -194,8 +196,6 @@ def resolve(
         else:
             verdict, path = _ESCALATE, _AMBIGUITY_DEFAULT
 
-    decision = SystemDecision(
-        verdict=verdict, contributing_claims=claims, resolution_path=path, decided_at=now
-    )
+    decision = SystemDecision(verdict, claims, path, now)
     history.record(alert.alert_types, decision)
     return decision

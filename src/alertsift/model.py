@@ -194,9 +194,24 @@ def format_timestamp(ts: datetime) -> str:
     return "%04d-%02d-%02dT%02d:%02d:00Z" % (u.year, u.month, u.day, u.hour, u.minute)
 
 
+# The one form a timestamp is read in, ``YYYY-MM-DDTHH:MM:SS`` with ``Z`` or
+# ``±HH:MM``: ``fromisoformat`` alone also reads week dates, the basic format,
+# a space for the T, and times without seconds or minutes. The zone is left
+# optional here so that a naive timestamp gets its own error.
+_TIMESTAMP_FORM = re.compile(
+    r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}(?:Z|[+-][0-9]{2}:[0-9]{2})?"
+)
+
+
 def parse_timestamp(raw: str) -> datetime:
+    """Read a UTC minute in README's form, ``2022-06-15T14:03:00Z``, or the
+    same wall time with an offset, which is moved to UTC."""
     if not isinstance(raw, str):
         raise InvariantViolation(f"timestamp {raw!r} is not a string")
+    if _TIMESTAMP_FORM.fullmatch(raw) is None:
+        raise InvariantViolation(
+            f"timestamp {raw!r} is not of the form YYYY-MM-DDTHH:MM:SS with Z or ±HH:MM"
+        )
     text = raw.replace("Z", "+00:00")
     try:
         ts = datetime.fromisoformat(text)
@@ -409,55 +424,103 @@ _EPOCH_FIELDS = _EPOCH_KEYS - {"patient_id", "timestamp"}
 _CONTEXT_FIELDS = _CONTEXT_KEYS - {"patient_id"}
 
 
-@dataclass(frozen=True)
-class VeritasRecord:
+class _RecordFields(NamedTuple):
+    patient_id: int
+    timestamp: datetime
+    epoch_fields: Mapping[str, TaggedValue]
+    context_fields: Mapping[str, TaggedValue]
+
+
+class VeritasRecord(_RecordFields):
     """Unified per-epoch patient record with every field provenance-tagged.
 
     Measurement and context fields live in mappings keyed by field name so a
     field can be structurally absent (optional inputs, or excluded by the
     specialist projection). ``patient_id`` and ``timestamp`` are record
     coordinates, not measurements, and are not tagged.
+
+    An immutable tuple ``(patient_id, timestamp, epoch_fields,
+    context_fields)`` whose construction rejects a field name that is not
+    an epoch or context field; equal when all four fields are equal, as
+    tuples are. A tuple for the reason ``TaggedValue`` is one: every
+    alerting epoch builds one. ``assemble``, whose keys are its own literals
+    or the bundle's EHR field names, builds it with ``tuple.__new__`` and
+    skips the check.
     """
 
-    patient_id: int
-    timestamp: datetime
-    epoch_fields: Mapping[str, TaggedValue]
-    context_fields: Mapping[str, TaggedValue]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(
+        cls,
+        patient_id: int,
+        timestamp: datetime,
+        epoch_fields: Mapping[str, TaggedValue],
+        context_fields: Mapping[str, TaggedValue],
+    ) -> "VeritasRecord":
         # issuperset reads the keys in place; the unknown names are only
         # built for the error message.
-        if not _EPOCH_FIELDS.issuperset(self.epoch_fields):
-            unknown = sorted(self.epoch_fields.keys() - _EPOCH_FIELDS)
+        if not _EPOCH_FIELDS.issuperset(epoch_fields):
+            unknown = sorted(epoch_fields.keys() - _EPOCH_FIELDS)
             raise InvariantViolation(f"unknown epoch fields: {unknown}")
-        if not _CONTEXT_FIELDS.issuperset(self.context_fields):
-            unknown = sorted(self.context_fields.keys() - _CONTEXT_FIELDS)
+        if not _CONTEXT_FIELDS.issuperset(context_fields):
+            unknown = sorted(context_fields.keys() - _CONTEXT_FIELDS)
             raise InvariantViolation(f"unknown context fields: {unknown}")
+        return tuple.__new__(cls, (patient_id, timestamp, epoch_fields, context_fields))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[Any]) -> "VeritasRecord":
+        # As for TaggedValue: _make and _replace keep the check.
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class CandidateAlert:
-    """Threshold-exceedance message emitted by the detection layer.
-
-    Every alert type carries the tagged value that triggered it, so the
-    provenance of the trigger travels with the alert.
-    """
-
+class _AlertFields(NamedTuple):
     alert_types: frozenset[AlertType]
     triggering_values: Mapping[AlertType, TaggedValue]
     raised_at: datetime
 
-    def __post_init__(self) -> None:
-        if not self.alert_types:
+
+# Bound once: reading an Enum member off its class costs about 0.1 us, and
+# the alert checks each trigger's tag.
+_INFERRED = ProvenanceTag.INFERRED
+
+
+class CandidateAlert(_AlertFields):
+    """Threshold-exceedance message emitted by the detection layer.
+
+    Every alert type carries the tagged value that triggered it, so the
+    provenance of the trigger travels with the alert.
+
+    An immutable tuple ``(alert_types, triggering_values, raised_at)`` whose
+    construction rejects an empty type set and a type whose trigger is
+    missing or inferred; equal when all three fields are equal, as tuples
+    are. Every caller, ``detect`` included, builds it checked: whether a
+    trigger is inferred depends on the view it was read from.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        alert_types: frozenset[AlertType],
+        triggering_values: Mapping[AlertType, TaggedValue],
+        raised_at: datetime,
+    ) -> "CandidateAlert":
+        if not alert_types:
             raise InvariantViolation("CandidateAlert requires at least one alert type")
-        for alert_type in self.alert_types:
-            trigger = self.triggering_values.get(alert_type)
+        for alert_type in alert_types:
+            trigger = triggering_values.get(alert_type)
             if trigger is None:
                 raise InvariantViolation(f"missing triggering value for {alert_type.value}")
-            if trigger.provenance is ProvenanceTag.INFERRED:
+            if trigger.provenance is _INFERRED:
                 raise InvariantViolation(
                     f"alert type {alert_type.value} triggered by an inferred value"
                 )
+        return tuple.__new__(cls, (alert_types, triggering_values, raised_at))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[Any]) -> "CandidateAlert":
+        # As for TaggedValue: _make and _replace keep the check.
+        return cls(*iterable)
 
 
 @dataclass(frozen=True)
@@ -484,14 +547,23 @@ class AgentClaim:
         }
 
 
-@dataclass(frozen=True)
-class SystemDecision:
-    """The forced binary outcome for one epoch; never indeterminate."""
-
+class _DecisionFields(NamedTuple):
     verdict: Verdict
     contributing_claims: tuple[AgentClaim, ...]
     resolution_path: ResolutionPath
     decided_at: datetime
+
+
+class SystemDecision(_DecisionFields):
+    """The forced binary outcome for one epoch; never indeterminate.
+
+    An immutable tuple ``(verdict, contributing_claims, resolution_path,
+    decided_at)``, equal when all four fields are equal, as tuples are. A
+    tuple because it is the one object kept per decision: it costs less to
+    build and to hold than a frozen dataclass.
+    """
+
+    __slots__ = ()
 
     def to_dict(self) -> dict[str, Any]:
         return {

@@ -95,8 +95,4 @@ def detect(view: SpecialistView, cfg: SentinelConfig) -> CandidateAlert | None:
 
     if not triggers:
         return None
-    return CandidateAlert(
-        alert_types=frozenset(triggers),
-        triggering_values=triggers,
-        raised_at=view.timestamp,
-    )
+    return CandidateAlert(frozenset(triggers), triggers, view.timestamp)

@@ -184,17 +184,55 @@ def _epochs_and_contexts(draw):
 @given(_epochs_and_contexts())
 def test_assemble_matches_the_checked_reference(case):
     # Property: assembly's unchecked tuple construction gives the record the
-    # checked constructor gives, field for field and in the same order, and
-    # every value is a real TaggedValue holding a ProvenanceTag.
+    # checked constructor gives, of the same type, field for field and in the
+    # same order, and every value is a real TaggedValue holding a ProvenanceTag.
     epoch, context = case
     record = assemble(make_bundle(epoch, context), epoch)
     reference = _reference_assemble(make_bundle(epoch, context), epoch)
+    assert type(record) is type(reference) is VeritasRecord
     assert record == reference
     assert list(record.epoch_fields) == list(reference.epoch_fields)
     assert list(record.context_fields) == list(reference.context_fields)
     for name, tv in all_tagged(record):
         assert type(tv) is TaggedValue, name
         assert isinstance(tv.provenance, ProvenanceTag), name
+
+
+_RECORD_FIELD_NAMES = [
+    "spo2", "hr", "accel_level", "device_status", "probe_cover_present", "position",
+    "self_reported_activity", "ambient_condition", "copd_documented",
+    "rate_limiting_medication", "baseline_spo2", "baseline_hr",
+]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.dictionaries(st.sampled_from(_RECORD_FIELD_NAMES), st.sampled_from(list(ProvenanceTag))),
+    st.none() | st.sampled_from(list(SelfReportedActivity)),
+    st.none() | st.just("heatwave"),
+)
+def test_view_accessors_match_a_plain_reference(tags, activity, ambient):
+    # Property: over records retagged at random, with the optional epoch
+    # fields present or absent, get(n) is the epoch mapping's value, else
+    # the context mapping's, else None, and value(n, d) is its .value, or d.
+    epoch = make_epoch(activity=activity, ambient=ambient)
+    record = make_record(epoch, make_context(copd=True, baseline_spo2=89.0, baseline_hr=70.0))
+
+    def retag(fields):
+        return {k: retagged(tv, tags[k]) if k in tags else tv for k, tv in fields.items()}
+
+    view = project_for_specialists(
+        VeritasRecord(
+            record.patient_id, record.timestamp,
+            retag(record.epoch_fields), retag(record.context_fields),
+        )
+    )
+    missing = object()
+    for name in (*_RECORD_FIELD_NAMES, "pulse"):
+        expected = view.epoch_fields.get(name, view.context_fields.get(name))
+        assert view.get(name) is expected, name
+        assert view.value(name) is (None if expected is None else expected.value), name
+        assert view.value(name, missing) is (missing if expected is None else expected.value)
 
 
 def test_projection_identity_when_nothing_inferred():
@@ -246,16 +284,7 @@ def test_projection_field_scan_never_exposes_inferred():
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(
-    st.dictionaries(
-        st.sampled_from([
-            "spo2", "hr", "accel_level", "device_status", "probe_cover_present", "position",
-            "self_reported_activity", "ambient_condition", "copd_documented",
-            "rate_limiting_medication", "baseline_spo2", "baseline_hr",
-        ]),
-        st.sampled_from(list(ProvenanceTag)),
-    ),
-)
+@given(st.dictionaries(st.sampled_from(_RECORD_FIELD_NAMES), st.sampled_from(list(ProvenanceTag))))
 def test_projection_never_exposes_inferred_under_random_provenance(tags):
     # Property: retag any subset of an assembled record's fields at random;
     # the projected view holds no inferred value.

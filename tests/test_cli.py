@@ -137,6 +137,13 @@ HUGE = 10**400
             "timestamp", "9999-12-31T23:05:00-01:00",
             "timestamp '9999-12-31T23:05:00-01:00' is out of range in UTC",
         ),
+        *(
+            ("timestamp", raw, f"timestamp {raw!r} is not of the form YYYY-MM-DDTHH:MM:SS")
+            for raw in (
+                "2022-W24-3T14:03Z", "20220615T1403Z", "2022-06-15 14:03:00Z",
+                "2022-06-15T14Z", "2022-06-15T14:03Z", "2022-06-15T14:03:00.000Z",
+            )
+        ),
     ],
     ids=[
         "null_spo2", "text_spo2", "numeric_timestamp", "unknown_status",
@@ -144,6 +151,8 @@ HUGE = 10**400
         "misspelt_optional_key", "unknown_null_key",
         "nan_hr", "infinite_spo2", "huge_integer_spo2", "huge_integer_hr",
         "timestamp_before_year_1", "timestamp_after_year_9999",
+        "week_date", "basic_format", "space_separator", "hour_only", "no_seconds",
+        "fraction",
     ],
 )
 def test_evaluate_malformed_epoch_exits_2_naming_the_line(

@@ -35,6 +35,7 @@ from alertsift.model import (
     SystemDecision,
     TaggedValue,
     Verdict,
+    VeritasRecord,
     epoch_line,
     format_timestamp,
     parse_enum,
@@ -44,6 +45,7 @@ from alertsift.model import (
 )
 import alertsift
 from alertsift import cli, model
+from alertsift.assembly import project_for_specialists
 from alertsift.evaluate import OutcomeKind
 from alertsift.synthgen import (
     CategoricalSpec,
@@ -57,6 +59,7 @@ from alertsift.synthgen import (
 )
 from helpers import (
     DAYTIME,
+    NIGHT,
     epoch_row,
     make_context,
     make_entry,
@@ -97,9 +100,9 @@ def test_validate_epoch_boundaries_inclusive():
 
 
 def test_timestamp_minute_resolution_enforced():
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(InvariantViolation, match="is not minute-resolution"):
         parse_timestamp("2022-06-15T14:00:30Z")
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(InvariantViolation, match="is not timezone-aware"):
         parse_timestamp("2022-06-15T14:00:00")  # naive
 
 
@@ -273,6 +276,67 @@ def test_candidate_alert_rejects_empty_and_inferred_triggers():
             {AlertType.LOW_SPO2: retagged(spo2, ProvenanceTag.INFERRED)},
             record.timestamp,
         )
+
+
+def _tuple_backed_samples():
+    """One of each tuple-backed per-epoch type: a record, its view, an alert
+    and a decision, each built by its constructor."""
+    record = make_record(make_epoch(spo2=88.0))
+    spo2 = record.epoch_fields["spo2"]
+    alert = CandidateAlert(frozenset({AlertType.LOW_SPO2}), {AlertType.LOW_SPO2: spo2}, DAYTIME)
+    claim = AgentClaim(AgentDomain.COPD, Recommendation.ESCALATE, 0.9, RiskLevel.HIGH)
+    decision = SystemDecision(Verdict.ESCALATE, (claim,), ResolutionPath.SINGLE_DOMAIN, DAYTIME)
+    return record, project_for_specialists(record), alert, decision
+
+
+def test_tuple_backed_types_are_immutable_and_hold_no_dict():
+    for sample in _tuple_backed_samples():
+        assert not hasattr(sample, "__dict__"), type(sample)
+        for name in (*sample._fields, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(sample, name, None)
+        # Equality is tuple equality: a rebuilt copy is equal.
+        assert type(sample)(*sample) == sample
+
+
+def test_record_make_and_replace_keep_the_field_name_check():
+    record = _tuple_backed_samples()[0]
+    tv = record.epoch_fields["spo2"]
+    assert VeritasRecord._make(record) == record
+    assert record._replace(timestamp=NIGHT).timestamp == NIGHT
+    for bad in (
+        {"epoch_fields": {**record.epoch_fields, "pulse": tv}},
+        {"context_fields": {**record.context_fields, "copd": tv}},
+    ):
+        kwargs = {**record._asdict(), **bad}
+        with pytest.raises(InvariantViolation, match="unknown (epoch|context) fields"):
+            VeritasRecord(**kwargs)
+        with pytest.raises(InvariantViolation, match="unknown (epoch|context) fields"):
+            VeritasRecord._make(kwargs.values())
+        with pytest.raises(InvariantViolation, match="unknown (epoch|context) fields"):
+            record._replace(**bad)
+
+
+def test_alert_make_and_replace_keep_the_trigger_checks():
+    alert = _tuple_backed_samples()[2]
+    spo2 = alert.triggering_values[AlertType.LOW_SPO2]
+    assert CandidateAlert._make(alert) == alert
+    assert alert._replace(raised_at=NIGHT).raised_at == NIGHT
+    for bad, message in (
+        ({"alert_types": frozenset()}, "at least one alert type"),
+        ({"triggering_values": {}}, "missing triggering value for low_spo2"),
+        (
+            {"triggering_values": {AlertType.LOW_SPO2: retagged(spo2, ProvenanceTag.INFERRED)}},
+            "low_spo2 triggered by an inferred value",
+        ),
+    ):
+        kwargs = {**alert._asdict(), **bad}
+        with pytest.raises(InvariantViolation, match=message):
+            CandidateAlert(**kwargs)
+        with pytest.raises(InvariantViolation, match=message):
+            CandidateAlert._make(kwargs.values())
+        with pytest.raises(InvariantViolation, match=message):
+            alert._replace(**bad)
 
 
 def test_agent_claim_round_trip_and_confidence_bounds():
