@@ -7,12 +7,20 @@ with small measurement noise, and re-clamped to their spec's bounds, which
 lie in the field's physiological range; categorical parameters are fixed or
 drawn uniformly per epoch. Every case draws from its own RNG sub-stream keyed
 by (seed, case_id), so reordering the catalogue perturbs nothing else.
+
+Each entry builds its draw plan once, in ``Epoch`` field order: a row
+template holding every value that is not drawn, the continuous draws as
+``(index, mu, sigma, lower, upper)`` in floats, and the choice draws as
+``(index, options, count)``. ``generate_case`` fills a copy of the template
+per minute, continuous fields first, then choice fields, each in sorted
+field order, and builds the ``Epoch`` from it positionally.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timedelta, timezone
 from enum import Enum
@@ -58,7 +66,6 @@ __all__ = [
     "generate_case",
     "generate_dataset",
     "load_taxonomy",
-    "sample_truncated_gaussian",
     "write_dataset",
 ]
 
@@ -108,6 +115,7 @@ _CATEGORICAL_FIELDS: dict[str, tuple[type | None, Any]] = {
 }
 _CONTINUOUS_NAMES = frozenset(_CONTINUOUS_FIELDS)
 _CATEGORICAL_NAMES = frozenset(_CATEGORICAL_FIELDS)
+_EPOCH_INDEX = {f.name: i for i, f in enumerate(fields(Epoch))}
 
 
 @dataclass(frozen=True)
@@ -122,8 +130,8 @@ class ContinuousSpec:
             raise InvariantViolation(f"lower {self.lower:g} must be below upper {self.upper:g}")
         if not self.lower <= self.mu <= self.upper:
             raise InvariantViolation(f"mu {self.mu} outside bounds [{self.lower},{self.upper}]")
-        if self.sigma <= 0:
-            raise InvariantViolation(f"sigma must be positive, got {self.sigma}")
+        if not 0 < self.sigma < math.inf:  # NaN fails it too
+            raise InvariantViolation(f"sigma must be positive and finite, got {self.sigma}")
 
     def to_dict(self) -> dict[str, float]:
         return {"mu": self.mu, "sigma": self.sigma, "lower": self.lower, "upper": self.upper}
@@ -185,11 +193,15 @@ def _epoch_value(name: str, raw: Any) -> Any:
 class TaxonomyEntry:
     """One confirmed false-positive scenario with its generation parameters.
 
-    The entry's draw plan is built once, here, with every categorical value
-    parsed: the continuous specs and the choice sets, each in sorted field
-    order (the order of the draws), the value of every Epoch field that is
-    not drawn, and the number of days a case can start on and still end
-    inside ``DATA_WINDOW``. ``context`` is a contexts.json record less its
+    The entry's draw plan is built once, here, in ``Epoch`` field order,
+    with every categorical value parsed: ``_row``, a template of the Epoch
+    fields holding each default and fixed value (the patient id and
+    timestamp are set per case and per minute); ``_draws``, one ``(index,
+    mu, sigma, lower, upper)`` per continuous spec, every number a float;
+    and ``_choices``, one ``(index, options, len(options))`` per choice set.
+    Both are in sorted field order, the order of the draws. The entry also
+    keeps the number of days a case can start on and still end inside
+    ``DATA_WINDOW``. ``context`` is a contexts.json record less its
     patient id, decoded once here by that record's reader under a
     placeholder id, which ``generate_case`` replaces with the case's. A
     value that does not parse, or a case too long to fit in the window from
@@ -208,13 +220,13 @@ class TaxonomyEntry:
     context: Mapping[str, Any]
     nocturnal: bool
     expected_outcome_note: str
-    _continuous: tuple[tuple[str, ContinuousSpec], ...] = field(
+    _row: tuple[Any, ...] = field(init=False, repr=False, compare=False)
+    _draws: tuple[tuple[int, float, float, float, float], ...] = field(
         init=False, repr=False, compare=False
     )
-    _choices: tuple[tuple[str, tuple[Any, ...]], ...] = field(
+    _choices: tuple[tuple[int, tuple[Any, ...], int], ...] = field(
         init=False, repr=False, compare=False
     )
-    _fixed: Mapping[str, Any] = field(init=False, repr=False, compare=False)
     _context: PatientContext = field(init=False, repr=False, compare=False)
     _start_days: int = field(init=False, repr=False, compare=False)
 
@@ -260,21 +272,24 @@ class TaxonomyEntry:
         except InvariantViolation as exc:
             raise InvariantViolation(f"context {exc}") from None
 
-        fixed = {
-            name: default
-            for name, (default, _, _) in _CONTINUOUS_FIELDS.items()
-            if name not in self.continuous_params
-        }
+        row: list[Any] = [None] * len(_EPOCH_INDEX)
+        for name, (default, _, _) in _CONTINUOUS_FIELDS.items():
+            row[_EPOCH_INDEX[name]] = default
+        draws = tuple(
+            (_EPOCH_INDEX[name], *map(float, (spec.mu, spec.sigma, spec.lower, spec.upper)))
+            for name, spec in sorted(self.continuous_params.items())
+        )
         choices = []
         for name in sorted(_CATEGORICAL_FIELDS):
             spec = self.categorical_params.get(name, _LEFT_OUT)
             if spec.choices:
-                choices.append((name, tuple(_epoch_value(name, v) for v in spec.choices)))
+                options = tuple(_epoch_value(name, v) for v in spec.choices)
+                choices.append((_EPOCH_INDEX[name], options, len(options)))
             else:
-                fixed[name] = _epoch_value(name, spec.fixed)
-        object.__setattr__(self, "_continuous", tuple(sorted(self.continuous_params.items())))
+                row[_EPOCH_INDEX[name]] = _epoch_value(name, spec.fixed)
+        object.__setattr__(self, "_row", tuple(row))
+        object.__setattr__(self, "_draws", draws)
         object.__setattr__(self, "_choices", tuple(choices))
-        object.__setattr__(self, "_fixed", fixed)
         object.__setattr__(self, "_context", context)
         object.__setattr__(self, "_start_days", start_days)
         # Last: the checks above read the mappings given, cheaper than a proxy.
@@ -373,33 +388,6 @@ def _substream(seed: int, label: str) -> np.random.Generator:
     return np.random.default_rng(int.from_bytes(digest[:8], "big"))
 
 
-def sample_truncated_gaussian(
-    mu: float, sigma: float, lower: float, upper: float, rng: np.random.Generator
-) -> float:
-    """Draw from N(mu, sigma^2) conditioned on [lower, upper].
-
-    Rejection sampling with a deterministic fallback: after 1000 rejected
-    draws the last draw is clamped into the interval, keeping generation
-    total even under extreme truncation.
-    """
-    if not lower < upper:
-        raise InvariantViolation(f"require lower < upper, got [{lower},{upper}]")
-    if sigma <= 0:
-        raise InvariantViolation(f"sigma must be positive, got {sigma}")
-    x = mu
-    for _ in range(MAX_REJECTIONS):
-        x = rng.normal(mu, sigma)
-        if lower <= x <= upper:
-            return float(x)
-    return float(min(max(x, lower), upper))
-
-
-def _draw_continuous(spec: ContinuousSpec, rng: np.random.Generator) -> float:
-    value = sample_truncated_gaussian(spec.mu, spec.sigma, spec.lower, spec.upper, rng)
-    value += rng.normal(0.0, NOISE_SIGMA)
-    return round(float(min(max(value, spec.lower), spec.upper)), 2)
-
-
 def generate_case(
     entry: TaxonomyEntry, patient_id: int, start_time: datetime, seed: int
 ) -> tuple[list[Epoch], PatientContext]:
@@ -407,31 +395,50 @@ def generate_case(
 
     All randomness comes from the sub-stream derived from (seed, case_id);
     two calls with the same arguments produce bit-identical output. Each
-    epoch draws the continuous fields, then the choice fields, in the order
-    of the entry's draw plan. The patient id and the case's minutes are
-    checked here, once; each drawn value lies in its spec, which the entry
-    held to the field's range when it was built.
+    epoch fills a copy of the entry's row template: every continuous field,
+    then every choice field, in the order of the entry's draw plan. A
+    continuous value is a draw from N(mu, sigma^2) conditioned on [lower,
+    upper] by rejection (after ``MAX_REJECTIONS`` draws outside, the last is
+    clamped), plus N(0, ``NOISE_SIGMA``^2) noise, clamped again and rounded
+    to two places. The patient id and the case's minutes are checked here,
+    once; each drawn value lies in its spec, which the entry held to the
+    field's range when it was built.
     """
     low, high = PATIENT_ID_RANGE
     if not low <= patient_id <= high:
         raise InvariantViolation(f"{entry.case_id}: patient_id {patient_id} outside [{low}, {high}]")
     if start_time.second or start_time.microsecond:
         raise InvariantViolation(f"{entry.case_id}: start {start_time} is not minute-resolution")
+    if start_time.utcoffset() is None:
+        raise InvariantViolation(f"{entry.case_id}: start {start_time} is not timezone-aware")
     last = start_time + (entry.epoch_count - 1) * _MINUTE
     if not DATA_WINDOW[0] <= start_time <= last < DATA_WINDOW[1]:
         raise InvariantViolation(f"{entry.case_id}: epochs {start_time} to {last} leave the data window")
     rng = _substream(seed, f"case:{entry.case_id}")
+    normal, integers = rng.normal, rng.integers
     context = replace(entry._context, patient_id=patient_id)
-    continuous, choices, fixed = entry._continuous, entry._choices, entry._fixed
+    draws, choices = entry._draws, entry._choices
+    template = list(entry._row)
+    template[0] = patient_id
     epochs: list[Epoch] = []
     timestamp = start_time
     for _ in range(entry.epoch_count):
-        values = dict(fixed)
-        for name, spec in continuous:
-            values[name] = _draw_continuous(spec, rng)
-        for name, options in choices:
-            values[name] = options[int(rng.integers(len(options)))]
-        epochs.append(Epoch(patient_id=patient_id, timestamp=timestamp, **values))
+        row = template.copy()
+        row[1] = timestamp
+        for index, mu, sigma, lower, upper in draws:
+            x = normal(mu, sigma)
+            if not lower <= x <= upper:  # a miss: up to MAX_REJECTIONS draws in all
+                for _ in range(MAX_REJECTIONS - 1):
+                    x = normal(mu, sigma)
+                    if lower <= x <= upper:
+                        break
+                else:  # the last draw missed too: clamp it
+                    x = lower if x < lower else upper
+            x += normal(0.0, NOISE_SIGMA)
+            row[index] = round(lower if x < lower else upper if x > upper else x, 2)
+        for index, options, count in choices:
+            row[index] = options[integers(count)]
+        epochs.append(Epoch(*row))
         timestamp += _MINUTE
     return epochs, context
 

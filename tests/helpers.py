@@ -7,8 +7,10 @@ record (e.g. an inferred-tagged field) rebuild it field by field.
 
 from __future__ import annotations
 
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from typing import Any, Iterable, Sequence
+
+import numpy as np
 
 from alertsift.assembly import (
     SourceBundle,
@@ -39,7 +41,15 @@ from alertsift.model import (
 from alertsift.routing import ARTEFACT_STATUSES, RoutingDecision, route
 from alertsift.sentinel import SentinelConfig, detect
 from alertsift.specialists import SpecialistConfig, claims_for
-from alertsift.synthgen import CategoricalSpec, ContinuousSpec, DomainClass, TaxonomyEntry
+from alertsift.synthgen import (
+    MAX_REJECTIONS,
+    NOISE_SIGMA,
+    CategoricalSpec,
+    ContinuousSpec,
+    DomainClass,
+    TaxonomyEntry,
+    _substream,
+)
 
 DAYTIME = datetime(2022, 6, 15, 14, 0, tzinfo=timezone.utc)
 NIGHT = datetime(2022, 6, 15, 2, 30, tzinfo=timezone.utc)
@@ -206,6 +216,90 @@ def make_entry(**overrides) -> TaxonomyEntry:
     )
     base.update(overrides)
     return TaxonomyEntry(**base)
+
+
+def sample_truncated_gaussian(
+    mu: float, sigma: float, lower: float, upper: float, rng: np.random.Generator
+) -> float:
+    """Draw from N(mu, sigma^2) conditioned on [lower, upper].
+
+    Rejection sampling with a deterministic fallback: after 1000 rejected
+    draws the last draw is clamped into the interval, keeping generation
+    total even under extreme truncation. The reference for the draw that
+    ``generate_case`` runs inline.
+    """
+    if not lower < upper:
+        raise InvariantViolation(f"require lower < upper, got [{lower},{upper}]")
+    if sigma <= 0:
+        raise InvariantViolation(f"sigma must be positive, got {sigma}")
+    x = mu
+    for _ in range(MAX_REJECTIONS):
+        x = rng.normal(mu, sigma)
+        if lower <= x <= upper:
+            return float(x)
+    return float(min(max(x, lower), upper))
+
+
+def draw_continuous(spec: ContinuousSpec, rng: np.random.Generator) -> float:
+    """One generated continuous value: a truncated draw, noise, the clamp
+    and two decimal places, read from the spec as it was built."""
+    value = sample_truncated_gaussian(spec.mu, spec.sigma, spec.lower, spec.upper, rng)
+    value += rng.normal(0.0, NOISE_SIGMA)
+    return round(float(min(max(value, spec.lower), spec.upper)), 2)
+
+
+_ENUM_FIELDS = {
+    "accel_level": AccelLevel,
+    "device_status": DeviceStatus,
+    "position": Position,
+    "self_reported_activity": SelfReportedActivity,
+}
+
+
+def reference_generate_case(
+    entry: TaxonomyEntry, patient_id: int, start_time: datetime, seed: int
+) -> tuple[list[Epoch], PatientContext]:
+    """``generate_case`` as a plain per-epoch loop: every epoch re-sorts the
+    field names, draws each continuous field through ``draw_continuous`` and
+    parses each categorical value it draws. The draw plan must give the same
+    epochs, draw for draw and byte for byte."""
+    rng = _substream(seed, f"case:{entry.case_id}")
+    context = PatientContext(
+        patient_id=patient_id,
+        copd_documented=bool(entry.context.get("copd_documented", False)),
+        baseline_spo2=entry.context.get("baseline_spo2"),
+        baseline_hr=entry.context.get("baseline_hr"),
+        rate_limiting_medication=bool(entry.context.get("rate_limiting_medication", False)),
+    )
+    epochs = []
+    for i in range(entry.epoch_count):
+        values = {}
+        for name in sorted(entry.continuous_params):
+            values[name] = draw_continuous(entry.continuous_params[name], rng)
+        for name in sorted(entry.categorical_params):
+            spec = entry.categorical_params[name]
+            if spec.choices:
+                raw = spec.choices[int(rng.integers(len(spec.choices)))]
+            else:
+                raw = spec.fixed
+            if raw is not None and name in _ENUM_FIELDS:
+                raw = _ENUM_FIELDS[name](raw)
+            values[name] = raw
+        epochs.append(
+            Epoch(
+                patient_id=patient_id,
+                timestamp=start_time + timedelta(minutes=i),
+                spo2=values.get("spo2", 97.0),
+                hr=values.get("hr", 72.0),
+                accel_level=values.get("accel_level") or AccelLevel.STILL,
+                device_status=values.get("device_status") or DeviceStatus.OK,
+                probe_cover_present=bool(values.get("probe_cover_present", False)),
+                position=values.get("position") or Position.UPRIGHT,
+                self_reported_activity=values.get("self_reported_activity"),
+                ambient_condition=values.get("ambient_condition"),
+            )
+        )
+    return epochs, context
 
 
 def reference_run_case(

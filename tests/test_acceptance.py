@@ -49,7 +49,6 @@ from alertsift.synthgen import (
     default_taxonomy_path,
     generate_dataset,
     load_taxonomy,
-    sample_truncated_gaussian,
 )
 from helpers import (
     all_tagged,
@@ -59,6 +58,7 @@ from helpers import (
     make_view,
     retag_field,
     routed_via_last_resort,
+    sample_truncated_gaussian,
 )
 
 

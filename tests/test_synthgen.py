@@ -10,18 +10,18 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from alertsift import synthgen
 from alertsift.evaluate import GOLDEN_EPOCHS, GOLDEN_PER_DOMAIN
 from alertsift.model import (
     AccelLevel,
     DeviceStatus,
-    Epoch,
     InvariantViolation,
-    PatientContext,
     Position,
     SelfReportedActivity,
     PATIENT_ID_RANGE,
+    epoch_line,
 )
 from alertsift.routing import in_nocturnal_window
 from alertsift.synthgen import (
@@ -34,10 +34,9 @@ from alertsift.synthgen import (
     generate_case,
     generate_dataset,
     load_taxonomy,
-    sample_truncated_gaussian,
     validate_taxonomy,
 )
-from helpers import make_entry
+from helpers import make_entry, reference_generate_case, sample_truncated_gaussian
 
 
 def truncated_normal_mean(mu, sigma, a, b):
@@ -302,53 +301,17 @@ def test_invalid_entry_rejected():
             CategoricalSpec.from_dict({"choice": bad})
 
 
-def _reference_generate_case(entry, patient_id, start_time, seed):
-    """generate_case as a plain per-epoch loop: every epoch re-sorts the field
-    names and parses each categorical value it draws. The draw plan must give
-    the same epochs, draw for draw."""
-    rng = synthgen._substream(seed, f"case:{entry.case_id}")
-    context = PatientContext(
-        patient_id=patient_id,
-        copd_documented=bool(entry.context.get("copd_documented", False)),
-        baseline_spo2=entry.context.get("baseline_spo2"),
-        baseline_hr=entry.context.get("baseline_hr"),
-        rate_limiting_medication=bool(entry.context.get("rate_limiting_medication", False)),
+def _assert_generates_as_reference(entry, seed):
+    # Epoch equality cannot see an int vital (85 == 85.0), so the written
+    # lines are compared too.
+    epochs, context = generate_case(entry, 3847291, START, seed)
+    expected, expected_context = reference_generate_case(entry, 3847291, START, seed)
+    assert epochs == expected, (entry.case_id, seed)
+    assert [epoch_line(e) for e in epochs] == [epoch_line(e) for e in expected], (
+        entry.case_id,
+        seed,
     )
-    enum_types = {
-        "accel_level": AccelLevel,
-        "device_status": DeviceStatus,
-        "position": Position,
-        "self_reported_activity": SelfReportedActivity,
-    }
-    epochs = []
-    for i in range(entry.epoch_count):
-        values = {}
-        for name in sorted(entry.continuous_params):
-            values[name] = synthgen._draw_continuous(entry.continuous_params[name], rng)
-        for name in sorted(entry.categorical_params):
-            spec = entry.categorical_params[name]
-            if spec.choices:
-                raw = spec.choices[int(rng.integers(len(spec.choices)))]
-            else:
-                raw = spec.fixed
-            if raw is not None and name in enum_types:
-                raw = enum_types[name](raw)
-            values[name] = raw
-        epochs.append(
-            Epoch(
-                patient_id=patient_id,
-                timestamp=start_time + timedelta(minutes=i),
-                spo2=values.get("spo2", 97.0),
-                hr=values.get("hr", 72.0),
-                accel_level=values.get("accel_level") or AccelLevel.STILL,
-                device_status=values.get("device_status") or DeviceStatus.OK,
-                probe_cover_present=bool(values.get("probe_cover_present", False)),
-                position=values.get("position") or Position.UPRIGHT,
-                self_reported_activity=values.get("self_reported_activity"),
-                ambient_condition=values.get("ambient_condition"),
-            )
-        )
-    return epochs, context
+    assert context == expected_context, (entry.case_id, seed)
 
 
 def test_generate_case_matches_reference_loop():
@@ -375,11 +338,117 @@ def test_generate_case_matches_reference_loop():
         categorical_params={"position": CategoricalSpec(choices=("supine", "lateral"))},
         context={"copd_documented": False},
     )
-    entries = [*load_taxonomy(default_taxonomy_path()), quiet, sparse, make_entry()]
+    # Almost every draw misses a 0.0001-wide interval, so nearly every value
+    # comes from the clamp after MAX_REJECTIONS draws.
+    narrow = make_entry(
+        case_id="NARROW-001", continuous_params={"spo2": ContinuousSpec(95.0, 1.0, 95.0, 95.0001)}
+    )
+    # With sigma 500 times the interval, about half the values come from the
+    # clamped last draw, and the noise then moves them off the bound.
+    wide = make_entry(
+        case_id="WIDE-001", continuous_params={"hr": ContinuousSpec(25.0, 1000.0, 25.0, 27.0)}
+    )
+    # An int-built spec whose mu sits on its lower bound: about half the
+    # values are clamped there, and each must still be written as 85.0.
+    integral = make_entry(
+        case_id="INT-001", continuous_params={"spo2": ContinuousSpec(85, 1, 85, 86)}
+    )
+    fixed_vitals = make_entry(case_id="NO-DRAWS-001", continuous_params={})
+    criterion_10 = make_entry(
+        case_id="C10-001", continuous_params={"spo2": ContinuousSpec(96.0, 1.0, 70.0, 100.0)}
+    )
+    entries = [
+        *load_taxonomy(default_taxonomy_path()),
+        quiet,
+        sparse,
+        narrow,
+        wide,
+        integral,
+        fixed_vitals,
+        criterion_10,
+        make_entry(),
+    ]
     for seed in (1, 42, 20220601):
         for entry in entries:
-            expected = _reference_generate_case(entry, 3847291, START, seed)
-            assert generate_case(entry, 3847291, START, seed) == expected, (entry.case_id, seed)
+            _assert_generates_as_reference(entry, seed)
+
+
+# Each categorical field's catalogue values, null (the default) among them.
+_CATEGORICAL_VALUES = {
+    "accel_level": [*(m.value for m in AccelLevel), None],
+    "device_status": [*(m.value for m in DeviceStatus), None],
+    "position": [*(m.value for m in Position), None],
+    "self_reported_activity": [*(m.value for m in SelfReportedActivity), None],
+    "probe_cover_present": [True, False, None],
+    "ambient_condition": ["dim", "bright", {"lux": 3}, None],
+}
+
+
+@st.composite
+def _continuous_specs(draw, low, high):
+    """A spec inside [low, high], built from ints or floats, whose sigma
+    runs from a millionth of its interval to ten thousand times it."""
+    if draw(st.booleans()):
+        lower = draw(st.integers(low, high - 1))
+        upper = draw(st.integers(lower + 1, high))
+        mu = draw(st.integers(lower, upper))
+    else:
+        lower = draw(st.floats(low, high, exclude_max=True))
+        upper = draw(st.floats(lower, high, exclude_min=True))
+        mu = draw(st.floats(lower, upper))
+    sigma = (upper - lower) * 10 ** draw(st.floats(-6, 4))
+    return ContinuousSpec(mu, sigma, lower, upper)
+
+
+def _categorical_specs(name):
+    values = st.sampled_from(_CATEGORICAL_VALUES[name])
+    return st.one_of(
+        values.map(lambda v: CategoricalSpec(fixed=v)),
+        st.lists(values, min_size=1, max_size=4).map(
+            lambda vs: CategoricalSpec(choices=tuple(vs))
+        ),
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    continuous=st.fixed_dictionaries(
+        {}, optional={"spo2": _continuous_specs(70, 100), "hr": _continuous_specs(25, 220)}
+    ),
+    categorical=st.fixed_dictionaries(
+        {}, optional={name: _categorical_specs(name) for name in _CATEGORICAL_VALUES}
+    ),
+    epoch_count=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_generate_case_matches_reference_for_any_spec(continuous, categorical, epoch_count, seed):
+    # 300 derandomized examples (about 2 s): any spec, any choice set,
+    # any seed, byte for byte.
+    entry = make_entry(
+        case_id="PROP-001",
+        epoch_count=epoch_count,
+        continuous_params=continuous,
+        categorical_params=categorical,
+    )
+    _assert_generates_as_reference(entry, seed)
+
+
+@pytest.mark.parametrize(
+    "sigma", [0.0, -1.0, math.nan, math.inf], ids=["zero", "negative", "nan", "inf"]
+)
+def test_continuous_spec_rejects_a_sigma_not_positive_and_finite(sigma):
+    # A NaN sigma once passed a `sigma <= 0` check and generated NaN vitals.
+    with pytest.raises(InvariantViolation, match=f"sigma must be positive and finite, got {sigma}"):
+        ContinuousSpec(96.0, sigma, 70.0, 100.0)
+
+
+def test_generate_case_rejects_a_naive_start():
+    # Checked before the window comparison, which would raise TypeError.
+    naive = START.replace(tzinfo=None)
+    with pytest.raises(
+        InvariantViolation, match="TOY-001: start 2022-07-01 12:00:00 is not timezone-aware"
+    ):
+        generate_case(make_entry(), PATIENT_ID_RANGE[0], naive, seed=42)
 
 
 def _taxonomy_digest_reference(entries):
