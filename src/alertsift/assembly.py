@@ -139,13 +139,7 @@ def assemble(bundle: SourceBundle, epoch: Epoch) -> VeritasRecord:
     return _new(VeritasRecord, (pid, at, epoch_fields, context_fields))
 
 
-class _ViewFields(NamedTuple):
-    record: VeritasRecord
-    epoch_fields: Mapping[str, TaggedValue]
-    context_fields: Mapping[str, TaggedValue]
-
-
-class SpecialistView(_ViewFields):
+class SpecialistView(NamedTuple):
     """The record as seen by detection, routing, and specialists.
 
     Inferred-tagged fields are structurally missing: they are not present
@@ -158,7 +152,9 @@ class SpecialistView(_ViewFields):
     the rules call them a dozen times per alert.
     """
 
-    __slots__ = ()
+    record: VeritasRecord
+    epoch_fields: Mapping[str, TaggedValue]
+    context_fields: Mapping[str, TaggedValue]
 
     @property
     def timestamp(self) -> datetime:

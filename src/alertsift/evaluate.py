@@ -23,6 +23,7 @@ from .meta import DecisionHistory, MetaConfig, resolve
 from .model import (
     COMPACT_JSON,
     DeviceStatus,
+    DomainClass,
     Epoch,
     InvariantViolation,
     PatientContext,
@@ -39,7 +40,6 @@ from .model import (
 from .routing import route
 from .sentinel import SentinelConfig, detect, quiet
 from .specialists import SpecialistConfig, claims_for
-from .synthgen import DomainClass, TaxonomyEntry
 
 __all__ = [
     "CaseOutcome",
@@ -133,7 +133,6 @@ class EvaluationReport:
     cases: int
     epochs: int
     per_domain: Mapping[DomainClass, DomainRow]
-    wilson_cis: Mapping[DomainClass, tuple[float, float]]
     failure_modes: Mapping[DeviceStatus, int]
     case_outcomes: tuple[CaseOutcome, ...]
 
@@ -175,7 +174,8 @@ class EvaluationReport:
             },
             "wilson_cis": {
                 cls.value: {"lower": round(lo, 6), "upper": round(hi, 6)}
-                for cls, (lo, hi) in self.wilson_cis.items()
+                for cls, row in self.per_domain.items()
+                for lo, hi in (wilson_interval(row.ts, row.n),)
             },
             "failure_modes": {
                 status.value: count for status, count in self.failure_modes.items()
@@ -265,13 +265,14 @@ def _run_case(
 
 def evaluate(
     dataset: Dataset,
-    taxonomy: Sequence[TaxonomyEntry],
+    taxonomy: Sequence[Any],
     sentinel_cfg: SentinelConfig | None = None,
     specialist_cfg: SpecialistConfig | None = None,
     meta_cfg: MetaConfig | None = None,
 ) -> EvaluationReport:
     """Evaluate a dataset against its taxonomy.
 
+    Of each taxonomy entry only ``case_id`` and ``domain_class`` are read.
     Cases are attributed to taxonomy entries by patient id, assigned in
     catalogue order at generation time. Cases run one after another in
     patient-id order, each with its own decision history, so report
@@ -329,7 +330,6 @@ def evaluate(
     per_domain = {
         cls: DomainRow(**vals) for cls, vals in per_domain_counts.items() if vals["n"]
     }
-    wilson_cis = {cls: wilson_interval(row.ts, row.n) for cls, row in per_domain.items()}
 
     return EvaluationReport(
         ts_count=counts[OutcomeKind.TRUE_SUPPRESSION],
@@ -338,10 +338,7 @@ def evaluate(
         cases=len(outcomes),
         epochs=len(dataset.epochs),
         per_domain=per_domain,
-        wilson_cis=wilson_cis,
-        failure_modes=dict(
-            sorted(failure_modes.items(), key=lambda kv: (-kv[1], kv[0].value))
-        ),
+        failure_modes=dict(failure_modes),
         case_outcomes=outcomes,
     )
 
@@ -390,11 +387,15 @@ def check_golden(report: EvaluationReport) -> list[str]:
         if got != (n, ts, fe):
             problems.append(f"{cls.value}: {got} != {(n, ts, fe)}")
     if dict(report.failure_modes) != GOLDEN_FAILURE_MODES:
-        problems.append(
-            f"failure modes {{{', '.join(f'{k.value}: {v}' for k, v in report.failure_modes.items())}}}"
-            f" != expected"
-        )
+        got = ", ".join(f"{k.value}: {v}" for k, v in _by_count(report.failure_modes))
+        problems.append(f"failure modes {{{got}}} != expected")
     return problems
+
+
+def _by_count(failure_modes: Mapping[Any, int]) -> list[tuple[Any, int]]:
+    """Failure modes by count, descending, then by device status value,
+    whatever order the mapping holds them in (report.json sorts its keys)."""
+    return sorted(failure_modes.items(), key=lambda kv: (-kv[1], kv[0]))
 
 
 def _pct(x: float) -> str:
@@ -461,7 +462,7 @@ def render_report_text(data: Mapping[str, Any]) -> str:
 
     lines.append("FAILURE MODES (device status at first escalating epoch)")
     lines.append(f"  {'device_status':<24}{'count':>6}")
-    for status, count in data["failure_modes"].items():
+    for status, count in _by_count(data["failure_modes"]):
         lines.append(f"  {status:<24}{count:>6}")
     if not data["failure_modes"]:
         lines.append("  (no false escalations)")

@@ -23,6 +23,7 @@ __all__ = [
     "AlertType",
     "CandidateAlert",
     "DeviceStatus",
+    "DomainClass",
     "Epoch",
     "InvariantViolation",
     "PatientContext",
@@ -62,12 +63,6 @@ import re
 # it does not write itself.
 COMPACT_JSON = json.JSONEncoder(separators=(",", ":"))
 CANONICAL_JSON = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
-# The general epoch-row decoder, for every row not in ``epoch_line``'s form
-# (see ``_TEMPLATE_ROW``): raw_decode skips json.loads' type check, BOM check
-# and two whitespace scans, which a line stripped of JSON whitespace does not
-# need (a leading BOM still fails, as no JSON value starts with one); the
-# reader checks that the value ends the line.
-_DECODE_ROW = json.JSONDecoder().raw_decode
 
 
 class InvariantViolation(ValueError):
@@ -157,6 +152,20 @@ class ResolutionPath(str, Enum):
     WEIGHTED_AGGREGATION = "weighted_aggregation"
     AMBIGUITY_DEFAULT = "ambiguity_default"
     DEBOUNCED = "debounced"
+
+
+class DomainClass(str, Enum):
+    """Scenario classes for outcome stratification, one per report row."""
+
+    PROBE_INTEGRITY = "probe_integrity"
+    ACTIVITY_INTEGRITY = "activity_integrity"
+    COPD = "copd"
+    BRADYCARDIA = "bradycardia"
+    NOCTURNAL = "nocturnal"
+    TACHYCARDIA = "tachycardia"
+    META_CONFLICT = "meta_conflict"
+    PROBE_ACTIVITY_CONFLICT = "probe_activity_conflict"
+    PROBE_CONDITION_CONFLICT = "probe_condition_conflict"
 
 
 @cache
@@ -523,19 +532,30 @@ class CandidateAlert(_AlertFields):
         return cls(*iterable)
 
 
+_RISK = {
+    Recommendation.SUPPRESS: RiskLevel.LOW,
+    Recommendation.INDETERMINATE: RiskLevel.MEDIUM,
+    Recommendation.ESCALATE: RiskLevel.HIGH,
+}
+
+
 @dataclass(frozen=True)
 class AgentClaim:
-    """A specialist's recommendation for one routed alert."""
+    """A specialist's recommendation for one routed alert. Its risk level
+    follows from the recommendation, so the two cannot disagree."""
 
     domain: AgentDomain
     recommendation: Recommendation
     confidence: float
-    risk_level: RiskLevel
     rationale_codes: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.confidence <= 1.0:
             raise InvariantViolation(f"confidence out of [0,1]: {self.confidence}")
+
+    @property
+    def risk_level(self) -> RiskLevel:
+        return _RISK[self.recommendation]
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -547,14 +567,7 @@ class AgentClaim:
         }
 
 
-class _DecisionFields(NamedTuple):
-    verdict: Verdict
-    contributing_claims: tuple[AgentClaim, ...]
-    resolution_path: ResolutionPath
-    decided_at: datetime
-
-
-class SystemDecision(_DecisionFields):
+class SystemDecision(NamedTuple):
     """The forced binary outcome for one epoch; never indeterminate.
 
     An immutable tuple ``(verdict, contributing_claims, resolution_path,
@@ -563,7 +576,10 @@ class SystemDecision(_DecisionFields):
     build and to hold than a frozen dataclass.
     """
 
-    __slots__ = ()
+    verdict: Verdict
+    contributing_claims: tuple[AgentClaim, ...]
+    resolution_path: ResolutionPath
+    decided_at: datetime
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -662,7 +678,7 @@ def _member_of(cls: type) -> str:
 # leading zero, vitals with a fraction (an int vital goes through
 # ``_number``), a minute timestamp in Z form, an enum value or null, and an
 # ambient_condition that is null or a string without escapes or control
-# characters. Any other row, valid or not, is left to ``_DECODE_ROW``.
+# characters. Any other row, valid or not, is left to ``_decode_row``.
 _TEMPLATE_GROUPS = {
     "patient_id": r"(-?(?:0|[1-9][0-9]*))",
     "timestamp": r'"([0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:00Z)"',
@@ -723,16 +739,11 @@ def _template_epoch(line: str) -> Epoch | None:
 
 def _decode_row(line: str, line_no: int) -> Epoch:
     """Decode one stripped line as any JSON row: whitespace, escapes, any key
-    order and duplicate keys (the last wins, as in ``json.loads``). A
-    malformed row fails naming its line number."""
+    order and duplicate keys (the last wins). A malformed row fails naming
+    its line number."""
     try:
-        row, end = _DECODE_ROW(line)
-        if end != len(line):
-            raise json.JSONDecodeError("Extra data", line, end)
-        return Epoch.from_dict(row)
+        return Epoch.from_dict(json.loads(line))
     except _DECODE_ERRORS as exc:
-        if line.startswith("\ufeff"):  # the error json.loads gives it
-            exc = json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0)
         raise _located(f"epochs line {line_no}", exc) from None
 
 

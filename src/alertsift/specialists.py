@@ -9,10 +9,13 @@ into a binary verdict is the aggregation layer's job, not theirs.
 Numeric rule parameters live in SpecialistConfig so every bound is
 auditable and tunable in one place.
 
-A claim is a shared immutable value. The rules can only produce a small
-fixed set of (domain, recommendation, confidence, codes) combinations, so
-each is built and validated once and the same AgentClaim is returned
-whenever a rule reaches it again.
+A rule states only a claim's recommendation and rationale codes: a
+definitive claim gets ``high_confidence``, and an indeterminate one
+``low_confidence``, which no verdict weighs. A claim is a shared immutable
+value. The rules can only produce a small fixed set of (domain,
+recommendation, confidence, codes) combinations, so each is built and
+validated once and the same AgentClaim is returned whenever a rule reaches
+it again.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from .model import (
     InvariantViolation,
     Position,
     Recommendation,
-    RiskLevel,
     SelfReportedActivity,
 )
 from .routing import MOTION_REPORTS, RoutingDecision, in_nocturnal_window
@@ -65,23 +67,30 @@ class SpecialistConfig:
             raise InvariantViolation("copd_acceptable_spo2 must sit below the 94 screen")
 
 
-_RISK = {
-    Recommendation.SUPPRESS: RiskLevel.LOW,
-    Recommendation.INDETERMINATE: RiskLevel.MEDIUM,
-    Recommendation.ESCALATE: RiskLevel.HIGH,
-}
+# Bound once, as routing and meta bind theirs: every claim names one.
+_SUPPRESS = Recommendation.SUPPRESS
+_ESCALATE = Recommendation.ESCALATE
+_INDETERMINATE = Recommendation.INDETERMINATE
 
 
 # typed: 1 == 1.0, but a config holding either must get back a claim holding
 # exactly that number, which the decision log writes as "1" or "1.0".
 @functools.lru_cache(maxsize=None, typed=True)
-def _claim(
+def _interned_claim(
     domain: AgentDomain,
     recommendation: Recommendation,
     confidence: float,
     *codes: str,
 ) -> AgentClaim:
-    return AgentClaim(domain, recommendation, confidence, _RISK[recommendation], codes)
+    return AgentClaim(domain, recommendation, confidence, codes)
+
+
+def _claim(
+    domain: AgentDomain, recommendation: Recommendation, cfg: SpecialistConfig, *codes: str
+) -> AgentClaim:
+    """The shared claim, at the confidence its recommendation carries."""
+    confidence = cfg.low_confidence if recommendation is _INDETERMINATE else cfg.high_confidence
+    return _interned_claim(domain, recommendation, confidence, *codes)
 
 
 def evaluate_probe_integrity(
@@ -97,16 +106,12 @@ def evaluate_probe_integrity(
     domain = AgentDomain.PROBE_INTEGRITY
     status = view.value("device_status")
     if status in (DeviceStatus.MOTION_ARTEFACT, DeviceStatus.PROBE_COVER):
-        return _claim(domain, Recommendation.SUPPRESS, cfg.high_confidence, "artefact_flagged")
+        return _claim(domain, _SUPPRESS, cfg, "artefact_flagged")
     if status is DeviceStatus.SYSTEM_FLAG:
-        return _claim(
-            domain, Recommendation.INDETERMINATE, cfg.low_confidence, "system_flag_no_context"
-        )
+        return _claim(domain, _INDETERMINATE, cfg, "system_flag_no_context")
     if status in (DeviceStatus.THRESHOLD_MARGINAL, DeviceStatus.DUPLICATE_ALERT):
-        return _claim(
-            domain, Recommendation.INDETERMINATE, cfg.low_confidence, "ambiguous_device_status"
-        )
-    return _claim(domain, Recommendation.INDETERMINATE, cfg.low_confidence, "no_artefact_evidence")
+        return _claim(domain, _INDETERMINATE, cfg, "ambiguous_device_status")
+    return _claim(domain, _INDETERMINATE, cfg, "no_artefact_evidence")
 
 
 def evaluate_activity_integrity(
@@ -123,24 +128,16 @@ def evaluate_activity_integrity(
     accel = view.value("accel_level")
     reported = view.value("self_reported_activity")
     if accel is None:
-        return _claim(
-            domain, Recommendation.INDETERMINATE, cfg.low_confidence, "missing_accelerometer"
-        )
+        return _claim(domain, _INDETERMINATE, cfg, "missing_accelerometer")
     moving = accel is not AccelLevel.STILL
     if moving and (reported in MOTION_REPORTS or reported is None):
         code = "motion_corroborated" if reported in MOTION_REPORTS else "motion_uncontradicted"
-        return _claim(domain, Recommendation.SUPPRESS, cfg.high_confidence, code)
+        return _claim(domain, _SUPPRESS, cfg, code)
     if not moving and reported in MOTION_REPORTS:
-        return _claim(
-            domain, Recommendation.INDETERMINATE, cfg.low_confidence, "activity_contradiction"
-        )
+        return _claim(domain, _INDETERMINATE, cfg, "activity_contradiction")
     if moving and reported is SelfReportedActivity.RESTING:
-        return _claim(
-            domain, Recommendation.ESCALATE, cfg.high_confidence, "activity_denied_by_patient"
-        )
-    return _claim(
-        domain, Recommendation.ESCALATE, cfg.high_confidence, "no_activity_explanation"
-    )
+        return _claim(domain, _ESCALATE, cfg, "activity_denied_by_patient")
+    return _claim(domain, _ESCALATE, cfg, "no_activity_explanation")
 
 
 def evaluate_tachycardia(
@@ -151,19 +148,17 @@ def evaluate_tachycardia(
     domain = AgentDomain.TACHYCARDIA
     hr = view.value("hr")
     if hr is None:
-        return _claim(domain, Recommendation.INDETERMINATE, cfg.low_confidence, "missing_heart_rate")
+        return _claim(domain, _INDETERMINATE, cfg, "missing_heart_rate")
     accel = view.value("accel_level")
     if accel is not None and accel is not AccelLevel.STILL:
-        return _claim(domain, Recommendation.SUPPRESS, cfg.high_confidence, "activity_context")
+        return _claim(domain, _SUPPRESS, cfg, "activity_context")
     baseline = view.value("baseline_hr")
     if baseline is not None and hr <= baseline + cfg.hr_activity_allowance:
-        return _claim(
-            domain, Recommendation.SUPPRESS, cfg.high_confidence, "within_baseline_allowance"
-        )
+        return _claim(domain, _SUPPRESS, cfg, "within_baseline_allowance")
     status = view.value("device_status")
     if status is not None and status is not DeviceStatus.OK:
-        return _claim(domain, Recommendation.SUPPRESS, cfg.high_confidence, "device_status_context")
-    return _claim(domain, Recommendation.ESCALATE, cfg.high_confidence, "isolated_high_hr")
+        return _claim(domain, _SUPPRESS, cfg, "device_status_context")
+    return _claim(domain, _ESCALATE, cfg, "isolated_high_hr")
 
 
 def evaluate_bradycardia(
@@ -175,17 +170,17 @@ def evaluate_bradycardia(
     domain = AgentDomain.BRADYCARDIA
     hr = view.value("hr")
     if hr is None:
-        return _claim(domain, Recommendation.INDETERMINATE, cfg.low_confidence, "missing_heart_rate")
+        return _claim(domain, _INDETERMINATE, cfg, "missing_heart_rate")
     if hr < cfg.bradycardia_personal_floor:
-        return _claim(domain, Recommendation.ESCALATE, cfg.high_confidence, "below_personal_floor")
+        return _claim(domain, _ESCALATE, cfg, "below_personal_floor")
     codes = []
     if view.value("rate_limiting_medication", default=False) is True:
         codes.append("medication_context")
     if in_nocturnal_window(view.timestamp):
         codes.append("nocturnal_context")
     if codes:
-        return _claim(domain, Recommendation.SUPPRESS, cfg.high_confidence, *codes)
-    return _claim(domain, Recommendation.ESCALATE, cfg.high_confidence, "unexplained_bradycardia")
+        return _claim(domain, _SUPPRESS, cfg, *codes)
+    return _claim(domain, _ESCALATE, cfg, "unexplained_bradycardia")
 
 
 def evaluate_copd(
@@ -200,18 +195,16 @@ def evaluate_copd(
     domain = AgentDomain.COPD
     spo2 = view.value("spo2")
     if spo2 is None:
-        return _claim(domain, Recommendation.INDETERMINATE, cfg.low_confidence, "missing_spo2")
+        return _claim(domain, _INDETERMINATE, cfg, "missing_spo2")
     if view.value("copd_documented", default=False) is not True:
-        return _claim(
-            domain, Recommendation.INDETERMINATE, cfg.low_confidence, "copd_not_documented"
-        )
+        return _claim(domain, _INDETERMINATE, cfg, "copd_not_documented")
     floor = cfg.copd_acceptable_spo2
     baseline = view.value("baseline_spo2")
     if baseline is not None:
         floor = max(floor, baseline - 2.0)
     if spo2 >= floor:
-        return _claim(domain, Recommendation.SUPPRESS, cfg.high_confidence, "within_copd_baseline")
-    return _claim(domain, Recommendation.ESCALATE, cfg.high_confidence, "below_copd_floor")
+        return _claim(domain, _SUPPRESS, cfg, "within_copd_baseline")
+    return _claim(domain, _ESCALATE, cfg, "below_copd_floor")
 
 
 def evaluate_nocturnal(
@@ -223,27 +216,17 @@ def evaluate_nocturnal(
     definitive to say."""
     domain = AgentDomain.NOCTURNAL
     if not in_nocturnal_window(view.timestamp):
-        return _claim(
-            domain, Recommendation.INDETERMINATE, cfg.low_confidence, "outside_nocturnal_window"
-        )
+        return _claim(domain, _INDETERMINATE, cfg, "outside_nocturnal_window")
     if view.value("position") is not Position.SUPINE:
-        return _claim(
-            domain, Recommendation.INDETERMINATE, cfg.low_confidence, "position_not_supine"
-        )
+        return _claim(domain, _INDETERMINATE, cfg, "position_not_supine")
     if view.value("accel_level") is not AccelLevel.STILL:
-        return _claim(
-            domain, Recommendation.INDETERMINATE, cfg.low_confidence, "motion_during_sleep"
-        )
+        return _claim(domain, _INDETERMINATE, cfg, "motion_during_sleep")
     if AlertType.LOW_SPO2 in alert.alert_types:
         spo2 = view.value("spo2")
         baseline = view.value("baseline_spo2", default=DEFAULT_NOCTURNAL_BASELINE_SPO2)
         if spo2 is None or baseline - spo2 > cfg.nocturnal_dip_allowance:
-            return _claim(
-                domain, Recommendation.INDETERMINATE, cfg.low_confidence, "dip_exceeds_allowance"
-            )
-    return _claim(
-        domain, Recommendation.SUPPRESS, cfg.high_confidence, "nocturnal_pattern_consistent"
-    )
+            return _claim(domain, _INDETERMINATE, cfg, "dip_exceeds_allowance")
+    return _claim(domain, _SUPPRESS, cfg, "nocturnal_pattern_consistent")
 
 
 _EVALUATORS = {

@@ -23,7 +23,6 @@ import json
 import math
 from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timedelta, timezone
-from enum import Enum
 from functools import cached_property
 from pathlib import Path
 from types import MappingProxyType
@@ -35,6 +34,7 @@ from .model import (
     CANONICAL_JSON,
     AccelLevel,
     DeviceStatus,
+    DomainClass,
     Epoch,
     InvariantViolation,
     PatientContext,
@@ -58,7 +58,6 @@ __all__ = [
     "CategoricalSpec",
     "ContinuousSpec",
     "DATA_WINDOW",
-    "DomainClass",
     "GeneratedCase",
     "GeneratedDataset",
     "TaxonomyEntry",
@@ -83,20 +82,6 @@ _DAY_MINUTES = 24 * 60
 # ranges its hour and minute are drawn from: daytime 07:00 to 19:59,
 # nocturnal 00:00 to 04:49.
 _START_CLOCK = {False: (7, 20, 60), True: (0, 5, 50)}
-
-
-class DomainClass(str, Enum):
-    """Scenario classes for outcome stratification, one per report row."""
-
-    PROBE_INTEGRITY = "probe_integrity"
-    ACTIVITY_INTEGRITY = "activity_integrity"
-    COPD = "copd"
-    BRADYCARDIA = "bradycardia"
-    NOCTURNAL = "nocturnal"
-    TACHYCARDIA = "tachycardia"
-    META_CONFLICT = "meta_conflict"
-    PROBE_ACTIVITY_CONFLICT = "probe_activity_conflict"
-    PROBE_CONDITION_CONFLICT = "probe_condition_conflict"
 
 
 # Each generated field with the Epoch value it takes when the entry leaves it

@@ -26,6 +26,7 @@ from alertsift.model import (
     AlertType,
     CandidateAlert,
     DeviceStatus,
+    DomainClass,
     Epoch,
     InvariantViolation,
     PatientContext,
@@ -46,7 +47,6 @@ from alertsift.synthgen import (
     NOISE_SIGMA,
     CategoricalSpec,
     ContinuousSpec,
-    DomainClass,
     TaxonomyEntry,
     _substream,
 )

@@ -36,20 +36,15 @@ from alertsift.model import (
     AgentDomain,
     AlertType,
     DeviceStatus,
+    DomainClass,
     ProvenanceTag,
     Recommendation,
     ResolutionPath,
-    RiskLevel,
     Verdict,
 )
 from alertsift.routing import RoutingDecision, route
 from alertsift.sentinel import SentinelConfig, detect
-from alertsift.synthgen import (
-    DomainClass,
-    default_taxonomy_path,
-    generate_dataset,
-    load_taxonomy,
-)
+from alertsift.synthgen import default_taxonomy_path, generate_dataset, load_taxonomy
 from helpers import (
     all_tagged,
     field_names,
@@ -264,11 +259,6 @@ def test_criterion_8_meta_totality_conservatism_homogeneity():
     rng = random.Random(987654)
     cfg = MetaConfig()
     recs = [Recommendation.SUPPRESS, Recommendation.ESCALATE, Recommendation.INDETERMINATE]
-    risk = {
-        Recommendation.SUPPRESS: RiskLevel.LOW,
-        Recommendation.INDETERMINATE: RiskLevel.MEDIUM,
-        Recommendation.ESCALATE: RiskLevel.HIGH,
-    }
     base_epoch = make_epoch(spo2=90.0)
     base_view = make_view(base_epoch)
     alert = detect(base_view, SentinelConfig())
@@ -278,7 +268,7 @@ def test_criterion_8_meta_totality_conservatism_homogeneity():
         domains = rng.sample(list(AgentDomain), k=rng.randint(1, 6))
         domains.sort(key=list(AgentDomain).index)
         claims = tuple(
-            AgentClaim(d, (r := rng.choice(recs)), round(rng.uniform(0, 1), 3), risk[r])
+            AgentClaim(d, rng.choice(recs), round(rng.uniform(0, 1), 3))
             for d in domains
         )
         routing = RoutingDecision(targets=frozenset(domains), ambiguity_flag=False)
@@ -328,7 +318,7 @@ def test_criterion_9_aggregation_oracle():
             return OutcomeKind.FALSE_ESCALATION
         return OutcomeKind.TRUE_SUPPRESSION
 
-    claim = AgentClaim(AgentDomain.COPD, Recommendation.SUPPRESS, 0.9, RiskLevel.LOW)
+    claim = AgentClaim(AgentDomain.COPD, Recommendation.SUPPRESS, 0.9)
 
     def as_decision(verdict):
         from alertsift.model import SystemDecision

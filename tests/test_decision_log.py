@@ -22,13 +22,12 @@ from alertsift.model import (
     COMPACT_JSON,
     AgentClaim,
     AgentDomain,
+    DomainClass,
     Recommendation,
     ResolutionPath,
-    RiskLevel,
     SystemDecision,
     Verdict,
 )
-from alertsift.synthgen import DomainClass
 
 
 def _reference_write_decision_log(report: EvaluationReport, path: Path) -> None:
@@ -53,7 +52,6 @@ _claims = st.builds(
     domain=st.sampled_from(AgentDomain),
     recommendation=st.sampled_from(Recommendation),
     confidence=st.one_of(st.sampled_from([0, 1, 0.0, 1.0, 0.5]), st.floats(0.0, 1.0)),
-    risk_level=st.sampled_from(RiskLevel),
     rationale_codes=st.lists(st.sampled_from(_CODES), max_size=3).map(tuple),
 )
 
@@ -70,7 +68,7 @@ def _twins(claim: AgentClaim) -> list[AgentClaim]:
 
 # Both whole confidences as both types, so every report holds such a pair.
 _FIXED_CLAIMS = [
-    AgentClaim(AgentDomain.COPD, Recommendation.SUPPRESS, confidence, RiskLevel.LOW, ("copd_baseline",))
+    AgentClaim(AgentDomain.COPD, Recommendation.SUPPRESS, confidence, ("copd_baseline",))
     for confidence in (1, 1.0, 0, 0.0)
 ]
 
@@ -121,7 +119,7 @@ def _reports(draw: st.DrawFn) -> EvaluationReport:
     return EvaluationReport(
         ts_count=len(cases), fe_count=0, ind_count=0, cases=len(cases),
         epochs=sum(len(c.epoch_decisions) for c in cases), per_domain={},
-        wilson_cis={}, failure_modes={}, case_outcomes=tuple(cases),
+        failure_modes={}, case_outcomes=tuple(cases),
     )
 
 

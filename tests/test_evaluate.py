@@ -4,15 +4,23 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
 from datetime import timedelta
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from scipy.stats import binomtest
 
+import alertsift
 from alertsift.evaluate import (
     Dataset,
+    DomainRow,
+    EvaluationReport,
     GOLDEN_FAILURE_MODES,
     GOLDEN_PER_DOMAIN,
     OutcomeKind,
@@ -20,6 +28,7 @@ from alertsift.evaluate import (
     check_golden,
     evaluate,
     render_report_text,
+    validate_report_payload,
     wilson_interval,
     write_decision_log,
 )
@@ -29,11 +38,11 @@ from alertsift.model import (
     AgentClaim,
     AgentDomain,
     DeviceStatus,
+    DomainClass,
     InvariantViolation,
     Position,
     Recommendation,
     ResolutionPath,
-    RiskLevel,
     SelfReportedActivity,
     SystemDecision,
     Verdict,
@@ -42,7 +51,6 @@ from alertsift.specialists import SpecialistConfig
 from alertsift.synthgen import (
     CategoricalSpec,
     ContinuousSpec,
-    DomainClass,
     default_taxonomy_path,
     generate_dataset,
     load_taxonomy,
@@ -61,9 +69,7 @@ from helpers import (
 
 
 def decision(verdict: Verdict) -> SystemDecision:
-    claim = AgentClaim(
-        AgentDomain.PROBE_INTEGRITY, Recommendation.SUPPRESS, 0.9, RiskLevel.LOW
-    )
+    claim = AgentClaim(AgentDomain.PROBE_INTEGRITY, Recommendation.SUPPRESS, 0.9)
     return SystemDecision(verdict, (claim,), ResolutionPath.SINGLE_DOMAIN, DAYTIME)
 
 
@@ -255,6 +261,57 @@ def test_report_text_renders_all_tables(golden_run):
     assert "FAILURE MODES" in text
     assert "85.7% (Wilson) versus 85.2% (Clopper-Pearson)" in text
     assert "true_suppression         82    83.7%" in text
+
+
+def test_importing_evaluate_leaves_numpy_unimported():
+    # evaluate and report draw no random number, so they import no generator.
+    code = "import sys, alertsift.evaluate; print('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(alertsift.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "False\n"
+
+
+@st.composite
+def _reports(draw: st.DrawFn) -> EvaluationReport:
+    """A report over drawn class rows, with failure modes in drawn order and
+    counts that tie often."""
+    per_domain = {}
+    for cls in draw(st.lists(st.sampled_from(DomainClass), min_size=1, unique=True)):
+        n = draw(st.integers(1, 40))
+        ts = draw(st.integers(0, n))
+        per_domain[cls] = DomainRow(n, ts, draw(st.integers(0, n - ts)))
+    statuses = draw(st.lists(st.sampled_from(DeviceStatus), unique=True))
+    cases = sum(row.n for row in per_domain.values())
+    ts_count = sum(row.ts for row in per_domain.values())
+    fe_count = sum(row.fe for row in per_domain.values())
+    return EvaluationReport(
+        ts_count=ts_count,
+        fe_count=fe_count,
+        ind_count=cases - ts_count - fe_count,
+        cases=cases,
+        epochs=draw(st.integers(cases, 8 * cases)),
+        per_domain=per_domain,
+        failure_modes={status: draw(st.integers(1, 3)) for status in statuses},
+        case_outcomes=(),
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_reports())
+def test_report_text_is_the_same_from_report_json(report):
+    # Property (200 examples): the text evaluate renders from the report in
+    # memory equals the text report renders from report.json, whose keys
+    # json.dumps sorts; failure modes print by count, then by status.
+    payload = report.to_json_dict()
+    stored = validate_report_payload(json.loads(json.dumps(payload, indent=2, sort_keys=True)))
+    text = render_report_text(payload)
+    assert render_report_text(stored) == text
+    rows = text.split("FAILURE MODES")[1].splitlines()[2:]
+    by_count = sorted(report.failure_modes.items(), key=lambda kv: (-kv[1], kv[0].value))
+    expected = [f"  {status.value:<24}{count:>6}" for status, count in by_count]
+    assert rows == (expected or ["  (no false escalations)"])
 
 
 def test_decision_paths_present(golden_run):

@@ -43,11 +43,7 @@ def _alerting_epochs(generated):
 
 def _fresh_claim(claim: AgentClaim) -> AgentClaim:
     return AgentClaim(
-        claim.domain,
-        claim.recommendation,
-        claim.confidence,
-        claim.risk_level,
-        tuple(claim.rationale_codes),
+        claim.domain, claim.recommendation, claim.confidence, tuple(claim.rationale_codes)
     )
 
 
@@ -70,7 +66,9 @@ def test_shared_claims_and_routes_equal_fresh_ones_on_every_seed42_alert(seed42,
 
     # The same epochs through the uncached builders give equal values, of
     # equal types, in distinct objects.
-    monkeypatch.setattr(specialists, "_claim", specialists._claim.__wrapped__)
+    monkeypatch.setattr(
+        specialists, "_interned_claim", specialists._interned_claim.__wrapped__
+    )
     monkeypatch.setattr(routing_module, "_decision", routing_module._decision.__wrapped__)
     for alert, view, routing, claims in shared:
         uncached_routing = route(alert, view)
@@ -84,9 +82,8 @@ def test_shared_claims_and_routes_equal_fresh_ones_on_every_seed42_alert(seed42,
 
 def test_shared_values_are_frozen():
     # Sharing is only invisible while no holder can change a shared value.
-    claim = specialists._claim(
-        DOMAIN_ORDER[0], specialists.Recommendation.SUPPRESS, 0.9, "artefact_flagged"
-    )
+    suppress = specialists.Recommendation.SUPPRESS
+    claim = specialists._claim(DOMAIN_ORDER[0], suppress, SpecialistConfig(), "artefact_flagged")
     with pytest.raises(dataclasses.FrozenInstanceError):
         claim.confidence = 0.1
     decision = routing_module._decision(DOMAIN_ORDER[:1], False)
@@ -112,7 +109,7 @@ def test_int_and_float_confidence_configs_log_their_own_numbers(
     # write "1" where the config says 1.0 (or the reverse).
     taxonomy, generated = seed42
     with monkeypatch.context() as m:
-        m.setattr(specialists, "_claim", specialists._claim.__wrapped__)
+        m.setattr(specialists, "_interned_claim", specialists._interned_claim.__wrapped__)
         expected = [
             _decision_log(
                 taxonomy, generated, SpecialistConfig(high_confidence=high), tmp_path / "ref"
@@ -120,7 +117,7 @@ def test_int_and_float_confidence_configs_log_their_own_numbers(
             for high in order
         ]
     assert expected[0] != expected[1]
-    specialists._claim.cache_clear()
+    specialists._interned_claim.cache_clear()
     for high, want in zip(order, expected):
         got = _decision_log(
             taxonomy, generated, SpecialistConfig(high_confidence=high), tmp_path / "run"

@@ -21,7 +21,6 @@ from alertsift.model import (
     ProvenanceTag,
     Recommendation,
     ResolutionPath,
-    RiskLevel,
     SystemDecision,
     TaggedValue,
     Verdict,
@@ -44,12 +43,7 @@ CFG = MetaConfig()
 
 
 def claim(domain, rec, conf):
-    risk = {
-        Recommendation.SUPPRESS: RiskLevel.LOW,
-        Recommendation.INDETERMINATE: RiskLevel.MEDIUM,
-        Recommendation.ESCALATE: RiskLevel.HIGH,
-    }[rec]
-    return AgentClaim(domain, rec, conf, risk)
+    return AgentClaim(domain, rec, conf)
 
 
 def make_alert(epoch=None, context=None):

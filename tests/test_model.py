@@ -23,6 +23,7 @@ from alertsift.model import (
     AlertType,
     CandidateAlert,
     DeviceStatus,
+    DomainClass,
     Epoch,
     InvariantViolation,
     PatientContext,
@@ -50,7 +51,6 @@ from alertsift.evaluate import OutcomeKind
 from alertsift.synthgen import (
     CategoricalSpec,
     ContinuousSpec,
-    DomainClass,
     default_taxonomy_path,
     generate_case,
     generate_dataset,
@@ -284,7 +284,7 @@ def _tuple_backed_samples():
     record = make_record(make_epoch(spo2=88.0))
     spo2 = record.epoch_fields["spo2"]
     alert = CandidateAlert(frozenset({AlertType.LOW_SPO2}), {AlertType.LOW_SPO2: spo2}, DAYTIME)
-    claim = AgentClaim(AgentDomain.COPD, Recommendation.ESCALATE, 0.9, RiskLevel.HIGH)
+    claim = AgentClaim(AgentDomain.COPD, Recommendation.ESCALATE, 0.9)
     decision = SystemDecision(Verdict.ESCALATE, (claim,), ResolutionPath.SINGLE_DOMAIN, DAYTIME)
     return record, project_for_specialists(record), alert, decision
 
@@ -341,11 +341,7 @@ def test_alert_make_and_replace_keep_the_trigger_checks():
 
 def test_agent_claim_round_trip_and_confidence_bounds():
     claim = AgentClaim(
-        AgentDomain.COPD,
-        Recommendation.SUPPRESS,
-        0.9,
-        RiskLevel.LOW,
-        ("within_copd_baseline",),
+        AgentDomain.COPD, Recommendation.SUPPRESS, 0.9, ("within_copd_baseline",)
     )
     assert json.loads(json.dumps(claim.to_dict())) == {
         "domain": "copd",
@@ -355,7 +351,11 @@ def test_agent_claim_round_trip_and_confidence_bounds():
         "rationale_codes": ["within_copd_baseline"],
     }
     with pytest.raises(InvariantViolation):
-        AgentClaim(AgentDomain.COPD, Recommendation.SUPPRESS, 1.5, RiskLevel.LOW)
+        AgentClaim(AgentDomain.COPD, Recommendation.SUPPRESS, 1.5)
+    # The risk level follows from the recommendation; no caller can set it.
+    assert [f.name for f in fields(AgentClaim)] == [
+        "domain", "recommendation", "confidence", "rationale_codes"
+    ]
 
 
 def test_system_decision_round_trip_and_binary_verdict():
@@ -363,7 +363,6 @@ def test_system_decision_round_trip_and_binary_verdict():
         AgentDomain.PROBE_INTEGRITY,
         Recommendation.INDETERMINATE,
         0.4,
-        RiskLevel.MEDIUM,
         ("system_flag_no_context",),
     )
     decision = SystemDecision(

@@ -7,13 +7,16 @@ import random
 from datetime import datetime, timezone
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from alertsift.assembly import project_for_specialists
 from alertsift.model import (
     AccelLevel,
     AgentDomain,
     DeviceStatus,
     InvariantViolation,
     Position,
+    ProvenanceTag,
     Recommendation,
     RiskLevel,
     SelfReportedActivity,
@@ -30,7 +33,7 @@ from alertsift.specialists import (
     evaluate_probe_integrity,
     evaluate_tachycardia,
 )
-from helpers import NIGHT, make_context, make_epoch, make_view
+from helpers import DAYTIME, NIGHT, make_context, make_epoch, make_record, make_view, retag_field
 
 CFG = SpecialistConfig()
 SCFG = SentinelConfig()
@@ -370,6 +373,72 @@ def test_indeterminate_claims_always_below_definitive_confidence():
         claim = fn(alert, view, CFG)
         assert claim.recommendation is Recommendation.INDETERMINATE
         assert claim.confidence == CFG.low_confidence < CFG.high_confidence
+
+
+_EVALUATORS = (
+    evaluate_probe_integrity,
+    evaluate_activity_integrity,
+    evaluate_tachycardia,
+    evaluate_bradycardia,
+    evaluate_copd,
+    evaluate_nocturnal,
+)
+_RISK = {
+    Recommendation.SUPPRESS: RiskLevel.LOW,
+    Recommendation.INDETERMINATE: RiskLevel.MEDIUM,
+    Recommendation.ESCALATE: RiskLevel.HIGH,
+}
+_baselines = st.none() | st.floats(80.0, 99.0)
+
+
+@st.composite
+def _alerts_and_views(draw: st.DrawFn):
+    """An alerting epoch's alert and view: vitals on both sides of every
+    screen and guardrail, day or night, any context, and up to three epoch
+    fields tagged inferred, so the missing-field branches are reached."""
+    epoch = make_epoch(
+        ts=draw(st.sampled_from([DAYTIME, NIGHT])),
+        spo2=draw(st.floats(70.0, 100.0)),
+        hr=draw(st.floats(25.0, 220.0)),
+        accel=draw(st.sampled_from(AccelLevel)),
+        status=draw(st.sampled_from(DeviceStatus)),
+        position=draw(st.sampled_from(Position)),
+        activity=draw(st.none() | st.sampled_from(SelfReportedActivity)),
+    )
+    copd = draw(st.booleans())
+    context = make_context(
+        copd=copd,
+        baseline_spo2=draw(st.floats(80.0, 99.0) if copd else _baselines),
+        baseline_hr=draw(_baselines),
+        med=draw(st.booleans()),
+    )
+    record = make_record(epoch, context)
+    names = st.sampled_from(sorted(record.epoch_fields))
+    for name in draw(st.lists(names, max_size=3, unique=True)):
+        record = retag_field(record, name, ProvenanceTag.INFERRED)
+    view = project_for_specialists(record)
+    alert = detect(view, SCFG)
+    assume(alert is not None)
+    return alert, view
+
+
+@pytest.mark.parametrize(
+    "cfg", [CFG, SpecialistConfig(high_confidence=0.8, low_confidence=0.3)], ids=["default", "0.8-0.3"]
+)
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_alerts_and_views())
+def test_every_claim_takes_its_confidence_and_risk_from_its_recommendation(cfg, drawn):
+    # Property (300 examples per config): every evaluator, routed or not,
+    # gives a definitive claim the high confidence and an indeterminate one
+    # the low, and each claim's risk level is the one its recommendation
+    # carries, in the claim and in its decision-log form.
+    alert, view = drawn
+    for evaluate_fn in _EVALUATORS:
+        claim = evaluate_fn(alert, view, cfg)
+        definitive = claim.recommendation is not Recommendation.INDETERMINATE
+        assert claim.confidence == (cfg.high_confidence if definitive else cfg.low_confidence)
+        assert claim.risk_level is _RISK[claim.recommendation]
+        assert claim.to_dict()["risk_level"] == _RISK[claim.recommendation].value
 
 
 def test_config_invariants():

@@ -17,6 +17,7 @@ from alertsift.evaluate import GOLDEN_EPOCHS, GOLDEN_PER_DOMAIN
 from alertsift.model import (
     AccelLevel,
     DeviceStatus,
+    DomainClass,
     InvariantViolation,
     Position,
     SelfReportedActivity,
@@ -28,7 +29,6 @@ from alertsift.synthgen import (
     CategoricalSpec,
     ContinuousSpec,
     DATA_WINDOW,
-    DomainClass,
     TaxonomyEntry,
     default_taxonomy_path,
     generate_case,
