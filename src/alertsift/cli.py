@@ -33,9 +33,11 @@ from pathlib import Path
 from typing import Any, Iterator, Mapping
 
 from .evaluate import (
+    GOLDEN_TAXONOMY_SHA256,
     check_golden,
     evaluate,
     load_dataset,
+    load_manifest,
     render_report_text,
     validate_report_payload,
     write_decision_log,
@@ -198,14 +200,14 @@ def cmd_generate(cfg: PipelineConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(cfg: PipelineConfig, args: argparse.Namespace) -> int:
-    with _reading("taxonomy", "taxonomy validation failed"):
-        taxonomy = load_taxonomy(cfg.taxonomy_path)
+    # The dataset's manifest lists its cases; the catalogue is not read.
     with _reading("input", "input validation failed"):
+        manifest = load_manifest(cfg.dataset_dir)
         dataset = load_dataset(cfg.dataset_dir)
         started = time.perf_counter()
         report = evaluate(
             dataset,
-            taxonomy,
+            manifest.cases,
             sentinel_cfg=cfg.sentinel,
             specialist_cfg=cfg.specialists,
             meta_cfg=cfg.meta,
@@ -233,6 +235,10 @@ def cmd_evaluate(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     )
     if args.golden_check:
         problems = check_golden(report)
+        if manifest.taxonomy_sha256 != GOLDEN_TAXONOMY_SHA256:
+            problems.insert(
+                0, f"taxonomy_sha256 {manifest.taxonomy_sha256} != {GOLDEN_TAXONOMY_SHA256}"
+            )
         if problems:
             for problem in problems:
                 print(f"golden mismatch: {problem}", file=sys.stderr)

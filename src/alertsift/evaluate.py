@@ -11,12 +11,13 @@ failure.
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from math import sqrt
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping, NamedTuple, Sequence
 
 from .assembly import SourceBundle, assemble, project_for_specialists
 from .meta import DecisionHistory, MetaConfig, resolve
@@ -30,9 +31,11 @@ from .model import (
     SystemDecision,
     Verdict,
     _integer,
+    _located,
     _number,
     _object,
     format_timestamp,
+    parse_enum,
     read_contexts_json,
     read_epochs_jsonl,
     PATIENT_ID_RANGE,
@@ -50,11 +53,15 @@ __all__ = [
     "GOLDEN_FAILURE_MODES",
     "GOLDEN_OVERALL",
     "GOLDEN_PER_DOMAIN",
+    "GOLDEN_TAXONOMY_SHA256",
+    "Manifest",
+    "ManifestCase",
     "OutcomeKind",
     "aggregate_case",
     "check_golden",
     "evaluate",
     "load_dataset",
+    "load_manifest",
     "render_report_text",
     "validate_report_payload",
     "wilson_interval",
@@ -204,10 +211,101 @@ def load_dataset(dataset_dir: str | Path) -> Dataset:
     return Dataset(epochs=tuple(epochs), contexts=contexts)
 
 
+class ManifestCase(NamedTuple):
+    """One case row of manifest.json, as much of it as ``evaluate`` reads."""
+
+    case_id: str
+    patient_id: int
+    domain_class: DomainClass
+    epoch_count: int
+
+
+@dataclass(frozen=True)
+class Manifest:
+    taxonomy_sha256: str
+    cases: tuple[ManifestCase, ...]
+
+
+# The keys ``generate`` writes to manifest.json, at the top level and in each
+# case row; any other key is rejected. Only the ones read are required.
+_MANIFEST_KEYS = frozenset(
+    {"seed", "case_count", "epoch_count", "patient_id_range", "taxonomy_sha256", "cases"}
+)
+_MANIFEST_CASE_KEYS = frozenset(
+    {"case_id", "patient_id", "domain_class", "epoch_count", "start_time", "sha256"}
+)
+
+
+def _manifest_case(raw: Any, patient_id: int, seen: set[str]) -> ManifestCase:
+    row = _object(raw, _MANIFEST_CASE_KEYS, "case row")
+    case_id = row["case_id"]
+    if not isinstance(case_id, str):
+        raise InvariantViolation(f"case_id must be a string, got {case_id!r}")
+    if case_id in seen:
+        raise InvariantViolation("duplicate case_id")
+    seen.add(case_id)
+    case = ManifestCase(
+        case_id,
+        _integer(row["patient_id"], "patient_id"),
+        parse_enum(DomainClass, row["domain_class"], "domain_class"),
+        _integer(row["epoch_count"], "epoch_count"),
+    )
+    if case.patient_id != patient_id:
+        raise InvariantViolation(
+            f"patient_id {case.patient_id} is not {patient_id}: ids run consecutively"
+            f" from {PATIENT_ID_RANGE[0]} in row order"
+        )
+    if case.epoch_count < 1:
+        raise InvariantViolation(f"epoch_count must be positive, got {case.epoch_count}")
+    return case
+
+
+def load_manifest(dataset_dir: str | Path) -> Manifest:
+    """Read a dataset's manifest.json, the cases ``evaluate`` attributes its
+    patients to, and fail closed on anything that does not hold together.
+
+    Each case row names its case id (unique), patient id, domain class and
+    epoch count (positive); the patient ids are the consecutive block from
+    ``PATIENT_ID_RANGE[0]`` in row order, the rule ``evaluate`` attributes
+    by. The list is non-empty, and ``case_count`` and ``epoch_count`` agree
+    with it. An error names the case row or the key.
+    """
+    with open(Path(dataset_dir) / "manifest.json", encoding="utf-8") as fp:
+        raw = json.load(fp)
+    try:
+        data = _object(raw, _MANIFEST_KEYS, "manifest")
+        rows, digest = data["cases"], data["taxonomy_sha256"]
+        case_count = _integer(data["case_count"], "case_count")
+        epoch_count = _integer(data["epoch_count"], "epoch_count")
+    except KeyError as exc:
+        raise _located("manifest", exc) from None
+    if not isinstance(digest, str):
+        raise InvariantViolation(f"manifest taxonomy_sha256 must be a string, got {digest!r}")
+    if type(rows) is not list or not rows:
+        raise InvariantViolation("manifest cases must be a non-empty array")
+    cases, seen = [], set()
+    for index, row in enumerate(rows):
+        try:
+            cases.append(_manifest_case(row, PATIENT_ID_RANGE[0] + index, seen))
+        except (KeyError, InvariantViolation) as exc:
+            name = row.get("case_id") if type(row) is dict else None
+            where = f"case {name!r}" if isinstance(name, str) else f"cases[{index}]"
+            raise _located(f"manifest {where}", exc) from None
+    if case_count != len(cases):
+        raise InvariantViolation(f"manifest case_count {case_count} != {len(cases)} case rows")
+    total = sum(case.epoch_count for case in cases)
+    if epoch_count != total:
+        raise InvariantViolation(
+            f"manifest epoch_count {epoch_count} != {total}, the sum over its case rows"
+        )
+    return Manifest(taxonomy_sha256=digest, cases=tuple(cases))
+
+
 def _run_case(
     case_id: str,
     domain_class: DomainClass,
     patient_id: int,
+    epoch_count: int,
     epochs: Sequence[Epoch],
     context: PatientContext,
     sentinel_cfg: SentinelConfig,
@@ -216,7 +314,9 @@ def _run_case(
 ) -> CaseOutcome:
     """Walk one patient's epochs oldest first: the one pass that checks the stream.
 
-    The sort and the duplicate-minute check cover every epoch. An epoch
+    The sort and the duplicate-minute check cover every epoch; after the
+    walk, so that a repeated minute is named as one, the stream must hold
+    the case's ``epoch_count`` epochs. An epoch
     ``quiet`` passes is never assembled, so assembly's other-patient check
     sees only alerting epochs; ``evaluate`` groups epochs by patient, so it
     cannot be reached from there.
@@ -247,6 +347,11 @@ def _run_case(
         decisions.append(decision)
         if failure_status is None and decision.verdict is Verdict.ESCALATE:
             failure_status = epoch.device_status
+    if len(bundle.vitals_stream) != epoch_count:
+        raise InvariantViolation(
+            f"case {case_id!r}: patient {patient_id} has {len(bundle.vitals_stream)} epochs,"
+            f" expected {epoch_count}"
+        )
     # A case whose epochs never alert has nothing to suppress or escalate;
     # no alert reached anyone, which is the suppression goal trivially met.
     # Only a user catalogue has such a case: every shipped epoch alerts.
@@ -270,13 +375,16 @@ def evaluate(
     specialist_cfg: SpecialistConfig | None = None,
     meta_cfg: MetaConfig | None = None,
 ) -> EvaluationReport:
-    """Evaluate a dataset against its taxonomy.
+    """Evaluate a dataset against its cases, in the order generated.
 
-    Of each taxonomy entry only ``case_id`` and ``domain_class`` are read.
-    Cases are attributed to taxonomy entries by patient id, assigned in
-    catalogue order at generation time. Cases run one after another in
-    patient-id order, each with its own decision history, so report
-    metrics do not depend on input file order.
+    ``taxonomy`` holds one object per case: a ``ManifestCase`` read from the
+    dataset's manifest, or the ``TaxonomyEntry`` it was generated from. Of
+    each only ``case_id``, ``domain_class`` and ``epoch_count`` are read.
+    Patients are attributed to cases by patient id, ``PATIENT_ID_RANGE[0]``
+    plus the case's index, as generation assigns them; a patient with
+    another number of epochs than its case's ``epoch_count`` fails. Cases
+    run one after another in patient-id order, each with its own decision
+    history, so report metrics do not depend on input file order.
     """
     sentinel_cfg = sentinel_cfg or SentinelConfig()
     specialist_cfg = specialist_cfg or SpecialistConfig()
@@ -293,16 +401,17 @@ def evaluate(
         missing = sorted(set(expected_pids) - set(by_patient))
         extra = sorted(set(by_patient) - set(expected_pids))
         raise InvariantViolation(
-            f"dataset/taxonomy patients differ (missing={missing[:5]}, extra={extra[:5]})"
+            f"dataset patients differ from the case list (missing={missing[:5]}, extra={extra[:5]})"
         )
     if set(dataset.contexts) != set(expected_pids):
-        raise InvariantViolation("context sidecar does not cover the taxonomy patients")
+        raise InvariantViolation("context sidecar does not cover the case list's patients")
 
     outcomes = tuple(
         _run_case(
             entry.case_id,
             entry.domain_class,
             pid,
+            entry.epoch_count,
             by_patient[pid],
             dataset.contexts[pid],
             sentinel_cfg,
@@ -345,8 +454,10 @@ def evaluate(
 
 # Expected metrics for the shipped catalogue under default configuration,
 # with its shape, which nothing else checks: 98 cases (the per-class n
-# column) and 530 epochs.
+# column) and 530 epochs. GOLDEN_TAXONOMY_SHA256 is the shipped catalogue's
+# digest, which ``generate`` writes to the manifest as ``taxonomy_sha256``.
 GOLDEN_EPOCHS = 530
+GOLDEN_TAXONOMY_SHA256 = "6fb7f27cc70e84b4b29ae9dd0a664769cf9dc6792dfaad4a2704d9e2a574ee86"
 GOLDEN_OVERALL = {"ts_count": 82, "fe_count": 16, "ind_count": 0}
 GOLDEN_PER_DOMAIN = {
     DomainClass.PROBE_INTEGRITY: (23, 23, 0),
@@ -442,9 +553,9 @@ def render_report_text(data: Mapping[str, Any]) -> str:
     lines.append(f"  {'class':<28}{'n':>4}{'tsr':>9}  interval")
     for cls in DomainClass:
         row = data["per_domain"].get(cls.value)
-        ci = data["wilson_cis"].get(cls.value)
-        if row is None or ci is None:
+        if row is None:
             continue
+        ci = data["wilson_cis"][cls.value]
         lines.append(
             f"  {cls.value:<28}{row['n']:>4}{_pct(row['tsr']):>9}"
             f"  {_pct(ci['lower'])} - {_pct(ci['upper'])}"
@@ -526,7 +637,9 @@ def validate_report_payload(data: Mapping[str, Any]) -> dict[str, Any]:
     Every section and row the text report reads must be present and typed:
     the overall and totals numbers, each class row's counts and rates, each
     interval's bounds, and each failure mode's integer count. A key the
-    report does not write is rejected.
+    report does not write is rejected. ``wilson_cis`` holds an interval for
+    exactly the classes of ``per_domain``, each the one ``to_json_dict``
+    derives from the row: ``wilson_interval(ts, n)``, rounded to 6 places.
     """
     data = _object(data, _REPORT_SECTIONS, "report payload")
     missing = _REPORT_SECTIONS - data.keys()
@@ -537,6 +650,23 @@ def validate_report_payload(data: Mapping[str, Any]) -> dict[str, Any]:
     for key in ("per_domain", "wilson_cis"):
         for cls, row in _object(data[key], DomainClass, f"report payload {key!r}").items():
             _check_numbers(row, _REPORT_FIELDS[key], f"{key}.{cls}")
+    rows, cis = data["per_domain"], data["wilson_cis"]
+    unmatched = sorted(rows.keys() ^ cis.keys())
+    if unmatched:
+        cls = unmatched[0]
+        has = "no interval" if cls in rows else "an interval but no per_domain row"
+        raise InvariantViolation(f"report payload wilson_cis: class {cls!r} has {has}")
+    for cls, row in rows.items():
+        try:
+            lower, upper = wilson_interval(row["ts"], row["n"])
+        except InvariantViolation as exc:
+            raise InvariantViolation(f"report payload per_domain.{cls}: {exc}") from None
+        expected = {"lower": round(lower, 6), "upper": round(upper, 6)}
+        if cis[cls] != expected:
+            raise InvariantViolation(
+                f"report payload wilson_cis.{cls} {cis[cls]} != {expected},"
+                f" the interval of ts={row['ts']} n={row['n']}"
+            )
     failure_modes = _object(data["failure_modes"], DeviceStatus, "report payload 'failure_modes'")
     for status, count in failure_modes.items():
         _integer(count, f"report payload failure_modes.{status}")

@@ -96,7 +96,7 @@ _CATEGORICAL_FIELDS: dict[str, tuple[type | None, Any]] = {
     "position": (Position, Position.UPRIGHT),
     "self_reported_activity": (SelfReportedActivity, None),
     "probe_cover_present": (bool, False),
-    "ambient_condition": (None, None),  # opaque string, carried only
+    "ambient_condition": (None, None),  # any JSON value, carried only
 }
 _CONTINUOUS_NAMES = frozenset(_CONTINUOUS_FIELDS)
 _CATEGORICAL_NAMES = frozenset(_CATEGORICAL_FIELDS)
@@ -132,9 +132,48 @@ class ContinuousSpec:
         )
 
 
+def _read_only(self: Any, *args: Any, **kwargs: Any) -> Any:
+    raise TypeError("a catalogue value is read-only")
+
+
+class _FrozenObject(dict):
+    """A JSON object in a catalogue value: a dict, so it compares and encodes
+    as one, that refuses every change."""
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+
+class _FrozenArray(list):
+    """A JSON array in a catalogue value, read-only as ``_FrozenObject`` is."""
+
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = _read_only
+    append = clear = extend = insert = pop = remove = reverse = sort = _read_only
+
+
+# The JSON scalar types: a catalogue value of any of them is immutable.
+_JSON_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+def _frozen(value: Any) -> Any:
+    """``value`` with every JSON object and array in it made read-only."""
+    if isinstance(value, dict):
+        return _FrozenObject({k: _frozen(v) for k, v in value.items()})
+    if isinstance(value, list):
+        return _FrozenArray(map(_frozen, value))
+    if isinstance(value, tuple):
+        return tuple(map(_frozen, value))
+    return value
+
+
 @dataclass(frozen=True)
 class CategoricalSpec:
-    """Either one fixed value or a uniform choice set."""
+    """Either one fixed value or a uniform choice set.
+
+    Every value is frozen when the spec is built: an ``ambient_condition``
+    may be a JSON object or array, which the entry's cached text and every
+    generated epoch carry as is.
+    """
 
     fixed: Any = None
     choices: tuple[Any, ...] = ()
@@ -142,6 +181,11 @@ class CategoricalSpec:
     def __post_init__(self) -> None:
         if self.choices and self.fixed is not None:
             raise InvariantViolation("categorical spec cannot be both fixed and a choice set")
+        if type(self.fixed) not in _JSON_SCALARS:
+            object.__setattr__(self, "fixed", _frozen(self.fixed))
+        choices = self.choices
+        if type(choices) is not tuple or not _JSON_SCALARS.issuperset(map(type, choices)):
+            object.__setattr__(self, "choices", tuple(map(_frozen, choices)))
 
     def to_dict(self) -> dict[str, Any]:
         if self.choices:
@@ -193,8 +237,9 @@ class TaxonomyEntry:
     its latest start, fails the entry.
 
     ``continuous_params``, ``categorical_params`` and ``context`` are
-    read-only copies of the mappings given, so ``canonical_text``, the
-    entry's JSON text built on first use and kept, stays the entry's.
+    read-only copies of the mappings given, and every spec and value in
+    them is immutable, so ``canonical_text``, the entry's JSON text built on
+    first use and kept, stays the entry's.
     """
 
     case_id: str

@@ -58,6 +58,17 @@ PATIENT = 3847291
 # Epoch fields whose provenance must be device_verified after assembly.
 DEVICE_STREAM_FIELDS = ("spo2", "hr", "accel_level", "device_status")
 
+# The seed-42 outputs, pinned byte for byte (acceptance criterion 6). A change
+# that moves any of these digests must say why in CHANGES.md and update them.
+SEED_42_SHA256 = {
+    "manifest.json": "f73541a9626e2cbbc4a4fe38f1e6730e27d1c8c11b249ff29735a4c8596c2724",
+    "epochs.jsonl": "bfca5c0f8e0a10e3ae6828939166a0cb128451d6c9d7701f1285dcbd128d3783",
+    "contexts.json": "7bcc9b14888769b8c7e1ad887fd53894fa59ff92c569ba12c670c9a04caf72a4",
+    "report.json": "39428218c8a791b5e20468697ec8a2b3bd8894eae28d6b281b2ef80c2df99889",
+    "decisions.jsonl": "758cb992e50fc7c199fec6f0db2f9cc6eb3284a2456c3e22fcadc07feb43f720",
+    "report.txt": "153be463479429a9bf32269de1d0770c50f45c501a305fa7429f6b4ccc10aaf8",
+}
+
 
 def make_epoch(
     ts: datetime = DAYTIME,

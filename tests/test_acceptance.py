@@ -46,6 +46,7 @@ from alertsift.routing import RoutingDecision, route
 from alertsift.sentinel import SentinelConfig, detect
 from alertsift.synthgen import default_taxonomy_path, generate_dataset, load_taxonomy
 from helpers import (
+    SEED_42_SHA256,
     all_tagged,
     field_names,
     make_epoch,
@@ -197,20 +198,10 @@ def test_criterion_6_end_to_end_determinism(tmp_path):
         identical,
         "two seeded runs compared",
     )
-    # The seed-42 outputs are pinned byte for byte. A change that moves any
-    # of these digests must say why in CHANGES.md and update them here.
-    pinned = {
-        "manifest.json": "f73541a9626e2cbbc4a4fe38f1e6730e27d1c8c11b249ff29735a4c8596c2724",
-        "epochs.jsonl": "bfca5c0f8e0a10e3ae6828939166a0cb128451d6c9d7701f1285dcbd128d3783",
-        "contexts.json": "7bcc9b14888769b8c7e1ad887fd53894fa59ff92c569ba12c670c9a04caf72a4",
-        "report.json": "39428218c8a791b5e20468697ec8a2b3bd8894eae28d6b281b2ef80c2df99889",
-        "decisions.jsonl": "758cb992e50fc7c199fec6f0db2f9cc6eb3284a2456c3e22fcadc07feb43f720",
-        "report.txt": "153be463479429a9bf32269de1d0770c50f45c501a305fa7429f6b4ccc10aaf8",
-    }
     digests = {name: hashlib.sha256(data).hexdigest() for name, data in artifacts["one"].items()}
     _check(
         "criterion 6: seed-42 outputs match the pinned sha256 digests",
-        digests == pinned,
+        digests == SEED_42_SHA256,
         ", ".join(f"{name} {digest[:12]}" for name, digest in digests.items()),
     )
 

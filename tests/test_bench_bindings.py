@@ -1,0 +1,47 @@
+"""The benchmark's tracer finds the program's layer functions by name."""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import alertsift
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+# Run in a new interpreter, so that no module an earlier test imported or
+# patched can stand in for a missing attribute; -B writes no bytecode cache
+# next to the benchmark's files.
+_RESOLVE = """
+import importlib, importlib.util, json, sys, types
+spec = importlib.util.spec_from_file_location("tracing", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+names = {module for module, *_ in tracing.BINDINGS}
+api = types.SimpleNamespace(**{m: importlib.import_module("alertsift." + m) for m in names})
+missing = []
+for module, path, *_ in tracing.BINDINGS:
+    try:
+        owner, attr = tracing.resolve_target(api, module, path)
+        if not callable(getattr(owner, attr)):
+            missing.append(module + "." + path)
+    except AttributeError:
+        missing.append(module + "." + path)
+print(json.dumps([len(tracing.BINDINGS), missing]))
+"""
+
+
+def test_every_tracer_binding_resolves_on_a_fresh_import():
+    # perfbench/tracing.py wraps each function it times by module and
+    # attribute name; a name moved out of the package would fail only the
+    # benchmark's own tests, which this suite does not run.
+    env = {**os.environ, "PYTHONPATH": str(Path(alertsift.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-B", "-c", _RESOLVE, str(TRACING)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    count, missing = json.loads(done.stdout)
+    assert count > 0 and missing == []

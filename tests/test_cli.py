@@ -16,8 +16,10 @@ from hypothesis import given, settings, strategies as st
 
 from alertsift import cli
 from alertsift.cli import main
+from alertsift.evaluate import GOLDEN_TAXONOMY_SHA256
 from alertsift.model import AccelLevel, DeviceStatus, Position, SelfReportedActivity
 from alertsift.synthgen import default_taxonomy_path
+from helpers import SEED_42_SHA256
 
 
 def write_config(tmp_path: Path, **overrides) -> Path:
@@ -379,6 +381,35 @@ def test_report_mistyped_section_exits_2(tmp_path, capsys):
     assert "'failure_modes' must be a JSON object" in capsys.readouterr().err
 
 
+def test_report_rejects_intervals_other_than_the_rows(tmp_path, capsys):
+    # wilson_cis is derived from per_domain. Unchecked, this file rendered
+    # with exit 0, no copd interval row and "nocturnal 3 100.0% 0.0% - 1.0%".
+    config = write_config(tmp_path)
+    run(["--config", config, "generate"])
+    run(["--config", config, "evaluate", "--json-only"])
+    report_path = tmp_path / "report" / "report.json"
+    payload = json.loads(report_path.read_text())
+    copd = payload["wilson_cis"].pop("copd")
+    payload["wilson_cis"]["nocturnal"] = {"lower": 0.0, "upper": 0.01}
+    capsys.readouterr()
+
+    def report_error() -> list:
+        report_path.write_text(json.dumps(payload), encoding="utf-8")
+        assert run(["--config", config, "report"]) == 2
+        return capsys.readouterr().err.splitlines()
+
+    assert report_error() == [
+        "error: report payload invalid: report payload wilson_cis: class 'copd' has no interval"
+    ]
+    payload["wilson_cis"]["copd"] = copd
+    assert report_error() == [
+        "error: report payload invalid: report payload wilson_cis.nocturnal"
+        " {'lower': 0.0, 'upper': 0.01} != {'lower': 0.438494, 'upper': 1.0},"
+        " the interval of ts=3 n=3"
+    ]
+    assert not (tmp_path / "report" / "report.txt").exists()
+
+
 _MISSING = object()
 
 
@@ -397,12 +428,17 @@ _MISSING = object()
         (("overall", "fer"), HUGE, "overall.fer is too large for a float"),
         (("per_domain", "copd", "tsrr"), 1.0, "unknown keys ['tsrr'] in report payload"),
         (("totalz",), {}, "unknown keys ['totalz'] in report payload"),
+        (
+            ("per_domain", "copd"), _MISSING,
+            "wilson_cis: class 'copd' has an interval but no per_domain row",
+        ),
+        (("per_domain", "copd", "ts"), 14, "per_domain.copd: require 0 <= successes <= n"),
     ],
     ids=[
         "per_domain_row", "per_domain_rate", "wilson_bound", "wilson_class",
         "failure_count", "overall_field", "totals_field",
         "nan_rate", "infinite_bound", "huge_integer_rate", "misspelt_row_key",
-        "misspelt_section",
+        "misspelt_section", "interval_without_row", "more_successes_than_cases",
     ],
 )
 def test_report_malformed_row_exits_2(tmp_path, capsys, path, value, message):
@@ -685,8 +721,9 @@ def test_user_catalogue_of_ten_entries_runs_and_fails_the_golden_check(tmp_path,
 
 
 def test_golden_check_rejects_an_extra_epoch(tmp_path, capsys):
-    # 98 cases with the shipped outcomes, class rows and failure modes: only
-    # the epoch total tells this catalogue from the shipped one.
+    # 98 cases with the shipped outcomes, class rows and failure modes: of
+    # the report, only the epoch total tells this catalogue from the shipped
+    # one; the manifest's catalogue digest tells it too.
     entries = _shipped_entries()
     entries[0]["epoch_count"] += 1
     config = _catalogue_config(tmp_path, entries)
@@ -694,7 +731,11 @@ def test_golden_check_rejects_an_extra_epoch(tmp_path, capsys):
     assert run(["--config", config, "evaluate", "--golden-check"]) == 4
     captured = capsys.readouterr()
     assert "TSR 83.7% FER 16.3% INDR 0.0%" in captured.out
-    assert captured.err.splitlines() == ["golden mismatch: epochs 531 != 530"]
+    digest = json.loads((tmp_path / "dataset" / "manifest.json").read_text())["taxonomy_sha256"]
+    assert captured.err.splitlines() == [
+        f"golden mismatch: taxonomy_sha256 {digest} != {GOLDEN_TAXONOMY_SHA256}",
+        "golden mismatch: epochs 531 != 530",
+    ]
 
 
 def _duplicate_case_id(entries: list) -> None:
@@ -809,21 +850,21 @@ def _directory_as_config(tmp_path: Path) -> list:
     return ["--config", tmp_path / "config.d", "evaluate"]
 
 
-def _directory_as_taxonomy(command: str):
+def _directory_as_taxonomy(tmp_path: Path) -> list:
+    (tmp_path / "taxonomy.d").mkdir()
+    return ["--config", write_config(tmp_path, taxonomy=str(tmp_path / "taxonomy.d")), "generate"]
+
+
+def _directory_as_dataset_file(name: str):
     def setup(tmp_path: Path) -> list:
-        (tmp_path / "taxonomy.d").mkdir()
-        return ["--config", write_config(tmp_path, taxonomy=str(tmp_path / "taxonomy.d")), command]
+        config = write_config(tmp_path)
+        run(["--config", config, "generate"])
+        path = tmp_path / "dataset" / name
+        path.unlink()
+        path.mkdir()
+        return ["--config", config, "evaluate"]
 
     return setup
-
-
-def _directory_as_epochs(tmp_path: Path) -> list:
-    config = write_config(tmp_path)
-    run(["--config", config, "generate"])
-    epochs_path = tmp_path / "dataset" / "epochs.jsonl"
-    epochs_path.unlink()
-    epochs_path.mkdir()
-    return ["--config", config, "evaluate"]
 
 
 def _directory_as_report_json(tmp_path: Path) -> list:
@@ -835,12 +876,12 @@ def _directory_as_report_json(tmp_path: Path) -> list:
     "setup",
     [
         _directory_as_config,
-        _directory_as_taxonomy("generate"),
-        _directory_as_taxonomy("evaluate"),
-        _directory_as_epochs,
+        _directory_as_taxonomy,
+        _directory_as_dataset_file("manifest.json"),
+        _directory_as_dataset_file("epochs.jsonl"),
         _directory_as_report_json,
     ],
-    ids=["config", "taxonomy_generate", "taxonomy_evaluate", "epochs", "report_json"],
+    ids=["config", "taxonomy_generate", "manifest_evaluate", "epochs", "report_json"],
 )
 def test_unreadable_input_path_exits_3(tmp_path, capsys, setup):
     # An input path that exists but is no readable file is an I/O failure
@@ -1034,7 +1075,7 @@ _STEPS = [
     ("generate", "load_taxonomy", _READ),
     ("generate", "generate_dataset", _READ),
     ("generate", "write_dataset", _WRITE),
-    ("evaluate", "load_taxonomy", _READ),
+    ("evaluate", "load_manifest", _READ),
     ("evaluate", "load_dataset", _READ),
     ("evaluate", "evaluate", _READ),
     ("evaluate", "write_decision_log", _WRITE),
@@ -1077,6 +1118,107 @@ def test_every_step_failure_maps_to_its_exit_code(
     assert run(["--config", tmp_path / "config.json", command]) == code
     [line] = capsys.readouterr().err.splitlines()
     assert line.startswith("error: ") and line.endswith(": step failed")
+
+
+# evaluate attributes cases from the dataset's manifest.json, not from the
+# catalogue: each edit below leaves the dataset files as generated.
+def _evaluate_with_manifest(tmp_path: Path, dataset: Path, edit, *flags: str) -> int:
+    config = write_config(tmp_path)
+    manifest_path = shutil.copytree(dataset, tmp_path / "dataset") / "manifest.json"
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    edit(manifest)
+    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+    return run(["--config", config, "evaluate", *flags])
+
+
+def _drop_last_case(manifest: dict) -> None:
+    row = manifest["cases"].pop()
+    manifest["case_count"] -= 1
+    manifest["epoch_count"] -= row["epoch_count"]
+
+
+def _add_a_case(manifest: dict) -> None:
+    manifest["cases"].append({**manifest["cases"][-1], "case_id": "FP-099", "patient_id": 3847389})
+    manifest["case_count"] += 1
+    manifest["epoch_count"] += manifest["cases"][-1]["epoch_count"]
+
+
+def _one_more_epoch_for_fp_001(manifest: dict) -> None:
+    manifest["cases"][0]["epoch_count"] += 1
+    manifest["epoch_count"] += 1
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_drop_last_case, "dataset patients differ from the case list (missing=[], extra=[3847388])"),
+        (_add_a_case, "dataset patients differ from the case list (missing=[3847389], extra=[])"),
+        (_one_more_epoch_for_fp_001, "case 'FP-001': patient 3847291 has 5 epochs, expected 6"),
+        (
+            lambda m: m["cases"][3].update(patient_id=3847300),
+            "manifest case 'FP-004': patient_id 3847300 is not 3847294:"
+            " ids run consecutively from 3847291 in row order",
+        ),
+        (lambda m: m["cases"][1].update(case_id="FP-001"), "manifest case 'FP-001': duplicate case_id"),
+        (lambda m: m["cases"][2].pop("domain_class"), "manifest case 'FP-003': missing field 'domain_class'"),
+        (
+            lambda m: m["cases"][2].update(domain="copd"),
+            "manifest case 'FP-003': unknown keys ['domain'] in case row",
+        ),
+        (lambda m: m["cases"][2].update(case_id=3), "manifest cases[2]: case_id must be a string, got 3"),
+        (
+            lambda m: m["cases"][2].update(epoch_count=0),
+            "manifest case 'FP-003': epoch_count must be positive, got 0",
+        ),
+        (lambda m: m.update(case_count=97), "manifest case_count 97 != 98 case rows"),
+        (lambda m: m.update(epoch_count=531), "manifest epoch_count 531 != 530, the sum over its case rows"),
+        (lambda m: m.update(cases=[]), "manifest cases must be a non-empty array"),
+        (lambda m: m.pop("taxonomy_sha256"), "manifest: missing field 'taxonomy_sha256'"),
+    ],
+    ids=[
+        "dataset_patient_not_in_manifest", "manifest_patient_not_in_dataset", "epoch_count",
+        "patient_id_outside_the_block", "duplicate_case_id", "missing_key", "unknown_key",
+        "non_string_case_id", "zero_epochs", "case_count", "epoch_total", "no_cases",
+        "missing_digest",
+    ],
+)
+def test_evaluate_manifest_disagreeing_with_its_dataset_exits_2(
+    tmp_path, capsys, seed_42_dataset, edit, message
+):
+    assert _evaluate_with_manifest(tmp_path, seed_42_dataset, edit) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: input validation failed: {message}"]
+    assert not (tmp_path / "report").exists()
+
+
+def test_evaluate_without_manifest_exits_2(tmp_path, capsys, seed_42_dataset):
+    config = write_config(tmp_path)
+    shutil.copytree(seed_42_dataset, tmp_path / "dataset")
+    (tmp_path / "dataset" / "manifest.json").unlink()
+    assert run(["--config", config, "evaluate"]) == 2
+    assert "error: missing input: " in capsys.readouterr().err
+
+
+def test_golden_check_rejects_another_catalogue_digest(tmp_path, capsys, seed_42_dataset):
+    other = "0" * 64
+    edit = lambda m: m.update(taxonomy_sha256=other)  # noqa: E731
+    assert _evaluate_with_manifest(tmp_path / "plain", seed_42_dataset, edit) == 0
+    assert _evaluate_with_manifest(tmp_path / "golden", seed_42_dataset, edit, "--golden-check") == 4
+    assert capsys.readouterr().err.splitlines() == [
+        f"golden mismatch: taxonomy_sha256 {other} != {GOLDEN_TAXONOMY_SHA256}"
+    ]
+
+
+def test_evaluate_reads_no_catalogue(tmp_path, capsys, seed_42_dataset):
+    # Only generate reads paths.taxonomy: evaluate gives the pinned seed-42
+    # outputs with a config whose catalogue does not exist.
+    config = write_config(tmp_path, taxonomy=str(tmp_path / "nope.json"))
+    shutil.copytree(seed_42_dataset, tmp_path / "dataset")
+    assert run(["--config", config, "evaluate", "--golden-check"]) == 0
+    for name in ("decisions.jsonl", "report.json", "report.txt"):
+        digest = hashlib.sha256((tmp_path / "report" / name).read_bytes()).hexdigest()
+        assert digest == SEED_42_SHA256[name], name
+    assert run(["--config", config, "generate"]) == 2
+    assert "error: missing taxonomy: " in capsys.readouterr().err
 
 
 # Every key of an epoch row and of a contexts.json record: the JSON types its

@@ -204,7 +204,8 @@ def test_dataset_taxonomy_mismatch(golden_run):
     taxonomy, dataset, _ = golden_run
     missing_one = tuple(e for e in dataset.epochs if e.patient_id != 3847291)
     with pytest.raises(
-        InvariantViolation, match=r"dataset/taxonomy patients differ \(missing=\[3847291\], extra=\[\]\)"
+        InvariantViolation,
+        match=r"dataset patients differ from the case list \(missing=\[3847291\], extra=\[\]\)",
     ):
         evaluate(Dataset(epochs=missing_one, contexts=dataset.contexts), taxonomy)
 
