@@ -7,21 +7,27 @@ record (e.g. an inferred-tagged field) rebuild it field by field.
 
 from __future__ import annotations
 
+import hashlib
+import json
+import math
 from datetime import datetime, timedelta, timezone
 from typing import Any, Iterable, Sequence
 
 import numpy as np
 
 from alertsift.assembly import (
+    ALLOWED_SPECIALIST_PROVENANCE,
     SourceBundle,
     SpecialistView,
     assemble,
     project_for_specialists,
 )
 from alertsift.evaluate import CaseOutcome, OutcomeKind, aggregate_case
-from alertsift.meta import DecisionHistory, MetaConfig, resolve
+from alertsift.meta import MetaConfig
 from alertsift.model import (
+    DOMAIN_ORDER,
     AccelLevel,
+    AgentClaim,
     AgentDomain,
     AlertType,
     CandidateAlert,
@@ -32,6 +38,8 @@ from alertsift.model import (
     PatientContext,
     Position,
     ProvenanceTag,
+    Recommendation,
+    ResolutionPath,
     SelfReportedActivity,
     SystemDecision,
     TaggedValue,
@@ -39,14 +47,28 @@ from alertsift.model import (
     VeritasRecord,
     format_timestamp,
 )
-from alertsift.routing import ARTEFACT_STATUSES, RoutingDecision, route
+from alertsift.routing import (
+    ARTEFACT_STATUSES,
+    RoutingDecision,
+    in_nocturnal_window,
+    route,
+)
 from alertsift.sentinel import SentinelConfig, detect
-from alertsift.specialists import SpecialistConfig, claims_for
+from alertsift.specialists import (
+    SpecialistConfig,
+    evaluate_activity_integrity,
+    evaluate_bradycardia,
+    evaluate_copd,
+    evaluate_nocturnal,
+    evaluate_probe_integrity,
+    evaluate_tachycardia,
+)
 from alertsift.synthgen import (
     MAX_REJECTIONS,
     NOISE_SIGMA,
     CategoricalSpec,
     ContinuousSpec,
+    DATA_WINDOW,
     TaxonomyEntry,
     _substream,
 )
@@ -313,6 +335,227 @@ def reference_generate_case(
     return epochs, context
 
 
+def reference_start_time(entry: TaxonomyEntry, seed: int) -> datetime:
+    """A generated case's first minute, drawn from the schedule sub-stream
+    keyed by (seed, case_id): the day, from those on which the latest start
+    of the entry's clock (19:59 by day, 04:49 by night) still ends the case
+    before September 2022, then the hour and the minute."""
+    rng = _substream(seed, f"schedule:{entry.case_id}")
+    window = (DATA_WINDOW[1] - DATA_WINDOW[0]) // timedelta(minutes=1)
+    hours, minutes = ((0, 5), 50) if entry.nocturnal else ((7, 20), 60)
+    latest = (hours[1] - 1) * 60 + minutes - 1
+    days = math.ceil((window - latest - entry.epoch_count + 1) / (24 * 60))
+    day = int(rng.integers(days))
+    hour = int(rng.integers(*hours))
+    minute = int(rng.integers(0, minutes))
+    return DATA_WINDOW[0] + timedelta(days=day, hours=hour, minutes=minute)
+
+
+def reference_case_digest(epochs: Sequence[Epoch], context: PatientContext) -> str:
+    """A manifest row's ``sha256``: the case's epochs, each a sorted-key
+    compact JSON line, then its context the same way, with no newline."""
+    lines = [json.dumps(epoch_row(e), sort_keys=True, separators=(",", ":")) + "\n" for e in epochs]
+    lines.append(json.dumps(context.to_dict(), sort_keys=True, separators=(",", ":")))
+    return hashlib.sha256("".join(lines).encode()).hexdigest()
+
+
+def reference_assemble(bundle: SourceBundle, epoch: Epoch) -> VeritasRecord:
+    """The assembly the fast path must equal, built through the checked constructor.
+
+    Tags follow the source; every value is observed at the epoch's time; the
+    source ids and EHR fields are derived here from the patient, not read
+    from what the bundle built.
+    """
+    pid = bundle.ehr.patient_id
+    if epoch.patient_id != pid:
+        raise InvariantViolation(f"epoch patient {epoch.patient_id} != context patient {pid}")
+    at = epoch.timestamp
+    device, reported, ehr = (
+        ProvenanceTag.DEVICE_VERIFIED, ProvenanceTag.PATIENT_REPORTED, ProvenanceTag.EHR_DERIVED
+    )
+    epoch_fields = {
+        name: TaggedValue(getattr(epoch, name), device, f"vitals/{pid}", at)
+        for name in ("spo2", "hr", "accel_level", "device_status", "probe_cover_present")
+    }
+    if epoch.ambient_condition is not None:
+        epoch_fields["ambient_condition"] = TaggedValue(
+            epoch.ambient_condition, device, f"vitals/{pid}", at
+        )
+    epoch_fields["position"] = TaggedValue(epoch.position, reported, f"patient_report/{pid}", at)
+    if epoch.self_reported_activity is not None:
+        epoch_fields["self_reported_activity"] = TaggedValue(
+            epoch.self_reported_activity, reported, f"patient_report/{pid}", at
+        )
+    context = bundle.ehr
+    context_fields = {
+        "copd_documented": TaggedValue(context.copd_documented, ehr, f"ehr/{pid}", at),
+        "rate_limiting_medication": TaggedValue(
+            context.rate_limiting_medication, ehr, f"ehr/{pid}", at
+        ),
+    }
+    for name in ("baseline_spo2", "baseline_hr"):
+        if getattr(context, name) is not None:
+            context_fields[name] = TaggedValue(getattr(context, name), ehr, f"ehr/{pid}", at)
+    return VeritasRecord(pid, at, epoch_fields, context_fields)
+
+
+def oracle_targets(alert, view):
+    """Independent rendering of the routing rule list."""
+    types = alert.alert_types
+    status = view.value("device_status")
+    accel = view.value("accel_level")
+    reported = view.value("self_reported_activity")
+    copd = view.value("copd_documented", default=False)
+    physio = bool(
+        types & {AlertType.LOW_SPO2, AlertType.HIGH_HR, AlertType.LOW_HR}
+    )
+    fired = []
+    if AlertType.SIGNAL_QUALITY in types and status in (
+        DeviceStatus.MOTION_ARTEFACT,
+        DeviceStatus.PROBE_COVER,
+        DeviceStatus.SYSTEM_FLAG,
+    ):
+        fired.append(AgentDomain.PROBE_INTEGRITY)
+    if physio and (
+        (accel is not None and accel != AccelLevel.STILL)
+        or reported in (SelfReportedActivity.WALKING, SelfReportedActivity.EXERCISING)
+    ):
+        fired.append(AgentDomain.ACTIVITY_INTEGRITY)
+    if AlertType.HIGH_HR in types:
+        fired.append(AgentDomain.TACHYCARDIA)
+    if AlertType.LOW_HR in types:
+        fired.append(AgentDomain.BRADYCARDIA)
+    if AlertType.LOW_SPO2 in types and copd:
+        fired.append(AgentDomain.COPD)
+    if physio and in_nocturnal_window(alert.raised_at):
+        fired.append(AgentDomain.NOCTURNAL)
+    targets = set(fired) or {AgentDomain.PROBE_INTEGRITY}
+    return targets, len(fired)
+
+
+class ReferenceHistory:
+    """The history as first written: keyed by patient, never pruned, each
+    lookup scanning back from the newest entry until the horizon."""
+
+    def __init__(self):
+        self._by_patient = {}
+
+    def record(self, patient_id, timestamp, alert_types, decision):
+        entries = self._by_patient.setdefault(patient_id, [])
+        if entries and timestamp <= entries[-1][0]:
+            raise InvariantViolation("decision timestamps must strictly increase")
+        entries.append((timestamp, alert_types, decision))
+
+    def last_matching(self, patient_id, alert_types, now, window_minutes):
+        horizon = now - timedelta(minutes=window_minutes)
+        for timestamp, types, decision in reversed(self._by_patient.get(patient_id, [])):
+            if timestamp < horizon:
+                return None
+            if types == alert_types:
+                return decision
+        return None
+
+
+def reference_resolve(claims, routing, alert, history, cfg, patient_id):
+    """resolve as first written: the expected order rebuilt from the targets
+    on every call, a ``finish`` closure per call, and one ``sum`` per side.
+    The straight-line resolve must give the same decision at every step.
+    ``history`` is a ReferenceHistory, so the pruned window is checked
+    against the full history; ``patient_id`` keys it, as each run covers one
+    patient."""
+    claimed = [c.domain for c in claims]
+    expected = [d for d in DOMAIN_ORDER if d in routing.targets]
+    if claimed != expected:
+        raise InvariantViolation(
+            f"claims must be one per routed target in domain order; got "
+            f"{[d.value for d in claimed]}, expected {[d.value for d in expected]}"
+        )
+
+    now = alert.raised_at
+    status_tv = alert.triggering_values.get(AlertType.SIGNAL_QUALITY)
+    status = status_tv.value if status_tv is not None else None
+
+    def finish(verdict, path):
+        decision = SystemDecision(
+            verdict=verdict,
+            contributing_claims=claims,
+            resolution_path=path,
+            decided_at=now,
+        )
+        history.record(patient_id, now, alert.alert_types, decision)
+        return decision
+
+    if status is not DeviceStatus.DUPLICATE_ALERT:
+        prior = history.last_matching(
+            patient_id, alert.alert_types, now, cfg.cooldown_window_minutes
+        )
+        escalating = any(c.recommendation is Recommendation.ESCALATE for c in claims)
+        if prior is not None and (prior.verdict is Verdict.ESCALATE or not escalating):
+            return finish(prior.verdict, ResolutionPath.DEBOUNCED)
+
+    if len(claims) == 1 and claims[0].recommendation is not Recommendation.INDETERMINATE:
+        verdict = (
+            Verdict.SUPPRESS
+            if claims[0].recommendation is Recommendation.SUPPRESS
+            else Verdict.ESCALATE
+        )
+        return finish(verdict, ResolutionPath.SINGLE_DOMAIN)
+
+    def score(side):
+        return sum(cfg.weight(c.domain) * c.confidence for c in claims if c.recommendation is side)
+
+    suppress_score = score(Recommendation.SUPPRESS)
+    escalate_score = score(Recommendation.ESCALATE)
+    if suppress_score - escalate_score >= cfg.resolution_margin:
+        return finish(Verdict.SUPPRESS, ResolutionPath.WEIGHTED_AGGREGATION)
+    if escalate_score - suppress_score >= cfg.resolution_margin:
+        return finish(Verdict.ESCALATE, ResolutionPath.WEIGHTED_AGGREGATION)
+    return finish(Verdict.ESCALATE, ResolutionPath.AMBIGUITY_DEFAULT)
+
+
+def reference_project(record: VeritasRecord) -> SpecialistView:
+    """The projection as a plain filter: every field whose tag is allowed,
+    in both mappings, always copied."""
+    allowed = ALLOWED_SPECIALIST_PROVENANCE
+    return SpecialistView(
+        record,
+        {k: tv for k, tv in record.epoch_fields.items() if tv.provenance in allowed},
+        {k: tv for k, tv in record.context_fields.items() if tv.provenance in allowed},
+    )
+
+
+def reference_route(alert: CandidateAlert, view: SpecialistView) -> RoutingDecision:
+    """Routing from ``oracle_targets``, built by the checked constructor."""
+    targets, _ = oracle_targets(alert, view)
+    ambiguous = view.value("device_status") in (
+        DeviceStatus.SYSTEM_FLAG, DeviceStatus.THRESHOLD_MARGINAL
+    )
+    return RoutingDecision(frozenset(targets), ambiguous)
+
+
+_SPECIALISTS = {
+    AgentDomain.PROBE_INTEGRITY: evaluate_probe_integrity,
+    AgentDomain.ACTIVITY_INTEGRITY: evaluate_activity_integrity,
+    AgentDomain.TACHYCARDIA: evaluate_tachycardia,
+    AgentDomain.BRADYCARDIA: evaluate_bradycardia,
+    AgentDomain.COPD: evaluate_copd,
+    AgentDomain.NOCTURNAL: evaluate_nocturnal,
+}
+
+
+def reference_claims(
+    alert: CandidateAlert, view: SpecialistView, routing: RoutingDecision, cfg: SpecialistConfig
+) -> tuple[AgentClaim, ...]:
+    """One claim per target in ``DOMAIN_ORDER``, each a new ``AgentClaim``
+    rebuilt by its checked constructor, never a shared interned one."""
+    claims = []
+    for domain in DOMAIN_ORDER:
+        if domain in routing.targets:
+            c = _SPECIALISTS[domain](alert, view, cfg)
+            claims.append(AgentClaim(c.domain, c.recommendation, c.confidence, c.rationale_codes))
+    return tuple(claims)
+
+
 def reference_run_case(
     case_id: str,
     domain_class: DomainClass,
@@ -323,30 +566,29 @@ def reference_run_case(
     specialist_cfg: SpecialistConfig,
     meta_cfg: MetaConfig,
 ) -> CaseOutcome:
-    """``evaluate._run_case`` with no quiet-epoch gate: every epoch is
-    assembled, projected and detected, so the walk's outcome is what the
-    pipeline's layers give with nothing skipped."""
-    bundle = SourceBundle(
-        ehr=context, vitals_stream=tuple(sorted(epochs, key=lambda e: e.timestamp))
-    )
-    history = DecisionHistory()
+    """``evaluate._run_case`` composed from the plain references: no
+    quiet-epoch gate, so every epoch is assembled, projected and detected;
+    checked constructors only; and a ``ReferenceHistory``, a list each
+    lookup scans back to the window's horizon."""
+    stream = sorted(epochs, key=lambda e: e.timestamp)
+    bundle = SourceBundle(ehr=context, vitals_stream=tuple(stream))
+    history = ReferenceHistory()
     decisions: list[SystemDecision] = []
     failure_status: DeviceStatus | None = None
     previous_at = None
-    for epoch in bundle.vitals_stream:
+    for epoch in stream:
         if epoch.timestamp == previous_at:
             raise InvariantViolation(
                 f"duplicate epoch for patient {patient_id} at {format_timestamp(previous_at)}"
             )
         previous_at = epoch.timestamp
-        record = assemble(bundle, epoch)
-        view = project_for_specialists(record)
+        view = reference_project(reference_assemble(bundle, epoch))
         alert = detect(view, sentinel_cfg)
         if alert is None:
             continue
-        routing = route(alert, view)
-        claims = claims_for(alert, view, routing, specialist_cfg)
-        decision = resolve(claims, routing, alert, history, meta_cfg)
+        routing = reference_route(alert, view)
+        claims = reference_claims(alert, view, routing, specialist_cfg)
+        decision = reference_resolve(claims, routing, alert, history, meta_cfg, patient_id)
         decisions.append(decision)
         if failure_status is None and decision.verdict is Verdict.ESCALATE:
             failure_status = epoch.device_status
@@ -358,4 +600,17 @@ def reference_run_case(
         outcome=outcome,
         epoch_decisions=tuple(decisions),
         failure_device_status=failure_status,
+    )
+
+
+def reference_decision_lines(outcomes: Iterable[CaseOutcome]) -> str:
+    """The decision log as ``json.dumps`` writes it, one full line per decision."""
+    return "".join(
+        json.dumps(
+            {"case_id": case.case_id, "patient_id": case.patient_id, "decision": d.to_dict()},
+            separators=(",", ":"),
+        )
+        + "\n"
+        for case in outcomes
+        for d in case.epoch_decisions
     )

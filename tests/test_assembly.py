@@ -18,7 +18,6 @@ from alertsift.model import (
     AccelLevel,
     AlertType,
     DeviceStatus,
-    Epoch,
     InvariantViolation,
     PATIENT_ID_RANGE,
     Position,
@@ -36,6 +35,7 @@ from helpers import (
     make_context,
     make_epoch,
     make_record,
+    reference_assemble,
     retag_field,
     retagged,
 )
@@ -110,46 +110,6 @@ def test_assemble_never_invents_values():
         assert tv.value == source_values[name], name
 
 
-def _reference_assemble(bundle: SourceBundle, epoch: Epoch) -> VeritasRecord:
-    """The assembly the fast path must equal, built through the checked constructor.
-
-    Tags follow the source; every value is observed at the epoch's time; the
-    source ids and EHR fields are derived here from the patient, not read
-    from what the bundle built.
-    """
-    pid = bundle.ehr.patient_id
-    if epoch.patient_id != pid:
-        raise InvariantViolation(f"epoch patient {epoch.patient_id} != context patient {pid}")
-    at = epoch.timestamp
-    device, reported, ehr = (
-        ProvenanceTag.DEVICE_VERIFIED, ProvenanceTag.PATIENT_REPORTED, ProvenanceTag.EHR_DERIVED
-    )
-    epoch_fields = {
-        name: TaggedValue(getattr(epoch, name), device, f"vitals/{pid}", at)
-        for name in ("spo2", "hr", "accel_level", "device_status", "probe_cover_present")
-    }
-    if epoch.ambient_condition is not None:
-        epoch_fields["ambient_condition"] = TaggedValue(
-            epoch.ambient_condition, device, f"vitals/{pid}", at
-        )
-    epoch_fields["position"] = TaggedValue(epoch.position, reported, f"patient_report/{pid}", at)
-    if epoch.self_reported_activity is not None:
-        epoch_fields["self_reported_activity"] = TaggedValue(
-            epoch.self_reported_activity, reported, f"patient_report/{pid}", at
-        )
-    context = bundle.ehr
-    context_fields = {
-        "copd_documented": TaggedValue(context.copd_documented, ehr, f"ehr/{pid}", at),
-        "rate_limiting_medication": TaggedValue(
-            context.rate_limiting_medication, ehr, f"ehr/{pid}", at
-        ),
-    }
-    for name in ("baseline_spo2", "baseline_hr"):
-        if getattr(context, name) is not None:
-            context_fields[name] = TaggedValue(getattr(context, name), ehr, f"ehr/{pid}", at)
-    return VeritasRecord(pid, at, epoch_fields, context_fields)
-
-
 @st.composite
 def _epochs_and_contexts(draw):
     pid = draw(st.integers(*PATIENT_ID_RANGE))
@@ -188,7 +148,7 @@ def test_assemble_matches_the_checked_reference(case):
     # same order, and every value is a real TaggedValue holding a ProvenanceTag.
     epoch, context = case
     record = assemble(make_bundle(epoch, context), epoch)
-    reference = _reference_assemble(make_bundle(epoch, context), epoch)
+    reference = reference_assemble(make_bundle(epoch, context), epoch)
     assert type(record) is type(reference) is VeritasRecord
     assert record == reference
     assert list(record.epoch_fields) == list(reference.epoch_fields)

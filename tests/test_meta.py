@@ -21,7 +21,6 @@ from alertsift.model import (
     ProvenanceTag,
     Recommendation,
     ResolutionPath,
-    SystemDecision,
     TaggedValue,
     Verdict,
 )
@@ -36,7 +35,9 @@ from helpers import (
     make_epoch,
     make_record,
     make_view,
+    reference_resolve,
     retag_field,
+    ReferenceHistory,
 )
 
 CFG = MetaConfig()
@@ -392,86 +393,6 @@ def test_resolve_uses_domain_weights():
     assert decision.resolution_path is ResolutionPath.WEIGHTED_AGGREGATION
 
 
-class _ReferenceHistory:
-    """The history as first written: keyed by patient, never pruned, each
-    lookup scanning back from the newest entry until the horizon."""
-
-    def __init__(self):
-        self._by_patient = {}
-
-    def record(self, patient_id, timestamp, alert_types, decision):
-        entries = self._by_patient.setdefault(patient_id, [])
-        if entries and timestamp <= entries[-1][0]:
-            raise InvariantViolation("decision timestamps must strictly increase")
-        entries.append((timestamp, alert_types, decision))
-
-    def last_matching(self, patient_id, alert_types, now, window_minutes):
-        horizon = now - timedelta(minutes=window_minutes)
-        for timestamp, types, decision in reversed(self._by_patient.get(patient_id, [])):
-            if timestamp < horizon:
-                return None
-            if types == alert_types:
-                return decision
-        return None
-
-
-def _reference_resolve(claims, routing, alert, history, cfg, patient_id):
-    """resolve as first written: the expected order rebuilt from the targets
-    on every call, a ``finish`` closure per call, and one ``sum`` per side.
-    The straight-line resolve must give the same decision at every step.
-    ``history`` is a _ReferenceHistory, so the pruned window is checked
-    against the full history; ``patient_id`` keys it, as each run covers one
-    patient."""
-    claimed = [c.domain for c in claims]
-    expected = [d for d in DOMAIN_ORDER if d in routing.targets]
-    if claimed != expected:
-        raise InvariantViolation(
-            f"claims must be one per routed target in domain order; got "
-            f"{[d.value for d in claimed]}, expected {[d.value for d in expected]}"
-        )
-
-    now = alert.raised_at
-    status_tv = alert.triggering_values.get(AlertType.SIGNAL_QUALITY)
-    status = status_tv.value if status_tv is not None else None
-
-    def finish(verdict, path):
-        decision = SystemDecision(
-            verdict=verdict,
-            contributing_claims=claims,
-            resolution_path=path,
-            decided_at=now,
-        )
-        history.record(patient_id, now, alert.alert_types, decision)
-        return decision
-
-    if status is not DeviceStatus.DUPLICATE_ALERT:
-        prior = history.last_matching(
-            patient_id, alert.alert_types, now, cfg.cooldown_window_minutes
-        )
-        escalating = any(c.recommendation is Recommendation.ESCALATE for c in claims)
-        if prior is not None and (prior.verdict is Verdict.ESCALATE or not escalating):
-            return finish(prior.verdict, ResolutionPath.DEBOUNCED)
-
-    if len(claims) == 1 and claims[0].recommendation is not Recommendation.INDETERMINATE:
-        verdict = (
-            Verdict.SUPPRESS
-            if claims[0].recommendation is Recommendation.SUPPRESS
-            else Verdict.ESCALATE
-        )
-        return finish(verdict, ResolutionPath.SINGLE_DOMAIN)
-
-    def score(side):
-        return sum(cfg.weight(c.domain) * c.confidence for c in claims if c.recommendation is side)
-
-    suppress_score = score(Recommendation.SUPPRESS)
-    escalate_score = score(Recommendation.ESCALATE)
-    if suppress_score - escalate_score >= cfg.resolution_margin:
-        return finish(Verdict.SUPPRESS, ResolutionPath.WEIGHTED_AGGREGATION)
-    if escalate_score - suppress_score >= cfg.resolution_margin:
-        return finish(Verdict.ESCALATE, ResolutionPath.WEIGHTED_AGGREGATION)
-    return finish(Verdict.ESCALATE, ResolutionPath.AMBIGUITY_DEFAULT)
-
-
 _DOMAIN_SETS = st.lists(
     st.sampled_from(DOMAIN_ORDER), min_size=1, max_size=6, unique=True
 ).map(lambda ds: sorted(ds, key=DOMAIN_ORDER.index))
@@ -548,14 +469,14 @@ def test_resolve_matches_reference_over_random_histories(run):
     # Windows of 1-15 minutes and gaps of 1-12 minutes, so the window drops
     # decisions and some land exactly on its horizon.
     cfg, steps = run
-    history, reference_history = DecisionHistory(), _ReferenceHistory()
+    history, reference_history = DecisionHistory(), ReferenceHistory()
     ts = DAYTIME
     for gap, types, status, claims, routing in steps:
         ts += timedelta(minutes=gap)
         alert = _alert_at(ts, types, status)
         got = _outcome(resolve, claims, routing, alert, history, cfg)
         want = _outcome(
-            _reference_resolve, claims, routing, alert, reference_history, cfg, PATIENT
+            reference_resolve, claims, routing, alert, reference_history, cfg, PATIENT
         )
         assert got == want
 

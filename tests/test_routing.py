@@ -25,6 +25,7 @@ from helpers import (
     detect_and_route,
     make_context,
     make_epoch,
+    oracle_targets,
     routed_via_last_resort,
 )
 
@@ -114,40 +115,6 @@ def test_nocturnal_window_boundaries_half_open():
     assert in_nocturnal_window(at(21, 59)) is False
 
 
-def _oracle_targets(alert, view):
-    """Independent rendering of the routing rule list."""
-    types = alert.alert_types
-    status = view.value("device_status")
-    accel = view.value("accel_level")
-    reported = view.value("self_reported_activity")
-    copd = view.value("copd_documented", default=False)
-    physio = bool(
-        types & {AlertType.LOW_SPO2, AlertType.HIGH_HR, AlertType.LOW_HR}
-    )
-    fired = []
-    if AlertType.SIGNAL_QUALITY in types and status in (
-        DeviceStatus.MOTION_ARTEFACT,
-        DeviceStatus.PROBE_COVER,
-        DeviceStatus.SYSTEM_FLAG,
-    ):
-        fired.append(AgentDomain.PROBE_INTEGRITY)
-    if physio and (
-        (accel is not None and accel != AccelLevel.STILL)
-        or reported in (SelfReportedActivity.WALKING, SelfReportedActivity.EXERCISING)
-    ):
-        fired.append(AgentDomain.ACTIVITY_INTEGRITY)
-    if AlertType.HIGH_HR in types:
-        fired.append(AgentDomain.TACHYCARDIA)
-    if AlertType.LOW_HR in types:
-        fired.append(AgentDomain.BRADYCARDIA)
-    if AlertType.LOW_SPO2 in types and copd:
-        fired.append(AgentDomain.COPD)
-    if physio and in_nocturnal_window(alert.raised_at):
-        fired.append(AgentDomain.NOCTURNAL)
-    targets = set(fired) or {AgentDomain.PROBE_INTEGRITY}
-    return targets, len(fired)
-
-
 def _random_epoch_and_context(rng):
     hour = rng.randint(0, 23)
     copd = rng.random() < 0.3
@@ -173,7 +140,7 @@ def test_route_matches_oracle_over_random_alert_space():
         if alert is None:
             continue
         checked += 1
-        oracle, fired_count = _oracle_targets(alert, view)
+        oracle, fired_count = oracle_targets(alert, view)
         assert routing.targets == oracle, epoch
         assert routing.targets, "coverage: targets must be nonempty"
         if fired_count == 1 and not routing.ambiguity_flag:
