@@ -14,6 +14,7 @@ from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from enum import Enum
 from functools import cache
+from itertools import islice
 from typing import Any, Iterable, Mapping, NamedTuple, TextIO
 
 __all__ = [
@@ -54,6 +55,7 @@ __all__ = [
 import json
 import math
 import re
+import reprlib
 
 # One encoder per output format, built once: json.dumps with a non-default
 # argument builds a new JSONEncoder on every call. COMPACT_JSON writes the
@@ -272,12 +274,14 @@ class TaggedValue(_TaggedFields):
         return cls(*iterable)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Epoch:
     """One-minute summarized measurement row for one patient.
 
     ``ambient_condition`` is carried through the schema for forward
-    compatibility but is never consumed by any rule.
+    compatibility but is never consumed by any rule. Slotted: generation
+    and the reader build one per epoch, and an instance without a
+    ``__dict__`` is smaller and quicker to build.
     """
 
     patient_id: int
@@ -334,17 +338,29 @@ class Epoch:
 # outside the rule with an InvariantViolation naming it.
 
 
+_SHOWN = reprlib.Repr()
+_SHOWN.maxstring = _SHOWN.maxlong = _SHOWN.maxother = 80
+
+
+def _shown(raw: Any) -> str:
+    """``repr(raw)`` for an error message, cut short: a string or number to
+    about 80 characters, an array or object to its first few items, and
+    nesting to a few levels, so a rejected value as large as a whole file
+    gives a line, not the file."""
+    return _SHOWN.repr(raw)
+
+
 def _flag(raw: Any, name: str) -> bool:
     """A JSON boolean; a string such as "false" is rejected, not read as true."""
     if not isinstance(raw, bool):
-        raise InvariantViolation(f"{name} must be true or false, got {raw!r}")
+        raise InvariantViolation(f"{name} must be true or false, got {_shown(raw)}")
     return raw
 
 
 def _integer(raw: Any, name: str) -> int:
     """A JSON integer; 3847291.9 or true is rejected, not rounded or read as 1."""
     if isinstance(raw, bool) or not isinstance(raw, int):
-        raise InvariantViolation(f"{name} must be an integer, got {raw!r}")
+        raise InvariantViolation(f"{name} must be an integer, got {_shown(raw)}")
     return raw
 
 
@@ -361,7 +377,7 @@ def _number(raw: Any, name: str) -> float:
         except OverflowError:
             raise InvariantViolation(f"{name} is too large for a float") from None
     elif type(raw) is not float:
-        raise InvariantViolation(f"{name} must be a number, got {raw!r}")
+        raise InvariantViolation(f"{name} must be a number, got {_shown(raw)}")
     if not math.isfinite(raw):
         raise InvariantViolation(f"{name} is not finite: {raw}")
     return raw
@@ -375,7 +391,7 @@ def _object(raw: Any, allowed: Any, where: str) -> dict[str, Any]:
     class) for an object keyed by its values.
     """
     if type(raw) is not dict:
-        raise InvariantViolation(f"{where} must be a JSON object, got {raw!r}")
+        raise InvariantViolation(f"{where} must be a JSON object, got {_shown(raw)}")
     if isinstance(allowed, type):
         for key in raw:
             parse_enum(allowed, key, where)
@@ -639,10 +655,22 @@ def epoch_line(epoch: Epoch, canonical: bool = False) -> str:
     )
 
 
-def write_epochs_jsonl(epochs: Iterable[Epoch], fp: TextIO) -> None:
+# Lines joined per write when the written text is hashed too: about 250 kB.
+_DIGEST_BLOCK = 1024
+
+
+def write_epochs_jsonl(epochs: Iterable[Epoch], fp: TextIO, digest: Any = None) -> None:
     """Write one ``epoch_line`` per epoch, line by line: a long stream is
-    never held as one string."""
-    fp.writelines(map(epoch_line, epochs))
+    never held as one string. With ``digest``, a ``hashlib`` object, the
+    lines are written a block at a time instead, and each block is also fed
+    to it as UTF-8, the bytes the file gets."""
+    lines = map(epoch_line, epochs)
+    if digest is None:
+        fp.writelines(lines)
+        return
+    while block := "".join(islice(lines, _DIGEST_BLOCK)):
+        fp.write(block)
+        digest.update(block.encode())
 
 
 # A malformed row or record raises KeyError (a missing field), ValueError (bad

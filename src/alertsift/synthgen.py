@@ -8,12 +8,21 @@ lie in the field's physiological range; categorical parameters are fixed or
 drawn uniformly per epoch. Every case draws from its own RNG sub-stream keyed
 by (seed, case_id), so reordering the catalogue perturbs nothing else.
 
+A case's sub-stream is drawn in one order, each field as one block:
+1. the start: three ``integers`` draws, the day, the hour and the minute;
+2. each continuous field, in sorted name order: one ``normal`` block of
+   the case's length, then rounds in which every value outside the spec's
+   bounds is re-drawn, all of them by one ``normal`` block, up to
+   ``MAX_REJECTIONS`` rounds counting the first; a value still outside is
+   clamped. Then one noise block, the clamp again, and two decimal places;
+3. each choice field, in sorted name order: one ``integers`` block.
+
 Each entry builds its draw plan once, in ``Epoch`` field order: a row
 template holding every value that is not drawn, the continuous draws as
 ``(index, mu, sigma, lower, upper)`` in floats, and the choice draws as
-``(index, options, count)``. ``generate_case`` fills a copy of the template
-per minute, continuous fields first, then choice fields, each in sorted
-field order, and builds the ``Epoch`` from it positionally.
+``(index, options, count)``. ``generate_case`` replaces the template's
+columns with the drawn ones and builds each ``Epoch`` from its row
+positionally.
 """
 
 from __future__ import annotations
@@ -24,6 +33,8 @@ import math
 from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timedelta, timezone
 from functools import cached_property
+from itertools import accumulate, repeat
+from operator import add
 from pathlib import Path
 from types import MappingProxyType
 from typing import Any, Mapping, Sequence
@@ -45,7 +56,7 @@ from .model import (
     _located,
     _number,
     _object,
-    epoch_line,
+    _shown,
     format_timestamp,
     parse_enum,
     write_contexts_json,
@@ -199,7 +210,7 @@ class CategoricalSpec:
             return cls(fixed=data.get("fixed"))
         choices = data["choice"]
         if not isinstance(choices, list) or not choices:
-            raise InvariantViolation(f"choice must be a non-empty array, got {choices!r}")
+            raise InvariantViolation(f"choice must be a non-empty array, got {_shown(choices)}")
         return cls(fixed=data.get("fixed"), choices=tuple(choices))
 
 
@@ -294,7 +305,7 @@ class TaxonomyEntry:
                 f" {NOCTURNAL_END_HOUR:02d}:00 from a {clock} start (at most {night})"
             )
         if not isinstance(self.context, Mapping):
-            raise InvariantViolation(f"context must be a JSON object, got {self.context!r}")
+            raise InvariantViolation(f"context must be a JSON object, got {_shown(self.context)}")
         if "patient_id" in self.context:
             raise InvariantViolation("context patient_id is assigned per case, not by the entry")
         try:
@@ -418,59 +429,87 @@ def _substream(seed: int, label: str) -> np.random.Generator:
     return np.random.default_rng(int.from_bytes(digest[:8], "big"))
 
 
+def _draw_start(entry: TaxonomyEntry, rng: np.random.Generator) -> datetime:
+    """A start from which every epoch of the case stays inside its window.
+
+    Daytime cases start between 07:00 and 19:59; nocturnal cases start in
+    the early-morning half of the nocturnal window, 00:00 to 04:49, and a
+    nocturnal entry holds at most 71 epochs, so none crosses 06:00. The day
+    is drawn from those on which even the latest start ends before
+    September: every day of the window for a case of up to a few hours, as
+    every case of the shipped catalogue is.
+    """
+    day = int(rng.integers(entry._start_days))
+    hour_start, hour_end, minute_end = _START_CLOCK[entry.nocturnal]
+    hour = int(rng.integers(hour_start, hour_end))
+    minute = int(rng.integers(0, minute_end))
+    return DATA_WINDOW[0] + timedelta(days=day, hours=hour, minutes=minute)
+
+
+def _draw_continuous(
+    rng: np.random.Generator, n: int, mu: float, sigma: float, lower: float, upper: float
+) -> list[float]:
+    """One continuous field's ``n`` values, in the order the module states.
+
+    The arrays become Python floats once, by ``tolist``: the rounds, the
+    clamps and ``round`` run on those, which costs less than numpy's
+    per-call overhead on a case of a few epochs, and ``round`` is Python's
+    own (``np.round`` rounds some ties the other way).
+    """
+    normal = rng.normal
+    values = normal(mu, sigma, n).tolist()
+    misses = [i for i, x in enumerate(values) if not lower <= x <= upper]
+    for _ in range(MAX_REJECTIONS - 1):
+        if not misses:
+            break
+        for i, x in zip(misses, normal(mu, sigma, len(misses)).tolist()):
+            values[i] = x
+        misses = [i for i in misses if not lower <= values[i] <= upper]
+    for i in misses:  # still outside after MAX_REJECTIONS rounds: clamp
+        values[i] = lower if values[i] < lower else upper
+    return [
+        round(lower if x < lower else upper if x > upper else x, 2)
+        for x in map(add, values, normal(0.0, NOISE_SIGMA, n).tolist())
+    ]
+
+
 def generate_case(
-    entry: TaxonomyEntry, patient_id: int, start_time: datetime, seed: int
+    entry: TaxonomyEntry, patient_id: int, start_time: datetime | None, seed: int
 ) -> tuple[list[Epoch], PatientContext]:
     """Realize one scenario as consecutive one-minute epochs plus context.
 
-    All randomness comes from the sub-stream derived from (seed, case_id);
-    two calls with the same arguments produce bit-identical output. Each
-    epoch fills a copy of the entry's row template: every continuous field,
-    then every choice field, in the order of the entry's draw plan. A
-    continuous value is a draw from N(mu, sigma^2) conditioned on [lower,
-    upper] by rejection (after ``MAX_REJECTIONS`` draws outside, the last is
-    clamped), plus N(0, ``NOISE_SIGMA``^2) noise, clamped again and rounded
-    to two places. The patient id and the case's minutes are checked here,
-    once; each drawn value lies in its spec, which the entry held to the
-    field's range when it was built.
+    All randomness comes from the sub-stream derived from (seed, case_id),
+    drawn in the order the module states; two calls with the same
+    arguments produce bit-identical output. The start is always drawn
+    first, and used when ``start_time`` is None; a given start replaces it
+    and leaves every other draw as it is, so a generated case's own start
+    gives back its epochs. The patient id and the case's minutes are
+    checked here, once; each drawn value lies in its spec, which the entry
+    held to the field's range when it was built.
     """
     low, high = PATIENT_ID_RANGE
     if not low <= patient_id <= high:
         raise InvariantViolation(f"{entry.case_id}: patient_id {patient_id} outside [{low}, {high}]")
+    rng = _substream(seed, f"case:{entry.case_id}")
+    drawn = _draw_start(entry, rng)  # always: the stream's first three draws
+    start_time = drawn if start_time is None else start_time
     if start_time.second or start_time.microsecond:
         raise InvariantViolation(f"{entry.case_id}: start {start_time} is not minute-resolution")
     if start_time.utcoffset() is None:
         raise InvariantViolation(f"{entry.case_id}: start {start_time} is not timezone-aware")
-    last = start_time + (entry.epoch_count - 1) * _MINUTE
+    n = entry.epoch_count
+    last = start_time + (n - 1) * _MINUTE
     if not DATA_WINDOW[0] <= start_time <= last < DATA_WINDOW[1]:
         raise InvariantViolation(f"{entry.case_id}: epochs {start_time} to {last} leave the data window")
-    rng = _substream(seed, f"case:{entry.case_id}")
-    normal, integers = rng.normal, rng.integers
-    context = replace(entry._context, patient_id=patient_id)
-    draws, choices = entry._draws, entry._choices
-    template = list(entry._row)
-    template[0] = patient_id
-    epochs: list[Epoch] = []
-    timestamp = start_time
-    for _ in range(entry.epoch_count):
-        row = template.copy()
-        row[1] = timestamp
-        for index, mu, sigma, lower, upper in draws:
-            x = normal(mu, sigma)
-            if not lower <= x <= upper:  # a miss: up to MAX_REJECTIONS draws in all
-                for _ in range(MAX_REJECTIONS - 1):
-                    x = normal(mu, sigma)
-                    if lower <= x <= upper:
-                        break
-                else:  # the last draw missed too: clamp it
-                    x = lower if x < lower else upper
-            x += normal(0.0, NOISE_SIGMA)
-            row[index] = round(lower if x < lower else upper if x > upper else x, 2)
-        for index, options, count in choices:
-            row[index] = options[integers(count)]
-        epochs.append(Epoch(*row))
-        timestamp += _MINUTE
-    return epochs, context
+    columns: list[Any] = [repeat(value) for value in entry._row]
+    columns[0] = repeat(patient_id)
+    columns[1] = accumulate(repeat(_MINUTE, n - 1), add, initial=start_time)
+    for index, mu, sigma, lower, upper in entry._draws:
+        columns[index] = _draw_continuous(rng, n, mu, sigma, lower, upper)
+    for index, options, count in entry._choices:
+        columns[index] = map(options.__getitem__, rng.integers(count, size=n).tolist())
+    epochs = list(map(Epoch, *columns))
+    return epochs, replace(entry._context, patient_id=patient_id)
 
 
 @dataclass(frozen=True)
@@ -489,53 +528,24 @@ class GeneratedDataset:
     manifest: dict[str, Any]
 
 
-def _draw_start_time(entry: TaxonomyEntry, seed: int) -> datetime:
-    """Pick a start so every epoch of the case stays inside its window.
-
-    Daytime cases start between 07:00 and 19:59; nocturnal cases start in
-    the early-morning half of the nocturnal window, 00:00 to 04:49, and a
-    nocturnal entry holds at most 71 epochs, so none crosses 06:00. The day
-    is drawn from those on which even the latest start ends before
-    September: every day of the window for a case of up to a few hours, as
-    every case of the shipped catalogue is.
-    """
-    rng = _substream(seed, f"schedule:{entry.case_id}")
-    day = int(rng.integers(entry._start_days))
-    hour_start, hour_end, minute_end = _START_CLOCK[entry.nocturnal]
-    hour = int(rng.integers(hour_start, hour_end))
-    minute = int(rng.integers(0, minute_end))
-    return DATA_WINDOW[0] + timedelta(days=day, hours=hour, minutes=minute)
-
-
-def _case_digest(case: GeneratedCase) -> str:
-    """sha256 of the case's epochs and context, each a sorted-key JSON line.
-
-    The epoch lines come from ``epoch_line`` and end in a newline; the
-    context line, the last, is encoded with ``CANONICAL_JSON`` and does not.
-    """
-    lines = [epoch_line(e, True) for e in case.epochs]
-    lines.append(CANONICAL_JSON.encode(case.context.to_dict()))
-    return hashlib.sha256("".join(lines).encode()).hexdigest()
-
-
 def generate_dataset(taxonomy: Sequence[TaxonomyEntry], seed: int) -> GeneratedDataset:
     """Generate all cases, assigning patient ids in catalogue order.
 
     ``PATIENT_ID_RANGE`` holds 98 ids, so an entry past the 98th fails in
     ``generate_case``. Each case draws from its own sub-stream of the seed,
-    so a case's epochs do not depend on the cases generated before it.
-    ``taxonomy_sha256`` hashes ``json.dumps([e.to_dict() for e in
-    taxonomy], sort_keys=True)``, joined from each entry's cached
+    its start included, so a case's epochs do not depend on the cases
+    generated before it. ``taxonomy_sha256`` hashes ``json.dumps([e.to_dict()
+    for e in taxonomy], sort_keys=True)``, joined from each entry's cached
     ``canonical_text``, so a catalogue is encoded once however often it
-    generates.
+    generates. Each manifest row gets its ``sha256`` from ``write_dataset``,
+    which hashes the case's rows as it writes them.
     """
     validate_taxonomy(taxonomy)
     cases = []
     for index, entry in enumerate(taxonomy):
         patient_id = PATIENT_ID_RANGE[0] + index
-        start = _draw_start_time(entry, seed)
-        epochs, context = generate_case(entry, patient_id, start, seed)
-        cases.append(GeneratedCase(entry, patient_id, start, tuple(epochs), context))
+        epochs, context = generate_case(entry, patient_id, None, seed)
+        cases.append(GeneratedCase(entry, patient_id, epochs[0].timestamp, tuple(epochs), context))
 
     taxonomy_text = "[" + ", ".join(e.canonical_text for e in taxonomy) + "]"
     taxonomy_digest = hashlib.sha256(taxonomy_text.encode()).hexdigest()
@@ -551,8 +561,7 @@ def generate_dataset(taxonomy: Sequence[TaxonomyEntry], seed: int) -> GeneratedD
                 "patient_id": c.patient_id,
                 "domain_class": c.entry.domain_class.value,
                 "epoch_count": len(c.epochs),
-                "start_time": format_timestamp(c.epochs[0].timestamp),
-                "sha256": _case_digest(c),
+                "start_time": format_timestamp(c.start_time),
             }
             for c in cases
         ],
@@ -561,18 +570,38 @@ def generate_dataset(taxonomy: Sequence[TaxonomyEntry], seed: int) -> GeneratedD
 
 
 def write_dataset(dataset: GeneratedDataset, out_dir: str | Path) -> dict[str, Path]:
-    """Write epochs.jsonl, contexts.json, and manifest.json under out_dir."""
+    """Write epochs.jsonl, contexts.json, and manifest.json under out_dir.
+
+    When the manifest lists the cases, one row per case in order, each row
+    is written with its ``sha256``: the digest of the case's rows exactly as
+    epochs.jsonl holds them, each with its newline, then its context as one
+    sorted-key compact JSON line without one. The rows are hashed as they
+    are written, so no epoch is encoded twice. A manifest without ``cases``
+    is written as given.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     epochs_path = out / "epochs.jsonl"
     contexts_path = out / "contexts.json"
     manifest_path = out / "manifest.json"
 
+    manifest = dataset.manifest
+    rows = manifest.get("cases")
+    digests = []
     with open(epochs_path, "w", encoding="utf-8") as fp:
         for case in dataset.cases:
-            write_epochs_jsonl(case.epochs, fp)
+            digest = None if rows is None else hashlib.sha256()
+            write_epochs_jsonl(case.epochs, fp, digest)
+            if digest is not None:
+                digest.update(CANONICAL_JSON.encode(case.context.to_dict()).encode())
+                digests.append(digest.hexdigest())
+    if rows is not None:
+        manifest = {
+            **manifest,
+            "cases": [{**row, "sha256": d} for row, d in zip(rows, digests, strict=True)],
+        }
     with open(contexts_path, "w", encoding="utf-8") as fp:
         write_contexts_json({c.patient_id: c.context for c in dataset.cases}, fp)
     with open(manifest_path, "w", encoding="utf-8") as fp:
-        fp.write(json.dumps(dataset.manifest, indent=2, sort_keys=True) + "\n")
+        fp.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return {"epochs": epochs_path, "contexts": contexts_path, "manifest": manifest_path}

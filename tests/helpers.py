@@ -83,11 +83,11 @@ DEVICE_STREAM_FIELDS = ("spo2", "hr", "accel_level", "device_status")
 # The seed-42 outputs, pinned byte for byte (acceptance criterion 6). A change
 # that moves any of these digests must say why in CHANGES.md and update them.
 SEED_42_SHA256 = {
-    "manifest.json": "f73541a9626e2cbbc4a4fe38f1e6730e27d1c8c11b249ff29735a4c8596c2724",
-    "epochs.jsonl": "bfca5c0f8e0a10e3ae6828939166a0cb128451d6c9d7701f1285dcbd128d3783",
+    "manifest.json": "55a472a0612dadf45779764f8fdca033f74495e348e4213261bcf2c5a44c2948",
+    "epochs.jsonl": "53b3179447a784900ba885d1acba7e796817ac0528ba3c5a5c9b83e427fa1fd5",
     "contexts.json": "7bcc9b14888769b8c7e1ad887fd53894fa59ff92c569ba12c670c9a04caf72a4",
     "report.json": "39428218c8a791b5e20468697ec8a2b3bd8894eae28d6b281b2ef80c2df99889",
-    "decisions.jsonl": "758cb992e50fc7c199fec6f0db2f9cc6eb3284a2456c3e22fcadc07feb43f720",
+    "decisions.jsonl": "e8df363dbf08d5bbab6e65e1f54ec0548f8bbb123907e78f3c36731bb97d34d2",
     "report.txt": "153be463479429a9bf32269de1d0770c50f45c501a305fa7429f6b4ccc10aaf8",
 }
 
@@ -252,33 +252,30 @@ def make_entry(**overrides) -> TaxonomyEntry:
 
 
 def sample_truncated_gaussian(
-    mu: float, sigma: float, lower: float, upper: float, rng: np.random.Generator
-) -> float:
-    """Draw from N(mu, sigma^2) conditioned on [lower, upper].
+    mu: float, sigma: float, lower: float, upper: float, rng: np.random.Generator, n: int
+) -> list[float]:
+    """``n`` draws from N(mu, sigma^2) conditioned on [lower, upper], by rounds.
 
-    Rejection sampling with a deterministic fallback: after 1000 rejected
-    draws the last draw is clamped into the interval, keeping generation
-    total even under extreme truncation. The reference for the draw that
-    ``generate_case`` runs inline.
+    The first round is one block of ``n`` draws. Each later round re-draws
+    every value still outside the interval, all of them by one block,
+    assigned in index order; after ``MAX_REJECTIONS`` rounds in all, a value
+    still outside is clamped into the interval, keeping generation total
+    even under extreme truncation. The plain reference for the draw that
+    ``generate_case`` runs: the same numpy calls, the rounds and the clamp
+    one value at a time.
     """
     if not lower < upper:
         raise InvariantViolation(f"require lower < upper, got [{lower},{upper}]")
     if sigma <= 0:
         raise InvariantViolation(f"sigma must be positive, got {sigma}")
-    x = mu
-    for _ in range(MAX_REJECTIONS):
-        x = rng.normal(mu, sigma)
-        if lower <= x <= upper:
-            return float(x)
-    return float(min(max(x, lower), upper))
-
-
-def draw_continuous(spec: ContinuousSpec, rng: np.random.Generator) -> float:
-    """One generated continuous value: a truncated draw, noise, the clamp
-    and two decimal places, read from the spec as it was built."""
-    value = sample_truncated_gaussian(spec.mu, spec.sigma, spec.lower, spec.upper, rng)
-    value += rng.normal(0.0, NOISE_SIGMA)
-    return round(float(min(max(value, spec.lower), spec.upper)), 2)
+    values = [float(x) for x in rng.normal(mu, sigma, size=n)]
+    for _ in range(MAX_REJECTIONS - 1):
+        misses = [i for i in range(n) if not lower <= values[i] <= upper]
+        if not misses:
+            return values
+        for i, x in zip(misses, rng.normal(mu, sigma, size=len(misses))):
+            values[i] = float(x)
+    return [float(min(max(x, lower), upper)) for x in values]
 
 
 _ENUM_FIELDS = {
@@ -290,13 +287,27 @@ _ENUM_FIELDS = {
 
 
 def reference_generate_case(
-    entry: TaxonomyEntry, patient_id: int, start_time: datetime, seed: int
+    entry: TaxonomyEntry, patient_id: int, start_time: datetime | None, seed: int
 ) -> tuple[list[Epoch], PatientContext]:
-    """``generate_case`` as a plain per-epoch loop: every epoch re-sorts the
-    field names, draws each continuous field through ``draw_continuous`` and
-    parses each categorical value it draws. The draw plan must give the same
-    epochs, draw for draw and byte for byte."""
+    """``generate_case`` as a plain loop over the case's sub-stream, in the
+    spec's order: the start (the day, from those on which the latest start
+    of the entry's clock, 19:59 by day or 04:49 by night, still ends the
+    case before September 2022, then the hour and the minute), used when
+    ``start_time`` is None; each continuous field's truncated block, noise
+    block, clamp and two decimal places, in sorted name order; then each
+    choice field's index block, in sorted name order, each value parsed as
+    it is drawn. The draw plan must give the same epochs, draw for draw and
+    byte for byte."""
     rng = _substream(seed, f"case:{entry.case_id}")
+    window = (DATA_WINDOW[1] - DATA_WINDOW[0]) // timedelta(minutes=1)
+    hours, minutes = ((0, 5), 50) if entry.nocturnal else ((7, 20), 60)
+    latest = (hours[1] - 1) * 60 + minutes - 1
+    days = math.ceil((window - latest - entry.epoch_count + 1) / (24 * 60))
+    day = int(rng.integers(days))
+    hour = int(rng.integers(*hours))
+    minute = int(rng.integers(0, minutes))
+    if start_time is None:
+        start_time = DATA_WINDOW[0] + timedelta(days=day, hours=hour, minutes=minute)
     context = PatientContext(
         patient_id=patient_id,
         copd_documented=bool(entry.context.get("copd_documented", False)),
@@ -304,20 +315,26 @@ def reference_generate_case(
         baseline_hr=entry.context.get("baseline_hr"),
         rate_limiting_medication=bool(entry.context.get("rate_limiting_medication", False)),
     )
+    n = entry.epoch_count
+    columns: dict[str, list[Any]] = {}
+    for name in sorted(entry.continuous_params):
+        spec = entry.continuous_params[name]
+        lower, upper = float(spec.lower), float(spec.upper)
+        values = sample_truncated_gaussian(spec.mu, spec.sigma, lower, upper, rng, n)
+        noise = rng.normal(0.0, NOISE_SIGMA, size=n)
+        columns[name] = [round(min(max(x + float(e), lower), upper), 2) for x, e in zip(values, noise)]
+    for name in sorted(entry.categorical_params):
+        spec = entry.categorical_params[name]
+        if spec.choices:
+            drawn = [spec.choices[int(i)] for i in rng.integers(len(spec.choices), size=n)]
+        else:
+            drawn = [spec.fixed] * n
+        if name in _ENUM_FIELDS:
+            drawn = [None if raw is None else _ENUM_FIELDS[name](raw) for raw in drawn]
+        columns[name] = drawn
     epochs = []
-    for i in range(entry.epoch_count):
-        values = {}
-        for name in sorted(entry.continuous_params):
-            values[name] = draw_continuous(entry.continuous_params[name], rng)
-        for name in sorted(entry.categorical_params):
-            spec = entry.categorical_params[name]
-            if spec.choices:
-                raw = spec.choices[int(rng.integers(len(spec.choices)))]
-            else:
-                raw = spec.fixed
-            if raw is not None and name in _ENUM_FIELDS:
-                raw = _ENUM_FIELDS[name](raw)
-            values[name] = raw
+    for i in range(n):
+        values = {name: column[i] for name, column in columns.items()}
         epochs.append(
             Epoch(
                 patient_id=patient_id,
@@ -335,26 +352,11 @@ def reference_generate_case(
     return epochs, context
 
 
-def reference_start_time(entry: TaxonomyEntry, seed: int) -> datetime:
-    """A generated case's first minute, drawn from the schedule sub-stream
-    keyed by (seed, case_id): the day, from those on which the latest start
-    of the entry's clock (19:59 by day, 04:49 by night) still ends the case
-    before September 2022, then the hour and the minute."""
-    rng = _substream(seed, f"schedule:{entry.case_id}")
-    window = (DATA_WINDOW[1] - DATA_WINDOW[0]) // timedelta(minutes=1)
-    hours, minutes = ((0, 5), 50) if entry.nocturnal else ((7, 20), 60)
-    latest = (hours[1] - 1) * 60 + minutes - 1
-    days = math.ceil((window - latest - entry.epoch_count + 1) / (24 * 60))
-    day = int(rng.integers(days))
-    hour = int(rng.integers(*hours))
-    minute = int(rng.integers(0, minutes))
-    return DATA_WINDOW[0] + timedelta(days=day, hours=hour, minutes=minute)
-
-
 def reference_case_digest(epochs: Sequence[Epoch], context: PatientContext) -> str:
-    """A manifest row's ``sha256``: the case's epochs, each a sorted-key
-    compact JSON line, then its context the same way, with no newline."""
-    lines = [json.dumps(epoch_row(e), sort_keys=True, separators=(",", ":")) + "\n" for e in epochs]
+    """A manifest row's ``sha256``: the case's epochs as epochs.jsonl holds
+    them, each a compact JSON line in field order, then its context as a
+    sorted-key compact JSON line with no newline."""
+    lines = [json.dumps(epoch_row(e), separators=(",", ":")) + "\n" for e in epochs]
     lines.append(json.dumps(context.to_dict(), sort_keys=True, separators=(",", ":")))
     return hashlib.sha256("".join(lines).encode()).hexdigest()
 

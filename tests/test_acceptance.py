@@ -333,9 +333,7 @@ def test_criterion_9_aggregation_oracle():
 
 def test_criterion_10_truncated_gaussian_statistics():
     rng = np.random.default_rng(31415926)
-    draws = np.array(
-        [sample_truncated_gaussian(96.0, 1.0, 70.0, 100.0, rng) for _ in range(100_000)]
-    )
+    draws = np.array(sample_truncated_gaussian(96.0, 1.0, 70.0, 100.0, rng, 100_000))
 
     def phi(x):
         return math.exp(-0.5 * x * x) / math.sqrt(2 * math.pi)

@@ -45,3 +45,33 @@ def test_every_tracer_binding_resolves_on_a_fresh_import():
     )
     count, missing = json.loads(done.stdout)
     assert count > 0 and missing == []
+
+
+_COUNT_EPOCHS = """
+import importlib, importlib.util, json, sys, tempfile, types
+spec = importlib.util.spec_from_file_location("tracing", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+names = {module for module, *_ in tracing.BINDINGS}
+api = types.SimpleNamespace(**{m: importlib.import_module("alertsift." + m) for m in names})
+synthgen = api.synthgen
+taxonomy = synthgen.load_taxonomy(synthgen.default_taxonomy_path())
+tracer = tracing.Tracer()
+with tracer.installed(api), tempfile.TemporaryDirectory() as out:
+    tracer.enabled = True
+    synthgen.write_dataset(synthgen.generate_dataset(taxonomy, 42), out)
+print(json.dumps([tracer.counts["epochs.generated"], tracer.counts["epochs.written"]]))
+"""
+
+
+def test_the_tracer_sees_every_generated_and_written_epoch():
+    # The traced synthgen.generate.us_per_epoch and model.write_epochs.us_per_epoch
+    # divide by the epochs that pass through the wrapped generate_case and
+    # write_epochs_jsonl, which generate_dataset and write_dataset must call
+    # through synthgen's module globals for every case.
+    env = {**os.environ, "PYTHONPATH": str(Path(alertsift.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-B", "-c", _COUNT_EPOCHS, str(TRACING)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert json.loads(done.stdout) == [530, 530]

@@ -1063,6 +1063,35 @@ def test_too_deeply_nested_input_exits_2(tmp_path, capsys, setup, message):
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
 
+@pytest.mark.parametrize(
+    "setup, message",
+    [
+        (
+            "report/report.json",
+            "report payload invalid: report payload must be a JSON object,"
+            " got [0, 1, 2, 3, 4, 5, ...]",
+        ),
+        (
+            "config.json",
+            "config invalid: config file must be a JSON object, got [0, 1, 2, 3, 4, 5, ...]",
+        ),
+    ],
+    ids=["report_json", "config"],
+)
+def test_a_huge_rejected_value_is_named_in_one_short_line(tmp_path, capsys, setup, message):
+    # The message once held the whole value's repr: 128,964 bytes for this
+    # report.json. Every field reader now cuts a rejected value's repr short.
+    config = write_config(tmp_path)
+    path = tmp_path / setup
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(list(range(20000))), encoding="utf-8")
+    capsys.readouterr()
+    assert run(["--config", config, "report"]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"error: {message}"]
+    assert len(err.encode()) < 200
+
+
 # The exit-code contract as one table: every step of every command, under
 # each kind of failure it can meet. A step that reads exits 2 on a missing
 # file or a bad input and 3 on any other OS error; a step that writes exits

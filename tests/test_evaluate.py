@@ -248,6 +248,20 @@ def test_duplicate_quiet_epoch_in_memory_dataset_raises():
         evaluate(Dataset(epochs=(*case.epochs, case.epochs[2]), contexts=contexts), [entry])
 
 
+def test_the_golden_counts_hold_for_other_seeds(golden_run):
+    # The catalogue's bounds, not the draws, decide each case, so every seed
+    # gives the golden counts; fleet's benchmark check, which runs seeds
+    # 20*S to 20*S+19, relies on it. 30 seeds, about 0.6 s.
+    taxonomy, _, _ = golden_run
+    for seed in (*range(25), *range(440000, 440005)):
+        cases = generate_dataset(taxonomy, seed).cases
+        dataset = Dataset(
+            epochs=tuple(e for case in cases for e in case.epochs),
+            contexts={case.patient_id: case.context for case in cases},
+        )
+        assert check_golden(evaluate(dataset, taxonomy)) == [], seed
+
+
 def test_check_golden_clean_and_tampered(golden_run):
     _, _, report = golden_run
     assert check_golden(report) == []

@@ -87,13 +87,16 @@ def test_validate_epoch_nominal_marginal_values_ok():
 
 def test_validate_epoch_boundaries_inclusive():
     # The spec bounds may reach both edges of each range, and the draws
-    # reach both edges but never pass them.
+    # reach both edges but never pass them. An HR draw lands on 220 only
+    # when the noise carries one of the top ~0.13% of its spec past it, so
+    # 1,000 epochs reach all four edges for about one seed in eight; 10,000
+    # reach them for 96 seeds of 100.
     edges = {
         "spo2": ContinuousSpec(85.0, 50.0, 70.0, 100.0),
         "hr": ContinuousSpec(120.0, 200.0, 25.0, 220.0),
     }
     epochs, _ = generate_case(
-        make_entry(epoch_count=1000, continuous_params=edges), 3847291, DAYTIME, seed=42
+        make_entry(epoch_count=10_000, continuous_params=edges), 3847291, DAYTIME, seed=42
     )
     assert (min(e.spo2 for e in epochs), max(e.spo2 for e in epochs)) == (70.0, 100.0)
     assert (min(e.hr for e in epochs), max(e.hr for e in epochs)) == (25.0, 220.0)

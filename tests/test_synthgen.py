@@ -7,6 +7,7 @@ import io
 import json
 import math
 from collections import Counter
+from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -37,8 +38,14 @@ from alertsift.synthgen import (
     generate_dataset,
     load_taxonomy,
     validate_taxonomy,
+    write_dataset,
 )
-from helpers import make_entry, reference_generate_case, sample_truncated_gaussian
+from helpers import (
+    make_entry,
+    reference_case_digest,
+    reference_generate_case,
+    sample_truncated_gaussian,
+)
 
 
 def truncated_normal_mean(mu, sigma, a, b):
@@ -58,7 +65,7 @@ def truncated_normal_mean(mu, sigma, a, b):
 
 def test_truncated_gaussian_monte_carlo_mean():
     rng = np.random.default_rng(20240601)
-    draws = [sample_truncated_gaussian(96.0, 1.0, 70.0, 100.0, rng) for _ in range(100_000)]
+    draws = sample_truncated_gaussian(96.0, 1.0, 70.0, 100.0, rng, 100_000)
     expected = truncated_normal_mean(96.0, 1.0, 70.0, 100.0)
     assert abs(float(np.mean(draws)) - expected) < 0.02
     assert min(draws) >= 70.0 and max(draws) <= 100.0
@@ -66,23 +73,22 @@ def test_truncated_gaussian_monte_carlo_mean():
 
 def test_truncated_gaussian_degenerate_variance():
     rng = np.random.default_rng(7)
-    value = sample_truncated_gaussian(96.0, 1e-9, 70.0, 100.0, rng)
+    (value,) = sample_truncated_gaussian(96.0, 1e-9, 70.0, 100.0, rng, 1)
     assert abs(value - 96.0) < 1e-6
 
 
 def test_truncated_gaussian_heavy_truncation_clamps():
     rng = np.random.default_rng(8)
-    for _ in range(10):
-        value = sample_truncated_gaussian(80.0, 1.0, 95.0, 95.0001, rng)
-        assert 95.0 <= value <= 95.0001
+    values = sample_truncated_gaussian(80.0, 1.0, 95.0, 95.0001, rng, 10)
+    assert len(values) == 10 and all(95.0 <= value <= 95.0001 for value in values)
 
 
 def test_truncated_gaussian_invalid_bounds():
     rng = np.random.default_rng(9)
     with pytest.raises(InvariantViolation, match=r"require lower < upper, got \[95.0,94.0\]"):
-        sample_truncated_gaussian(90.0, 1.0, 95.0, 94.0, rng)
+        sample_truncated_gaussian(90.0, 1.0, 95.0, 94.0, rng, 1)
     with pytest.raises(InvariantViolation, match="sigma must be positive, got 0.0"):
-        sample_truncated_gaussian(90.0, 0.0, 80.0, 95.0, rng)
+        sample_truncated_gaussian(90.0, 0.0, 80.0, 95.0, rng, 1)
 
 
 START = datetime(2022, 7, 1, 12, 0, tzinfo=timezone.utc)
@@ -375,6 +381,48 @@ def test_generate_case_matches_reference_loop():
             _assert_generates_as_reference(entry, seed)
 
 
+def test_a_generated_case_comes_back_from_its_own_start():
+    # The start is the first draw of the case's sub-stream, made whether or
+    # not a start is given, so the dataset path and a call with the drawn
+    # start give the same epochs; both are the reference's, whose start
+    # comes from the same three draws.
+    entries = load_taxonomy(default_taxonomy_path())
+    for seed in (1, 42):
+        for case in generate_dataset(entries, seed).cases:
+            epochs, context = generate_case(case.entry, case.patient_id, case.start_time, seed)
+            assert (tuple(epochs), context) == (case.epochs, case.context)
+            expected, _ = reference_generate_case(case.entry, case.patient_id, None, seed)
+            assert epochs == expected and case.start_time == expected[0].timestamp
+
+
+def test_each_case_digest_covers_its_rows_as_written(tmp_path):
+    # A manifest row's sha256 is that of the case's bytes in epochs.jsonl,
+    # then its context line; write_dataset takes it as it writes the rows.
+    entries = load_taxonomy(default_taxonomy_path())
+    dataset = generate_dataset(entries, seed=7)
+    paths = write_dataset(dataset, tmp_path)
+    lines = paths["epochs"].read_bytes().splitlines(keepends=True)
+    rows = json.loads(paths["manifest"].read_text())["cases"]
+    assert [row["case_id"] for row in rows] == [e.case_id for e in entries]
+    assert "sha256" not in dataset.manifest["cases"][0]
+    first = 0
+    for row, case in zip(rows, dataset.cases, strict=True):
+        body = b"".join(lines[first:first + row["epoch_count"]])
+        first += row["epoch_count"]
+        context = json.dumps(case.context.to_dict(), sort_keys=True, separators=(",", ":"))
+        assert row["sha256"] == hashlib.sha256(body + context.encode()).hexdigest()
+        assert row["sha256"] == reference_case_digest(case.epochs, case.context)
+    assert first == len(lines)
+
+
+def test_a_manifest_without_cases_is_written_as_given(tmp_path):
+    dataset = generate_dataset([make_entry()], seed=42)
+    manifest = {"seed": 42, "case_count": 1, "epoch_count": 6}
+    paths = write_dataset(replace(dataset, manifest=manifest), tmp_path)
+    assert json.loads(paths["manifest"].read_text()) == manifest
+    assert paths["epochs"].read_text() == "".join(epoch_line(e) for e in dataset.cases[0].epochs)
+
+
 # Each categorical field's catalogue values, null (the default) among them.
 _CATEGORICAL_VALUES = {
     "accel_level": [*(m.value for m in AccelLevel), None],
@@ -543,10 +591,9 @@ def test_a_long_entry_starts_on_a_day_it_fits_for_every_seed():
     raw = {**load_taxonomy(default_taxonomy_path())[0].to_dict(), "epoch_count": 3000}
     entry = TaxonomyEntry.from_dict(raw)
     for seed in (25, 115, 178, 196):
-        start = synthgen._draw_start_time(entry, seed)
-        epochs, _ = generate_case(entry, PATIENT_ID_RANGE[0], start, seed)
+        epochs, _ = generate_case(entry, PATIENT_ID_RANGE[0], None, seed)
         assert len(epochs) == 3000 and epochs[-1].timestamp < DATA_WINDOW[1]
-        assert 7 <= start.hour < 20
+        assert 7 <= epochs[0].timestamp.hour < 20
 
 
 def test_an_entry_too_long_for_any_day_is_rejected_when_built():
@@ -556,7 +603,8 @@ def test_an_entry_too_long_for_any_day_is_rejected_when_built():
     longest = window - (19 * 60 + 59)
     entry = make_entry(epoch_count=longest)
     for seed in range(5):
-        start = synthgen._draw_start_time(entry, seed)
+        # The start alone: the first three draws of the case's sub-stream.
+        start = synthgen._draw_start(entry, synthgen._substream(seed, f"case:{entry.case_id}"))
         assert start.date() == DATA_WINDOW[0].date()
         assert start + (longest - 1) * timedelta(minutes=1) < DATA_WINDOW[1]
     message = f"epoch_count {longest + 1} does not fit in the data window from a 19:59 start"
@@ -569,8 +617,7 @@ def test_a_nocturnal_entry_past_the_night_is_rejected_when_built():
     # inside the window routing calls nocturnal; a 72nd epoch could not.
     entry = make_entry(nocturnal=True, epoch_count=71)
     for seed in range(50):
-        start = synthgen._draw_start_time(entry, seed)
-        epochs, _ = generate_case(entry, PATIENT_ID_RANGE[0], start, seed)
+        epochs, _ = generate_case(entry, PATIENT_ID_RANGE[0], None, seed)
         assert all(in_nocturnal_window(e.timestamp) for e in epochs), seed
     message = r"nocturnal epoch_count 72 runs past 06:00 from a 04:49 start \(at most 71\)"
     with pytest.raises(InvariantViolation, match=message):
