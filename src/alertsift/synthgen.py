@@ -479,13 +479,15 @@ def generate_case(
     """Realize one scenario as consecutive one-minute epochs plus context.
 
     All randomness comes from the sub-stream derived from (seed, case_id),
-    drawn in the order the module states; two calls with the same
-    arguments produce bit-identical output. The start is always drawn
-    first, and used when ``start_time`` is None; a given start replaces it
-    and leaves every other draw as it is, so a generated case's own start
-    gives back its epochs. The patient id and the case's minutes are
-    checked here, once; each drawn value lies in its spec, which the entry
-    held to the field's range when it was built.
+    drawn in the order the module states: the start's three draws, then
+    each continuous field's blocks (values, re-draws of the misses, noise),
+    then each choice field's block, fields in sorted name order. Two calls
+    with the same arguments produce bit-identical output. The start is
+    always drawn, and used when ``start_time`` is None; a given start
+    replaces it and leaves every other draw as it is, so a generated case's
+    own start gives back its epochs. The patient id and the case's minutes
+    are checked here, once; each drawn value lies in its spec, which the
+    entry held to the field's range when it was built.
     """
     low, high = PATIENT_ID_RANGE
     if not low <= patient_id <= high:

@@ -1,14 +1,15 @@
 """The whole program against a plain reference, over drawn catalogues.
 
-Each example draws a catalogue of one to six entries and a seed, then runs
-the package end to end in a temporary directory: ``generate_dataset``,
-``write_dataset``, ``load_manifest`` and ``load_dataset``, ``evaluate`` and
-``write_decision_log``. The reference composes the plain pieces in
-``tests/helpers.py``: the per-epoch sampling loop, every epoch assembled,
-projected and detected (no quiet gate), checked constructors only, a list
-history scanned back to the window's horizon, and ``json.dumps`` for every
-written line. The dataset files, the verdict and path of every epoch, the
-case outcomes and the decision log's bytes must agree.
+Each example draws a catalogue of one to six entries, a seed and a cooldown
+window, then runs the package end to end in a temporary directory:
+``generate_dataset``, ``write_dataset``, ``load_manifest`` and
+``load_dataset``, ``evaluate`` and ``write_decision_log``. The reference
+composes the pieces in ``tests/helpers.py``: the sampling loop run one
+value at a time, every epoch assembled, projected and detected (no quiet
+gate), checked constructors only, a list history scanned back to the
+window's horizon, and ``json.dumps`` for every written line. The dataset
+files, the verdict and path of every epoch, the case outcomes and the
+decision log's bytes must agree.
 """
 
 from __future__ import annotations
