@@ -43,7 +43,7 @@ from .evaluate import (
     write_decision_log,
 )
 from .meta import MetaConfig
-from .model import InvariantViolation, _integer, _number, _object
+from .model import InvariantViolation, _integer, _number, _object, _shown
 from .sentinel import SentinelConfig
 from .specialists import SpecialistConfig
 from .synthgen import default_taxonomy_path, generate_dataset, load_taxonomy, write_dataset
@@ -140,7 +140,7 @@ def _value(raw: Any, default: Any, where: str) -> Any:
     if not isinstance(default, Path):
         return _number(raw, f"config {where}")
     if not isinstance(raw, str) or raw == "":
-        raise InvariantViolation(f"config {where}: {raw!r} is not a valid path")
+        raise InvariantViolation(f"config {where}: {_shown(raw)} is not a valid path")
     return Path(raw)
 
 

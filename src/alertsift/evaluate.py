@@ -34,6 +34,7 @@ from .model import (
     _located,
     _number,
     _object,
+    _shown,
     format_timestamp,
     parse_enum,
     read_contexts_json,
@@ -240,7 +241,7 @@ def _manifest_case(raw: Any, patient_id: int, seen: set[str]) -> ManifestCase:
     row = _object(raw, _MANIFEST_CASE_KEYS, "case row")
     case_id = row["case_id"]
     if not isinstance(case_id, str):
-        raise InvariantViolation(f"case_id must be a string, got {case_id!r}")
+        raise InvariantViolation(f"case_id must be a string, got {_shown(case_id)}")
     if case_id in seen:
         raise InvariantViolation("duplicate case_id")
     seen.add(case_id)
@@ -280,7 +281,7 @@ def load_manifest(dataset_dir: str | Path) -> Manifest:
     except KeyError as exc:
         raise _located("manifest", exc) from None
     if not isinstance(digest, str):
-        raise InvariantViolation(f"manifest taxonomy_sha256 must be a string, got {digest!r}")
+        raise InvariantViolation(f"manifest taxonomy_sha256 must be a string, got {_shown(digest)}")
     if type(rows) is not list or not rows:
         raise InvariantViolation("manifest cases must be a non-empty array")
     cases, seen = [], set()
@@ -289,7 +290,7 @@ def load_manifest(dataset_dir: str | Path) -> Manifest:
             cases.append(_manifest_case(row, PATIENT_ID_RANGE[0] + index, seen))
         except (KeyError, InvariantViolation) as exc:
             name = row.get("case_id") if type(row) is dict else None
-            where = f"case {name!r}" if isinstance(name, str) else f"cases[{index}]"
+            where = f"case {_shown(name)}" if isinstance(name, str) else f"cases[{index}]"
             raise _located(f"manifest {where}", exc) from None
     if case_count != len(cases):
         raise InvariantViolation(f"manifest case_count {case_count} != {len(cases)} case rows")
@@ -349,7 +350,7 @@ def _run_case(
             failure_status = epoch.device_status
     if len(bundle.vitals_stream) != epoch_count:
         raise InvariantViolation(
-            f"case {case_id!r}: patient {patient_id} has {len(bundle.vitals_stream)} epochs,"
+            f"case {_shown(case_id)}: patient {patient_id} has {len(bundle.vitals_stream)} epochs,"
             f" expected {epoch_count}"
         )
     # A case whose epochs never alert has nothing to suppress or escalate;

@@ -14,8 +14,7 @@ from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from enum import Enum
 from functools import cache
-from itertools import islice
-from typing import Any, Iterable, Mapping, NamedTuple, TextIO
+from typing import Any, Iterable, Iterator, Mapping, NamedTuple, TextIO
 
 __all__ = [
     "AccelLevel",
@@ -187,7 +186,7 @@ def parse_enum(cls: type, raw: Any, name: str) -> Any:
         return _members_by_value(cls)[raw]
     except (KeyError, TypeError):  # TypeError: an unhashable value
         allowed = ", ".join(m.value for m in cls)
-        raise InvariantViolation(f"{name}: {raw!r} is not one of [{allowed}]") from None
+        raise InvariantViolation(f"{name}: {_shown(raw)} is not one of [{allowed}]") from None
 
 
 # The patient ids a generated dataset assigns, one per case in catalogue
@@ -218,24 +217,24 @@ def parse_timestamp(raw: str) -> datetime:
     """Read a UTC minute in README's form, ``2022-06-15T14:03:00Z``, or the
     same wall time with an offset, which is moved to UTC."""
     if not isinstance(raw, str):
-        raise InvariantViolation(f"timestamp {raw!r} is not a string")
+        raise InvariantViolation(f"timestamp {_shown(raw)} is not a string")
     if _TIMESTAMP_FORM.fullmatch(raw) is None:
         raise InvariantViolation(
-            f"timestamp {raw!r} is not of the form YYYY-MM-DDTHH:MM:SS with Z or ±HH:MM"
+            f"timestamp {_shown(raw)} is not of the form YYYY-MM-DDTHH:MM:SS with Z or ±HH:MM"
         )
     text = raw.replace("Z", "+00:00")
     try:
         ts = datetime.fromisoformat(text)
     except ValueError as exc:
-        raise InvariantViolation(f"bad timestamp {raw!r}: {exc}") from None
+        raise InvariantViolation(f"bad timestamp {_shown(raw)}: {exc}") from None
     if ts.tzinfo is None:
-        raise InvariantViolation(f"timestamp {raw!r} is not timezone-aware")
+        raise InvariantViolation(f"timestamp {_shown(raw)} is not timezone-aware")
     try:
         ts = ts.astimezone(timezone.utc)
     except OverflowError:  # an offset moves year 1 or 9999 out of range
-        raise InvariantViolation(f"timestamp {raw!r} is out of range in UTC") from None
+        raise InvariantViolation(f"timestamp {_shown(raw)} is out of range in UTC") from None
     if ts.second or ts.microsecond:
-        raise InvariantViolation(f"timestamp {raw!r} is not minute-resolution")
+        raise InvariantViolation(f"timestamp {_shown(raw)} is not minute-resolution")
     return ts
 
 
@@ -655,22 +654,19 @@ def epoch_line(epoch: Epoch, canonical: bool = False) -> str:
     )
 
 
-# Lines joined per write when the written text is hashed too: about 250 kB.
-_DIGEST_BLOCK = 1024
-
-
 def write_epochs_jsonl(epochs: Iterable[Epoch], fp: TextIO, digest: Any = None) -> None:
     """Write one ``epoch_line`` per epoch, line by line: a long stream is
-    never held as one string. With ``digest``, a ``hashlib`` object, the
-    lines are written a block at a time instead, and each block is also fed
-    to it as UTF-8, the bytes the file gets."""
+    never held as one string. With ``digest``, a ``hashlib`` object, each
+    line is also fed to it as UTF-8, the bytes the file gets."""
     lines = map(epoch_line, epochs)
-    if digest is None:
-        fp.writelines(lines)
-        return
-    while block := "".join(islice(lines, _DIGEST_BLOCK)):
-        fp.write(block)
-        digest.update(block.encode())
+    fp.writelines(lines if digest is None else _fed(lines, digest))
+
+
+def _fed(lines: Iterable[str], digest: Any) -> Iterator[str]:
+    """``lines`` unchanged, each fed to ``digest`` as UTF-8 as it passes."""
+    for line in lines:
+        digest.update(line.encode())
+        yield line
 
 
 # A malformed row or record raises KeyError (a missing field), ValueError (bad

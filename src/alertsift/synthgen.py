@@ -375,7 +375,7 @@ class TaxonomyEntry:
             case_id, note = data["case_id"], data.get("expected_outcome_note", "")
             for key, text in (("case_id", case_id), ("expected_outcome_note", note)):
                 if not isinstance(text, str):
-                    raise InvariantViolation(f"{key} must be a string, got {text!r}")
+                    raise InvariantViolation(f"{key} must be a string, got {_shown(text)}")
             return cls(
                 case_id=case_id,
                 domain_class=parse_enum(DomainClass, data["domain_class"], "domain_class"),
@@ -389,7 +389,7 @@ class TaxonomyEntry:
                 expected_outcome_note=note,
             )
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise _located(f"taxonomy entry {name!r}", exc) from None
+            raise _located(f"taxonomy entry {_shown(name)}", exc) from None
 
 
 _ENTRY_KEYS = frozenset(f.name for f in fields(TaxonomyEntry) if f.init)
@@ -420,7 +420,7 @@ def validate_taxonomy(entries: Sequence[TaxonomyEntry]) -> None:
     seen: set[str] = set()
     for entry in entries:
         if entry.case_id in seen:
-            raise InvariantViolation(f"duplicate case_id {entry.case_id!r}")
+            raise InvariantViolation(f"duplicate case_id {_shown(entry.case_id)}")
         seen.add(entry.case_id)
 
 

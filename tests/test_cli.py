@@ -1063,30 +1063,62 @@ def test_too_deeply_nested_input_exits_2(tmp_path, capsys, setup, message):
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
 
+_HUGE = list(range(20000))
+_SHORT = "[0, 1, 2, 3, 4, 5, ...]"
+_MANIFEST = {
+    "seed": 42, "case_count": 1, "epoch_count": 1, "patient_id_range": [3847291, 3847291],
+    "taxonomy_sha256": "0" * 64, "cases": [],
+}
+_MANIFEST_ROW = {
+    "patient_id": 3847291, "domain_class": "fp", "epoch_count": 1, "start_time": "", "sha256": "",
+}
+
+
 @pytest.mark.parametrize(
-    "setup, message",
+    "command, path, value, message",
     [
         (
-            "report/report.json",
-            "report payload invalid: report payload must be a JSON object,"
-            " got [0, 1, 2, 3, 4, 5, ...]",
+            "report", "report/report.json", _HUGE,
+            f"report payload invalid: report payload must be a JSON object, got {_SHORT}",
         ),
         (
-            "config.json",
-            "config invalid: config file must be a JSON object, got [0, 1, 2, 3, 4, 5, ...]",
+            "report", "config.json", _HUGE,
+            f"config invalid: config file must be a JSON object, got {_SHORT}",
+        ),
+        (
+            "report", "config.json", {"paths": {"dataset_dir": _HUGE}},
+            f"config invalid: config paths.dataset_dir: {_SHORT} is not a valid path",
+        ),
+        (
+            "evaluate", "dataset/manifest.json", {**_MANIFEST, "taxonomy_sha256": _HUGE},
+            "input validation failed: manifest taxonomy_sha256 must be a string,"
+            f" got {_SHORT}",
+        ),
+        (
+            "evaluate", "dataset/manifest.json",
+            {**_MANIFEST, "cases": [{**_MANIFEST_ROW, "case_id": _HUGE}]},
+            f"input validation failed: manifest cases[0]: case_id must be a string, got {_SHORT}",
+        ),
+        (
+            "generate", "taxonomy.json", [_HUGE],
+            f"taxonomy validation failed: taxonomy entry {_SHORT}: entry must be a JSON object,"
+            f" got {_SHORT}",
         ),
     ],
-    ids=["report_json", "config"],
+    ids=["report_json", "config", "config_path", "manifest_digest", "manifest_case_id", "entry"],
 )
-def test_a_huge_rejected_value_is_named_in_one_short_line(tmp_path, capsys, setup, message):
+def test_a_huge_rejected_value_is_named_in_one_short_line(
+    tmp_path, capsys, command, path, value, message
+):
     # The message once held the whole value's repr: 128,964 bytes for this
-    # report.json. Every field reader now cuts a rejected value's repr short.
-    config = write_config(tmp_path)
-    path = tmp_path / setup
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(list(range(20000))), encoding="utf-8")
+    # report.json. Every reader cuts a rejected value's repr short, the
+    # value and the name of the row it sits in.
+    config = write_config(tmp_path, taxonomy=str(tmp_path / "taxonomy.json"))
+    file = tmp_path / path
+    file.parent.mkdir(parents=True, exist_ok=True)
+    file.write_text(json.dumps(value), encoding="utf-8")
     capsys.readouterr()
-    assert run(["--config", config, "report"]) == 2
+    assert run(["--config", config, command]) == 2
     err = capsys.readouterr().err
     assert err.splitlines() == [f"error: {message}"]
     assert len(err.encode()) < 200

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import importlib
 import io
 import json
@@ -466,6 +467,11 @@ def test_write_epochs_jsonl_writes_one_line_per_epoch():
     write_epochs_jsonl(tuple(epochs), fp)
     assert fp.writes == [epoch_line(e) for e in epochs]
     assert [Epoch.from_dict(json.loads(line)) for line in fp.getvalue().splitlines()] == epochs
+    # With a digest the writes are the same, and the digest is of their bytes.
+    hashed, digest = Recorder(), hashlib.sha256()
+    write_epochs_jsonl(iter(epochs), hashed, digest)
+    assert hashed.writes == fp.writes
+    assert digest.hexdigest() == hashlib.sha256(fp.getvalue().encode()).hexdigest()
 
 
 # ``read_epochs_jsonl`` reads a row in the form ``epoch_line`` writes through

@@ -586,14 +586,24 @@ def test_an_object_or_array_catalogue_value_is_read_only():
 
 def test_a_long_entry_starts_on_a_day_it_fits_for_every_seed():
     # A 3,000-epoch copy of FP-001 (daytime) once drew a start too late to
-    # end in August for these seeds; the day is now drawn from those where
-    # even the latest start fits.
+    # end in August; the day is now drawn from those where even the latest
+    # start fits. Over 200 seeds the case's start draws reach that last day,
+    # and the cases that start on it are generated in full.
     raw = {**load_taxonomy(default_taxonomy_path())[0].to_dict(), "epoch_count": 3000}
     entry = TaxonomyEntry.from_dict(raw)
-    for seed in (25, 115, 178, 196):
+    last_day = DATA_WINDOW[0].date() + timedelta(days=entry._start_days - 1)
+    latest = []
+    for seed in range(200):
+        start = synthgen._draw_start(entry, synthgen._substream(seed, f"case:{entry.case_id}"))
+        assert start + 2999 * timedelta(minutes=1) < DATA_WINDOW[1]
+        assert 7 <= start.hour < 20 and start.date() <= last_day
+        if start.date() == last_day:
+            latest.append(seed)
+    assert latest
+    for seed in latest:
         epochs, _ = generate_case(entry, PATIENT_ID_RANGE[0], None, seed)
         assert len(epochs) == 3000 and epochs[-1].timestamp < DATA_WINDOW[1]
-        assert 7 <= epochs[0].timestamp.hour < 20
+        assert epochs[0].timestamp.date() == last_day
 
 
 def test_an_entry_too_long_for_any_day_is_rejected_when_built():
