@@ -8,10 +8,11 @@ removes every inferred-tagged field from the record's field set, so a value
 produced by model inference can never reach detection or specialist logic.
 
 Per alerting epoch (a quiet one is never assembled), ``assemble`` builds
-one VeritasRecord holding eight to twelve TaggedValues, and the projection
-one SpecialistView that shares or filters the record's two mappings. All
-three types are tuples, built at tuple cost; ``assemble`` alone builds
-unchecked, for the reasons given at ``_new`` below.
+one VeritasRecord holding eight to twelve TaggedValues in one mapping, and
+the projection one SpecialistView that shares that mapping, or a filtered
+copy of it when some tag is not allowed. All three types are tuples, built
+at tuple cost; ``assemble`` alone builds unchecked, for the reasons given at
+``_new`` below.
 """
 
 from __future__ import annotations
@@ -115,7 +116,7 @@ def assemble(bundle: SourceBundle, epoch: Epoch) -> VeritasRecord:
         )
     at = epoch.timestamp
     src = bundle._device_src
-    epoch_fields: dict[str, TaggedValue] = {
+    fields: dict[str, TaggedValue] = {
         "spo2": _new(TaggedValue, (epoch.spo2, _DEVICE, src, at)),
         "hr": _new(TaggedValue, (epoch.hr, _DEVICE, src, at)),
         "accel_level": _new(TaggedValue, (epoch.accel_level, _DEVICE, src, at)),
@@ -123,53 +124,46 @@ def assemble(bundle: SourceBundle, epoch: Epoch) -> VeritasRecord:
         "probe_cover_present": _new(TaggedValue, (epoch.probe_cover_present, _DEVICE, src, at)),
     }
     if epoch.ambient_condition is not None:
-        epoch_fields["ambient_condition"] = _new(
+        fields["ambient_condition"] = _new(
             TaggedValue, (epoch.ambient_condition, _DEVICE, src, at)
         )
     src = bundle._report_src
-    epoch_fields["position"] = _new(TaggedValue, (epoch.position, _REPORTED, src, at))
+    fields["position"] = _new(TaggedValue, (epoch.position, _REPORTED, src, at))
     if epoch.self_reported_activity is not None:
-        epoch_fields["self_reported_activity"] = _new(
+        fields["self_reported_activity"] = _new(
             TaggedValue, (epoch.self_reported_activity, _REPORTED, src, at)
         )
     src = bundle._ehr_src
-    context_fields = {
-        name: _new(TaggedValue, (value, _EHR, src, at)) for name, value in bundle._ehr_fields
-    }
-    return _new(VeritasRecord, (pid, at, epoch_fields, context_fields))
+    for name, value in bundle._ehr_fields:
+        fields[name] = _new(TaggedValue, (value, _EHR, src, at))
+    return _new(VeritasRecord, (pid, at, fields))
 
 
 class SpecialistView(NamedTuple):
     """The record as seen by detection, routing, and specialists.
 
     Inferred-tagged fields are structurally missing: they are not present
-    in the view's field mappings at all, so no rule can read them. The
+    in the view's field mapping at all, so no rule can read them. The
     originating record is kept for its timestamp only.
 
-    An immutable tuple ``(record, epoch_fields, context_fields)``, equal
-    when all three fields are equal, as tuples are; every alerting epoch
-    builds one. ``get`` and ``value`` read the two mappings directly, as
-    the rules call them a dozen times per alert.
+    An immutable tuple ``(record, fields)``, equal when both fields are
+    equal, as tuples are; every alerting epoch builds one. ``get`` and
+    ``value`` read the mapping directly, one lookup each, as the rules call
+    them a dozen times per alert.
     """
 
     record: VeritasRecord
-    epoch_fields: Mapping[str, TaggedValue]
-    context_fields: Mapping[str, TaggedValue]
+    fields: Mapping[str, TaggedValue]
 
     @property
     def timestamp(self) -> datetime:
         return self.record.timestamp
 
     def get(self, name: str) -> TaggedValue | None:
-        tv = self.epoch_fields.get(name)
-        if tv is None:
-            tv = self.context_fields.get(name)
-        return tv
+        return self.fields.get(name)
 
     def value(self, name: str, default: Any = None) -> Any:
-        tv = self.epoch_fields.get(name)
-        if tv is None:
-            tv = self.context_fields.get(name)
+        tv = self.fields.get(name)
         return default if tv is None else tv.value
 
 
@@ -187,16 +181,13 @@ def project_for_specialists(record: VeritasRecord) -> SpecialistView:
     nulled; downstream code cannot distinguish it from a field that was
     never collected.
 
-    A scan of the tags decides, per mapping, whether anything must go. A
-    mapping whose every tag is allowed is shared with the record rather
-    than copied (neither side ever writes to it); any other mapping is
-    filtered into a new one. Either way the view holds only allowed tags.
+    One scan of the tags decides whether anything must go. A mapping whose
+    every tag is allowed is shared with the record rather than copied
+    (neither side ever writes to it); any other is filtered into a new one.
+    Either way the view holds only allowed tags.
     """
-    allowed = ALLOWED_SPECIALIST_PROVENANCE
-    epoch_fields = record.epoch_fields
-    if not _all_allowed(epoch_fields.values()):
-        epoch_fields = {k: tv for k, tv in epoch_fields.items() if tv.provenance in allowed}
-    context_fields = record.context_fields
-    if not _all_allowed(context_fields.values()):
-        context_fields = {k: tv for k, tv in context_fields.items() if tv.provenance in allowed}
-    return SpecialistView(record, epoch_fields, context_fields)
+    fields = record.fields
+    if not _all_allowed(fields.values()):
+        allowed = ALLOWED_SPECIALIST_PROVENANCE
+        fields = {k: tv for k, tv in fields.items() if tv.provenance in allowed}
+    return SpecialistView(record, fields)

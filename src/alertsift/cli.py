@@ -109,6 +109,14 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if self.seed < 0:
             raise InvariantViolation("seed must be a non-negative integer")
+        # The COPD floor must sit under the SpO2 screen this run uses: at or
+        # above it, every SpO2 alert already lies below the floor.
+        floor, screen = self.specialists.copd_acceptable_spo2, self.sentinel.spo2_low_threshold
+        if not floor < screen:
+            raise InvariantViolation(
+                f"specialists.copd_acceptable_spo2 {floor} must sit below"
+                f" sentinel.spo2_low_threshold {screen}"
+            )
 
     @classmethod
     def from_dict(cls, data: Any) -> "PipelineConfig":

@@ -58,10 +58,9 @@ import reprlib
 
 # One encoder per output format, built once: json.dumps with a non-default
 # argument builds a new JSONEncoder on every call. COMPACT_JSON writes the
-# decision-log lines and CANONICAL_JSON (sorted keys) the context line of a
-# case digest; an epoch's row in either format comes from ``epoch_line``,
-# which writes the same bytes and falls back to these encoders for a value
-# it does not write itself.
+# decision-log lines, and ``epoch_line`` falls back to it for a value it does
+# not write itself; CANONICAL_JSON (sorted keys) writes the context line that
+# ``write_dataset`` hashes into a case digest.
 COMPACT_JSON = json.JSONEncoder(separators=(",", ":"))
 CANONICAL_JSON = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
 
@@ -441,55 +440,48 @@ class PatientContext:
 
 
 # The keys an epoch row and a context record may carry, and the field names a
-# VeritasRecord may carry: the same less the record coordinates.
+# VeritasRecord may carry: both less the record coordinates. The two key sets
+# share only ``patient_id``, so one record mapping holds both without a name
+# of one ever standing for a field of the other.
 _EPOCH_KEYS = frozenset(f.name for f in fields(Epoch))
 _CONTEXT_KEYS = frozenset(f.name for f in fields(PatientContext))
-_EPOCH_FIELDS = _EPOCH_KEYS - {"patient_id", "timestamp"}
-_CONTEXT_FIELDS = _CONTEXT_KEYS - {"patient_id"}
+_RECORD_FIELDS = (_EPOCH_KEYS | _CONTEXT_KEYS) - {"patient_id", "timestamp"}
 
 
 class _RecordFields(NamedTuple):
     patient_id: int
     timestamp: datetime
-    epoch_fields: Mapping[str, TaggedValue]
-    context_fields: Mapping[str, TaggedValue]
+    fields: Mapping[str, TaggedValue]
 
 
 class VeritasRecord(_RecordFields):
     """Unified per-epoch patient record with every field provenance-tagged.
 
-    Measurement and context fields live in mappings keyed by field name so a
-    field can be structurally absent (optional inputs, or excluded by the
-    specialist projection). ``patient_id`` and ``timestamp`` are record
-    coordinates, not measurements, and are not tagged.
+    Measurement and context fields live in one mapping keyed by field name,
+    so a field can be structurally absent (optional inputs, or excluded by
+    the specialist projection); each value's tag says where it came from.
+    ``patient_id`` and ``timestamp`` are record coordinates, not
+    measurements, and are not tagged.
 
-    An immutable tuple ``(patient_id, timestamp, epoch_fields,
-    context_fields)`` whose construction rejects a field name that is not
-    an epoch or context field; equal when all four fields are equal, as
-    tuples are. A tuple for the reason ``TaggedValue`` is one: every
-    alerting epoch builds one. ``assemble``, whose keys are its own literals
-    or the bundle's EHR field names, builds it with ``tuple.__new__`` and
-    skips the check.
+    An immutable tuple ``(patient_id, timestamp, fields)`` whose
+    construction rejects a field name that is not an epoch or context field;
+    equal when all three fields are equal, as tuples are. A tuple for the
+    reason ``TaggedValue`` is one: every alerting epoch builds one.
+    ``assemble``, whose keys are its own literals or the bundle's EHR field
+    names, builds it with ``tuple.__new__`` and skips the check.
     """
 
     __slots__ = ()
 
     def __new__(
-        cls,
-        patient_id: int,
-        timestamp: datetime,
-        epoch_fields: Mapping[str, TaggedValue],
-        context_fields: Mapping[str, TaggedValue],
+        cls, patient_id: int, timestamp: datetime, fields: Mapping[str, TaggedValue]
     ) -> "VeritasRecord":
         # issuperset reads the keys in place; the unknown names are only
         # built for the error message.
-        if not _EPOCH_FIELDS.issuperset(epoch_fields):
-            unknown = sorted(epoch_fields.keys() - _EPOCH_FIELDS)
-            raise InvariantViolation(f"unknown epoch fields: {unknown}")
-        if not _CONTEXT_FIELDS.issuperset(context_fields):
-            unknown = sorted(context_fields.keys() - _CONTEXT_FIELDS)
-            raise InvariantViolation(f"unknown context fields: {unknown}")
-        return tuple.__new__(cls, (patient_id, timestamp, epoch_fields, context_fields))
+        if not _RECORD_FIELDS.issuperset(fields):
+            unknown = sorted(fields.keys() - _RECORD_FIELDS)
+            raise InvariantViolation(f"unknown record fields: {unknown}")
+        return tuple.__new__(cls, (patient_id, timestamp, fields))
 
     @classmethod
     def _make(cls, iterable: Iterable[Any]) -> "VeritasRecord":
@@ -610,23 +602,22 @@ class SystemDecision(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def epoch_line(epoch: Epoch, canonical: bool = False) -> str:
+def epoch_line(epoch: Epoch) -> str:
     """One epoch as a line: its row, ``COMPACT_JSON``-encoded, and a newline,
-    byte for byte, or with ``canonical`` the same for ``CANONICAL_JSON``,
-    without building the row or running the encoder. The row is an object of
-    the ten fields in declaration order: enums as their values, the
-    timestamp as ``format_timestamp`` writes it, every other field as is.
+    byte for byte, without building the row or running the encoder. The row
+    is an object of the ten fields in declaration order: enums as their
+    values, the timestamp as ``format_timestamp`` writes it, every other
+    field as is.
 
-    The fields are read once and written into one of two templates. Enum
-    members give ``_value_`` (a plain attribute; ``.value`` is a descriptor),
-    whose plain ASCII needs no escape. A finite float vital is written by
+    The fields are read once and written into one template. Enum members
+    give ``_value_`` (a plain attribute; ``.value`` is a descriptor), whose
+    plain ASCII needs no escape. A finite float vital is written by
     ``float.__repr__``, as the encoder writes it; any other vital (an int,
-    NaN, ±inf) and any ambient_condition but null go through the row's
-    encoder, which sorts the keys of an object ambient_condition too.
+    NaN, ±inf) and any ambient_condition but null go through the encoder.
     ``patient_id`` and ``probe_cover_present`` are the int and bool every
     reader and the generator give them.
     """
-    encode = CANONICAL_JSON.encode if canonical else COMPACT_JSON.encode
+    encode = COMPACT_JSON.encode
     spo2, hr, ambient, activity = (
         epoch.spo2, epoch.hr, epoch.ambient_condition, epoch.self_reported_activity
     )
@@ -635,21 +626,12 @@ def epoch_line(epoch: Epoch, canonical: bool = False) -> str:
     hr = repr(hr) if type(hr) is float and not hr - hr else encode(hr)
     ambient = "null" if ambient is None else encode(ambient)
     activity = "null" if activity is None else f'"{activity._value_}"'
-    patient, timestamp = epoch.patient_id, format_timestamp(epoch.timestamp)
-    accel, status = epoch.accel_level._value_, epoch.device_status._value_
     cover = "true" if epoch.probe_cover_present else "false"
-    position = epoch.position._value_
-    if canonical:
-        return (
-            f'{{"accel_level":"{accel}","ambient_condition":{ambient},'
-            f'"device_status":"{status}","hr":{hr},"patient_id":{patient},'
-            f'"position":"{position}","probe_cover_present":{cover},'
-            f'"self_reported_activity":{activity},"spo2":{spo2},"timestamp":"{timestamp}"}}\n'
-        )
     return (
-        f'{{"patient_id":{patient},"timestamp":"{timestamp}","spo2":{spo2},"hr":{hr},'
-        f'"accel_level":"{accel}","device_status":"{status}","probe_cover_present":{cover},'
-        f'"position":"{position}","self_reported_activity":{activity},'
+        f'{{"patient_id":{epoch.patient_id},"timestamp":"{format_timestamp(epoch.timestamp)}",'
+        f'"spo2":{spo2},"hr":{hr},"accel_level":"{epoch.accel_level._value_}",'
+        f'"device_status":"{epoch.device_status._value_}","probe_cover_present":{cover},'
+        f'"position":"{epoch.position._value_}","self_reported_activity":{activity},'
         f'"ambient_condition":{ambient}}}\n'
     )
 

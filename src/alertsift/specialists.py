@@ -63,8 +63,6 @@ class SpecialistConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.low_confidence < self.high_confidence <= 1.0:
             raise InvariantViolation("require 0 <= low_confidence < high_confidence <= 1")
-        if not self.copd_acceptable_spo2 < 94.0:
-            raise InvariantViolation("copd_acceptable_spo2 must sit below the 94 screen")
 
 
 # Bound once, as routing and meta bind theirs: every claim names one.

@@ -168,14 +168,13 @@ def make_view(epoch: Epoch, context: PatientContext | None = None) -> Specialist
 
 
 def all_tagged(record: VeritasRecord) -> Iterable[tuple[str, TaggedValue]]:
-    """Every (name, tagged value) of a record: epoch fields, then context fields."""
-    yield from record.epoch_fields.items()
-    yield from record.context_fields.items()
+    """Every (name, tagged value) of a record, in the record's order."""
+    return record.fields.items()
 
 
 def field_names(view: SpecialistView) -> frozenset[str]:
     """The names of every field a view exposes."""
-    return frozenset(view.epoch_fields) | frozenset(view.context_fields)
+    return frozenset(view.fields)
 
 
 def retagged(tv: TaggedValue, provenance: ProvenanceTag) -> TaggedValue:
@@ -184,14 +183,11 @@ def retagged(tv: TaggedValue, provenance: ProvenanceTag) -> TaggedValue:
 
 
 def retag_field(record: VeritasRecord, name: str, tag: ProvenanceTag) -> VeritasRecord:
-    """Rebuild a record with one epoch field's provenance replaced."""
-    epoch_fields = dict(record.epoch_fields)
-    epoch_fields[name] = retagged(epoch_fields[name], tag)
+    """Rebuild a record with one field's provenance replaced."""
     return VeritasRecord(
-        patient_id=record.patient_id,
-        timestamp=record.timestamp,
-        epoch_fields=epoch_fields,
-        context_fields=record.context_fields,
+        record.patient_id,
+        record.timestamp,
+        {**record.fields, name: retagged(record.fields[name], tag)},
     )
 
 
@@ -375,30 +371,24 @@ def reference_assemble(bundle: SourceBundle, epoch: Epoch) -> VeritasRecord:
     device, reported, ehr = (
         ProvenanceTag.DEVICE_VERIFIED, ProvenanceTag.PATIENT_REPORTED, ProvenanceTag.EHR_DERIVED
     )
-    epoch_fields = {
+    fields = {
         name: TaggedValue(getattr(epoch, name), device, f"vitals/{pid}", at)
         for name in ("spo2", "hr", "accel_level", "device_status", "probe_cover_present")
     }
     if epoch.ambient_condition is not None:
-        epoch_fields["ambient_condition"] = TaggedValue(
+        fields["ambient_condition"] = TaggedValue(
             epoch.ambient_condition, device, f"vitals/{pid}", at
         )
-    epoch_fields["position"] = TaggedValue(epoch.position, reported, f"patient_report/{pid}", at)
+    fields["position"] = TaggedValue(epoch.position, reported, f"patient_report/{pid}", at)
     if epoch.self_reported_activity is not None:
-        epoch_fields["self_reported_activity"] = TaggedValue(
+        fields["self_reported_activity"] = TaggedValue(
             epoch.self_reported_activity, reported, f"patient_report/{pid}", at
         )
     context = bundle.ehr
-    context_fields = {
-        "copd_documented": TaggedValue(context.copd_documented, ehr, f"ehr/{pid}", at),
-        "rate_limiting_medication": TaggedValue(
-            context.rate_limiting_medication, ehr, f"ehr/{pid}", at
-        ),
-    }
-    for name in ("baseline_spo2", "baseline_hr"):
+    for name in ("copd_documented", "rate_limiting_medication", "baseline_spo2", "baseline_hr"):
         if getattr(context, name) is not None:
-            context_fields[name] = TaggedValue(getattr(context, name), ehr, f"ehr/{pid}", at)
-    return VeritasRecord(pid, at, epoch_fields, context_fields)
+            fields[name] = TaggedValue(getattr(context, name), ehr, f"ehr/{pid}", at)
+    return VeritasRecord(pid, at, fields)
 
 
 def oracle_targets(alert, view):
@@ -517,12 +507,10 @@ def reference_resolve(claims, routing, alert, history, cfg, patient_id):
 
 def reference_project(record: VeritasRecord) -> SpecialistView:
     """The projection as a plain filter: every field whose tag is allowed,
-    in both mappings, always copied."""
+    always copied."""
     allowed = ALLOWED_SPECIALIST_PROVENANCE
     return SpecialistView(
-        record,
-        {k: tv for k, tv in record.epoch_fields.items() if tv.provenance in allowed},
-        {k: tv for k, tv in record.context_fields.items() if tv.provenance in allowed},
+        record, {k: tv for k, tv in record.fields.items() if tv.provenance in allowed}
     )
 
 

@@ -41,6 +41,7 @@ from helpers import (
 )
 
 NIGHT_2AM = datetime(2022, 6, 15, 2, 0, tzinfo=timezone.utc)
+_CONTEXT_FIELD_NAMES = ("copd_documented", "rate_limiting_medication", "baseline_spo2")
 
 
 def test_tags_assigned_by_source():
@@ -49,15 +50,12 @@ def test_tags_assigned_by_source():
         make_context(copd=True, baseline_spo2=89.0),
     )
     for name in DEVICE_STREAM_FIELDS:
-        assert record.epoch_fields[name].provenance is ProvenanceTag.DEVICE_VERIFIED
-    for name, tv in record.context_fields.items():
-        assert tv.provenance is ProvenanceTag.EHR_DERIVED, name
-    assert record.context_fields["copd_documented"].value is True
-    assert (
-        record.epoch_fields["self_reported_activity"].provenance
-        is ProvenanceTag.PATIENT_REPORTED
-    )
-    assert record.epoch_fields["position"].provenance is ProvenanceTag.PATIENT_REPORTED
+        assert record.fields[name].provenance is ProvenanceTag.DEVICE_VERIFIED
+    for name in _CONTEXT_FIELD_NAMES:
+        assert record.fields[name].provenance is ProvenanceTag.EHR_DERIVED, name
+    assert record.fields["copd_documented"].value is True
+    assert record.fields["self_reported_activity"].provenance is ProvenanceTag.PATIENT_REPORTED
+    assert record.fields["position"].provenance is ProvenanceTag.PATIENT_REPORTED
 
 
 def test_assemble_errors():
@@ -145,14 +143,14 @@ def _epochs_and_contexts(draw):
 def test_assemble_matches_the_checked_reference(case):
     # Property: assembly's unchecked tuple construction gives the record the
     # checked constructor gives, of the same type, field for field and in the
-    # same order, and every value is a real TaggedValue holding a ProvenanceTag.
+    # same order (the epoch's fields, then the context's), and every value is
+    # a real TaggedValue holding a ProvenanceTag.
     epoch, context = case
     record = assemble(make_bundle(epoch, context), epoch)
     reference = reference_assemble(make_bundle(epoch, context), epoch)
     assert type(record) is type(reference) is VeritasRecord
     assert record == reference
-    assert list(record.epoch_fields) == list(reference.epoch_fields)
-    assert list(record.context_fields) == list(reference.context_fields)
+    assert list(record.fields) == list(reference.fields)
     for name, tv in all_tagged(record):
         assert type(tv) is TaggedValue, name
         assert isinstance(tv.provenance, ProvenanceTag), name
@@ -165,6 +163,15 @@ _RECORD_FIELD_NAMES = [
 ]
 
 
+def _retagged_record(record: VeritasRecord, tags: dict) -> VeritasRecord:
+    """``record`` rebuilt, checked, with each field named in ``tags`` retagged."""
+    return VeritasRecord(
+        record.patient_id,
+        record.timestamp,
+        {k: retagged(tv, tags[k]) if k in tags else tv for k, tv in record.fields.items()},
+    )
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(
     st.dictionaries(st.sampled_from(_RECORD_FIELD_NAMES), st.sampled_from(list(ProvenanceTag))),
@@ -173,23 +180,14 @@ _RECORD_FIELD_NAMES = [
 )
 def test_view_accessors_match_a_plain_reference(tags, activity, ambient):
     # Property: over records retagged at random, with the optional epoch
-    # fields present or absent, get(n) is the epoch mapping's value, else
-    # the context mapping's, else None, and value(n, d) is its .value, or d.
+    # fields present or absent, get(n) is the view's value for n, else None,
+    # and value(n, d) is its .value, or d.
     epoch = make_epoch(activity=activity, ambient=ambient)
     record = make_record(epoch, make_context(copd=True, baseline_spo2=89.0, baseline_hr=70.0))
-
-    def retag(fields):
-        return {k: retagged(tv, tags[k]) if k in tags else tv for k, tv in fields.items()}
-
-    view = project_for_specialists(
-        VeritasRecord(
-            record.patient_id, record.timestamp,
-            retag(record.epoch_fields), retag(record.context_fields),
-        )
-    )
+    view = project_for_specialists(_retagged_record(record, tags))
     missing = object()
     for name in (*_RECORD_FIELD_NAMES, "pulse"):
-        expected = view.epoch_fields.get(name, view.context_fields.get(name))
+        expected = view.fields.get(name)
         assert view.get(name) is expected, name
         assert view.value(name) is (None if expected is None else expected.value), name
         assert view.value(name, missing) is (missing if expected is None else expected.value)
@@ -198,9 +196,9 @@ def test_view_accessors_match_a_plain_reference(tags, activity, ambient):
 def test_projection_identity_when_nothing_inferred():
     record = make_record(make_epoch(activity=SelfReportedActivity.RESTING))
     view = project_for_specialists(record)
-    assert field_names(view) == frozenset(record.epoch_fields) | frozenset(
-        record.context_fields
-    )
+    assert field_names(view) == frozenset(record.fields)
+    # Nothing to drop, so the record's mapping is shared, not copied.
+    assert view.fields is record.fields
 
 
 def test_projection_drops_injected_inferred_statement():
@@ -213,14 +211,13 @@ def test_projection_drops_injected_inferred_statement():
     tampered = type(record)(
         patient_id=record.patient_id,
         timestamp=record.timestamp,
-        epoch_fields={**record.epoch_fields, "self_reported_activity": inferred},
-        context_fields=record.context_fields,
+        fields={**record.fields, "self_reported_activity": inferred},
     )
     view = project_for_specialists(tampered)
     assert "self_reported_activity" not in field_names(view)
     assert view.value("self_reported_activity") is None
-    assert all(tv.provenance is not ProvenanceTag.INFERRED for tv in view.epoch_fields.values())
-    assert field_names(view) == frozenset(record.epoch_fields) | frozenset(record.context_fields)
+    assert all(tv.provenance is not ProvenanceTag.INFERRED for tv in view.fields.values())
+    assert field_names(view) == frozenset(record.fields)
 
 
 def test_projection_excludes_retagged_spo2_and_sentinel_stays_silent():
@@ -250,43 +247,27 @@ def test_projection_never_exposes_inferred_under_random_provenance(tags):
     # the projected view holds no inferred value.
     epoch = make_epoch(activity=SelfReportedActivity.WALKING, ambient="heatwave")
     record = make_record(epoch, make_context(copd=True, baseline_spo2=89.0, baseline_hr=70.0))
-
-    def retag(fields):
-        return {k: retagged(tv, tags[k]) if k in tags else tv for k, tv in fields.items()}
-
-    tampered = VeritasRecord(
-        patient_id=record.patient_id,
-        timestamp=record.timestamp,
-        epoch_fields=retag(record.epoch_fields),
-        context_fields=retag(record.context_fields),
-    )
+    tampered = _retagged_record(record, tags)
     view = project_for_specialists(tampered)
-    shown = [*view.epoch_fields.values(), *view.context_fields.values()]
+    shown = list(view.fields.values())
     assert all(tv.provenance is not ProvenanceTag.INFERRED for tv in shown)
     # Only inferred values are dropped.
     kept = [tv for _, tv in all_tagged(tampered) if tv.provenance is not ProvenanceTag.INFERRED]
     assert len(shown) == len(kept)
 
 
-def test_projection_drops_one_inferred_context_field_and_shares_the_clean_epoch_mapping():
+def test_projection_drops_one_inferred_context_field_into_a_filtered_copy():
     record = make_record(make_epoch(), make_context(copd=True, baseline_spo2=89.0))
-    context_fields = dict(record.context_fields)
-    context_fields["baseline_spo2"] = retagged(
-        context_fields["baseline_spo2"], ProvenanceTag.INFERRED
-    )
-    tampered = VeritasRecord(
-        patient_id=record.patient_id,
-        timestamp=record.timestamp,
-        epoch_fields=record.epoch_fields,
-        context_fields=context_fields,
-    )
+    tampered = retag_field(record, "baseline_spo2", ProvenanceTag.INFERRED)
     view = project_for_specialists(tampered)
-    assert "baseline_spo2" not in view.context_fields
-    assert view.context_fields is not tampered.context_fields
-    assert set(view.context_fields) == set(context_fields) - {"baseline_spo2"}
-    # Nothing to drop from the epoch mapping, so it is shared, not copied.
-    assert view.epoch_fields is tampered.epoch_fields
+    assert "baseline_spo2" not in view.fields
+    # The record's mapping holds the inferred value, so the view gets a copy
+    # without it, and every other field, epoch or context, is kept as is.
+    assert view.fields is not tampered.fields
+    assert view.fields == {k: tv for k, tv in record.fields.items() if k != "baseline_spo2"}
+    assert "baseline_spo2" in tampered.fields
     assert view.value("baseline_spo2") is None
+    assert view.value("copd_documented") is True
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -300,28 +281,16 @@ def test_projection_drops_one_inferred_context_field_and_shares_the_clean_epoch_
     ),
 )
 def test_projection_never_shares_a_mapping_holding_a_disallowed_tag(tags):
-    # Property: whatever the tags, each of the view's two mappings either is
-    # the record's own (and then every tag in it is allowed) or a filtered
-    # copy; no mapping of the view holds a disallowed tag.
+    # Property: whatever the tags, the view's mapping is the record's own
+    # exactly when every tag in it is allowed, and otherwise a filtered copy;
+    # the view's mapping never holds a disallowed tag.
     epoch = make_epoch(ambient="heatwave")
     record = make_record(epoch, make_context(copd=True, baseline_spo2=89.0, baseline_hr=70.0))
-
-    def retag(fields):
-        return {k: retagged(tv, tags[k]) if k in tags else tv for k, tv in fields.items()}
-
-    tampered = VeritasRecord(
-        patient_id=record.patient_id,
-        timestamp=record.timestamp,
-        epoch_fields=retag(record.epoch_fields),
-        context_fields=retag(record.context_fields),
-    )
+    tampered = _retagged_record(record, tags)
     view = project_for_specialists(tampered)
 
     allowed = ALLOWED_SPECIALIST_PROVENANCE
-    for shown, source in [
-        (view.epoch_fields, tampered.epoch_fields),
-        (view.context_fields, tampered.context_fields),
-    ]:
-        if any(tv.provenance not in allowed for tv in source.values()):
-            assert shown is not source
-        assert list(shown.values()) == [tv for tv in source.values() if tv.provenance in allowed]
+    source = tampered.fields
+    clean = all(tv.provenance in allowed for tv in source.values())
+    assert (view.fields is source) is clean
+    assert list(view.fields.values()) == [tv for tv in source.values() if tv.provenance in allowed]

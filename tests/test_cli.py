@@ -897,6 +897,24 @@ def test_invalid_config_json_exits_2(tmp_path, capsys):
     assert "config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "screen, floor, code",
+    [(97.0, 95.0, 0), (85.0, 90.0, 2), (94.0, 94.0, 2)],
+    ids=["floor_under_a_raised_screen", "floor_over_a_lowered_screen", "floor_at_the_screen"],
+)
+def test_the_copd_floor_must_sit_below_the_configured_screen(tmp_path, capsys, screen, floor, code):
+    config = write_config(
+        tmp_path,
+        sentinel={"spo2_low_threshold": screen},
+        specialists={"copd_acceptable_spo2": floor},
+    )
+    assert run(["--config", config, "generate"]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err == (
+            f"error: config invalid: specialists.copd_acceptable_spo2 {floor} must sit"
+            f" below sentinel.spo2_low_threshold {screen}\n"
+        )
 
 
 @pytest.mark.parametrize(

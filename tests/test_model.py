@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from alertsift.model import (
-    CANONICAL_JSON,
     COMPACT_JSON,
     AccelLevel,
     AgentClaim,
@@ -271,7 +270,7 @@ def test_patient_context_copd_requires_baseline():
 
 def test_candidate_alert_rejects_empty_and_inferred_triggers():
     record = make_record(make_epoch(spo2=88.0))
-    spo2 = record.epoch_fields["spo2"]
+    spo2 = record.fields["spo2"]
     with pytest.raises(InvariantViolation):
         CandidateAlert(frozenset(), {}, record.timestamp)
     with pytest.raises(InvariantViolation):
@@ -286,7 +285,7 @@ def _tuple_backed_samples():
     """One of each tuple-backed per-epoch type: a record, its view, an alert
     and a decision, each built by its constructor."""
     record = make_record(make_epoch(spo2=88.0))
-    spo2 = record.epoch_fields["spo2"]
+    spo2 = record.fields["spo2"]
     alert = CandidateAlert(frozenset({AlertType.LOW_SPO2}), {AlertType.LOW_SPO2: spo2}, DAYTIME)
     claim = AgentClaim(AgentDomain.COPD, Recommendation.ESCALATE, 0.9)
     decision = SystemDecision(Verdict.ESCALATE, (claim,), ResolutionPath.SINGLE_DOMAIN, DAYTIME)
@@ -305,20 +304,39 @@ def test_tuple_backed_types_are_immutable_and_hold_no_dict():
 
 def test_record_make_and_replace_keep_the_field_name_check():
     record = _tuple_backed_samples()[0]
-    tv = record.epoch_fields["spo2"]
+    tv = record.fields["spo2"]
     assert VeritasRecord._make(record) == record
     assert record._replace(timestamp=NIGHT).timestamp == NIGHT
-    for bad in (
-        {"epoch_fields": {**record.epoch_fields, "pulse": tv}},
-        {"context_fields": {**record.context_fields, "copd": tv}},
-    ):
+    # A name that is no field, and the two record coordinates, which are not
+    # tagged fields either.
+    for name in ("pulse", "copd", "patient_id", "timestamp"):
+        bad = {"fields": {**record.fields, name: tv}}
         kwargs = {**record._asdict(), **bad}
-        with pytest.raises(InvariantViolation, match="unknown (epoch|context) fields"):
+        message = rf"unknown record fields: \['{name}'\]"
+        with pytest.raises(InvariantViolation, match=message):
             VeritasRecord(**kwargs)
-        with pytest.raises(InvariantViolation, match="unknown (epoch|context) fields"):
+        with pytest.raises(InvariantViolation, match=message):
             VeritasRecord._make(kwargs.values())
-        with pytest.raises(InvariantViolation, match="unknown (epoch|context) fields"):
+        with pytest.raises(InvariantViolation, match=message):
             record._replace(**bad)
+
+
+def test_record_field_names_are_the_epoch_and_context_names_less_the_coordinates():
+    # The record keeps epoch and context values in one mapping, so a context
+    # field named like an epoch field would overwrite that value unnoticed.
+    # The two key sets share only the patient, and a record admits exactly
+    # their union less its two coordinates, which a full record fills.
+    epoch_keys = {f.name for f in fields(Epoch)}
+    context_keys = {f.name for f in fields(PatientContext)}
+    assert epoch_keys & context_keys == {"patient_id"}
+    record_keys = (epoch_keys | context_keys) - {"patient_id", "timestamp"}
+    assert model._RECORD_FIELDS == record_keys
+    record = make_record(
+        make_epoch(activity=SelfReportedActivity.WALKING, ambient="heatwave"),
+        make_context(copd=True, baseline_spo2=89.0, baseline_hr=70.0),
+    )
+    assert record.fields.keys() == record_keys
+    assert VeritasRecord(*record) == record
 
 
 def test_alert_make_and_replace_keep_the_trigger_checks():
@@ -448,7 +466,6 @@ _epochs = st.builds(
 def test_epoch_line_matches_the_encoders_byte_for_byte(epoch):
     row = epoch_row(epoch)
     assert epoch_line(epoch) == COMPACT_JSON.encode(row) + "\n"
-    assert epoch_line(epoch, canonical=True) == CANONICAL_JSON.encode(row) + "\n"
 
 
 def test_write_epochs_jsonl_writes_one_line_per_epoch():

@@ -1,31 +1,35 @@
 """Routing table behaviour, coverage, and determinism.
 
-The fuzz tests compare the router against an independent oracle written
-directly from the rule list, over randomly constructed epochs spanning the
-whole input space.
+The grid test compares the router against an independent oracle written
+directly from the rule list, over every value class each rule reads.
 """
 
 from __future__ import annotations
 
-import random
+import itertools
 from datetime import datetime, timezone
 
+from alertsift.assembly import assemble, project_for_specialists
 from alertsift.model import (
+    DOMAIN_ORDER,
     AccelLevel,
     AgentDomain,
     AlertType,
     DeviceStatus,
     Position,
+    ProvenanceTag,
     SelfReportedActivity,
 )
 from alertsift.routing import in_nocturnal_window, route
-from alertsift.sentinel import SentinelConfig
+from alertsift.sentinel import SentinelConfig, detect
 from helpers import (
     NIGHT,
     detect_and_route,
+    make_bundle,
     make_context,
     make_epoch,
     oracle_targets,
+    retag_field,
     routed_via_last_resort,
 )
 
@@ -115,37 +119,51 @@ def test_nocturnal_window_boundaries_half_open():
     assert in_nocturnal_window(at(21, 59)) is False
 
 
-def _random_epoch_and_context(rng):
-    hour = rng.randint(0, 23)
-    copd = rng.random() < 0.3
-    epoch = make_epoch(
-        ts=datetime(2022, 7, 10, hour, rng.randint(0, 59), tzinfo=timezone.utc),
-        spo2=round(rng.uniform(70, 100), 1),
-        hr=round(rng.uniform(25, 220), 1),
-        accel=rng.choice(list(AccelLevel)),
-        status=rng.choice(list(DeviceStatus)),
-        position=rng.choice(list(Position)),
-        activity=rng.choice(list(SelfReportedActivity) + [None]),
+def test_route_matches_oracle_over_the_whole_alert_grid():
+    # Every value class a routing rule reads: SpO2 low or not, HR low, normal
+    # or high, each status, accelerometer level and self-report, COPD or
+    # not, and the minutes either side of both nocturnal edges. The grid runs
+    # once as assembled, and once with each of the three fields routing may
+    # find missing retagged inferred, so that it is absent from the view.
+    hours = [
+        datetime(2022, 7, 10, hour, minute, tzinfo=timezone.utc)
+        for hour, minute in ((5, 59), (6, 0), (21, 59), (22, 0))
+    ]
+    bundles = {
+        copd: make_bundle(make_epoch(), make_context(copd=copd, baseline_spo2=90.0))
+        for copd in (False, True)
+    }
+    grid = itertools.product(
+        (90.0, 97.0), (40.0, 72.0, 120.0), DeviceStatus, AccelLevel,
+        (None, *SelfReportedActivity), (False, True), hours,
     )
-    context = make_context(copd=copd, baseline_spo2=90.0 if copd else None)
-    return epoch, context
-
-
-def test_route_matches_oracle_over_random_alert_space():
-    rng = random.Random(2024)
     checked = 0
-    for _ in range(2000):
-        epoch, context = _random_epoch_and_context(rng)
-        view, alert, routing = detect_and_route(epoch, context)
-        if alert is None:
-            continue
-        checked += 1
-        oracle, fired_count = oracle_targets(alert, view)
-        assert routing.targets == oracle, epoch
-        assert routing.targets, "coverage: targets must be nonempty"
-        if fired_count == 1 and not routing.ambiguity_flag:
-            assert len(routing.targets) == 1
-    assert checked > 1500
+    for spo2, hr, status, accel, activity, copd, ts in grid:
+        epoch = make_epoch(
+            ts=ts, spo2=spo2, hr=hr, accel=accel, status=status, activity=activity
+        )
+        record = assemble(bundles[copd], epoch)
+        for missing in (None, "accel_level", "self_reported_activity", "copd_documented"):
+            if missing is None:
+                view = project_for_specialists(record)
+            elif missing in record.fields:
+                view = project_for_specialists(
+                    retag_field(record, missing, ProvenanceTag.INFERRED)
+                )
+                assert missing not in view.fields
+            else:
+                continue  # no self-report to retag
+            alert = detect(view, CFG)
+            if alert is None:
+                continue
+            checked += 1
+            routing = route(alert, view)
+            assert routing.targets == oracle_targets(alert, view)[0], (epoch, missing)
+            assert routing.ambiguity_flag is (
+                status in (DeviceStatus.SYSTEM_FLAG, DeviceStatus.THRESHOLD_MARGINAL)
+            )
+            assert routing.domains == tuple(d for d in DOMAIN_ORDER if d in routing.targets)
+    assert checked == 12600  # all 12,960 views but the 360 at SpO2 97, HR 72, status ok
 
 
 def test_route_is_deterministic():

@@ -394,7 +394,7 @@ _baselines = st.none() | st.floats(80.0, 99.0)
 @st.composite
 def _alerts_and_views(draw: st.DrawFn):
     """An alerting epoch's alert and view: vitals on both sides of every
-    screen and guardrail, day or night, any context, and up to three epoch
+    screen and guardrail, day or night, any context, and up to three
     fields tagged inferred, so the missing-field branches are reached."""
     epoch = make_epoch(
         ts=draw(st.sampled_from([DAYTIME, NIGHT])),
@@ -413,7 +413,7 @@ def _alerts_and_views(draw: st.DrawFn):
         med=draw(st.booleans()),
     )
     record = make_record(epoch, context)
-    names = st.sampled_from(sorted(record.epoch_fields))
+    names = st.sampled_from(sorted(record.fields))
     for name in draw(st.lists(names, max_size=3, unique=True)):
         record = retag_field(record, name, ProvenanceTag.INFERRED)
     view = project_for_specialists(record)
@@ -444,8 +444,6 @@ def test_every_claim_takes_its_confidence_and_risk_from_its_recommendation(cfg, 
 def test_config_invariants():
     with pytest.raises(InvariantViolation):
         SpecialistConfig(low_confidence=0.9, high_confidence=0.4)
-    with pytest.raises(InvariantViolation):
-        SpecialistConfig(copd_acceptable_spo2=95.0)
 
 
 def test_every_rationale_code_reachable():
