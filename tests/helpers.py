@@ -385,7 +385,11 @@ def reference_assemble(bundle: SourceBundle, epoch: Epoch) -> VeritasRecord:
             epoch.self_reported_activity, reported, f"patient_report/{pid}", at
         )
     context = bundle.ehr
-    for name in ("copd_documented", "rate_limiting_medication", "baseline_spo2", "baseline_hr"):
+    fields["copd_documented"] = TaggedValue(context.copd_documented, ehr, f"ehr/{pid}", at)
+    fields["rate_limiting_medication"] = TaggedValue(
+        context.rate_limiting_medication, ehr, f"ehr/{pid}", at
+    )
+    for name in ("baseline_spo2", "baseline_hr"):
         if getattr(context, name) is not None:
             fields[name] = TaggedValue(getattr(context, name), ehr, f"ehr/{pid}", at)
     return VeritasRecord(pid, at, fields)
