@@ -45,7 +45,6 @@ from alertsift.model import (
     TaggedValue,
     Verdict,
     VeritasRecord,
-    format_timestamp,
 )
 from alertsift.routing import (
     ARTEFACT_STATUSES,
@@ -118,12 +117,19 @@ def make_epoch(
     )
 
 
+def reference_format_timestamp(ts: datetime) -> str:
+    """``format_timestamp`` as %-formatting of the five UTC fields, the year
+    padded to four digits (strftime leaves a year below 1000 unpadded)."""
+    u = ts.astimezone(timezone.utc)
+    return "%04d-%02d-%02dT%02d:%02d:00Z" % (u.year, u.month, u.day, u.hour, u.minute)
+
+
 def epoch_row(epoch: Epoch) -> dict[str, Any]:
     """An epoch's dataset row as a dict, in field order: the reference that
     ``epoch_line`` writes and ``Epoch.from_dict`` reads."""
     return {
         "patient_id": epoch.patient_id,
-        "timestamp": format_timestamp(epoch.timestamp),
+        "timestamp": reference_format_timestamp(epoch.timestamp),
         "spo2": epoch.spo2,
         "hr": epoch.hr,
         "accel_level": epoch.accel_level.value,
@@ -573,7 +579,7 @@ def reference_run_case(
     for epoch in stream:
         if epoch.timestamp == previous_at:
             raise InvariantViolation(
-                f"duplicate epoch for patient {patient_id} at {format_timestamp(previous_at)}"
+                f"duplicate epoch for patient {patient_id} at {reference_format_timestamp(previous_at)}"
             )
         previous_at = epoch.timestamp
         view = reference_project(reference_assemble(bundle, epoch))

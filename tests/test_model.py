@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import hashlib
 import importlib
+import inspect
 import io
 import json
+import pickle
 import pkgutil
 import random
 import re
@@ -65,6 +69,7 @@ from helpers import (
     make_entry,
     make_epoch,
     make_record,
+    reference_format_timestamp,
     retagged,
 )
 
@@ -192,6 +197,87 @@ def test_format_timestamp_matches_strftime():
     for ts in stamps:
         reference = ts.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:00Z")
         assert format_timestamp(ts) == reference, ts
+
+
+def test_format_timestamp_matches_the_reference_from_year_1_to_9999():
+    # Each drawn day's UTC midnight, the minutes either side of it and one
+    # drawn minute, each written from zones on both sides of UTC: so a local
+    # day holds minutes of two UTC days, and a date keyed by the local day
+    # would be written for the wrong one.
+    rng = random.Random(25)
+    offsets = [timezone(timedelta(minutes=m)) for m in (-1439, -60, -1, 0, 1, 60, 1439)]
+    first = datetime(1, 1, 1, tzinfo=timezone.utc)
+    last_day = (datetime(9999, 12, 31, tzinfo=timezone.utc) - first).days
+    for day in [0, last_day, *(rng.randint(0, last_day) for _ in range(2000))]:
+        for minute in (-1, 0, 1, rng.randrange(24 * 60)):
+            for offset in offsets:
+                try:
+                    ts = (
+                        first
+                        + timedelta(days=day, minutes=minute, seconds=rng.randrange(60))
+                    ).astimezone(offset)
+                except OverflowError:  # before year 1 or after 9999, UTC or local
+                    continue
+                assert format_timestamp(ts) == reference_format_timestamp(ts), ts
+
+
+def _epoch_values(rng: random.Random) -> dict:
+    """A drawn value for each Epoch field, the optional ones often set."""
+    return {
+        "patient_id": rng.randint(0, 10**7),
+        "timestamp": DAYTIME + timedelta(minutes=rng.randint(-10**6, 10**6)),
+        "spo2": rng.uniform(70.0, 100.0),
+        "hr": rng.uniform(25.0, 220.0),
+        "accel_level": rng.choice(list(AccelLevel)),
+        "device_status": rng.choice(list(DeviceStatus)),
+        "probe_cover_present": rng.random() < 0.5,
+        "position": rng.choice(list(Position)),
+        "self_reported_activity": rng.choice([None, *SelfReportedActivity]),
+        "ambient_condition": rng.choice([None, "humid", "cold", ""]),
+    }
+
+
+def test_epoch_init_builds_what_the_dataclass_init_builds():
+    # Epoch's __init__ is written out; the reference is the same fields in
+    # a frozen slotted dataclass with the __init__ dataclass generates.
+    params = list(inspect.signature(Epoch).parameters.values())
+    assert [(p.name, p.default) for p in params] == [
+        (f.name, inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default)
+        for f in fields(Epoch)
+    ]
+    Reference = dataclasses.make_dataclass(
+        "Reference",
+        [(f.name, f.type, dataclasses.field(default=f.default)) for f in fields(Epoch)],
+        frozen=True,
+        slots=True,
+    )
+    names = [f.name for f in fields(Epoch)]
+    rng = random.Random(8)
+    for _ in range(300):
+        values = _epoch_values(rng)
+        reference = Reference(**values)
+        positional = list(values.values())
+        built = [Epoch(**values), Epoch(*positional)]
+        if values["ambient_condition"] is None:
+            built.append(Epoch(*positional[:-1]))
+            if values["self_reported_activity"] is None:
+                built.append(Epoch(*positional[:-2]))
+        for epoch in built:
+            assert all(getattr(epoch, n) is getattr(reference, n) for n in names), epoch
+            assert epoch == built[0] and hash(epoch) == hash(built[0])
+
+        epoch = built[0]
+        moved = dataclasses.replace(epoch, patient_id=epoch.patient_id + 1)
+        assert moved.patient_id == epoch.patient_id + 1
+        assert [getattr(moved, n) for n in names[1:]] == [getattr(epoch, n) for n in names[1:]]
+        assert copy.copy(epoch) == epoch == pickle.loads(pickle.dumps(epoch))
+
+    assert not hasattr(epoch, "__dict__")
+    for name in names:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(epoch, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(epoch, name)
 
 
 def test_device_status_spellings_match_file_format():

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import math
+import random
 from collections import Counter
 from dataclasses import replace
 from datetime import datetime, timedelta, timezone
@@ -481,6 +482,34 @@ def test_generate_case_matches_reference_for_any_spec(continuous, categorical, e
         categorical_params=categorical,
     )
     _assert_generates_as_reference(entry, seed)
+
+
+class _GivenDraws:
+    """An RNG whose first ``normal`` block is the given values and whose
+    every later block is zeros."""
+
+    def __init__(self, values):
+        self._blocks = [np.array(values)]
+
+    def normal(self, loc, scale, size):
+        return self._blocks.pop() if self._blocks else np.zeros(size)
+
+
+def test_two_step_rounding_matches_round_at_every_near_tie():
+    # Every tie (m + 0.5) / 100 over the fields' whole range, 25 to 220, and
+    # its four float neighbours on each side, then uniform draws; the noise
+    # is zero and the bounds hold every value, so each is rounded as drawn.
+    values = []
+    for m in range(2500, 22001):
+        tie = below = above = (m + 0.5) / 100
+        values.append(tie)
+        for _ in range(4):
+            below, above = math.nextafter(below, 0.0), math.nextafter(above, math.inf)
+            values += (below, above)
+    rng = random.Random(2500)
+    values += (rng.uniform(25.0, 220.0) for _ in range(100_000))
+    rounded = synthgen._draw_continuous(_GivenDraws(values), len(values), 100.0, 1.0, 0.0, 1000.0)
+    assert list(map(repr, rounded)) == [repr(round(x, 2)) for x in values]
 
 
 @pytest.mark.parametrize(
