@@ -8,11 +8,11 @@ removes every inferred-tagged field from the record's field set, so a value
 produced by model inference can never reach detection or specialist logic.
 
 Per alerting epoch (a quiet one is never assembled), ``assemble`` builds
-one VeritasRecord holding eight to twelve TaggedValues in one mapping, and
-the projection one SpecialistView that shares that mapping, or a filtered
-copy of it when some tag is not allowed. All three types are tuples, built
-at tuple cost; ``assemble`` alone builds unchecked, for the reasons given at
-``_new`` below.
+one VeritasRecord holding eight to twelve ``(value, provenance)`` values in
+one mapping, and the projection one ``(timestamp, fields)`` SpecialistView
+that shares that mapping, or a filtered copy when some tag is not allowed.
+All three are tuples, built at tuple cost; ``assemble`` alone builds
+unchecked, for the reasons given at ``_new`` below.
 """
 
 from __future__ import annotations
@@ -65,21 +65,17 @@ class SourceBundle:
 
     What assembly needs of the sources besides the epoch itself does not
     change from epoch to epoch, so it is built here once per patient: the
-    source ids and the present EHR fields. ``vitals_stream`` holds the
-    patient's epochs in the order the caller walks them; ``assemble`` checks
-    the patient of each epoch the walk passes it.
+    present EHR fields. ``vitals_stream`` holds the patient's epochs in the
+    order the caller walks them; ``assemble`` checks the patient of each
+    epoch the walk passes it.
     """
 
     ehr: PatientContext
     vitals_stream: tuple[Epoch, ...]
-    _device_src: str = field(init=False, repr=False, compare=False)
-    _ehr_src: str = field(init=False, repr=False, compare=False)
-    _report_src: str = field(init=False, repr=False, compare=False)
     _ehr_fields: tuple[tuple[str, Any], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         ehr = self.ehr
-        pid = ehr.patient_id
         ehr_fields = [
             ("copd_documented", ehr.copd_documented),
             ("rate_limiting_medication", ehr.rate_limiting_medication),
@@ -88,9 +84,6 @@ class SourceBundle:
             ehr_fields.append(("baseline_spo2", ehr.baseline_spo2))
         if ehr.baseline_hr is not None:
             ehr_fields.append(("baseline_hr", ehr.baseline_hr))
-        object.__setattr__(self, "_device_src", f"vitals/{pid}")
-        object.__setattr__(self, "_ehr_src", f"ehr/{pid}")
-        object.__setattr__(self, "_report_src", f"patient_report/{pid}")
         object.__setattr__(self, "_ehr_fields", tuple(ehr_fields))
 
 
@@ -105,59 +98,50 @@ def assemble(bundle: SourceBundle, epoch: Epoch) -> VeritasRecord:
 
     Tag assignment follows the source: device stream fields are
     device_verified, EHR context fields are ehr_derived, self-reported
-    fields (the epoch's position and activity) are patient_reported. Every
-    value is observed at the epoch's time. Deterministic, and never invents
-    a value: every output field traces to exactly one source datum.
+    fields (the epoch's position and activity) are patient_reported. The
+    record carries the patient id and the epoch's time once, for all its
+    values. Deterministic, and never invents a value: every output field
+    traces to exactly one source datum.
     """
     pid = bundle.ehr.patient_id
     if epoch.patient_id != pid:
         raise InvariantViolation(
             f"epoch patient {epoch.patient_id} != context patient {pid}"
         )
-    at = epoch.timestamp
-    src = bundle._device_src
     fields: dict[str, TaggedValue] = {
-        "spo2": _new(TaggedValue, (epoch.spo2, _DEVICE, src, at)),
-        "hr": _new(TaggedValue, (epoch.hr, _DEVICE, src, at)),
-        "accel_level": _new(TaggedValue, (epoch.accel_level, _DEVICE, src, at)),
-        "device_status": _new(TaggedValue, (epoch.device_status, _DEVICE, src, at)),
-        "probe_cover_present": _new(TaggedValue, (epoch.probe_cover_present, _DEVICE, src, at)),
+        "spo2": _new(TaggedValue, (epoch.spo2, _DEVICE)),
+        "hr": _new(TaggedValue, (epoch.hr, _DEVICE)),
+        "accel_level": _new(TaggedValue, (epoch.accel_level, _DEVICE)),
+        "device_status": _new(TaggedValue, (epoch.device_status, _DEVICE)),
+        "probe_cover_present": _new(TaggedValue, (epoch.probe_cover_present, _DEVICE)),
     }
     if epoch.ambient_condition is not None:
-        fields["ambient_condition"] = _new(
-            TaggedValue, (epoch.ambient_condition, _DEVICE, src, at)
-        )
-    src = bundle._report_src
-    fields["position"] = _new(TaggedValue, (epoch.position, _REPORTED, src, at))
+        fields["ambient_condition"] = _new(TaggedValue, (epoch.ambient_condition, _DEVICE))
+    fields["position"] = _new(TaggedValue, (epoch.position, _REPORTED))
     if epoch.self_reported_activity is not None:
         fields["self_reported_activity"] = _new(
-            TaggedValue, (epoch.self_reported_activity, _REPORTED, src, at)
+            TaggedValue, (epoch.self_reported_activity, _REPORTED)
         )
-    src = bundle._ehr_src
     for name, value in bundle._ehr_fields:
-        fields[name] = _new(TaggedValue, (value, _EHR, src, at))
-    return _new(VeritasRecord, (pid, at, fields))
+        fields[name] = _new(TaggedValue, (value, _EHR))
+    return _new(VeritasRecord, (pid, epoch.timestamp, fields))
 
 
 class SpecialistView(NamedTuple):
     """The record as seen by detection, routing, and specialists.
 
     Inferred-tagged fields are structurally missing: they are not present
-    in the view's field mapping at all, so no rule can read them. The
-    originating record is kept for its timestamp only.
+    in the view's field mapping at all, so no rule can read them.
 
-    An immutable tuple ``(record, fields)``, equal when both fields are
-    equal, as tuples are; every alerting epoch builds one. ``get`` and
-    ``value`` read the mapping directly, one lookup each, as the rules call
-    them a dozen times per alert.
+    An immutable tuple ``(timestamp, fields)``, the record's timestamp and
+    its allowed fields, equal when both are equal, as tuples are; every
+    alerting epoch builds one. ``get`` and ``value`` read the mapping
+    directly, one lookup each, as the rules call them a dozen times per
+    alert.
     """
 
-    record: VeritasRecord
+    timestamp: datetime
     fields: Mapping[str, TaggedValue]
-
-    @property
-    def timestamp(self) -> datetime:
-        return self.record.timestamp
 
     def get(self, name: str) -> TaggedValue | None:
         return self.fields.get(name)
@@ -190,4 +174,4 @@ def project_for_specialists(record: VeritasRecord) -> SpecialistView:
     if not _all_allowed(fields.values()):
         allowed = ALLOWED_SPECIALIST_PROVENANCE
         fields = {k: tv for k, tv in fields.items() if tv.provenance in allowed}
-    return SpecialistView(record, fields)
+    return SpecialistView(record.timestamp, fields)

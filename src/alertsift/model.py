@@ -41,6 +41,7 @@ __all__ = [
     "COMPACT_JSON",
     "DOMAIN_ORDER",
     "PATIENT_ID_RANGE",
+    "VITAL_RANGES",
     "epoch_line",
     "format_timestamp",
     "parse_enum",
@@ -192,6 +193,10 @@ def parse_enum(cls: type, raw: Any, name: str) -> Any:
 # order; evaluation attributes patients to cases by the same rule.
 PATIENT_ID_RANGE = (3847291, 3847388)
 
+# Each generated vital's physiological range: every catalogue spec's bounds,
+# and so every generated value, and every patient's baseline lie in it.
+VITAL_RANGES = {"spo2": (70.0, 100.0), "hr": (25.0, 220.0)}
+
 
 # ``format_timestamp``'s tables: each UTC day's ``YYYY-MM-DD``, by its
 # ``toordinal()``, filled as days are first written (a dataset spans at most
@@ -261,31 +266,28 @@ def parse_timestamp(raw: str) -> datetime:
 class _TaggedFields(NamedTuple):
     value: Any
     provenance: ProvenanceTag
-    source_id: str
-    observed_at: datetime
 
 
 class TaggedValue(_TaggedFields):
     """A measurement or fact annotated with its trust origin.
 
-    An immutable tuple ``(value, provenance, source_id, observed_at)`` whose
-    construction rejects any provenance that is not a ProvenanceTag; no
-    field can be set afterwards, so there is no untagged state anywhere in
-    the system. Equal when all four fields are equal. A tuple rather than a
+    An immutable tuple ``(value, provenance)`` whose construction rejects
+    any provenance that is not a ProvenanceTag; no field can be set
+    afterwards, so there is no untagged state anywhere in the system. Equal
+    when both fields are equal. Its source follows from the tag and the
+    record's patient id, and its time is the record's. A tuple rather than a
     frozen dataclass because assembly builds eight to twelve per epoch and a
-    tuple costs about half as much to build; reading a field costs slightly
-    more. Assembly, whose tags are fixed ProvenanceTag members, builds its
-    values with ``tuple.__new__`` and skips the check (see ``assembly``).
+    tuple costs about half as much to build. Assembly, whose tags are fixed
+    ProvenanceTag members, builds its values with ``tuple.__new__`` and
+    skips the check (see ``assembly``).
     """
 
     __slots__ = ()
 
-    def __new__(
-        cls, value: Any, provenance: ProvenanceTag, source_id: str, observed_at: datetime
-    ) -> "TaggedValue":
+    def __new__(cls, value: Any, provenance: ProvenanceTag) -> "TaggedValue":
         if not isinstance(provenance, ProvenanceTag):
             raise InvariantViolation("TaggedValue requires a ProvenanceTag")
-        return tuple.__new__(cls, (value, provenance, source_id, observed_at))
+        return tuple.__new__(cls, (value, provenance))
 
     @classmethod
     def _make(cls, iterable: Iterable[Any]) -> "TaggedValue":
@@ -446,6 +448,17 @@ def _number(raw: Any, name: str) -> float:
     return raw
 
 
+def _baseline(raw: Any, vital: str) -> float:
+    """A patient's baseline of ``vital``, inside its range: a baseline moves
+    the limits a specialist compares the vitals with."""
+    name = f"baseline_{vital}"
+    value = _number(raw, name)
+    low, high = VITAL_RANGES[vital]
+    if not low <= value <= high:
+        raise InvariantViolation(f"{name} outside [{low:g}, {high:g}]: {value}")
+    return value
+
+
 def _object(raw: Any, allowed: Any, where: str) -> dict[str, Any]:
     """A JSON object whose every key is allowed; a misspelt key is rejected,
     not read as an absent optional one.
@@ -496,8 +509,8 @@ class PatientContext:
         return cls(
             patient_id=_integer(data["patient_id"], "patient_id"),
             copd_documented=_flag(data["copd_documented"], "copd_documented"),
-            baseline_spo2=None if spo2 is None else _number(spo2, "baseline_spo2"),
-            baseline_hr=None if hr is None else _number(hr, "baseline_hr"),
+            baseline_spo2=None if spo2 is None else _baseline(spo2, "spo2"),
+            baseline_hr=None if hr is None else _baseline(hr, "hr"),
             rate_limiting_medication=_flag(
                 data.get("rate_limiting_medication", False), "rate_limiting_medication"
             ),

@@ -64,6 +64,7 @@ from .model import (
     write_contexts_json,
     write_epochs_jsonl,
     PATIENT_ID_RANGE,
+    VITAL_RANGES,
 )
 from .routing import NOCTURNAL_END_HOUR
 
@@ -99,10 +100,10 @@ _START_CLOCK = {False: (7, 20, 60), True: (0, 5, 50)}
 
 # Each generated field with the Epoch value it takes when the entry leaves it
 # out (or, for a categorical field, gives null). A continuous field also names
-# the physiological range its spec's bounds must lie in: a draw is clamped to
-# its spec, so no generated value leaves that range. A categorical field also
-# names the type a catalogue value parses to.
-_CONTINUOUS_FIELDS = {"spo2": (97.0, 70.0, 100.0), "hr": (72.0, 25.0, 220.0)}
+# its physiological range in ``VITAL_RANGES``, which its spec's bounds must lie
+# in: a draw is clamped to its spec, so no generated value leaves that range. A
+# categorical field also names the type a catalogue value parses to.
+_CONTINUOUS_FIELDS = {"spo2": (97.0, *VITAL_RANGES["spo2"]), "hr": (72.0, *VITAL_RANGES["hr"])}
 _CATEGORICAL_FIELDS: dict[str, tuple[type | None, Any]] = {
     "accel_level": (AccelLevel, AccelLevel.STILL),
     "device_status": (DeviceStatus, DeviceStatus.OK),

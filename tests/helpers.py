@@ -185,7 +185,7 @@ def field_names(view: SpecialistView) -> frozenset[str]:
 
 def retagged(tv: TaggedValue, provenance: ProvenanceTag) -> TaggedValue:
     """A copy of ``tv`` with a different provenance tag (tags never mutate)."""
-    return TaggedValue(tv.value, provenance, tv.source_id, tv.observed_at)
+    return TaggedValue(tv.value, provenance)
 
 
 def retag_field(record: VeritasRecord, name: str, tag: ProvenanceTag) -> VeritasRecord:
@@ -366,39 +366,32 @@ def reference_case_digest(epochs: Sequence[Epoch], context: PatientContext) -> s
 def reference_assemble(bundle: SourceBundle, epoch: Epoch) -> VeritasRecord:
     """The assembly the fast path must equal, built through the checked constructor.
 
-    Tags follow the source; every value is observed at the epoch's time; the
-    source ids and EHR fields are derived here from the patient, not read
+    Tags follow the source, and the record carries the patient id and the
+    epoch's time; the EHR fields are derived here from the context, not read
     from what the bundle built.
     """
     pid = bundle.ehr.patient_id
     if epoch.patient_id != pid:
         raise InvariantViolation(f"epoch patient {epoch.patient_id} != context patient {pid}")
-    at = epoch.timestamp
     device, reported, ehr = (
         ProvenanceTag.DEVICE_VERIFIED, ProvenanceTag.PATIENT_REPORTED, ProvenanceTag.EHR_DERIVED
     )
     fields = {
-        name: TaggedValue(getattr(epoch, name), device, f"vitals/{pid}", at)
+        name: TaggedValue(getattr(epoch, name), device)
         for name in ("spo2", "hr", "accel_level", "device_status", "probe_cover_present")
     }
     if epoch.ambient_condition is not None:
-        fields["ambient_condition"] = TaggedValue(
-            epoch.ambient_condition, device, f"vitals/{pid}", at
-        )
-    fields["position"] = TaggedValue(epoch.position, reported, f"patient_report/{pid}", at)
+        fields["ambient_condition"] = TaggedValue(epoch.ambient_condition, device)
+    fields["position"] = TaggedValue(epoch.position, reported)
     if epoch.self_reported_activity is not None:
-        fields["self_reported_activity"] = TaggedValue(
-            epoch.self_reported_activity, reported, f"patient_report/{pid}", at
-        )
+        fields["self_reported_activity"] = TaggedValue(epoch.self_reported_activity, reported)
     context = bundle.ehr
-    fields["copd_documented"] = TaggedValue(context.copd_documented, ehr, f"ehr/{pid}", at)
-    fields["rate_limiting_medication"] = TaggedValue(
-        context.rate_limiting_medication, ehr, f"ehr/{pid}", at
-    )
+    fields["copd_documented"] = TaggedValue(context.copd_documented, ehr)
+    fields["rate_limiting_medication"] = TaggedValue(context.rate_limiting_medication, ehr)
     for name in ("baseline_spo2", "baseline_hr"):
         if getattr(context, name) is not None:
-            fields[name] = TaggedValue(getattr(context, name), ehr, f"ehr/{pid}", at)
-    return VeritasRecord(pid, at, fields)
+            fields[name] = TaggedValue(getattr(context, name), ehr)
+    return VeritasRecord(pid, epoch.timestamp, fields)
 
 
 def oracle_targets(alert, view):
@@ -520,7 +513,7 @@ def reference_project(record: VeritasRecord) -> SpecialistView:
     always copied."""
     allowed = ALLOWED_SPECIALIST_PROVENANCE
     return SpecialistView(
-        record, {k: tv for k, tv in record.fields.items() if tv.provenance in allowed}
+        record.timestamp, {k: tv for k, tv in record.fields.items() if tv.provenance in allowed}
     )
 
 

@@ -197,17 +197,17 @@ def test_projection_identity_when_nothing_inferred():
     record = make_record(make_epoch(activity=SelfReportedActivity.RESTING))
     view = project_for_specialists(record)
     assert field_names(view) == frozenset(record.fields)
-    # Nothing to drop, so the record's mapping is shared, not copied.
+    # Nothing to drop, so the record's mapping is shared, not copied. The
+    # view keeps of the record only its timestamp.
     assert view.fields is record.fields
+    assert view == (record.timestamp, record.fields) and view._fields == ("timestamp", "fields")
 
 
 def test_projection_drops_injected_inferred_statement():
     # An inferred activity ("the model guesses the patient is resting") put
     # into an epoch that carries no self-report never reaches the view.
     record = make_record(make_epoch())
-    inferred = TaggedValue(
-        SelfReportedActivity.RESTING, ProvenanceTag.INFERRED, "inference/1", record.timestamp
-    )
+    inferred = TaggedValue(SelfReportedActivity.RESTING, ProvenanceTag.INFERRED)
     tampered = type(record)(
         patient_id=record.patient_id,
         timestamp=record.timestamp,

@@ -265,19 +265,28 @@ def test_evaluate_duplicate_key_keeps_the_last_value(tmp_path):
         ("baseline_hr", float("nan"), "baseline_hr is not finite: nan"),
         ("baseline_spo2", float("inf"), "baseline_spo2 is not finite: inf"),
         ("baseline_hr", HUGE, "baseline_hr is too large for a float"),
+        ("baseline_spo2", 69.9, "baseline_spo2 outside [70, 100]: 69.9"),
+        ("baseline_spo2", 100.1, "baseline_spo2 outside [70, 100]: 100.1"),
+        ("baseline_hr", 24.9, "baseline_hr outside [25, 220]: 24.9"),
+        ("baseline_hr", 220.1, "baseline_hr outside [25, 220]: 220.1"),
+        ("baseline_hr", 1000, "baseline_hr outside [25, 220]: 1000.0"),
     ],
     ids=[
         "string_boolean", "foreign_patient_id", "false_baseline_spo2", "true_baseline_spo2",
         "text_baseline_spo2", "text_baseline_hr", "misspelt_optional_key",
         "null_flag", "nan_baseline_hr", "infinite_baseline_spo2", "huge_integer_baseline_hr",
+        "baseline_spo2_below_70", "baseline_spo2_past_100", "baseline_hr_below_25",
+        "baseline_hr_past_220", "baseline_hr_1000",
     ],
 )
 def test_evaluate_malformed_context_exits_2(tmp_path, capsys, field, value, message):
     # bool("false") is True: decoded leniently, a patient with a baseline
     # would silently read as documented COPD. float(false) is 0.0 and
     # float("200") is 200.0: a baseline decoded leniently moves the limits a
-    # specialist compares the vitals with. A record filed under another
-    # patient's key would mix two patients in one case.
+    # specialist compares the vitals with, and so does one outside its
+    # vital's range (a baseline_hr of 1000 lets tachycardia suppress HR 210).
+    # A record filed under another patient's key would mix two patients in
+    # one case.
     config = write_config(tmp_path)
     run(["--config", config, "generate"])
     contexts_path = tmp_path / "dataset" / "contexts.json"
@@ -561,6 +570,14 @@ def _edited_taxonomy(tmp_path: Path, edit) -> tuple[Path, str]:
             lambda e: e["context"].update(baseline_spo2=float("nan")),
             "context baseline_spo2 is not finite: nan",
         ),
+        (
+            lambda e: e["context"].update(baseline_spo2=69.5),
+            "context baseline_spo2 outside [70, 100]: 69.5",
+        ),
+        (
+            lambda e: e["context"].update(baseline_hr=1000),
+            "context baseline_hr outside [25, 220]: 1000.0",
+        ),
         (lambda e: e.update(nocturnl=False), "unknown keys ['nocturnl'] in entry"),
         (
             lambda e: e["context"].update(copd_documentd=e["context"].pop("copd_documented")),
@@ -654,6 +671,7 @@ def _edited_taxonomy(tmp_path: Path, edit) -> tuple[Path, str]:
         "fractional_epoch_count", "string_epoch_count", "string_mu", "boolean_sigma",
         "numeric_case_id", "null_mu", "nan_sigma", "infinite_sigma", "infinite_upper",
         "huge_integer_mu", "huge_integer_context_baseline", "nan_context_baseline",
+        "context_baseline_spo2_below_70", "context_baseline_hr_1000",
         "misspelt_entry_key", "misspelt_context_key", "context_patient_id",
         "misspelt_categorical_key", "misspelt_continuous_key", "choice_and_fixed",
         "list_continuous_params", "string_categorical_params", "string_context",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from datetime import timedelta
 
@@ -21,6 +22,7 @@ from alertsift.model import (
     ProvenanceTag,
     Recommendation,
     ResolutionPath,
+    SystemDecision,
     TaggedValue,
     Verdict,
 )
@@ -443,10 +445,7 @@ def _resolve_runs(draw):
 def _alert_at(ts, types, status):
     triggers = {
         t: TaggedValue(
-            status if t is AlertType.SIGNAL_QUALITY else 90.0,
-            ProvenanceTag.DEVICE_VERIFIED,
-            "vitals/1",
-            ts,
+            status if t is AlertType.SIGNAL_QUALITY else 90.0, ProvenanceTag.DEVICE_VERIFIED
         )
         for t in types
     }
@@ -501,3 +500,166 @@ def test_history_holds_at_most_one_window():
         resolve(claims, routing, alert, history, cfg)
         sizes.add(len(history._window))
     assert max(sizes) == cfg.cooldown_window_minutes + 1
+
+
+# Every claim each evaluator can return under the default SpecialistConfig,
+# by domain, as (recommendation, rationale codes), read off specialists.py's
+# rule tables. With each domain also unrouted, that is 5*7*6*7*5*6 - 1 =
+# 44,099 non-empty claim tuples.
+_SUP, _ESC, _IND = Recommendation.SUPPRESS, Recommendation.ESCALATE, Recommendation.INDETERMINATE
+_DEFAULT_CLAIMS = {
+    AgentDomain.PROBE_INTEGRITY: [
+        (_SUP, ("artefact_flagged",)),
+        (_IND, ("system_flag_no_context",)),
+        (_IND, ("ambiguous_device_status",)),
+        (_IND, ("no_artefact_evidence",)),
+    ],
+    AgentDomain.ACTIVITY_INTEGRITY: [
+        (_IND, ("missing_accelerometer",)),
+        (_SUP, ("motion_corroborated",)),
+        (_SUP, ("motion_uncontradicted",)),
+        (_IND, ("activity_contradiction",)),
+        (_ESC, ("activity_denied_by_patient",)),
+        (_ESC, ("no_activity_explanation",)),
+    ],
+    AgentDomain.TACHYCARDIA: [
+        (_IND, ("missing_heart_rate",)),
+        (_SUP, ("activity_context",)),
+        (_SUP, ("within_baseline_allowance",)),
+        (_SUP, ("device_status_context",)),
+        (_ESC, ("isolated_high_hr",)),
+    ],
+    AgentDomain.BRADYCARDIA: [
+        (_IND, ("missing_heart_rate",)),
+        (_ESC, ("below_personal_floor",)),
+        (_SUP, ("medication_context",)),
+        (_SUP, ("nocturnal_context",)),
+        (_SUP, ("medication_context", "nocturnal_context")),
+        (_ESC, ("unexplained_bradycardia",)),
+    ],
+    AgentDomain.COPD: [
+        (_IND, ("missing_spo2",)),
+        (_IND, ("copd_not_documented",)),
+        (_SUP, ("within_copd_baseline",)),
+        (_ESC, ("below_copd_floor",)),
+    ],
+    AgentDomain.NOCTURNAL: [
+        (_IND, ("outside_nocturnal_window",)),
+        (_IND, ("position_not_supine",)),
+        (_IND, ("motion_during_sleep",)),
+        (_IND, ("dip_exceeds_allowance",)),
+        (_SUP, ("nocturnal_pattern_consistent",)),
+    ],
+}
+
+
+def _every_default_claim_tuple():
+    spec = SpecialistConfig()
+    options = [
+        [None] + [
+            AgentClaim(
+                domain, rec, spec.low_confidence if rec is _IND else spec.high_confidence, codes
+            )
+            for rec, codes in _DEFAULT_CLAIMS[domain]
+        ]
+        for domain in DOMAIN_ORDER
+    ]
+    for combination in itertools.product(*options):
+        claims = tuple(c for c in combination if c is not None)
+        if claims:
+            yield claims
+
+
+class _FoundPrior:
+    """A history whose every lookup finds ``prior`` (None for no prior) and
+    which records nothing, so one instance serves every call. It stands in
+    for DecisionHistory and ReferenceHistory alike (their lookups take
+    different arguments); the lookup itself is checked over random histories
+    in test_resolve_matches_reference_over_random_histories."""
+
+    def __init__(self, prior):
+        self.prior = prior
+
+    def last_matching(self, *args):
+        return self.prior
+
+    def record(self, *args):
+        pass
+
+
+def test_resolve_over_every_default_claim_tuple_prior_and_duplicate_status():
+    # Exhaustive, not sampled: each of the 44,099 claim tuples, with no prior
+    # decision or an escalate or suppress decision for the same alert-type
+    # set, and with the device status ok or duplicate_alert. That is 264,594
+    # inputs; for every one the verdict is binary and equals the reference's,
+    # and the debounce rules and the resolution order hold. Scaling every
+    # weight and the margin by 2 or by 0.5 changes no verdict. That is
+    # checked on each claim tuple with no prior and status ok: a prior and
+    # the status decide only whether a prior is replayed, and every other
+    # input must resolve as that one does, which the loop asserts.
+    types = frozenset({AlertType.LOW_SPO2, AlertType.SIGNAL_QUALITY})
+    device = ProvenanceTag.DEVICE_VERIFIED
+    alerts = [
+        CandidateAlert(
+            types,
+            {
+                AlertType.LOW_SPO2: TaggedValue(90.0, device),
+                AlertType.SIGNAL_QUALITY: TaggedValue(status, device),
+            },
+            DAYTIME,
+        )
+        for status in (DeviceStatus.OK, DeviceStatus.DUPLICATE_ALERT)
+    ]
+    lone = (claim(AgentDomain.COPD, Recommendation.INDETERMINATE, 0.4),)
+    earlier = DAYTIME - timedelta(minutes=1)
+    histories = [_FoundPrior(None)] + [
+        _FoundPrior(SystemDecision(verdict, lone, ResolutionPath.AMBIGUITY_DEFAULT, earlier))
+        for verdict in (Verdict.ESCALATE, Verdict.SUPPRESS)
+    ]
+    scaled_cfgs = [
+        MetaConfig(
+            resolution_margin=CFG.resolution_margin * factor,
+            domain_weights={d: CFG.weight(d) * factor for d in AgentDomain},
+        )
+        for factor in (2.0, 0.5)
+    ]
+    routings = {}
+    count = 0
+    for claims in _every_default_claim_tuple():
+        domains = tuple(c.domain for c in claims)
+        routing = routings.get(domains) or routings.setdefault(domains, routing_for(*domains))
+        suppress, escalate = (
+            sum(CFG.weight(c.domain) * c.confidence for c in claims if c.recommendation is side)
+            for side in (_SUP, _ESC)
+        )
+        unreplayed = None
+        for history in histories:
+            prior = history.prior
+            for alert in alerts:
+                count += 1
+                decision = resolve(claims, routing, alert, history, CFG)
+                verdict, path = decision.verdict, decision.resolution_path
+                assert verdict is Verdict.SUPPRESS or verdict is Verdict.ESCALATE
+                assert decision == reference_resolve(claims, routing, alert, history, CFG, PATIENT)
+                if path is ResolutionPath.DEBOUNCED:
+                    # Only a prior is replayed, never past a duplicate_alert
+                    # status, and a suppression never over an escalate claim.
+                    assert alert is alerts[0] and verdict is prior.verdict
+                    assert verdict is Verdict.ESCALATE or escalate == 0.0
+                else:
+                    # Anything not replayed resolves as with no prior: a lone
+                    # definitive claim is adopted, and inside the margin the
+                    # verdict is escalate.
+                    if unreplayed is None:
+                        unreplayed = decision
+                    assert decision == unreplayed
+                    if len(claims) == 1 and claims[0].recommendation is not _IND:
+                        assert path is ResolutionPath.SINGLE_DOMAIN
+                        assert verdict.value == claims[0].recommendation.value
+                    elif abs(suppress - escalate) < CFG.resolution_margin:
+                        assert verdict is Verdict.ESCALATE
+                        assert path is ResolutionPath.AMBIGUITY_DEFAULT
+        for cfg in scaled_cfgs:
+            scaled = resolve(claims, routing, alerts[0], histories[0], cfg)
+            assert scaled.verdict is unreplayed.verdict
+    assert count == 44_099 * 3 * 2

@@ -294,15 +294,16 @@ def test_device_status_spellings_match_file_format():
 
 def test_tagged_value_requires_provenance():
     with pytest.raises(InvariantViolation):
-        TaggedValue(1.0, None, "src", DAYTIME)  # type: ignore[arg-type]
+        TaggedValue(1.0, None)  # type: ignore[arg-type]
 
 
 def test_tagged_value_is_immutable():
-    tv = TaggedValue(1.0, ProvenanceTag.DEVICE_VERIFIED, "src", DAYTIME)
-    for name in ("value", "provenance", "source_id", "observed_at", "extra"):
+    tv = TaggedValue(1.0, ProvenanceTag.DEVICE_VERIFIED)
+    assert TaggedValue._fields == ("value", "provenance")
+    for name in ("value", "provenance", "extra"):
         with pytest.raises(AttributeError):
             setattr(tv, name, ProvenanceTag.INFERRED)
-    assert tv == TaggedValue(1.0, ProvenanceTag.DEVICE_VERIFIED, "src", DAYTIME)
+    assert tv == TaggedValue(1.0, ProvenanceTag.DEVICE_VERIFIED)
     assert retagged(tv, ProvenanceTag.INFERRED).provenance is ProvenanceTag.INFERRED
     with pytest.raises(InvariantViolation):
         tv._replace(provenance="inferred")
@@ -344,9 +345,19 @@ def test_patient_context_round_trip():
     for bad in (
         {"baseline_hr": float("nan")}, {"patient_id": 3847291.9}, {"patient_id": True},
         {"baseline_spo2": False}, {"baseline_spo2": "0"}, {"baseline_hr": "200"},
+        # A baseline outside the generator's SpO2 70-100 or HR 25-220. An HR
+        # baseline of 1000 would let tachycardia suppress HR 210.
+        {"baseline_spo2": 69.9}, {"baseline_spo2": 100.1},
+        {"baseline_hr": 24.9}, {"baseline_hr": 220.1}, {"baseline_hr": 1000},
     ):
         with pytest.raises(InvariantViolation):
             PatientContext.from_dict({**ctx.to_dict(), **bad})
+    for edge in (
+        {"baseline_spo2": 70.0}, {"baseline_spo2": 100.0},
+        {"baseline_hr": 25.0}, {"baseline_hr": 220.0},
+    ):
+        data = {**ctx.to_dict(), **edge}
+        assert PatientContext.from_dict(data).to_dict() == data
 
 
 def test_patient_context_copd_requires_baseline():

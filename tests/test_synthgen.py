@@ -181,6 +181,25 @@ def test_shipped_taxonomy_encodes_documented_failure_scenarios():
         assert 88.0 <= spec.lower and spec.upper <= 97.0
 
 
+def test_shipped_entries_without_copd_that_can_read_ok_keep_spo2_at_or_above_87_5():
+    # Outside documented COPD no SpO2 level is a floor: a status-ok epoch of
+    # such a patient can suppress at any SpO2. The golden data never reaches
+    # that case, and this is why: every shipped entry without COPD whose
+    # device status can be ok (a null status is ok) draws SpO2 from 87.5 up.
+    # FP-026 and FP-028 are the lowest.
+    entries = load_taxonomy(default_taxonomy_path())
+    lowest = {}
+    for entry in entries:
+        status = entry.categorical_params["device_status"]
+        statuses = set(status.choices) if status.choices else {status.fixed}
+        if entry.context["copd_documented"] or not statuses & {"ok", None}:
+            continue
+        lowest[entry.case_id] = entry.continuous_params["spo2"].lower
+    assert len(lowest) > 0
+    assert min(lowest.values()) == 87.5
+    assert sorted(k for k, lower in lowest.items() if lower == 87.5) == ["FP-026", "FP-028"]
+
+
 def test_validate_taxonomy_rejects_wrong_count():
     # The one count a catalogue can get wrong is none at all; any other size
     # loads, and only the golden check compares it with the shipped 98.
