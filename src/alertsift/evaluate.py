@@ -144,6 +144,20 @@ class EvaluationReport:
     failure_modes: Mapping[DeviceStatus, int]
     case_outcomes: tuple[CaseOutcome, ...]
 
+    @classmethod
+    def from_rows(
+        cls,
+        per_domain: Mapping[DomainClass, DomainRow],
+        epochs: int,
+        failure_modes: Mapping[DeviceStatus, int],
+        case_outcomes: tuple[CaseOutcome, ...] = (),
+    ) -> "EvaluationReport":
+        """The report of these class rows: each overall count is the rows'
+        sum, and ``ind_count`` the cases neither suppressed nor escalated."""
+        rows = per_domain.values()
+        ts, fe, cases = (sum(getattr(row, k) for row in rows) for k in ("ts", "fe", "n"))
+        return cls(ts, fe, cases - ts - fe, cases, epochs, per_domain, failure_modes, case_outcomes)
+
     @property
     def tsr(self) -> float:
         return self.ts_count / self.cases
@@ -303,10 +317,8 @@ def load_manifest(dataset_dir: str | Path) -> Manifest:
 
 
 def _run_case(
-    case_id: str,
-    domain_class: DomainClass,
+    case: Any,
     patient_id: int,
-    epoch_count: int,
     epochs: Sequence[Epoch],
     context: PatientContext,
     sentinel_cfg: SentinelConfig,
@@ -315,12 +327,12 @@ def _run_case(
 ) -> CaseOutcome:
     """Walk one patient's epochs oldest first: the one pass that checks the stream.
 
-    The sort and the duplicate-minute check cover every epoch; after the
-    walk, so that a repeated minute is named as one, the stream must hold
-    the case's ``epoch_count`` epochs. An epoch
-    ``quiet`` passes is never assembled, so assembly's other-patient check
-    sees only alerting epochs; ``evaluate`` groups epochs by patient, so it
-    cannot be reached from there.
+    ``case`` is one of ``evaluate``'s cases. The sort and the duplicate-minute
+    check cover every epoch; after the walk, so that a repeated minute is
+    named as one, the stream must hold the case's ``epoch_count`` epochs. An
+    epoch ``quiet`` passes is never assembled, so assembly's other-patient
+    check sees only alerting epochs; ``evaluate`` groups epochs by patient,
+    so it cannot be reached from there.
     """
     bundle = SourceBundle(
         ehr=context, vitals_stream=tuple(sorted(epochs, key=lambda e: e.timestamp))
@@ -348,10 +360,10 @@ def _run_case(
         decisions.append(decision)
         if failure_status is None and decision.verdict is Verdict.ESCALATE:
             failure_status = epoch.device_status
-    if len(bundle.vitals_stream) != epoch_count:
+    if len(bundle.vitals_stream) != case.epoch_count:
         raise InvariantViolation(
-            f"case {_shown(case_id)}: patient {patient_id} has {len(bundle.vitals_stream)} epochs,"
-            f" expected {epoch_count}"
+            f"case {_shown(case.case_id)}: patient {patient_id} has {len(bundle.vitals_stream)}"
+            f" epochs, expected {case.epoch_count}"
         )
     # A case whose epochs never alert has nothing to suppress or escalate;
     # no alert reached anyone, which is the suppression goal trivially met.
@@ -360,12 +372,7 @@ def _run_case(
         aggregate_case(decisions) if decisions else OutcomeKind.TRUE_SUPPRESSION
     )
     return CaseOutcome(
-        case_id=case_id,
-        patient_id=patient_id,
-        domain_class=domain_class,
-        outcome=outcome,
-        epoch_decisions=tuple(decisions),
-        failure_device_status=failure_status,
+        case.case_id, patient_id, case.domain_class, outcome, tuple(decisions), failure_status
     )
 
 
@@ -409,48 +416,23 @@ def evaluate(
 
     outcomes = tuple(
         _run_case(
-            entry.case_id,
-            entry.domain_class,
-            pid,
-            entry.epoch_count,
-            by_patient[pid],
-            dataset.contexts[pid],
-            sentinel_cfg,
-            specialist_cfg,
-            meta_cfg,
+            entry, pid, by_patient[pid], dataset.contexts[pid],
+            sentinel_cfg, specialist_cfg, meta_cfg,
         )
         for pid, entry in sorted(expected_pids.items())
     )
 
-    counts = Counter(outcome.outcome for outcome in outcomes)
-    per_domain_counts: dict[DomainClass, dict[str, int]] = {
-        cls: {"n": 0, "ts": 0, "fe": 0} for cls in DomainClass
-    }
-    failure_modes: Counter[DeviceStatus] = Counter()
-    for outcome in outcomes:
-        row = per_domain_counts[outcome.domain_class]
-        row["n"] += 1
-        if outcome.outcome is OutcomeKind.TRUE_SUPPRESSION:
-            row["ts"] += 1
-        elif outcome.outcome is OutcomeKind.FALSE_ESCALATION:
-            row["fe"] += 1
-            if outcome.failure_device_status is not None:
-                failure_modes[outcome.failure_device_status] += 1
-
-    per_domain = {
-        cls: DomainRow(**vals) for cls, vals in per_domain_counts.items() if vals["n"]
-    }
-
-    return EvaluationReport(
-        ts_count=counts[OutcomeKind.TRUE_SUPPRESSION],
-        fe_count=counts[OutcomeKind.FALSE_ESCALATION],
-        ind_count=counts[OutcomeKind.INDETERMINATE],
-        cases=len(outcomes),
-        epochs=len(dataset.epochs),
-        per_domain=per_domain,
-        failure_modes=dict(failure_modes),
-        case_outcomes=outcomes,
+    counts = Counter((outcome.domain_class, outcome.outcome) for outcome in outcomes)
+    per_domain: dict[DomainClass, DomainRow] = {}
+    for cls in DomainClass:
+        ts, fe, ind = (counts[cls, kind] for kind in OutcomeKind)
+        if ts + fe + ind:
+            per_domain[cls] = DomainRow(ts + fe + ind, ts, fe)
+    # An escalating epoch, and so a failure status, makes a false escalation.
+    failure_modes = dict(
+        Counter(o.failure_device_status for o in outcomes if o.failure_device_status is not None)
     )
+    return EvaluationReport.from_rows(per_domain, len(dataset.epochs), failure_modes, outcomes)
 
 
 # Expected metrics for the shipped catalogue under default configuration,
@@ -616,7 +598,7 @@ def write_decision_log(report: EvaluationReport, path: str | Path) -> None:
 
 
 # The fields of report.json that render_report_text reads: the sections, and
-# the numbers in each fixed section and in each class row.
+# the numbers in each fixed section and in each class row, and of those the counts.
 _REPORT_SECTIONS = frozenset({"overall", "per_domain", "wilson_cis", "failure_modes", "totals"})
 _REPORT_FIELDS = {
     "overall": ("ts_count", "fe_count", "ind_count", "tsr", "fer", "indr"),
@@ -624,23 +606,32 @@ _REPORT_FIELDS = {
     "per_domain": ("n", "ts", "fe", "tsr", "fer"),
     "wilson_cis": ("lower", "upper"),
 }
+_REPORT_COUNTS = frozenset("ts_count fe_count ind_count cases epochs n ts fe".split())
+
+
+def _count(raw: Any, name: str) -> int:
+    if _integer(raw, name) < 0:
+        raise InvariantViolation(f"{name} must not be negative, got {raw}")
+    return raw
 
 
 def _check_numbers(row: Any, names: Sequence[str], where: str) -> None:
     row = _object(row, frozenset(names), f"report payload {where!r}")
     for name in names:
         _number(row.get(name), f"report payload {where}.{name}")
+        if name in _REPORT_COUNTS:
+            _count(row[name], f"report payload {where}.{name}")
 
 
 def validate_report_payload(data: Mapping[str, Any]) -> dict[str, Any]:
     """Schema check for a stored report.json loaded for re-rendering.
 
-    Every section and row the text report reads must be present and typed:
-    the overall and totals numbers, each class row's counts and rates, each
-    interval's bounds, and each failure mode's integer count. A key the
-    report does not write is rejected. ``wilson_cis`` holds an interval for
-    exactly the classes of ``per_domain``, each the one ``to_json_dict``
-    derives from the row: ``wilson_interval(ts, n)``, rounded to 6 places.
+    Every section and row the text report reads must be present and typed,
+    each count a non-negative integer; a key the report does not write is
+    rejected. Each class row has ``ts + fe <= n``, and every other number
+    must be the one ``to_json_dict`` derives from the class rows and the
+    epoch total (see ``EvaluationReport.from_rows``): ``wilson_cis`` holds
+    an interval for exactly the classes of ``per_domain``.
     """
     data = _object(data, _REPORT_SECTIONS, "report payload")
     missing = _REPORT_SECTIONS - data.keys()
@@ -657,18 +648,33 @@ def validate_report_payload(data: Mapping[str, Any]) -> dict[str, Any]:
         cls = unmatched[0]
         has = "no interval" if cls in rows else "an interval but no per_domain row"
         raise InvariantViolation(f"report payload wilson_cis: class {cls!r} has {has}")
+    if not rows:
+        raise InvariantViolation("report payload per_domain holds no class")
+    classes = {}
     for cls, row in rows.items():
         try:
-            lower, upper = wilson_interval(row["ts"], row["n"])
+            wilson_interval(row["ts"], row["n"])
+            if row["ts"] + row["fe"] > row["n"]:
+                raise InvariantViolation("ts + fe exceeds n")
         except InvariantViolation as exc:
             raise InvariantViolation(f"report payload per_domain.{cls}: {exc}") from None
-        expected = {"lower": round(lower, 6), "upper": round(upper, 6)}
-        if cis[cls] != expected:
+        classes[DomainClass(cls)] = DomainRow(row["n"], row["ts"], row["fe"])
+    derived = EvaluationReport.from_rows(classes, data["totals"]["epochs"], {}).to_json_dict()
+    for cls, ci in derived["wilson_cis"].items():
+        if cis[cls] != ci:
             raise InvariantViolation(
-                f"report payload wilson_cis.{cls} {cis[cls]} != {expected},"
-                f" the interval of ts={row['ts']} n={row['n']}"
+                f"report payload wilson_cis.{cls} {cis[cls]} != {ci},"
+                f" the interval of ts={rows[cls]['ts']} n={rows[cls]['n']}"
             )
+    sections = [(key, data[key], derived[key]) for key in ("overall", "totals")]
+    sections += [(f"per_domain.{c}", rows[c], row) for c, row in derived["per_domain"].items()]
+    for where, stored, expected in sections:
+        for name, value in expected.items():
+            if stored[name] != value:
+                raise InvariantViolation(
+                    f"report payload {where}.{name} is {stored[name]}, the rows give {value}"
+                )
     failure_modes = _object(data["failure_modes"], DeviceStatus, "report payload 'failure_modes'")
     for status, count in failure_modes.items():
-        _integer(count, f"report payload failure_modes.{status}")
+        _count(count, f"report payload failure_modes.{status}")
     return dict(data)

@@ -8,8 +8,9 @@ the margin between them is too small to call. Indeterminate claims carry
 no weight on either side, which is exactly why low-context alerts fall
 through to the conservative default.
 
-A history is one patient's cooldown window, built per case: its alerts
-resolve in strictly increasing time, and it keeps only what it can replay.
+A history is one patient's latest decision per alert-type set, built per
+case: its alerts resolve in strictly increasing time, and it keeps only what
+it can replay.
 
 The claims and the routing decision resolve reads are shared immutable
 values: every alert that reaches the same rules gets the same objects. The
@@ -21,7 +22,6 @@ to build and to hold than a frozen dataclass.
 from __future__ import annotations
 
 import functools
-from collections import deque
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from typing import Mapping
@@ -76,16 +76,16 @@ def _cooldown(window_minutes: int) -> timedelta:
 
 
 class DecisionHistory:
-    """One patient's decisions within the cooldown window, under one MetaConfig.
+    """One patient's latest decision per alert-type set, under one MetaConfig.
 
-    ``last_matching`` drops what lies more than the window before now: exact,
-    as times strictly increase and the window is fixed. The last time is kept
-    apart, so the order check holds after every earlier decision has been
-    dropped.
+    The debounce replays only a set's latest decision, and when that lies
+    outside the window so does every earlier one, as times strictly
+    increase: so a history holds at most one decision per set, at most 15.
+    The last time is kept apart for the order check.
     """
 
     def __init__(self) -> None:
-        self._window: deque[tuple[frozenset[AlertType], SystemDecision]] = deque()
+        self._latest: dict[frozenset[AlertType], SystemDecision] = {}
         self._last_at: datetime | None = None
 
     def record(self, alert_types: frozenset[AlertType], decision: SystemDecision) -> None:
@@ -95,23 +95,19 @@ class DecisionHistory:
                 f"decision timestamps must strictly increase ({at} after {self._last_at})"
             )
         self._last_at = at
-        self._window.append((alert_types, decision))
+        self._latest[alert_types] = decision
 
     def last_matching(
         self, alert_types: frozenset[AlertType], now: datetime, window_minutes: int
     ) -> SystemDecision | None:
-        """Most recent decision for an identical alert-type set within the window."""
+        """The latest decision for an identical alert-type set, if within the window."""
         # Not ``decided_at < now - cooldown``: that subtraction leaves the
         # datetime range near year 1, while a difference of two datetimes
         # always fits in a timedelta.
-        cooldown = _cooldown(window_minutes)
-        window = self._window
-        while window and now - window[0][1].decided_at > cooldown:
-            window.popleft()
-        for types, decision in reversed(window):
-            if types == alert_types:
-                return decision
-        return None
+        decision = self._latest.get(alert_types)
+        if decision is None or now - decision.decided_at > _cooldown(window_minutes):
+            return None
+        return decision
 
 
 _SIGNAL_QUALITY = AlertType.SIGNAL_QUALITY
@@ -165,7 +161,7 @@ def resolve(
         )
 
     now = alert.raised_at
-    # Asked on every alert so the window stays pruned; a duplicate_alert drops the prior.
+    # A duplicate_alert status, or an escalate claim over a prior suppression, drops the prior.
     prior = history.last_matching(alert.alert_types, now, cfg.cooldown_window_minutes)
     if prior is not None:
         status_tv = alert.triggering_values.get(_SIGNAL_QUALITY)

@@ -299,8 +299,8 @@ class TaggedValue(_TaggedFields):
 class Epoch:
     """One-minute summarized measurement row for one patient.
 
-    ``ambient_condition`` is carried through the schema for forward
-    compatibility but is never consumed by any rule. Slotted: generation
+    ``ambient_condition``, a string or null, is carried through the schema
+    for forward compatibility but is never consumed by any rule. Slotted: generation
     and the reader build one per epoch, and an instance without a
     ``__dict__`` is smaller and quicker to build.
 
@@ -387,7 +387,7 @@ class Epoch:
                 None if activity is None
                 else parse_enum(SelfReportedActivity, activity, "self_reported_activity")
             ),
-            ambient_condition=data.get("ambient_condition"),
+            ambient_condition=_text(data.get("ambient_condition"), "ambient_condition"),
         )
 
 
@@ -419,6 +419,13 @@ def _flag(raw: Any, name: str) -> bool:
     """A JSON boolean; a string such as "false" is rejected, not read as true."""
     if not isinstance(raw, bool):
         raise InvariantViolation(f"{name} must be true or false, got {_shown(raw)}")
+    return raw
+
+
+def _text(raw: Any, name: str) -> str | None:
+    """A JSON string or null."""
+    if raw is not None and type(raw) is not str:
+        raise InvariantViolation(f"{name} must be a string or null, got {_shown(raw)}")
     return raw
 
 

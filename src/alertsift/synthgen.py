@@ -59,6 +59,7 @@ from .model import (
     _number,
     _object,
     _shown,
+    _text,
     format_timestamp,
     parse_enum,
     write_contexts_json,
@@ -104,13 +105,13 @@ _START_CLOCK = {False: (7, 20, 60), True: (0, 5, 50)}
 # in: a draw is clamped to its spec, so no generated value leaves that range. A
 # categorical field also names the type a catalogue value parses to.
 _CONTINUOUS_FIELDS = {"spo2": (97.0, *VITAL_RANGES["spo2"]), "hr": (72.0, *VITAL_RANGES["hr"])}
-_CATEGORICAL_FIELDS: dict[str, tuple[type | None, Any]] = {
+_CATEGORICAL_FIELDS: dict[str, tuple[type, Any]] = {
     "accel_level": (AccelLevel, AccelLevel.STILL),
     "device_status": (DeviceStatus, DeviceStatus.OK),
     "position": (Position, Position.UPRIGHT),
     "self_reported_activity": (SelfReportedActivity, None),
     "probe_cover_present": (bool, False),
-    "ambient_condition": (None, None),  # any JSON value, carried only
+    "ambient_condition": (str, None),  # a string or null, carried only
 }
 _CONTINUOUS_NAMES = frozenset(_CONTINUOUS_FIELDS)
 _CATEGORICAL_NAMES = frozenset(_CATEGORICAL_FIELDS)
@@ -146,48 +147,9 @@ class ContinuousSpec:
         )
 
 
-def _read_only(self: Any, *args: Any, **kwargs: Any) -> Any:
-    raise TypeError("a catalogue value is read-only")
-
-
-class _FrozenObject(dict):
-    """A JSON object in a catalogue value: a dict, so it compares and encodes
-    as one, that refuses every change."""
-
-    __setitem__ = __delitem__ = __ior__ = _read_only
-    clear = pop = popitem = setdefault = update = _read_only
-
-
-class _FrozenArray(list):
-    """A JSON array in a catalogue value, read-only as ``_FrozenObject`` is."""
-
-    __setitem__ = __delitem__ = __iadd__ = __imul__ = _read_only
-    append = clear = extend = insert = pop = remove = reverse = sort = _read_only
-
-
-# The JSON scalar types: a catalogue value of any of them is immutable.
-_JSON_SCALARS = frozenset({str, int, float, bool, type(None)})
-
-
-def _frozen(value: Any) -> Any:
-    """``value`` with every JSON object and array in it made read-only."""
-    if isinstance(value, dict):
-        return _FrozenObject({k: _frozen(v) for k, v in value.items()})
-    if isinstance(value, list):
-        return _FrozenArray(map(_frozen, value))
-    if isinstance(value, tuple):
-        return tuple(map(_frozen, value))
-    return value
-
-
 @dataclass(frozen=True)
 class CategoricalSpec:
-    """Either one fixed value or a uniform choice set.
-
-    Every value is frozen when the spec is built: an ``ambient_condition``
-    may be a JSON object or array, which the entry's cached text and every
-    generated epoch carry as is.
-    """
+    """Either one fixed value or a uniform choice set."""
 
     fixed: Any = None
     choices: tuple[Any, ...] = ()
@@ -195,11 +157,6 @@ class CategoricalSpec:
     def __post_init__(self) -> None:
         if self.choices and self.fixed is not None:
             raise InvariantViolation("categorical spec cannot be both fixed and a choice set")
-        if type(self.fixed) not in _JSON_SCALARS:
-            object.__setattr__(self, "fixed", _frozen(self.fixed))
-        choices = self.choices
-        if type(choices) is not tuple or not _JSON_SCALARS.issuperset(map(type, choices)):
-            object.__setattr__(self, "choices", tuple(map(_frozen, choices)))
 
     def to_dict(self) -> dict[str, Any]:
         if self.choices:
@@ -227,9 +184,9 @@ def _epoch_value(name: str, raw: Any) -> Any:
         return default
     if kind is bool:
         return _flag(raw, name)
-    if kind is not None:
-        return parse_enum(kind, raw, name)
-    return raw
+    if kind is str:
+        return _text(raw, name)
+    return parse_enum(kind, raw, name)
 
 
 @dataclass(frozen=True)
@@ -251,9 +208,10 @@ class TaxonomyEntry:
     its latest start, fails the entry.
 
     ``continuous_params``, ``categorical_params`` and ``context`` are
-    read-only copies of the mappings given, and every spec and value in
-    them is immutable, so ``canonical_text``, the entry's JSON text built on
-    first use and kept, stays the entry's.
+    read-only copies of the mappings given, every spec in them is frozen,
+    and every categorical value parses, so is a JSON scalar. So
+    ``canonical_text``, the entry's JSON text built on first use and kept,
+    stays the entry's.
     """
 
     case_id: str

@@ -75,3 +75,45 @@ def test_the_tracer_sees_every_generated_and_written_epoch():
         env=env, capture_output=True, text=True, check=True,
     )
     assert json.loads(done.stdout) == [530, 530]
+
+
+BENCH = TRACING.parent
+
+# One operation of each benchmark workload, at a small size, in a temporary
+# directory: the benchmark builds specs and entries directly and reads the
+# patient id range, so a change to those fails here, not only in the
+# benchmark's own tests.
+_RUN_WORKLOADS = """
+import json, sys, tempfile
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+import run, workloads
+api = run.fresh_import()
+problems = {}
+with tempfile.TemporaryDirectory() as tmp:
+    for name, workload in (
+        ("golden", workloads.Golden(api, 0, Path(tmp))),
+        ("fleet", workloads.Fleet(api, 0, Path(tmp), replicas=2)),
+        ("longstream", workloads.Longstream(api, 0, Path(tmp), lengths=(200, 300))),
+    ):
+        _, generated = workload.generate()
+        _, reports = workload.pipeline()
+        _, outputs = workload.evaluate_cmd()
+        problems[name] = (
+            workload.check_generate(generated)
+            + workload.check_pipeline(reports)
+            + workload.check_cmd(outputs)
+        )
+print(json.dumps(problems))
+"""
+
+
+def test_every_benchmark_workload_runs_one_checked_operation():
+    env = {**os.environ, "PYTHONPATH": str(Path(alertsift.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-B", "-c", _RUN_WORKLOADS, str(BENCH)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert json.loads(done.stdout.splitlines()[-1]) == {
+        "golden": [], "fleet": [], "longstream": [],
+    }

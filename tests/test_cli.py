@@ -147,6 +147,10 @@ HUGE = 10**400
                 "2022-06-15T14Z", "2022-06-15T14:03Z", "2022-06-15T14:03:00.000Z",
             )
         ),
+        *(
+            ("ambient_condition", raw, f"ambient_condition must be a string or null, got {raw!r}")
+            for raw in ({"lux": 3}, ["dim"], 3, True)
+        ),
     ],
     ids=[
         "null_spo2", "text_spo2", "numeric_timestamp", "unknown_status",
@@ -155,7 +159,7 @@ HUGE = 10**400
         "nan_hr", "infinite_spo2", "huge_integer_spo2", "huge_integer_hr",
         "timestamp_before_year_1", "timestamp_after_year_9999",
         "week_date", "basic_format", "space_separator", "hour_only", "no_seconds",
-        "fraction",
+        "fraction", "object_ambient", "array_ambient", "number_ambient", "boolean_ambient",
     ],
 )
 def test_evaluate_malformed_epoch_exits_2_naming_the_line(
@@ -419,6 +423,22 @@ def test_report_rejects_intervals_other_than_the_rows(tmp_path, capsys):
     assert not (tmp_path / "report" / "report.txt").exists()
 
 
+def test_report_without_class_rows_exits_2(tmp_path, capsys):
+    # No class row leaves no case to take a rate of.
+    config = write_config(tmp_path)
+    run(["--config", config, "generate"])
+    run(["--config", config, "evaluate", "--json-only"])
+    report_path = tmp_path / "report" / "report.json"
+    payload = json.loads(report_path.read_text())
+    payload["per_domain"] = payload["wilson_cis"] = {}
+    report_path.write_text(json.dumps(payload), encoding="utf-8")
+    capsys.readouterr()
+    assert run(["--config", config, "report"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: report payload invalid: report payload per_domain holds no class"
+    ]
+
+
 _MISSING = object()
 
 
@@ -442,12 +462,25 @@ _MISSING = object()
             "wilson_cis: class 'copd' has an interval but no per_domain row",
         ),
         (("per_domain", "copd", "ts"), 14, "per_domain.copd: require 0 <= successes <= n"),
+        (("overall", "ts_count"), 82.5, "overall.ts_count must be an integer, got 82.5"),
+        (("totals", "cases"), -3, "totals.cases must not be negative, got -3"),
+        (("per_domain", "copd", "fe"), 7.5, "per_domain.copd.fe must be an integer, got 7.5"),
+        (("overall", "tsr"), 0.99, "overall.tsr is 0.99, the rows give 0.836735"),
+        (("per_domain", "copd", "tsr"), 0.01, "per_domain.copd.tsr is 0.01, the rows give 1.0"),
+        (("per_domain", "copd", "fe"), 1, "per_domain.copd: ts + fe exceeds n"),
+        (("overall", "ind_count"), 2, "overall.ind_count is 2, the rows give 0"),
+        (("totals", "cases"), 99, "totals.cases is 99, the rows give 98"),
+        (("totals", "mean_epochs_per_case"), 5.0, "mean_epochs_per_case is 5.0, the rows give"),
+        (("failure_modes", "ok"), -4, "failure_modes.ok must not be negative, got -4"),
     ],
     ids=[
         "per_domain_row", "per_domain_rate", "wilson_bound", "wilson_class",
         "failure_count", "overall_field", "totals_field",
         "nan_rate", "infinite_bound", "huge_integer_rate", "misspelt_row_key",
         "misspelt_section", "interval_without_row", "more_successes_than_cases",
+        "fractional_count", "negative_cases", "fractional_class_count", "overall_rate_off_counts",
+        "class_rate_off_counts", "more_outcomes_than_cases", "ind_count_off_rows",
+        "cases_off_rows", "mean_off_totals", "negative_failure_count",
     ],
 )
 def test_report_malformed_row_exits_2(tmp_path, capsys, path, value, message):
@@ -663,6 +696,18 @@ def _edited_taxonomy(tmp_path: Path, edit) -> tuple[Path, str]:
             lambda e: e.update(nocturnal=True, epoch_count=72),
             "nocturnal epoch_count 72 runs past 06:00 from a 04:49 start (at most 71)",
         ),
+        *(
+            (
+                lambda e, spec=spec: e["categorical_params"].update(ambient_condition=spec),
+                f"ambient_condition must be a string or null, got {raw!r}",
+            )
+            for raw, spec in (
+                ({"lux": 3}, {"fixed": {"lux": 3}}),
+                (["dim"], {"fixed": ["dim"]}),
+                (3, {"choice": ["dim", 3]}),
+                (False, {"choice": [None, False]}),
+            )
+        ),
     ],
     ids=[
         "missing_epoch_count", "string_nocturnal", "string_context_flag",
@@ -679,6 +724,8 @@ def _edited_taxonomy(tmp_path: Path, edit) -> tuple[Path, str]:
         "null_note", "zero_epoch_count",
         "unknown_continuous_field", "spo2_upper_past_100", "hr_lower_below_25",
         "empty_spec_interval", "epoch_count_past_the_window", "nocturnal_past_the_night",
+        "object_fixed_ambient", "array_fixed_ambient", "number_choice_ambient",
+        "boolean_choice_ambient",
     ],
 )
 def test_generate_malformed_taxonomy_entry_exits_2(tmp_path, capsys, edit, message):
@@ -1320,8 +1367,8 @@ def test_evaluate_reads_no_catalogue(tmp_path, capsys, seed_42_dataset):
 
 # Every key of an epoch row and of a contexts.json record: the JSON types its
 # reader accepts, whether a row may leave it out, and for an enum key the
-# enumeration. ambient_condition is carried, never read, and takes any JSON
-# value.
+# enumeration. ambient_condition is carried, never read, and is a string or
+# null.
 _ANY = frozenset({"null", "boolean", "integer", "float", "string", "array", "object"})
 _NUMBER = frozenset({"integer", "float"})
 _EPOCH_SCHEMA = {
@@ -1334,7 +1381,7 @@ _EPOCH_SCHEMA = {
     "probe_cover_present": ({"boolean"}, True, None),
     "position": ({"string"}, True, Position),
     "self_reported_activity": ({"string", "null"}, False, SelfReportedActivity),
-    "ambient_condition": (_ANY, False, None),
+    "ambient_condition": ({"string", "null"}, False, None),
 }
 _CONTEXT_SCHEMA = {
     "patient_id": ({"integer"}, True, None),
@@ -1458,7 +1505,7 @@ def test_one_mutated_dataset_value_exits_0_or_2_naming_it(mutable_dataset, data)
             must_fail = new_type not in types
         elif kind == "non_finite":
             record[key] = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
-            must_fail = types is not _ANY
+            must_fail = True
         else:
             members = {member.value for member in enum}
             record[key] = data.draw(

@@ -59,7 +59,7 @@ _CATEGORICAL_VALUES = {
     "position": [*(m.value for m in Position), None],
     "self_reported_activity": [*(m.value for m in SelfReportedActivity), None],
     "probe_cover_present": [True, False, None],
-    "ambient_condition": ["dim", {"lux": 3}, None],
+    "ambient_condition": ["dim", 'lux "3" \\ dim', None],
 }
 
 
