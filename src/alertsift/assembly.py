@@ -11,8 +11,11 @@ Per alerting epoch (a quiet one is never assembled), ``assemble`` builds
 one VeritasRecord holding eight to twelve ``(value, provenance)`` values in
 one mapping, and the projection one ``(timestamp, fields)`` SpecialistView
 that shares that mapping, or a filtered copy when some tag is not allowed.
-All three are tuples, built at tuple cost; ``assemble`` alone builds
-unchecked, for the reasons given at ``_new`` below.
+The epoch's six to eight values are built per epoch; the two to four EHR
+values do not change from epoch to epoch, so each patient's are built once,
+with its SourceBundle, and every record of the patient holds the same
+immutable ones. All three types are tuples, built with ``tuple.__new__``
+for the reasons given at ``_new`` below.
 """
 
 from __future__ import annotations
@@ -52,7 +55,9 @@ ALLOWED_SPECIALIST_PROVENANCE = frozenset(
 # key it writes is its own literal or one of ``SourceBundle._ehr_fields``,
 # which are literals too. Every other caller, whose tags and keys may be
 # arbitrary, keeps the checked constructors, and the projection still
-# decides by each value's tag.
+# decides by each value's tag. The projection builds its SpecialistView the
+# same way: that type checks nothing, so tuple.__new__ skips only the
+# NamedTuple's generated Python __new__.
 _DEVICE = ProvenanceTag.DEVICE_VERIFIED
 _REPORTED = ProvenanceTag.PATIENT_REPORTED
 _EHR = ProvenanceTag.EHR_DERIVED
@@ -65,14 +70,18 @@ class SourceBundle:
 
     What assembly needs of the sources besides the epoch itself does not
     change from epoch to epoch, so it is built here once per patient: the
-    present EHR fields. ``vitals_stream`` holds the patient's epochs in the
-    order the caller walks them; ``assemble`` checks the patient of each
-    epoch the walk passes it.
+    present EHR fields as ``(name, TaggedValue)`` pairs, each tagged
+    ``ehr_derived``, in the order ``assemble`` adds them to every record.
+    ``vitals_stream`` holds the patient's epochs in the order the caller
+    walks them; ``assemble`` checks the patient of each epoch the walk
+    passes it.
     """
 
     ehr: PatientContext
     vitals_stream: tuple[Epoch, ...]
-    _ehr_fields: tuple[tuple[str, Any], ...] = field(init=False, repr=False, compare=False)
+    _ehr_fields: tuple[tuple[str, TaggedValue], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         ehr = self.ehr
@@ -84,7 +93,8 @@ class SourceBundle:
             ehr_fields.append(("baseline_spo2", ehr.baseline_spo2))
         if ehr.baseline_hr is not None:
             ehr_fields.append(("baseline_hr", ehr.baseline_hr))
-        object.__setattr__(self, "_ehr_fields", tuple(ehr_fields))
+        tagged = tuple([(name, _new(TaggedValue, (value, _EHR))) for name, value in ehr_fields])
+        object.__setattr__(self, "_ehr_fields", tagged)
 
 
 def assemble(bundle: SourceBundle, epoch: Epoch) -> VeritasRecord:
@@ -122,8 +132,7 @@ def assemble(bundle: SourceBundle, epoch: Epoch) -> VeritasRecord:
         fields["self_reported_activity"] = _new(
             TaggedValue, (epoch.self_reported_activity, _REPORTED)
         )
-    for name, value in bundle._ehr_fields:
-        fields[name] = _new(TaggedValue, (value, _EHR))
+    fields.update(bundle._ehr_fields)
     return _new(VeritasRecord, (pid, epoch.timestamp, fields))
 
 
@@ -174,4 +183,4 @@ def project_for_specialists(record: VeritasRecord) -> SpecialistView:
     if not _all_allowed(fields.values()):
         allowed = ALLOWED_SPECIALIST_PROVENANCE
         fields = {k: tv for k, tv in fields.items() if tv.provenance in allowed}
-    return SpecialistView(record.timestamp, fields)
+    return _new(SpecialistView, (record.timestamp, fields))

@@ -12,10 +12,11 @@ failure.
 from __future__ import annotations
 
 import json
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from math import sqrt
+from operator import attrgetter
 from pathlib import Path
 from typing import Any, Mapping, NamedTuple, Sequence
 
@@ -76,20 +77,32 @@ class OutcomeKind(str, Enum):
     INDETERMINATE = "indeterminate"
 
 
+# Bound once: reading an Enum member off its class costs about 0.1 us.
+_SUPPRESS = Verdict.SUPPRESS
+_ESCALATE = Verdict.ESCALATE
+_TRUE_SUPPRESSION = OutcomeKind.TRUE_SUPPRESSION
+_FALSE_ESCALATION = OutcomeKind.FALSE_ESCALATION
+_INDETERMINATE = OutcomeKind.INDETERMINATE
+
+
 def aggregate_case(decisions: Sequence[SystemDecision]) -> OutcomeKind:
-    """Fold one case's epoch decisions into its outcome.
+    """Fold one case's epoch decisions into its outcome, in one pass.
 
     A case is a true suppression only when every epoch was suppressed; one
-    escalating epoch makes it a false escalation. The indeterminate arm is
-    defined for robustness but unreachable while verdicts are binary.
+    escalating epoch makes it a false escalation, and ends the pass. The
+    indeterminate arm is defined for robustness but unreachable while
+    verdicts are binary.
     """
     if not decisions:
         raise InvariantViolation("aggregate_case requires at least one decision")
-    if any(d.verdict is Verdict.ESCALATE for d in decisions):
-        return OutcomeKind.FALSE_ESCALATION
-    if all(d.verdict is Verdict.SUPPRESS for d in decisions):
-        return OutcomeKind.TRUE_SUPPRESSION
-    return OutcomeKind.INDETERMINATE
+    outcome = _TRUE_SUPPRESSION
+    for decision in decisions:
+        verdict = decision.verdict
+        if verdict is _ESCALATE:
+            return _FALSE_ESCALATION
+        if verdict is not _SUPPRESS:
+            outcome = _INDETERMINATE
+    return outcome
 
 
 def wilson_interval(successes: int, n: int, z: float = 1.96) -> tuple[float, float]:
@@ -108,8 +121,14 @@ def wilson_interval(successes: int, n: int, z: float = 1.96) -> tuple[float, flo
     return (max(0.0, center - margin), min(1.0, center + margin))
 
 
-@dataclass(frozen=True)
-class CaseOutcome:
+class CaseOutcome(NamedTuple):
+    """One case's outcome and the epoch decisions behind it.
+
+    An immutable tuple, equal when all six fields are equal, as tuples are.
+    A tuple because it is the one object kept per case, as ``SystemDecision``
+    is per decision.
+    """
+
     case_id: str
     patient_id: int
     domain_class: DomainClass
@@ -316,6 +335,9 @@ def load_manifest(dataset_dir: str | Path) -> Manifest:
     return Manifest(taxonomy_sha256=digest, cases=tuple(cases))
 
 
+_BY_TIME = attrgetter("timestamp")
+
+
 def _run_case(
     case: Any,
     patient_id: int,
@@ -334,9 +356,7 @@ def _run_case(
     check sees only alerting epochs; ``evaluate`` groups epochs by patient,
     so it cannot be reached from there.
     """
-    bundle = SourceBundle(
-        ehr=context, vitals_stream=tuple(sorted(epochs, key=lambda e: e.timestamp))
-    )
+    bundle = SourceBundle(ehr=context, vitals_stream=tuple(sorted(epochs, key=_BY_TIME)))
     history = DecisionHistory()
     decisions: list[SystemDecision] = []
     failure_status: DeviceStatus | None = None
@@ -358,7 +378,7 @@ def _run_case(
         claims = claims_for(alert, view, routing, specialist_cfg)
         decision = resolve(claims, routing, alert, history, meta_cfg)
         decisions.append(decision)
-        if failure_status is None and decision.verdict is Verdict.ESCALATE:
+        if failure_status is None and decision.verdict is _ESCALATE:
             failure_status = epoch.device_status
     if len(bundle.vitals_stream) != case.epoch_count:
         raise InvariantViolation(
@@ -401,9 +421,11 @@ def evaluate(
     first_pid = PATIENT_ID_RANGE[0]
     expected_pids = {first_pid + i: entry for i, entry in enumerate(taxonomy)}
 
-    by_patient: dict[int, list[Epoch]] = {}
+    # Nothing looks a patient up before the set check below, so a lookup
+    # never adds a patient.
+    by_patient: defaultdict[int, list[Epoch]] = defaultdict(list)
     for epoch in dataset.epochs:
-        by_patient.setdefault(epoch.patient_id, []).append(epoch)
+        by_patient[epoch.patient_id].append(epoch)
 
     if set(by_patient) != set(expected_pids):
         missing = sorted(set(expected_pids) - set(by_patient))
@@ -412,7 +434,12 @@ def evaluate(
             f"dataset patients differ from the case list (missing={missing[:5]}, extra={extra[:5]})"
         )
     if set(dataset.contexts) != set(expected_pids):
-        raise InvariantViolation("context sidecar does not cover the case list's patients")
+        missing = sorted(set(expected_pids) - set(dataset.contexts))
+        extra = sorted(set(dataset.contexts) - set(expected_pids))
+        raise InvariantViolation(
+            f"context sidecar patients differ from the case list"
+            f" (missing={missing[:5]}, extra={extra[:5]})"
+        )
 
     outcomes = tuple(
         _run_case(
@@ -631,7 +658,10 @@ def validate_report_payload(data: Mapping[str, Any]) -> dict[str, Any]:
     rejected. Each class row has ``ts + fe <= n``, and every other number
     must be the one ``to_json_dict`` derives from the class rows and the
     epoch total (see ``EvaluationReport.from_rows``): ``wilson_cis`` holds
-    an interval for exactly the classes of ``per_domain``.
+    an interval for exactly the classes of ``per_domain``. Every case has an
+    epoch, so the epoch total is at least the case count; every false
+    escalation has one failure status, so the failure-mode counts sum to
+    ``fe_count``.
     """
     data = _object(data, _REPORT_SECTIONS, "report payload")
     missing = _REPORT_SECTIONS - data.keys()
@@ -674,7 +704,19 @@ def validate_report_payload(data: Mapping[str, Any]) -> dict[str, Any]:
                 raise InvariantViolation(
                     f"report payload {where}.{name} is {stored[name]}, the rows give {value}"
                 )
+    totals = data["totals"]
+    if totals["epochs"] < totals["cases"]:
+        raise InvariantViolation(
+            f"report payload totals.epochs is {totals['epochs']}, below totals.cases"
+            f" {totals['cases']}: every case has at least one epoch"
+        )
     failure_modes = _object(data["failure_modes"], DeviceStatus, "report payload 'failure_modes'")
     for status, count in failure_modes.items():
         _count(count, f"report payload failure_modes.{status}")
+    total, fe_count = sum(failure_modes.values()), data["overall"]["fe_count"]
+    if total != fe_count:
+        raise InvariantViolation(
+            f"report payload failure_modes sum to {total}, not overall.fe_count {fe_count}:"
+            " every false escalation has one failure status"
+        )
     return dict(data)

@@ -121,6 +121,9 @@ _DEBOUNCED = ResolutionPath.DEBOUNCED
 _SINGLE_DOMAIN = ResolutionPath.SINGLE_DOMAIN
 _WEIGHTED_AGGREGATION = ResolutionPath.WEIGHTED_AGGREGATION
 _AMBIGUITY_DEFAULT = ResolutionPath.AMBIGUITY_DEFAULT
+# SystemDecision checks nothing; tuple.__new__ skips only the NamedTuple's
+# generated Python __new__.
+_new = tuple.__new__
 
 
 def resolve(
@@ -192,6 +195,6 @@ def resolve(
         else:
             verdict, path = _ESCALATE, _AMBIGUITY_DEFAULT
 
-    decision = SystemDecision(verdict, claims, path, now)
+    decision = _new(SystemDecision, (verdict, claims, path, now))
     history.record(alert.alert_types, decision)
     return decision

@@ -665,7 +665,9 @@ class SystemDecision(NamedTuple):
     An immutable tuple ``(verdict, contributing_claims, resolution_path,
     decided_at)``, equal when all four fields are equal, as tuples are. A
     tuple because it is the one object kept per decision: it costs less to
-    build and to hold than a frozen dataclass.
+    build and to hold than a frozen dataclass. It checks nothing, so
+    ``resolve`` builds it with ``tuple.__new__``, skipping only the
+    NamedTuple's generated Python ``__new__``.
     """
 
     verdict: Verdict

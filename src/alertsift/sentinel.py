@@ -51,6 +51,10 @@ class SentinelConfig:
 # Bound once: reading an Enum member off its class costs about 0.1 us a
 # call, most of what ``quiet`` costs on a quiet epoch.
 _OK = DeviceStatus.OK
+_LOW_SPO2 = AlertType.LOW_SPO2
+_HIGH_HR = AlertType.HIGH_HR
+_LOW_HR = AlertType.LOW_HR
+_SIGNAL_QUALITY = AlertType.SIGNAL_QUALITY
 
 
 def quiet(epoch: Epoch, cfg: SentinelConfig) -> bool:
@@ -76,22 +80,23 @@ def detect(view: SpecialistView, cfg: SentinelConfig) -> CandidateAlert | None:
     iff the device status is present and not ok. Pure function of the view
     and config.
     """
+    get = view.fields.get
     triggers: dict[AlertType, TaggedValue] = {}
 
-    spo2 = view.get("spo2")
+    spo2 = get("spo2")
     if spo2 is not None and spo2.value < cfg.spo2_low_threshold:
-        triggers[AlertType.LOW_SPO2] = spo2
+        triggers[_LOW_SPO2] = spo2
 
-    hr = view.get("hr")
+    hr = get("hr")
     if hr is not None:
         if hr.value > cfg.hr_high_threshold:
-            triggers[AlertType.HIGH_HR] = hr
+            triggers[_HIGH_HR] = hr
         if hr.value < cfg.hr_low_threshold:
-            triggers[AlertType.LOW_HR] = hr
+            triggers[_LOW_HR] = hr
 
-    status = view.get("device_status")
-    if status is not None and status.value is not DeviceStatus.OK:
-        triggers[AlertType.SIGNAL_QUALITY] = status
+    status = get("device_status")
+    if status is not None and status.value is not _OK:
+        triggers[_SIGNAL_QUALITY] = status
 
     if not triggers:
         return None

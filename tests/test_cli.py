@@ -472,6 +472,15 @@ _MISSING = object()
         (("totals", "cases"), 99, "totals.cases is 99, the rows give 98"),
         (("totals", "mean_epochs_per_case"), 5.0, "mean_epochs_per_case is 5.0, the rows give"),
         (("failure_modes", "ok"), -4, "failure_modes.ok must not be negative, got -4"),
+        (
+            ("failure_modes", "ok"), 40,
+            "failure_modes sum to 52, not overall.fe_count 16:"
+            " every false escalation has one failure status",
+        ),
+        (
+            (("totals", "epochs"), ("totals", "mean_epochs_per_case")), (3, round(3 / 98, 6)),
+            "totals.epochs is 3, below totals.cases 98: every case has at least one epoch",
+        ),
     ],
     ids=[
         "per_domain_row", "per_domain_rate", "wilson_bound", "wilson_class",
@@ -481,25 +490,28 @@ _MISSING = object()
         "fractional_count", "negative_cases", "fractional_class_count", "overall_rate_off_counts",
         "class_rate_off_counts", "more_outcomes_than_cases", "ind_count_off_rows",
         "cases_off_rows", "mean_off_totals", "negative_failure_count",
+        "failure_counts_off_fe_count", "fewer_epochs_than_cases",
     ],
 )
 def test_report_malformed_row_exits_2(tmp_path, capsys, path, value, message):
     # Every row the text report reads is checked. Unchecked, these rows are a
-    # traceback (exit 1) or, for a fractional count or a boolean total,
-    # render as if valid.
+    # traceback (exit 1) or, for a fractional count, a boolean total, failure
+    # counts off fe_count or fewer epochs than cases, render as if valid. A
+    # row whose path is a tuple of paths edits one value per path.
     config = write_config(tmp_path)
     run(["--config", config, "generate"])
     run(["--config", config, "evaluate", "--json-only"])
     report_path = tmp_path / "report" / "report.json"
     payload = json.loads(report_path.read_text())
-    *parents, key = path
-    target = payload
-    for name in parents:
-        target = target[name]
-    if value is _MISSING:
-        del target[key]
-    else:
-        target[key] = value
+    edits = zip(path, value) if type(path[0]) is tuple else [(path, value)]
+    for (*parents, key), new in edits:
+        target = payload
+        for name in parents:
+            target = target[name]
+        if new is _MISSING:
+            del target[key]
+        else:
+            target[key] = new
     report_path.write_text(json.dumps(payload), encoding="utf-8")
     capsys.readouterr()
     assert run(["--config", config, "report"]) == 2
@@ -1331,6 +1343,36 @@ def test_evaluate_manifest_disagreeing_with_its_dataset_exits_2(
 ):
     assert _evaluate_with_manifest(tmp_path, seed_42_dataset, edit) == 2
     assert capsys.readouterr().err.splitlines() == [f"error: input validation failed: {message}"]
+    assert not (tmp_path / "report").exists()
+
+
+def _add_a_context(contexts: dict) -> None:
+    contexts["3847389"] = {**contexts["3847388"], "patient_id": 3847389}
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_add_a_context, "missing=[], extra=[3847389]"),
+        (lambda c: c.pop("3847291"), "missing=[3847291], extra=[]"),
+    ],
+    ids=["extra_patient", "missing_patient"],
+)
+def test_evaluate_contexts_disagreeing_with_the_case_list_exits_2(
+    tmp_path, capsys, seed_42_dataset, edit, message
+):
+    # The error names the patients the sidecar lacks and those it adds, as
+    # the epochs check does.
+    config = write_config(tmp_path)
+    contexts_path = shutil.copytree(seed_42_dataset, tmp_path / "dataset") / "contexts.json"
+    contexts = json.loads(contexts_path.read_text(encoding="utf-8"))
+    edit(contexts)
+    contexts_path.write_text(json.dumps(contexts), encoding="utf-8")
+    assert run(["--config", config, "evaluate"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: input validation failed: context sidecar patients differ from the case list"
+        f" ({message})"
+    ]
     assert not (tmp_path / "report").exists()
 
 

@@ -18,6 +18,7 @@ from scipy.stats import binomtest
 
 import alertsift
 from alertsift.evaluate import (
+    CaseOutcome,
     Dataset,
     DomainRow,
     EvaluationReport,
@@ -291,16 +292,29 @@ def test_importing_evaluate_leaves_numpy_unimported():
 @st.composite
 def _reports(draw: st.DrawFn) -> EvaluationReport:
     """A report over drawn class rows, with failure modes in drawn order and
-    counts that tie often."""
+    counts that split ``fe_count`` over them, as ``evaluate``'s do: one at
+    drawn cuts, or an even split, whose counts tie often."""
     per_domain = {}
     for cls in draw(st.lists(st.sampled_from(DomainClass), min_size=1, unique=True)):
         n = draw(st.integers(1, 40))
         ts = draw(st.integers(0, n))
         per_domain[cls] = DomainRow(n, ts, draw(st.integers(0, n - ts)))
-    statuses = draw(st.lists(st.sampled_from(DeviceStatus), unique=True))
     cases = sum(row.n for row in per_domain.values())
     ts_count = sum(row.ts for row in per_domain.values())
     fe_count = sum(row.fe for row in per_domain.values())
+    statuses = draw(
+        st.lists(
+            st.sampled_from(DeviceStatus), min_size=min(1, fe_count), max_size=fe_count, unique=True
+        )
+    )
+    k = len(statuses)
+    if k > 1 and draw(st.booleans()):
+        inner = st.integers(1, fe_count - 1)
+        cuts = sorted(draw(st.lists(inner, min_size=k - 1, max_size=k - 1, unique=True)))
+        counts = [b - a for a, b in zip([0, *cuts], [*cuts, fe_count])]
+    else:
+        share, rest = divmod(fe_count, k or 1)
+        counts = [share + (i < rest) for i in range(k)]
     return EvaluationReport(
         ts_count=ts_count,
         fe_count=fe_count,
@@ -308,7 +322,7 @@ def _reports(draw: st.DrawFn) -> EvaluationReport:
         cases=cases,
         epochs=draw(st.integers(cases, 8 * cases)),
         per_domain=per_domain,
-        failure_modes={status: draw(st.integers(1, 3)) for status in statuses},
+        failure_modes=dict(zip(statuses, counts)),
         case_outcomes=(),
     )
 
@@ -417,6 +431,10 @@ def test_gated_walk_matches_the_gate_free_reference(tmp_path, stream):
         SentinelConfig(), SpecialistConfig(), MetaConfig(),
     )
     assert report.case_outcomes == (expected,)
+    # A plain tuple equals a NamedTuple of the same fields; the types must hold too.
+    for outcome in report.case_outcomes:
+        assert type(outcome) is CaseOutcome
+        assert all(type(d) is SystemDecision for d in outcome.epoch_decisions)
     gated, reference = tmp_path / "gated.jsonl", tmp_path / "reference.jsonl"
     write_decision_log(report, gated)
     write_decision_log(dataclasses.replace(report, case_outcomes=(expected,)), reference)
