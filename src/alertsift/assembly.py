@@ -144,16 +144,13 @@ class SpecialistView(NamedTuple):
 
     An immutable tuple ``(timestamp, fields)``, the record's timestamp and
     its allowed fields, equal when both are equal, as tuples are; every
-    alerting epoch builds one. ``get`` and ``value`` read the mapping
-    directly, one lookup each, as the rules call them a dozen times per
-    alert.
+    alerting epoch builds one. ``value`` reads the mapping directly, one
+    lookup, as the rules call it a dozen times per alert; ``detect`` reads
+    ``fields`` itself.
     """
 
     timestamp: datetime
     fields: Mapping[str, TaggedValue]
-
-    def get(self, name: str) -> TaggedValue | None:
-        return self.fields.get(name)
 
     def value(self, name: str, default: Any = None) -> Any:
         tv = self.fields.get(name)

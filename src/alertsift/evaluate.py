@@ -154,28 +154,30 @@ class DomainRow:
 
 @dataclass(frozen=True)
 class EvaluationReport:
-    ts_count: int
-    fe_count: int
-    ind_count: int
-    cases: int
-    epochs: int
-    per_domain: Mapping[DomainClass, DomainRow]
-    failure_modes: Mapping[DeviceStatus, int]
-    case_outcomes: tuple[CaseOutcome, ...]
+    """The class rows, the epoch total, the failure modes and the case
+    outcomes: all a report holds. Each overall count is the rows' sum, and
+    ``ind_count`` the cases neither suppressed nor escalated."""
 
-    @classmethod
-    def from_rows(
-        cls,
-        per_domain: Mapping[DomainClass, DomainRow],
-        epochs: int,
-        failure_modes: Mapping[DeviceStatus, int],
-        case_outcomes: tuple[CaseOutcome, ...] = (),
-    ) -> "EvaluationReport":
-        """The report of these class rows: each overall count is the rows'
-        sum, and ``ind_count`` the cases neither suppressed nor escalated."""
-        rows = per_domain.values()
-        ts, fe, cases = (sum(getattr(row, k) for row in rows) for k in ("ts", "fe", "n"))
-        return cls(ts, fe, cases - ts - fe, cases, epochs, per_domain, failure_modes, case_outcomes)
+    per_domain: Mapping[DomainClass, DomainRow]
+    epochs: int
+    failure_modes: Mapping[DeviceStatus, int]
+    case_outcomes: tuple[CaseOutcome, ...] = ()
+
+    @property
+    def ts_count(self) -> int:
+        return sum(row.ts for row in self.per_domain.values())
+
+    @property
+    def fe_count(self) -> int:
+        return sum(row.fe for row in self.per_domain.values())
+
+    @property
+    def cases(self) -> int:
+        return sum(row.n for row in self.per_domain.values())
+
+    @property
+    def ind_count(self) -> int:
+        return self.cases - self.ts_count - self.fe_count
 
     @property
     def tsr(self) -> float:
@@ -427,19 +429,14 @@ def evaluate(
     for epoch in dataset.epochs:
         by_patient[epoch.patient_id].append(epoch)
 
-    if set(by_patient) != set(expected_pids):
-        missing = sorted(set(expected_pids) - set(by_patient))
-        extra = sorted(set(by_patient) - set(expected_pids))
-        raise InvariantViolation(
-            f"dataset patients differ from the case list (missing={missing[:5]}, extra={extra[:5]})"
-        )
-    if set(dataset.contexts) != set(expected_pids):
-        missing = sorted(set(expected_pids) - set(dataset.contexts))
-        extra = sorted(set(dataset.contexts) - set(expected_pids))
-        raise InvariantViolation(
-            f"context sidecar patients differ from the case list"
-            f" (missing={missing[:5]}, extra={extra[:5]})"
-        )
+    for source, patients in (("dataset", by_patient), ("context sidecar", dataset.contexts)):
+        if set(patients) != set(expected_pids):
+            missing = sorted(set(expected_pids) - set(patients))
+            extra = sorted(set(patients) - set(expected_pids))
+            raise InvariantViolation(
+                f"{source} patients differ from the case list"
+                f" (missing={missing[:5]}, extra={extra[:5]})"
+            )
 
     outcomes = tuple(
         _run_case(
@@ -459,7 +456,7 @@ def evaluate(
     failure_modes = dict(
         Counter(o.failure_device_status for o in outcomes if o.failure_device_status is not None)
     )
-    return EvaluationReport.from_rows(per_domain, len(dataset.epochs), failure_modes, outcomes)
+    return EvaluationReport(per_domain, len(dataset.epochs), failure_modes, outcomes)
 
 
 # Expected metrics for the shipped catalogue under default configuration,
@@ -624,55 +621,63 @@ def write_decision_log(report: EvaluationReport, path: str | Path) -> None:
                 write(head + body + format_timestamp(decision.decided_at) + '"}}\n')
 
 
-# The fields of report.json that render_report_text reads: the sections, and
-# the numbers in each fixed section and in each class row, and of those the counts.
+# The sections of report.json; ``EvaluationReport.to_json_dict`` states the rest.
 _REPORT_SECTIONS = frozenset({"overall", "per_domain", "wilson_cis", "failure_modes", "totals"})
-_REPORT_FIELDS = {
-    "overall": ("ts_count", "fe_count", "ind_count", "tsr", "fer", "indr"),
-    "totals": ("cases", "epochs", "mean_epochs_per_case"),
-    "per_domain": ("n", "ts", "fe", "tsr", "fer"),
-    "wilson_cis": ("lower", "upper"),
-}
-_REPORT_COUNTS = frozenset("ts_count fe_count ind_count cases epochs n ts fe".split())
 
 
 def _count(raw: Any, name: str) -> int:
+    """A count in report.json: a number, then a non-negative integer."""
+    _number(raw, name)
     if _integer(raw, name) < 0:
         raise InvariantViolation(f"{name} must not be negative, got {raw}")
     return raw
 
 
-def _check_numbers(row: Any, names: Sequence[str], where: str) -> None:
-    row = _object(row, frozenset(names), f"report payload {where!r}")
-    for name in names:
-        _number(row.get(name), f"report payload {where}.{name}")
-        if name in _REPORT_COUNTS:
-            _count(row[name], f"report payload {where}.{name}")
+def _inputs(raw: Any, where: str, *names: str) -> list[int]:
+    """The counts ``names`` of the object at ``where``; the walk checks its
+    other keys."""
+    if type(raw) is not dict:
+        raise InvariantViolation(f"report payload {where!r} must be a JSON object, got {_shown(raw)}")
+    return [_count(raw.get(name), f"report payload {where}.{name}") for name in names]
+
+
+def _walk(stored: Any, expected: Any, where: str) -> None:
+    """Require ``stored``, the value at ``where`` in report.json, to be
+    ``expected``: an object with exactly its keys, a missing one read as
+    null; a count as ``_count`` reads it; any number finite and equal."""
+    if type(expected) is dict:
+        stored = _object(stored, frozenset(expected), f"report payload {where!r}")
+        for key, value in expected.items():
+            _walk(stored.get(key), value, f"{where}.{key}")
+        return
+    name = f"report payload {where}"
+    if type(expected) is int:
+        _count(stored, name)
+    else:
+        _number(stored, name)
+    if stored != expected:
+        raise InvariantViolation(f"{name} is {stored}, the rows give {expected}")
 
 
 def validate_report_payload(data: Mapping[str, Any]) -> dict[str, Any]:
-    """Schema check for a stored report.json loaded for re-rendering.
+    """Check a stored report.json loaded for re-rendering: it must be the
+    document its free inputs give.
 
-    Every section and row the text report reads must be present and typed,
-    each count a non-negative integer; a key the report does not write is
-    rejected. Each class row has ``ts + fe <= n``, and every other number
-    must be the one ``to_json_dict`` derives from the class rows and the
-    epoch total (see ``EvaluationReport.from_rows``): ``wilson_cis`` holds
-    an interval for exactly the classes of ``per_domain``. Every case has an
-    epoch, so the epoch total is at least the case count; every false
-    escalation has one failure status, so the failure-mode counts sum to
-    ``fe_count``.
+    The free inputs are each class row's ``n``, ``ts`` and ``fe``, the epoch
+    total and the failure-mode counts, each a non-negative integer; a class
+    row has ``ts + fe <= n``, ``wilson_cis`` holds an interval for exactly
+    the classes of ``per_domain``, and ``per_domain`` holds one at least.
+    Every case has an epoch, so the epoch total is at least the case count;
+    every false escalation has one failure status, so the failure-mode
+    counts sum to ``fe_count``. The rest of the file must be
+    ``to_json_dict()`` of the ``EvaluationReport`` they make, key for key.
     """
     data = _object(data, _REPORT_SECTIONS, "report payload")
     missing = _REPORT_SECTIONS - data.keys()
     if missing:
         raise InvariantViolation(f"report payload missing {sorted(missing)}")
-    for key in ("overall", "totals"):
-        _check_numbers(data[key], _REPORT_FIELDS[key], key)
-    for key in ("per_domain", "wilson_cis"):
-        for cls, row in _object(data[key], DomainClass, f"report payload {key!r}").items():
-            _check_numbers(row, _REPORT_FIELDS[key], f"{key}.{cls}")
-    rows, cis = data["per_domain"], data["wilson_cis"]
+    rows = _object(data["per_domain"], DomainClass, "report payload 'per_domain'")
+    cis = _object(data["wilson_cis"], DomainClass, "report payload 'wilson_cis'")
     unmatched = sorted(rows.keys() ^ cis.keys())
     if unmatched:
         cls = unmatched[0]
@@ -680,43 +685,35 @@ def validate_report_payload(data: Mapping[str, Any]) -> dict[str, Any]:
         raise InvariantViolation(f"report payload wilson_cis: class {cls!r} has {has}")
     if not rows:
         raise InvariantViolation("report payload per_domain holds no class")
-    classes = {}
+    per_domain = {}
     for cls, row in rows.items():
+        n, ts, fe = _inputs(row, f"per_domain.{cls}", "n", "ts", "fe")
         try:
-            wilson_interval(row["ts"], row["n"])
-            if row["ts"] + row["fe"] > row["n"]:
+            wilson_interval(ts, n)
+            if ts + fe > n:
                 raise InvariantViolation("ts + fe exceeds n")
         except InvariantViolation as exc:
             raise InvariantViolation(f"report payload per_domain.{cls}: {exc}") from None
-        classes[DomainClass(cls)] = DomainRow(row["n"], row["ts"], row["fe"])
-    derived = EvaluationReport.from_rows(classes, data["totals"]["epochs"], {}).to_json_dict()
-    for cls, ci in derived["wilson_cis"].items():
-        if cis[cls] != ci:
-            raise InvariantViolation(
-                f"report payload wilson_cis.{cls} {cis[cls]} != {ci},"
-                f" the interval of ts={rows[cls]['ts']} n={rows[cls]['n']}"
-            )
-    sections = [(key, data[key], derived[key]) for key in ("overall", "totals")]
-    sections += [(f"per_domain.{c}", rows[c], row) for c, row in derived["per_domain"].items()]
-    for where, stored, expected in sections:
-        for name, value in expected.items():
-            if stored[name] != value:
-                raise InvariantViolation(
-                    f"report payload {where}.{name} is {stored[name]}, the rows give {value}"
-                )
-    totals = data["totals"]
-    if totals["epochs"] < totals["cases"]:
+        per_domain[DomainClass(cls)] = DomainRow(n, ts, fe)
+    (epochs,) = _inputs(data["totals"], "totals", "epochs")
+    failure_modes = {
+        DeviceStatus(status): _count(count, f"report payload failure_modes.{status}")
+        for status, count in _object(
+            data["failure_modes"], DeviceStatus, "report payload 'failure_modes'"
+        ).items()
+    }
+    report = EvaluationReport(per_domain, epochs, failure_modes)
+    for key, expected in report.to_json_dict().items():
+        _walk(data[key], expected, key)
+    if epochs < report.cases:
         raise InvariantViolation(
-            f"report payload totals.epochs is {totals['epochs']}, below totals.cases"
-            f" {totals['cases']}: every case has at least one epoch"
+            f"report payload totals.epochs is {epochs}, below totals.cases"
+            f" {report.cases}: every case has at least one epoch"
         )
-    failure_modes = _object(data["failure_modes"], DeviceStatus, "report payload 'failure_modes'")
-    for status, count in failure_modes.items():
-        _count(count, f"report payload failure_modes.{status}")
-    total, fe_count = sum(failure_modes.values()), data["overall"]["fe_count"]
-    if total != fe_count:
+    total = sum(failure_modes.values())
+    if total != report.fe_count:
         raise InvariantViolation(
-            f"report payload failure_modes sum to {total}, not overall.fe_count {fe_count}:"
+            f"report payload failure_modes sum to {total}, not overall.fe_count {report.fe_count}:"
             " every false escalation has one failure status"
         )
     return dict(data)

@@ -22,7 +22,7 @@ from alertsift.assembly import (
     assemble,
     project_for_specialists,
 )
-from alertsift.evaluate import CaseOutcome, OutcomeKind, aggregate_case
+from alertsift.evaluate import CaseOutcome, OutcomeKind
 from alertsift.meta import MetaConfig
 from alertsift.model import (
     DOMAIN_ORDER,
@@ -561,8 +561,11 @@ def reference_run_case(
 ) -> CaseOutcome:
     """``evaluate._run_case`` composed from the plain references: no
     quiet-epoch gate, so every epoch is assembled, projected and detected;
-    checked constructors only; and a ``ReferenceHistory``, a list each
-    lookup scans back to the window's horizon."""
+    checked constructors only; a ``ReferenceHistory``, a list each lookup
+    scans back to the window's horizon; and its own fold, not
+    ``aggregate_case``: a failure status, which means an escalation
+    anywhere, makes a false escalation, and no failure status a true
+    suppression."""
     stream = sorted(epochs, key=lambda e: e.timestamp)
     bundle = SourceBundle(ehr=context, vitals_stream=tuple(stream))
     history = ReferenceHistory()
@@ -585,7 +588,9 @@ def reference_run_case(
         decisions.append(decision)
         if failure_status is None and decision.verdict is Verdict.ESCALATE:
             failure_status = epoch.device_status
-    outcome = aggregate_case(decisions) if decisions else OutcomeKind.TRUE_SUPPRESSION
+    outcome = (
+        OutcomeKind.TRUE_SUPPRESSION if failure_status is None else OutcomeKind.FALSE_ESCALATION
+    )
     return CaseOutcome(
         case_id=case_id,
         patient_id=patient_id,

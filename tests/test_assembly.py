@@ -181,15 +181,14 @@ def _retagged_record(record: VeritasRecord, tags: dict) -> VeritasRecord:
 )
 def test_view_accessors_match_a_plain_reference(tags, activity, ambient):
     # Property: over records retagged at random, with the optional epoch
-    # fields present or absent, get(n) is the view's value for n, else None,
-    # and value(n, d) is its .value, or d.
+    # fields present or absent, value(n, d) is the .value of the view's
+    # tagged value for n, or d.
     epoch = make_epoch(activity=activity, ambient=ambient)
     record = make_record(epoch, make_context(copd=True, baseline_spo2=89.0, baseline_hr=70.0))
     view = project_for_specialists(_retagged_record(record, tags))
     missing = object()
     for name in (*_RECORD_FIELD_NAMES, "pulse"):
         expected = view.fields.get(name)
-        assert view.get(name) is expected, name
         assert view.value(name) is (None if expected is None else expected.value), name
         assert view.value(name, missing) is (missing if expected is None else expected.value)
 
@@ -238,7 +237,7 @@ def test_projection_field_scan_never_exposes_inferred():
             record = retag_field(record, name, ProvenanceTag.INFERRED)
         view = project_for_specialists(record)
         for name in field_names(view):
-            assert view.get(name).provenance is not ProvenanceTag.INFERRED
+            assert view.fields.get(name).provenance is not ProvenanceTag.INFERRED
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

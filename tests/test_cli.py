@@ -416,9 +416,8 @@ def test_report_rejects_intervals_other_than_the_rows(tmp_path, capsys):
     ]
     payload["wilson_cis"]["copd"] = copd
     assert report_error() == [
-        "error: report payload invalid: report payload wilson_cis.nocturnal"
-        " {'lower': 0.0, 'upper': 0.01} != {'lower': 0.438494, 'upper': 1.0},"
-        " the interval of ts=3 n=3"
+        "error: report payload invalid: report payload wilson_cis.nocturnal.lower"
+        " is 0.0, the rows give 0.438494"
     ]
     assert not (tmp_path / "report" / "report.txt").exists()
 

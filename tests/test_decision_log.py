@@ -17,7 +17,9 @@ from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from alertsift.evaluate import CaseOutcome, EvaluationReport, OutcomeKind, write_decision_log
+from alertsift.evaluate import (
+    CaseOutcome, DomainRow, EvaluationReport, OutcomeKind, write_decision_log,
+)
 from alertsift.model import (
     COMPACT_JSON,
     AgentClaim,
@@ -117,8 +119,8 @@ def _reports(draw: st.DrawFn) -> EvaluationReport:
             )
         )
     return EvaluationReport(
-        ts_count=len(cases), fe_count=0, ind_count=0, cases=len(cases),
-        epochs=sum(len(c.epoch_decisions) for c in cases), per_domain={},
+        per_domain={DomainClass.COPD: DomainRow(len(cases), len(cases), 0)},
+        epochs=sum(len(c.epoch_decisions) for c in cases),
         failure_modes={}, case_outcomes=tuple(cases),
     )
 

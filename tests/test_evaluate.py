@@ -300,7 +300,6 @@ def _reports(draw: st.DrawFn) -> EvaluationReport:
         ts = draw(st.integers(0, n))
         per_domain[cls] = DomainRow(n, ts, draw(st.integers(0, n - ts)))
     cases = sum(row.n for row in per_domain.values())
-    ts_count = sum(row.ts for row in per_domain.values())
     fe_count = sum(row.fe for row in per_domain.values())
     statuses = draw(
         st.lists(
@@ -316,14 +315,9 @@ def _reports(draw: st.DrawFn) -> EvaluationReport:
         share, rest = divmod(fe_count, k or 1)
         counts = [share + (i < rest) for i in range(k)]
     return EvaluationReport(
-        ts_count=ts_count,
-        fe_count=fe_count,
-        ind_count=cases - ts_count - fe_count,
-        cases=cases,
-        epochs=draw(st.integers(cases, 8 * cases)),
         per_domain=per_domain,
+        epochs=draw(st.integers(cases, 8 * cases)),
         failure_modes=dict(zip(statuses, counts)),
-        case_outcomes=(),
     )
 
 
@@ -341,6 +335,39 @@ def test_report_text_is_the_same_from_report_json(report):
     by_count = sorted(report.failure_modes.items(), key=lambda kv: (-kv[1], kv[0].value))
     expected = [f"  {status.value:<24}{count:>6}" for status, count in by_count]
     assert rows == (expected or ["  (no false escalations)"])
+
+
+def _derived_paths(payload: dict) -> list[tuple[str, ...]]:
+    """The path of every number in report.json that the free inputs give:
+    ``overall.*``, two totals, each class row's rates and each interval bound."""
+    paths = [("overall", name) for name in payload["overall"]]
+    paths += [("totals", "cases"), ("totals", "mean_epochs_per_case")]
+    for cls in payload["per_domain"]:
+        paths += [("per_domain", cls, "tsr"), ("per_domain", cls, "fer")]
+        paths += [("wilson_cis", cls, "lower"), ("wilson_cis", cls, "upper")]
+    return paths
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_reports(), st.data())
+def test_report_check_names_any_derived_number_edited(report, data):
+    # Property (100 examples): report.json must be the document its free
+    # inputs give, so one derived number edited to another value of the same
+    # JSON type is rejected, and the error names that number's path.
+    payload = report.to_json_dict()
+    *parents, key = data.draw(st.sampled_from(_derived_paths(payload)))
+    target = payload
+    for name in parents:
+        target = target[name]
+    old = target[key]
+    if type(old) is int:
+        values = st.integers(-(10**6), 10**6)
+    else:
+        values = st.floats(-1e6, 1e6, allow_nan=False)
+    target[key] = data.draw(values.filter(lambda value: value != old))
+    with pytest.raises(InvariantViolation) as excinfo:
+        validate_report_payload(json.loads(json.dumps(payload, sort_keys=True)))
+    assert f"report payload {'.'.join((*parents, key))} " in str(excinfo.value)
 
 
 def test_decision_paths_present(golden_run):
