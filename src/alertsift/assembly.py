@@ -8,19 +8,18 @@ removes every inferred-tagged field from the record's field set, so a value
 produced by model inference can never reach detection or specialist logic.
 
 Per alerting epoch (a quiet one is never assembled), ``assemble`` builds
-one VeritasRecord holding eight to twelve ``(value, provenance)`` values in
-one mapping, and the projection one ``(timestamp, fields)`` SpecialistView
-that shares that mapping, or a filtered copy when some tag is not allowed.
-The epoch's six to eight values are built per epoch; the two to four EHR
-values do not change from epoch to epoch, so each patient's are built once,
-with its SourceBundle, and every record of the patient holds the same
-immutable ones. All three types are tuples, built with ``tuple.__new__``
-for the reasons given at ``_new`` below.
+one VeritasRecord holding seven to ten ``(value, provenance)`` values in
+one mapping, only the fields a rule reads, and the projection one
+``(timestamp, fields)`` SpecialistView that shares that mapping, or a
+filtered copy when some tag is not allowed. The epoch's five or six values
+are built per epoch; the two to four EHR values do not change from epoch
+to epoch, so each patient's are built once, with its SourceBundle, and
+every record of the patient holds the same immutable ones. All four types
+are tuples, built with ``tuple.__new__`` for the reasons given at ``_new``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from datetime import datetime
 from typing import Any, Iterable, Mapping, NamedTuple
 
@@ -52,49 +51,46 @@ ALLOWED_SPECIALIST_PROVENANCE = frozenset(
 # and its record with tuple.__new__, and so skips two checks that cannot
 # fail there. TaggedValue.__new__'s ProvenanceTag check: every tag it passes
 # is one of these members. VeritasRecord.__new__'s field-name check: every
-# key it writes is its own literal or one of ``SourceBundle._ehr_fields``,
-# which are literals too. Every other caller, whose tags and keys may be
-# arbitrary, keeps the checked constructors, and the projection still
-# decides by each value's tag. The projection builds its SpecialistView the
-# same way: that type checks nothing, so tuple.__new__ skips only the
-# NamedTuple's generated Python __new__.
+# key it writes is a literal of its own or of SourceBundle, and
+# ``tests/test_rule_reads.py`` holds the record they make to the field
+# names. Every other caller, whose tags and keys may be arbitrary, keeps the
+# checked constructors, and the projection still decides by each value's
+# tag. SourceBundle and the projection's SpecialistView check nothing, so
+# there tuple.__new__ skips only a NamedTuple's Python __new__.
 _DEVICE = ProvenanceTag.DEVICE_VERIFIED
 _REPORTED = ProvenanceTag.PATIENT_REPORTED
 _EHR = ProvenanceTag.EHR_DERIVED
 _new = tuple.__new__
 
 
-@dataclass(frozen=True)
-class SourceBundle:
-    """One patient's sources: the EHR context and the vitals stream.
-
-    What assembly needs of the sources besides the epoch itself does not
-    change from epoch to epoch, so it is built here once per patient: the
-    present EHR fields as ``(name, TaggedValue)`` pairs, each tagged
-    ``ehr_derived``, in the order ``assemble`` adds them to every record.
-    ``vitals_stream`` holds the patient's epochs in the order the caller
-    walks them; ``assemble`` checks the patient of each epoch the walk
-    passes it.
-    """
-
+class _BundleFields(NamedTuple):
     ehr: PatientContext
     vitals_stream: tuple[Epoch, ...]
-    _ehr_fields: tuple[tuple[str, TaggedValue], ...] = field(
-        init=False, repr=False, compare=False
-    )
+    ehr_fields: tuple[tuple[str, TaggedValue], ...]
 
-    def __post_init__(self) -> None:
-        ehr = self.ehr
-        ehr_fields = [
-            ("copd_documented", ehr.copd_documented),
-            ("rate_limiting_medication", ehr.rate_limiting_medication),
-        ]
+
+class SourceBundle(_BundleFields):
+    """One patient's sources, an immutable tuple built once per case.
+
+    ``ehr_fields`` holds the present EHR fields of ``ehr`` as ``(name,
+    TaggedValue)`` pairs tagged ``ehr_derived``, which ``assemble`` adds to
+    every record of the patient. ``vitals_stream`` holds the patient's
+    epochs in the order the caller walks them; ``assemble`` checks the
+    patient of each epoch the walk passes it.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, ehr: PatientContext, vitals_stream: tuple[Epoch, ...]) -> "SourceBundle":
+        ehr_fields = (
+            ("copd_documented", _new(TaggedValue, (ehr.copd_documented, _EHR))),
+            ("rate_limiting_medication", _new(TaggedValue, (ehr.rate_limiting_medication, _EHR))),
+        )
         if ehr.baseline_spo2 is not None:
-            ehr_fields.append(("baseline_spo2", ehr.baseline_spo2))
+            ehr_fields += (("baseline_spo2", _new(TaggedValue, (ehr.baseline_spo2, _EHR))),)
         if ehr.baseline_hr is not None:
-            ehr_fields.append(("baseline_hr", ehr.baseline_hr))
-        tagged = tuple([(name, _new(TaggedValue, (value, _EHR))) for name, value in ehr_fields])
-        object.__setattr__(self, "_ehr_fields", tagged)
+            ehr_fields += (("baseline_hr", _new(TaggedValue, (ehr.baseline_hr, _EHR))),)
+        return _new(cls, (ehr, vitals_stream, ehr_fields))
 
 
 def assemble(bundle: SourceBundle, epoch: Epoch) -> VeritasRecord:
@@ -108,8 +104,9 @@ def assemble(bundle: SourceBundle, epoch: Epoch) -> VeritasRecord:
 
     Tag assignment follows the source: device stream fields are
     device_verified, EHR context fields are ehr_derived, self-reported
-    fields (the epoch's position and activity) are patient_reported. The
-    record carries the patient id and the epoch's time once, for all its
+    fields (the epoch's position and activity) are patient_reported; the
+    fields no rule reads, ``model._CARRIED_ONLY``, are left out. The record
+    carries the patient id and the epoch's time once, for all its
     values. Deterministic, and never invents a value: every output field
     traces to exactly one source datum.
     """
@@ -123,16 +120,13 @@ def assemble(bundle: SourceBundle, epoch: Epoch) -> VeritasRecord:
         "hr": _new(TaggedValue, (epoch.hr, _DEVICE)),
         "accel_level": _new(TaggedValue, (epoch.accel_level, _DEVICE)),
         "device_status": _new(TaggedValue, (epoch.device_status, _DEVICE)),
-        "probe_cover_present": _new(TaggedValue, (epoch.probe_cover_present, _DEVICE)),
+        "position": _new(TaggedValue, (epoch.position, _REPORTED)),
     }
-    if epoch.ambient_condition is not None:
-        fields["ambient_condition"] = _new(TaggedValue, (epoch.ambient_condition, _DEVICE))
-    fields["position"] = _new(TaggedValue, (epoch.position, _REPORTED))
     if epoch.self_reported_activity is not None:
         fields["self_reported_activity"] = _new(
             TaggedValue, (epoch.self_reported_activity, _REPORTED)
         )
-    fields.update(bundle._ehr_fields)
+    fields.update(bundle.ehr_fields)
     return _new(VeritasRecord, (pid, epoch.timestamp, fields))
 
 

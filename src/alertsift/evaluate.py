@@ -31,6 +31,7 @@ from .model import (
     PatientContext,
     SystemDecision,
     Verdict,
+    _DECODE_ERRORS,
     _integer,
     _located,
     _number,
@@ -84,6 +85,8 @@ _TRUE_SUPPRESSION = OutcomeKind.TRUE_SUPPRESSION
 _FALSE_ESCALATION = OutcomeKind.FALSE_ESCALATION
 _INDETERMINATE = OutcomeKind.INDETERMINATE
 
+_Z = 1.96  # the normal quantile of the report's 95% intervals
+
 
 def aggregate_case(decisions: Sequence[SystemDecision]) -> OutcomeKind:
     """Fold one case's epoch decisions into its outcome, in one pass.
@@ -105,8 +108,8 @@ def aggregate_case(decisions: Sequence[SystemDecision]) -> OutcomeKind:
     return outcome
 
 
-def wilson_interval(successes: int, n: int, z: float = 1.96) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion.
+def wilson_interval(successes: int, n: int) -> tuple[float, float]:
+    """Wilson score 95% interval for a binomial proportion.
 
     For successes == n the lower bound reduces to the closed form
     n / (n + z^2). Bounds are fractions in [0, 1].
@@ -114,10 +117,10 @@ def wilson_interval(successes: int, n: int, z: float = 1.96) -> tuple[float, flo
     if n < 1 or not 0 <= successes <= n:
         raise InvariantViolation(f"require 0 <= successes <= n, n >= 1; got {successes}/{n}")
     p = successes / n
-    z2 = z * z
+    z2 = _Z * _Z
     denom = 1.0 + z2 / n
     center = (p + z2 / (2 * n)) / denom
-    margin = (z / denom) * sqrt(p * (1 - p) / n + z2 / (4 * n * n))
+    margin = (_Z / denom) * sqrt(p * (1 - p) / n + z2 / (4 * n * n))
     return (max(0.0, center - margin), min(1.0, center + margin))
 
 
@@ -304,10 +307,13 @@ def load_manifest(dataset_dir: str | Path) -> Manifest:
     epoch count (positive); the patient ids are the consecutive block from
     ``PATIENT_ID_RANGE[0]`` in row order, the rule ``evaluate`` attributes
     by. The list is non-empty, and ``case_count`` and ``epoch_count`` agree
-    with it. An error names the case row or the key.
+    with it. An error names the case row, the key, or the file if no JSON.
     """
     with open(Path(dataset_dir) / "manifest.json", encoding="utf-8") as fp:
-        raw = json.load(fp)
+        try:
+            raw = json.load(fp)
+        except _DECODE_ERRORS as exc:
+            raise _located("manifest.json", exc) from None
     try:
         data = _object(raw, _MANIFEST_KEYS, "manifest")
         rows, digest = data["cases"], data["taxonomy_sha256"]
@@ -465,7 +471,6 @@ def evaluate(
 # digest, which ``generate`` writes to the manifest as ``taxonomy_sha256``.
 GOLDEN_EPOCHS = 530
 GOLDEN_TAXONOMY_SHA256 = "6fb7f27cc70e84b4b29ae9dd0a664769cf9dc6792dfaad4a2704d9e2a574ee86"
-GOLDEN_OVERALL = {"ts_count": 82, "fe_count": 16, "ind_count": 0}
 GOLDEN_PER_DOMAIN = {
     DomainClass.PROBE_INTEGRITY: (23, 23, 0),
     DomainClass.ACTIVITY_INTEGRITY: (8, 8, 0),
@@ -477,6 +482,9 @@ GOLDEN_PER_DOMAIN = {
     DomainClass.PROBE_ACTIVITY_CONFLICT: (8, 5, 3),
     DomainClass.PROBE_CONDITION_CONFLICT: (3, 0, 3),
 }
+# The overall counts are the class rows' sums: 82, 16 and 0.
+_N, _TS, _FE = map(sum, zip(*GOLDEN_PER_DOMAIN.values()))
+GOLDEN_OVERALL = {"ts_count": _TS, "fe_count": _FE, "ind_count": _N - _TS - _FE}
 GOLDEN_FAILURE_MODES = {
     DeviceStatus.SYSTEM_FLAG: 7,
     DeviceStatus.OK: 4,
@@ -492,11 +500,7 @@ def check_golden(report: EvaluationReport) -> list[str]:
     problems: list[str] = []
     if report.epochs != GOLDEN_EPOCHS:
         problems.append(f"epochs {report.epochs} != {GOLDEN_EPOCHS}")
-    overall = {
-        "ts_count": report.ts_count,
-        "fe_count": report.fe_count,
-        "ind_count": report.ind_count,
-    }
+    overall = {key: getattr(report, key) for key in GOLDEN_OVERALL}
     if overall != GOLDEN_OVERALL:
         problems.append(f"overall {overall} != {GOLDEN_OVERALL}")
     for cls, (n, ts, fe) in GOLDEN_PER_DOMAIN.items():

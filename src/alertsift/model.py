@@ -299,9 +299,10 @@ class TaggedValue(_TaggedFields):
 class Epoch:
     """One-minute summarized measurement row for one patient.
 
-    ``ambient_condition``, a string or null, is carried through the schema
-    for forward compatibility but is never consumed by any rule. Slotted: generation
-    and the reader build one per epoch, and an instance without a
+    ``probe_cover_present`` and ``ambient_condition`` (text or null) are
+    carried for forward compatibility; no rule reads them and no record
+    holds them (``_CARRIED_ONLY``). Slotted: generation and the reader
+    build one per epoch, and an instance without a
     ``__dict__`` is smaller and quicker to build.
 
     The ``__init__`` is written out, with the parameters and defaults the
@@ -525,12 +526,13 @@ class PatientContext:
 
 
 # The keys an epoch row and a context record may carry, and the field names a
-# VeritasRecord may carry: both less the record coordinates. The two key sets
-# share only ``patient_id``, so one record mapping holds both without a name
-# of one ever standing for a field of the other.
+# VeritasRecord may carry: both less the record coordinates and the epoch
+# fields carried only in the files, so exactly the names the rules read. The
+# key sets share only ``patient_id``, so one record mapping holds both.
 _EPOCH_KEYS = frozenset(f.name for f in fields(Epoch))
 _CONTEXT_KEYS = frozenset(f.name for f in fields(PatientContext))
-_RECORD_FIELDS = (_EPOCH_KEYS | _CONTEXT_KEYS) - {"patient_id", "timestamp"}
+_CARRIED_ONLY = frozenset({"probe_cover_present", "ambient_condition"})
+_RECORD_FIELDS = (_EPOCH_KEYS | _CONTEXT_KEYS) - {"patient_id", "timestamp"} - _CARRIED_ONLY
 
 
 class _RecordFields(NamedTuple):
@@ -549,7 +551,7 @@ class VeritasRecord(_RecordFields):
     measurements, and are not tagged.
 
     An immutable tuple ``(patient_id, timestamp, fields)`` whose
-    construction rejects a field name that is not an epoch or context field;
+    construction rejects a field name that no rule reads (``_RECORD_FIELDS``);
     equal when all three fields are equal, as tuples are. A tuple for the
     reason ``TaggedValue`` is one: every alerting epoch builds one.
     ``assemble``, whose keys are its own literals or the bundle's EHR field

@@ -368,7 +368,8 @@ def reference_assemble(bundle: SourceBundle, epoch: Epoch) -> VeritasRecord:
 
     Tags follow the source, and the record carries the patient id and the
     epoch's time; the EHR fields are derived here from the context, not read
-    from what the bundle built.
+    from what the bundle built. The epoch's ``probe_cover_present`` and
+    ``ambient_condition``, which no rule reads, are left out.
     """
     pid = bundle.ehr.patient_id
     if epoch.patient_id != pid:
@@ -378,10 +379,8 @@ def reference_assemble(bundle: SourceBundle, epoch: Epoch) -> VeritasRecord:
     )
     fields = {
         name: TaggedValue(getattr(epoch, name), device)
-        for name in ("spo2", "hr", "accel_level", "device_status", "probe_cover_present")
+        for name in ("spo2", "hr", "accel_level", "device_status")
     }
-    if epoch.ambient_condition is not None:
-        fields["ambient_condition"] = TaggedValue(epoch.ambient_condition, device)
     fields["position"] = TaggedValue(epoch.position, reported)
     if epoch.self_reported_activity is not None:
         fields["self_reported_activity"] = TaggedValue(epoch.self_reported_activity, reported)

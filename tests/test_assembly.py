@@ -96,10 +96,8 @@ def test_assemble_never_invents_values():
         "hr": epoch.hr,
         "accel_level": epoch.accel_level,
         "device_status": epoch.device_status,
-        "probe_cover_present": epoch.probe_cover_present,
         "position": epoch.position,
         "self_reported_activity": epoch.self_reported_activity,
-        "ambient_condition": epoch.ambient_condition,
         "copd_documented": context.copd_documented,
         "baseline_spo2": context.baseline_spo2,
         "baseline_hr": context.baseline_hr,
@@ -158,9 +156,8 @@ def test_assemble_matches_the_checked_reference(case):
 
 
 _RECORD_FIELD_NAMES = [
-    "spo2", "hr", "accel_level", "device_status", "probe_cover_present", "position",
-    "self_reported_activity", "ambient_condition", "copd_documented",
-    "rate_limiting_medication", "baseline_spo2", "baseline_hr",
+    "spo2", "hr", "accel_level", "device_status", "position", "self_reported_activity",
+    "copd_documented", "rate_limiting_medication", "baseline_spo2", "baseline_hr",
 ]
 
 
@@ -272,19 +269,13 @@ def test_projection_drops_one_inferred_context_field_into_a_filtered_copy():
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(
-    st.dictionaries(
-        st.sampled_from([
-            "spo2", "hr", "accel_level", "device_status", "position", "ambient_condition",
-            "copd_documented", "rate_limiting_medication", "baseline_spo2", "baseline_hr",
-        ]),
-        st.sampled_from(list(ProvenanceTag)),
-    ),
+    st.dictionaries(st.sampled_from(_RECORD_FIELD_NAMES), st.sampled_from(list(ProvenanceTag))),
 )
 def test_projection_never_shares_a_mapping_holding_a_disallowed_tag(tags):
     # Property: whatever the tags, the view's mapping is the record's own
     # exactly when every tag in it is allowed, and otherwise a filtered copy;
     # the view's mapping never holds a disallowed tag.
-    epoch = make_epoch(ambient="heatwave")
+    epoch = make_epoch(activity=SelfReportedActivity.WALKING)
     record = make_record(epoch, make_context(copd=True, baseline_spo2=89.0, baseline_hr=70.0))
     tampered = _retagged_record(record, tags)
     view = project_for_specialists(tampered)

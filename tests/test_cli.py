@@ -1067,7 +1067,7 @@ def test_readme_example_config_gives_the_default_outputs(tmp_path):
 
 
 # JSON nested deeper than the decoder goes raises RecursionError, not a
-# ValueError: each of the five input files must still fail closed.
+# ValueError: each of the six input files must still fail closed.
 DEEP = "[" * 100_000 + "]" * 100_000
 TOO_DEEP = "maximum recursion depth exceeded while decoding a JSON array from a unicode string"
 
@@ -1093,23 +1093,22 @@ def _deep_epochs_line(tmp_path: Path) -> list:
     return ["--config", config, "evaluate"]
 
 
-def _contexts_file(text: str):
+def _dataset_file(name: str, text: str | None = None):
+    """Generate, then replace the dataset's ``name`` with ``text``, or with
+    its first half when ``text`` is None."""
+
     def setup(tmp_path: Path) -> list:
         config = write_config(tmp_path)
         run(["--config", config, "generate"])
-        (tmp_path / "dataset" / "contexts.json").write_text(text, encoding="utf-8")
+        path = tmp_path / "dataset" / name
+        if text is None:
+            whole = path.read_text(encoding="utf-8")
+            path.write_text(whole[: len(whole) // 2], encoding="utf-8")
+        else:
+            path.write_text(text, encoding="utf-8")
         return ["--config", config, "evaluate"]
 
     return setup
-
-
-def _truncated_contexts(tmp_path: Path) -> list:
-    config = write_config(tmp_path)
-    run(["--config", config, "generate"])
-    contexts_path = tmp_path / "dataset" / "contexts.json"
-    text = contexts_path.read_text(encoding="utf-8")
-    contexts_path.write_text(text[: len(text) // 2], encoding="utf-8")
-    return ["--config", config, "evaluate"]
 
 
 def _deep_report(tmp_path: Path) -> list:
@@ -1124,33 +1123,46 @@ def _deep_report(tmp_path: Path) -> list:
         (_deep_config, f"config invalid: {TOO_DEEP}"),
         (_deep_taxonomy, f"taxonomy validation failed: {TOO_DEEP}"),
         (_deep_epochs_line, f"input validation failed: epochs line 3: {TOO_DEEP}"),
-        (_contexts_file(DEEP), f"input validation failed: contexts.json: {TOO_DEEP}"),
         (
-            _truncated_contexts,
+            _dataset_file("contexts.json", DEEP),
+            f"input validation failed: contexts.json: {TOO_DEEP}",
+        ),
+        (
+            _dataset_file("contexts.json"),
             "input validation failed: contexts.json: Expecting property name enclosed in"
             " double quotes: line 345 column 2 (char 8171)",
         ),
         (
-            _contexts_file("[]"),
+            _dataset_file("contexts.json", "[]"),
             "input validation failed: contexts.json: must be a JSON object keyed by patient id,"
             " got list",
         ),
         (
-            _contexts_file("5"),
+            _dataset_file("contexts.json", "5"),
             "input validation failed: contexts.json: must be a JSON object keyed by patient id,"
             " got int",
+        ),
+        (
+            _dataset_file("manifest.json", DEEP),
+            f"input validation failed: manifest.json: {TOO_DEEP}",
+        ),
+        (
+            _dataset_file("manifest.json"),
+            "input validation failed: manifest.json: Unterminated string starting at:"
+            " line 401 column 17 (char 12818)",
         ),
         (_deep_report, f"report payload invalid: {TOO_DEEP}"),
     ],
     ids=[
         "config", "taxonomy", "epochs_line", "contexts", "truncated_contexts",
-        "contexts_array", "contexts_number", "report_json",
+        "contexts_array", "contexts_number", "manifest", "truncated_manifest", "report_json",
     ],
 )
 def test_too_deeply_nested_input_exits_2(tmp_path, capsys, setup, message):
-    # A contexts.json that fails to decode for any other reason, here cut
-    # short, names the file the same way; so does one whose top level is not
-    # an object, by the value's type, as the value can be the whole file.
+    # A contexts.json or manifest.json that fails to decode for any other
+    # reason, here cut short, names the file the same way; so does a
+    # contexts.json whose top level is not an object, by the value's type, as
+    # the value can be the whole file.
     argv = setup(tmp_path)
     capsys.readouterr()
     assert run(argv) == 2

@@ -404,9 +404,11 @@ def test_record_make_and_replace_keep_the_field_name_check():
     tv = record.fields["spo2"]
     assert VeritasRecord._make(record) == record
     assert record._replace(timestamp=NIGHT).timestamp == NIGHT
-    # A name that is no field, and the two record coordinates, which are not
-    # tagged fields either.
-    for name in ("pulse", "copd", "patient_id", "timestamp"):
+    # A name that is no field, the two record coordinates, which are not
+    # tagged fields either, and the two epoch fields no rule reads.
+    for name in (
+        "pulse", "copd", "patient_id", "timestamp", "probe_cover_present", "ambient_condition"
+    ):
         bad = {"fields": {**record.fields, name: tv}}
         kwargs = {**record._asdict(), **bad}
         message = rf"unknown record fields: \['{name}'\]"
@@ -422,11 +424,14 @@ def test_record_field_names_are_the_epoch_and_context_names_less_the_coordinates
     # The record keeps epoch and context values in one mapping, so a context
     # field named like an epoch field would overwrite that value unnoticed.
     # The two key sets share only the patient, and a record admits exactly
-    # their union less its two coordinates, which a full record fills.
+    # their union less its two coordinates and the two epoch fields carried
+    # only in the files, which a full record fills.
     epoch_keys = {f.name for f in fields(Epoch)}
     context_keys = {f.name for f in fields(PatientContext)}
     assert epoch_keys & context_keys == {"patient_id"}
-    record_keys = (epoch_keys | context_keys) - {"patient_id", "timestamp"}
+    carried_only = {"probe_cover_present", "ambient_condition"}
+    assert model._CARRIED_ONLY == carried_only < epoch_keys
+    record_keys = (epoch_keys | context_keys) - {"patient_id", "timestamp"} - carried_only
     assert model._RECORD_FIELDS == record_keys
     record = make_record(
         make_epoch(activity=SelfReportedActivity.WALKING, ambient="heatwave"),
