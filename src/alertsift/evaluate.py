@@ -3,7 +3,7 @@
 Screens every epoch, in per-patient timestamp order, with detection's own
 threshold test on its raw device fields, and runs assemble -> project ->
 detect -> route -> specialists -> resolve for each epoch that crosses a
-threshold. Folds epoch decisions into case outcomes, and computes the
+threshold. Decides each case by its first escalation, and computes the
 report: overall rates, per-class stratification, Wilson confidence
 intervals, and the distribution of device statuses at the point of
 failure.
@@ -60,7 +60,6 @@ __all__ = [
     "Manifest",
     "ManifestCase",
     "OutcomeKind",
-    "aggregate_case",
     "check_golden",
     "evaluate",
     "load_dataset",
@@ -75,37 +74,14 @@ __all__ = [
 class OutcomeKind(str, Enum):
     TRUE_SUPPRESSION = "true_suppression"
     FALSE_ESCALATION = "false_escalation"
-    INDETERMINATE = "indeterminate"
 
 
 # Bound once: reading an Enum member off its class costs about 0.1 us.
-_SUPPRESS = Verdict.SUPPRESS
 _ESCALATE = Verdict.ESCALATE
 _TRUE_SUPPRESSION = OutcomeKind.TRUE_SUPPRESSION
 _FALSE_ESCALATION = OutcomeKind.FALSE_ESCALATION
-_INDETERMINATE = OutcomeKind.INDETERMINATE
 
 _Z = 1.96  # the normal quantile of the report's 95% intervals
-
-
-def aggregate_case(decisions: Sequence[SystemDecision]) -> OutcomeKind:
-    """Fold one case's epoch decisions into its outcome, in one pass.
-
-    A case is a true suppression only when every epoch was suppressed; one
-    escalating epoch makes it a false escalation, and ends the pass. The
-    indeterminate arm is defined for robustness but unreachable while
-    verdicts are binary.
-    """
-    if not decisions:
-        raise InvariantViolation("aggregate_case requires at least one decision")
-    outcome = _TRUE_SUPPRESSION
-    for decision in decisions:
-        verdict = decision.verdict
-        if verdict is _ESCALATE:
-            return _FALSE_ESCALATION
-        if verdict is not _SUPPRESS:
-            outcome = _INDETERMINATE
-    return outcome
 
 
 def wilson_interval(successes: int, n: int) -> tuple[float, float]:
@@ -140,26 +116,27 @@ class CaseOutcome(NamedTuple):
     failure_device_status: DeviceStatus | None
 
 
-@dataclass(frozen=True)
-class DomainRow:
+class DomainRow(NamedTuple):
+    """One class row: its case count, true suppressions and false escalations."""
+
     n: int
     ts: int
     fe: int
 
     @property
     def tsr(self) -> float:
-        return self.ts / self.n if self.n else 0.0
+        return self.ts / self.n
 
     @property
     def fer(self) -> float:
-        return self.fe / self.n if self.n else 0.0
+        return self.fe / self.n
 
 
 @dataclass(frozen=True)
 class EvaluationReport:
     """The class rows, the epoch total, the failure modes and the case
     outcomes: all a report holds. Each overall count is the rows' sum, and
-    ``ind_count`` the cases neither suppressed nor escalated."""
+    ``ind_count`` the rest, 0 while every case is suppressed or escalated."""
 
     per_domain: Mapping[DomainClass, DomainRow]
     epochs: int
@@ -355,14 +332,18 @@ def _run_case(
     specialist_cfg: SpecialistConfig,
     meta_cfg: MetaConfig,
 ) -> CaseOutcome:
-    """Walk one patient's epochs oldest first: the one pass that checks the stream.
+    """Walk one patient's epochs oldest first: the one pass that checks the
+    stream and decides the case.
 
     ``case`` is one of ``evaluate``'s cases. The sort and the duplicate-minute
     check cover every epoch; after the walk, so that a repeated minute is
     named as one, the stream must hold the case's ``epoch_count`` epochs. An
     epoch ``quiet`` passes is never assembled, so assembly's other-patient
     check sees only alerting epochs; ``evaluate`` groups epochs by patient,
-    so it cannot be reached from there.
+    so it cannot be reached from there. Every other epoch must alert and
+    gets one decision. The case is a false escalation if some decision
+    escalates, with the device status of the first; otherwise, and when no
+    epoch alerts, a true suppression.
     """
     bundle = SourceBundle(ehr=context, vitals_stream=tuple(sorted(epochs, key=_BY_TIME)))
     history = DecisionHistory()
@@ -381,7 +362,10 @@ def _run_case(
         view = project_for_specialists(record)
         alert = detect(view, sentinel_cfg)
         if alert is None:
-            continue
+            raise InvariantViolation(
+                f"patient {patient_id} at {format_timestamp(epoch.timestamp)}:"
+                " an epoch past the quiet screen raised no alert"
+            )
         routing = route(alert, view)
         claims = claims_for(alert, view, routing, specialist_cfg)
         decision = resolve(claims, routing, alert, history, meta_cfg)
@@ -393,12 +377,7 @@ def _run_case(
             f"case {_shown(case.case_id)}: patient {patient_id} has {len(bundle.vitals_stream)}"
             f" epochs, expected {case.epoch_count}"
         )
-    # A case whose epochs never alert has nothing to suppress or escalate;
-    # no alert reached anyone, which is the suppression goal trivially met.
-    # Only a user catalogue has such a case: every shipped epoch alerts.
-    outcome = (
-        aggregate_case(decisions) if decisions else OutcomeKind.TRUE_SUPPRESSION
-    )
+    outcome = _TRUE_SUPPRESSION if failure_status is None else _FALSE_ESCALATION
     return CaseOutcome(
         case.case_id, patient_id, case.domain_class, outcome, tuple(decisions), failure_status
     )
@@ -455,9 +434,9 @@ def evaluate(
     counts = Counter((outcome.domain_class, outcome.outcome) for outcome in outcomes)
     per_domain: dict[DomainClass, DomainRow] = {}
     for cls in DomainClass:
-        ts, fe, ind = (counts[cls, kind] for kind in OutcomeKind)
-        if ts + fe + ind:
-            per_domain[cls] = DomainRow(ts + fe + ind, ts, fe)
+        ts, fe = counts[cls, _TRUE_SUPPRESSION], counts[cls, _FALSE_ESCALATION]
+        if ts + fe:
+            per_domain[cls] = DomainRow(ts + fe, ts, fe)
     # An escalating epoch, and so a failure status, makes a false escalation.
     failure_modes = dict(
         Counter(o.failure_device_status for o in outcomes if o.failure_device_status is not None)
@@ -668,9 +647,10 @@ def validate_report_payload(data: Mapping[str, Any]) -> dict[str, Any]:
     document its free inputs give.
 
     The free inputs are each class row's ``n``, ``ts`` and ``fe``, the epoch
-    total and the failure-mode counts, each a non-negative integer; a class
-    row has ``ts + fe <= n``, ``wilson_cis`` holds an interval for exactly
-    the classes of ``per_domain``, and ``per_domain`` holds one at least.
+    total and the failure-mode counts, each a non-negative integer; every
+    case is suppressed or escalated, so a class row has ``ts + fe = n``;
+    ``wilson_cis`` holds an interval for exactly the classes of
+    ``per_domain``, and ``per_domain`` holds one at least.
     Every case has an epoch, so the epoch total is at least the case count;
     every false escalation has one failure status, so the failure-mode
     counts sum to ``fe_count``. The rest of the file must be
@@ -694,8 +674,10 @@ def validate_report_payload(data: Mapping[str, Any]) -> dict[str, Any]:
         n, ts, fe = _inputs(row, f"per_domain.{cls}", "n", "ts", "fe")
         try:
             wilson_interval(ts, n)
-            if ts + fe > n:
-                raise InvariantViolation("ts + fe exceeds n")
+            if ts + fe != n:
+                raise InvariantViolation(
+                    f"ts + fe is {ts + fe}, not n {n}: every case is suppressed or escalated"
+                )
         except InvariantViolation as exc:
             raise InvariantViolation(f"report payload per_domain.{cls}: {exc}") from None
         per_domain[DomainClass(cls)] = DomainRow(n, ts, fe)

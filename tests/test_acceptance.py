@@ -10,10 +10,12 @@ threshold; the outcome distribution is seed-invariant by construction.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import random
 import time
+from datetime import timedelta
 
 import numpy as np
 import pytest
@@ -25,7 +27,6 @@ from alertsift.evaluate import (
     GOLDEN_FAILURE_MODES,
     GOLDEN_PER_DOMAIN,
     OutcomeKind,
-    aggregate_case,
     evaluate,
     render_report_text,
     wilson_interval,
@@ -39,15 +40,18 @@ from alertsift.model import (
     DomainClass,
     ProvenanceTag,
     Recommendation,
-    ResolutionPath,
     Verdict,
 )
 from alertsift.routing import RoutingDecision, route
 from alertsift.sentinel import SentinelConfig, detect
 from alertsift.synthgen import default_taxonomy_path, generate_dataset, load_taxonomy
 from helpers import (
+    DAYTIME,
+    PATIENT,
     SEED_42_SHA256,
     field_names,
+    make_context,
+    make_entry,
     make_epoch,
     make_record,
     make_view,
@@ -301,32 +305,47 @@ def test_criterion_8_meta_totality_conservatism_homogeneity():
 
 
 def test_criterion_9_aggregation_oracle():
-    import itertools
-
+    # One patient per verdict vector of length 1-6, all in one evaluate()
+    # call. A suppressing minute is a motion artefact on normal vitals
+    # (probe_integrity, artefact_flagged); an escalating one an HR of 130 at
+    # rest in the day with no baseline (tachycardia, isolated_high_hr). Their
+    # alert-type sets differ, so the debounce replays each only onto itself.
     def oracle(vector):
         if any(v is Verdict.ESCALATE for v in vector):
             return OutcomeKind.FALSE_ESCALATION
         return OutcomeKind.TRUE_SUPPRESSION
 
-    claim = AgentClaim(AgentDomain.COPD, Recommendation.SUPPRESS, 0.9)
+    def minute(pid, i, verdict):
+        ts = DAYTIME + timedelta(minutes=i)
+        if verdict is Verdict.SUPPRESS:
+            return make_epoch(ts, pid, status=DeviceStatus.MOTION_ARTEFACT)
+        return make_epoch(ts, pid, hr=130.0)
 
-    def as_decision(verdict):
-        from alertsift.model import SystemDecision
-        from helpers import DAYTIME
-
-        return SystemDecision(verdict, (claim,), ResolutionPath.SINGLE_DOMAIN, DAYTIME)
-
-    total = 0
-    mismatches = 0
-    for length in range(1, 7):
-        for vector in itertools.product((Verdict.SUPPRESS, Verdict.ESCALATE), repeat=length):
-            total += 1
-            if aggregate_case([as_decision(v) for v in vector]) is not oracle(vector):
-                mismatches += 1
+    vectors = [
+        vector
+        for length in range(1, 7)
+        for vector in itertools.product((Verdict.SUPPRESS, Verdict.ESCALATE), repeat=length)
+    ]
+    pids = [PATIENT + i for i in range(len(vectors))]
+    entries = [
+        make_entry(case_id=f"VEC-{i:03d}", epoch_count=len(vector))
+        for i, vector in enumerate(vectors)
+    ]
+    epochs = tuple(
+        minute(pid, i, v) for pid, vector in zip(pids, vectors) for i, v in enumerate(vector)
+    )
+    report = evaluate(
+        Dataset(epochs=epochs, contexts={pid: make_context(pid) for pid in pids}), entries
+    )
+    mismatches = sum(
+        tuple(d.verdict for d in case.epoch_decisions) != vector
+        or case.outcome is not oracle(vector)
+        for case, vector in zip(report.case_outcomes, vectors)
+    )
     _check(
-        "criterion 9: aggregation matches brute force on all 126 vectors",
-        total == 126 and mismatches == 0,
-        f"{total} vectors, {mismatches} mismatches",
+        "criterion 9: evaluate() decides all 126 verdict vectors as brute force does",
+        len(report.case_outcomes) == len(vectors) == 126 and mismatches == 0,
+        f"{len(report.case_outcomes)} cases, {mismatches} mismatches",
     )
 
 

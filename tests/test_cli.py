@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from alertsift import cli
 from alertsift.cli import main
-from alertsift.evaluate import GOLDEN_TAXONOMY_SHA256
+from alertsift.evaluate import GOLDEN_TAXONOMY_SHA256, wilson_interval
 from alertsift.model import AccelLevel, DeviceStatus, Position, SelfReportedActivity
 from alertsift.synthgen import default_taxonomy_path
 from helpers import SEED_42_SHA256
@@ -439,6 +439,9 @@ def test_report_without_class_rows_exits_2(tmp_path, capsys):
 
 
 _MISSING = object()
+# The shipped COPD row is 13/13/0; with one more case, neither suppressed nor
+# escalated, it is 14/13/0.
+_COPD_LOWER, _COPD_UPPER = wilson_interval(13, 14)
 
 
 @pytest.mark.parametrize(
@@ -466,7 +469,21 @@ _MISSING = object()
         (("per_domain", "copd", "fe"), 7.5, "per_domain.copd.fe must be an integer, got 7.5"),
         (("overall", "tsr"), 0.99, "overall.tsr is 0.99, the rows give 0.836735"),
         (("per_domain", "copd", "tsr"), 0.01, "per_domain.copd.tsr is 0.01, the rows give 1.0"),
-        (("per_domain", "copd", "fe"), 1, "per_domain.copd: ts + fe exceeds n"),
+        (("per_domain", "copd", "fe"), 1, "per_domain.copd: ts + fe is 14, not n 13"),
+        (
+            # Every value the one undecided COPD case moves, consistently.
+            (
+                ("per_domain", "copd", "n"), ("per_domain", "copd", "tsr"),
+                ("wilson_cis", "copd", "lower"), ("wilson_cis", "copd", "upper"),
+                ("overall", "ind_count"), ("overall", "tsr"), ("overall", "fer"),
+                ("overall", "indr"), ("totals", "cases"), ("totals", "mean_epochs_per_case"),
+            ),
+            (
+                14, round(13 / 14, 6), round(_COPD_LOWER, 6), round(_COPD_UPPER, 6),
+                1, round(82 / 99, 6), round(16 / 99, 6), round(1 / 99, 6), 99, round(530 / 99, 6),
+            ),
+            "per_domain.copd: ts + fe is 13, not n 14: every case is suppressed or escalated",
+        ),
         (("overall", "ind_count"), 2, "overall.ind_count is 2, the rows give 0"),
         (("totals", "cases"), 99, "totals.cases is 99, the rows give 98"),
         (("totals", "mean_epochs_per_case"), 5.0, "mean_epochs_per_case is 5.0, the rows give"),
@@ -487,7 +504,8 @@ _MISSING = object()
         "nan_rate", "infinite_bound", "huge_integer_rate", "misspelt_row_key",
         "misspelt_section", "interval_without_row", "more_successes_than_cases",
         "fractional_count", "negative_cases", "fractional_class_count", "overall_rate_off_counts",
-        "class_rate_off_counts", "more_outcomes_than_cases", "ind_count_off_rows",
+        "class_rate_off_counts", "more_outcomes_than_cases", "indeterminate_cases",
+        "ind_count_off_rows",
         "cases_off_rows", "mean_off_totals", "negative_failure_count",
         "failure_counts_off_fe_count", "fewer_epochs_than_cases",
     ],
@@ -495,8 +513,9 @@ _MISSING = object()
 def test_report_malformed_row_exits_2(tmp_path, capsys, path, value, message):
     # Every row the text report reads is checked. Unchecked, these rows are a
     # traceback (exit 1) or, for a fractional count, a boolean total, failure
-    # counts off fe_count or fewer epochs than cases, render as if valid. A
-    # row whose path is a tuple of paths edits one value per path.
+    # counts off fe_count, fewer epochs than cases or an undecided case,
+    # render as if valid. A row whose path is a tuple of paths edits one
+    # value per path.
     config = write_config(tmp_path)
     run(["--config", config, "generate"])
     run(["--config", config, "evaluate", "--json-only"])

@@ -1,9 +1,8 @@
-"""Case aggregation, Wilson intervals, and the end-to-end report."""
+"""Case outcomes, Wilson intervals, and the end-to-end report."""
 
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import json
 import os
 import random
@@ -25,7 +24,6 @@ from alertsift.evaluate import (
     GOLDEN_FAILURE_MODES,
     GOLDEN_PER_DOMAIN,
     OutcomeKind,
-    aggregate_case,
     check_golden,
     evaluate,
     render_report_text,
@@ -36,13 +34,10 @@ from alertsift.evaluate import (
 from alertsift.meta import MetaConfig
 from alertsift.model import (
     AccelLevel,
-    AgentClaim,
-    AgentDomain,
     DeviceStatus,
     DomainClass,
     InvariantViolation,
     Position,
-    Recommendation,
     ResolutionPath,
     SelfReportedActivity,
     SystemDecision,
@@ -67,43 +62,6 @@ from helpers import (
     make_view,
     reference_run_case,
 )
-
-
-def decision(verdict: Verdict) -> SystemDecision:
-    claim = AgentClaim(AgentDomain.PROBE_INTEGRITY, Recommendation.SUPPRESS, 0.9)
-    return SystemDecision(verdict, (claim,), ResolutionPath.SINGLE_DOMAIN, DAYTIME)
-
-
-def test_aggregate_all_suppress_is_true_suppression():
-    decisions = [decision(Verdict.SUPPRESS)] * 5
-    assert aggregate_case(decisions) is OutcomeKind.TRUE_SUPPRESSION
-
-
-def test_aggregate_any_escalation_is_false_escalation():
-    decisions = [decision(Verdict.SUPPRESS), decision(Verdict.ESCALATE), decision(Verdict.SUPPRESS)]
-    assert aggregate_case(decisions) is OutcomeKind.FALSE_ESCALATION
-
-
-def test_aggregate_empty_raises():
-    with pytest.raises(InvariantViolation, match="aggregate_case requires at least one decision"):
-        aggregate_case([])
-
-
-def test_aggregate_matches_brute_force_over_all_short_vectors():
-    # exhaustive oracle: all 2 + 4 + ... + 64 = 126 binary vectors
-    def oracle(vector):
-        if any(v is Verdict.ESCALATE for v in vector):
-            return OutcomeKind.FALSE_ESCALATION
-        if all(v is Verdict.SUPPRESS for v in vector):
-            return OutcomeKind.TRUE_SUPPRESSION
-        return OutcomeKind.INDETERMINATE
-
-    total = 0
-    for length in range(1, 7):
-        for vector in itertools.product((Verdict.SUPPRESS, Verdict.ESCALATE), repeat=length):
-            total += 1
-            assert aggregate_case([decision(v) for v in vector]) is oracle(vector)
-    assert total == 126
 
 
 def test_wilson_perfect_suppression_lower_bounds():
@@ -245,8 +203,27 @@ def test_duplicate_quiet_epoch_in_memory_dataset_raises():
     assert all(quiet(epoch, SentinelConfig()) for epoch in case.epochs)
     (outcome,) = evaluate(Dataset(epochs=case.epochs, contexts=contexts), [entry]).case_outcomes
     assert outcome.epoch_decisions == ()
+    assert outcome.outcome is OutcomeKind.TRUE_SUPPRESSION
     with pytest.raises(InvariantViolation, match=f"duplicate epoch for patient {case.patient_id} "):
         evaluate(Dataset(epochs=(*case.epochs, case.epochs[2]), contexts=contexts), [entry])
+
+
+def test_an_epoch_past_the_quiet_screen_must_alert(monkeypatch):
+    # quiet() is detect()'s screen read off the raw epoch, so every epoch it
+    # passes alerts and gets one decision. Skipped, a silent one would leave
+    # the case a true suppression with one decision fewer.
+    epoch = make_epoch(hr=130.0)
+    assert not quiet(epoch, SentinelConfig())
+    # The package attribute alertsift.evaluate is the function, not the module.
+    monkeypatch.setattr(sys.modules["alertsift.evaluate"], "detect", lambda view, cfg: None)
+    with pytest.raises(
+        InvariantViolation,
+        match=f"patient {PATIENT} at 2022-06-15T14:00:00Z: an epoch past the quiet screen",
+    ):
+        evaluate(
+            Dataset(epochs=(epoch,), contexts={PATIENT: make_context()}),
+            [make_entry(epoch_count=1)],
+        )
 
 
 def test_the_golden_counts_hold_for_other_seeds(golden_run):
@@ -298,7 +275,7 @@ def _reports(draw: st.DrawFn) -> EvaluationReport:
     for cls in draw(st.lists(st.sampled_from(DomainClass), min_size=1, unique=True)):
         n = draw(st.integers(1, 40))
         ts = draw(st.integers(0, n))
-        per_domain[cls] = DomainRow(n, ts, draw(st.integers(0, n - ts)))
+        per_domain[cls] = DomainRow(n, ts, n - ts)
     cases = sum(row.n for row in per_domain.values())
     fe_count = sum(row.fe for row in per_domain.values())
     statuses = draw(

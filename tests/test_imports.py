@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is read in that module.
+"""Every name a module of the package or of the tests imports is read in
+that module.
 
 No linter runs with the tests, so this is the unused-import check, on the
 standard library's ``ast`` alone. A name counts as read where the module
@@ -15,6 +16,7 @@ from pathlib import Path
 import alertsift
 
 PACKAGE = Path(alertsift.__file__).parent
+TESTS = Path(__file__).parent
 
 # Bindings kept for the benchmark's tracer, which reaches the program
 # through them: (module file, name) and the line that needs it.
@@ -56,16 +58,25 @@ def unread_imports(path: Path) -> list[tuple[str, int]]:
     )
 
 
-def test_every_imported_name_is_read_in_its_module():
-    unread = {
+def _unread_in(directory: Path) -> dict[tuple[str, str], int]:
+    return {
         (path.name, name): line
-        for path in sorted(PACKAGE.glob("*.py"))
+        for path in sorted(directory.glob("*.py"))
         for name, line in unread_imports(path)
     }
+
+
+def test_every_imported_name_is_read_in_its_module():
+    unread = _unread_in(PACKAGE)
     assert unread.keys() - READ_ELSEWHERE == set(), unread
     # Each kept binding is still imported and still unread here; once it is
     # read, or gone, it leaves the list.
     assert unread.keys() == READ_ELSEWHERE
+
+
+def test_every_name_a_test_module_imports_is_read():
+    # No test binding is kept for another reader.
+    assert _unread_in(TESTS) == {}
 
 
 def test_the_check_sees_an_unread_import(tmp_path):
