@@ -1,10 +1,14 @@
 """End-to-end evaluation: pipeline execution, case aggregation, metrics.
 
 Screens every epoch, in per-patient timestamp order, with detection's own
-threshold test on its raw device fields, and runs assemble -> project ->
-detect -> route -> specialists -> resolve for each epoch that crosses a
-threshold. Decides each case by its first escalation, and computes the
-report: overall rates, per-class stratification, Wilson confidence
+threshold test on its raw device fields. An epoch that crosses a threshold
+is keyed by its cell: the outcomes of the rules' vital comparisons, its
+four categorical fields, whether its time is nocturnal and the patient's
+EHR facts, which decide its alert types, routing and claims. The first
+epoch of a cell in an ``evaluate`` call runs assemble -> project -> detect
+-> route -> specialists; every epoch then runs resolve against its
+patient's history. Decides each case by its first escalation, and computes
+the report: overall rates, per-class stratification, Wilson confidence
 intervals, and the distribution of device statuses at the point of
 failure.
 """
@@ -18,12 +22,14 @@ from enum import Enum
 from math import sqrt
 from operator import attrgetter
 from pathlib import Path
-from typing import Any, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 from .assembly import SourceBundle, assemble, project_for_specialists
 from .meta import DecisionHistory, MetaConfig, resolve
 from .model import (
     COMPACT_JSON,
+    AgentClaim,
+    AlertType,
     DeviceStatus,
     DomainClass,
     Epoch,
@@ -43,9 +49,9 @@ from .model import (
     read_epochs_jsonl,
     PATIENT_ID_RANGE,
 )
-from .routing import route
+from .routing import RoutingDecision, in_nocturnal_window, route
 from .sentinel import SentinelConfig, detect, quiet
-from .specialists import SpecialistConfig, claims_for
+from .specialists import DEFAULT_NOCTURNAL_BASELINE_SPO2, SpecialistConfig, claims_for
 
 __all__ = [
     "CaseOutcome",
@@ -321,6 +327,69 @@ def load_manifest(dataset_dir: str | Path) -> Manifest:
 
 
 _BY_TIME = attrgetter("timestamp")
+_DUPLICATE_ALERT = DeviceStatus.DUPLICATE_ALERT
+
+# A cell's value: the alert's type set, its routing decision and its claims.
+_Cell = tuple[frozenset[AlertType], RoutingDecision, tuple[AgentClaim, ...]]
+
+
+def _cell_key(
+    context: PatientContext, sentinel_cfg: SentinelConfig, specialist_cfg: SpecialistConfig
+) -> Callable[[Epoch], tuple[Any, ...]]:
+    """The function that gives each alerting epoch of this patient its cell.
+
+    Detection, routing and the claims read an epoch through its record's
+    view, and the view holds only what the projection passes: the epoch's
+    device-verified vitals, accelerometer level and status, its
+    patient-reported position and activity, and the context's EHR facts.
+    The rules read each vital only through the comparisons below, each
+    written as the rule writes it, with the configs' own values and this
+    patient's baselines; the EHR facts through COPD, medication and which
+    baselines are present; the time only through ``in_nocturnal_window``.
+    So two epochs with one key get one type set, one routing decision and
+    one set of claims, whichever patient they belong to.
+    ``tests/test_rule_reads.py`` holds every vital comparison of the rules
+    to its twin here.
+    """
+    baseline_spo2 = context.baseline_spo2
+    baseline_hr = context.baseline_hr
+    facts = (
+        context.copd_documented is True,
+        context.rate_limiting_medication is True,
+        baseline_spo2 is not None,
+        baseline_hr is not None,
+    )
+    spo2_low = sentinel_cfg.spo2_low_threshold
+    hr_high = sentinel_cfg.hr_high_threshold
+    hr_low = sentinel_cfg.hr_low_threshold
+    personal_floor = specialist_cfg.bradycardia_personal_floor
+    allowance = specialist_cfg.hr_activity_allowance
+    floor = specialist_cfg.copd_acceptable_spo2
+    if baseline_spo2 is not None:
+        floor = max(floor, baseline_spo2 - 2.0)
+    dip_baseline = DEFAULT_NOCTURNAL_BASELINE_SPO2 if baseline_spo2 is None else baseline_spo2
+    dip_allowance = specialist_cfg.nocturnal_dip_allowance
+
+    def key(epoch: Epoch) -> tuple[Any, ...]:
+        spo2 = epoch.spo2
+        hr = epoch.hr
+        return (
+            facts,
+            spo2 < spo2_low,
+            hr > hr_high,
+            hr < hr_low,
+            hr < personal_floor,
+            baseline_hr is not None and hr <= baseline_hr + allowance,
+            spo2 >= floor,
+            dip_baseline - spo2 > dip_allowance,
+            epoch.accel_level,
+            epoch.device_status,
+            epoch.position,
+            epoch.self_reported_activity,
+            in_nocturnal_window(epoch.timestamp),
+        )
+
+    return key
 
 
 def _run_case(
@@ -331,6 +400,7 @@ def _run_case(
     sentinel_cfg: SentinelConfig,
     specialist_cfg: SpecialistConfig,
     meta_cfg: MetaConfig,
+    cells: dict[tuple[Any, ...], _Cell],
 ) -> CaseOutcome:
     """Walk one patient's epochs oldest first: the one pass that checks the
     stream and decides the case.
@@ -338,14 +408,19 @@ def _run_case(
     ``case`` is one of ``evaluate``'s cases. The sort and the duplicate-minute
     check cover every epoch; after the walk, so that a repeated minute is
     named as one, the stream must hold the case's ``epoch_count`` epochs. An
-    epoch ``quiet`` passes is never assembled, so assembly's other-patient
-    check sees only alerting epochs; ``evaluate`` groups epochs by patient,
-    so it cannot be reached from there. Every other epoch must alert and
-    gets one decision. The case is a false escalation if some decision
+    epoch ``quiet`` passes is skipped. Every other epoch must belong to the
+    patient, as assembly checks, and is keyed by ``_cell_key``. ``cells``
+    maps each key met so far in the ``evaluate`` call to its type set,
+    routing decision and claims. On a miss, assemble -> project -> detect
+    -> route -> claims run, and the epoch must alert; on a hit no record,
+    view or alert is built. Either way ``resolve`` decides the epoch
+    against the patient's history, from the cell's value, the epoch's time
+    and its status. The case is a false escalation if some decision
     escalates, with the device status of the first; otherwise, and when no
     epoch alerts, a true suppression.
     """
     bundle = SourceBundle(ehr=context, vitals_stream=tuple(sorted(epochs, key=_BY_TIME)))
+    key = _cell_key(context, sentinel_cfg, specialist_cfg)
     history = DecisionHistory()
     decisions: list[SystemDecision] = []
     failure_status: DeviceStatus | None = None
@@ -358,20 +433,33 @@ def _run_case(
         previous_at = epoch.timestamp
         if quiet(epoch, sentinel_cfg):
             continue
-        record = assemble(bundle, epoch)
-        view = project_for_specialists(record)
-        alert = detect(view, sentinel_cfg)
-        if alert is None:
+        if epoch.patient_id != context.patient_id:
             raise InvariantViolation(
-                f"patient {patient_id} at {format_timestamp(epoch.timestamp)}:"
-                " an epoch past the quiet screen raised no alert"
+                f"epoch patient {epoch.patient_id} != context patient {context.patient_id}"
             )
-        routing = route(alert, view)
-        claims = claims_for(alert, view, routing, specialist_cfg)
-        decision = resolve(claims, routing, alert, history, meta_cfg)
+        cell_key = key(epoch)
+        cell = cells.get(cell_key)
+        if cell is None:
+            view = project_for_specialists(assemble(bundle, epoch))
+            alert = detect(view, sentinel_cfg)
+            if alert is None:
+                raise InvariantViolation(
+                    f"patient {patient_id} at {format_timestamp(epoch.timestamp)}:"
+                    " an epoch past the quiet screen raised no alert"
+                )
+            routing = route(alert, view)
+            cell = cells[cell_key] = (
+                alert.alert_types, routing, claims_for(alert, view, routing, specialist_cfg)
+            )
+        alert_types, routing, claims = cell
+        status = epoch.device_status
+        decision = resolve(
+            claims, routing, alert_types, epoch.timestamp, status is _DUPLICATE_ALERT,
+            history, meta_cfg,
+        )
         decisions.append(decision)
         if failure_status is None and decision.verdict is _ESCALATE:
-            failure_status = epoch.device_status
+            failure_status = status
     if len(bundle.vitals_stream) != case.epoch_count:
         raise InvariantViolation(
             f"case {_shown(case.case_id)}: patient {patient_id} has {len(bundle.vitals_stream)}"
@@ -423,10 +511,13 @@ def evaluate(
                 f" (missing={missing[:5]}, extra={extra[:5]})"
             )
 
+    # The cells of every case: a cell's value depends on the configs and the
+    # key alone, and both stay fixed for the call.
+    cells: dict[tuple[Any, ...], _Cell] = {}
     outcomes = tuple(
         _run_case(
             entry, pid, by_patient[pid], dataset.contexts[pid],
-            sentinel_cfg, specialist_cfg, meta_cfg,
+            sentinel_cfg, specialist_cfg, meta_cfg, cells,
         )
         for pid, entry in sorted(expected_pids.items())
     )

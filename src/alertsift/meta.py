@@ -13,7 +13,9 @@ case: its alerts resolve in strictly increasing time, and it keeps only what
 it can replay.
 
 The claims and the routing decision resolve reads are shared immutable
-values: every alert that reaches the same rules gets the same objects. The
+values: every alert that reaches the same rules gets the same objects. Of
+the alert itself resolve takes its type set, its time and whether its
+status is duplicate_alert, all an epoch's decision reads of it. The
 SystemDecision is the one object resolve builds per alert, and the one kept
 per decision; it is a tuple (see ``model.SystemDecision``), which costs less
 to build and to hold than a frozen dataclass.
@@ -30,8 +32,6 @@ from .model import (
     AgentClaim,
     AgentDomain,
     AlertType,
-    CandidateAlert,
-    DeviceStatus,
     InvariantViolation,
     Recommendation,
     ResolutionPath,
@@ -110,8 +110,6 @@ class DecisionHistory:
         return decision
 
 
-_SIGNAL_QUALITY = AlertType.SIGNAL_QUALITY
-_DUPLICATE_ALERT = DeviceStatus.DUPLICATE_ALERT
 _SUPPRESS_CLAIM = Recommendation.SUPPRESS
 _ESCALATE_CLAIM = Recommendation.ESCALATE
 _INDETERMINATE_CLAIM = Recommendation.INDETERMINATE
@@ -129,11 +127,19 @@ _new = tuple.__new__
 def resolve(
     claims: tuple[AgentClaim, ...],
     routing: RoutingDecision,
-    alert: CandidateAlert,
+    alert_types: frozenset[AlertType],
+    now: datetime,
+    duplicate_alert: bool,
     history: DecisionHistory,
     cfg: MetaConfig,
 ) -> SystemDecision:
     """Turn specialist claims into the binary system verdict.
+
+    Of the alert it reads only what the steps below need: its type set,
+    its time ``now``, and ``duplicate_alert``, whether the epoch's device
+    status, as detection saw it in the projection, is duplicate_alert. So
+    an alert's triggering values never reach a decision, and an epoch
+    whose cell was decided before (``evaluate``) resolves without one.
 
     Steps, in order:
       1. Debounce: an identical alert-type set decided for this patient
@@ -141,10 +147,9 @@ def resolve(
          resolve in full instead. A prior suppression is never replayed
          over a current escalate claim, so a hard guardrail such as the
          COPD floor outranks the debounce. And a duplicate_alert device
-         status, as detection saw it in the projection, bypasses the
-         debounce; that bypass reproduces the current system's documented
-         behaviour for duplicate alerts, and fixing it is a known
-         follow-up, not an accident.
+         status bypasses the debounce; that bypass reproduces the current
+         system's documented behaviour for duplicate alerts, and fixing it
+         is a known follow-up, not an accident.
       2. A single routed domain with a definitive claim is adopted as-is.
       3. Otherwise suppress and escalate confidences are summed with domain
          weights (indeterminate claims contribute to neither side) and the
@@ -153,8 +158,8 @@ def resolve(
          verdict defaults to escalation.
 
     The decision is appended to the history before returning. Deterministic
-    in (claims, routing, alert, history, cfg), and homogeneous: scaling all
-    weights and the margin by one positive factor changes no verdict.
+    in its arguments, and homogeneous: scaling all weights and the margin
+    by one positive factor changes no verdict.
     """
     claimed = tuple([c.domain for c in claims])
     if claimed != routing.domains:
@@ -163,16 +168,16 @@ def resolve(
             f"{[d.value for d in claimed]}, expected {[d.value for d in routing.domains]}"
         )
 
-    now = alert.raised_at
     # A duplicate_alert status, or an escalate claim over a prior suppression, drops the prior.
-    prior = history.last_matching(alert.alert_types, now, cfg.cooldown_window_minutes)
-    if prior is not None:
-        status_tv = alert.triggering_values.get(_SIGNAL_QUALITY)
-        if (status_tv is not None and status_tv.value is _DUPLICATE_ALERT) or (
+    prior = history.last_matching(alert_types, now, cfg.cooldown_window_minutes)
+    if prior is not None and (
+        duplicate_alert
+        or (
             prior.verdict is not _ESCALATE
             and any(c.recommendation is _ESCALATE_CLAIM for c in claims)
-        ):
-            prior = None
+        )
+    ):
+        prior = None
 
     if prior is not None:
         verdict, path = prior.verdict, _DEBOUNCED
@@ -196,5 +201,5 @@ def resolve(
             verdict, path = _ESCALATE, _AMBIGUITY_DEFAULT
 
     decision = _new(SystemDecision, (verdict, claims, path, now))
-    history.record(alert.alert_types, decision)
+    history.record(alert_types, decision)
     return decision

@@ -7,11 +7,13 @@ record (e.g. an inferred-tagged field) rebuild it field by field.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import itertools
 import json
 import math
-from datetime import datetime, timedelta, timezone
-from typing import Any, Iterable, Sequence
+from datetime import datetime, time, timedelta, timezone
+from typing import Any, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -22,10 +24,11 @@ from alertsift.assembly import (
     assemble,
     project_for_specialists,
 )
-from alertsift.evaluate import CaseOutcome, OutcomeKind
-from alertsift.meta import MetaConfig
+from alertsift.evaluate import CaseOutcome, Dataset, ManifestCase, OutcomeKind
+from alertsift.meta import DecisionHistory, MetaConfig, resolve
 from alertsift.model import (
     DOMAIN_ORDER,
+    PATIENT_ID_RANGE,
     AccelLevel,
     AgentClaim,
     AgentDomain,
@@ -54,6 +57,7 @@ from alertsift.routing import (
 )
 from alertsift.sentinel import SentinelConfig, detect
 from alertsift.specialists import (
+    DEFAULT_NOCTURNAL_BASELINE_SPO2,
     SpecialistConfig,
     evaluate_activity_integrity,
     evaluate_bradycardia,
@@ -507,6 +511,21 @@ def reference_resolve(claims, routing, alert, history, cfg, patient_id):
     return finish(Verdict.ESCALATE, ResolutionPath.AMBIGUITY_DEFAULT)
 
 
+def resolve_alert(
+    claims: tuple[AgentClaim, ...],
+    routing: RoutingDecision,
+    alert: CandidateAlert,
+    history: DecisionHistory,
+    cfg: MetaConfig,
+) -> SystemDecision:
+    """``resolve`` on what it reads of ``alert``: the type set, the time, and
+    whether the status detection saw, the signal-quality trigger, is
+    duplicate_alert."""
+    status = alert.triggering_values.get(AlertType.SIGNAL_QUALITY)
+    duplicate = status is not None and status.value is DeviceStatus.DUPLICATE_ALERT
+    return resolve(claims, routing, alert.alert_types, alert.raised_at, duplicate, history, cfg)
+
+
 def reference_project(record: VeritasRecord) -> SpecialistView:
     """The projection as a plain filter: every field whose tag is allowed,
     always copied."""
@@ -610,4 +629,214 @@ def reference_decision_lines(outcomes: Iterable[CaseOutcome]) -> str:
         + "\n"
         for case in outcomes
         for d in case.epoch_decisions
+    )
+
+
+# The single-epoch decision's input space. Each rule reads a vital only
+# through a comparison with a config value, or with one from the patient's
+# baselines, and the rest of an epoch through its four categorical fields and
+# whether its time is nocturnal. The contexts: plain, COPD with a baseline,
+# baseline SpO2 alone, and baseline HR with and without medication. Their
+# baselines are not whole numbers, so each floor and allowance is a sum that
+# rounds.
+GRID_CONTEXTS = (
+    make_context(),
+    make_context(copd=True, baseline_spo2=89.3),
+    make_context(baseline_spo2=92.1),
+    make_context(baseline_hr=83.7, med=True),
+    make_context(baseline_hr=83.7),
+)
+GRID_DAY, GRID_NIGHT = time(14, 0), time(2, 30)
+GRID_EDGES = (time(5, 59), time(6, 0), time(21, 59), time(22, 0))
+# Every accelerometer level, device status, position and self-report.
+GRID_CATEGORICALS = tuple(
+    itertools.product(AccelLevel, DeviceStatus, Position, (None, *SelfReportedActivity))
+)
+# The categorical values that reach each vital comparison: a still
+# accelerometer (tachycardia's allowance), or light motion; an ok, artefact or
+# duplicate status; supine (the nocturnal dip) or upright.
+_VITAL_SLICE = tuple(
+    itertools.product(
+        (AccelLevel.STILL, AccelLevel.LIGHT),
+        (DeviceStatus.OK, DeviceStatus.MOTION_ARTEFACT, DeviceStatus.DUPLICATE_ALERT),
+        (Position.SUPINE, Position.UPRIGHT),
+        (None,),
+    )
+)
+_EDGE_SLICE = (
+    (AccelLevel.STILL, DeviceStatus.OK, Position.SUPINE, None),
+    (AccelLevel.STILL, DeviceStatus.DUPLICATE_ALERT, Position.SUPINE, SelfReportedActivity.RESTING),
+    (AccelLevel.VIGOROUS, DeviceStatus.SYSTEM_FLAG, Position.LATERAL, SelfReportedActivity.WALKING),
+)
+# Normal vitals (only a status alerts), low SpO2 with high HR, and low SpO2
+# with low HR above the personal floor.
+_CATEGORICAL_SLICE = ((97.0, 72.0), (90.0, 110.0), (90.0, 45.0))
+_GRID_START = datetime(2000, 1, 1, tzinfo=timezone.utc)
+
+
+def _flip(test, x: float) -> tuple[float, float]:
+    """The two adjacent floats at which ``test``, true below and false
+    above, changes: the largest true and the smallest false, from ``x``."""
+    while test(x):
+        x = math.nextafter(x, math.inf)
+    while not test(x):
+        x = math.nextafter(x, -math.inf)
+    return x, math.nextafter(x, math.inf)
+
+
+def comparison_points(
+    context: PatientContext, sentinel_cfg: SentinelConfig, specialist_cfg: SpecialistConfig
+) -> tuple[list[float], list[float]]:
+    """The patient's SpO2 and HR values: each comparison's equality point,
+    from the rules' own arithmetic, and a value half a unit either side.
+
+    The SpO2 screen and the COPD floor, the higher of the acceptable bound
+    and the baseline less 2.0, are equality points. The nocturnal dip test
+    ``baseline - spo2 > allowance`` has none in general, so it gives the two
+    adjacent floats where it flips. HR has the two screens, the personal
+    floor and, with a baseline, the baseline plus the allowance.
+    """
+    floor = specialist_cfg.copd_acceptable_spo2
+    if context.baseline_spo2 is not None:
+        floor = max(floor, context.baseline_spo2 - 2.0)
+    baseline = context.baseline_spo2
+    if baseline is None:
+        baseline = DEFAULT_NOCTURNAL_BASELINE_SPO2
+    allowance = specialist_cfg.nocturnal_dip_allowance
+    dip_true, dip_false = _flip(lambda spo2: baseline - spo2 > allowance, baseline - allowance)
+    spo2 = {v + d for v in (sentinel_cfg.spo2_low_threshold, floor) for d in (-0.5, 0.0, 0.5)}
+    spo2 |= {dip_true - 0.5, dip_true, dip_false, dip_false + 0.5}
+    hr_points = [
+        sentinel_cfg.hr_high_threshold,
+        sentinel_cfg.hr_low_threshold,
+        specialist_cfg.bradycardia_personal_floor,
+    ]
+    if context.baseline_hr is not None:
+        hr_points.append(context.baseline_hr + specialist_cfg.hr_activity_allowance)
+    hr = {v + d for v in hr_points for d in (-0.5, 0.0, 0.5)}
+    return sorted(spo2), sorted(hr)
+
+
+def grid_points(
+    context: PatientContext, sentinel_cfg: SentinelConfig, specialist_cfg: SpecialistConfig
+) -> tuple[list[tuple[time, tuple[Any, ...]]], list[tuple[time, tuple[Any, ...]]]]:
+    """One context's points, each a time of day and ``(spo2, hr, accel,
+    status, position, self_report)``, in three products:
+
+    - every SpO2 and HR value of ``comparison_points`` with the categorical
+      values that reach each comparison, by day and by night;
+    - every categorical combination with three vital pairs, by day and by
+      night (returned second as well, as the points priors are put before);
+    - every vital pair with three categorical combinations at each window
+      edge, 05:59, 06:00, 21:59 and 22:00.
+    """
+    spo2s, hrs = comparison_points(context, sentinel_cfg, specialist_cfg)
+    vitals = list(itertools.product(spo2s, hrs))
+    categorical = [
+        (at, v + k) for at in (GRID_DAY, GRID_NIGHT)
+        for v in _CATEGORICAL_SLICE for k in GRID_CATEGORICALS
+    ]
+    points = [(at, v + k) for at in (GRID_DAY, GRID_NIGHT) for v in vitals for k in _VITAL_SLICE]
+    points += categorical
+    points += [(at, v + k) for at in GRID_EDGES for v in vitals for k in _EDGE_SLICE]
+    return points, categorical
+
+
+def _grid_epoch(patient_id: int, ts: datetime, fields: tuple[Any, ...]) -> Epoch:
+    spo2, hr, accel, status, position, activity = fields
+    return Epoch(patient_id, ts, spo2, hr, accel, status, False, position, activity, None)
+
+
+def _grid_time(day: int, at: time) -> datetime:
+    return _GRID_START + timedelta(days=day, hours=at.hour, minutes=at.minute)
+
+
+def _grid_types(fields: tuple[Any, ...], cfg: SentinelConfig) -> frozenset[AlertType]:
+    """The alert types a point's screen fires, by which a prior is paired with it."""
+    spo2, hr, _, status, _, _ = fields
+    return frozenset(
+        t for t, fired in (
+            (AlertType.LOW_SPO2, spo2 < cfg.spo2_low_threshold),
+            (AlertType.HIGH_HR, hr > cfg.hr_high_threshold),
+            (AlertType.LOW_HR, hr < cfg.hr_low_threshold),
+            (AlertType.SIGNAL_QUALITY, status is not DeviceStatus.OK),
+        ) if fired
+    )
+
+
+class DecisionGrid(NamedTuple):
+    """A dataset of grid points, its cases, each case's outcome from
+    ``reference_run_case``, and how many points and priors it holds."""
+
+    dataset: Dataset
+    cases: tuple[ManifestCase, ...]
+    reference: tuple[CaseOutcome, ...]
+    points: int
+    priors: int
+
+
+def decision_grid(
+    sentinel_cfg: SentinelConfig, specialist_cfg: SpecialistConfig, meta_cfg: MetaConfig
+) -> DecisionGrid:
+    """Every context's ``grid_points`` as one dataset, with each of three priors.
+
+    The first patient of each context holds its points with no prior, one a
+    day, so no decision is in another's cooldown window. The second holds
+    the categorical product's points again, each a minute after a prior:
+    an epoch of the same context whose own decision, with no prior, was an
+    escalation, or a suppression, for the same alert-type set on the same
+    side of the nocturnal window. A point gets no such pair where no
+    first-patient epoch decided so.
+    """
+    cfgs = sentinel_cfg, specialist_cfg, meta_cfg
+    contexts: dict[int, PatientContext] = {}
+    epochs: list[Epoch] = []
+    cases: list[ManifestCase] = []
+    reference: list[CaseOutcome] = []
+
+    def add(context: PatientContext, stream: list[Epoch]) -> CaseOutcome:
+        pid = stream[0].patient_id
+        contexts[pid] = dataclasses.replace(context, patient_id=pid)
+        case = ManifestCase(f"GRID-{len(cases):02d}", pid, DomainClass.META_CONFLICT, len(stream))
+        cases.append(case)
+        epochs.extend(stream)
+        reference.append(reference_run_case(
+            case.case_id, case.domain_class, pid, stream, contexts[pid], *cfgs
+        ))
+        return reference[-1]
+
+    first_pid = PATIENT_ID_RANGE[0]
+    points = priors = 0
+    firsts = []
+    for context in GRID_CONTEXTS:
+        standalone, categorical = grid_points(context, sentinel_cfg, specialist_cfg)
+        pid = first_pid + len(cases)
+        stream = [
+            _grid_epoch(pid, _grid_time(day, at), fields)
+            for day, (at, fields) in enumerate(standalone)
+        ]
+        points += len(stream)
+        verdicts = {d.decided_at: d.verdict for d in add(context, stream).epoch_decisions}
+        first = {}
+        for epoch, (_, fields) in zip(stream, standalone):
+            verdict = verdicts.get(epoch.timestamp)
+            if verdict is not None:
+                night = in_nocturnal_window(epoch.timestamp)
+                first.setdefault((night, _grid_types(fields, sentinel_cfg), verdict), fields)
+        firsts.append((context, categorical, first))
+    for context, categorical, first in firsts:
+        pid = first_pid + len(cases)
+        stream = []
+        for at, fields in categorical:
+            types = _grid_types(fields, sentinel_cfg)
+            for verdict in (Verdict.ESCALATE, Verdict.SUPPRESS):
+                ts = _grid_time(len(stream), at)
+                before = ts - timedelta(minutes=1)
+                prior = first.get((in_nocturnal_window(before), types, verdict))
+                if prior is not None:
+                    stream += [_grid_epoch(pid, before, prior), _grid_epoch(pid, ts, fields)]
+                    priors += 1
+        add(context, stream)
+    return DecisionGrid(
+        Dataset(tuple(epochs), contexts), tuple(cases), tuple(reference), points, priors
     )

@@ -256,6 +256,9 @@ def test_criterion_8_meta_totality_conservatism_homogeneity():
     base_epoch = make_epoch(spo2=90.0)
     base_view = make_view(base_epoch)
     alert = detect(base_view, SentinelConfig())
+    # resolve reads of the alert its type set, its time and whether its
+    # status is duplicate_alert; this one's is ok.
+    types, at = alert.alert_types, alert.raised_at
     failures = 0
     trials = 10_000
     for _ in range(trials):
@@ -266,7 +269,7 @@ def test_criterion_8_meta_totality_conservatism_homogeneity():
             for d in domains
         )
         routing = RoutingDecision(targets=frozenset(domains), ambiguity_flag=False)
-        decision = resolve(claims, routing, alert, DecisionHistory(), cfg)
+        decision = resolve(claims, routing, types, at, False, DecisionHistory(), cfg)
         if decision.verdict not in (Verdict.SUPPRESS, Verdict.ESCALATE):
             failures += 1
             continue
@@ -292,7 +295,7 @@ def test_criterion_8_meta_totality_conservatism_homogeneity():
                 domain_weights={d: factor for d in AgentDomain},
             )
             if (
-                resolve(claims, routing, alert, DecisionHistory(), scaled).verdict
+                resolve(claims, routing, types, at, False, DecisionHistory(), scaled).verdict
                 is not decision.verdict
             ):
                 failures += 1

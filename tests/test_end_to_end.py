@@ -1,7 +1,7 @@
 """The whole program against a plain reference, over drawn catalogues.
 
-Each example draws a catalogue of one to six entries, a seed and a cooldown
-window, then runs the package end to end in a temporary directory:
+Each example draws a catalogue of one to six entries, a seed, the sentinel
+and specialist configs and a cooldown window, then runs the package end to end in a temporary directory:
 ``generate_dataset``, ``write_dataset``, ``load_manifest`` and
 ``load_dataset``, ``evaluate`` and ``write_decision_log``. The reference
 composes the pieces in ``tests/helpers.py``: the sampling loop run one
@@ -119,6 +119,25 @@ def _entries(draw, index):
     )
 
 
+# Screens and rule parameters either side of the defaults, and on them, so
+# drawn vitals meet them at equality too: the cell key compares each vital
+# with the configs' own values. Every COPD floor lies under every SpO2
+# screen, as ``PipelineConfig`` requires.
+_SENTINEL_CFGS = st.builds(
+    SentinelConfig,
+    spo2_low_threshold=st.sampled_from((90.0, 93.0, 94.0, 95.0)),
+    hr_high_threshold=st.sampled_from((90.0, 100.0, 110.0)),
+    hr_low_threshold=st.sampled_from((45.0, 50.0, 60.0)),
+)
+_SPECIALIST_CFGS = st.builds(
+    SpecialistConfig,
+    copd_acceptable_spo2=st.sampled_from((84.0, 86.0, 88.0, 89.5)),
+    hr_activity_allowance=st.sampled_from((10.0, 20.0, 25.5)),
+    nocturnal_dip_allowance=st.sampled_from((2.0, 3.0, 4.5)),
+    bradycardia_personal_floor=st.sampled_from((35.0, 40.0, 45.0)),
+)
+
+
 @st.composite
 def _catalogues(draw):
     count = draw(st.integers(1, 6))
@@ -136,13 +155,17 @@ def _compact(value) -> str:
 @given(
     catalogue=_catalogues(),
     seed=st.integers(0, 2**32 - 1),
+    sentinel_cfg=_SENTINEL_CFGS,
+    specialist_cfg=_SPECIALIST_CFGS,
     cooldown=st.sampled_from((1, 2, 5, 10)),
 )
-def test_the_program_matches_the_plain_reference_end_to_end(tmp_path, catalogue, seed, cooldown):
-    # 200 derandomized examples (about 5 s). A short cooldown puts a prior
+def test_the_program_matches_the_plain_reference_end_to_end(
+    tmp_path, catalogue, seed, sentinel_cfg, specialist_cfg, cooldown
+):
+    # 200 derandomized examples (about 3 s). A short cooldown puts a prior
     # decision on the window's edge whenever two alerts one or two minutes
     # apart have the same types.
-    cfgs = SentinelConfig(), SpecialistConfig(), MetaConfig(cooldown_window_minutes=cooldown)
+    cfgs = sentinel_cfg, specialist_cfg, MetaConfig(cooldown_window_minutes=cooldown)
     dataset_dir = tmp_path / "dataset"
     write_dataset(generate_dataset(catalogue, seed), dataset_dir)
     manifest = load_manifest(dataset_dir)

@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from datetime import timedelta
 from pathlib import Path
 
@@ -372,6 +373,27 @@ def test_duplicate_alert_case_never_debounces(golden_run):
     for d in duplicate_cases[0].epoch_decisions:
         assert d.resolution_path is ResolutionPath.AMBIGUITY_DEFAULT
         assert d.verdict is Verdict.ESCALATE
+
+
+def test_detect_runs_once_per_cell_and_resolve_once_per_alerting_epoch(golden_run, monkeypatch):
+    # The layers before resolve run once per cell of the rules' comparisons,
+    # through evaluate's module bindings, which the benchmark's tracer wraps:
+    # the seed-42 catalogue's 530 alerting epochs fall into 51 cells. Every
+    # epoch is still resolved against its own patient's history.
+    taxonomy, dataset, report = golden_run
+    module = sys.modules["alertsift.evaluate"]
+    calls = Counter()
+
+    def counted(name, layer):
+        def call(*args):
+            calls[name] += 1
+            return layer(*args)
+        return call
+
+    for name in ("detect", "resolve"):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    assert evaluate(dataset, taxonomy).case_outcomes == report.case_outcomes
+    assert calls == {"detect": 51, "resolve": 530}
 
 
 # One minute of a stream: (spo2, hr, device status). A quiet minute crosses

@@ -38,6 +38,7 @@ from helpers import (
     make_record,
     make_view,
     reference_resolve,
+    resolve_alert,
     retag_field,
     ReferenceHistory,
 )
@@ -62,7 +63,7 @@ def routing_for(*domains, ambiguity=False):
 
 def test_single_definitive_claim_is_adopted():
     alert = make_alert()
-    decision = resolve(
+    decision = resolve_alert(
         (claim(AgentDomain.COPD, Recommendation.SUPPRESS, 0.9),),
         routing_for(AgentDomain.COPD),
         alert,
@@ -76,7 +77,7 @@ def test_single_definitive_claim_is_adopted():
 def test_weighted_suppression_beats_indeterminate():
     # S = 0.9, E = 0, margin 0.3: suppress by aggregation
     alert = make_alert()
-    decision = resolve(
+    decision = resolve_alert(
         (
             claim(AgentDomain.PROBE_INTEGRITY, Recommendation.INDETERMINATE, 0.4),
             claim(AgentDomain.COPD, Recommendation.SUPPRESS, 0.9),
@@ -93,7 +94,7 @@ def test_weighted_suppression_beats_indeterminate():
 def test_weighted_escalation_beats_indeterminate():
     # E = 0.9, S = 0: escalate by aggregation
     alert = make_alert()
-    decision = resolve(
+    decision = resolve_alert(
         (
             claim(AgentDomain.PROBE_INTEGRITY, Recommendation.INDETERMINATE, 0.4),
             claim(AgentDomain.TACHYCARDIA, Recommendation.ESCALATE, 0.9),
@@ -109,7 +110,7 @@ def test_weighted_escalation_beats_indeterminate():
 
 def test_tie_and_all_indeterminate_default_to_escalation():
     alert = make_alert()
-    tie = resolve(
+    tie = resolve_alert(
         (
             claim(AgentDomain.PROBE_INTEGRITY, Recommendation.SUPPRESS, 0.9),
             claim(AgentDomain.ACTIVITY_INTEGRITY, Recommendation.ESCALATE, 0.9),
@@ -122,7 +123,7 @@ def test_tie_and_all_indeterminate_default_to_escalation():
     assert tie.verdict is Verdict.ESCALATE
     assert tie.resolution_path is ResolutionPath.AMBIGUITY_DEFAULT
 
-    lone = resolve(
+    lone = resolve_alert(
         (claim(AgentDomain.PROBE_INTEGRITY, Recommendation.INDETERMINATE, 0.4),),
         routing_for(AgentDomain.PROBE_INTEGRITY),
         alert,
@@ -139,8 +140,8 @@ def test_debounce_replays_prior_verdict():
     history = DecisionHistory()
     claims = (claim(AgentDomain.PROBE_INTEGRITY, Recommendation.INDETERMINATE, 0.4),)
     routing = routing_for(AgentDomain.PROBE_INTEGRITY)
-    first = resolve(claims, routing, make_alert(epoch1), history, CFG)
-    second = resolve(claims, routing, make_alert(epoch2), history, CFG)
+    first = resolve_alert(claims, routing, make_alert(epoch1), history, CFG)
+    second = resolve_alert(claims, routing, make_alert(epoch2), history, CFG)
     assert first.resolution_path is ResolutionPath.AMBIGUITY_DEFAULT
     assert second.resolution_path is ResolutionPath.DEBOUNCED
     assert second.verdict is first.verdict
@@ -152,8 +153,8 @@ def test_debounce_expires_outside_window():
     history = DecisionHistory()
     claims = (claim(AgentDomain.PROBE_INTEGRITY, Recommendation.INDETERMINATE, 0.4),)
     routing = routing_for(AgentDomain.PROBE_INTEGRITY)
-    resolve(claims, routing, make_alert(epoch1), history, CFG)
-    second = resolve(claims, routing, make_alert(epoch2), history, CFG)
+    resolve_alert(claims, routing, make_alert(epoch1), history, CFG)
+    second = resolve_alert(claims, routing, make_alert(epoch2), history, CFG)
     assert second.resolution_path is not ResolutionPath.DEBOUNCED
 
 
@@ -162,14 +163,14 @@ def test_debounce_requires_identical_alert_type_set():
     epoch2 = make_epoch(ts=epoch1.timestamp + timedelta(minutes=1), spo2=90.0, hr=120.0)
     history = DecisionHistory()
     routing1 = routing_for(AgentDomain.PROBE_INTEGRITY)
-    resolve(
+    resolve_alert(
         (claim(AgentDomain.PROBE_INTEGRITY, Recommendation.INDETERMINATE, 0.4),),
         routing1,
         make_alert(epoch1),
         history,
         CFG,
     )
-    decision = resolve(
+    decision = resolve_alert(
         (claim(AgentDomain.TACHYCARDIA, Recommendation.ESCALATE, 0.9),),
         routing_for(AgentDomain.TACHYCARDIA),
         make_alert(epoch2),
@@ -191,7 +192,7 @@ def test_duplicate_alert_status_bypasses_debounce():
             spo2=90.0,
             status=DeviceStatus.DUPLICATE_ALERT,
         )
-        decision = resolve(claims, routing, make_alert(epoch), history, CFG)
+        decision = resolve_alert(claims, routing, make_alert(epoch), history, CFG)
         assert decision.resolution_path is ResolutionPath.AMBIGUITY_DEFAULT
         assert decision.verdict is Verdict.ESCALATE
 
@@ -209,8 +210,8 @@ def test_inferred_duplicate_alert_status_does_not_bypass_debounce():
     history = DecisionHistory()
     claims = (claim(AgentDomain.PROBE_INTEGRITY, Recommendation.INDETERMINATE, 0.4),)
     routing = routing_for(AgentDomain.PROBE_INTEGRITY)
-    resolve(claims, routing, make_alert(epoch1), history, CFG)
-    second = resolve(claims, routing, alert2, history, CFG)
+    resolve_alert(claims, routing, make_alert(epoch1), history, CFG)
+    second = resolve_alert(claims, routing, alert2, history, CFG)
     assert second.resolution_path is ResolutionPath.DEBOUNCED
 
 
@@ -224,7 +225,7 @@ def test_copd_floor_breach_is_not_debounced_into_suppression():
         epoch = make_epoch(ts=DAYTIME + timedelta(minutes=minute), spo2=spo2)
         view, alert, routing = detect_and_route(epoch, context)
         claims = claims_for(alert, view, routing, SpecialistConfig())
-        decisions.append(resolve(claims, routing, alert, history, CFG))
+        decisions.append(resolve_alert(claims, routing, alert, history, CFG))
     first, second = decisions
     assert (first.verdict, first.resolution_path) == (Verdict.SUPPRESS, ResolutionPath.SINGLE_DOMAIN)
     assert second.contributing_claims[0].rationale_codes == ("below_copd_floor",)
@@ -243,10 +244,10 @@ def test_debounce_idempotence_never_flips():
             for _ in range(1)
         )
         routing = routing_for(AgentDomain.PROBE_INTEGRITY)
-        first = resolve(claims, routing, make_alert(epoch1), history, CFG)
+        first = resolve_alert(claims, routing, make_alert(epoch1), history, CFG)
         for i in range(1, 5):
             epoch = make_epoch(ts=epoch1.timestamp + timedelta(minutes=i), spo2=90.0)
-            replay = resolve(claims, routing, make_alert(epoch), history, CFG)
+            replay = resolve_alert(claims, routing, make_alert(epoch), history, CFG)
             assert replay.verdict is first.verdict
 
 
@@ -257,12 +258,12 @@ def test_empty_claims_raises():
         InvariantViolation,
         match=r"claims must be one per routed target in domain order; got \[\], expected \['copd'\]",
     ):
-        resolve((), routing_for(AgentDomain.COPD), make_alert(), DecisionHistory(), CFG)
+        resolve_alert((), routing_for(AgentDomain.COPD), make_alert(), DecisionHistory(), CFG)
 
 
 def test_claims_must_match_routed_targets():
     with pytest.raises(InvariantViolation):
-        resolve(
+        resolve_alert(
             (claim(AgentDomain.COPD, Recommendation.SUPPRESS, 0.9),),
             routing_for(AgentDomain.TACHYCARDIA),
             make_alert(),
@@ -276,16 +277,16 @@ def test_history_requires_strictly_increasing_timestamps():
     history = DecisionHistory()
     claims = (claim(AgentDomain.PROBE_INTEGRITY, Recommendation.SUPPRESS, 0.9),)
     routing = routing_for(AgentDomain.PROBE_INTEGRITY)
-    resolve(claims, routing, alert, history, CFG)
+    resolve_alert(claims, routing, alert, history, CFG)
     with pytest.raises(InvariantViolation):
-        resolve(claims, routing, alert, history, CFG)
+        resolve_alert(claims, routing, alert, history, CFG)
     # The order check outlives the window: a day later no decision is in the
     # window, and one earlier than the last recorded still fails.
     late = alert.raised_at + timedelta(days=1)
     assert history.last_matching(alert.alert_types, late, CFG.cooldown_window_minutes) is None
     earlier = make_alert(make_epoch(ts=alert.raised_at - timedelta(minutes=1), spo2=90.0))
     with pytest.raises(InvariantViolation):
-        resolve(claims, routing, earlier, history, CFG)
+        resolve_alert(claims, routing, earlier, history, CFG)
 
 
 def test_config_invariants():
@@ -302,7 +303,7 @@ def test_resolve_uses_domain_weights():
     weights = {d: 1.0 for d in AgentDomain}
     weights[AgentDomain.ACTIVITY_INTEGRITY] = 3.0
     cfg = MetaConfig(domain_weights=weights)
-    decision = resolve(
+    decision = resolve_alert(
         (
             claim(AgentDomain.PROBE_INTEGRITY, Recommendation.SUPPRESS, 0.9),
             claim(AgentDomain.ACTIVITY_INTEGRITY, Recommendation.ESCALATE, 0.9),
@@ -395,7 +396,7 @@ def test_resolve_matches_reference_over_random_histories(run):
     for gap, types, status, claims, routing in steps:
         ts += timedelta(minutes=gap)
         alert = _alert_at(ts, types, status)
-        got = _outcome(resolve, claims, routing, alert, history, cfg)
+        got = _outcome(resolve_alert, claims, routing, alert, history, cfg)
         want = _outcome(
             reference_resolve, claims, routing, alert, reference_history, cfg, PATIENT
         )
@@ -418,7 +419,7 @@ def test_history_holds_at_most_one_decision_per_alert_type_set():
     for step in range(2000):
         status = DeviceStatus.DUPLICATE_ALERT if (step // 100) % 2 else DeviceStatus.OK
         alert = _alert_at(DAYTIME + timedelta(minutes=step), type_sets[step % 3], status)
-        decision = resolve(claims, routing, alert, history, cfg)
+        decision = resolve_alert(claims, routing, alert, history, cfg)
         assert history._latest[alert.alert_types] is decision
         assert len(history._latest) == min(step + 1, len(type_sets))
 
@@ -556,9 +557,9 @@ def test_resolve_over_every_default_claim_tuple_prior_and_duplicate_status():
         unreplayed = None
         for history in histories:
             prior = history.prior
-            for alert in alerts:
+            for alert, duplicate in zip(alerts, (False, True)):
                 count += 1
-                decision = resolve(claims, routing, alert, history, CFG)
+                decision = resolve(claims, routing, types, DAYTIME, duplicate, history, CFG)
                 verdict, path = decision.verdict, decision.resolution_path
                 assert verdict is Verdict.SUPPRESS or verdict is Verdict.ESCALATE
                 assert decision == reference_resolve(claims, routing, alert, history, CFG, PATIENT)
@@ -581,6 +582,6 @@ def test_resolve_over_every_default_claim_tuple_prior_and_duplicate_status():
                         assert verdict is Verdict.ESCALATE
                         assert path is ResolutionPath.AMBIGUITY_DEFAULT
         for cfg in scaled_cfgs:
-            scaled = resolve(claims, routing, alerts[0], histories[0], cfg)
+            scaled = resolve(claims, routing, types, DAYTIME, False, histories[0], cfg)
             assert scaled.verdict is unreplayed.verdict
     assert count == 44_099 * 3 * 2

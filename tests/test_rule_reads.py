@@ -10,16 +10,25 @@ field from a view in one of three forms: ``view.value("name")``,
 called with ``"name"`` (``detect``'s ``get``). Every read must name its
 field with a string literal, and any other use of ``.fields`` in a rule
 module is an error, so the literals are every field a rule can reach.
+
+The rules read a vital only through ordering comparisons, and
+``evaluate._cell_key`` keys each alerting epoch by those comparisons, so
+this module also holds every vital comparison of the rules to its twin in
+the key function.
 """
 
 from __future__ import annotations
 
 import ast
+import dataclasses
+from copy import deepcopy
 from pathlib import Path
 
 import alertsift
 from alertsift import model
 from alertsift.model import SelfReportedActivity
+from alertsift.sentinel import SentinelConfig
+from alertsift.specialists import SpecialistConfig
 
 from helpers import make_context, make_epoch, make_record
 
@@ -132,3 +141,154 @@ def test_the_check_sees_every_form_of_read():
         "line 8: 'copd_documented' in view.fields",
         "line 9: map(get, ['baseline_hr'])",
     ]
+
+
+# The vitals a comparison can read, and the config fields it can compare with.
+VITALS = frozenset({"spo2", "hr"})
+CONFIG_FIELDS = frozenset(
+    f.name for cfg in (SentinelConfig, SpecialistConfig) for f in dataclasses.fields(cfg)
+)
+_ORDERINGS = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+
+
+def _config_reads(function: ast.AST) -> dict[str, set[str]]:
+    """Each name the function (nested ones included) assigns, with the config
+    fields its values read, directly or through other such names."""
+    values: dict[str, list[ast.AST]] = {}
+    for node in ast.walk(function):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    values.setdefault(target.id, []).append(node.value)
+
+    def read(name: str, seen: frozenset[str]) -> set[str]:
+        found = set()
+        for value in values.get(name, ()):
+            for node in ast.walk(value):
+                if isinstance(node, ast.Attribute) and node.attr in CONFIG_FIELDS:
+                    found.add(node.attr)
+                elif isinstance(node, ast.Name) and node.id in values and node.id not in seen:
+                    found |= read(node.id, seen | {node.id})
+        return found
+
+    return {name: read(name, frozenset({name})) for name in values}
+
+
+def _vital(node: ast.AST) -> str | None:
+    """The vital the expression reads as a whole, if it is one: ``spo2``,
+    ``epoch.spo2``, ``view.value("spo2")``, ``view.fields.get("spo2")``, or
+    the ``.value`` of any of these."""
+    if isinstance(node, ast.Name):
+        return node.id if node.id in VITALS else None
+    if isinstance(node, ast.Attribute):
+        if node.attr in VITALS:
+            return node.attr
+        return _vital(node.value) if node.attr == "value" else None
+    if (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("value", "get")
+        and node.args
+        and isinstance(node.args[0], ast.Constant)
+        and node.args[0].value in VITALS
+    ):
+        return node.args[0].value
+    return None
+
+
+class _Normal(ast.NodeTransformer):
+    """One side of a comparison in a form that does not depend on where it
+    is written: a vital, read in any of ``_vital``'s forms, reads ``spo2``
+    or ``hr``; a config field, read off any config or through a local bound
+    to it, reads ``cfg.<field>``, several fields joined by ``|``; any other
+    name reads ``_``."""
+
+    def __init__(self, reads: dict[str, set[str]]) -> None:
+        self.reads = reads
+
+    def visit(self, node: ast.AST) -> ast.AST:
+        vital = _vital(node)
+        if vital is not None:
+            return ast.Name(vital)
+        if isinstance(node, ast.Attribute) and node.attr in CONFIG_FIELDS:
+            return ast.Name(f"cfg.{node.attr}")
+        if isinstance(node, ast.Name):
+            fields = sorted(self.reads.get(node.id, ()))
+            return ast.Name("|".join(f"cfg.{f}" for f in fields) or "_")
+        return self.generic_visit(node)
+
+
+def _reads_a_vital(node: ast.AST) -> bool:
+    return any(_vital(n) is not None for n in ast.walk(node))
+
+
+def vital_comparisons(function: ast.AST) -> set[str]:
+    """Every ordering comparison in the function that reads a vital, one
+    operator at a time, in ``_Normal``'s form."""
+    normal = _Normal(_config_reads(function))
+    found = set()
+    for node in ast.walk(function):
+        if not isinstance(node, ast.Compare):
+            continue
+        sides = [node.left, *node.comparators]
+        for left, op, right in zip(sides, node.ops, sides[1:]):
+            if isinstance(op, _ORDERINGS) and (_reads_a_vital(left) or _reads_a_vital(right)):
+                left, right = normal.visit(deepcopy(left)), normal.visit(deepcopy(right))
+                found.add(ast.unparse(ast.Compare(left, [op], [right])))
+    return found
+
+
+def _rule_comparisons() -> set[str]:
+    found = set()
+    for name in RULE_MODULES:
+        tree = ast.parse((PACKAGE / name).read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                found |= vital_comparisons(node)
+    return found
+
+
+def _key_comparisons() -> set[str]:
+    tree = ast.parse((PACKAGE / "evaluate.py").read_text(encoding="utf-8"))
+    (key,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_cell_key"]
+    return vital_comparisons(key)
+
+
+def test_every_vital_comparison_of_the_rules_has_its_twin_in_the_cell_key():
+    # An epoch's cell decides its types, routing and claims. A comparison a
+    # rule makes and the key does not would put epochs the rule tells apart
+    # in one cell; one the key makes and no rule does splits cells for
+    # nothing. So the two sets are equal: the screen, the two HR floors and
+    # the allowance, the COPD floor and the nocturnal dip.
+    rules = _rule_comparisons()
+    assert rules == _key_comparisons()
+    assert rules == {
+        "spo2 < cfg.spo2_low_threshold",
+        "hr > cfg.hr_high_threshold",
+        "hr < cfg.hr_low_threshold",
+        "hr < cfg.bradycardia_personal_floor",
+        "hr <= _ + cfg.hr_activity_allowance",
+        "spo2 >= cfg.copd_acceptable_spo2",
+        "_ - spo2 > cfg.nocturnal_dip_allowance",
+    }
+
+
+def test_the_twin_check_sees_each_form_of_comparison():
+    tree = ast.parse(
+        "def rule(view, epoch, cfg, other_cfg):\n"
+        "    hr = view.value('hr')\n"
+        "    floor = other_cfg.copd_acceptable_spo2\n"
+        "    floor = max(floor, 1.0)\n"
+        "    limit = floor\n"
+        "    a = epoch.spo2 < cfg.spo2_low_threshold\n"
+        "    b = view.value('spo2') < 3 <= hr\n"
+        "    c = limit <= view.fields.get('spo2').value + offset\n"
+        "    d = hr is None or hr == 5 or 'spo2' in view.fields\n"
+        "    e = cfg.hr_low_threshold < cfg.hr_high_threshold\n"
+    )
+    assert vital_comparisons(tree) == {
+        "spo2 < cfg.spo2_low_threshold",
+        "spo2 < 3",
+        "3 <= hr",
+        "cfg.copd_acceptable_spo2 <= spo2 + _",
+    }
