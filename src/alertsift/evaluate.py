@@ -1,13 +1,14 @@
 """End-to-end evaluation: pipeline execution, case aggregation, metrics.
 
-Screens every epoch, in per-patient timestamp order, with detection's own
-threshold test on its raw device fields. An epoch that crosses a threshold
-is keyed by its cell: the outcomes of the rules' vital comparisons, its
-four categorical fields, whether its time is nocturnal and the patient's
-EHR facts, which decide its alert types, routing and claims. The first
-epoch of a cell in an ``evaluate`` call runs assemble -> project -> detect
--> route -> specialists; every epoch then runs resolve against its
-patient's history. Decides each case by its first escalation, and computes
+Keys every epoch, in per-patient timestamp order, by its cell: the
+outcomes of the rules' vital comparisons, its four categorical fields,
+whether its time is nocturnal and the patient's EHR facts, which decide its
+alert types, routing and claims. The key's first comparisons are
+detection's own threshold test on the raw device fields, and an epoch that
+crosses none of them gets no key and is skipped. The first epoch of a cell
+in an ``evaluate`` call runs assemble -> project -> detect -> route ->
+specialists; every keyed epoch then runs resolve against its patient's
+history. Decides each case by its first escalation, and computes
 the report: overall rates, per-class stratification, Wilson confidence
 intervals, and the distribution of device statuses at the point of
 failure.
@@ -50,7 +51,7 @@ from .model import (
     PATIENT_ID_RANGE,
 )
 from .routing import RoutingDecision, in_nocturnal_window, route
-from .sentinel import SentinelConfig, detect, quiet
+from .sentinel import SentinelConfig, detect
 from .specialists import DEFAULT_NOCTURNAL_BASELINE_SPO2, SpecialistConfig, claims_for
 
 __all__ = [
@@ -327,6 +328,7 @@ def load_manifest(dataset_dir: str | Path) -> Manifest:
 
 
 _BY_TIME = attrgetter("timestamp")
+_OK = DeviceStatus.OK
 _DUPLICATE_ALERT = DeviceStatus.DUPLICATE_ALERT
 
 # A cell's value: the alert's type set, its routing decision and its claims.
@@ -335,8 +337,19 @@ _Cell = tuple[frozenset[AlertType], RoutingDecision, tuple[AgentClaim, ...]]
 
 def _cell_key(
     context: PatientContext, sentinel_cfg: SentinelConfig, specialist_cfg: SpecialistConfig
-) -> Callable[[Epoch], tuple[Any, ...]]:
-    """The function that gives each alerting epoch of this patient its cell.
+) -> Callable[[Epoch], tuple[Any, ...] | None]:
+    """The function that gives each alerting epoch of this patient its cell,
+    and each quiet one None.
+
+    The screen is detection's: SpO2 below its threshold, HR past either
+    bound, or a device status other than ok. Reading it off the raw epoch is
+    exact because ``detect`` reads only ``spo2``, ``hr`` and
+    ``device_status``, and ``assemble`` tags all three ``device_verified``
+    on every epoch, so the projection always keeps them. It is written as
+    the negation of the four tests, not as their complements: a comparison
+    with NaN is false either way round, so ``spo2 >= threshold`` would call
+    a NaN vital loud where ``detect`` stays silent. Its outcomes are the
+    key's first entries, the status standing for its own test.
 
     Detection, routing and the claims read an epoch through its record's
     view, and the view holds only what the projection passes: the epoch's
@@ -349,7 +362,7 @@ def _cell_key(
     So two epochs with one key get one type set, one routing decision and
     one set of claims, whichever patient they belong to.
     ``tests/test_rule_reads.py`` holds every vital comparison of the rules
-    to its twin here.
+    to its twin here, and the screen's three to ``sentinel``'s.
     """
     baseline_spo2 = context.baseline_spo2
     baseline_hr = context.baseline_hr
@@ -370,20 +383,26 @@ def _cell_key(
     dip_baseline = DEFAULT_NOCTURNAL_BASELINE_SPO2 if baseline_spo2 is None else baseline_spo2
     dip_allowance = specialist_cfg.nocturnal_dip_allowance
 
-    def key(epoch: Epoch) -> tuple[Any, ...]:
+    def key(epoch: Epoch) -> tuple[Any, ...] | None:
         spo2 = epoch.spo2
         hr = epoch.hr
+        status = epoch.device_status
+        low_spo2 = spo2 < spo2_low
+        high_hr = hr > hr_high
+        low_hr = hr < hr_low
+        if not (low_spo2 or high_hr or low_hr or status is not _OK):
+            return None
         return (
+            low_spo2,
+            high_hr,
+            low_hr,
+            status,
             facts,
-            spo2 < spo2_low,
-            hr > hr_high,
-            hr < hr_low,
             hr < personal_floor,
             baseline_hr is not None and hr <= baseline_hr + allowance,
             spo2 >= floor,
             dip_baseline - spo2 > dip_allowance,
             epoch.accel_level,
-            epoch.device_status,
             epoch.position,
             epoch.self_reported_activity,
             in_nocturnal_window(epoch.timestamp),
@@ -408,16 +427,15 @@ def _run_case(
     ``case`` is one of ``evaluate``'s cases. The sort and the duplicate-minute
     check cover every epoch; after the walk, so that a repeated minute is
     named as one, the stream must hold the case's ``epoch_count`` epochs. An
-    epoch ``quiet`` passes is skipped. Every other epoch must belong to the
-    patient, as assembly checks, and is keyed by ``_cell_key``. ``cells``
-    maps each key met so far in the ``evaluate`` call to its type set,
-    routing decision and claims. On a miss, assemble -> project -> detect
-    -> route -> claims run, and the epoch must alert; on a hit no record,
-    view or alert is built. Either way ``resolve`` decides the epoch
-    against the patient's history, from the cell's value, the epoch's time
-    and its status. The case is a false escalation if some decision
-    escalates, with the device status of the first; otherwise, and when no
-    epoch alerts, a true suppression.
+    epoch ``_cell_key`` gives no key is quiet and skipped. Every other epoch
+    must belong to the patient, as assembly checks. ``cells`` maps each key
+    met so far in the ``evaluate`` call to its type set, routing decision
+    and claims. On a miss, assemble -> project -> detect -> route -> claims
+    run, and the epoch must alert; on a hit no record or view is built.
+    Either way ``resolve`` decides the epoch against the patient's history,
+    from the cell's value, the epoch's time and its status. The case is a
+    false escalation if some decision escalates, with the device status of
+    the first; otherwise, and when no epoch alerts, a true suppression.
     """
     bundle = SourceBundle(ehr=context, vitals_stream=tuple(sorted(epochs, key=_BY_TIME)))
     key = _cell_key(context, sentinel_cfg, specialist_cfg)
@@ -431,25 +449,25 @@ def _run_case(
                 f"duplicate epoch for patient {patient_id} at {format_timestamp(previous_at)}"
             )
         previous_at = epoch.timestamp
-        if quiet(epoch, sentinel_cfg):
+        cell_key = key(epoch)
+        if cell_key is None:
             continue
         if epoch.patient_id != context.patient_id:
             raise InvariantViolation(
                 f"epoch patient {epoch.patient_id} != context patient {context.patient_id}"
             )
-        cell_key = key(epoch)
         cell = cells.get(cell_key)
         if cell is None:
             view = project_for_specialists(assemble(bundle, epoch))
-            alert = detect(view, sentinel_cfg)
-            if alert is None:
+            alert_types = detect(view, sentinel_cfg)
+            if alert_types is None:
                 raise InvariantViolation(
                     f"patient {patient_id} at {format_timestamp(epoch.timestamp)}:"
                     " an epoch past the quiet screen raised no alert"
                 )
-            routing = route(alert, view)
+            routing = route(alert_types, view)
             cell = cells[cell_key] = (
-                alert.alert_types, routing, claims_for(alert, view, routing, specialist_cfg)
+                alert_types, routing, claims_for(alert_types, view, routing, specialist_cfg)
             )
         alert_types, routing, claims = cell
         status = epoch.device_status

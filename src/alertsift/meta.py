@@ -13,9 +13,9 @@ case: its alerts resolve in strictly increasing time, and it keeps only what
 it can replay.
 
 The claims and the routing decision resolve reads are shared immutable
-values: every alert that reaches the same rules gets the same objects. Of
-the alert itself resolve takes its type set, its time and whether its
-status is duplicate_alert, all an epoch's decision reads of it. The
+values: every alert that reaches the same rules gets the same objects. The
+alert is its type set; with it resolve takes the epoch's time and whether
+its status is duplicate_alert, all an epoch's decision reads of it. The
 SystemDecision is the one object resolve builds per alert, and the one kept
 per decision; it is a tuple (see ``model.SystemDecision``), which costs less
 to build and to hold than a frozen dataclass.
@@ -135,11 +135,12 @@ def resolve(
 ) -> SystemDecision:
     """Turn specialist claims into the binary system verdict.
 
-    Of the alert it reads only what the steps below need: its type set,
-    its time ``now``, and ``duplicate_alert``, whether the epoch's device
-    status, as detection saw it in the projection, is duplicate_alert. So
-    an alert's triggering values never reach a decision, and an epoch
-    whose cell was decided before (``evaluate``) resolves without one.
+    It reads only what the steps below need: the alert's type set, the
+    epoch's time ``now``, and ``duplicate_alert``, whether the epoch's
+    device status, as detection saw it in the projection, is
+    duplicate_alert. So an epoch whose cell was decided before
+    (``evaluate``) resolves from the cell's type set and its own time and
+    status.
 
     Steps, in order:
       1. Debounce: an identical alert-type set decided for this patient

@@ -1,8 +1,8 @@
 """Shared domain types for the alert-suppression pipeline.
 
 Every value that crosses a layer boundary is defined here: provenance-tagged
-measurements, the unified per-epoch patient record, the three inter-layer
-messages (candidate alert, specialist claim, system decision), and the JSON
+measurements, the unified per-epoch patient record, the alert types,
+specialist claims and system decisions passed between layers, and the JSON
 codecs for the dataset files and the decision log. Types carry no behaviour
 beyond construction, validation, and serialization; all are immutable once
 built.
@@ -21,7 +21,6 @@ __all__ = [
     "AgentClaim",
     "AgentDomain",
     "AlertType",
-    "CandidateAlert",
     "DeviceStatus",
     "DomainClass",
     "Epoch",
@@ -572,56 +571,6 @@ class VeritasRecord(_RecordFields):
 
     @classmethod
     def _make(cls, iterable: Iterable[Any]) -> "VeritasRecord":
-        # As for TaggedValue: _make and _replace keep the check.
-        return cls(*iterable)
-
-
-class _AlertFields(NamedTuple):
-    alert_types: frozenset[AlertType]
-    triggering_values: Mapping[AlertType, TaggedValue]
-    raised_at: datetime
-
-
-# Bound once: reading an Enum member off its class costs about 0.1 us, and
-# the alert checks each trigger's tag.
-_INFERRED = ProvenanceTag.INFERRED
-
-
-class CandidateAlert(_AlertFields):
-    """Threshold-exceedance message emitted by the detection layer.
-
-    Every alert type carries the tagged value that triggered it, so the
-    provenance of the trigger travels with the alert.
-
-    An immutable tuple ``(alert_types, triggering_values, raised_at)`` whose
-    construction rejects an empty type set and a type whose trigger is
-    missing or inferred; equal when all three fields are equal, as tuples
-    are. Every caller, ``detect`` included, builds it checked: whether a
-    trigger is inferred depends on the view it was read from.
-    """
-
-    __slots__ = ()
-
-    def __new__(
-        cls,
-        alert_types: frozenset[AlertType],
-        triggering_values: Mapping[AlertType, TaggedValue],
-        raised_at: datetime,
-    ) -> "CandidateAlert":
-        if not alert_types:
-            raise InvariantViolation("CandidateAlert requires at least one alert type")
-        for alert_type in alert_types:
-            trigger = triggering_values.get(alert_type)
-            if trigger is None:
-                raise InvariantViolation(f"missing triggering value for {alert_type.value}")
-            if trigger.provenance is _INFERRED:
-                raise InvariantViolation(
-                    f"alert type {alert_type.value} triggered by an inferred value"
-                )
-        return tuple.__new__(cls, (alert_types, triggering_values, raised_at))
-
-    @classmethod
-    def _make(cls, iterable: Iterable[Any]) -> "CandidateAlert":
         # As for TaggedValue: _make and _replace keep the check.
         return cls(*iterable)
 

@@ -1,7 +1,7 @@
 """Deterministic alert-to-specialist routing.
 
-Maps a candidate alert plus its provenance profile to a nonempty set of
-specialist domains. The table is fixed in code, not configurable, so a
+Maps an alert, the type set ``detect`` found, plus its view's provenance
+profile to a nonempty set of specialist domains. The table is fixed in code, not configurable, so a
 given dataset always routes identically. Reads go through the projected
 view; a field absent from the projection never fires a routing rule.
 
@@ -24,7 +24,6 @@ from .model import (
     AccelLevel,
     AgentDomain,
     AlertType,
-    CandidateAlert,
     DOMAIN_ORDER,
     DeviceStatus,
     InvariantViolation,
@@ -97,11 +96,11 @@ _COPD = AgentDomain.COPD
 _NOCTURNAL = AgentDomain.NOCTURNAL
 
 
-def route(alert: CandidateAlert, view: SpecialistView) -> RoutingDecision:
+def route(alert_types: frozenset[AlertType], view: SpecialistView) -> RoutingDecision:
     """Compute the routed specialist set for one alert.
 
-    ``view`` is the specialist projection of the alert's record, the same
-    one detection read; routing never sees an inferred field.
+    ``alert_types`` is what ``detect`` found on ``view``, the specialist
+    projection of the alert's record; routing never sees an inferred field.
 
     Routing table:
       * signal_quality with an artefact-class status -> probe_integrity
@@ -121,27 +120,26 @@ def route(alert: CandidateAlert, view: SpecialistView) -> RoutingDecision:
     The rules run in ``DOMAIN_ORDER``, so the domains they add are already
     in that order; the shared decision for them is looked up, not built.
     """
-    types = alert.alert_types
     status = view.value("device_status")
     accel = view.value("accel_level")
     self_activity = view.value("self_reported_activity")
     copd = view.value("copd_documented", default=False)
 
     domains: list[AgentDomain] = []
-    physiological = not PHYSIOLOGICAL_TYPES.isdisjoint(types)
+    physiological = not PHYSIOLOGICAL_TYPES.isdisjoint(alert_types)
 
-    if _SIGNAL_QUALITY in types and status in ARTEFACT_STATUSES:
+    if _SIGNAL_QUALITY in alert_types and status in ARTEFACT_STATUSES:
         domains.append(_PROBE_INTEGRITY)
     motion_evidence = (accel is not None and accel is not _STILL) or (
         self_activity in MOTION_REPORTS
     )
     if physiological and motion_evidence:
         domains.append(_ACTIVITY_INTEGRITY)
-    if _HIGH_HR in types:
+    if _HIGH_HR in alert_types:
         domains.append(_TACHYCARDIA)
-    if _LOW_HR in types:
+    if _LOW_HR in alert_types:
         domains.append(_BRADYCARDIA)
-    if _LOW_SPO2 in types and copd is True:
+    if _LOW_SPO2 in alert_types and copd is True:
         domains.append(_COPD)
     if physiological and in_nocturnal_window(view.timestamp):
         domains.append(_NOCTURNAL)

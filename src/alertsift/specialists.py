@@ -1,7 +1,8 @@
 """The six deterministic specialist evaluators.
 
-Each evaluator is a pure, guardrail-bounded rule table from (routed alert,
-specialist input view) to a claim. Hard clinical bounds dominate context:
+Each evaluator is a pure, guardrail-bounded rule table from (routed alert
+types, specialist input view) to a claim; of the type set only the
+nocturnal rule reads anything. Hard clinical bounds dominate context:
 for example no combination of context fields can suppress an SpO2 reading
 below the COPD floor. Specialists may return indeterminate; turning that
 into a binary verdict is the aggregation layer's job, not theirs.
@@ -31,7 +32,6 @@ from .model import (
     AgentClaim,
     AgentDomain,
     AlertType,
-    CandidateAlert,
     DeviceStatus,
     InvariantViolation,
     Position,
@@ -109,7 +109,7 @@ def _claim(
 
 
 def evaluate_probe_integrity(
-    alert: CandidateAlert, view: SpecialistView, cfg: SpecialistConfig
+    alert_types: frozenset[AlertType], view: SpecialistView, cfg: SpecialistConfig
 ) -> AgentClaim:
     """Suppress on positive artefact evidence, stay indeterminate otherwise.
 
@@ -130,7 +130,7 @@ def evaluate_probe_integrity(
 
 
 def evaluate_activity_integrity(
-    alert: CandidateAlert, view: SpecialistView, cfg: SpecialistConfig
+    alert_types: frozenset[AlertType], view: SpecialistView, cfg: SpecialistConfig
 ) -> AgentClaim:
     """Reconcile accelerometer motion with the patient's own account.
 
@@ -156,7 +156,7 @@ def evaluate_activity_integrity(
 
 
 def evaluate_tachycardia(
-    alert: CandidateAlert, view: SpecialistView, cfg: SpecialistConfig
+    alert_types: frozenset[AlertType], view: SpecialistView, cfg: SpecialistConfig
 ) -> AgentClaim:
     """Suppress high HR explained by motion, baseline allowance, or a
     non-clean device status; an isolated high reading escalates."""
@@ -177,7 +177,7 @@ def evaluate_tachycardia(
 
 
 def evaluate_bradycardia(
-    alert: CandidateAlert, view: SpecialistView, cfg: SpecialistConfig
+    alert_types: frozenset[AlertType], view: SpecialistView, cfg: SpecialistConfig
 ) -> AgentClaim:
     """Suppress low HR above the personal floor when rate-limiting
     medication or the nocturnal window explains it; everything else,
@@ -199,7 +199,7 @@ def evaluate_bradycardia(
 
 
 def evaluate_copd(
-    alert: CandidateAlert, view: SpecialistView, cfg: SpecialistConfig
+    alert_types: frozenset[AlertType], view: SpecialistView, cfg: SpecialistConfig
 ) -> AgentClaim:
     """Judge low SpO2 against the patient's own floor.
 
@@ -223,7 +223,7 @@ def evaluate_copd(
 
 
 def evaluate_nocturnal(
-    alert: CandidateAlert, view: SpecialistView, cfg: SpecialistConfig
+    alert_types: frozenset[AlertType], view: SpecialistView, cfg: SpecialistConfig
 ) -> AgentClaim:
     """Suppress the classic sleep pattern: supine, still, and any SpO2 dip
     within the allowance of baseline (96.0 assumed when the EHR has none).
@@ -236,7 +236,7 @@ def evaluate_nocturnal(
         return _claim(domain, _INDETERMINATE, cfg, "position_not_supine")
     if view.value("accel_level") is not _STILL:
         return _claim(domain, _INDETERMINATE, cfg, "motion_during_sleep")
-    if _LOW_SPO2 in alert.alert_types:
+    if _LOW_SPO2 in alert_types:
         spo2 = view.value("spo2")
         baseline = view.value("baseline_spo2", default=DEFAULT_NOCTURNAL_BASELINE_SPO2)
         if spo2 is None or baseline - spo2 > cfg.nocturnal_dip_allowance:
@@ -255,7 +255,7 @@ _EVALUATORS = {
 
 
 def claims_for(
-    alert: CandidateAlert,
+    alert_types: frozenset[AlertType],
     view: SpecialistView,
     routing: RoutingDecision,
     cfg: SpecialistConfig,
@@ -266,4 +266,4 @@ def claims_for(
     deterministic; ``resolve`` rejects any claim sequence that does not
     match it.
     """
-    return tuple([_EVALUATORS[domain](alert, view, cfg) for domain in routing.domains])
+    return tuple([_EVALUATORS[domain](alert_types, view, cfg) for domain in routing.domains])

@@ -33,7 +33,6 @@ from alertsift.model import (
     AgentClaim,
     AgentDomain,
     AlertType,
-    CandidateAlert,
     DeviceStatus,
     DomainClass,
     Epoch,
@@ -202,15 +201,18 @@ def retag_field(record: VeritasRecord, name: str, tag: ProvenanceTag) -> Veritas
 
 
 def detect_and_route(epoch: Epoch, context: PatientContext | None = None):
-    """Run the front half of the pipeline for one epoch."""
-    cfg = SentinelConfig()
+    """Run the front half of the pipeline for one epoch: its view, the alert
+    types detection finds on it (None for none) and, for an alert, its
+    routing."""
     view = make_view(epoch, context)
-    alert = detect(view, cfg)
-    routing = route(alert, view) if alert is not None else None
-    return view, alert, routing
+    alert_types = detect(view, SentinelConfig())
+    routing = route(alert_types, view) if alert_types is not None else None
+    return view, alert_types, routing
 
 
-def routed_via_last_resort(alert: CandidateAlert, decision: RoutingDecision) -> bool:
+def routed_via_last_resort(
+    alert_types: frozenset[AlertType], view: SpecialistView, decision: RoutingDecision
+) -> bool:
     """True when probe_integrity holds the alert only as the fallback target.
 
     In that situation no specialist has positive provenance context for the
@@ -219,10 +221,10 @@ def routed_via_last_resort(alert: CandidateAlert, decision: RoutingDecision) -> 
     """
     if decision.targets != frozenset({AgentDomain.PROBE_INTEGRITY}):
         return False
-    # signal_quality fires on the projected device status, so its trigger
-    # is that status.
-    status = alert.triggering_values.get(AlertType.SIGNAL_QUALITY)
-    earned = status is not None and status.value in ARTEFACT_STATUSES
+    earned = (
+        AlertType.SIGNAL_QUALITY in alert_types
+        and view.value("device_status") in ARTEFACT_STATUSES
+    )
     return not earned
 
 
@@ -397,9 +399,9 @@ def reference_assemble(bundle: SourceBundle, epoch: Epoch) -> VeritasRecord:
     return VeritasRecord(pid, epoch.timestamp, fields)
 
 
-def oracle_targets(alert, view):
-    """Independent rendering of the routing rule list."""
-    types = alert.alert_types
+def oracle_targets(types, view):
+    """Independent rendering of the routing rule list, for the alert types
+    ``types`` found on ``view``."""
     status = view.value("device_status")
     accel = view.value("accel_level")
     reported = view.value("self_reported_activity")
@@ -425,7 +427,7 @@ def oracle_targets(alert, view):
         fired.append(AgentDomain.BRADYCARDIA)
     if AlertType.LOW_SPO2 in types and copd:
         fired.append(AgentDomain.COPD)
-    if physio and in_nocturnal_window(alert.raised_at):
+    if physio and in_nocturnal_window(view.timestamp):
         fired.append(AgentDomain.NOCTURNAL)
     targets = set(fired) or {AgentDomain.PROBE_INTEGRITY}
     return targets, len(fired)
@@ -454,13 +456,14 @@ class ReferenceHistory:
         return None
 
 
-def reference_resolve(claims, routing, alert, history, cfg, patient_id):
+def reference_resolve(claims, routing, alert_types, view, history, cfg, patient_id):
     """resolve as first written: the expected order rebuilt from the targets
     on every call, a ``finish`` closure per call, and one ``sum`` per side.
     The straight-line resolve must give the same decision at every step.
-    ``history`` is a ReferenceHistory, so the pruned window is checked
-    against the full history; ``patient_id`` keys it, as each run covers one
-    patient."""
+    The alert is ``alert_types`` found on ``view``, which gives the time and
+    the device status. ``history`` is a ReferenceHistory, so the pruned
+    window is checked against the full history; ``patient_id`` keys it, as
+    each run covers one patient."""
     claimed = [c.domain for c in claims]
     expected = [d for d in DOMAIN_ORDER if d in routing.targets]
     if claimed != expected:
@@ -469,9 +472,8 @@ def reference_resolve(claims, routing, alert, history, cfg, patient_id):
             f"{[d.value for d in claimed]}, expected {[d.value for d in expected]}"
         )
 
-    now = alert.raised_at
-    status_tv = alert.triggering_values.get(AlertType.SIGNAL_QUALITY)
-    status = status_tv.value if status_tv is not None else None
+    now = view.timestamp
+    status = view.value("device_status")
 
     def finish(verdict, path):
         decision = SystemDecision(
@@ -480,13 +482,11 @@ def reference_resolve(claims, routing, alert, history, cfg, patient_id):
             resolution_path=path,
             decided_at=now,
         )
-        history.record(patient_id, now, alert.alert_types, decision)
+        history.record(patient_id, now, alert_types, decision)
         return decision
 
     if status is not DeviceStatus.DUPLICATE_ALERT:
-        prior = history.last_matching(
-            patient_id, alert.alert_types, now, cfg.cooldown_window_minutes
-        )
+        prior = history.last_matching(patient_id, alert_types, now, cfg.cooldown_window_minutes)
         escalating = any(c.recommendation is Recommendation.ESCALATE for c in claims)
         if prior is not None and (prior.verdict is Verdict.ESCALATE or not escalating):
             return finish(prior.verdict, ResolutionPath.DEBOUNCED)
@@ -514,16 +514,16 @@ def reference_resolve(claims, routing, alert, history, cfg, patient_id):
 def resolve_alert(
     claims: tuple[AgentClaim, ...],
     routing: RoutingDecision,
-    alert: CandidateAlert,
+    alert_types: frozenset[AlertType],
+    view: SpecialistView,
     history: DecisionHistory,
     cfg: MetaConfig,
 ) -> SystemDecision:
-    """``resolve`` on what it reads of ``alert``: the type set, the time, and
-    whether the status detection saw, the signal-quality trigger, is
-    duplicate_alert."""
-    status = alert.triggering_values.get(AlertType.SIGNAL_QUALITY)
-    duplicate = status is not None and status.value is DeviceStatus.DUPLICATE_ALERT
-    return resolve(claims, routing, alert.alert_types, alert.raised_at, duplicate, history, cfg)
+    """``resolve`` for the alert types found on ``view``, with the view's
+    time and whether its device status is duplicate_alert, as ``_run_case``
+    reads them from the epoch."""
+    duplicate = view.value("device_status") is DeviceStatus.DUPLICATE_ALERT
+    return resolve(claims, routing, alert_types, view.timestamp, duplicate, history, cfg)
 
 
 def reference_project(record: VeritasRecord) -> SpecialistView:
@@ -535,9 +535,29 @@ def reference_project(record: VeritasRecord) -> SpecialistView:
     )
 
 
-def reference_route(alert: CandidateAlert, view: SpecialistView) -> RoutingDecision:
+def reference_detect(view: SpecialistView, cfg: SentinelConfig) -> frozenset[AlertType] | None:
+    """Detection as README's layer 2 states it: four strict comparisons,
+    each made only when its field is in the view. low_spo2 when SpO2 is
+    below its threshold, high_hr and low_hr when HR is past either bound,
+    signal_quality when the device status is not ok; None when none fires."""
+    fields = view.fields
+    fired = set()
+    if "spo2" in fields and fields["spo2"].value < cfg.spo2_low_threshold:
+        fired.add(AlertType.LOW_SPO2)
+    if "hr" in fields and fields["hr"].value > cfg.hr_high_threshold:
+        fired.add(AlertType.HIGH_HR)
+    if "hr" in fields and fields["hr"].value < cfg.hr_low_threshold:
+        fired.add(AlertType.LOW_HR)
+    if "device_status" in fields and fields["device_status"].value != DeviceStatus.OK:
+        fired.add(AlertType.SIGNAL_QUALITY)
+    return frozenset(fired) or None
+
+
+def reference_route(
+    alert_types: frozenset[AlertType], view: SpecialistView
+) -> RoutingDecision:
     """Routing from ``oracle_targets``, built by the checked constructor."""
-    targets, _ = oracle_targets(alert, view)
+    targets, _ = oracle_targets(alert_types, view)
     ambiguous = view.value("device_status") in (
         DeviceStatus.SYSTEM_FLAG, DeviceStatus.THRESHOLD_MARGINAL
     )
@@ -555,14 +575,17 @@ _SPECIALISTS = {
 
 
 def reference_claims(
-    alert: CandidateAlert, view: SpecialistView, routing: RoutingDecision, cfg: SpecialistConfig
+    alert_types: frozenset[AlertType],
+    view: SpecialistView,
+    routing: RoutingDecision,
+    cfg: SpecialistConfig,
 ) -> tuple[AgentClaim, ...]:
     """One claim per target in ``DOMAIN_ORDER``, each a new ``AgentClaim``
     rebuilt by its checked constructor, never a shared interned one."""
     claims = []
     for domain in DOMAIN_ORDER:
         if domain in routing.targets:
-            c = _SPECIALISTS[domain](alert, view, cfg)
+            c = _SPECIALISTS[domain](alert_types, view, cfg)
             claims.append(AgentClaim(c.domain, c.recommendation, c.confidence, c.rationale_codes))
     return tuple(claims)
 
@@ -578,9 +601,10 @@ def reference_run_case(
     meta_cfg: MetaConfig,
 ) -> CaseOutcome:
     """``evaluate._run_case`` composed from the plain references: no
-    quiet-epoch gate, so every epoch is assembled, projected and detected;
-    checked constructors only; a ``ReferenceHistory``, a list each lookup
-    scans back to the window's horizon; and its own fold, not
+    quiet-epoch gate, so every epoch is assembled, projected and detected
+    (by ``reference_detect``); checked constructors only; a
+    ``ReferenceHistory``, a list each lookup scans back to the window's
+    horizon; and its own fold, not
     ``aggregate_case``: a failure status, which means an escalation
     anywhere, makes a false escalation, and no failure status a true
     suppression."""
@@ -597,12 +621,14 @@ def reference_run_case(
             )
         previous_at = epoch.timestamp
         view = reference_project(reference_assemble(bundle, epoch))
-        alert = detect(view, sentinel_cfg)
-        if alert is None:
+        alert_types = reference_detect(view, sentinel_cfg)
+        if alert_types is None:
             continue
-        routing = reference_route(alert, view)
-        claims = reference_claims(alert, view, routing, specialist_cfg)
-        decision = reference_resolve(claims, routing, alert, history, meta_cfg, patient_id)
+        routing = reference_route(alert_types, view)
+        claims = reference_claims(alert_types, view, routing, specialist_cfg)
+        decision = reference_resolve(
+            claims, routing, alert_types, view, history, meta_cfg, patient_id
+        )
         decisions.append(decision)
         if failure_status is None and decision.verdict is Verdict.ESCALATE:
             failure_status = epoch.device_status
@@ -724,7 +750,12 @@ def grid_points(
     status, position, self_report)``, in three products:
 
     - every SpO2 and HR value of ``comparison_points`` with the categorical
-      values that reach each comparison, by day and by night;
+      values that reach each comparison, by day in rising and by night in
+      falling order of the vitals. A cell's value comes from its first
+      point, and an equality point is the lowest or the highest of its
+      cell's values, so each is the first point of a cell on one side of
+      the window: a comparison that flips at another point than the key's
+      then decides that cell wrongly;
     - every categorical combination with three vital pairs, by day and by
       night (returned second as well, as the points priors are put before);
     - every vital pair with three categorical combinations at each window
@@ -736,7 +767,8 @@ def grid_points(
         (at, v + k) for at in (GRID_DAY, GRID_NIGHT)
         for v in _CATEGORICAL_SLICE for k in GRID_CATEGORICALS
     ]
-    points = [(at, v + k) for at in (GRID_DAY, GRID_NIGHT) for v in vitals for k in _VITAL_SLICE]
+    points = [(GRID_DAY, v + k) for v in vitals for k in _VITAL_SLICE]
+    points += [(GRID_NIGHT, v + k) for v in reversed(vitals) for k in _VITAL_SLICE]
     points += categorical
     points += [(at, v + k) for at in GRID_EDGES for v in vitals for k in _EDGE_SLICE]
     return points, categorical

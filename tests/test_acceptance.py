@@ -239,8 +239,8 @@ def test_criterion_7_provenance_safety():
         if any(tv.provenance is ProvenanceTag.INFERRED for tv in view.fields.values()):
             violations += 1
             continue
-        alert = detect(view, cfg)
-        if alert is not None and alert_type in alert.alert_types:
+        types = detect(view, cfg)
+        if types is not None and alert_type in types:
             violations += 1
     _check(
         "criterion 7: inferred fields never exposed nor alerting (1000 records)",
@@ -255,10 +255,10 @@ def test_criterion_8_meta_totality_conservatism_homogeneity():
     recs = [Recommendation.SUPPRESS, Recommendation.ESCALATE, Recommendation.INDETERMINATE]
     base_epoch = make_epoch(spo2=90.0)
     base_view = make_view(base_epoch)
-    alert = detect(base_view, SentinelConfig())
-    # resolve reads of the alert its type set, its time and whether its
+    types = detect(base_view, SentinelConfig())
+    # resolve reads the alert's type set, the epoch's time and whether its
     # status is duplicate_alert; this one's is ok.
-    types, at = alert.alert_types, alert.raised_at
+    at = base_view.timestamp
     failures = 0
     trials = 10_000
     for _ in range(trials):
@@ -383,15 +383,15 @@ def test_criterion_11_single_domain_safety(golden):
         single_owned = True
         for epoch in case.epochs:
             view = make_view(epoch, case.context)
-            alert = detect(view, sentinel_cfg)
-            if alert is None:
+            types = detect(view, sentinel_cfg)
+            if types is None:
                 single_owned = False
                 break
-            routing = route(alert, view)
+            routing = route(types, view)
             if (
                 len(routing.targets) != 1
                 or routing.ambiguity_flag
-                or routed_via_last_resort(alert, routing)
+                or routed_via_last_resort(types, view, routing)
             ):
                 single_owned = False
                 break

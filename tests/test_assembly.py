@@ -221,8 +221,8 @@ def test_projection_excludes_retagged_spo2_and_sentinel_stays_silent():
     record = retag_field(make_record(make_epoch(spo2=80.0)), "spo2", ProvenanceTag.INFERRED)
     view = project_for_specialists(record)
     assert "spo2" not in field_names(view)
-    alert = detect(view, SentinelConfig())
-    assert alert is None or AlertType.LOW_SPO2 not in alert.alert_types
+    types = detect(view, SentinelConfig())
+    assert types is None or AlertType.LOW_SPO2 not in types
 
 
 def test_projection_field_scan_never_exposes_inferred():

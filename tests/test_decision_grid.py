@@ -8,7 +8,8 @@ night and the window's edges, five contexts and three priors. One
 ``evaluate()`` call runs all of it through one cache, so each cell's value
 comes from its first point and is replayed for the rest; every decision
 must equal ``reference_run_case``'s, which builds every epoch's record,
-view, alert, routing and claims through the checked constructors.
+view, routing and claims through the checked constructors and finds its
+alert types with ``reference_detect``.
 """
 
 from __future__ import annotations

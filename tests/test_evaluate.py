@@ -25,6 +25,7 @@ from alertsift.evaluate import (
     GOLDEN_FAILURE_MODES,
     GOLDEN_PER_DOMAIN,
     OutcomeKind,
+    _cell_key,
     check_golden,
     evaluate,
     render_report_text,
@@ -52,7 +53,7 @@ from alertsift.synthgen import (
     generate_dataset,
     load_taxonomy,
 )
-from alertsift.sentinel import SentinelConfig, detect, quiet
+from alertsift.sentinel import SentinelConfig, detect
 from helpers import (
     DAYTIME,
     NIGHT,
@@ -201,7 +202,8 @@ def test_duplicate_quiet_epoch_in_memory_dataset_raises():
     )
     (case,) = generate_dataset([entry], seed=42).cases
     contexts = {case.patient_id: case.context}
-    assert all(quiet(epoch, SentinelConfig()) for epoch in case.epochs)
+    key = _cell_key(case.context, SentinelConfig(), SpecialistConfig())
+    assert all(key(epoch) is None for epoch in case.epochs)
     (outcome,) = evaluate(Dataset(epochs=case.epochs, contexts=contexts), [entry]).case_outcomes
     assert outcome.epoch_decisions == ()
     assert outcome.outcome is OutcomeKind.TRUE_SUPPRESSION
@@ -210,11 +212,11 @@ def test_duplicate_quiet_epoch_in_memory_dataset_raises():
 
 
 def test_an_epoch_past_the_quiet_screen_must_alert(monkeypatch):
-    # quiet() is detect()'s screen read off the raw epoch, so every epoch it
-    # passes alerts and gets one decision. Skipped, a silent one would leave
-    # the case a true suppression with one decision fewer.
+    # The cell key's screen is detect()'s read off the raw epoch, so every
+    # epoch it keys alerts and gets one decision. Skipped, a silent one would
+    # leave the case a true suppression with one decision fewer.
     epoch = make_epoch(hr=130.0)
-    assert not quiet(epoch, SentinelConfig())
+    assert _cell_key(make_context(), SentinelConfig(), SpecialistConfig())(epoch) is not None
     # The package attribute alertsift.evaluate is the function, not the module.
     monkeypatch.setattr(sys.modules["alertsift.evaluate"], "detect", lambda view, cfg: None)
     with pytest.raises(

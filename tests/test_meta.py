@@ -9,14 +9,13 @@ from datetime import timedelta
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from alertsift.assembly import project_for_specialists
+from alertsift.assembly import SpecialistView, project_for_specialists
 from alertsift.meta import DecisionHistory, MetaConfig, resolve
 from alertsift.model import (
     DOMAIN_ORDER,
     AgentClaim,
     AgentDomain,
     AlertType,
-    CandidateAlert,
     DeviceStatus,
     InvariantViolation,
     ProvenanceTag,
@@ -51,10 +50,11 @@ def claim(domain, rec, conf):
 
 
 def make_alert(epoch=None, context=None):
+    """The alert types detection finds on the epoch's view, and the view."""
     view = make_view(epoch or make_epoch(spo2=90.0), context)
-    alert = detect(view, SentinelConfig())
-    assert alert is not None
-    return alert
+    alert_types = detect(view, SentinelConfig())
+    assert alert_types is not None
+    return alert_types, view
 
 
 def routing_for(*domains, ambiguity=False):
@@ -66,7 +66,7 @@ def test_single_definitive_claim_is_adopted():
     decision = resolve_alert(
         (claim(AgentDomain.COPD, Recommendation.SUPPRESS, 0.9),),
         routing_for(AgentDomain.COPD),
-        alert,
+        *alert,
         DecisionHistory(),
         CFG,
     )
@@ -83,7 +83,7 @@ def test_weighted_suppression_beats_indeterminate():
             claim(AgentDomain.COPD, Recommendation.SUPPRESS, 0.9),
         ),
         routing_for(AgentDomain.PROBE_INTEGRITY, AgentDomain.COPD, ambiguity=True),
-        alert,
+        *alert,
         DecisionHistory(),
         CFG,
     )
@@ -100,7 +100,7 @@ def test_weighted_escalation_beats_indeterminate():
             claim(AgentDomain.TACHYCARDIA, Recommendation.ESCALATE, 0.9),
         ),
         routing_for(AgentDomain.PROBE_INTEGRITY, AgentDomain.TACHYCARDIA, ambiguity=True),
-        alert,
+        *alert,
         DecisionHistory(),
         CFG,
     )
@@ -116,7 +116,7 @@ def test_tie_and_all_indeterminate_default_to_escalation():
             claim(AgentDomain.ACTIVITY_INTEGRITY, Recommendation.ESCALATE, 0.9),
         ),
         routing_for(AgentDomain.PROBE_INTEGRITY, AgentDomain.ACTIVITY_INTEGRITY),
-        alert,
+        *alert,
         DecisionHistory(),
         CFG,
     )
@@ -126,7 +126,7 @@ def test_tie_and_all_indeterminate_default_to_escalation():
     lone = resolve_alert(
         (claim(AgentDomain.PROBE_INTEGRITY, Recommendation.INDETERMINATE, 0.4),),
         routing_for(AgentDomain.PROBE_INTEGRITY),
-        alert,
+        *alert,
         DecisionHistory(),
         CFG,
     )
@@ -140,8 +140,8 @@ def test_debounce_replays_prior_verdict():
     history = DecisionHistory()
     claims = (claim(AgentDomain.PROBE_INTEGRITY, Recommendation.INDETERMINATE, 0.4),)
     routing = routing_for(AgentDomain.PROBE_INTEGRITY)
-    first = resolve_alert(claims, routing, make_alert(epoch1), history, CFG)
-    second = resolve_alert(claims, routing, make_alert(epoch2), history, CFG)
+    first = resolve_alert(claims, routing, *make_alert(epoch1), history, CFG)
+    second = resolve_alert(claims, routing, *make_alert(epoch2), history, CFG)
     assert first.resolution_path is ResolutionPath.AMBIGUITY_DEFAULT
     assert second.resolution_path is ResolutionPath.DEBOUNCED
     assert second.verdict is first.verdict
@@ -153,8 +153,8 @@ def test_debounce_expires_outside_window():
     history = DecisionHistory()
     claims = (claim(AgentDomain.PROBE_INTEGRITY, Recommendation.INDETERMINATE, 0.4),)
     routing = routing_for(AgentDomain.PROBE_INTEGRITY)
-    resolve_alert(claims, routing, make_alert(epoch1), history, CFG)
-    second = resolve_alert(claims, routing, make_alert(epoch2), history, CFG)
+    resolve_alert(claims, routing, *make_alert(epoch1), history, CFG)
+    second = resolve_alert(claims, routing, *make_alert(epoch2), history, CFG)
     assert second.resolution_path is not ResolutionPath.DEBOUNCED
 
 
@@ -166,14 +166,14 @@ def test_debounce_requires_identical_alert_type_set():
     resolve_alert(
         (claim(AgentDomain.PROBE_INTEGRITY, Recommendation.INDETERMINATE, 0.4),),
         routing1,
-        make_alert(epoch1),
+        *make_alert(epoch1),
         history,
         CFG,
     )
     decision = resolve_alert(
         (claim(AgentDomain.TACHYCARDIA, Recommendation.ESCALATE, 0.9),),
         routing_for(AgentDomain.TACHYCARDIA),
-        make_alert(epoch2),
+        *make_alert(epoch2),
         history,
         CFG,
     )
@@ -192,7 +192,7 @@ def test_duplicate_alert_status_bypasses_debounce():
             spo2=90.0,
             status=DeviceStatus.DUPLICATE_ALERT,
         )
-        decision = resolve_alert(claims, routing, make_alert(epoch), history, CFG)
+        decision = resolve_alert(claims, routing, *make_alert(epoch), history, CFG)
         assert decision.resolution_path is ResolutionPath.AMBIGUITY_DEFAULT
         assert decision.verdict is Verdict.ESCALATE
 
@@ -205,13 +205,14 @@ def test_inferred_duplicate_alert_status_does_not_bypass_debounce():
         ts=epoch1.timestamp + timedelta(minutes=1), spo2=90.0, status=DeviceStatus.DUPLICATE_ALERT
     )
     record = retag_field(make_record(epoch2), "device_status", ProvenanceTag.INFERRED)
-    alert2 = detect(project_for_specialists(record), SentinelConfig())
-    assert alert2.alert_types == frozenset({AlertType.LOW_SPO2})
+    view2 = project_for_specialists(record)
+    types2 = detect(view2, SentinelConfig())
+    assert types2 == frozenset({AlertType.LOW_SPO2})
     history = DecisionHistory()
     claims = (claim(AgentDomain.PROBE_INTEGRITY, Recommendation.INDETERMINATE, 0.4),)
     routing = routing_for(AgentDomain.PROBE_INTEGRITY)
-    resolve_alert(claims, routing, make_alert(epoch1), history, CFG)
-    second = resolve_alert(claims, routing, alert2, history, CFG)
+    resolve_alert(claims, routing, *make_alert(epoch1), history, CFG)
+    second = resolve_alert(claims, routing, types2, view2, history, CFG)
     assert second.resolution_path is ResolutionPath.DEBOUNCED
 
 
@@ -223,9 +224,9 @@ def test_copd_floor_breach_is_not_debounced_into_suppression():
     decisions = []
     for minute, spo2 in ((0, 87.0), (1, 75.0)):
         epoch = make_epoch(ts=DAYTIME + timedelta(minutes=minute), spo2=spo2)
-        view, alert, routing = detect_and_route(epoch, context)
-        claims = claims_for(alert, view, routing, SpecialistConfig())
-        decisions.append(resolve_alert(claims, routing, alert, history, CFG))
+        view, types, routing = detect_and_route(epoch, context)
+        claims = claims_for(types, view, routing, SpecialistConfig())
+        decisions.append(resolve_alert(claims, routing, types, view, history, CFG))
     first, second = decisions
     assert (first.verdict, first.resolution_path) == (Verdict.SUPPRESS, ResolutionPath.SINGLE_DOMAIN)
     assert second.contributing_claims[0].rationale_codes == ("below_copd_floor",)
@@ -244,10 +245,10 @@ def test_debounce_idempotence_never_flips():
             for _ in range(1)
         )
         routing = routing_for(AgentDomain.PROBE_INTEGRITY)
-        first = resolve_alert(claims, routing, make_alert(epoch1), history, CFG)
+        first = resolve_alert(claims, routing, *make_alert(epoch1), history, CFG)
         for i in range(1, 5):
             epoch = make_epoch(ts=epoch1.timestamp + timedelta(minutes=i), spo2=90.0)
-            replay = resolve_alert(claims, routing, make_alert(epoch), history, CFG)
+            replay = resolve_alert(claims, routing, *make_alert(epoch), history, CFG)
             assert replay.verdict is first.verdict
 
 
@@ -258,7 +259,7 @@ def test_empty_claims_raises():
         InvariantViolation,
         match=r"claims must be one per routed target in domain order; got \[\], expected \['copd'\]",
     ):
-        resolve_alert((), routing_for(AgentDomain.COPD), make_alert(), DecisionHistory(), CFG)
+        resolve_alert((), routing_for(AgentDomain.COPD), *make_alert(), DecisionHistory(), CFG)
 
 
 def test_claims_must_match_routed_targets():
@@ -266,27 +267,27 @@ def test_claims_must_match_routed_targets():
         resolve_alert(
             (claim(AgentDomain.COPD, Recommendation.SUPPRESS, 0.9),),
             routing_for(AgentDomain.TACHYCARDIA),
-            make_alert(),
+            *make_alert(),
             DecisionHistory(),
             CFG,
         )
 
 
 def test_history_requires_strictly_increasing_timestamps():
-    alert = make_alert()
+    types, view = make_alert()
     history = DecisionHistory()
     claims = (claim(AgentDomain.PROBE_INTEGRITY, Recommendation.SUPPRESS, 0.9),)
     routing = routing_for(AgentDomain.PROBE_INTEGRITY)
-    resolve_alert(claims, routing, alert, history, CFG)
+    resolve_alert(claims, routing, types, view, history, CFG)
     with pytest.raises(InvariantViolation):
-        resolve_alert(claims, routing, alert, history, CFG)
+        resolve_alert(claims, routing, types, view, history, CFG)
     # The order check outlives the window: a day later no decision is in the
     # window, and one earlier than the last recorded still fails.
-    late = alert.raised_at + timedelta(days=1)
-    assert history.last_matching(alert.alert_types, late, CFG.cooldown_window_minutes) is None
-    earlier = make_alert(make_epoch(ts=alert.raised_at - timedelta(minutes=1), spo2=90.0))
+    late = view.timestamp + timedelta(days=1)
+    assert history.last_matching(types, late, CFG.cooldown_window_minutes) is None
+    earlier = make_alert(make_epoch(ts=view.timestamp - timedelta(minutes=1), spo2=90.0))
     with pytest.raises(InvariantViolation):
-        resolve_alert(claims, routing, earlier, history, CFG)
+        resolve_alert(claims, routing, *earlier, history, CFG)
 
 
 def test_config_invariants():
@@ -309,7 +310,7 @@ def test_resolve_uses_domain_weights():
             claim(AgentDomain.ACTIVITY_INTEGRITY, Recommendation.ESCALATE, 0.9),
         ),
         routing_for(AgentDomain.PROBE_INTEGRITY, AgentDomain.ACTIVITY_INTEGRITY),
-        alert,
+        *alert,
         DecisionHistory(),
         cfg,
     )
@@ -365,14 +366,10 @@ def _resolve_runs(draw):
     return cfg, steps
 
 
-def _alert_at(ts, types, status):
-    triggers = {
-        t: TaggedValue(
-            status if t is AlertType.SIGNAL_QUALITY else 90.0, ProvenanceTag.DEVICE_VERIFIED
-        )
-        for t in types
-    }
-    return CandidateAlert(types, triggers, ts)
+def _view_at(ts, status):
+    """A view at ``ts`` holding only the device status, all resolve reads of
+    a view."""
+    return SpecialistView(ts, {"device_status": TaggedValue(status, ProvenanceTag.DEVICE_VERIFIED)})
 
 
 def _outcome(fn, *args):
@@ -395,10 +392,10 @@ def test_resolve_matches_reference_over_random_histories(run):
     ts = DAYTIME
     for gap, types, status, claims, routing in steps:
         ts += timedelta(minutes=gap)
-        alert = _alert_at(ts, types, status)
-        got = _outcome(resolve_alert, claims, routing, alert, history, cfg)
+        view = _view_at(ts, status)
+        got = _outcome(resolve_alert, claims, routing, types, view, history, cfg)
         want = _outcome(
-            reference_resolve, claims, routing, alert, reference_history, cfg, PATIENT
+            reference_resolve, claims, routing, types, view, reference_history, cfg, PATIENT
         )
         assert got == want
 
@@ -418,9 +415,10 @@ def test_history_holds_at_most_one_decision_per_alert_type_set():
     )
     for step in range(2000):
         status = DeviceStatus.DUPLICATE_ALERT if (step // 100) % 2 else DeviceStatus.OK
-        alert = _alert_at(DAYTIME + timedelta(minutes=step), type_sets[step % 3], status)
-        decision = resolve_alert(claims, routing, alert, history, cfg)
-        assert history._latest[alert.alert_types] is decision
+        types = type_sets[step % 3]
+        view = _view_at(DAYTIME + timedelta(minutes=step), status)
+        decision = resolve_alert(claims, routing, types, view, history, cfg)
+        assert history._latest[types] is decision
         assert len(history._latest) == min(step + 1, len(type_sets))
 
 
@@ -520,18 +518,7 @@ def test_resolve_over_every_default_claim_tuple_prior_and_duplicate_status():
     # the status decide only whether a prior is replayed, and every other
     # input must resolve as that one does, which the loop asserts.
     types = frozenset({AlertType.LOW_SPO2, AlertType.SIGNAL_QUALITY})
-    device = ProvenanceTag.DEVICE_VERIFIED
-    alerts = [
-        CandidateAlert(
-            types,
-            {
-                AlertType.LOW_SPO2: TaggedValue(90.0, device),
-                AlertType.SIGNAL_QUALITY: TaggedValue(status, device),
-            },
-            DAYTIME,
-        )
-        for status in (DeviceStatus.OK, DeviceStatus.DUPLICATE_ALERT)
-    ]
+    views = [_view_at(DAYTIME, status) for status in (DeviceStatus.OK, DeviceStatus.DUPLICATE_ALERT)]
     lone = (claim(AgentDomain.COPD, Recommendation.INDETERMINATE, 0.4),)
     earlier = DAYTIME - timedelta(minutes=1)
     histories = [_FoundPrior(None)] + [
@@ -557,16 +544,18 @@ def test_resolve_over_every_default_claim_tuple_prior_and_duplicate_status():
         unreplayed = None
         for history in histories:
             prior = history.prior
-            for alert, duplicate in zip(alerts, (False, True)):
+            for view, duplicate in zip(views, (False, True)):
                 count += 1
                 decision = resolve(claims, routing, types, DAYTIME, duplicate, history, CFG)
                 verdict, path = decision.verdict, decision.resolution_path
                 assert verdict is Verdict.SUPPRESS or verdict is Verdict.ESCALATE
-                assert decision == reference_resolve(claims, routing, alert, history, CFG, PATIENT)
+                assert decision == reference_resolve(
+                    claims, routing, types, view, history, CFG, PATIENT
+                )
                 if path is ResolutionPath.DEBOUNCED:
                     # Only a prior is replayed, never past a duplicate_alert
                     # status, and a suppression never over an escalate claim.
-                    assert alert is alerts[0] and verdict is prior.verdict
+                    assert view is views[0] and verdict is prior.verdict
                     assert verdict is Verdict.ESCALATE or escalate == 0.0
                 else:
                     # Anything not replayed resolves as with no prior: a lone

@@ -25,7 +25,6 @@ from alertsift.model import (
     AgentClaim,
     AgentDomain,
     AlertType,
-    CandidateAlert,
     DeviceStatus,
     DomainClass,
     Epoch,
@@ -365,28 +364,13 @@ def test_patient_context_copd_requires_baseline():
         make_context(copd=True, baseline_spo2=None)
 
 
-def test_candidate_alert_rejects_empty_and_inferred_triggers():
-    record = make_record(make_epoch(spo2=88.0))
-    spo2 = record.fields["spo2"]
-    with pytest.raises(InvariantViolation):
-        CandidateAlert(frozenset(), {}, record.timestamp)
-    with pytest.raises(InvariantViolation):
-        CandidateAlert(
-            frozenset({AlertType.LOW_SPO2}),
-            {AlertType.LOW_SPO2: retagged(spo2, ProvenanceTag.INFERRED)},
-            record.timestamp,
-        )
-
-
 def _tuple_backed_samples():
-    """One of each tuple-backed per-epoch type: a record, its view, an alert
-    and a decision, each built by its constructor."""
+    """One of each tuple-backed per-epoch type: a record, its view and a
+    decision, each built by its constructor."""
     record = make_record(make_epoch(spo2=88.0))
-    spo2 = record.fields["spo2"]
-    alert = CandidateAlert(frozenset({AlertType.LOW_SPO2}), {AlertType.LOW_SPO2: spo2}, DAYTIME)
     claim = AgentClaim(AgentDomain.COPD, Recommendation.ESCALATE, 0.9)
     decision = SystemDecision(Verdict.ESCALATE, (claim,), ResolutionPath.SINGLE_DOMAIN, DAYTIME)
-    return record, project_for_specialists(record), alert, decision
+    return record, project_for_specialists(record), decision
 
 
 def test_tuple_backed_types_are_immutable_and_hold_no_dict():
@@ -439,28 +423,6 @@ def test_record_field_names_are_the_epoch_and_context_names_less_the_coordinates
     )
     assert record.fields.keys() == record_keys
     assert VeritasRecord(*record) == record
-
-
-def test_alert_make_and_replace_keep_the_trigger_checks():
-    alert = _tuple_backed_samples()[2]
-    spo2 = alert.triggering_values[AlertType.LOW_SPO2]
-    assert CandidateAlert._make(alert) == alert
-    assert alert._replace(raised_at=NIGHT).raised_at == NIGHT
-    for bad, message in (
-        ({"alert_types": frozenset()}, "at least one alert type"),
-        ({"triggering_values": {}}, "missing triggering value for low_spo2"),
-        (
-            {"triggering_values": {AlertType.LOW_SPO2: retagged(spo2, ProvenanceTag.INFERRED)}},
-            "low_spo2 triggered by an inferred value",
-        ),
-    ):
-        kwargs = {**alert._asdict(), **bad}
-        with pytest.raises(InvariantViolation, match=message):
-            CandidateAlert(**kwargs)
-        with pytest.raises(InvariantViolation, match=message):
-            CandidateAlert._make(kwargs.values())
-        with pytest.raises(InvariantViolation, match=message):
-            alert._replace(**bad)
 
 
 def test_agent_claim_round_trip_and_confidence_bounds():

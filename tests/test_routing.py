@@ -37,17 +37,17 @@ CFG = SentinelConfig()
 
 
 def test_motion_artefact_with_activity_routes_probe_and_activity():
-    _, alert, routing = detect_and_route(
+    _, types, routing = detect_and_route(
         make_epoch(spo2=88.0, status=DeviceStatus.MOTION_ARTEFACT, accel=AccelLevel.VIGOROUS)
     )
-    assert alert.alert_types == {AlertType.LOW_SPO2, AlertType.SIGNAL_QUALITY}
+    assert types == {AlertType.LOW_SPO2, AlertType.SIGNAL_QUALITY}
     assert routing.targets == {AgentDomain.PROBE_INTEGRITY, AgentDomain.ACTIVITY_INTEGRITY}
     assert routing.ambiguity_flag is False
 
 
 def test_lone_high_hr_routes_tachycardia_only():
-    _, alert, routing = detect_and_route(make_epoch(hr=120.0))
-    assert alert.alert_types == {AlertType.HIGH_HR}
+    _, types, routing = detect_and_route(make_epoch(hr=120.0))
+    assert types == {AlertType.HIGH_HR}
     assert routing.targets == {AgentDomain.TACHYCARDIA}
     assert routing.ambiguity_flag is False
 
@@ -55,7 +55,7 @@ def test_lone_high_hr_routes_tachycardia_only():
 def test_system_flag_low_spo2_copd_routes_probe_and_copd_with_ambiguity():
     # routing rows: artefact-status row adds probe integrity, the COPD row
     # adds the condition agent; enumerating the rule list yields exactly both
-    _, alert, routing = detect_and_route(
+    _, _, routing = detect_and_route(
         make_epoch(spo2=90.0, status=DeviceStatus.SYSTEM_FLAG),
         make_context(copd=True, baseline_spo2=90.0),
     )
@@ -81,18 +81,18 @@ def test_signal_quality_alone_never_routes_nocturnal():
 
 
 def test_low_spo2_without_copd_falls_back_to_probe_integrity():
-    _, alert, routing = detect_and_route(make_epoch(spo2=90.0))
+    view, types, routing = detect_and_route(make_epoch(spo2=90.0))
     assert routing.targets == {AgentDomain.PROBE_INTEGRITY}
     assert routing.ambiguity_flag is False
-    assert routed_via_last_resort(alert, routing) is True
+    assert routed_via_last_resort(types, view, routing) is True
 
 
 def test_artefact_route_is_not_last_resort():
-    _, alert, routing = detect_and_route(
+    view, types, routing = detect_and_route(
         make_epoch(spo2=90.0, status=DeviceStatus.MOTION_ARTEFACT)
     )
     assert routing.targets == {AgentDomain.PROBE_INTEGRITY}
-    assert routed_via_last_resort(alert, routing) is False
+    assert routed_via_last_resort(types, view, routing) is False
 
 
 def test_ambiguity_flag_statuses():
@@ -153,12 +153,12 @@ def test_route_matches_oracle_over_the_whole_alert_grid():
                 assert missing not in view.fields
             else:
                 continue  # no self-report to retag
-            alert = detect(view, CFG)
-            if alert is None:
+            types = detect(view, CFG)
+            if types is None:
                 continue
             checked += 1
-            routing = route(alert, view)
-            assert routing.targets == oracle_targets(alert, view)[0], (epoch, missing)
+            routing = route(types, view)
+            assert routing.targets == oracle_targets(types, view)[0], (epoch, missing)
             assert routing.ambiguity_flag is (
                 status in (DeviceStatus.SYSTEM_FLAG, DeviceStatus.THRESHOLD_MARGINAL)
             )
@@ -167,7 +167,7 @@ def test_route_matches_oracle_over_the_whole_alert_grid():
 
 
 def test_route_is_deterministic():
-    view, alert, _ = detect_and_route(
+    view, types, _ = detect_and_route(
         make_epoch(spo2=89.0, hr=111.0, status=DeviceStatus.SYSTEM_FLAG)
     )
-    assert route(alert, view) == route(alert, view)
+    assert route(types, view) == route(types, view)

@@ -14,7 +14,8 @@ module is an error, so the literals are every field a rule can reach.
 The rules read a vital only through ordering comparisons, and
 ``evaluate._cell_key`` keys each alerting epoch by those comparisons, so
 this module also holds every vital comparison of the rules to its twin in
-the key function.
+the key function, and the comparisons of the key's quiet screen to
+detection's.
 """
 
 from __future__ import annotations
@@ -105,8 +106,8 @@ def test_the_rules_read_exactly_the_record_fields():
 
 
 def test_detect_reads_only_the_fields_the_quiet_screen_reads():
-    # ``quiet`` screens the raw epoch on spo2, hr and device_status, and is
-    # exact only while ``detect`` reads nothing else.
+    # The cell key screens the raw epoch on spo2, hr and device_status, and
+    # its screen is exact only while ``detect`` reads nothing else.
     assert _module_reads("sentinel.py") == {"spo2", "hr", "device_status"}
 
 
@@ -151,15 +152,22 @@ CONFIG_FIELDS = frozenset(
 _ORDERINGS = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
 
 
-def _config_reads(function: ast.AST) -> dict[str, set[str]]:
-    """Each name the function (nested ones included) assigns, with the config
-    fields its values read, directly or through other such names."""
+def _assignments(function: ast.AST) -> dict[str, list[ast.AST]]:
+    """Each name the function (nested ones included) assigns, with the
+    values assigned to it."""
     values: dict[str, list[ast.AST]] = {}
     for node in ast.walk(function):
         if isinstance(node, ast.Assign):
             for target in node.targets:
                 if isinstance(target, ast.Name):
                     values.setdefault(target.id, []).append(node.value)
+    return values
+
+
+def _config_reads(function: ast.AST) -> dict[str, set[str]]:
+    """Each name the function (nested ones included) assigns, with the config
+    fields its values read, directly or through other such names."""
+    values = _assignments(function)
 
     def read(name: str, seen: frozenset[str]) -> set[str]:
         found = set()
@@ -222,12 +230,13 @@ def _reads_a_vital(node: ast.AST) -> bool:
     return any(_vital(n) is not None for n in ast.walk(node))
 
 
-def vital_comparisons(function: ast.AST) -> set[str]:
-    """Every ordering comparison in the function that reads a vital, one
-    operator at a time, in ``_Normal``'s form."""
+def vital_comparisons(function: ast.AST, within: list[ast.AST] | None = None) -> set[str]:
+    """Every ordering comparison in the function, or in the parts of it
+    ``within`` names, that reads a vital, one operator at a time, in
+    ``_Normal``'s form."""
     normal = _Normal(_config_reads(function))
     found = set()
-    for node in ast.walk(function):
+    for node in (n for part in within or [function] for n in ast.walk(part)):
         if not isinstance(node, ast.Compare):
             continue
         sides = [node.left, *node.comparators]
@@ -238,20 +247,49 @@ def vital_comparisons(function: ast.AST) -> set[str]:
     return found
 
 
-def _rule_comparisons() -> set[str]:
+def _module_comparisons(name: str) -> set[str]:
+    tree = ast.parse((PACKAGE / name).read_text(encoding="utf-8"))
     found = set()
-    for name in RULE_MODULES:
-        tree = ast.parse((PACKAGE / name).read_text(encoding="utf-8"))
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                found |= vital_comparisons(node)
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found |= vital_comparisons(node)
     return found
 
 
-def _key_comparisons() -> set[str]:
+def _rule_comparisons() -> set[str]:
+    return set().union(*map(_module_comparisons, RULE_MODULES))
+
+
+def _cell_key_function() -> ast.FunctionDef:
     tree = ast.parse((PACKAGE / "evaluate.py").read_text(encoding="utf-8"))
     (key,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_cell_key"]
-    return vital_comparisons(key)
+    return key
+
+
+def _key_comparisons() -> set[str]:
+    return vital_comparisons(_cell_key_function())
+
+
+def screen_comparisons(function: ast.AST) -> set[str]:
+    """The vital comparisons of the test whose ``if`` guards the function's
+    one ``return None``, read through the names the test loads."""
+    (guard,) = [
+        node for node in ast.walk(function)
+        if isinstance(node, ast.If)
+        and any(
+            isinstance(n, ast.Return) and isinstance(n.value, ast.Constant)
+            and n.value.value is None
+            for n in node.body
+        )
+    ]
+    values = _assignments(function)
+    read = [
+        value
+        for node in ast.walk(guard.test)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        for value in values.get(node.id, ())
+    ]
+    return vital_comparisons(function, [guard.test, *read])
 
 
 def test_every_vital_comparison_of_the_rules_has_its_twin_in_the_cell_key():
@@ -270,6 +308,39 @@ def test_every_vital_comparison_of_the_rules_has_its_twin_in_the_cell_key():
         "hr <= _ + cfg.hr_activity_allowance",
         "spo2 >= cfg.copd_acceptable_spo2",
         "_ - spo2 > cfg.nocturnal_dip_allowance",
+    }
+
+
+def test_the_cell_keys_quiet_screen_makes_detections_vital_comparisons():
+    # The key function returns None, and the epoch is skipped unassembled,
+    # when its screen finds nothing. The screen's vital comparisons must be
+    # ``sentinel``'s three: one fewer would skip an epoch that alerts, and
+    # one more would key an epoch on which detect finds nothing, which
+    # ``_run_case`` rejects.
+    # Property Q in tests/test_sentinel.py holds the whole screen, the
+    # status test included, to detect on drawn epochs.
+    sentinel = _module_comparisons("sentinel.py")
+    assert screen_comparisons(_cell_key_function()) == sentinel
+    assert sentinel == {
+        "spo2 < cfg.spo2_low_threshold",
+        "hr > cfg.hr_high_threshold",
+        "hr < cfg.hr_low_threshold",
+    }
+
+
+def test_the_screen_check_reads_the_guard_through_its_names():
+    tree = ast.parse(
+        "def key(epoch, cfg):\n"
+        "    low = epoch.spo2 < cfg.spo2_low_threshold\n"
+        "    high = epoch.hr > cfg.hr_high_threshold\n"
+        "    floor = epoch.hr < cfg.bradycardia_personal_floor\n"
+        "    if not (low or epoch.hr < cfg.hr_low_threshold):\n"
+        "        return None\n"
+        "    return low, high, floor\n"
+    )
+    assert screen_comparisons(tree) == {
+        "spo2 < cfg.spo2_low_threshold",
+        "hr < cfg.hr_low_threshold",
     }
 
 

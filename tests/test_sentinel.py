@@ -1,5 +1,5 @@
 """Detection thresholds: strict comparisons, monotonicity, purity, and the
-raw-epoch gate that must agree with them."""
+cell key's raw-epoch screen that must agree with them."""
 
 from __future__ import annotations
 
@@ -9,18 +9,18 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from alertsift.model import AlertType, DeviceStatus, InvariantViolation, ProvenanceTag
-from alertsift.sentinel import SentinelConfig, detect, quiet
-from helpers import make_epoch, make_view
+from alertsift.evaluate import _cell_key
+from alertsift.model import AlertType, DeviceStatus, InvariantViolation
+from alertsift.sentinel import SentinelConfig, detect
+from alertsift.specialists import SpecialistConfig
+from helpers import make_context, make_epoch, make_view
 
 CFG = SentinelConfig()
 
 
 def test_marginal_values_fire_all_three_types():
     view = make_view(make_epoch(spo2=93.5, hr=101.8, status=DeviceStatus.THRESHOLD_MARGINAL))
-    alert = detect(view, CFG)
-    assert alert is not None
-    assert alert.alert_types == {
+    assert detect(view, CFG) == {
         AlertType.LOW_SPO2,
         AlertType.HIGH_HR,
         AlertType.SIGNAL_QUALITY,
@@ -39,37 +39,21 @@ def test_exact_thresholds_do_not_fire():
 
 def test_boundary_sweep():
     for spo2, fires in [(93.99, True), (94.0, False), (94.01, False)]:
-        alert = detect(make_view(make_epoch(spo2=spo2)), CFG)
-        assert (alert is not None and AlertType.LOW_SPO2 in alert.alert_types) == fires, spo2
-    for hr, expected in [(99.99, set()), (100.0, set()), (100.01, {AlertType.HIGH_HR})]:
-        alert = detect(make_view(make_epoch(hr=hr)), CFG)
-        got = alert.alert_types if alert else set()
-        assert set(got) == expected, hr
-    for hr, expected in [(49.99, {AlertType.LOW_HR}), (50.0, set()), (50.01, set())]:
-        alert = detect(make_view(make_epoch(hr=hr)), CFG)
-        got = alert.alert_types if alert else set()
-        assert set(got) == expected, hr
+        types = detect(make_view(make_epoch(spo2=spo2)), CFG)
+        assert (types is not None and AlertType.LOW_SPO2 in types) == fires, spo2
+    for hr, expected in [(99.99, None), (100.0, None), (100.01, {AlertType.HIGH_HR})]:
+        assert detect(make_view(make_epoch(hr=hr)), CFG) == expected, hr
+    for hr, expected in [(49.99, {AlertType.LOW_HR}), (50.0, None), (50.01, None)]:
+        assert detect(make_view(make_epoch(hr=hr)), CFG) == expected, hr
 
 
 def test_signal_quality_fires_for_every_non_ok_status():
     for status in DeviceStatus:
-        alert = detect(make_view(make_epoch(status=status)), CFG)
+        types = detect(make_view(make_epoch(status=status)), CFG)
         if status is DeviceStatus.OK:
-            assert alert is None
+            assert types is None
         else:
-            assert alert is not None
-            assert alert.alert_types == {AlertType.SIGNAL_QUALITY}
-
-
-def test_triggering_values_carry_provenance():
-    view = make_view(make_epoch(spo2=88.0, status=DeviceStatus.MOTION_ARTEFACT))
-    alert = detect(view, CFG)
-    assert alert is not None
-    spo2_trigger = alert.triggering_values[AlertType.LOW_SPO2]
-    assert spo2_trigger.value == 88.0
-    assert spo2_trigger.provenance is ProvenanceTag.DEVICE_VERIFIED
-    status_trigger = alert.triggering_values[AlertType.SIGNAL_QUALITY]
-    assert status_trigger.value is DeviceStatus.MOTION_ARTEFACT
+            assert types == {AlertType.SIGNAL_QUALITY}
 
 
 def test_monotonicity_lowering_spo2_never_unfires():
@@ -77,14 +61,11 @@ def test_monotonicity_lowering_spo2_never_unfires():
     for _ in range(300):
         spo2 = round(rng.uniform(70.0, 99.9), 2)
         lower = round(max(70.0, spo2 - rng.uniform(0.01, 20.0)), 2)
-        fired_at_spo2 = (
-            (alert := detect(make_view(make_epoch(spo2=spo2)), CFG)) is not None
-            and AlertType.LOW_SPO2 in alert.alert_types
-        )
-        if fired_at_spo2:
-            lower_alert = detect(make_view(make_epoch(spo2=lower)), CFG)
-            assert lower_alert is not None
-            assert AlertType.LOW_SPO2 in lower_alert.alert_types
+        types = detect(make_view(make_epoch(spo2=spo2)), CFG)
+        if types is not None and AlertType.LOW_SPO2 in types:
+            lower_types = detect(make_view(make_epoch(spo2=lower)), CFG)
+            assert lower_types is not None
+            assert AlertType.LOW_SPO2 in lower_types
 
 
 def test_detect_is_pure():
@@ -94,11 +75,9 @@ def test_detect_is_pure():
 
 def test_custom_thresholds_respected():
     cfg = SentinelConfig(spo2_low_threshold=92.0, hr_high_threshold=110.0, hr_low_threshold=45.0)
-    alert = detect(make_view(make_epoch(spo2=93.0, hr=105.0)), cfg)
-    assert alert is None
-    alert = detect(make_view(make_epoch(spo2=91.9, hr=110.5)), cfg)
-    assert alert is not None
-    assert alert.alert_types == {AlertType.LOW_SPO2, AlertType.HIGH_HR}
+    assert detect(make_view(make_epoch(spo2=93.0, hr=105.0)), cfg) is None
+    types = detect(make_view(make_epoch(spo2=91.9, hr=110.5)), cfg)
+    assert types == {AlertType.LOW_SPO2, AlertType.HIGH_HR}
 
 
 def test_config_invariants():
@@ -141,7 +120,21 @@ def _configs(draw):
 
 
 @st.composite
-def _epochs_and_configs(draw):
+def _contexts(draw):
+    """A context with each EHR fact drawn: COPD, which requires a baseline
+    SpO2, either baseline, and rate-limiting medication."""
+    copd = draw(st.booleans())
+    spo2 = st.floats(70.0, 100.0)
+    return make_context(
+        copd=copd,
+        baseline_spo2=draw(spo2 if copd else st.none() | spo2),
+        baseline_hr=draw(st.none() | st.floats(25.0, 220.0)),
+        med=draw(st.booleans()),
+    )
+
+
+@st.composite
+def _epochs_contexts_and_configs(draw):
     cfg = draw(_configs())
     hr_threshold = draw(st.sampled_from((cfg.hr_low_threshold, cfg.hr_high_threshold)))
     epoch = make_epoch(
@@ -149,15 +142,17 @@ def _epochs_and_configs(draw):
         hr=draw(_around(hr_threshold)),
         status=draw(st.sampled_from(list(DeviceStatus))),
     )
-    return epoch, cfg
+    return epoch, draw(_contexts()), cfg
 
 
 @settings(max_examples=500, deadline=None, derandomize=True)
-@given(_epochs_and_configs())
+@given(_epochs_contexts_and_configs())
 def test_quiet_is_exactly_detect_finding_nothing(case):
-    # Property Q: the gate on the raw epoch agrees with detection on the
-    # assembled, projected record, at and either side of every threshold,
-    # for NaN and infinite vitals, for every device status and for drawn
-    # thresholds. A NaN vital fires nothing, so its epoch is quiet.
-    epoch, cfg = case
-    assert quiet(epoch, cfg) is (detect(make_view(epoch), cfg) is None)
+    # Property Q: the cell key's screen on the raw epoch agrees with
+    # detection on the assembled, projected record, at and either side of
+    # every threshold, for NaN and infinite vitals, for every device status,
+    # for drawn thresholds and for drawn contexts, which the screen must not
+    # read. A NaN vital fires nothing, so its epoch is quiet.
+    epoch, context, cfg = case
+    key = _cell_key(context, cfg, SpecialistConfig())
+    assert (key(epoch) is None) is (detect(make_view(epoch, context), cfg) is None)
