@@ -70,7 +70,8 @@ class _BundleFields(NamedTuple):
 
 
 class SourceBundle(_BundleFields):
-    """One patient's sources, an immutable tuple built once per case.
+    """One patient's sources, an immutable tuple built at most once per
+    case: ``evaluate`` builds it on the case's first cell miss.
 
     ``ehr_fields`` holds the present EHR fields of ``ehr`` as ``(name,
     TaggedValue)`` pairs tagged ``ehr_derived``, which ``assemble`` adds to

@@ -7,11 +7,11 @@ alert types, routing and claims. The key's first comparisons are
 detection's own threshold test on the raw device fields, and an epoch that
 crosses none of them gets no key and is skipped. The first epoch of a cell
 in an ``evaluate`` call runs assemble -> project -> detect -> route ->
-specialists; every keyed epoch then runs resolve against its patient's
-history. Decides each case by its first escalation, and computes
-the report: overall rates, per-class stratification, Wilson confidence
-intervals, and the distribution of device statuses at the point of
-failure.
+specialists -> weigh; every keyed epoch then runs resolve, the debounce,
+against its patient's history. Decides each case by its first escalation,
+and computes the report: overall rates, per-class stratification, Wilson
+confidence intervals, and the distribution of device statuses at the point
+of failure.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 from .assembly import SourceBundle, assemble, project_for_specialists
-from .meta import DecisionHistory, MetaConfig, resolve
+from .meta import DecisionHistory, MetaConfig, Weighing, resolve, weigh
 from .model import (
     COMPACT_JSON,
     AgentClaim,
@@ -331,8 +331,9 @@ _BY_TIME = attrgetter("timestamp")
 _OK = DeviceStatus.OK
 _DUPLICATE_ALERT = DeviceStatus.DUPLICATE_ALERT
 
-# A cell's value: the alert's type set, its routing decision and its claims.
-_Cell = tuple[frozenset[AlertType], RoutingDecision, tuple[AgentClaim, ...]]
+# A cell's value: the alert's type set, its routing decision, its claims and
+# their weighing.
+_Cell = tuple[frozenset[AlertType], RoutingDecision, tuple[AgentClaim, ...], Weighing]
 
 
 def _cell_key(
@@ -429,21 +430,25 @@ def _run_case(
     named as one, the stream must hold the case's ``epoch_count`` epochs. An
     epoch ``_cell_key`` gives no key is quiet and skipped. Every other epoch
     must belong to the patient, as assembly checks. ``cells`` maps each key
-    met so far in the ``evaluate`` call to its type set, routing decision
-    and claims. On a miss, assemble -> project -> detect -> route -> claims
-    run, and the epoch must alert; on a hit no record or view is built.
-    Either way ``resolve`` decides the epoch against the patient's history,
-    from the cell's value, the epoch's time and its status. The case is a
-    false escalation if some decision escalates, with the device status of
-    the first; otherwise, and when no epoch alerts, a true suppression.
+    met so far in the ``evaluate`` call to its type set, routing decision,
+    claims and their weighing. On a miss, assemble -> project -> detect ->
+    route -> claims -> weigh run, and the epoch must alert; the patient's
+    ``SourceBundle`` is built on the case's first miss, so a case whose
+    every cell was met before builds none. On a hit no bundle, record or
+    view is built and nothing is weighed. Either way ``resolve`` runs the
+    debounce against the patient's history, from the cell's value, the
+    epoch's time and its status. The case is a false escalation if some
+    decision escalates, with the device status of the first; otherwise, and
+    when no epoch alerts, a true suppression.
     """
-    bundle = SourceBundle(ehr=context, vitals_stream=tuple(sorted(epochs, key=_BY_TIME)))
+    stream = tuple(sorted(epochs, key=_BY_TIME))
+    bundle = None
     key = _cell_key(context, sentinel_cfg, specialist_cfg)
     history = DecisionHistory()
     decisions: list[SystemDecision] = []
     failure_status: DeviceStatus | None = None
     previous_at = None
-    for epoch in bundle.vitals_stream:
+    for epoch in stream:
         if epoch.timestamp == previous_at:
             raise InvariantViolation(
                 f"duplicate epoch for patient {patient_id} at {format_timestamp(previous_at)}"
@@ -458,6 +463,8 @@ def _run_case(
             )
         cell = cells.get(cell_key)
         if cell is None:
+            if bundle is None:
+                bundle = SourceBundle(ehr=context, vitals_stream=stream)
             view = project_for_specialists(assemble(bundle, epoch))
             alert_types = detect(view, sentinel_cfg)
             if alert_types is None:
@@ -466,21 +473,22 @@ def _run_case(
                     " an epoch past the quiet screen raised no alert"
                 )
             routing = route(alert_types, view)
+            claims = claims_for(alert_types, view, routing, specialist_cfg)
             cell = cells[cell_key] = (
-                alert_types, routing, claims_for(alert_types, view, routing, specialist_cfg)
+                alert_types, routing, claims, weigh(claims, routing, meta_cfg)
             )
-        alert_types, routing, claims = cell
+        alert_types, _, claims, weighing = cell
         status = epoch.device_status
         decision = resolve(
-            claims, routing, alert_types, epoch.timestamp, status is _DUPLICATE_ALERT,
+            claims, weighing, alert_types, epoch.timestamp, status is _DUPLICATE_ALERT,
             history, meta_cfg,
         )
         decisions.append(decision)
         if failure_status is None and decision.verdict is _ESCALATE:
             failure_status = status
-    if len(bundle.vitals_stream) != case.epoch_count:
+    if len(stream) != case.epoch_count:
         raise InvariantViolation(
-            f"case {_shown(case.case_id)}: patient {patient_id} has {len(bundle.vitals_stream)}"
+            f"case {_shown(case.case_id)}: patient {patient_id} has {len(stream)}"
             f" epochs, expected {case.epoch_count}"
         )
     outcome = _TRUE_SUPPRESSION if failure_status is None else _FALSE_ESCALATION
@@ -529,8 +537,8 @@ def evaluate(
                 f" (missing={missing[:5]}, extra={extra[:5]})"
             )
 
-    # The cells of every case: a cell's value depends on the configs and the
-    # key alone, and both stay fixed for the call.
+    # The cells of every case: a cell's value, its weighing included, depends
+    # on the configs and the key alone, and both stay fixed for the call.
     cells: dict[tuple[Any, ...], _Cell] = {}
     outcomes = tuple(
         _run_case(

@@ -8,17 +8,22 @@ the margin between them is too small to call. Indeterminate claims carry
 no weight on either side, which is exactly why low-context alerts fall
 through to the conservative default.
 
+Resolution comes in two parts. ``weigh`` takes the last three steps: it
+reads only a cell's claims, its routing decision and the config, so
+``evaluate`` weighs each cell once. ``resolve`` takes the debounce, the only
+step that reads the epoch, and runs for every alerting epoch.
+
 A history is one patient's latest decision per alert-type set, built per
 case: its alerts resolve in strictly increasing time, and it keeps only what
 it can replay.
 
-The claims and the routing decision resolve reads are shared immutable
-values: every alert that reaches the same rules gets the same objects. The
-alert is its type set; with it resolve takes the epoch's time and whether
-its status is duplicate_alert, all an epoch's decision reads of it. The
-SystemDecision is the one object resolve builds per alert, and the one kept
-per decision; it is a tuple (see ``model.SystemDecision``), which costs less
-to build and to hold than a frozen dataclass.
+The claims and the weighing resolve reads are shared immutable values:
+every alert that reaches the same rules gets the same objects. The alert is
+its type set; with it resolve takes the epoch's time and whether its status
+is duplicate_alert, all an epoch's decision reads of it. The SystemDecision
+is the one object resolve builds per alert, and the one kept per decision;
+it is a tuple (see ``model.SystemDecision``), which costs less to build and
+to hold than a frozen dataclass.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .model import (
     AgentClaim,
@@ -40,7 +45,7 @@ from .model import (
 )
 from .routing import RoutingDecision
 
-__all__ = ["DecisionHistory", "MetaConfig", "resolve"]
+__all__ = ["DecisionHistory", "MetaConfig", "Weighing", "resolve", "weigh"]
 
 
 # The longest cooldown window: the whole minutes in the largest timedelta.
@@ -124,33 +129,22 @@ _AMBIGUITY_DEFAULT = ResolutionPath.AMBIGUITY_DEFAULT
 _new = tuple.__new__
 
 
-def resolve(
-    claims: tuple[AgentClaim, ...],
-    routing: RoutingDecision,
-    alert_types: frozenset[AlertType],
-    now: datetime,
-    duplicate_alert: bool,
-    history: DecisionHistory,
-    cfg: MetaConfig,
-) -> SystemDecision:
-    """Turn specialist claims into the binary system verdict.
+class Weighing(NamedTuple):
+    """A cell's claims weighed: the verdict and path they resolve to when no
+    prior is replayed, and whether any claim recommends escalate, which is
+    all the debounce reads of the claims."""
 
-    It reads only what the steps below need: the alert's type set, the
-    epoch's time ``now``, and ``duplicate_alert``, whether the epoch's
-    device status, as detection saw it in the projection, is
-    duplicate_alert. So an epoch whose cell was decided before
-    (``evaluate``) resolves from the cell's type set and its own time and
-    status.
+    verdict: Verdict
+    path: ResolutionPath
+    escalates: bool
 
-    Steps, in order:
-      1. Debounce: an identical alert-type set decided for this patient
-         within the cooldown window replays the prior verdict. Two cases
-         resolve in full instead. A prior suppression is never replayed
-         over a current escalate claim, so a hard guardrail such as the
-         COPD floor outranks the debounce. And a duplicate_alert device
-         status bypasses the debounce; that bypass reproduces the current
-         system's documented behaviour for duplicate alerts, and fixing it
-         is a known follow-up, not an accident.
+
+def weigh(
+    claims: tuple[AgentClaim, ...], routing: RoutingDecision, cfg: MetaConfig
+) -> Weighing:
+    """Weigh one cell's claims: steps 2 to 4 of the resolution.
+
+    The claims must be one per routed domain, in domain order. Then:
       2. A single routed domain with a definitive claim is adopted as-is.
       3. Otherwise suppress and escalate confidences are summed with domain
          weights (indeterminate claims contribute to neither side) and the
@@ -158,9 +152,11 @@ def resolve(
       4. Inside the margin, including the all-indeterminate case, the
          verdict defaults to escalation.
 
-    The decision is appended to the history before returning. Deterministic
-    in its arguments, and homogeneous: scaling all weights and the margin
-    by one positive factor changes no verdict.
+    It reads only the claims, the routing decision's domains and ``cfg``'s
+    weights and margin, so every epoch of a cell under one config weighs
+    alike and ``evaluate`` weighs each cell once. Deterministic, and
+    homogeneous: scaling all weights and the margin by one positive factor
+    changes no verdict.
     """
     claimed = tuple([c.domain for c in claims])
     if claimed != routing.domains:
@@ -169,38 +165,62 @@ def resolve(
             f"{[d.value for d in claimed]}, expected {[d.value for d in routing.domains]}"
         )
 
-    # A duplicate_alert status, or an escalate claim over a prior suppression, drops the prior.
-    prior = history.last_matching(alert_types, now, cfg.cooldown_window_minutes)
-    if prior is not None and (
-        duplicate_alert
-        or (
-            prior.verdict is not _ESCALATE
-            and any(c.recommendation is _ESCALATE_CLAIM for c in claims)
-        )
-    ):
-        prior = None
-
-    if prior is not None:
-        verdict, path = prior.verdict, _DEBOUNCED
-    elif len(claims) == 1 and claims[0].recommendation is not _INDETERMINATE_CLAIM:
+    escalates = any(c.recommendation is _ESCALATE_CLAIM for c in claims)
+    if len(claims) == 1 and claims[0].recommendation is not _INDETERMINATE_CLAIM:
         verdict = _SUPPRESS if claims[0].recommendation is _SUPPRESS_CLAIM else _ESCALATE
-        path = _SINGLE_DOMAIN
-    else:
-        # One pass, each side added left to right in claim order.
-        suppress_score = escalate_score = 0.0
-        weight = cfg.weight
-        for c in claims:
-            if c.recommendation is _SUPPRESS_CLAIM:
-                suppress_score += weight(c.domain) * c.confidence
-            elif c.recommendation is _ESCALATE_CLAIM:
-                escalate_score += weight(c.domain) * c.confidence
-        if suppress_score - escalate_score >= cfg.resolution_margin:
-            verdict, path = _SUPPRESS, _WEIGHTED_AGGREGATION
-        elif escalate_score - suppress_score >= cfg.resolution_margin:
-            verdict, path = _ESCALATE, _WEIGHTED_AGGREGATION
-        else:
-            verdict, path = _ESCALATE, _AMBIGUITY_DEFAULT
+        return Weighing(verdict, _SINGLE_DOMAIN, escalates)
+    # One pass, each side added left to right in claim order.
+    suppress_score = escalate_score = 0.0
+    weight = cfg.weight
+    for c in claims:
+        if c.recommendation is _SUPPRESS_CLAIM:
+            suppress_score += weight(c.domain) * c.confidence
+        elif c.recommendation is _ESCALATE_CLAIM:
+            escalate_score += weight(c.domain) * c.confidence
+    if suppress_score - escalate_score >= cfg.resolution_margin:
+        return Weighing(_SUPPRESS, _WEIGHTED_AGGREGATION, escalates)
+    if escalate_score - suppress_score >= cfg.resolution_margin:
+        return Weighing(_ESCALATE, _WEIGHTED_AGGREGATION, escalates)
+    return Weighing(_ESCALATE, _AMBIGUITY_DEFAULT, escalates)
 
+
+def resolve(
+    claims: tuple[AgentClaim, ...],
+    weighing: Weighing,
+    alert_types: frozenset[AlertType],
+    now: datetime,
+    duplicate_alert: bool,
+    history: DecisionHistory,
+    cfg: MetaConfig,
+) -> SystemDecision:
+    """Turn specialist claims, weighed by ``weigh``, into the binary system
+    verdict: step 1 of the resolution, then the weighing's verdict.
+
+    It reads only what step 1 needs: the alert's type set, the epoch's time
+    ``now``, ``duplicate_alert``, whether the epoch's device status, as
+    detection saw it in the projection, is duplicate_alert, and whether the
+    weighing found an escalate claim. So an epoch whose cell was decided
+    before (``evaluate``) resolves from the cell's type set and weighing and
+    its own time and status.
+
+      1. Debounce: an identical alert-type set decided for this patient
+         within the cooldown window replays the prior verdict. Two cases
+         take the weighing instead. A prior suppression is never replayed
+         over a current escalate claim, so a hard guardrail such as the
+         COPD floor outranks the debounce. And a duplicate_alert device
+         status bypasses the debounce; that bypass reproduces the current
+         system's documented behaviour for duplicate alerts, and fixing it
+         is a known follow-up, not an accident.
+
+    Otherwise the verdict and path are the weighing's (steps 2 to 4, see
+    ``weigh``). The decision carries ``claims`` and is appended to the
+    history before returning. Deterministic in its arguments.
+    """
+    verdict, path, escalates = weighing
+    if not duplicate_alert:
+        prior = history.last_matching(alert_types, now, cfg.cooldown_window_minutes)
+        if prior is not None and (prior.verdict is _ESCALATE or not escalates):
+            verdict, path = prior.verdict, _DEBOUNCED
     decision = _new(SystemDecision, (verdict, claims, path, now))
     history.record(alert_types, decision)
     return decision

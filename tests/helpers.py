@@ -25,7 +25,7 @@ from alertsift.assembly import (
     project_for_specialists,
 )
 from alertsift.evaluate import CaseOutcome, Dataset, ManifestCase, OutcomeKind
-from alertsift.meta import DecisionHistory, MetaConfig, resolve
+from alertsift.meta import DecisionHistory, MetaConfig, resolve, weigh
 from alertsift.model import (
     DOMAIN_ORDER,
     PATIENT_ID_RANGE,
@@ -519,11 +519,12 @@ def resolve_alert(
     history: DecisionHistory,
     cfg: MetaConfig,
 ) -> SystemDecision:
-    """``resolve`` for the alert types found on ``view``, with the view's
-    time and whether its device status is duplicate_alert, as ``_run_case``
-    reads them from the epoch."""
+    """``weigh`` then ``resolve`` for the alert types found on ``view``, with
+    the view's time and whether its device status is duplicate_alert, as
+    ``_run_case`` reads them from the epoch."""
     duplicate = view.value("device_status") is DeviceStatus.DUPLICATE_ALERT
-    return resolve(claims, routing, alert_types, view.timestamp, duplicate, history, cfg)
+    weighing = weigh(claims, routing, cfg)
+    return resolve(claims, weighing, alert_types, view.timestamp, duplicate, history, cfg)
 
 
 def reference_project(record: VeritasRecord) -> SpecialistView:

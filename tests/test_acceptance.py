@@ -31,7 +31,7 @@ from alertsift.evaluate import (
     render_report_text,
     wilson_interval,
 )
-from alertsift.meta import DecisionHistory, MetaConfig, resolve
+from alertsift.meta import DecisionHistory, MetaConfig, resolve, weigh
 from alertsift.model import (
     AgentClaim,
     AgentDomain,
@@ -269,7 +269,8 @@ def test_criterion_8_meta_totality_conservatism_homogeneity():
             for d in domains
         )
         routing = RoutingDecision(targets=frozenset(domains), ambiguity_flag=False)
-        decision = resolve(claims, routing, types, at, False, DecisionHistory(), cfg)
+        weighing = weigh(claims, routing, cfg)
+        decision = resolve(claims, weighing, types, at, False, DecisionHistory(), cfg)
         if decision.verdict not in (Verdict.SUPPRESS, Verdict.ESCALATE):
             failures += 1
             continue
@@ -294,8 +295,9 @@ def test_criterion_8_meta_totality_conservatism_homogeneity():
                 cooldown_window_minutes=cfg.cooldown_window_minutes,
                 domain_weights={d: factor for d in AgentDomain},
             )
+            weighing = weigh(claims, routing, scaled)
             if (
-                resolve(claims, routing, types, at, False, DecisionHistory(), scaled).verdict
+                resolve(claims, weighing, types, at, False, DecisionHistory(), scaled).verdict
                 is not decision.verdict
             ):
                 failures += 1

@@ -19,10 +19,10 @@ from collections import Counter
 
 from alertsift.evaluate import evaluate
 from alertsift.meta import MetaConfig
-from alertsift.model import ResolutionPath, Verdict
+from alertsift.model import Recommendation, ResolutionPath, Verdict
 from alertsift.sentinel import SentinelConfig
 from alertsift.specialists import SpecialistConfig
-from helpers import decision_grid
+from helpers import GRID_CONTEXTS, decision_grid
 
 
 def test_every_grid_point_decides_as_the_uncached_reference(monkeypatch):
@@ -48,3 +48,25 @@ def test_every_grid_point_decides_as_the_uncached_reference(monkeypatch):
     replayed = Counter(d.verdict for d in decisions if d.resolution_path is ResolutionPath.DEBOUNCED)
     assert replayed[Verdict.ESCALATE] and replayed[Verdict.SUPPRESS]
     assert sum(replayed.values()) < grid.priors
+
+    # No suppression is replayed over an escalate claim, after each of the
+    # three priors: none (the first patient of each context), or an
+    # escalation or a suppression one minute before. A prior patient's
+    # decisions come in pairs, the prior's and then the point's. 24,204 of
+    # the points with no prior alert.
+    points = {None: [], Verdict.ESCALATE: [], Verdict.SUPPRESS: []}
+    for index, outcome in enumerate(report.case_outcomes):
+        made = outcome.epoch_decisions
+        if index < len(GRID_CONTEXTS):
+            points[None] += made
+        else:
+            for prior, point in zip(made[::2], made[1::2], strict=True):
+                points[prior.verdict].append(point)
+    assert [len(made) for made in points.values()] == [24_204, 8_160, 8_016]
+    for made in points.values():
+        assert not [
+            d for d in made
+            if d.resolution_path is ResolutionPath.DEBOUNCED
+            and d.verdict is Verdict.SUPPRESS
+            and any(c.recommendation is Recommendation.ESCALATE for c in d.contributing_claims)
+        ]

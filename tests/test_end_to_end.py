@@ -1,7 +1,9 @@
 """The whole program against a plain reference, over drawn catalogues.
 
-Each example draws a catalogue of one to six entries, a seed, the sentinel
-and specialist configs and a cooldown window, then runs the package end to end in a temporary directory:
+Each example draws a catalogue of one to six entries, a seed, and the
+sentinel, specialist and meta configs (the cooldown window, the resolution
+margin and some domains' weights), then runs the package end to end in a
+temporary directory:
 ``generate_dataset``, ``write_dataset``, ``load_manifest`` and
 ``load_dataset``, ``evaluate`` and ``write_decision_log``. The reference
 composes the pieces in ``tests/helpers.py``: the sampling loop run one
@@ -23,6 +25,7 @@ from alertsift.meta import MetaConfig
 from alertsift.model import (
     PATIENT_ID_RANGE,
     AccelLevel,
+    AgentDomain,
     DeviceStatus,
     DomainClass,
     Position,
@@ -138,6 +141,19 @@ _SPECIALIST_CFGS = st.builds(
 )
 
 
+# Margins and weights either side of the defaults, and on them, which each
+# cell's weighing reads: uneven weights let one side's claims outweigh more
+# claims on the other, and a wide margin sends more claim sets to the
+# escalation default. A short cooldown puts a prior decision on the window's
+# edge whenever two alerts one or two minutes apart have the same types.
+_META_CFGS = st.builds(
+    MetaConfig,
+    resolution_margin=st.sampled_from((0.1, 0.3, 0.5, 0.9)),
+    cooldown_window_minutes=st.sampled_from((1, 2, 5, 10)),
+    domain_weights=st.dictionaries(st.sampled_from(AgentDomain), st.sampled_from((0.5, 1.0, 2.0))),
+)
+
+
 @st.composite
 def _catalogues(draw):
     count = draw(st.integers(1, 6))
@@ -157,15 +173,13 @@ def _compact(value) -> str:
     seed=st.integers(0, 2**32 - 1),
     sentinel_cfg=_SENTINEL_CFGS,
     specialist_cfg=_SPECIALIST_CFGS,
-    cooldown=st.sampled_from((1, 2, 5, 10)),
+    meta_cfg=_META_CFGS,
 )
 def test_the_program_matches_the_plain_reference_end_to_end(
-    tmp_path, catalogue, seed, sentinel_cfg, specialist_cfg, cooldown
+    tmp_path, catalogue, seed, sentinel_cfg, specialist_cfg, meta_cfg
 ):
-    # 200 derandomized examples (about 3 s). A short cooldown puts a prior
-    # decision on the window's edge whenever two alerts one or two minutes
-    # apart have the same types.
-    cfgs = sentinel_cfg, specialist_cfg, MetaConfig(cooldown_window_minutes=cooldown)
+    # 200 derandomized examples (about 3.5 s).
+    cfgs = sentinel_cfg, specialist_cfg, meta_cfg
     dataset_dir = tmp_path / "dataset"
     write_dataset(generate_dataset(catalogue, seed), dataset_dir)
     manifest = load_manifest(dataset_dir)

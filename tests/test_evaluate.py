@@ -378,24 +378,28 @@ def test_duplicate_alert_case_never_debounces(golden_run):
 
 
 def test_detect_runs_once_per_cell_and_resolve_once_per_alerting_epoch(golden_run, monkeypatch):
-    # The layers before resolve run once per cell of the rules' comparisons,
-    # through evaluate's module bindings, which the benchmark's tracer wraps:
-    # the seed-42 catalogue's 530 alerting epochs fall into 51 cells. Every
-    # epoch is still resolved against its own patient's history.
+    # The layers before resolve, and resolve's weighing, run once per cell of
+    # the rules' comparisons, through evaluate's module bindings, which the
+    # benchmark's tracer wraps: the seed-42 catalogue's 530 alerting epochs
+    # fall into 51 cells. Every epoch is still resolved, the debounce run,
+    # against its own patient's history. A case builds its source bundle
+    # only when one of its epochs misses the cache: 46 of the 98 cases do.
     taxonomy, dataset, report = golden_run
     module = sys.modules["alertsift.evaluate"]
     calls = Counter()
 
     def counted(name, layer):
-        def call(*args):
+        def call(*args, **kwargs):
             calls[name] += 1
-            return layer(*args)
+            return layer(*args, **kwargs)
         return call
 
-    for name in ("detect", "resolve"):
+    for name in ("detect", "weigh", "resolve", "SourceBundle"):
         monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     assert evaluate(dataset, taxonomy).case_outcomes == report.case_outcomes
-    assert calls == {"detect": 51, "resolve": 530}
+    bundles = calls.pop("SourceBundle")
+    assert calls == {"detect": 51, "weigh": 51, "resolve": 530}
+    assert bundles == 46
 
 
 # One minute of a stream: (spo2, hr, device status). A quiet minute crosses

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from alertsift.assembly import SpecialistView, project_for_specialists
-from alertsift.meta import DecisionHistory, MetaConfig, resolve
+from alertsift.meta import DecisionHistory, MetaConfig, resolve, weigh
 from alertsift.model import (
     DOMAIN_ORDER,
     AgentClaim,
@@ -542,11 +542,12 @@ def test_resolve_over_every_default_claim_tuple_prior_and_duplicate_status():
             for side in (_SUP, _ESC)
         )
         unreplayed = None
+        weighing = weigh(claims, routing, CFG)
         for history in histories:
             prior = history.prior
             for view, duplicate in zip(views, (False, True)):
                 count += 1
-                decision = resolve(claims, routing, types, DAYTIME, duplicate, history, CFG)
+                decision = resolve(claims, weighing, types, DAYTIME, duplicate, history, CFG)
                 verdict, path = decision.verdict, decision.resolution_path
                 assert verdict is Verdict.SUPPRESS or verdict is Verdict.ESCALATE
                 assert decision == reference_resolve(
@@ -571,6 +572,7 @@ def test_resolve_over_every_default_claim_tuple_prior_and_duplicate_status():
                         assert verdict is Verdict.ESCALATE
                         assert path is ResolutionPath.AMBIGUITY_DEFAULT
         for cfg in scaled_cfgs:
-            scaled = resolve(claims, routing, types, DAYTIME, False, histories[0], cfg)
+            weighed = weigh(claims, routing, cfg)
+            scaled = resolve(claims, weighed, types, DAYTIME, False, histories[0], cfg)
             assert scaled.verdict is unreplayed.verdict
     assert count == 44_099 * 3 * 2
