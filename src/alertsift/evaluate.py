@@ -20,6 +20,7 @@ import json
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from enum import Enum
+from json.encoder import encode_basestring_ascii
 from math import sqrt
 from operator import attrgetter
 from pathlib import Path
@@ -687,38 +688,45 @@ def render_report_text(data: Mapping[str, Any]) -> str:
     return "\n".join(lines) + "\n"
 
 
+# A case's lines go out in writes of at most this many lines, so a long
+# stream is never one string.
+_LINES_PER_WRITE = 1024
+
+
 def write_decision_log(report: EvaluationReport, path: str | Path) -> None:
     """Emit every epoch decision as JSON Lines, in case then epoch order.
 
     A line is ``{"case_id":…,"patient_id":…,"decision":{…}}``, the decision
-    as ``SystemDecision.to_dict`` gives it, encoded compactly. A log repeats
-    few distinct decision bodies (verdict, claims, path), so each distinct
-    body is encoded once per call, up to its ``decided_at`` value, and each
-    case's head once; a line joins the head, the body and the decision's
-    timestamp. Bodies are keyed by the identity of the claim objects, not
-    their equality: ``confidence=1`` and ``1.0`` compare equal but encode
-    differently. The report holds the claims for the whole call, so no
-    identity is reused while the cache lives.
+    as ``SystemDecision.to_dict`` gives it, encoded compactly. Each case's
+    head is written once, as text. A log repeats few distinct decision
+    bodies, so each is encoded once per call, up to its ``decided_at``
+    value, keyed by its verdict, its path and the identity of the claims
+    tuple that a cell's decisions share, not by the claims' equality:
+    ``confidence=1`` and ``1.0`` compare equal but encode differently. The report holds the
+    tuples for the whole call, so no identity is reused while the cache
+    lives.
     """
-    encode = COMPACT_JSON.encode
     bodies: dict[tuple[Any, ...], str] = {}
     with open(path, "w", encoding="utf-8") as fp:
         write = fp.write
         for case in report.case_outcomes:
-            head = encode({"case_id": case.case_id, "patient_id": case.patient_id})
-            head = head[:-1] + ',"decision":'
-            for decision in case.epoch_decisions:
-                key = (
-                    decision.verdict,
-                    decision.resolution_path,
-                    *map(id, decision.contributing_claims),
-                )
-                body = bodies.get(key)
-                if body is None:
-                    fields = decision.to_dict()
-                    del fields["decided_at"]
-                    body = bodies[key] = encode(fields)[:-1] + ',"decided_at":"'
-                write(head + body + format_timestamp(decision.decided_at) + '"}}\n')
+            head = (
+                '{"case_id":' + encode_basestring_ascii(case.case_id)
+                + ',"patient_id":' + str(case.patient_id) + ',"decision":'
+            )
+            decisions = case.epoch_decisions
+            for start in range(0, len(decisions), _LINES_PER_WRITE):
+                lines = []
+                for decision in decisions[start : start + _LINES_PER_WRITE]:
+                    verdict, claims, resolution_path, decided_at = decision
+                    key = (verdict, resolution_path, id(claims))
+                    body = bodies.get(key)
+                    if body is None:
+                        fields = decision.to_dict()
+                        del fields["decided_at"]
+                        body = bodies[key] = COMPACT_JSON.encode(fields)[:-1] + ',"decided_at":"'
+                    lines.append(head + body + format_timestamp(decided_at) + '"}}\n')
+                write("".join(lines))
 
 
 # The sections of report.json; ``EvaluationReport.to_json_dict`` states the rest.

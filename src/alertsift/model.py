@@ -14,6 +14,7 @@ from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from enum import Enum
 from functools import cache
+from itertools import product
 from typing import Any, Iterable, Iterator, Mapping, NamedTuple, TextIO
 
 __all__ = [
@@ -58,7 +59,7 @@ import reprlib
 
 # One encoder per output format, built once: json.dumps with a non-default
 # argument builds a new JSONEncoder on every call. COMPACT_JSON writes the
-# decision-log lines, and ``epoch_line`` falls back to it for a value it does
+# decision-log bodies, and ``epoch_line`` falls back to it for a value it does
 # not write itself; CANONICAL_JSON (sorted keys) writes the context line that
 # ``write_dataset`` hashes into a case digest.
 COMPACT_JSON = json.JSONEncoder(separators=(",", ":"))
@@ -216,9 +217,10 @@ def format_timestamp(ts: datetime) -> str:
     is looked up by the UTC day's ordinal in ``_DAY_TEXT`` and the hour and
     minute in ``_TWO_DIGITS``: about 0.32 against 0.98 µs for %-formatting
     the five fields (in-process, on a shared 2-core x86-64 host under Python
-    3.11). Nothing finer than a UTC day is kept.
+    3.11). Nothing finer than a UTC day is kept. A ``timezone.utc`` time
+    skips ``astimezone``.
     """
-    u = ts.astimezone(timezone.utc)
+    u = ts if ts.tzinfo is timezone.utc else ts.astimezone(timezone.utc)
     ordinal = u.toordinal()
     day = _DAY_TEXT.get(ordinal)
     if day is None:
@@ -712,73 +714,66 @@ _JSON_FRACTION = r"(-?(?:0|[1-9][0-9]*)\.[0-9]+(?:[eE][-+]?[0-9]+)?)"
 
 
 def _member_of(cls: type) -> str:
-    return '"(' + "|".join(re.escape(member.value) for member in cls) + ')"'
+    return '"(?:' + "|".join(re.escape(member.value) for member in cls) + ')"'
 
 
-# A row in exactly the form ``epoch_line`` writes: the ten keys in field
-# order, compact separators, and one group per field. Each group accepts
-# only what the JSON grammar accepts there, narrowed to the values
-# ``from_dict`` reads without a reader of its own: an integer id without a
-# leading zero, vitals with a fraction (an int vital goes through
-# ``_number``), a minute timestamp in Z form, an enum value or null, and an
-# ambient_condition that is null or a string without escapes or control
-# characters. Any other row, valid or not, is left to ``_decode_row``.
-_TEMPLATE_GROUPS = {
-    "patient_id": r"(-?(?:0|[1-9][0-9]*))",
-    "timestamp": r'"([0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:00Z)"',
-    "spo2": _JSON_FRACTION,
-    "hr": _JSON_FRACTION,
-    "accel_level": _member_of(AccelLevel),
-    "device_status": _member_of(DeviceStatus),
-    "probe_cover_present": "(true|false)",
-    "position": _member_of(Position),
-    "self_reported_activity": "(?:null|" + _member_of(SelfReportedActivity) + ")",
-    "ambient_condition": r'(?:null|"([^"\\\x00-\x1f]*)")',
-}
+# A row in exactly the form ``epoch_line`` writes, then JSON whitespace, with
+# one group each for the id, timestamp, vitals and ambient_condition and one
+# for the five categorical fields. Each value takes only what JSON takes
+# there, narrowed to what ``from_dict`` reads without a reader of its own: an
+# id without a leading zero, vitals with a fraction, a minute in Z form, and
+# a null or a string without escapes or control characters. Any other row,
+# valid or not, is left to ``_decode_row``.
 _TEMPLATE_ROW = re.compile(
-    r"\{" + ",".join(f'"{f.name}":{_TEMPLATE_GROUPS[f.name]}' for f in fields(Epoch)) + r"\}"
+    r'\{"patient_id":(-?(?:0|[1-9][0-9]*)),'
+    r'"timestamp":"([0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:00Z)",'
+    f'"spo2":{_JSON_FRACTION},"hr":{_JSON_FRACTION},'
+    f'("accel_level":{_member_of(AccelLevel)},"device_status":{_member_of(DeviceStatus)},'
+    f'"probe_cover_present":(?:true|false),"position":{_member_of(Position)},'
+    f'"self_reported_activity":(?:null|{_member_of(SelfReportedActivity)})),'
+    r'"ambient_condition":(?:null|"([^"\\\x00-\x1f]*)")\}[ \t\r\n]*'
 )
-_ACCEL_LEVELS = _members_by_value(AccelLevel)
-_DEVICE_STATUSES = _members_by_value(DeviceStatus)
-_POSITIONS = _members_by_value(Position)
-_ACTIVITIES = _members_by_value(SelfReportedActivity)
+# Each categorical span ``epoch_line`` writes, keyed to its five values;
+# filled on the first row read, so an import alone never builds it.
+_CATEGORIES: dict[str, tuple[Any, ...]] = {}
+
+
+def _categories() -> dict[str, tuple[Any, ...]]:
+    stamp = datetime(2000, 1, 1, tzinfo=timezone.utc)
+    for values in product(
+        AccelLevel, DeviceStatus, (True, False), Position, (None, *SelfReportedActivity)
+    ):
+        line = epoch_line(Epoch(0, stamp, 0.0, 0.0, *values))
+        span = line[line.index('"accel_level"') : line.index(',"ambient_condition"')]
+        _CATEGORIES[span] = values
+    return _CATEGORIES
 
 
 def _template_epoch(line: str) -> Epoch | None:
-    """The Epoch of a row in ``_TEMPLATE_ROW``'s form, or None: for any other
-    row, and for one whose values ``from_dict`` would reject (a vital out of
-    its bounds, a date that does not exist, an id past ``int``'s digit
-    limit). Never raises, so every error comes from ``_decode_row``.
+    """The Epoch of a line in ``_TEMPLATE_ROW``'s form, or None: for any
+    other line, and for one whose values ``from_dict`` would reject (a vital
+    out of its bounds, a date that does not exist, an id past ``int``'s
+    digit limit). Never raises, so every error comes from ``_decode_row``.
 
     The values are the ones ``from_dict`` gives: ``int`` and ``float`` parse
-    the digits as json does, and ``fromisoformat`` reads the Z form as
-    ``timezone.utc``, as ``parse_timestamp`` does.
+    the digits as json does, ``fromisoformat`` reads the Z form as
+    ``timezone.utc``, as ``parse_timestamp`` does, and the categorical span
+    is one lookup.
     """
     match = _TEMPLATE_ROW.fullmatch(line)
     if match is None:
         return None
-    patient, timestamp, spo2, hr, accel, status, cover, position, activity, ambient = (
-        match.groups()
-    )
+    patient, timestamp, spo2, hr, span, ambient = match.groups()
+    categories = (_CATEGORIES or _categories()).get(span)
     spo2, hr = float(spo2), float(hr)
-    if not (0.0 <= spo2 <= 100.0 and 0.0 < hr < math.inf):
+    if categories is None or not (0.0 <= spo2 <= 100.0 and 0.0 < hr < math.inf):
         return None
     try:
         patient, timestamp = int(patient), datetime.fromisoformat(timestamp)
     except ValueError:
         return None
-    return Epoch(
-        patient,
-        timestamp,
-        spo2,
-        hr,
-        _ACCEL_LEVELS[accel],
-        _DEVICE_STATUSES[status],
-        cover == "true",
-        _POSITIONS[position],
-        None if activity is None else _ACTIVITIES[activity],
-        ambient,
-    )
+    accel, status, cover, position, activity = categories
+    return Epoch(patient, timestamp, spo2, hr, accel, status, cover, position, activity, ambient)
 
 
 def _decode_row(line: str, line_no: int) -> Epoch:
@@ -798,25 +793,46 @@ def read_epochs_jsonl(fp: TextIO) -> list[Epoch]:
     it: data after it (a second object, or anything else) fails with "Extra
     data", and U+00A0 or U+2028 fails with "Expecting value", as ``json.loads``
     fails them. A row in the form ``epoch_line`` writes, as every generated
-    row is, is read through one pattern (``_template_epoch``); every other
-    row goes through the JSON decoder, with the same result and the same
-    error either way.
+    row is, is read as it stands through one pattern (``_template_epoch``);
+    every other row is stripped and goes through the JSON decoder, with the
+    same result and the same error either way.
     """
     epochs = []
     for line_no, line in enumerate(fp, start=1):
-        line = line.strip(_JSON_WHITESPACE)
-        if not line:
-            continue
         epoch = _template_epoch(line)
         if epoch is None:
+            line = line.strip(_JSON_WHITESPACE)
+            if not line:
+                continue
             epoch = _decode_row(line, line_no)
         epochs.append(epoch)
     return epochs
 
 
 def write_contexts_json(contexts: Mapping[int, PatientContext], fp: TextIO) -> None:
-    payload = {str(pid): ctx.to_dict() for pid, ctx in sorted(contexts.items())}
-    fp.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """The sidecar as ``json.dumps({str(pid): ctx.to_dict()}, indent=2,
+    sort_keys=True)`` writes it, and a newline: records in their keys' text
+    order, each from one template, without the pure-Python indenting encoder.
+    """
+    records = [
+        f'  "{key}": {{\n    "baseline_hr": {_json_scalar(ctx.baseline_hr)},\n'
+        f'    "baseline_spo2": {_json_scalar(ctx.baseline_spo2)},\n'
+        f'    "copd_documented": {_json_scalar(ctx.copd_documented)},\n'
+        f'    "patient_id": {_json_scalar(ctx.patient_id)},\n'
+        f'    "rate_limiting_medication": {_json_scalar(ctx.rate_limiting_medication)}\n  }}'
+        for key, ctx in sorted((str(pid), ctx) for pid, ctx in contexts.items())
+    ]
+    fp.write("{\n" + ",\n".join(records) + "\n}\n" if records else "{}\n")
+
+
+def _json_scalar(value: Any) -> str:
+    """A scalar as ``json.dumps`` writes it."""
+    kind = type(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if kind is int or kind is float and not value - value:
+        return repr(value)
+    return "null" if value is None else COMPACT_JSON.encode(value)
 
 
 def read_contexts_json(fp: TextIO) -> dict[int, PatientContext]:

@@ -1606,3 +1606,43 @@ def test_one_mutated_dataset_value_exits_0_or_2_naming_it(mutable_dataset, data)
     prefix = f"error: input validation failed: {where}: "
     assert line.startswith(prefix), line
     assert re.search(rf"(?<!\w){re.escape(named)}(?!\w)", line[len(prefix):]), line
+
+
+_NON_OBJECT_ROWS = {
+    "array": st.lists(st.integers() | st.text(max_size=4), max_size=3),
+    "number": st.integers() | st.floats(),
+    "string": st.text(max_size=12),
+}
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_one_mutated_epochs_line_exits_2_naming_it(mutable_dataset, data):
+    # Property (100 examples): one seed-42 epochs.jsonl line duplicated,
+    # truncated at a drawn offset (never to nothing, which is a blank line),
+    # or replaced by a JSON array, number or string. evaluate exits 2 with
+    # one error line: the duplicate-epoch message for a duplicate, else one
+    # naming the line. Never exit 0 and never a traceback.
+    config, dataset, lines, contexts = mutable_dataset
+    index = data.draw(st.integers(0, len(lines) - 1), label="line index")
+    line = lines[index]
+    kind = data.draw(st.sampled_from(["duplicate", "truncate", *_NON_OBJECT_ROWS]), label="kind")
+    if kind == "duplicate":
+        mutated = [*lines[: index + 1], line, *lines[index + 1 :]]
+        expected = "duplicate epoch for patient "
+    else:
+        if kind == "truncate":
+            line = line[: data.draw(st.integers(1, len(line) - 1), label="offset")]
+        else:
+            line = json.dumps(data.draw(_NON_OBJECT_ROWS[kind], label="value"))
+        mutated = [*lines[:index], line, *lines[index + 1 :]]
+        expected = f"epochs line {index + 1}: "
+    (dataset / "epochs.jsonl").write_text("\n".join(mutated) + "\n", encoding="utf-8")
+    (dataset / "contexts.json").write_text(json.dumps(contexts), encoding="utf-8")
+
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(["--config", str(config), "evaluate"])
+    assert code == 2, f"exit {code} after {kind} of line {index + 1}"
+    [message] = err.getvalue().splitlines()
+    assert message.startswith(f"error: input validation failed: {expected}"), message

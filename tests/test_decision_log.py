@@ -1,7 +1,8 @@
 """The decision log is byte-identical to one written line by line.
 
-``write_decision_log`` encodes each distinct decision body once per call and
-each case's head once, then joins them with each decision's timestamp. The
+``write_decision_log`` encodes each distinct decision body once per call,
+keyed by the identity of its claims tuple, and writes each case's head as
+text, then joins them with each decision's timestamp. The
 reference below is the writer as first written: the whole line rebuilt from
 ``to_dict`` and encoded for every decision. Over random reports the two must
 write the same bytes, including where claims compare equal but are distinct
@@ -12,6 +13,7 @@ objects, or compare equal but encode differently (confidence ``1`` and
 from __future__ import annotations
 
 import dataclasses
+import sys
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -92,6 +94,11 @@ def _reports(draw: st.DrawFn) -> EvaluationReport:
     drawn = draw(st.lists(_claims, min_size=1, max_size=5))
     pool = drawn + [twin for claim in drawn for twin in _twins(claim)] + _FIXED_CLAIMS
     claim_sets = st.lists(st.sampled_from(pool), max_size=4).map(tuple)
+    # As a cell's decisions do, some decisions share one claims tuple object
+    # under different verdicts and paths: the first case walks every pair
+    # with the first shared tuple, and any decision may take one of them.
+    shared = draw(st.lists(claim_sets, min_size=1, max_size=3))
+    claims_of = claim_sets | st.sampled_from(shared)
     stamps = st.datetimes(
         min_value=datetime(2000, 1, 1), max_value=datetime(2099, 12, 31),
         timezones=st.sampled_from(_ZONES),
@@ -105,8 +112,11 @@ def _reports(draw: st.DrawFn) -> EvaluationReport:
             st.lists(st.tuples(st.sampled_from(Verdict), st.sampled_from(ResolutionPath)), max_size=6)
         )
         decisions = tuple(
-            SystemDecision(verdict, draw(claim_sets), path, draw(stamps))
-            for verdict, path in steps
+            SystemDecision(
+                verdict, shared[0] if step < len(pairs) and not index else draw(claims_of),
+                path, draw(stamps),
+            )
+            for step, (verdict, path) in enumerate(steps)
         )
         cases.append(
             CaseOutcome(
@@ -132,9 +142,52 @@ def _reports(draw: st.DrawFn) -> EvaluationReport:
 @given(_reports())
 def test_decision_log_bytes_match_the_per_line_reference(tmp_path, report):
     # Property: random reports (escaped and non-ASCII case ids, equal claims
-    # in distinct objects, confidence 1 beside 1.0, empty claim tuples, every
-    # verdict/path pair, non-UTC decision times) give identical bytes.
+    # in distinct objects, one claims tuple under several verdicts and
+    # paths, confidence 1 beside 1.0, empty claim tuples, every verdict/path
+    # pair, non-UTC decision times) give identical bytes.
     ours, reference = tmp_path / "ours.jsonl", tmp_path / "reference.jsonl"
     write_decision_log(report, ours)
     _reference_write_decision_log(report, reference)
     assert ours.read_bytes() == reference.read_bytes()
+
+
+def test_a_case_goes_out_in_writes_of_at_most_1024_lines(tmp_path, monkeypatch):
+    # A case's lines are joined into one write, up to 1,024 lines a write,
+    # so a long stream is never one string: 2,500 decisions go out in
+    # writes of 1,024, 1,024 and 452 lines, and a short case in one.
+    writes = []
+
+    def recording_open(*args, **kwargs):
+        fp = open(*args, **kwargs)
+        write = fp.write
+        fp.write = lambda text: writes.append(text) or write(text)
+        return fp
+
+    claims = (_FIXED_CLAIMS[0],)
+    start = datetime(2022, 6, 1, tzinfo=timezone.utc)
+    cases = tuple(
+        CaseOutcome(
+            case_id=f"case-{n}", patient_id=n, domain_class=DomainClass.COPD,
+            outcome=OutcomeKind.TRUE_SUPPRESSION,
+            epoch_decisions=tuple(
+                SystemDecision(
+                    Verdict.SUPPRESS, claims, ResolutionPath.SINGLE_DOMAIN,
+                    start + timedelta(minutes=minute),
+                )
+                for minute in range(n)
+            ),
+            failure_device_status=None,
+        )
+        for n in (2500, 3)
+    )
+    report = EvaluationReport(
+        per_domain={DomainClass.COPD: DomainRow(2, 2, 0)}, epochs=2503,
+        failure_modes={}, case_outcomes=cases,
+    )
+    # The package re-exports the evaluate function under the module's name.
+    monkeypatch.setattr(sys.modules["alertsift.evaluate"], "open", recording_open, raising=False)
+    write_decision_log(report, tmp_path / "ours.jsonl")
+    monkeypatch.undo()
+    assert [text.count("\n") for text in writes] == [1024, 1024, 452, 3]
+    _reference_write_decision_log(report, tmp_path / "reference.jsonl")
+    assert (tmp_path / "ours.jsonl").read_bytes() == (tmp_path / "reference.jsonl").read_bytes()

@@ -17,7 +17,7 @@ from dataclasses import fields
 from datetime import datetime, timedelta, timezone
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from alertsift.model import (
     COMPACT_JSON,
@@ -45,6 +45,7 @@ from alertsift.model import (
     parse_enum,
     parse_timestamp,
     read_epochs_jsonl,
+    write_contexts_json,
     write_epochs_jsonl,
 )
 import alertsift
@@ -605,6 +606,15 @@ _NEAR_MISSES = {
     "trailing_data": lambda row: _row_text(row) + " x",
     "byte_order_mark": lambda row: "\ufeff" + _row_text(row),
     "no_break_space_around": lambda row: "\xa0" + _row_text(row) + "\xa0",
+    # The pattern takes trailing JSON whitespace, and nothing else after the
+    # row: a vertical tab, a form feed or U+2028 is not JSON whitespace, and
+    # fails as json.loads fails it. A leading space is left to the decoder.
+    "trailing_json_whitespace": lambda row: _row_text(row) + " \t\r",
+    "trailing_carriage_return": lambda row: _row_text(row) + "\r",
+    "trailing_vertical_tab": lambda row: _row_text(row) + "\x0b",
+    "trailing_form_feed": lambda row: _row_text(row) + "\x0c",
+    "trailing_line_separator": lambda row: _row_text(row) + "\u2028",
+    "leading_space": lambda row: " " + _row_text(row),
 }
 
 
@@ -656,7 +666,7 @@ def _outcome(decode):
 def test_epoch_reader_matches_the_json_decoder_row_for_row(epoch, wide, generated):
     # Each example checks three rows as epoch_line writes them, the last
     # with vitals in the generator's ranges so that it takes the pattern,
-    # and every near-miss of the last (24; 5,400 rows in all).
+    # and every near-miss of the last (30; 6,600 rows in all).
     rows = [_line(epoch), _line(wide), _line(generated)]
     rows += [edit(epoch_row(generated)) for edit in _NEAR_MISSES.values()]
     for line in rows:
@@ -693,3 +703,63 @@ def test_generated_rows_take_the_template_pattern(tmp_path):
     assert {e.self_reported_activity for e in epochs} == set(SelfReportedActivity)
     assert [line for line in lines if model._template_epoch(line) is None] == []
     assert read_epochs_jsonl(io.StringIO("".join(map(epoch_line, epochs)))) == epochs
+
+
+def test_crlf_epochs_file_reads_as_the_lf_file(tmp_path):
+    # The seed-42 rows written with CRLF line ends give the LF file's epochs:
+    # through open(), which reads "\r\n" as "\n", and with newline="", which
+    # keeps each "\r" for the pattern to take as trailing JSON whitespace.
+    cases = generate_dataset(load_taxonomy(default_taxonomy_path()), seed=42).cases
+    epochs = [epoch for case in cases for epoch in case.epochs]
+    lf, crlf = tmp_path / "lf.jsonl", tmp_path / "crlf.jsonl"
+    for path, newline in ((lf, "\n"), (crlf, "\r\n")):
+        with open(path, "w", encoding="utf-8", newline=newline) as fp:
+            write_epochs_jsonl(epochs, fp)
+    assert crlf.read_bytes() == lf.read_bytes().replace(b"\n", b"\r\n")
+    with open(lf, encoding="utf-8") as fp:
+        expected = read_epochs_jsonl(fp)
+    assert expected == epochs
+    with open(crlf, encoding="utf-8") as fp:
+        assert read_epochs_jsonl(fp) == expected
+    with open(crlf, encoding="utf-8", newline="") as fp:
+        lines = fp.readlines()
+    assert len(lines) == 530 and all(line.endswith("\r\n") for line in lines)
+    assert [line for line in lines if model._template_epoch(line) is None] == []
+    with open(crlf, encoding="utf-8", newline="") as fp:
+        assert read_epochs_jsonl(fp) == expected
+
+
+# ``write_contexts_json`` writes each record from a template; the reference
+# is json.dumps of the records with indent=2 and sort_keys=True. Drawn:
+# baselines as floats (NaN and ±inf included), ints and null, both flags,
+# and patient ids whose text order differs from their numeric order.
+_NUMBERS = st.floats() | st.integers(-(10**20), 10**20)
+
+
+@st.composite
+def _context_maps(draw):
+    ids = draw(
+        st.lists(
+            st.sampled_from([9, 10, 999, 1000, 3847291, -1, 0]) | st.integers(-(10**12), 10**12),
+            unique=True, max_size=6,
+        )
+    )
+    contexts = {}
+    for pid in ids:
+        copd = draw(st.booleans())
+        spo2 = draw(_NUMBERS if copd else st.none() | _NUMBERS)
+        contexts[pid] = PatientContext(pid, copd, spo2, draw(st.none() | _NUMBERS), draw(st.booleans()))
+    return contexts
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_context_maps())
+@example({})
+@example({pid: PatientContext(pid, True, 88.0, 72, False) for pid in (1000, 999)})
+def test_write_contexts_json_matches_json_dumps_byte_for_byte(contexts):
+    # Property (100 examples and the two above: the empty mapping, and 999
+    # beside 1000, which sorts after it as text).
+    fp = io.StringIO()
+    write_contexts_json(contexts, fp)
+    payload = {str(pid): ctx.to_dict() for pid, ctx in sorted(contexts.items())}
+    assert fp.getvalue() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
