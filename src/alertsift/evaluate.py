@@ -40,6 +40,7 @@ from .model import (
     SystemDecision,
     Verdict,
     _DECODE_ERRORS,
+    _LINES_PER_WRITE,
     _integer,
     _located,
     _number,
@@ -686,11 +687,6 @@ def render_report_text(data: Mapping[str, Any]) -> str:
     if not data["failure_modes"]:
         lines.append("  (no false escalations)")
     return "\n".join(lines) + "\n"
-
-
-# A case's lines go out in writes of at most this many lines, so a long
-# stream is never one string.
-_LINES_PER_WRITE = 1024
 
 
 def write_decision_log(report: EvaluationReport, path: str | Path) -> None:

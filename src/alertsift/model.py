@@ -14,8 +14,8 @@ from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from enum import Enum
 from functools import cache
-from itertools import product
-from typing import Any, Iterable, Iterator, Mapping, NamedTuple, TextIO
+from itertools import islice, product
+from typing import Any, Iterable, Mapping, NamedTuple, TextIO
 
 __all__ = [
     "AccelLevel",
@@ -676,19 +676,21 @@ def epoch_line(epoch: Epoch) -> str:
     )
 
 
+# A stream's lines go out in writes of at most this many lines, so a long
+# stream is never one string.
+_LINES_PER_WRITE = 1024
+
+
 def write_epochs_jsonl(epochs: Iterable[Epoch], fp: TextIO, digest: Any = None) -> None:
-    """Write one ``epoch_line`` per epoch, line by line: a long stream is
-    never held as one string. With ``digest``, a ``hashlib`` object, each
-    line is also fed to it as UTF-8, the bytes the file gets."""
+    """Write one ``epoch_line`` per epoch, joined in writes of at most
+    ``_LINES_PER_WRITE`` lines: a long stream is never held as one string.
+    With ``digest``, a ``hashlib`` object, each block is also fed to it
+    once, as UTF-8, the bytes the file gets."""
     lines = map(epoch_line, epochs)
-    fp.writelines(lines if digest is None else _fed(lines, digest))
-
-
-def _fed(lines: Iterable[str], digest: Any) -> Iterator[str]:
-    """``lines`` unchanged, each fed to ``digest`` as UTF-8 as it passes."""
-    for line in lines:
-        digest.update(line.encode())
-        yield line
+    while block := "".join(islice(lines, _LINES_PER_WRITE)):
+        fp.write(block)
+        if digest is not None:
+            digest.update(block.encode())
 
 
 # A malformed row or record raises KeyError (a missing field), ValueError (bad

@@ -8,16 +8,24 @@ lie in the field's physiological range; categorical parameters are fixed or
 drawn uniformly per epoch. Every case draws from its own RNG sub-stream keyed
 by (seed, case_id), so reordering the catalogue perturbs nothing else.
 
-A case's sub-stream is drawn in one order, each field as one block:
-1. the start: three ``integers`` draws, the day, the hour and the minute;
-2. each continuous field, in sorted name order: one ``normal`` block of
-   the case's length, then rounds in which every value outside the spec's
-   bounds is re-drawn, all of them by one ``normal`` block, up to
+A case's sub-stream is a ``random.Random`` seeded with the first eight
+bytes, big-endian, of the sha256 of ``"{seed}:case:{case_id}"``. Every draw
+comes from its ``random()`` uniforms, in one order, each field as one block:
+1. the start: three indices, the day, the hour and the minute;
+2. each continuous field, in sorted name order: one normal block of the
+   case's length, then rounds in which every value outside the spec's
+   bounds is re-drawn, all of them by one normal block, up to
    ``MAX_REJECTIONS`` rounds counting the first; a value still outside is
    clamped. Then one noise block, the clamp again, and two decimal places
    as ``round(x, 2)`` gives them, found in two float steps with
    ``round(x, 2)`` itself only near a tie (see ``_draw_continuous``);
-3. each choice field, in sorted name order: one ``integers`` block.
+3. each choice field, in sorted name order: one block of indices.
+
+An index below ``k`` is ``int(u * k)`` of one uniform ``u``. A block of
+``n`` normals takes ``(n + 1) // 2`` pairs of uniforms, each pair ``u, v``
+in that order, by Box–Muller (``_normals``): ``s = sqrt(-2 * sigma * sigma *
+log(1 - u))`` and ``t = tau * v`` give ``mu + s * cos(t)``, then ``mu + s *
+sin(t)``; an odd block drops its last value.
 
 Each entry builds its draw plan once, in ``Epoch`` field order: a row
 template holding every value that is not drawn, the continuous draws as
@@ -32,16 +40,16 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import random
 from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timedelta, timezone
 from functools import cached_property
 from itertools import accumulate, repeat
+from math import cos, log, sin, sqrt, tau
 from operator import add
 from pathlib import Path
 from types import MappingProxyType
 from typing import Any, Mapping, Sequence
-
-import numpy as np
 
 from .model import (
     CANONICAL_JSON,
@@ -385,12 +393,38 @@ def validate_taxonomy(entries: Sequence[TaxonomyEntry]) -> None:
         seen.add(entry.case_id)
 
 
-def _substream(seed: int, label: str) -> np.random.Generator:
+def _substream(seed: int, label: str) -> random.Random:
     digest = hashlib.sha256(f"{seed}:{label}".encode()).digest()
-    return np.random.default_rng(int.from_bytes(digest[:8], "big"))
+    return random.Random(int.from_bytes(digest[:8], "big"))
 
 
-def _draw_start(entry: TaxonomyEntry, rng: np.random.Generator) -> datetime:
+def _normals(rng: random.Random, n: int, mu: float, sigma: float) -> list[float]:
+    """``n`` draws from N(mu, sigma^2), by Box–Muller from ``(n + 1) // 2``
+    pairs of uniforms ``u, v``: ``s = sqrt(-2 * sigma * sigma * log(1 - u))``
+    and ``t = tau * v`` give ``mu + s * cos(t)``, then ``mu + s * sin(t)``.
+    An odd block drops its last value. ``1 - u`` lies in (0, 1], so the
+    ``log`` is defined.
+    """
+    uniform = rng.random
+    scale = -2.0 * sigma * sigma
+    values: list[float] = []
+    append = values.append
+    for _ in repeat(None, (n + 1) >> 1):
+        s = sqrt(scale * log(1.0 - uniform()))
+        t = tau * uniform()
+        append(mu + s * cos(t))
+        append(mu + s * sin(t))
+    del values[n:]
+    return values
+
+
+def _indices(rng: random.Random, n: int, k: int) -> list[int]:
+    """``n`` indices below ``k``, each ``int(u * k)`` of one uniform ``u``."""
+    uniform = rng.random
+    return [int(uniform() * k) for _ in repeat(None, n)]
+
+
+def _draw_start(entry: TaxonomyEntry, rng: random.Random) -> datetime:
     """A start from which every epoch of the case stays inside its window.
 
     Daytime cases start between 07:00 and 19:59; nocturnal cases start in
@@ -398,23 +432,22 @@ def _draw_start(entry: TaxonomyEntry, rng: np.random.Generator) -> datetime:
     nocturnal entry holds at most 71 epochs, so none crosses 06:00. The day
     is drawn from those on which even the latest start ends before
     September: every day of the window for a case of up to a few hours, as
-    every case of the shipped catalogue is.
+    every case of the shipped catalogue is. Each is one index: the day
+    below ``_start_days``, the hour as its first plus one below the
+    clock's count of hours, the minute below its count of minutes.
     """
-    day = int(rng.integers(entry._start_days))
+    uniform = rng.random
     hour_start, hour_end, minute_end = _START_CLOCK[entry.nocturnal]
-    hour = int(rng.integers(hour_start, hour_end))
-    minute = int(rng.integers(0, minute_end))
+    day = int(uniform() * entry._start_days)
+    hour = hour_start + int(uniform() * (hour_end - hour_start))
+    minute = int(uniform() * minute_end)
     return DATA_WINDOW[0] + timedelta(days=day, hours=hour, minutes=minute)
 
 
 def _draw_continuous(
-    rng: np.random.Generator, n: int, mu: float, sigma: float, lower: float, upper: float
+    rng: random.Random, n: int, mu: float, sigma: float, lower: float, upper: float
 ) -> list[float]:
     """One continuous field's ``n`` values, in the order the module states.
-
-    The arrays become Python floats once, by ``tolist``: the rounds, the
-    clamps and the rounding run on those, which costs less than numpy's
-    per-call overhead on a case of a few epochs.
 
     Each value ``x`` is rounded to two places as ``round(x, 2)`` rounds it,
     in two float steps: ``k = round(x * 100.0)``, then ``k / 100``. Over the
@@ -423,24 +456,21 @@ def _draw_continuous(
     that from a half, ``k`` is the integer ``round(x, 2)`` picks, and
     ``k / 100`` is the float nearest ``k`` hundredths, which ``round(x, 2)``
     returns. Nearer a half, the value goes to ``round(x, 2)`` itself, which
-    costs about three times as much. numpy would be quicker on a long stream
-    but slower on the five-epoch cases of the catalogue, and ``np.round``
-    rounds some ties the other way.
+    costs about three times as much.
     """
-    normal = rng.normal
-    values = normal(mu, sigma, n).tolist()
+    values = _normals(rng, n, mu, sigma)
     misses = [i for i, x in enumerate(values) if not lower <= x <= upper]
     for _ in range(MAX_REJECTIONS - 1):
         if not misses:
             break
-        for i, x in zip(misses, normal(mu, sigma, len(misses)).tolist()):
+        for i, x in zip(misses, _normals(rng, len(misses), mu, sigma)):
             values[i] = x
         misses = [i for i in misses if not lower <= values[i] <= upper]
     for i in misses:  # still outside after MAX_REJECTIONS rounds: clamp
         values[i] = lower if values[i] < lower else upper
     rounded = []
     append = rounded.append
-    for x in map(add, values, normal(0.0, NOISE_SIGMA, n).tolist()):
+    for x in map(add, values, _normals(rng, n, 0.0, NOISE_SIGMA)):
         if x < lower:
             x = lower
         elif x > upper:
@@ -487,7 +517,7 @@ def generate_case(
     for index, mu, sigma, lower, upper in entry._draws:
         columns[index] = _draw_continuous(rng, n, mu, sigma, lower, upper)
     for index, options, count in entry._choices:
-        columns[index] = map(options.__getitem__, rng.integers(count, size=n).tolist())
+        columns[index] = map(options.__getitem__, _indices(rng, n, count))
     epochs = list(map(Epoch, *columns))
     return epochs, replace(entry._context, patient_id=patient_id)
 

@@ -12,10 +12,9 @@ import hashlib
 import itertools
 import json
 import math
+import random
 from datetime import datetime, time, timedelta, timezone
 from typing import Any, Iterable, NamedTuple, Sequence
-
-import numpy as np
 
 from alertsift.assembly import (
     ALLOWED_SPECIALIST_PROVENANCE,
@@ -72,7 +71,6 @@ from alertsift.synthgen import (
     ContinuousSpec,
     DATA_WINDOW,
     TaxonomyEntry,
-    _substream,
 )
 
 DAYTIME = datetime(2022, 6, 15, 14, 0, tzinfo=timezone.utc)
@@ -85,11 +83,11 @@ DEVICE_STREAM_FIELDS = ("spo2", "hr", "accel_level", "device_status")
 # The seed-42 outputs, pinned byte for byte (acceptance criterion 6). A change
 # that moves any of these digests must say why in CHANGES.md and update them.
 SEED_42_SHA256 = {
-    "manifest.json": "55a472a0612dadf45779764f8fdca033f74495e348e4213261bcf2c5a44c2948",
-    "epochs.jsonl": "53b3179447a784900ba885d1acba7e796817ac0528ba3c5a5c9b83e427fa1fd5",
+    "manifest.json": "c72d70814da9755580dc66fd3038b088f3491a35c95dacf6405aaea81d3a37a5",
+    "epochs.jsonl": "d66d683291a125bb2501a6a669ba9df72bf8c9772e5b411e6dbf4472c6871e8b",
     "contexts.json": "7bcc9b14888769b8c7e1ad887fd53894fa59ff92c569ba12c670c9a04caf72a4",
     "report.json": "39428218c8a791b5e20468697ec8a2b3bd8894eae28d6b281b2ef80c2df99889",
-    "decisions.jsonl": "e8df363dbf08d5bbab6e65e1f54ec0548f8bbb123907e78f3c36731bb97d34d2",
+    "decisions.jsonl": "3bdaa6996b21f657c082a4e5cdd1c670a6f2e339d3441173a63714d07253f68f",
     "report.txt": "153be463479429a9bf32269de1d0770c50f45c501a305fa7429f6b4ccc10aaf8",
 }
 
@@ -259,8 +257,32 @@ def make_entry(**overrides) -> TaxonomyEntry:
     return TaxonomyEntry(**base)
 
 
+def case_stream(seed: int, case_id: str) -> random.Random:
+    """A case's sub-stream as README states it: a ``random.Random`` seeded
+    with the first eight bytes, big-endian, of the sha256 of
+    ``"{seed}:case:{case_id}"``."""
+    digest = hashlib.sha256(f"{seed}:case:{case_id}".encode()).digest()
+    return random.Random(int.from_bytes(digest[:8], "big"))
+
+
+def reference_normals(rng: random.Random, n: int, mu: float, sigma: float) -> list[float]:
+    """A block of ``n`` normals as README states it, one pair at a time: two
+    uniforms ``u`` then ``v`` give ``s = sqrt(-2 sigma^2 log(1 - u))`` and
+    the angle ``2 pi v``, then ``mu + s cos`` and ``mu + s sin`` of it; an
+    odd block drops the last value of its last pair."""
+    values = []
+    while len(values) < n:
+        u = rng.random()
+        v = rng.random()
+        s = math.sqrt(-2.0 * sigma * sigma * math.log(1.0 - u))
+        angle = 2.0 * math.pi * v
+        values.append(mu + s * math.cos(angle))
+        values.append(mu + s * math.sin(angle))
+    return values[:n]
+
+
 def sample_truncated_gaussian(
-    mu: float, sigma: float, lower: float, upper: float, rng: np.random.Generator, n: int
+    mu: float, sigma: float, lower: float, upper: float, rng: random.Random, n: int
 ) -> list[float]:
     """``n`` draws from N(mu, sigma^2) conditioned on [lower, upper], by rounds.
 
@@ -269,21 +291,21 @@ def sample_truncated_gaussian(
     assigned in index order; after ``MAX_REJECTIONS`` rounds in all, a value
     still outside is clamped into the interval, keeping generation total
     even under extreme truncation. The plain reference for the draw that
-    ``generate_case`` runs: the same numpy calls, the rounds and the clamp
-    one value at a time.
+    ``generate_case`` runs, written from README: the blocks from
+    ``reference_normals``, the rounds and the clamp one value at a time.
     """
     if not lower < upper:
         raise InvariantViolation(f"require lower < upper, got [{lower},{upper}]")
     if sigma <= 0:
         raise InvariantViolation(f"sigma must be positive, got {sigma}")
-    values = [float(x) for x in rng.normal(mu, sigma, size=n)]
+    values = reference_normals(rng, n, mu, sigma)
     for _ in range(MAX_REJECTIONS - 1):
         misses = [i for i in range(n) if not lower <= values[i] <= upper]
         if not misses:
             return values
-        for i, x in zip(misses, rng.normal(mu, sigma, size=len(misses))):
-            values[i] = float(x)
-    return [float(min(max(x, lower), upper)) for x in values]
+        for i, x in zip(misses, reference_normals(rng, len(misses), mu, sigma)):
+            values[i] = x
+    return [min(max(x, lower), upper) for x in values]
 
 
 _ENUM_FIELDS = {
@@ -306,14 +328,14 @@ def reference_generate_case(
     choice field's index block, in sorted name order, each value parsed as
     it is drawn. The draw plan must give the same epochs, draw for draw and
     byte for byte."""
-    rng = _substream(seed, f"case:{entry.case_id}")
+    rng = case_stream(seed, entry.case_id)
     window = (DATA_WINDOW[1] - DATA_WINDOW[0]) // timedelta(minutes=1)
     hours, minutes = ((0, 5), 50) if entry.nocturnal else ((7, 20), 60)
     latest = (hours[1] - 1) * 60 + minutes - 1
     days = math.ceil((window - latest - entry.epoch_count + 1) / (24 * 60))
-    day = int(rng.integers(days))
-    hour = int(rng.integers(*hours))
-    minute = int(rng.integers(0, minutes))
+    day = int(rng.random() * days)
+    hour = hours[0] + int(rng.random() * (hours[1] - hours[0]))
+    minute = int(rng.random() * minutes)
     if start_time is None:
         start_time = DATA_WINDOW[0] + timedelta(days=day, hours=hour, minutes=minute)
     context = PatientContext(
@@ -329,12 +351,12 @@ def reference_generate_case(
         spec = entry.continuous_params[name]
         lower, upper = float(spec.lower), float(spec.upper)
         values = sample_truncated_gaussian(spec.mu, spec.sigma, lower, upper, rng, n)
-        noise = rng.normal(0.0, NOISE_SIGMA, size=n)
-        columns[name] = [round(min(max(x + float(e), lower), upper), 2) for x, e in zip(values, noise)]
+        noise = reference_normals(rng, n, 0.0, NOISE_SIGMA)
+        columns[name] = [round(min(max(x + e, lower), upper), 2) for x, e in zip(values, noise)]
     for name in sorted(entry.categorical_params):
         spec = entry.categorical_params[name]
         if spec.choices:
-            drawn = [spec.choices[int(i)] for i in rng.integers(len(spec.choices), size=n)]
+            drawn = [spec.choices[int(rng.random() * len(spec.choices))] for _ in range(n)]
         else:
             drawn = [spec.fixed] * n
         if name in _ENUM_FIELDS:

@@ -260,13 +260,16 @@ def test_report_text_renders_all_tables(golden_run):
 
 
 def test_importing_evaluate_leaves_numpy_unimported():
-    # evaluate and report draw no random number, so they import no generator.
-    code = "import sys, alertsift.evaluate; print('numpy' in sys.modules)"
+    # The package has no runtime dependency: the generator draws from the
+    # standard library, so neither evaluate nor the command line, which
+    # imports the generator, loads numpy. Each import runs in a fresh process.
     env = {**os.environ, "PYTHONPATH": str(Path(alertsift.__file__).parents[1])}
-    done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert done.stdout == "False\n"
+    for module in ("alertsift.evaluate", "alertsift.cli", "alertsift.synthgen"):
+        code = f"import sys, {module}; print('numpy' in sys.modules)"
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert done.stdout == "False\n", module
 
 
 @st.composite
@@ -381,7 +384,7 @@ def test_detect_runs_once_per_cell_and_resolve_once_per_alerting_epoch(golden_ru
     # The layers before resolve, and resolve's weighing, run once per cell of
     # the rules' comparisons, through evaluate's module bindings, which the
     # benchmark's tracer wraps: the seed-42 catalogue's 530 alerting epochs
-    # fall into 51 cells. Every epoch is still resolved, the debounce run,
+    # fall into 52 cells. Every epoch is still resolved, the debounce run,
     # against its own patient's history. A case builds its source bundle
     # only when one of its epochs misses the cache: 46 of the 98 cases do.
     taxonomy, dataset, report = golden_run
@@ -398,7 +401,7 @@ def test_detect_runs_once_per_cell_and_resolve_once_per_alerting_epoch(golden_ru
         monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     assert evaluate(dataset, taxonomy).case_outcomes == report.case_outcomes
     bundles = calls.pop("SourceBundle")
-    assert calls == {"detect": 51, "weigh": 51, "resolve": 530}
+    assert calls == {"detect": 52, "weigh": 52, "resolve": 530}
     assert bundles == 46
 
 

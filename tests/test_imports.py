@@ -74,6 +74,38 @@ def test_every_imported_name_is_read_in_its_module():
     assert unread.keys() == READ_ELSEWHERE
 
 
+def imported_modules(path: Path) -> set[str]:
+    """The top-level package of every module the file imports, absolute."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            modules.add(node.module.partition(".")[0])
+    return modules
+
+
+def test_no_module_of_the_package_imports_numpy():
+    # The package has no runtime dependency; numpy and scipy serve the tests.
+    importers = {
+        path.name
+        for path in PACKAGE.rglob("*.py")
+        if imported_modules(path) & {"numpy", "scipy"}
+    }
+    assert importers == set()
+
+
+def test_the_numpy_check_sees_every_form_of_import(tmp_path):
+    forms = ["import numpy", "import numpy.random as npr", "from numpy import random"]
+    for text in forms:
+        path = tmp_path / "module.py"
+        path.write_text(f"{text}\n", encoding="utf-8")
+        assert imported_modules(path) == {"numpy"}, text
+    path.write_text("from .model import numpy\n", encoding="utf-8")
+    assert imported_modules(path) == set()
+
+
 def test_every_name_a_test_module_imports_is_read():
     # No test binding is kept for another reader.
     assert _unread_in(TESTS) == {}

@@ -533,8 +533,9 @@ def test_epoch_line_matches_the_encoders_byte_for_byte(epoch):
     assert epoch_line(epoch) == COMPACT_JSON.encode(row) + "\n"
 
 
-def test_write_epochs_jsonl_writes_one_line_per_epoch():
-    # Line by line: a long stream is never joined into one string.
+def test_write_epochs_jsonl_writes_at_most_1024_lines_a_write():
+    # In blocks: a long stream is never joined into one string. 2,500
+    # epochs go out as two full blocks of 1,024 lines and one of 452.
     class Recorder(io.StringIO):
         def __init__(self):
             super().__init__()
@@ -544,16 +545,23 @@ def test_write_epochs_jsonl_writes_one_line_per_epoch():
             self.writes.append(text)
             return super().write(text)
 
-    epochs = [make_epoch(ts=DAYTIME + timedelta(minutes=i), hr=70.0 + i) for i in range(3)]
+    epochs = [
+        make_epoch(ts=DAYTIME + timedelta(minutes=i), hr=60.0 + i % 40) for i in range(2500)
+    ]
     fp = Recorder()
     write_epochs_jsonl(tuple(epochs), fp)
-    assert fp.writes == [epoch_line(e) for e in epochs]
+    assert [text.count("\n") for text in fp.writes] == [1024, 1024, 452]
+    assert "".join(fp.writes) == "".join(epoch_line(e) for e in epochs)
     assert [Epoch.from_dict(json.loads(line)) for line in fp.getvalue().splitlines()] == epochs
     # With a digest the writes are the same, and the digest is of their bytes.
     hashed, digest = Recorder(), hashlib.sha256()
     write_epochs_jsonl(iter(epochs), hashed, digest)
     assert hashed.writes == fp.writes
     assert digest.hexdigest() == hashlib.sha256(fp.getvalue().encode()).hexdigest()
+    # No epochs, no write.
+    empty, digest = Recorder(), hashlib.sha256()
+    write_epochs_jsonl((), empty, digest)
+    assert empty.writes == [] and digest.hexdigest() == hashlib.sha256().hexdigest()
 
 
 # ``read_epochs_jsonl`` reads a row in the form ``epoch_line`` writes through

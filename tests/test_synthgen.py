@@ -10,9 +10,9 @@ from collections import Counter
 from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import stats
 
 from alertsift import synthgen
 from alertsift.evaluate import GOLDEN_EPOCHS, GOLDEN_PER_DOMAIN
@@ -63,31 +63,58 @@ def truncated_normal_mean(mu, sigma, a, b):
 
 
 def test_truncated_gaussian_monte_carlo_mean():
-    rng = np.random.default_rng(20240601)
+    rng = random.Random(20240601)
     draws = sample_truncated_gaussian(96.0, 1.0, 70.0, 100.0, rng, 100_000)
     expected = truncated_normal_mean(96.0, 1.0, 70.0, 100.0)
-    assert abs(float(np.mean(draws)) - expected) < 0.02
+    assert abs(math.fsum(draws) / len(draws) - expected) < 0.02
     assert min(draws) >= 70.0 and max(draws) <= 100.0
 
 
 def test_truncated_gaussian_degenerate_variance():
-    rng = np.random.default_rng(7)
+    rng = random.Random(7)
     (value,) = sample_truncated_gaussian(96.0, 1e-9, 70.0, 100.0, rng, 1)
     assert abs(value - 96.0) < 1e-6
 
 
 def test_truncated_gaussian_heavy_truncation_clamps():
-    rng = np.random.default_rng(8)
+    rng = random.Random(8)
     values = sample_truncated_gaussian(80.0, 1.0, 95.0, 95.0001, rng, 10)
     assert len(values) == 10 and all(95.0 <= value <= 95.0001 for value in values)
 
 
 def test_truncated_gaussian_invalid_bounds():
-    rng = np.random.default_rng(9)
+    rng = random.Random(9)
     with pytest.raises(InvariantViolation, match=r"require lower < upper, got \[95.0,94.0\]"):
         sample_truncated_gaussian(90.0, 1.0, 95.0, 94.0, rng, 1)
     with pytest.raises(InvariantViolation, match="sigma must be positive, got 0.0"):
         sample_truncated_gaussian(90.0, 0.0, 80.0, 95.0, rng, 1)
+
+
+def test_box_muller_normals_have_the_stated_mean_and_spread():
+    # Derandomized: 200,000 normals (100,000 pairs) from one fixed stream,
+    # N(96, 1.5^2). The mean lies within four standard errors of 96, the
+    # variance within four of its standard errors of 2.25, and the cosine
+    # and sine halves of the pairs each pass a Kolmogorov-Smirnov test
+    # against the stated normal.
+    n, mu, sigma = 200_000, 96.0, 1.5
+    draws = synthgen._normals(random.Random(36), n, mu, sigma)
+    assert len(draws) == n
+    mean = math.fsum(draws) / n
+    variance = math.fsum((x - mean) ** 2 for x in draws) / (n - 1)
+    assert abs(mean - mu) < 4 * sigma / math.sqrt(n)
+    assert abs(variance - sigma**2) < 4 * sigma**2 * math.sqrt(2 / (n - 1))
+    for half in (draws[0::2], draws[1::2]):
+        assert stats.kstest(half, "norm", args=(mu, sigma)).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 7])
+def test_indices_below_k_are_uniform(k):
+    # Derandomized: 50,000 indices int(u * k) from one fixed stream per k,
+    # each below k, with counts that pass a chi-square test of uniformity.
+    draws = synthgen._indices(random.Random(1000 + k), 50_000, k)
+    counts = Counter(draws)
+    assert set(counts) == set(range(k))
+    assert stats.chisquare([counts[i] for i in range(k)]).pvalue > 1e-3
 
 
 START = datetime(2022, 7, 1, 12, 0, tzinfo=timezone.utc)
@@ -501,18 +528,18 @@ def test_generate_case_matches_reference_for_any_spec(continuous, categorical, e
     _assert_generates_as_reference(entry, seed)
 
 
-class _GivenDraws:
-    """An RNG whose first ``normal`` block is the given values and whose
-    every later block is zeros."""
+def _given_draws(values):
+    """A stand-in for ``synthgen._normals`` whose first block is the given
+    values and whose every later block is zeros."""
+    blocks = [list(values)]
 
-    def __init__(self, values):
-        self._blocks = [np.array(values)]
+    def normals(rng, n, mu, sigma):
+        return blocks.pop() if blocks else [0.0] * n
 
-    def normal(self, loc, scale, size):
-        return self._blocks.pop() if self._blocks else np.zeros(size)
+    return normals
 
 
-def test_two_step_rounding_matches_round_at_every_near_tie():
+def test_two_step_rounding_matches_round_at_every_near_tie(monkeypatch):
     # Every tie (m + 0.5) / 100 over the fields' whole range, 25 to 220, and
     # its four float neighbours on each side, then uniform draws; the noise
     # is zero and the bounds hold every value, so each is rounded as drawn.
@@ -525,7 +552,8 @@ def test_two_step_rounding_matches_round_at_every_near_tie():
             values += (below, above)
     rng = random.Random(2500)
     values += (rng.uniform(25.0, 220.0) for _ in range(100_000))
-    rounded = synthgen._draw_continuous(_GivenDraws(values), len(values), 100.0, 1.0, 0.0, 1000.0)
+    monkeypatch.setattr(synthgen, "_normals", _given_draws(values))
+    rounded = synthgen._draw_continuous(None, len(values), 100.0, 1.0, 0.0, 1000.0)
     assert list(map(repr, rounded)) == [repr(round(x, 2)) for x in values]
 
 
