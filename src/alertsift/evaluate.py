@@ -39,8 +39,8 @@ from .model import (
     PatientContext,
     SystemDecision,
     Verdict,
+    _BLOCK_LINES,
     _DECODE_ERRORS,
-    _LINES_PER_WRITE,
     _integer,
     _located,
     _number,
@@ -711,9 +711,9 @@ def write_decision_log(report: EvaluationReport, path: str | Path) -> None:
                 + ',"patient_id":' + str(case.patient_id) + ',"decision":'
             )
             decisions = case.epoch_decisions
-            for start in range(0, len(decisions), _LINES_PER_WRITE):
+            for start in range(0, len(decisions), _BLOCK_LINES):
                 lines = []
-                for decision in decisions[start : start + _LINES_PER_WRITE]:
+                for decision in decisions[start : start + _BLOCK_LINES]:
                     verdict, claims, resolution_path, decided_at = decision
                     key = (verdict, resolution_path, id(claims))
                     body = bodies.get(key)

@@ -2,11 +2,12 @@
 
 Every claims input yields a binary verdict; the system never answers
 "indeterminate". Resolution order: replay a recent identical decision
-(debounce), adopt a lone definitive specialist, otherwise weigh suppress
-confidence against escalate confidence, and default to escalation whenever
-the margin between them is too small to call. Indeterminate claims carry
-no weight on either side, which is exactly why low-context alerts fall
-through to the conservative default.
+(debounce) when it holds an alarm or the weighing also suppresses, adopt a
+lone definitive specialist, otherwise weigh suppress confidence against
+escalate confidence, and default to escalation whenever the margin between
+them is too small to call. Indeterminate claims carry no weight on either
+side, which is exactly why low-context alerts fall through to the
+conservative default.
 
 Resolution comes in two parts. ``weigh`` takes the last three steps: it
 reads only a cell's claims, its routing decision and the config, so
@@ -131,8 +132,8 @@ _new = tuple.__new__
 
 class Weighing(NamedTuple):
     """A cell's claims weighed: the verdict and path they resolve to when no
-    prior is replayed, and whether any claim recommends escalate, which is
-    all the debounce reads of the claims."""
+    prior is replayed, and whether any claim recommends escalate: with the
+    verdict, all the debounce reads of the claims."""
 
     verdict: Verdict
     path: ResolutionPath
@@ -198,19 +199,21 @@ def resolve(
 
     It reads only what step 1 needs: the alert's type set, the epoch's time
     ``now``, ``duplicate_alert``, whether the epoch's device status, as
-    detection saw it in the projection, is duplicate_alert, and whether the
-    weighing found an escalate claim. So an epoch whose cell was decided
-    before (``evaluate``) resolves from the cell's type set and weighing and
-    its own time and status.
+    detection saw it in the projection, is duplicate_alert, and the
+    weighing's verdict and whether it found an escalate claim. So an epoch
+    whose cell was decided before (``evaluate``) resolves from the cell's
+    type set and weighing and its own time and status.
 
       1. Debounce: an identical alert-type set decided for this patient
-         within the cooldown window replays the prior verdict. Two cases
-         take the weighing instead. A prior suppression is never replayed
-         over a current escalate claim, so a hard guardrail such as the
-         COPD floor outranks the debounce. And a duplicate_alert device
-         status bypasses the debounce; that bypass reproduces the current
-         system's documented behaviour for duplicate alerts, and fixing it
-         is a known follow-up, not an accident.
+         within the cooldown window replays the prior verdict. A prior
+         escalation is always replayed: the debounce may hold an alarm
+         for the cooldown. A prior suppression is replayed only when the
+         weighing also suppresses and no claim recommends escalate, so the
+         debounce never hides an alarm, and a hard guardrail such as the
+         COPD floor outranks it. A duplicate_alert device status bypasses
+         the debounce; that bypass reproduces the current system's
+         documented behaviour for duplicate alerts, and fixing it is a
+         known follow-up, not an accident.
 
     Otherwise the verdict and path are the weighing's (steps 2 to 4, see
     ``weigh``). The decision carries ``claims`` and is appended to the
@@ -219,7 +222,9 @@ def resolve(
     verdict, path, escalates = weighing
     if not duplicate_alert:
         prior = history.last_matching(alert_types, now, cfg.cooldown_window_minutes)
-        if prior is not None and (prior.verdict is _ESCALATE or not escalates):
+        if prior is not None and (
+            prior.verdict is _ESCALATE or verdict is _SUPPRESS and not escalates
+        ):
             verdict, path = prior.verdict, _DEBOUNCED
     decision = _new(SystemDecision, (verdict, claims, path, now))
     history.record(alert_types, decision)

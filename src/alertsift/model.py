@@ -10,11 +10,12 @@ built.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from enum import Enum
 from functools import cache
-from itertools import islice, product
+from itertools import islice, product, repeat
 from typing import Any, Iterable, Mapping, NamedTuple, TextIO
 
 __all__ = [
@@ -311,9 +312,12 @@ class Epoch:
     descriptor's ``__set__`` (``_EPOCH_SETTERS``), where the generated one
     calls ``object.__setattr__`` once per field: about 0.8 against 1.35 µs
     an epoch (in-process, on a shared 2-core x86-64 host under Python 3.11).
+    The reader and the generator build epochs in bulk through
+    ``_epoch_columns``, which sets the same slots a column at a time.
     Everything else is still the dataclass's own: ``fields``,
     ``dataclasses.replace``, equality, hashing, the repr, pickling, and
-    ``FrozenInstanceError`` on setting or deleting a field.
+    ``FrozenInstanceError`` on setting or deleting a field. There is no
+    ``__post_init__``: neither build would run it.
     """
 
     patient_id: int
@@ -393,10 +397,37 @@ class Epoch:
         )
 
 
-# Each field's slot setter, in field order, for ``Epoch.__init__``: the
-# member descriptors of the slotted class, which store a value without going
-# through the frozen ``__setattr__``.
+# Each field's slot setter, in field order, for ``Epoch.__init__`` and
+# ``_epoch_columns``: the member descriptors of the slotted class, which
+# store a value without going through the frozen ``__setattr__``.
 _EPOCH_SETTERS = tuple(getattr(Epoch, f.name).__set__ for f in fields(Epoch))
+
+
+# Below this many epochs ``_epoch_columns`` calls ``Epoch`` per epoch: its
+# ten maps and deques cost about 3 µs a call, which the saving per epoch
+# repays only from about 15 epochs (timeit, best of 7, on a shared 2-core
+# x86-64 host under Python 3.11). A shipped catalogue case is 4 to 7
+# epochs; a block of rows and a long stream are hundreds or more.
+_COLUMN_BUILD_MIN = 16
+
+
+def _epoch_columns(n: int, columns: Iterable[Iterable[Any]]) -> list[Epoch]:
+    """The first ``n`` epochs of ten columns in field order, each yielding
+    at least ``n`` values: ``list(map(Epoch, *columns))`` with no defaults.
+
+    From ``_COLUMN_BUILD_MIN`` epochs on, it makes ``n`` bare instances,
+    then fills one field at a time by mapping that slot's setter over them,
+    each map drained by a zero-length deque: a C loop per field where
+    ``Epoch.__init__`` pays a Python call per epoch. About 0.63 against
+    0.81 µs an epoch for 1,000 epochs (timeit, same host). The slots set
+    are ``__init__``'s, so the instances are the same.
+    """
+    if n < _COLUMN_BUILD_MIN:
+        return list(islice(map(Epoch, *columns), n))
+    epochs = list(map(object.__new__, repeat(Epoch, n)))
+    for set_field, column in zip(_EPOCH_SETTERS, columns, strict=True):
+        deque(map(set_field, epochs, column), 0)
+    return epochs
 
 
 # The field readers every input file goes through: epoch rows, context
@@ -676,18 +707,19 @@ def epoch_line(epoch: Epoch) -> str:
     )
 
 
-# A stream's lines go out in writes of at most this many lines, so a long
-# stream is never one string.
-_LINES_PER_WRITE = 1024
+# A stream's lines are read, and go out, in blocks of at most this many
+# lines: a long stream is never one string, and its transient columns stay
+# small.
+_BLOCK_LINES = 1024
 
 
 def write_epochs_jsonl(epochs: Iterable[Epoch], fp: TextIO, digest: Any = None) -> None:
     """Write one ``epoch_line`` per epoch, joined in writes of at most
-    ``_LINES_PER_WRITE`` lines: a long stream is never held as one string.
+    ``_BLOCK_LINES`` lines: a long stream is never held as one string.
     With ``digest``, a ``hashlib`` object, each block is also fed to it
     once, as UTF-8, the bytes the file gets."""
     lines = map(epoch_line, epochs)
-    while block := "".join(islice(lines, _LINES_PER_WRITE)):
+    while block := "".join(islice(lines, _BLOCK_LINES)):
         fp.write(block)
         if digest is not None:
             digest.update(block.encode())
@@ -751,31 +783,41 @@ def _categories() -> dict[str, tuple[Any, ...]]:
     return _CATEGORIES
 
 
-def _template_epoch(line: str) -> Epoch | None:
-    """The Epoch of a line in ``_TEMPLATE_ROW``'s form, or None: for any
-    other line, and for one whose values ``from_dict`` would reject (a vital
-    out of its bounds, a date that does not exist, an id past ``int``'s
-    digit limit). Never raises, so every error comes from ``_decode_row``.
+def _template_block(lines: list[str]) -> list[Epoch] | None:
+    """The Epochs of lines that are all in ``_TEMPLATE_ROW``'s form, or None:
+    when any line is in another form, or holds a value ``from_dict`` would
+    reject (a vital out of its bounds, a date that does not exist, an id
+    past ``int``'s digit limit). Never raises, so every error comes from
+    ``_decode_row``.
 
-    The values are the ones ``from_dict`` gives: ``int`` and ``float`` parse
-    the digits as json does, ``fromisoformat`` reads the Z form as
-    ``timezone.utc``, as ``parse_timestamp`` does, and the categorical span
-    is one lookup.
+    The block is matched line by line and its groups transposed into
+    columns; no match outlives its groups, so the garbage collector does
+    not keep meeting a block's worth of them. The values are the ones
+    ``from_dict`` gives: ``int`` and ``float`` parse the digits as json
+    does, ``fromisoformat`` reads the Z form as ``timezone.utc``, as
+    ``parse_timestamp`` does, and each categorical span is one lookup.
+    ``min`` and ``max`` apply the vitals' bounds to a whole column, and
+    ``_epoch_columns`` builds the block.
     """
-    match = _TEMPLATE_ROW.fullmatch(line)
-    if match is None:
+    try:
+        patients, stamps, spo2s, hrs, spans, ambients = zip(
+            *map(re.Match.groups, map(_TEMPLATE_ROW.fullmatch, lines))
+        )
+    except TypeError:  # a line out of the form: fullmatch gave None
         return None
-    patient, timestamp, spo2, hr, span, ambient = match.groups()
-    categories = (_CATEGORIES or _categories()).get(span)
-    spo2, hr = float(spo2), float(hr)
-    if categories is None or not (0.0 <= spo2 <= 100.0 and 0.0 < hr < math.inf):
+    spo2s, hrs = list(map(float, spo2s)), list(map(float, hrs))
+    if not (0.0 <= min(spo2s) and max(spo2s) <= 100.0 and 0.0 < min(hrs) and max(hrs) < math.inf):
         return None
     try:
-        patient, timestamp = int(patient), datetime.fromisoformat(timestamp)
-    except ValueError:
+        categories = map((_CATEGORIES or _categories()).__getitem__, spans)
+        accels, statuses, covers, positions, activities = zip(*categories)
+        patients = list(map(int, patients))
+        stamps = list(map(datetime.fromisoformat, stamps))
+    except (KeyError, ValueError):
         return None
-    accel, status, cover, position, activity = categories
-    return Epoch(patient, timestamp, spo2, hr, accel, status, cover, position, activity, ambient)
+    return _epoch_columns(len(lines), (
+        patients, stamps, spo2s, hrs, accels, statuses, covers, positions, activities, ambients
+    ))
 
 
 def _decode_row(line: str, line_no: int) -> Epoch:
@@ -788,26 +830,46 @@ def _decode_row(line: str, line_no: int) -> Epoch:
         raise _located(f"epochs line {line_no}", exc) from None
 
 
+def _read_block(lines: list[str], first: int) -> list[Epoch]:
+    """The epochs of consecutive lines, the first numbered ``first``: as one
+    template block, or else line by line. A line in ``_TEMPLATE_ROW``'s form
+    is tried as a one-line block; any other line, or one that block rejects,
+    is stripped, skipped if blank, and decoded by ``_decode_row``, so a row
+    out of the form costs one failed match and a decode. Lines are read in
+    order, so the first malformed row is the one that fails."""
+    epochs = _template_block(lines)
+    if epochs is not None:
+        return epochs
+    epochs = []
+    for line_no, line in enumerate(lines, start=first):
+        epoch = _TEMPLATE_ROW.fullmatch(line) and _template_block([line])
+        if epoch:
+            epochs += epoch
+        elif line := line.strip(_JSON_WHITESPACE):
+            epochs.append(_decode_row(line, line_no))
+    return epochs
+
+
 def read_epochs_jsonl(fp: TextIO) -> list[Epoch]:
     """Decode every row; any malformed row fails, naming its line number.
 
     A line holds exactly one JSON value, with only JSON whitespace around
     it: data after it (a second object, or anything else) fails with "Extra
     data", and U+00A0 or U+2028 fails with "Expecting value", as ``json.loads``
-    fails them. A row in the form ``epoch_line`` writes, as every generated
-    row is, is read as it stands through one pattern (``_template_epoch``);
-    every other row is stripped and goes through the JSON decoder, with the
-    same result and the same error either way.
+    fails them. The file is read in blocks of ``_BLOCK_LINES`` lines. A
+    block whose every row is in the form ``epoch_line`` writes, as every
+    generated row is, is read as it stands through one pattern and built a
+    column at a time (``_template_block``). A block that fails any check is
+    read line by line (``_read_block``): a line in that form is tried as a
+    one-line block, and any other line, or one that fails, is stripped,
+    skipped if blank, and decoded by the JSON decoder. Either way a row
+    gives the same epoch, and the first malformed row the same error.
     """
-    epochs = []
-    for line_no, line in enumerate(fp, start=1):
-        epoch = _template_epoch(line)
-        if epoch is None:
-            line = line.strip(_JSON_WHITESPACE)
-            if not line:
-                continue
-            epoch = _decode_row(line, line_no)
-        epochs.append(epoch)
+    epochs: list[Epoch] = []
+    first = 1
+    while block := list(islice(fp, _BLOCK_LINES)):
+        epochs += _read_block(block, first)
+        first += len(block)
     return epochs
 
 
@@ -838,16 +900,36 @@ def _json_scalar(value: Any) -> str:
 
 
 def read_contexts_json(fp: TextIO) -> dict[int, PatientContext]:
-    """Decode the sidecar; a file that is no JSON fails naming it, and a
-    malformed record naming its patient key."""
+    """Decode the sidecar; a file that is no JSON fails naming it, a patient
+    key given twice naming the key, and a malformed record naming its
+    patient key.
+
+    Within one record a repeated key keeps json's rule, the last wins, as
+    in an epoch row. The decoder's pairs hook keeps the last object's pairs,
+    which are the top level's when the file is an object: the top level
+    closes last.
+    """
+    last_pairs: list[tuple[str, Any]] = []
+
+    def keep_pairs(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+        nonlocal last_pairs
+        last_pairs = pairs
+        return dict(pairs)
+
     try:
-        raw = json.load(fp)
+        raw = json.load(fp, object_pairs_hook=keep_pairs)
     except _DECODE_ERRORS as exc:
         raise _located("contexts.json", exc) from None
     if not isinstance(raw, dict):
         raise InvariantViolation(
             f"contexts.json: must be a JSON object keyed by patient id, got {type(raw).__name__}"
         )
+    if len(raw) != len(last_pairs):
+        seen: set[str] = set()
+        for key, _ in last_pairs:
+            if key in seen:
+                raise InvariantViolation(f"contexts.json: patient key {_shown(key)} is given twice")
+            seen.add(key)
     contexts = {}
     for key, data in raw.items():
         try:

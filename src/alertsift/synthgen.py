@@ -31,8 +31,8 @@ Each entry builds its draw plan once, in ``Epoch`` field order: a row
 template holding every value that is not drawn, the continuous draws as
 ``(index, mu, sigma, lower, upper)`` in floats, and the choice draws as
 ``(index, options, count)``. ``generate_case`` replaces the template's
-columns with the drawn ones and builds each ``Epoch`` from its row
-positionally.
+columns with the drawn ones and builds the case's epochs a column at a time
+(``model._epoch_columns``).
 """
 
 from __future__ import annotations
@@ -61,6 +61,7 @@ from .model import (
     PatientContext,
     Position,
     SelfReportedActivity,
+    _epoch_columns,
     _flag,
     _integer,
     _located,
@@ -518,7 +519,7 @@ def generate_case(
         columns[index] = _draw_continuous(rng, n, mu, sigma, lower, upper)
     for index, options, count in entry._choices:
         columns[index] = map(options.__getitem__, _indices(rng, n, count))
-    epochs = list(map(Epoch, *columns))
+    epochs = _epoch_columns(n, columns)
     return epochs, replace(entry._context, patient_id=patient_id)
 
 

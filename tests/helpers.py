@@ -485,7 +485,9 @@ def reference_resolve(claims, routing, alert_types, view, history, cfg, patient_
     The alert is ``alert_types`` found on ``view``, which gives the time and
     the device status. ``history`` is a ReferenceHistory, so the pruned
     window is checked against the full history; ``patient_id`` keys it, as
-    each run covers one patient."""
+    each run covers one patient. The claims are weighed before the debounce
+    looks at a prior, because a prior suppression is replayed only over a
+    suppressing weighing."""
     claimed = [c.domain for c in claims]
     expected = [d for d in DOMAIN_ORDER if d in routing.targets]
     if claimed != expected:
@@ -507,30 +509,40 @@ def reference_resolve(claims, routing, alert_types, view, history, cfg, patient_
         history.record(patient_id, now, alert_types, decision)
         return decision
 
+    def weighed():
+        if len(claims) == 1 and claims[0].recommendation is not Recommendation.INDETERMINATE:
+            verdict = (
+                Verdict.SUPPRESS
+                if claims[0].recommendation is Recommendation.SUPPRESS
+                else Verdict.ESCALATE
+            )
+            return verdict, ResolutionPath.SINGLE_DOMAIN
+
+        def score(side):
+            return sum(
+                cfg.weight(c.domain) * c.confidence for c in claims if c.recommendation is side
+            )
+
+        suppress_score = score(Recommendation.SUPPRESS)
+        escalate_score = score(Recommendation.ESCALATE)
+        if suppress_score - escalate_score >= cfg.resolution_margin:
+            return Verdict.SUPPRESS, ResolutionPath.WEIGHTED_AGGREGATION
+        if escalate_score - suppress_score >= cfg.resolution_margin:
+            return Verdict.ESCALATE, ResolutionPath.WEIGHTED_AGGREGATION
+        return Verdict.ESCALATE, ResolutionPath.AMBIGUITY_DEFAULT
+
+    verdict, path = weighed()
     if status is not DeviceStatus.DUPLICATE_ALERT:
         prior = history.last_matching(patient_id, alert_types, now, cfg.cooldown_window_minutes)
         escalating = any(c.recommendation is Recommendation.ESCALATE for c in claims)
-        if prior is not None and (prior.verdict is Verdict.ESCALATE or not escalating):
+        # A prior escalation holds the alarm; a prior suppression is
+        # replayed only over a suppressing weighing with no escalate claim.
+        if prior is not None and (
+            prior.verdict is Verdict.ESCALATE
+            or (verdict is Verdict.SUPPRESS and not escalating)
+        ):
             return finish(prior.verdict, ResolutionPath.DEBOUNCED)
-
-    if len(claims) == 1 and claims[0].recommendation is not Recommendation.INDETERMINATE:
-        verdict = (
-            Verdict.SUPPRESS
-            if claims[0].recommendation is Recommendation.SUPPRESS
-            else Verdict.ESCALATE
-        )
-        return finish(verdict, ResolutionPath.SINGLE_DOMAIN)
-
-    def score(side):
-        return sum(cfg.weight(c.domain) * c.confidence for c in claims if c.recommendation is side)
-
-    suppress_score = score(Recommendation.SUPPRESS)
-    escalate_score = score(Recommendation.ESCALATE)
-    if suppress_score - escalate_score >= cfg.resolution_margin:
-        return finish(Verdict.SUPPRESS, ResolutionPath.WEIGHTED_AGGREGATION)
-    if escalate_score - suppress_score >= cfg.resolution_margin:
-        return finish(Verdict.ESCALATE, ResolutionPath.WEIGHTED_AGGREGATION)
-    return finish(Verdict.ESCALATE, ResolutionPath.AMBIGUITY_DEFAULT)
+    return finish(verdict, path)
 
 
 def resolve_alert(

@@ -10,11 +10,12 @@ import math
 import re
 import shutil
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from alertsift import cli
+from alertsift import cli, model
 from alertsift.cli import main
 from alertsift.evaluate import GOLDEN_TAXONOMY_SHA256, wilson_interval
 from alertsift.model import AccelLevel, DeviceStatus, Position, SelfReportedActivity
@@ -241,8 +242,9 @@ def test_evaluate_malformed_epoch_line_exits_2_naming_the_line(
 
 
 def test_evaluate_duplicate_key_keeps_the_last_value(tmp_path):
-    # A row with spo2 twice reads as json reads it: the last value, here the
-    # row's own after an invalid first one, so the outputs do not move.
+    # A key given twice inside one epoch row or one contexts.json record
+    # reads as json reads it: the last value, here the row's or record's own
+    # after a different first one, so the outputs do not move.
     config = write_config(tmp_path)
     run(["--config", config, "generate"])
     assert run(["--config", config, "evaluate"]) == 0
@@ -250,9 +252,20 @@ def test_evaluate_duplicate_key_keeps_the_last_value(tmp_path):
     epochs_path = tmp_path / "dataset" / "epochs.jsonl"
     lines = epochs_path.read_text(encoding="utf-8").splitlines()
     lines[2] = '{"spo2":-1.0,' + lines[2][1:]
-    epochs_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    assert run(["--config", config, "evaluate"]) == 0
-    assert (tmp_path / "report" / "decisions.jsonl").read_bytes() == decisions
+    contexts_path = tmp_path / "dataset" / "contexts.json"
+    contexts = contexts_path.read_text(encoding="utf-8")
+    first, last = '"copd_documented": true,', '"copd_documented": false,'
+    inner = contexts.replace(last, f"{first}\n    {last}", 1)
+    assert inner != contexts
+    for path, text in (
+        (epochs_path, "\n".join(lines) + "\n"),
+        (contexts_path, inner),
+    ):
+        original = path.read_text(encoding="utf-8")
+        path.write_text(text, encoding="utf-8")
+        assert run(["--config", config, "evaluate"]) == 0, path.name
+        assert (tmp_path / "report" / "decisions.jsonl").read_bytes() == decisions, path.name
+        path.write_text(original, encoding="utf-8")
 
 
 @pytest.mark.parametrize(
@@ -1622,8 +1635,11 @@ def test_one_mutated_epochs_line_exits_2_naming_it(mutable_dataset, data):
     # truncated at a drawn offset (never to nothing, which is a blank line),
     # or replaced by a JSON array, number or string. evaluate exits 2 with
     # one error line: the duplicate-epoch message for a duplicate, else one
-    # naming the line. Never exit 0 and never a traceback.
+    # naming the line. Never exit 0 and never a traceback. The file is read
+    # in blocks of the default size or of 3 lines, so the mutated line falls
+    # anywhere in a block.
     config, dataset, lines, contexts = mutable_dataset
+    block = data.draw(st.sampled_from([model._BLOCK_LINES, 3]), label="block lines")
     index = data.draw(st.integers(0, len(lines) - 1), label="line index")
     line = lines[index]
     kind = data.draw(st.sampled_from(["duplicate", "truncate", *_NON_OBJECT_ROWS]), label="kind")
@@ -1641,8 +1657,56 @@ def test_one_mutated_epochs_line_exits_2_naming_it(mutable_dataset, data):
     (dataset / "contexts.json").write_text(json.dumps(contexts), encoding="utf-8")
 
     err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+            mock.patch.object(model, "_BLOCK_LINES", block):
         code = cli.main(["--config", str(config), "evaluate"])
     assert code == 2, f"exit {code} after {kind} of line {index + 1}"
+    [message] = err.getvalue().splitlines()
+    assert message.startswith(f"error: input validation failed: {expected}"), message
+
+
+_NON_OBJECT_TOP_LEVELS = {
+    "array": st.lists(st.integers(0, 9) | st.just({}), max_size=3),
+    "number": st.integers() | st.floats(allow_nan=False, allow_infinity=False),
+    "string": st.text(max_size=12),
+    "null": st.none(),
+    "boolean": st.booleans(),
+}
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_one_mutated_contexts_file_exits_2_naming_it(mutable_dataset, data):
+    # Property (100 examples): the seed-42 contexts.json with one patient's
+    # record given twice, the second copy anywhere among the records and
+    # with its medication flag drawn; or the file truncated at a drawn
+    # offset; or a top level that is not an object. evaluate exits 2 with
+    # one error line naming contexts.json, and for a duplicate the patient
+    # key. Never exit 0 and never a traceback.
+    config, dataset, lines, contexts = mutable_dataset
+    text = json.dumps(contexts)
+    kind = data.draw(
+        st.sampled_from(["duplicate", "truncate", *_NON_OBJECT_TOP_LEVELS]), label="kind"
+    )
+    expected = "contexts.json: "
+    if kind == "duplicate":
+        records = list(contexts.items())
+        patient = data.draw(st.sampled_from(sorted(contexts)), label="patient")
+        again = {**contexts[patient], "rate_limiting_medication": data.draw(st.booleans())}
+        records.insert(data.draw(st.integers(0, len(records)), label="at"), (patient, again))
+        text = "{" + ", ".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in records) + "}"
+        expected += f"patient key '{patient}' is given twice"
+    elif kind == "truncate":
+        text = text[: data.draw(st.integers(1, len(text) - 1), label="offset")]
+    else:
+        text = json.dumps(data.draw(_NON_OBJECT_TOP_LEVELS[kind], label="value"))
+        expected += "must be a JSON object keyed by patient id, got "
+    (dataset / "epochs.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    (dataset / "contexts.json").write_text(text, encoding="utf-8")
+
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(["--config", str(config), "evaluate"])
+    assert code == 2, f"exit {code} after {kind}"
     [message] = err.getvalue().splitlines()
     assert message.startswith(f"error: input validation failed: {expected}"), message

@@ -9,20 +9,32 @@ night and the window's edges, five contexts and three priors. One
 comes from its first point and is replayed for the rest; every decision
 must equal ``reference_run_case``'s, which builds every epoch's record,
 view, routing and claims through the checked constructors and finds its
-alert types with ``reference_detect``.
+alert types with ``reference_detect``. Over the same points, the debounce
+holds an alarm but never hides one (property D).
 """
 
 from __future__ import annotations
 
 import sys
 from collections import Counter
+from datetime import timedelta
 
-from alertsift.evaluate import evaluate
-from alertsift.meta import MetaConfig
-from alertsift.model import Recommendation, ResolutionPath, Verdict
+from alertsift.evaluate import Dataset, ManifestCase, evaluate
+from alertsift.meta import MetaConfig, weigh
+from alertsift.model import (
+    AccelLevel,
+    DeviceStatus,
+    DomainClass,
+    Position,
+    Recommendation,
+    ResolutionPath,
+    SelfReportedActivity,
+    Verdict,
+)
+from alertsift.routing import RoutingDecision
 from alertsift.sentinel import SentinelConfig
 from alertsift.specialists import SpecialistConfig
-from helpers import GRID_CONTEXTS, decision_grid
+from helpers import DAYTIME, GRID_CONTEXTS, PATIENT, decision_grid, make_context, make_epoch
 
 
 def test_every_grid_point_decides_as_the_uncached_reference(monkeypatch):
@@ -70,3 +82,59 @@ def test_every_grid_point_decides_as_the_uncached_reference(monkeypatch):
             and d.verdict is Verdict.SUPPRESS
             and any(c.recommendation is Recommendation.ESCALATE for c in d.contributing_claims)
         ]
+
+    # Property D, after each prior: a debounced suppression's own weighing
+    # suppresses, so the debounce never hides an alarm. A debounced
+    # escalation may hold one over a suppressing weighing (4,628 points
+    # after an escalation). After a suppression, 2,700 points escalate in
+    # full, 960 of them with no escalate claim, by the ambiguity default.
+    cfg = cfgs[2]
+    weighed = {}
+    for prior, made in points.items():
+        paths = Counter()
+        for d in made:
+            claims = d.contributing_claims
+            if claims not in weighed:
+                routing = RoutingDecision(frozenset(c.domain for c in claims), False)
+                weighed[claims] = weigh(claims, routing, cfg).verdict
+            paths[d.verdict, d.resolution_path is ResolutionPath.DEBOUNCED, weighed[claims]] += 1
+        assert not paths[Verdict.SUPPRESS, True, Verdict.ESCALATE], prior
+        if prior is Verdict.ESCALATE:
+            assert paths[Verdict.ESCALATE, True, Verdict.SUPPRESS] == 4_628
+        if prior is Verdict.SUPPRESS:
+            assert paths[Verdict.SUPPRESS, True, Verdict.SUPPRESS] == 4_000
+            assert paths[Verdict.ESCALATE, False, Verdict.ESCALATE] == 2_700
+
+
+def test_a_suppressed_minute_does_not_hide_the_next_minutes_alarm():
+    # SpO2 97 and HR 72, still, upright and resting, on a plain context:
+    # each minute raises only a signal_quality alert. A motion_artefact
+    # minute alone is suppressed; a system_flag minute alone escalates by
+    # the ambiguity default, with no escalate claim. One minute after the
+    # suppression, inside the cooldown and for the same alert-type set, the
+    # system_flag minute still escalates: the debounce does not replay the
+    # suppression over an escalating weighing.
+    cfgs = SentinelConfig(), SpecialistConfig(), MetaConfig()
+    stream = [
+        make_epoch(
+            ts=DAYTIME + timedelta(minutes=minute), status=status,
+            accel=AccelLevel.STILL, position=Position.UPRIGHT,
+            activity=SelfReportedActivity.RESTING,
+        )
+        for minute, status in enumerate((DeviceStatus.MOTION_ARTEFACT, DeviceStatus.SYSTEM_FLAG))
+    ]
+    dataset = Dataset(tuple(stream), {PATIENT: make_context()})
+    case = ManifestCase("STREAM-01", PATIENT, DomainClass.META_CONFLICT, len(stream))
+
+    (outcome,) = evaluate(dataset, (case,), *cfgs).case_outcomes
+    first, second = outcome.epoch_decisions
+    assert (first.verdict, first.resolution_path) == (
+        Verdict.SUPPRESS, ResolutionPath.SINGLE_DOMAIN
+    )
+    assert (second.verdict, second.resolution_path) == (
+        Verdict.ESCALATE, ResolutionPath.AMBIGUITY_DEFAULT
+    )
+    assert not [
+        c for c in second.contributing_claims if c.recommendation is Recommendation.ESCALATE
+    ]
+    assert outcome.failure_device_status is DeviceStatus.SYSTEM_FLAG

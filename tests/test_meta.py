@@ -555,9 +555,11 @@ def test_resolve_over_every_default_claim_tuple_prior_and_duplicate_status():
                 )
                 if path is ResolutionPath.DEBOUNCED:
                     # Only a prior is replayed, never past a duplicate_alert
-                    # status, and a suppression never over an escalate claim.
+                    # status, and a suppression never over an escalate claim
+                    # nor over an escalating weighing (property D).
                     assert view is views[0] and verdict is prior.verdict
                     assert verdict is Verdict.ESCALATE or escalate == 0.0
+                    assert verdict is Verdict.ESCALATE or weighing.verdict is Verdict.SUPPRESS
                 else:
                     # Anything not replayed resolves as with no prior: a lone
                     # definitive claim is adopted, and inside the margin the

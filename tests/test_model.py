@@ -8,6 +8,7 @@ import hashlib
 import importlib
 import inspect
 import io
+import itertools
 import json
 import pickle
 import pkgutil
@@ -15,6 +16,7 @@ import random
 import re
 from dataclasses import fields
 from datetime import datetime, timedelta, timezone
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -238,8 +240,11 @@ def _epoch_values(rng: random.Random) -> dict:
 
 
 def test_epoch_init_builds_what_the_dataclass_init_builds():
-    # Epoch's __init__ is written out; the reference is the same fields in
-    # a frozen slotted dataclass with the __init__ dataclass generates.
+    # Epoch's __init__ is written out, and model._epoch_columns builds
+    # epochs a slot column at a time; the reference is the same fields in a
+    # frozen slotted dataclass with the __init__ dataclass generates. Neither
+    # build would run a __post_init__, so Epoch must not define one.
+    assert "__post_init__" not in vars(Epoch)
     params = list(inspect.signature(Epoch).parameters.values())
     assert [(p.name, p.default) for p in params] == [
         (f.name, inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default)
@@ -253,31 +258,46 @@ def test_epoch_init_builds_what_the_dataclass_init_builds():
     )
     names = [f.name for f in fields(Epoch)]
     rng = random.Random(8)
-    for _ in range(300):
-        values = _epoch_values(rng)
+    drawn = [_epoch_values(rng) for _ in range(300)]
+    # The column builder, one column per field, over runs of drawn values
+    # on both sides of the size from which it builds by column.
+    cut = model._COLUMN_BUILD_MIN
+    by_columns = []
+    for size in (1, 2, cut - 1, cut, cut + 1, 300 - 3 * cut - 3):
+        run = drawn[len(by_columns) : len(by_columns) + size]
+        by_columns += model._epoch_columns(size, [[values[n] for values in run] for n in names])
+    assert len(by_columns) == len(drawn)
+    for values, from_columns in zip(drawn, by_columns):
         reference = Reference(**values)
         positional = list(values.values())
-        built = [Epoch(**values), Epoch(*positional)]
+        built = [Epoch(**values), Epoch(*positional), from_columns]
         if values["ambient_condition"] is None:
             built.append(Epoch(*positional[:-1]))
             if values["self_reported_activity"] is None:
                 built.append(Epoch(*positional[:-2]))
         for epoch in built:
+            assert type(epoch) is Epoch
             assert all(getattr(epoch, n) is getattr(reference, n) for n in names), epoch
             assert epoch == built[0] and hash(epoch) == hash(built[0])
+            assert repr(epoch) == repr(reference).replace("Reference(", "Epoch(", 1)
 
-        epoch = built[0]
-        moved = dataclasses.replace(epoch, patient_id=epoch.patient_id + 1)
-        assert moved.patient_id == epoch.patient_id + 1
-        assert [getattr(moved, n) for n in names[1:]] == [getattr(epoch, n) for n in names[1:]]
-        assert copy.copy(epoch) == epoch == pickle.loads(pickle.dumps(epoch))
+        for epoch in (built[0], from_columns):
+            moved = dataclasses.replace(epoch, patient_id=epoch.patient_id + 1)
+            assert moved.patient_id == epoch.patient_id + 1
+            assert [getattr(moved, n) for n in names[1:]] == [getattr(epoch, n) for n in names[1:]]
+            assert copy.copy(epoch) == epoch == pickle.loads(pickle.dumps(epoch))
 
-    assert not hasattr(epoch, "__dict__")
-    for name in names:
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(epoch, name, None)
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            delattr(epoch, name)
+    for epoch in (built[0], from_columns):
+        assert not hasattr(epoch, "__dict__")
+        for name in names:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(epoch, name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(epoch, name)
+    # Columns may be endless, as a constant column is: each gives n values.
+    for size in (0, 2, cut, 40):
+        endless = [itertools.repeat(value) for value in positional]
+        assert model._epoch_columns(size, endless) == [Epoch(*positional)] * size
 
 
 def test_device_status_spellings_match_file_format():
@@ -564,12 +584,14 @@ def test_write_epochs_jsonl_writes_at_most_1024_lines_a_write():
     assert empty.writes == [] and digest.hexdigest() == hashlib.sha256().hexdigest()
 
 
-# ``read_epochs_jsonl`` reads a row in the form ``epoch_line`` writes through
-# one pattern, and every other row through the JSON decoder
-# (``model._decode_row``). The reference is the decoder alone. Drawn: rows as
-# ``epoch_line`` writes them, from ``_epochs`` and from epochs whose values
-# the pattern may take, and near-misses of the latter, each one edit that
-# JSON still reads (or rejects) its own way.
+# ``read_epochs_jsonl`` reads a block of rows in the form ``epoch_line``
+# writes through one pattern, and reads a block holding any other row line
+# by line: a line in that form as a one-line block, and any other line, or
+# one that block rejects, through the JSON decoder (``model._decode_row``).
+# The reference is the decoder alone. Drawn: rows as ``epoch_line`` writes
+# them, from ``_epochs`` and from epochs whose values the pattern may take, and
+# near-misses of the latter, each one edit that JSON still reads (or
+# rejects) its own way.
 
 
 def _row_text(row, **tokens):
@@ -652,17 +674,35 @@ def _line(epoch):
     return epoch_line(epoch).rstrip("\n")
 
 
-def _outcome(decode):
-    """An Epoch with what ``==`` misses (its line, so -0.0 against 0.0, and
-    each field's type and the timestamp's zone), or the error text."""
-    try:
-        epoch = decode()
-    except InvariantViolation as exc:
-        return str(exc)
+def _described(epoch):
+    """An Epoch with what ``==`` misses: its line, so -0.0 against 0.0, and
+    each field's type and the timestamp's zone."""
     return (
         epoch, epoch_line(epoch), [type(getattr(epoch, f.name)) for f in fields(Epoch)],
         epoch.timestamp.tzinfo,
     )
+
+
+def _outcome(decode):
+    """The described Epoch, or list of them, that ``decode`` gives, or the
+    error text."""
+    try:
+        decoded = decode()
+    except InvariantViolation as exc:
+        return str(exc)
+    return list(map(_described, decoded)) if type(decoded) is list else _described(decoded)
+
+
+def _decoded_file(text):
+    """The decoder-only reference for a whole file: each line stripped, a
+    blank one skipped, and every other decoded by ``_decode_row`` with its
+    line number, up to the first error."""
+    epochs = []
+    for line_no, line in enumerate(io.StringIO(text), start=1):
+        line = line.strip(" \t\r\n")
+        if line:
+            epochs.append(model._decode_row(line, line_no))
+    return epochs
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -670,11 +710,13 @@ def _outcome(decode):
     _epochs,
     _template_epochs(st.floats(-1.0, 101.0), st.floats(-1.0, 400.0)),
     _template_epochs(st.floats(70.0, 100.0), st.floats(25.0, 220.0)),
+    st.tuples(st.integers(0, 40), st.integers(0, 40)),
 )
-def test_epoch_reader_matches_the_json_decoder_row_for_row(epoch, wide, generated):
+def test_epoch_reader_matches_the_json_decoder_row_for_row(epoch, wide, generated, places):
     # Each example checks three rows as epoch_line writes them, the last
     # with vitals in the generator's ranges so that it takes the pattern,
-    # and every near-miss of the last (30; 6,600 rows in all).
+    # and every near-miss of the last (30; 6,600 rows in all), each as a
+    # file of one line.
     rows = [_line(epoch), _line(wide), _line(generated)]
     rows += [edit(epoch_row(generated)) for edit in _NEAR_MISSES.values()]
     for line in rows:
@@ -685,15 +727,38 @@ def test_epoch_reader_matches_the_json_decoder_row_for_row(epoch, wide, generate
         reference = _outcome(lambda: model._decode_row(line.strip(" \t\r\n"), 1))
         assert _outcome(read) == reference, line
 
+    # Then as whole files, read in blocks of 3 lines and of the default
+    # size: the rows the decoder takes, with a blank line at a drawn place,
+    # alone and with one rejected row at another, and every row in order.
+    # So template rows, near-misses, the blank line and the rejected row
+    # fall on both sides of a block's edge. Each file gives the reference's
+    # epochs, or its first error with the same line number.
+    taken = [line for line in rows if not isinstance(_outcome(lambda: _decoded_file(line)), str)]
+    rejected = [line for line in rows if line not in taken]
+    blank, bad = (place % (len(taken) + 1) for place in places)
+    clean = [*taken[:blank], "", *taken[blank:]]
+    files = [clean, rows]
+    if rejected:
+        files.append([*clean[:bad], rejected[bad % len(rejected)], *clean[bad:]])
+    for lines in files:
+        text = "\n".join(lines) + "\n"
+        reference = _outcome(lambda: _decoded_file(text))
+        for size in (3, model._BLOCK_LINES):
+            with mock.patch.object(model, "_BLOCK_LINES", size):
+                assert _outcome(lambda: read_epochs_jsonl(io.StringIO(text))) == reference, size
+
 
 def test_generated_rows_take_the_template_pattern(tmp_path):
-    # Every generated row takes the pattern. A change to epoch_line's
-    # template must move the pattern with it, or every row would silently
-    # take the JSON decoder and every other test would still pass.
-    write_dataset(generate_dataset(load_taxonomy(default_taxonomy_path()), seed=42), tmp_path)
+    # Every generated row takes the pattern, alone and as one block. A
+    # change to epoch_line's template must move the pattern with it, or
+    # every block would silently go line by line to the JSON decoder and
+    # every other test would still pass.
+    generated = generate_dataset(load_taxonomy(default_taxonomy_path()), seed=42)
+    write_dataset(generated, tmp_path)
     lines = (tmp_path / "epochs.jsonl").read_text(encoding="utf-8").splitlines()
     assert len(lines) == 530
-    assert [line for line in lines if model._template_epoch(line) is None] == []
+    assert [line for line in lines if model._template_block([line]) is None] == []
+    assert model._template_block(lines) == [e for case in generated.cases for e in case.epochs]
     every = {
         "accel_level": CategoricalSpec(choices=tuple(m.value for m in AccelLevel)),
         "device_status": CategoricalSpec(choices=tuple(m.value for m in DeviceStatus)),
@@ -709,7 +774,8 @@ def test_generated_rows_take_the_template_pattern(tmp_path):
     )
     lines = [_line(epoch) for epoch in epochs]
     assert {e.self_reported_activity for e in epochs} == set(SelfReportedActivity)
-    assert [line for line in lines if model._template_epoch(line) is None] == []
+    assert [line for line in lines if model._template_block([line]) is None] == []
+    assert model._template_block(lines) == epochs
     assert read_epochs_jsonl(io.StringIO("".join(map(epoch_line, epochs)))) == epochs
 
 
@@ -732,7 +798,8 @@ def test_crlf_epochs_file_reads_as_the_lf_file(tmp_path):
     with open(crlf, encoding="utf-8", newline="") as fp:
         lines = fp.readlines()
     assert len(lines) == 530 and all(line.endswith("\r\n") for line in lines)
-    assert [line for line in lines if model._template_epoch(line) is None] == []
+    assert [line for line in lines if model._template_block([line]) is None] == []
+    assert model._template_block(lines) == expected
     with open(crlf, encoding="utf-8", newline="") as fp:
         assert read_epochs_jsonl(fp) == expected
 
