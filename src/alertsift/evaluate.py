@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 from .assembly import SourceBundle, assemble, project_for_specialists
-from .meta import DecisionHistory, MetaConfig, Weighing, resolve, weigh
+from .meta import MetaConfig, Weighing, resolve, weigh
 from .model import (
     COMPACT_JSON,
     AgentClaim,
@@ -427,26 +427,32 @@ def _run_case(
     """Walk one patient's epochs oldest first: the one pass that checks the
     stream and decides the case.
 
-    ``case`` is one of ``evaluate``'s cases. The sort and the duplicate-minute
-    check cover every epoch; after the walk, so that a repeated minute is
-    named as one, the stream must hold the case's ``epoch_count`` epochs. An
-    epoch ``_cell_key`` gives no key is quiet and skipped. Every other epoch
-    must belong to the patient, as assembly checks. ``cells`` maps each key
-    met so far in the ``evaluate`` call to its type set, routing decision,
-    claims and their weighing. On a miss, assemble -> project -> detect ->
-    route -> claims -> weigh run, and the epoch must alert; the patient's
-    ``SourceBundle`` is built on the case's first miss, so a case whose
-    every cell was met before builds none. On a hit no bundle, record or
-    view is built and nothing is weighed. Either way ``resolve`` runs the
-    debounce against the patient's history, from the cell's value, the
-    epoch's time and its status. The case is a false escalation if some
-    decision escalates, with the device status of the first; otherwise, and
-    when no epoch alerts, a true suppression.
+    ``case`` is one of ``evaluate``'s cases, and ``epochs`` those grouped
+    under ``patient_id``; the context must be that patient's, checked once
+    before the walk. The sort and the duplicate-minute check cover every
+    epoch, so times strictly increase, as ``resolve`` requires; after the
+    walk, so that a repeated minute is named as one, the stream must hold
+    the case's ``epoch_count`` epochs. An epoch ``_cell_key`` gives no key
+    is quiet and skipped. ``cells`` maps each key met so far in the
+    ``evaluate`` call to its type set, routing decision, claims and their
+    weighing. On a miss, assemble -> project -> detect -> route -> claims ->
+    weigh run, and the epoch must alert; the patient's ``SourceBundle`` is
+    built on the case's first miss, so a case whose every cell was met
+    before builds none. On a hit no bundle, record or view is built and
+    nothing is weighed. Either way ``resolve`` runs the debounce against the
+    patient's history, the dict of its latest decision per alert-type set,
+    from the cell's value, the epoch's time and its status. The case is a
+    false escalation if some decision escalates, with the device status of
+    the first; otherwise, and when no epoch alerts, a true suppression.
     """
+    if context.patient_id != patient_id:
+        raise InvariantViolation(
+            f"epoch patient {patient_id} != context patient {context.patient_id}"
+        )
     stream = tuple(sorted(epochs, key=_BY_TIME))
     bundle = None
     key = _cell_key(context, sentinel_cfg, specialist_cfg)
-    history = DecisionHistory()
+    history: dict[frozenset[AlertType], SystemDecision] = {}
     decisions: list[SystemDecision] = []
     failure_status: DeviceStatus | None = None
     previous_at = None
@@ -459,10 +465,6 @@ def _run_case(
         cell_key = key(epoch)
         if cell_key is None:
             continue
-        if epoch.patient_id != context.patient_id:
-            raise InvariantViolation(
-                f"epoch patient {epoch.patient_id} != context patient {context.patient_id}"
-            )
         cell = cells.get(cell_key)
         if cell is None:
             if bundle is None:

@@ -14,9 +14,11 @@ reads only a cell's claims, its routing decision and the config, so
 ``evaluate`` weighs each cell once. ``resolve`` takes the debounce, the only
 step that reads the epoch, and runs for every alerting epoch.
 
-A history is one patient's latest decision per alert-type set, built per
-case: its alerts resolve in strictly increasing time, and it keeps only what
-it can replay.
+A history is a plain dict of one patient's latest decision per alert-type
+set, held by the walk over that patient's stream (``evaluate``). The walk
+sorts the stream and rejects a repeated minute, so it owns the order: the
+alerts resolve in strictly increasing time, and the dict keeps only what the
+debounce can replay.
 
 The claims and the weighing resolve reads are shared immutable values:
 every alert that reaches the same rules gets the same objects. The alert is
@@ -46,7 +48,7 @@ from .model import (
 )
 from .routing import RoutingDecision
 
-__all__ = ["DecisionHistory", "MetaConfig", "Weighing", "resolve", "weigh"]
+__all__ = ["MetaConfig", "Weighing", "resolve", "weigh"]
 
 
 # The longest cooldown window: the whole minutes in the largest timedelta.
@@ -79,41 +81,6 @@ class MetaConfig:
 @functools.lru_cache(maxsize=None)
 def _cooldown(window_minutes: int) -> timedelta:
     return timedelta(minutes=window_minutes)
-
-
-class DecisionHistory:
-    """One patient's latest decision per alert-type set, under one MetaConfig.
-
-    The debounce replays only a set's latest decision, and when that lies
-    outside the window so does every earlier one, as times strictly
-    increase: so a history holds at most one decision per set, at most 15.
-    The last time is kept apart for the order check.
-    """
-
-    def __init__(self) -> None:
-        self._latest: dict[frozenset[AlertType], SystemDecision] = {}
-        self._last_at: datetime | None = None
-
-    def record(self, alert_types: frozenset[AlertType], decision: SystemDecision) -> None:
-        at = decision.decided_at
-        if self._last_at is not None and at <= self._last_at:
-            raise InvariantViolation(
-                f"decision timestamps must strictly increase ({at} after {self._last_at})"
-            )
-        self._last_at = at
-        self._latest[alert_types] = decision
-
-    def last_matching(
-        self, alert_types: frozenset[AlertType], now: datetime, window_minutes: int
-    ) -> SystemDecision | None:
-        """The latest decision for an identical alert-type set, if within the window."""
-        # Not ``decided_at < now - cooldown``: that subtraction leaves the
-        # datetime range near year 1, while a difference of two datetimes
-        # always fits in a timedelta.
-        decision = self._latest.get(alert_types)
-        if decision is None or now - decision.decided_at > _cooldown(window_minutes):
-            return None
-        return decision
 
 
 _SUPPRESS_CLAIM = Recommendation.SUPPRESS
@@ -191,7 +158,7 @@ def resolve(
     alert_types: frozenset[AlertType],
     now: datetime,
     duplicate_alert: bool,
-    history: DecisionHistory,
+    history: dict[frozenset[AlertType], SystemDecision],
     cfg: MetaConfig,
 ) -> SystemDecision:
     """Turn specialist claims, weighed by ``weigh``, into the binary system
@@ -216,16 +183,26 @@ def resolve(
          known follow-up, not an accident.
 
     Otherwise the verdict and path are the weighing's (steps 2 to 4, see
-    ``weigh``). The decision carries ``claims`` and is appended to the
-    history before returning. Deterministic in its arguments.
+    ``weigh``). The decision carries ``claims`` and is stored in
+    ``history``, the patient's latest decision per alert-type set, before
+    returning. Deterministic in its arguments.
+
+    Precondition: ``now`` strictly increases across the calls on one
+    history, as the walk over a patient's stream guarantees. Then only a
+    set's latest decision can be replayed, since when it lies outside the
+    window so does every earlier one.
     """
     verdict, path, escalates = weighing
     if not duplicate_alert:
-        prior = history.last_matching(alert_types, now, cfg.cooldown_window_minutes)
-        if prior is not None and (
-            prior.verdict is _ESCALATE or verdict is _SUPPRESS and not escalates
+        prior = history.get(alert_types)
+        # Not ``decided_at < now - cooldown``: that subtraction leaves the
+        # datetime range near year 1, while a difference of two datetimes
+        # always fits in a timedelta.
+        if (
+            prior is not None
+            and now - prior.decided_at <= _cooldown(cfg.cooldown_window_minutes)
+            and (prior.verdict is _ESCALATE or verdict is _SUPPRESS and not escalates)
         ):
             verdict, path = prior.verdict, _DEBOUNCED
-    decision = _new(SystemDecision, (verdict, claims, path, now))
-    history.record(alert_types, decision)
+    decision = history[alert_types] = _new(SystemDecision, (verdict, claims, path, now))
     return decision

@@ -832,20 +832,15 @@ def _decode_row(line: str, line_no: int) -> Epoch:
 
 def _read_block(lines: list[str], first: int) -> list[Epoch]:
     """The epochs of consecutive lines, the first numbered ``first``: as one
-    template block, or else line by line. A line in ``_TEMPLATE_ROW``'s form
-    is tried as a one-line block; any other line, or one that block rejects,
-    is stripped, skipped if blank, and decoded by ``_decode_row``, so a row
-    out of the form costs one failed match and a decode. Lines are read in
-    order, so the first malformed row is the one that fails."""
+    template block, or else each line stripped, skipped if blank, and decoded
+    by ``_decode_row``. Lines are read in order, so the first malformed row
+    is the one that fails."""
     epochs = _template_block(lines)
     if epochs is not None:
         return epochs
     epochs = []
     for line_no, line in enumerate(lines, start=first):
-        epoch = _TEMPLATE_ROW.fullmatch(line) and _template_block([line])
-        if epoch:
-            epochs += epoch
-        elif line := line.strip(_JSON_WHITESPACE):
+        if line := line.strip(_JSON_WHITESPACE):
             epochs.append(_decode_row(line, line_no))
     return epochs
 
@@ -860,10 +855,9 @@ def read_epochs_jsonl(fp: TextIO) -> list[Epoch]:
     block whose every row is in the form ``epoch_line`` writes, as every
     generated row is, is read as it stands through one pattern and built a
     column at a time (``_template_block``). A block that fails any check is
-    read line by line (``_read_block``): a line in that form is tried as a
-    one-line block, and any other line, or one that fails, is stripped,
-    skipped if blank, and decoded by the JSON decoder. Either way a row
-    gives the same epoch, and the first malformed row the same error.
+    read line by line (``_read_block``): each line is stripped, skipped if
+    blank, and decoded by the JSON decoder. Either way a row gives the same
+    epoch, and the first malformed row the same error.
     """
     epochs: list[Epoch] = []
     first = 1

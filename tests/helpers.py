@@ -24,7 +24,7 @@ from alertsift.assembly import (
     project_for_specialists,
 )
 from alertsift.evaluate import CaseOutcome, Dataset, ManifestCase, OutcomeKind
-from alertsift.meta import DecisionHistory, MetaConfig, resolve, weigh
+from alertsift.meta import MetaConfig, resolve, weigh
 from alertsift.model import (
     DOMAIN_ORDER,
     PATIENT_ID_RANGE,
@@ -550,7 +550,7 @@ def resolve_alert(
     routing: RoutingDecision,
     alert_types: frozenset[AlertType],
     view: SpecialistView,
-    history: DecisionHistory,
+    history: dict[frozenset[AlertType], SystemDecision],
     cfg: MetaConfig,
 ) -> SystemDecision:
     """``weigh`` then ``resolve`` for the alert types found on ``view``, with

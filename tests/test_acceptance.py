@@ -30,7 +30,7 @@ from alertsift.evaluate import (
     render_report_text,
     wilson_interval,
 )
-from alertsift.meta import DecisionHistory, MetaConfig, resolve, weigh
+from alertsift.meta import MetaConfig, resolve, weigh
 from alertsift.model import (
     AgentClaim,
     AgentDomain,
@@ -269,7 +269,7 @@ def test_criterion_8_meta_totality_conservatism_homogeneity():
         )
         routing = RoutingDecision(targets=frozenset(domains), ambiguity_flag=False)
         weighing = weigh(claims, routing, cfg)
-        decision = resolve(claims, weighing, types, at, False, DecisionHistory(), cfg)
+        decision = resolve(claims, weighing, types, at, False, {}, cfg)
         if decision.verdict not in (Verdict.SUPPRESS, Verdict.ESCALATE):
             failures += 1
             continue
@@ -296,7 +296,7 @@ def test_criterion_8_meta_totality_conservatism_homogeneity():
             )
             weighing = weigh(claims, routing, scaled)
             if (
-                resolve(claims, weighing, types, at, False, DecisionHistory(), scaled).verdict
+                resolve(claims, weighing, types, at, False, {}, scaled).verdict
                 is not decision.verdict
             ):
                 failures += 1

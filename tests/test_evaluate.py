@@ -211,6 +211,20 @@ def test_duplicate_quiet_epoch_in_memory_dataset_raises():
         evaluate(Dataset(epochs=(*case.epochs, case.epochs[2]), contexts=contexts), [entry])
 
 
+def test_context_of_another_patient_raises_before_the_walk():
+    # The context must be the patient's own, checked once per case, so a
+    # stream whose every epoch is quiet fails as an alerting one does.
+    other = PATIENT + 1
+    contexts = {PATIENT: make_context(patient_id=other)}
+    key = _cell_key(contexts[PATIENT], SentinelConfig(), SpecialistConfig())
+    for epoch, alerts in ((make_epoch(hr=130.0), True), (make_epoch(), False)):
+        assert (key(epoch) is not None) is alerts
+        with pytest.raises(
+            InvariantViolation, match=f"^epoch patient {PATIENT} != context patient {other}$"
+        ):
+            evaluate(Dataset(epochs=(epoch,), contexts=contexts), [make_entry(epoch_count=1)])
+
+
 def test_an_epoch_past_the_quiet_screen_must_alert(monkeypatch):
     # The cell key's screen is detect()'s read off the raw epoch, so every
     # epoch it keys alerts and gets one decision. Skipped, a silent one would

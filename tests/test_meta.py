@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from alertsift.assembly import SpecialistView, project_for_specialists
-from alertsift.meta import DecisionHistory, MetaConfig, resolve, weigh
+from alertsift.meta import MetaConfig, resolve, weigh
 from alertsift.model import (
     DOMAIN_ORDER,
     AgentClaim,
@@ -67,7 +67,7 @@ def test_single_definitive_claim_is_adopted():
         (claim(AgentDomain.COPD, Recommendation.SUPPRESS, 0.9),),
         routing_for(AgentDomain.COPD),
         *alert,
-        DecisionHistory(),
+        {},
         CFG,
     )
     assert decision.verdict is Verdict.SUPPRESS
@@ -84,7 +84,7 @@ def test_weighted_suppression_beats_indeterminate():
         ),
         routing_for(AgentDomain.PROBE_INTEGRITY, AgentDomain.COPD, ambiguity=True),
         *alert,
-        DecisionHistory(),
+        {},
         CFG,
     )
     assert decision.verdict is Verdict.SUPPRESS
@@ -101,7 +101,7 @@ def test_weighted_escalation_beats_indeterminate():
         ),
         routing_for(AgentDomain.PROBE_INTEGRITY, AgentDomain.TACHYCARDIA, ambiguity=True),
         *alert,
-        DecisionHistory(),
+        {},
         CFG,
     )
     assert decision.verdict is Verdict.ESCALATE
@@ -117,7 +117,7 @@ def test_tie_and_all_indeterminate_default_to_escalation():
         ),
         routing_for(AgentDomain.PROBE_INTEGRITY, AgentDomain.ACTIVITY_INTEGRITY),
         *alert,
-        DecisionHistory(),
+        {},
         CFG,
     )
     assert tie.verdict is Verdict.ESCALATE
@@ -127,7 +127,7 @@ def test_tie_and_all_indeterminate_default_to_escalation():
         (claim(AgentDomain.PROBE_INTEGRITY, Recommendation.INDETERMINATE, 0.4),),
         routing_for(AgentDomain.PROBE_INTEGRITY),
         *alert,
-        DecisionHistory(),
+        {},
         CFG,
     )
     assert lone.verdict is Verdict.ESCALATE
@@ -137,7 +137,7 @@ def test_tie_and_all_indeterminate_default_to_escalation():
 def test_debounce_replays_prior_verdict():
     epoch1 = make_epoch(spo2=90.0)
     epoch2 = make_epoch(ts=epoch1.timestamp + timedelta(minutes=1), spo2=90.2)
-    history = DecisionHistory()
+    history = {}
     claims = (claim(AgentDomain.PROBE_INTEGRITY, Recommendation.INDETERMINATE, 0.4),)
     routing = routing_for(AgentDomain.PROBE_INTEGRITY)
     first = resolve_alert(claims, routing, *make_alert(epoch1), history, CFG)
@@ -150,7 +150,7 @@ def test_debounce_replays_prior_verdict():
 def test_debounce_expires_outside_window():
     epoch1 = make_epoch(spo2=90.0)
     epoch2 = make_epoch(ts=epoch1.timestamp + timedelta(minutes=11), spo2=90.2)
-    history = DecisionHistory()
+    history = {}
     claims = (claim(AgentDomain.PROBE_INTEGRITY, Recommendation.INDETERMINATE, 0.4),)
     routing = routing_for(AgentDomain.PROBE_INTEGRITY)
     resolve_alert(claims, routing, *make_alert(epoch1), history, CFG)
@@ -161,7 +161,7 @@ def test_debounce_expires_outside_window():
 def test_debounce_requires_identical_alert_type_set():
     epoch1 = make_epoch(spo2=90.0)
     epoch2 = make_epoch(ts=epoch1.timestamp + timedelta(minutes=1), spo2=90.0, hr=120.0)
-    history = DecisionHistory()
+    history = {}
     routing1 = routing_for(AgentDomain.PROBE_INTEGRITY)
     resolve_alert(
         (claim(AgentDomain.PROBE_INTEGRITY, Recommendation.INDETERMINATE, 0.4),),
@@ -183,7 +183,7 @@ def test_debounce_requires_identical_alert_type_set():
 def test_duplicate_alert_status_bypasses_debounce():
     # the documented duplicate-alert behaviour: cooldown logic never kicks in
     base = make_epoch(spo2=90.0, status=DeviceStatus.DUPLICATE_ALERT)
-    history = DecisionHistory()
+    history = {}
     claims = (claim(AgentDomain.PROBE_INTEGRITY, Recommendation.INDETERMINATE, 0.4),)
     routing = routing_for(AgentDomain.PROBE_INTEGRITY)
     for i in range(4):
@@ -208,7 +208,7 @@ def test_inferred_duplicate_alert_status_does_not_bypass_debounce():
     view2 = project_for_specialists(record)
     types2 = detect(view2, SentinelConfig())
     assert types2 == frozenset({AlertType.LOW_SPO2})
-    history = DecisionHistory()
+    history = {}
     claims = (claim(AgentDomain.PROBE_INTEGRITY, Recommendation.INDETERMINATE, 0.4),)
     routing = routing_for(AgentDomain.PROBE_INTEGRITY)
     resolve_alert(claims, routing, *make_alert(epoch1), history, CFG)
@@ -220,7 +220,7 @@ def test_copd_floor_breach_is_not_debounced_into_suppression():
     # A COPD patient with baseline 88 is suppressed at SpO2 87; a minute
     # later SpO2 75 breaches the floor with the same alert-type set.
     context = make_context(copd=True, baseline_spo2=88.0)
-    history = DecisionHistory()
+    history = {}
     decisions = []
     for minute, spo2 in ((0, 87.0), (1, 75.0)):
         epoch = make_epoch(ts=DAYTIME + timedelta(minutes=minute), spo2=spo2)
@@ -239,7 +239,7 @@ def test_debounce_idempotence_never_flips():
     recs = [Recommendation.SUPPRESS, Recommendation.ESCALATE, Recommendation.INDETERMINATE]
     for _ in range(100):
         epoch1 = make_epoch(spo2=90.0)
-        history = DecisionHistory()
+        history = {}
         claims = tuple(
             claim(AgentDomain.PROBE_INTEGRITY, rng.choice(recs), round(rng.random(), 2))
             for _ in range(1)
@@ -259,7 +259,7 @@ def test_empty_claims_raises():
         InvariantViolation,
         match=r"claims must be one per routed target in domain order; got \[\], expected \['copd'\]",
     ):
-        resolve_alert((), routing_for(AgentDomain.COPD), *make_alert(), DecisionHistory(), CFG)
+        resolve_alert((), routing_for(AgentDomain.COPD), *make_alert(), {}, CFG)
 
 
 def test_claims_must_match_routed_targets():
@@ -268,26 +268,9 @@ def test_claims_must_match_routed_targets():
             (claim(AgentDomain.COPD, Recommendation.SUPPRESS, 0.9),),
             routing_for(AgentDomain.TACHYCARDIA),
             *make_alert(),
-            DecisionHistory(),
+            {},
             CFG,
         )
-
-
-def test_history_requires_strictly_increasing_timestamps():
-    types, view = make_alert()
-    history = DecisionHistory()
-    claims = (claim(AgentDomain.PROBE_INTEGRITY, Recommendation.SUPPRESS, 0.9),)
-    routing = routing_for(AgentDomain.PROBE_INTEGRITY)
-    resolve_alert(claims, routing, types, view, history, CFG)
-    with pytest.raises(InvariantViolation):
-        resolve_alert(claims, routing, types, view, history, CFG)
-    # The order check outlives the window: a day later no decision is in the
-    # window, and one earlier than the last recorded still fails.
-    late = view.timestamp + timedelta(days=1)
-    assert history.last_matching(types, late, CFG.cooldown_window_minutes) is None
-    earlier = make_alert(make_epoch(ts=view.timestamp - timedelta(minutes=1), spo2=90.0))
-    with pytest.raises(InvariantViolation):
-        resolve_alert(claims, routing, *earlier, history, CFG)
 
 
 def test_config_invariants():
@@ -311,7 +294,7 @@ def test_resolve_uses_domain_weights():
         ),
         routing_for(AgentDomain.PROBE_INTEGRITY, AgentDomain.ACTIVITY_INTEGRITY),
         *alert,
-        DecisionHistory(),
+        {},
         cfg,
     )
     # 2.7 - 0.9 = 1.8 >= 0.3 toward escalation
@@ -388,7 +371,7 @@ def test_resolve_matches_reference_over_random_histories(run):
     # Windows of 1-15 minutes and gaps of 1-12 minutes, so the window drops
     # decisions and some land exactly on its horizon.
     cfg, steps = run
-    history, reference_history = DecisionHistory(), ReferenceHistory()
+    history, reference_history = {}, ReferenceHistory()
     ts = DAYTIME
     for gap, types, status, claims, routing in steps:
         ts += timedelta(minutes=gap)
@@ -405,7 +388,7 @@ def test_history_holds_at_most_one_decision_per_alert_type_set():
     # the history holds each set's latest decision and nothing else,
     # including over runs of duplicate_alert epochs, which never replay.
     cfg = MetaConfig(cooldown_window_minutes=7)
-    history = DecisionHistory()
+    history = {}
     claims = (claim(AgentDomain.PROBE_INTEGRITY, Recommendation.INDETERMINATE, 0.4),)
     routing = routing_for(AgentDomain.PROBE_INTEGRITY)
     type_sets = (
@@ -418,8 +401,11 @@ def test_history_holds_at_most_one_decision_per_alert_type_set():
         types = type_sets[step % 3]
         view = _view_at(DAYTIME + timedelta(minutes=step), status)
         decision = resolve_alert(claims, routing, types, view, history, cfg)
-        assert history._latest[types] is decision
-        assert len(history._latest) == min(step + 1, len(type_sets))
+        assert history[types] is decision
+        assert len(history) == min(step + 1, len(type_sets))
+        # Each set recurs every 3 minutes, inside the 7-minute window.
+        replayed = status is DeviceStatus.OK and step >= len(type_sets)
+        assert (decision.resolution_path is ResolutionPath.DEBOUNCED) is replayed
 
 
 # Every claim each evaluator can return under the default SpecialistConfig,
@@ -490,21 +476,13 @@ def _every_default_claim_tuple():
             yield claims
 
 
-class _FoundPrior:
-    """A history whose every lookup finds ``prior`` (None for no prior) and
-    which records nothing, so one instance serves every call. It stands in
-    for DecisionHistory and ReferenceHistory alike (their lookups take
-    different arguments); the lookup itself is checked over random histories
-    in test_resolve_matches_reference_over_random_histories."""
-
-    def __init__(self, prior):
-        self.prior = prior
-
-    def last_matching(self, *args):
-        return self.prior
-
-    def record(self, *args):
-        pass
+def _reference_holding(types, prior):
+    """A fresh ReferenceHistory holding ``prior`` for ``types``, or nothing
+    when ``prior`` is None."""
+    history = ReferenceHistory()
+    if prior is not None:
+        history.record(PATIENT, prior.decided_at, types, prior)
+    return history
 
 
 def test_resolve_over_every_default_claim_tuple_prior_and_duplicate_status():
@@ -521,8 +499,8 @@ def test_resolve_over_every_default_claim_tuple_prior_and_duplicate_status():
     views = [_view_at(DAYTIME, status) for status in (DeviceStatus.OK, DeviceStatus.DUPLICATE_ALERT)]
     lone = (claim(AgentDomain.COPD, Recommendation.INDETERMINATE, 0.4),)
     earlier = DAYTIME - timedelta(minutes=1)
-    histories = [_FoundPrior(None)] + [
-        _FoundPrior(SystemDecision(verdict, lone, ResolutionPath.AMBIGUITY_DEFAULT, earlier))
+    priors = [None] + [
+        SystemDecision(verdict, lone, ResolutionPath.AMBIGUITY_DEFAULT, earlier)
         for verdict in (Verdict.ESCALATE, Verdict.SUPPRESS)
     ]
     scaled_cfgs = [
@@ -543,15 +521,16 @@ def test_resolve_over_every_default_claim_tuple_prior_and_duplicate_status():
         )
         unreplayed = None
         weighing = weigh(claims, routing, CFG)
-        for history in histories:
-            prior = history.prior
+        for prior in priors:
             for view, duplicate in zip(views, (False, True)):
                 count += 1
+                history = {} if prior is None else {types: prior}
                 decision = resolve(claims, weighing, types, DAYTIME, duplicate, history, CFG)
+                assert history == {types: decision}
                 verdict, path = decision.verdict, decision.resolution_path
                 assert verdict is Verdict.SUPPRESS or verdict is Verdict.ESCALATE
                 assert decision == reference_resolve(
-                    claims, routing, types, view, history, CFG, PATIENT
+                    claims, routing, types, view, _reference_holding(types, prior), CFG, PATIENT
                 )
                 if path is ResolutionPath.DEBOUNCED:
                     # Only a prior is replayed, never past a duplicate_alert
@@ -575,6 +554,6 @@ def test_resolve_over_every_default_claim_tuple_prior_and_duplicate_status():
                         assert path is ResolutionPath.AMBIGUITY_DEFAULT
         for cfg in scaled_cfgs:
             weighed = weigh(claims, routing, cfg)
-            scaled = resolve(claims, weighed, types, DAYTIME, False, histories[0], cfg)
+            scaled = resolve(claims, weighed, types, DAYTIME, False, {}, cfg)
             assert scaled.verdict is unreplayed.verdict
     assert count == 44_099 * 3 * 2

@@ -586,9 +586,8 @@ def test_write_epochs_jsonl_writes_at_most_1024_lines_a_write():
 
 # ``read_epochs_jsonl`` reads a block of rows in the form ``epoch_line``
 # writes through one pattern, and reads a block holding any other row line
-# by line: a line in that form as a one-line block, and any other line, or
-# one that block rejects, through the JSON decoder (``model._decode_row``).
-# The reference is the decoder alone. Drawn: rows as ``epoch_line`` writes
+# by line through the JSON decoder (``model._decode_row``). The reference is
+# the decoder alone. Drawn: rows as ``epoch_line`` writes
 # them, from ``_epochs`` and from epochs whose values the pattern may take, and
 # near-misses of the latter, each one edit that JSON still reads (or
 # rejects) its own way.
