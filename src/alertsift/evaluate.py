@@ -293,13 +293,16 @@ def load_manifest(dataset_dir: str | Path) -> Manifest:
     epoch count (positive); the patient ids are the consecutive block from
     ``PATIENT_ID_RANGE[0]`` in row order, the rule ``evaluate`` attributes
     by. The list is non-empty, and ``case_count`` and ``epoch_count`` agree
-    with it. An error names the case row, the key, or the file if no JSON.
+    with it. An error names the case row, the key, or the file if it holds
+    no JSON object.
     """
     with open(Path(dataset_dir) / "manifest.json", encoding="utf-8") as fp:
         try:
             raw = json.load(fp)
         except _DECODE_ERRORS as exc:
             raise _located("manifest.json", exc) from None
+    if type(raw) is not dict:
+        raise InvariantViolation(f"manifest.json: must be a JSON object, got {type(raw).__name__}")
     try:
         data = _object(raw, _MANIFEST_KEYS, "manifest")
         rows, digest = data["cases"], data["taxonomy_sha256"]
@@ -697,14 +700,25 @@ def write_decision_log(report: EvaluationReport, path: str | Path) -> None:
     A line is ``{"case_id":…,"patient_id":…,"decision":{…}}``, the decision
     as ``SystemDecision.to_dict`` gives it, encoded compactly. Each case's
     head is written once, as text. A log repeats few distinct decision
-    bodies, so each is encoded once per call, up to its ``decided_at``
+    bodies, so each is built once per call, up to its ``decided_at``
     value, keyed by its verdict, its path and the identity of the claims
-    tuple that a cell's decisions share, not by the claims' equality:
-    ``confidence=1`` and ``1.0`` compare equal but encode differently. The report holds the
-    tuples for the whole call, so no identity is reused while the cache
-    lives.
+    tuple that a cell's decisions share. Its claims repeat across bodies,
+    so each distinct claim is encoded once per call, keyed by its identity.
+    Both keys are identities, not equality: ``confidence=1`` and ``1.0``
+    compare equal but encode differently. The report holds the tuples and
+    claims for the whole call, so no identity is reused while the caches
+    live.
     """
     bodies: dict[tuple[Any, ...], str] = {}
+    claim_texts: dict[int, str] = {}
+    encode = COMPACT_JSON.encode
+
+    def claim_text(claim: AgentClaim) -> str:
+        text = claim_texts.get(id(claim))
+        if text is None:
+            text = claim_texts[id(claim)] = encode(claim.to_dict())
+        return text
+
     with open(path, "w", encoding="utf-8") as fp:
         write = fp.write
         for case in report.case_outcomes:
@@ -720,9 +734,12 @@ def write_decision_log(report: EvaluationReport, path: str | Path) -> None:
                     key = (verdict, resolution_path, id(claims))
                     body = bodies.get(key)
                     if body is None:
-                        fields = decision.to_dict()
-                        del fields["decided_at"]
-                        body = bodies[key] = COMPACT_JSON.encode(fields)[:-1] + ',"decided_at":"'
+                        body = bodies[key] = (
+                            '{"verdict":' + encode_basestring_ascii(verdict.value)
+                            + ',"contributing_claims":[' + ",".join(map(claim_text, claims))
+                            + '],"resolution_path":' + encode_basestring_ascii(resolution_path.value)
+                            + ',"decided_at":"'
+                        )
                     lines.append(head + body + format_timestamp(decided_at) + '"}}\n')
                 write("".join(lines))
 

@@ -893,15 +893,68 @@ def _json_scalar(value: Any) -> str:
     return "null" if value is None else COMPACT_JSON.encode(value)
 
 
+# A record as ``write_contexts_json`` writes it, less its closing line, with
+# one group each for the patient key, which ``patient_id`` must repeat, the
+# baselines and the flags. An id has no leading zero and is not -0, so it is
+# the text of its int; a baseline is null or a number with a fraction, as a
+# float is written. Any other record, valid or not, is left to the decoder.
+_TEMPLATE_RECORD = re.compile(
+    r'  "(0|-?[1-9][0-9]*)": \{\n'
+    f'    "baseline_hr": (?:null|{_JSON_FRACTION}),\n'
+    f'    "baseline_spo2": (?:null|{_JSON_FRACTION}),\n'
+    r'    "copd_documented": (true|false),\n'
+    r'    "patient_id": \1,\n'
+    r'    "rate_limiting_medication": (true|false)'
+)
+_FLAGS = {"true": True, "false": False}
+
+
+def _baselines(texts: tuple[str | None, ...], vital: str) -> list[float | None]:
+    """A column of baselines, or ValueError if one is out of its range."""
+    values = [None if text is None else float(text) for text in texts]
+    low, high = VITAL_RANGES[vital]
+    if not all(low <= value <= high for value in values if value is not None):
+        raise ValueError(vital)
+    return values
+
+
+def _template_contexts(text: str) -> dict[int, PatientContext] | None:
+    """The contexts of a file in exactly the form ``write_contexts_json``
+    writes for one record or more, or None: when the text is in any other
+    form, or holds what the decoder would reject (a patient key given twice,
+    a baseline out of range, COPD without a baseline_spo2, an id past
+    ``int``'s digit limit). Never raises, so every error comes from the
+    decoder. The records are matched one by one and their groups transposed
+    into columns, as ``_template_block`` reads epoch rows."""
+    if not (text.startswith("{\n") and text.endswith("\n  }\n}\n")):
+        return None
+    try:
+        keys, hrs, spo2s, copds, medications = zip(
+            *map(re.Match.groups, map(_TEMPLATE_RECORD.fullmatch, text[2:-7].split("\n  },\n")))
+        )
+        ids = list(map(int, keys))
+        contexts = dict(zip(ids, map(
+            PatientContext, ids, map(_FLAGS.__getitem__, copds),
+            _baselines(spo2s, "spo2"), _baselines(hrs, "hr"), map(_FLAGS.__getitem__, medications),
+        )))
+    except (TypeError, ValueError):  # fullmatch gave None, or a check failed
+        return None
+    return contexts if len(contexts) == len(keys) else None
+
+
 def read_contexts_json(fp: TextIO) -> dict[int, PatientContext]:
     """Decode the sidecar; a file that is no JSON fails naming it, a patient
     key given twice naming the key, and a malformed record naming its
     patient key.
 
-    Within one record a repeated key keeps json's rule, the last wins, as
-    in an epoch row. The decoder's pairs hook keeps the last object's pairs,
-    which are the top level's when the file is an object: the top level
-    closes last.
+    A file in exactly the form ``write_contexts_json`` writes, as every
+    generated one is, is read through one record pattern
+    (``_template_contexts``); any other, valid or not, goes to the JSON
+    decoder. Either way a file gives the same dict, in the same order, or
+    the same error. Within one record a repeated key keeps json's rule, the
+    last wins, as in an epoch row. The decoder's pairs hook keeps the last
+    object's pairs, which are the top level's when the file is an object:
+    the top level closes last.
     """
     last_pairs: list[tuple[str, Any]] = []
 
@@ -911,7 +964,11 @@ def read_contexts_json(fp: TextIO) -> dict[int, PatientContext]:
         return dict(pairs)
 
     try:
-        raw = json.load(fp, object_pairs_hook=keep_pairs)
+        text = fp.read()
+        contexts = _template_contexts(text)
+        if contexts is not None:
+            return contexts
+        raw = json.loads(text, object_pairs_hook=keep_pairs)
     except _DECODE_ERRORS as exc:
         raise _located("contexts.json", exc) from None
     if not isinstance(raw, dict):

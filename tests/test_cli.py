@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from alertsift import cli, model
 from alertsift.cli import main
 from alertsift.evaluate import GOLDEN_TAXONOMY_SHA256, wilson_interval
-from alertsift.model import AccelLevel, DeviceStatus, Position, SelfReportedActivity
+from alertsift.model import AccelLevel, DeviceStatus, DomainClass, Position, SelfReportedActivity
 from alertsift.synthgen import default_taxonomy_path
 from helpers import SEED_42_SHA256
 
@@ -1710,3 +1710,89 @@ def test_one_mutated_contexts_file_exits_2_naming_it(mutable_dataset, data):
     assert code == 2, f"exit {code} after {kind}"
     [message] = err.getvalue().splitlines()
     assert message.startswith(f"error: input validation failed: {expected}"), message
+
+
+@pytest.fixture(scope="module")
+def manifest_dataset(tmp_path_factory, seed_42_dataset):
+    """A config whose dataset's manifest.json the property rewrites per
+    example, putting the seed-42 text back after each."""
+    base = tmp_path_factory.mktemp("manifest")
+    config = write_config(base)
+    shutil.copytree(seed_42_dataset, base / "dataset")
+    return config, base / "dataset" / "manifest.json"
+
+
+_BAD_DOMAIN_CLASSES = (
+    st.sampled_from([member.value.upper() for member in DomainClass])
+    | st.text(max_size=12).filter(lambda text: text not in {m.value for m in DomainClass})
+    | st.integers() | st.none() | st.booleans()
+)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_one_mutated_manifest_exits_2_naming_it(seed_42_dataset, manifest_dataset, data):
+    # Property (100 examples, about 0.4 s): the seed-42 manifest.json with one
+    # case row duplicated (the copy anywhere) or dropped, one key renamed at
+    # the top level or in a row, one row's domain_class not a class, one
+    # row's patient_id out of the consecutive block, the file truncated at a
+    # drawn offset, or a top level that is not an object. evaluate exits 2
+    # with one error line naming manifest.json or the key that breaks:
+    # a row copied before its original breaks the id block first, and a
+    # dropped last row the case count.
+    config, path = manifest_dataset
+    text = (seed_42_dataset / "manifest.json").read_text(encoding="utf-8")
+    manifest = json.loads(text)
+    rows = manifest["cases"]
+    kind = data.draw(
+        st.sampled_from(["duplicate", "drop", "rename", "domain_class", "patient_id", "truncate",
+                         *_NON_OBJECT_TOP_LEVELS]),
+        label="kind",
+    )
+    index = data.draw(st.integers(0, len(rows) - 1), label="row")
+    if kind == "duplicate":
+        at = data.draw(st.integers(0, len(rows)), label="at")
+        rows.insert(at, dict(rows[index]))
+        named = "patient_id" if at < index else "case_id"
+    elif kind == "drop":
+        del rows[index]
+        named = "case_count" if index == len(rows) else "patient_id"
+    elif kind == "rename":
+        record = data.draw(st.sampled_from([manifest, rows[index]]), label="where")
+        key = data.draw(st.sampled_from(sorted(record)), label="key")
+        named = data.draw(
+            st.sampled_from([key + "_", "_" + key, key[:-1], key.upper()]).filter(
+                lambda name: name not in record
+            ),
+            label="new key",
+        )
+        record[named] = record.pop(key)
+    elif kind == "domain_class":
+        rows[index]["domain_class"] = data.draw(_BAD_DOMAIN_CLASSES, label="value")
+        named = kind
+    elif kind == "patient_id":
+        expected = rows[index]["patient_id"]
+        rows[index]["patient_id"] = data.draw(
+            st.integers().filter(lambda pid: pid != expected), label="value"
+        )
+        named = kind
+    else:
+        named = "manifest.json"
+    if kind == "truncate":
+        whole = text.rstrip()
+        mutated = whole[: data.draw(st.integers(1, len(whole) - 1), label="offset")]
+    elif kind in _NON_OBJECT_TOP_LEVELS:
+        mutated = json.dumps(data.draw(_NON_OBJECT_TOP_LEVELS[kind], label="value"))
+    else:
+        mutated = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    path.write_text(mutated, encoding="utf-8")
+
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(["--config", str(config), "evaluate"])
+    path.write_text(text, encoding="utf-8")
+    assert code == 2, f"exit {code} after {kind}"
+    [message] = err.getvalue().splitlines()
+    prefix = "error: input validation failed: "
+    assert message.startswith(prefix), message
+    assert re.search(rf"(?<![\w.]){re.escape(named)}(?![\w.])", message[len(prefix):]), message

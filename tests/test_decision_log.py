@@ -1,9 +1,9 @@
 """The decision log is byte-identical to one written line by line.
 
-``write_decision_log`` encodes each distinct decision body once per call,
-keyed by the identity of its claims tuple, and writes each case's head as
-text, then joins them with each decision's timestamp. The
-reference below is the writer as first written: the whole line rebuilt from
+``write_decision_log`` builds each distinct decision body once per call,
+keyed by the identity of its claims tuple, from each distinct claim encoded
+once per call, keyed by its identity, and writes each case's head as text,
+then joins them with each decision's timestamp. The reference below is the writer as first written: the whole line rebuilt from
 ``to_dict`` and encoded for every decision. Over random reports the two must
 write the same bytes, including where claims compare equal but are distinct
 objects, or compare equal but encode differently (confidence ``1`` and
@@ -14,13 +14,15 @@ from __future__ import annotations
 
 import dataclasses
 import sys
+from collections import Counter
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
+from unittest import mock
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from alertsift.evaluate import (
-    CaseOutcome, DomainRow, EvaluationReport, OutcomeKind, write_decision_log,
+    CaseOutcome, Dataset, DomainRow, EvaluationReport, OutcomeKind, evaluate, write_decision_log,
 )
 from alertsift.model import (
     COMPACT_JSON,
@@ -32,6 +34,7 @@ from alertsift.model import (
     SystemDecision,
     Verdict,
 )
+from alertsift.synthgen import default_taxonomy_path, generate_dataset, load_taxonomy
 
 
 def _reference_write_decision_log(report: EvaluationReport, path: Path) -> None:
@@ -191,3 +194,87 @@ def test_a_case_goes_out_in_writes_of_at_most_1024_lines(tmp_path, monkeypatch):
     assert [text.count("\n") for text in writes] == [1024, 1024, 452, 3]
     _reference_write_decision_log(report, tmp_path / "reference.jsonl")
     assert (tmp_path / "ours.jsonl").read_bytes() == (tmp_path / "reference.jsonl").read_bytes()
+
+
+def _encodings(report: EvaluationReport, *paths: Path) -> list[Counter]:
+    """Write the log to each path; for each call, how often each claim
+    object (by id) went through ``AgentClaim.to_dict``."""
+    to_dict, counts = AgentClaim.to_dict, []
+
+    def counting(claim):
+        counts[-1][id(claim)] += 1
+        return to_dict(claim)
+
+    for path in paths:
+        counts.append(Counter())
+        with mock.patch.object(AgentClaim, "to_dict", counting):
+            write_decision_log(report, path)
+    return counts
+
+
+def test_a_seed_42_log_encodes_each_distinct_claim_once_per_call(tmp_path):
+    # The seed-42 run's claims tuples share claim objects, so the claims
+    # appear in more bodies than there are claims; each call still encodes
+    # each claim object exactly once, and writes the reference's bytes.
+    taxonomy = load_taxonomy(default_taxonomy_path())
+    generated = generate_dataset(taxonomy, seed=42)
+    report = evaluate(
+        Dataset(
+            epochs=tuple(e for case in generated.cases for e in case.epochs),
+            contexts={case.patient_id: case.context for case in generated.cases},
+        ),
+        taxonomy,
+    )
+    bodies = {
+        (d.verdict, d.resolution_path, id(d.contributing_claims)): d.contributing_claims
+        for case in report.case_outcomes for d in case.epoch_decisions
+    }
+    claims = {id(claim) for tuple_ in bodies.values() for claim in tuple_}
+    assert len(claims) < sum(map(len, bodies.values()))
+    first, second = _encodings(report, tmp_path / "first.jsonl", tmp_path / "second.jsonl")
+    assert first == second == Counter(dict.fromkeys(claims, 1))
+    _reference_write_decision_log(report, tmp_path / "reference.jsonl")
+    reference = (tmp_path / "reference.jsonl").read_bytes()
+    assert (tmp_path / "first.jsonl").read_bytes() == reference
+    assert (tmp_path / "second.jsonl").read_bytes() == reference
+
+
+def test_equal_claims_in_two_cells_keep_their_own_confidence(tmp_path):
+    # Two cells of one run hold claims that compare equal, one with
+    # confidence 1 and one with 1.0, under the same verdict and path; each
+    # cell's decisions share its claims tuple. A cache keyed by equality
+    # would write one cell's text for the other's. Each line matches the
+    # per-line COMPACT_JSON encoding, and each claim is encoded once.
+    whole, real = (
+        AgentClaim(AgentDomain.COPD, Recommendation.SUPPRESS, confidence, ("copd_baseline",))
+        for confidence in (1, 1.0)
+    )
+    assert whole == real
+    cells = ((whole,), (real,))
+    start = datetime(2022, 6, 1, tzinfo=timezone.utc)
+    decisions = tuple(
+        SystemDecision(
+            Verdict.SUPPRESS, cells[minute % 2], ResolutionPath.SINGLE_DOMAIN,
+            start + timedelta(minutes=minute),
+        )
+        for minute in range(4)
+    )
+    case = CaseOutcome(
+        case_id="FP-032", patient_id=3847322, domain_class=DomainClass.COPD,
+        outcome=OutcomeKind.TRUE_SUPPRESSION, epoch_decisions=decisions,
+        failure_device_status=None,
+    )
+    report = EvaluationReport(
+        per_domain={DomainClass.COPD: DomainRow(1, 1, 0)}, epochs=4,
+        failure_modes={}, case_outcomes=(case,),
+    )
+    [counts] = _encodings(report, tmp_path / "ours.jsonl")
+    assert counts == Counter({id(whole): 1, id(real): 1})
+    lines = (tmp_path / "ours.jsonl").read_text(encoding="utf-8").splitlines()
+    assert lines == [
+        COMPACT_JSON.encode(
+            {"case_id": case.case_id, "patient_id": case.patient_id, "decision": d.to_dict()}
+        )
+        for d in decisions
+    ]
+    assert ['"confidence":1,' in line for line in lines] == [True, False, True, False]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import dataclasses
 import hashlib
@@ -46,6 +47,7 @@ from alertsift.model import (
     format_timestamp,
     parse_enum,
     parse_timestamp,
+    read_contexts_json,
     read_epochs_jsonl,
     write_contexts_json,
     write_epochs_jsonl,
@@ -837,3 +839,114 @@ def test_write_contexts_json_matches_json_dumps_byte_for_byte(contexts):
     write_contexts_json(contexts, fp)
     payload = {str(pid): ctx.to_dict() for pid, ctx in sorted(contexts.items())}
     assert fp.getvalue() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _read_contexts(text, template=True):
+    """What read_contexts_json gives for ``text``: each key with its
+    context's repr, in order, or the error text. Without ``template``, the
+    JSON decoder reads every file."""
+    with mock.patch.object(model, "_template_contexts", return_value=None) if not template \
+            else contextlib.nullcontext():
+        try:
+            contexts = read_contexts_json(io.StringIO(text))
+        except InvariantViolation as exc:
+            return str(exc)
+    return [(repr(key), repr(context)) for key, context in contexts.items()]
+
+
+# Sidecars as the generator writes them: baselines inside their ranges, and
+# a baseline_spo2 wherever COPD is documented.
+@st.composite
+def _generated_contexts(draw):
+    ids = draw(
+        st.lists(
+            st.sampled_from([0, 9, 10, 999, 1000, 3847291]) | st.integers(-(10**12), 10**12),
+            unique=True, min_size=1, max_size=5,
+        )
+    )
+    contexts = {}
+    for pid in ids:
+        copd = draw(st.booleans())
+        spo2 = st.floats(70.0, 100.0)
+        contexts[pid] = PatientContext(
+            pid, copd, draw(spo2 if copd else st.none() | spo2),
+            draw(st.none() | st.floats(25.0, 220.0)), draw(st.booleans()),
+        )
+    return contexts
+
+
+def _contexts_near_misses(text, record, other):
+    """Each near-miss of a written sidecar at its record ``record`` (the
+    index of one record, and of another given as ``other``): edits a reader
+    of the written form alone would misread."""
+    lines = text.split("\n")
+    key_line, count = 1 + 7 * record, (len(lines) - 3) // 7
+
+    def edited(edits):
+        out = list(lines)
+        for field, value in edits.items():  # field: 0-4 in written order, "key"
+            if field == "key":
+                out[key_line] = f'  "{value}": {{'
+                continue
+            at = key_line + 1 + field
+            head = out[at][: out[at].index(": ") + 2]
+            out[at] = head + value + ("," if out[at].endswith(",") else "")
+        return "\n".join(out)
+
+    def swapped(at):
+        out = list(lines)
+        out[at], out[at + 1] = out[at + 1], out[at]
+        return "\n".join(out)
+
+    copy = [*lines[key_line : key_line + 6], "  },"]
+    at = 1 + 7 * (other % count)
+    pid = lines[key_line + 4].split(": ")[1].rstrip(",")
+    return {
+        "integer_baseline": edited({1: "90"}),
+        "exponent_baseline": edited({0: "1e2"}),
+        "fraction_exponent_baseline": edited({1: "9.5e1"}),
+        "reordered_baselines": swapped(key_line + 1),
+        "reordered_flag_and_id": swapped(key_line + 3),
+        "space_after_colon": edited({2: " true"}),
+        "space_at_line_end": "\n".join(lines[:key_line] + [lines[key_line] + " "] + lines[key_line + 1 :]),
+        "crlf": text.replace("\n", "\r\n"),
+        "no_final_newline": text[:-1],
+        "key_differs": edited({"key": str(int(pid) + 1)}),
+        "leading_zero_key": edited({"key": f"0{pid}"}),
+        "negative_zero_id": edited({"key": "-0", 3: "-0"}),
+        "key_given_twice": "\n".join(lines[:at] + copy + lines[at:]),
+        "copd_without_baseline": edited({1: "null", 2: "true"}),
+        "spo2_below_range": edited({1: "69.9"}),
+        "spo2_past_range": edited({1: "100.5"}),
+        "hr_below_range": edited({0: "24.5"}),
+        "hr_past_range": edited({0: "220.1"}),
+        "empty": "{}\n",
+        "empty_on_two_lines": "{\n}\n",
+    }
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_generated_contexts(), st.integers(0, 4), st.integers(0, 4))
+def test_contexts_reader_matches_the_json_decoder(contexts, record, other):
+    # Property (100 examples, about 1 s): a generated sidecar, and each of
+    # its 20 near-misses at a drawn record, read by read_contexts_json give
+    # the JSON decoder's dict, in its order, or its error message. Every
+    # generated sidecar takes the template path, so a change to
+    # write_contexts_json must move the record pattern with it.
+    fp = io.StringIO()
+    write_contexts_json(contexts, fp)
+    text = fp.getvalue()
+    assert model._template_contexts(text) is not None
+    assert _read_contexts(text) == _read_contexts(text, template=False)
+    record %= len(contexts)
+    for name, near_miss in _contexts_near_misses(text, record, other).items():
+        assert _read_contexts(near_miss) == _read_contexts(near_miss, template=False), name
+
+
+def test_the_seed_42_sidecar_takes_the_template_path(tmp_path):
+    generated = generate_dataset(load_taxonomy(default_taxonomy_path()), seed=42)
+    write_dataset(generated, tmp_path)
+    text = (tmp_path / "contexts.json").read_text(encoding="utf-8")
+    contexts = model._template_contexts(text)
+    assert contexts == {case.patient_id: case.context for case in generated.cases}
+    assert _read_contexts(text) == _read_contexts(text, template=False)
